@@ -21,14 +21,15 @@ def diagnose(name: str, field: hf.UnitField, chart: hf.FoliationChart, grid):
     print(f"  geodesic-field residual: {hf.check_geodesic_field(field, samples):.2e}")
     ranks_f, ranks_b, iv = set(), set(), set()
     for params in hf.grid_params(chart, (6, 6)):
-        ranks_f.add(hf.svd_rank(hf.gauss_map_jacobian(chart, params, 1)))
-        ranks_b.add(hf.svd_rank(hf.gauss_map_jacobian(chart, params, -1)))
+        jac_f, jac_b = hf.gauss_map_jacobian(chart, params)
+        ranks_f.add(hf.svd_rank(jac_f))
+        ranks_b.add(hf.svd_rank(jac_b))
         iv.add(hf.initial_value_rank(chart, params))
     print(f"  endpoint-map ranks: forward {sorted(ranks_f)}, backward {sorted(ranks_b)}")
     print(f"  initial-value ranks: {sorted(iv)}")
     check = hf.nondegeneracy_eigencheck(field, samples[0])
     print(f"  eigenvector degeneracy: {check.degenerate} (eigenvalue {check.eigenvalue})")
-    minima = hf.critical_point_scan(chart, grid=(15, 15))
+    minima, _ = hf.critical_point_scan(chart, grid=(15, 15))
     print(f"  squared-distance minima: {[(round(m.a, 4), round(m.b, 4), m.value) for m in minima]}")
 
 

@@ -58,7 +58,7 @@ def main() -> int:
     print(f"leaves at t=0 and t=2*pi: {res.kind}, distance to seed point {gap:.2e}")
     results["intersection"] = {"kind": res.kind, "distance_to_seed": gap}
 
-    minima = hf.critical_point_scan(chart, base=seed, grid=(25, 25))
+    minima, _ = hf.critical_point_scan(chart, base=seed, grid=(25, 25))
     print("minima of the squared distance from the seed point:")
     for m in minima:
         print(f"  (r, t) = ({m.a:.6f}, {m.b:.6f})  value {m.value:.3e}")

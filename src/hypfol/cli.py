@@ -35,7 +35,6 @@ from .foliation import (
     critical_point_scan,
     grid_params,
     nondegeneracy_eigencheck,
-    ring_growth_evidence,
 )
 from .geodesics import gauss_map, gauss_map_jacobian, svd_rank
 from .lorentz import HPoint, mink_inner, project_to_hyperboloid, sphere_coords
@@ -80,6 +79,11 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    lam = getattr(args, "lam", None)
+    values = (("--tol", args.tol), ("--lambda", lam), ("--alpha0", args.alpha0), ("--delta", args.delta))
+    for flag, value in values:
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value!r}")
     if args.tol <= 0.0:
         raise ConfigError("--tol must be positive")
     family = getattr(args, "family", None)
@@ -93,7 +97,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         family=family,
         alpha0=args.alpha0,
         delta=args.delta,
-        lam=getattr(args, "lam", None),
+        lam=lam,
         grid=_parse_grid(args.grid),
         tol=args.tol,
         base_point=base_point,
@@ -166,10 +170,10 @@ def cmd_gauss(cfg: RunConfig, out_base: str) -> int:
     rows = []
     rank_counts = {1: {}, -1: {}}
     for a, b in grid_params(chart, cfg.grid):
+        geo = chart.map(a, b)
         row = [a, b]
-        for sign in (1, -1):
-            image = sphere_coords(gauss_map(chart.map(a, b), sign))
-            jac = gauss_map_jacobian(chart, (a, b), sign)
+        for sign, jac in zip((1, -1), gauss_map_jacobian(chart, (a, b))):
+            image = sphere_coords(gauss_map(geo, sign))
             rank = svd_rank(jac, atol=cfg.tol)
             rank_counts[sign][rank] = rank_counts[sign].get(rank, 0) + 1
             row.extend([image[0], image[1], image[2], rank])
@@ -200,8 +204,7 @@ def cmd_gauss(cfg: RunConfig, out_base: str) -> int:
 def cmd_critical(cfg: RunConfig, out_base: str) -> int:
     chart, _ = _resolve_family(cfg)
     base = _base_point(cfg)
-    minima = critical_point_scan(chart, base=base, grid=cfg.grid)
-    rings = ring_growth_evidence(chart, base=base, grid=cfg.grid)
+    minima, rings = critical_point_scan(chart, base=base, grid=cfg.grid)
     results = {
         "minima": [m.to_dict() for m in minima],
         "count": len(minima),

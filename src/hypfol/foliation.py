@@ -2,9 +2,10 @@
 
 A candidate is supplied either as a two-parameter chart of oriented
 geodesics or as a unit vector field on a region of hyperbolic space.  The
-classifier samples the chart, converts parameter directions into Jacobi
-data by central differences, builds the 2x2 Gram matrix of the cross
-metric, and decides per sample between
+classifier samples the chart, converts both parameter directions into
+Jacobi data by central differences around one evaluation of the center
+geodesic (``chart_tangent`` returns the pair, on that one geodesic), builds
+the 2x2 Gram matrix of the cross metric, and decides per sample between
 
 * ``definite``            - the cross metric restricts to a definite form;
 * ``semidefinite``        - its null directions all have positive Killing
@@ -18,7 +19,9 @@ locally injective endpoint maps and to charts on which the cross metric is
 Riemannian.  The remaining operations (covariant differential of a field,
 eigenvector degeneracy, intersection detection, critical points of the
 squared distance, initial-value rank) exercise the same criteria from the
-vector-field side.
+vector-field side.  ``critical_point_scan`` evaluates its squared-distance
+grid once and returns the refined minima together with the ring minima of
+that grid.
 
 All verdicts are decided at an explicit tolerance on quadratic-form values
 normalized by the energy of the Jacobi data, recorded in every report.
@@ -117,7 +120,6 @@ class ClassificationReport:
     chart_name: str
     grid: tuple[int, int]
     tol: float
-    h: float
     samples: tuple[SampleRecord, ...]
     aggregate: str
 
@@ -126,7 +128,7 @@ class ClassificationReport:
             "chart": self.chart_name,
             "grid": list(self.grid),
             "tol": self.tol,
-            "fd_step": self.h,
+            "fd_step": FD_STEP,
             "aggregate": self.aggregate,
             "samples": [s.to_dict() for s in self.samples],
         }
@@ -137,58 +139,39 @@ class ClassificationReport:
 
 
 def chart_variation_raw(
-    chart: FoliationChart,
-    params: tuple[float, float],
-    axis: int,
-    h: float = FD_STEP,
-    scheme: str = "central",
-) -> JacobiData:
-    """Raw variation field of the chart along one parameter axis.
+    chart: FoliationChart, params: tuple[float, float], h: float = FD_STEP
+) -> tuple[JacobiData, JacobiData]:
+    """Raw variation fields of the chart along both parameter axes.
 
-    Returns the Jacobi data of the geodesic variation in the chart's own
-    presentation; it need not be orthogonal to the direction.  ``scheme``
-    is "central" (second order) or "forward".
+    Returns the Jacobi data of the two geodesic variations by central
+    differences, in the chart's own presentation; they need not be
+    orthogonal to the direction.  The center geodesic is evaluated once
+    and both fields live on it.
     """
-    if axis not in (0, 1):
-        raise GeometryError("axis must be 0 or 1")
     a, b = float(params[0]), float(params[1])
-    if (a + h == a) if axis == 0 else (b + h == b):
+    if a + h == a or b + h == b:
         raise NumericalError("finite-difference step underflowed")
     g0 = chart.map(a, b)
-    step = (h, 0.0) if axis == 0 else (0.0, h)
-    g_plus = chart.map(a + step[0], b + step[1])
-    if scheme == "central":
-        g_minus = chart.map(a - step[0], b - step[1])
-        den = 2.0 * h
-    elif scheme == "forward":
-        g_minus = g0
-        den = h
-    else:
-        raise GeometryError(f"unknown difference scheme {scheme!r}")
-    j0 = project_to_tangent(g0.foot, (g_plus.foot.v - g_minus.foot.v) / den)
-    j0p = project_to_tangent(g0.foot, (g_plus.dir.w - g_minus.dir.w) / den)
-    return JacobiData(g0, j0, j0p)
+    fields = []
+    for plus, minus in (((a + h, b), (a - h, b)), ((a, b + h), (a, b - h))):
+        g_plus, g_minus = chart.map(*plus), chart.map(*minus)
+        j0 = project_to_tangent(g0.foot, (g_plus.foot.v - g_minus.foot.v) / (2.0 * h))
+        j0p = project_to_tangent(g0.foot, (g_plus.dir.w - g_minus.dir.w) / (2.0 * h))
+        fields.append(JacobiData(g0, j0, j0p))
+    return fields[0], fields[1]
 
 
 def chart_tangent(
-    chart: FoliationChart,
-    params: tuple[float, float],
-    axis: int,
-    h: float = FD_STEP,
-    scheme: str = "central",
-) -> JacobiData:
-    """Orthogonalized chart tangent: the class of the raw variation field.
+    chart: FoliationChart, params: tuple[float, float], h: float = FD_STEP
+) -> tuple[JacobiData, JacobiData]:
+    """Orthogonalized chart tangents along both axes: the classes of the raw
+    variation fields.
 
-    Different presentations of the same chart change the raw field only by
+    Different presentations of the same chart change a raw field only by
     the tangential part ``(a + b s) dir``, which this subtracts.
     """
-    return chart_variation_raw(chart, params, axis, h=h, scheme=scheme).orthogonal_part()
-
-
-def _energy(x: JacobiData) -> float:
-    return float(
-        np.sqrt(max(mink_inner(x.j0.w, x.j0.w) + mink_inner(x.j0p.w, x.j0p.w), 0.0))
-    )
+    x1, x2 = chart_variation_raw(chart, params, h=h)
+    return x1.orthogonal_part(), x2.orthogonal_part()
 
 
 def _rescale(x: JacobiData, factor: float) -> JacobiData:
@@ -240,12 +223,10 @@ def classify_point(
     chart: FoliationChart,
     params: tuple[float, float],
     tol: float = VERDICT_TOL,
-    h: float = FD_STEP,
 ) -> SampleRecord:
     """Classify one chart sample; rank-deficient tangents are reported, not classified."""
-    x1 = chart_tangent(chart, params, 0, h=h)
-    x2 = chart_tangent(chart, params, 1, h=h)
-    e1, e2 = _energy(x1), _energy(x2)
+    x1, x2 = chart_tangent(chart, params)
+    e1, e2 = x1.energy, x2.energy
     if min(e1, e2) <= 1e-12 * max(e1, e2, 1.0):
         return SampleRecord(tuple(params), None, (), None, note="rank-deficient tangent plane")
     stacked = np.column_stack(
@@ -295,7 +276,6 @@ def classify_chart(
     chart: FoliationChart,
     grid: tuple[int, int] = (20, 20),
     tol: float = VERDICT_TOL,
-    h: float = FD_STEP,
 ) -> ClassificationReport:
     """Classify every grid sample; the aggregate is the worst verdict seen.
 
@@ -303,7 +283,7 @@ def classify_chart(
     the aggregate; if nothing could be classified the aggregate is
     "degenerate".
     """
-    samples = [classify_point(chart, p, tol=tol, h=h) for p in grid_params(chart, grid)]
+    samples = [classify_point(chart, p, tol=tol) for p in grid_params(chart, grid)]
     classified = [s.verdict for s in samples if s.verdict is not None]
     if not classified:
         aggregate = "degenerate"
@@ -313,7 +293,6 @@ def classify_chart(
         chart_name=chart.name,
         grid=tuple(grid),
         tol=tol,
-        h=h,
         samples=tuple(samples),
         aggregate=aggregate,
     )
@@ -323,7 +302,7 @@ def classify_chart(
 # vector-field side
 
 
-def check_geodesic_field(field: UnitField, samples: list[HPoint], h: float = FD_STEP) -> float:
+def check_geodesic_field(field: UnitField, samples: list[HPoint]) -> float:
     """Max norm of the self-derivative of the field over the samples.
 
     Zero certifies (at the samples) that integral curves are geodesics.
@@ -332,11 +311,11 @@ def check_geodesic_field(field: UnitField, samples: list[HPoint], h: float = FD_
     worst = 0.0
     for p in samples:
         v = field.func(p)
-        q_plus = exp_map(HTangent(p, h * v.w))
-        q_minus = exp_map(HTangent(p, -h * v.w))
+        q_plus = exp_map(HTangent(p, FD_STEP * v.w))
+        q_minus = exp_map(HTangent(p, -FD_STEP * v.w))
         w_plus = transport_to(field.func(q_plus), p)
         w_minus = transport_to(field.func(q_minus), p)
-        r = (w_plus.w - w_minus.w) / (2.0 * h)
+        r = (w_plus.w - w_minus.w) / (2.0 * FD_STEP)
         worst = max(worst, float(np.sqrt(max(mink_inner(r, r), 0.0))))
     return worst
 
@@ -354,19 +333,17 @@ def _frame_at(p: HPoint) -> list[HTangent]:
     return frame
 
 
-def covariant_differential(
-    field: UnitField, p: HPoint, h: float = FD_STEP
-) -> tuple[np.ndarray, list[HTangent]]:
+def covariant_differential(field: UnitField, p: HPoint) -> tuple[np.ndarray, list[HTangent]]:
     """Matrix of the covariant differential of the field in an orthonormal
     frame at ``p``; column ``j`` holds the derivative along frame vector ``j``."""
     frame = _frame_at(p)
     mat = np.empty((3, 3))
     for j, ej in enumerate(frame):
-        q_plus = exp_map(HTangent(p, h * ej.w))
-        q_minus = exp_map(HTangent(p, -h * ej.w))
+        q_plus = exp_map(HTangent(p, FD_STEP * ej.w))
+        q_minus = exp_map(HTangent(p, -FD_STEP * ej.w))
         w_plus = transport_to(field.func(q_plus), p)
         w_minus = transport_to(field.func(q_minus), p)
-        col = (w_plus.w - w_minus.w) / (2.0 * h)
+        col = (w_plus.w - w_minus.w) / (2.0 * FD_STEP)
         for i, ei in enumerate(frame):
             mat[i, j] = mink_inner(col, ei.w)
     return mat, frame
@@ -408,11 +385,9 @@ def operator_eigencheck(mat: np.ndarray, v_coords: np.ndarray, tol: float = 1e-6
     return False, None, None
 
 
-def nondegeneracy_eigencheck(
-    field: UnitField, p: HPoint, tol: float = 1e-6, h: float = FD_STEP
-) -> EigenCheck:
+def nondegeneracy_eigencheck(field: UnitField, p: HPoint, tol: float = 1e-6) -> EigenCheck:
     """Degenerate iff the covariant differential has a real eigenvector off the field axis."""
-    mat, frame = covariant_differential(field, p, h=h)
+    mat, frame = covariant_differential(field, p)
     v = field.func(p)
     v_coords = np.array([mink_inner(v.w, e.w) for e in frame])
     degenerate, witness_coords, lam = operator_eigencheck(mat, v_coords, tol=tol)
@@ -518,11 +493,14 @@ def critical_point_scan(
     chart: FoliationChart,
     base: HPoint = ORIGIN,
     grid: tuple[int, int] = (25, 25),
-) -> list[CriticalPoint]:
-    """Local minima of the squared distance from ``base`` over the chart.
+) -> tuple[list[CriticalPoint], list[float]]:
+    """Local minima of the squared distance from ``base`` over the chart,
+    and the ring minima of the same grid.
 
-    Grid-local minima (8-neighborhood) are refined by coordinate descent
-    and deduplicated by parameter distance.  Results are sorted by value.
+    The grid is evaluated once.  Grid-local minima (8-neighborhood) are
+    refined by coordinate descent and deduplicated by parameter distance;
+    they are sorted by value.  The ring minima are
+    ``ring_growth_evidence`` of the grid values.
     """
     (a0, a1), (b0, b1) = chart.domain
     avals = np.linspace(a0, a1, grid[0])
@@ -553,27 +531,21 @@ def critical_point_scan(
     for a, b, v in refined:
         if all(math.hypot(a - m.a, b - m.b) > 0.75 * spacing for m in merged):
             merged.append(CriticalPoint(a, b, v))
-    return merged
+    return merged, ring_growth_evidence(values)
 
 
-def ring_growth_evidence(
-    chart: FoliationChart, base: HPoint = ORIGIN, grid: tuple[int, int] = (25, 25)
-) -> list[float]:
-    """Minimum of the squared distance on concentric grid rings, inside out.
+def ring_growth_evidence(values: np.ndarray) -> list[float]:
+    """Minimum of a grid of values on concentric rings about its center, inside out.
 
-    Growth along the rings is reported as sampled evidence that the
-    functional escapes to infinity along the chart; it is not a proof.
+    On the squared-distance grid of ``critical_point_scan``, growth along
+    the rings is reported as sampled evidence that the functional escapes
+    to infinity along the chart; it is not a proof.
     """
-    (a0, a1), (b0, b1) = chart.domain
-    avals = np.linspace(a0, a1, grid[0])
-    bvals = np.linspace(b0, b1, grid[1])
-    values = np.array(
-        [[geodesic_dist_sq(chart.map(a, b), base) for b in bvals] for a in avals]
-    )
-    ci, cj = (grid[0] - 1) / 2.0, (grid[1] - 1) / 2.0
+    n, m = values.shape
+    ci, cj = (n - 1) / 2.0, (m - 1) / 2.0
     rings: dict[int, float] = {}
-    for i in range(grid[0]):
-        for j in range(grid[1]):
+    for i in range(n):
+        for j in range(m):
             ring = int(max(abs(i - ci), abs(j - cj)) + 0.5)
             rings[ring] = min(rings.get(ring, np.inf), float(values[i, j]))
     return [rings[k] for k in sorted(rings)]
@@ -586,7 +558,6 @@ def ring_growth_evidence(
 def initial_value_rank(
     chart: FoliationChart,
     params: tuple[float, float],
-    h: float = FD_STEP,
     tol: float = 1e-6,
 ) -> int:
     """Rank of the map sending chart tangents to their Jacobi value at the foot.
@@ -596,9 +567,8 @@ def initial_value_rank(
     sweep out an open region.
     """
     cols = []
-    for axis in (0, 1):
-        x = chart_tangent(chart, params, axis, h=h)
-        e = _energy(x)
+    for x in chart_tangent(chart, params):
+        e = x.energy
         cols.append(x.j0.w / e if e > 0.0 else np.zeros(4))
     return svd_rank(np.column_stack(cols), atol=tol)
 

@@ -13,8 +13,9 @@ Two pieces of structure computed here carry the whole package:
   (built from the oriented cross product) and ``killing_metric``
   (difference of squared norms), both constant along the geodesic;
 * the forward/backward endpoint maps to the ideal boundary
-  (``gauss_map``) together with finite-difference Jacobians in sphere
-  coordinates.
+  (``gauss_map``) together with their finite-difference Jacobians in
+  sphere coordinates; ``gauss_map_jacobian`` returns the forward and the
+  backward Jacobian from one set of five chart geodesics.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .lorentz import (
     project_to_tangent,
     same_point,
     sphere_coords,
-    transport_along,
 )
 
 
@@ -100,15 +100,11 @@ def make_geodesic(p: HPoint, w: HTangent, base: HPoint = ORIGIN) -> OrientedGeod
     return OrientedGeodesic(foot, _unitize(vel), canonical=True)
 
 
-def canonicalize(g: OrientedGeodesic, base: HPoint = ORIGIN) -> OrientedGeodesic:
-    return make_geodesic(g.foot, g.dir, base=base)
-
-
 def same_geodesic(g1: OrientedGeodesic, g2: OrientedGeodesic, tol: float = 1e-8) -> bool:
     """Whether two representatives describe the same oriented geodesic."""
     if g1 is g2:
         return True
-    c1, c2 = canonicalize(g1), canonicalize(g2)
+    c1, c2 = make_geodesic(g1.foot, g1.dir), make_geodesic(g2.foot, g2.dir)
     return bool(
         np.max(np.abs(c1.foot.v - c2.foot.v)) <= tol
         and np.max(np.abs(c1.dir.w - c2.dir.w)) <= tol
@@ -170,7 +166,7 @@ def geodesic_from_chart(c: ChartPoint) -> OrientedGeodesic:
 
 def chart_of_geodesic(g: OrientedGeodesic, base: HPoint = ORIGIN) -> ChartPoint:
     """Inverse chart: closest-point data ``(u, v)`` of a geodesic."""
-    gc = canonicalize(g, base=base)
+    gc = make_geodesic(g.foot, g.dir, base=base)
     v = log_map(base, gc.foot)
     u = project_to_tangent(base, gc.dir.w).normalized()
     return ChartPoint(u, v)
@@ -199,6 +195,14 @@ class JacobiData:
     def __post_init__(self):
         if not (same_point(self.j0.base, self.geo.foot) and same_point(self.j0p.base, self.geo.foot)):
             raise BaseMismatchError("Jacobi data must be anchored at the footpoint")
+
+    @property
+    def energy(self) -> float:
+        """Size ``sqrt(|J(0)|^2 + |J'(0)|^2)`` of the data, the normalizer of
+        verdict forms and endpoint ranks."""
+        return float(
+            np.sqrt(max(mink_inner(self.j0.w, self.j0.w) + mink_inner(self.j0p.w, self.j0p.w), 0.0))
+        )
 
     @property
     def is_orthogonal(self) -> bool:
@@ -384,27 +388,33 @@ def _sphere_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def gauss_map_jacobian(chart, params: tuple[float, float], sign: int = 1, h: float = 1e-4) -> np.ndarray:
-    """Finite-difference 2x2 Jacobian of the endpoint map in sphere coordinates.
+def gauss_map_jacobian(
+    chart, params: tuple[float, float], h: float = 1e-4
+) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-difference 2x2 Jacobians of the forward and backward endpoint
+    maps in sphere coordinates, as ``(forward, backward)``.
 
-    ``chart`` is anything with a ``map(a, b) -> OrientedGeodesic`` attribute.
-    Only the rank and kernel of the result are meaningful; the sphere chart
-    at the center image fixes the row frame.
+    ``chart`` is anything with a ``map(a, b) -> OrientedGeodesic`` attribute;
+    it is evaluated once at the center and once at each of the four
+    central-difference neighbours.  Only the rank and kernel of each result
+    are meaningful; the sphere chart at the center image fixes the row frame.
     """
     a, b = float(params[0]), float(params[1])
     if a + h == a or b + h == b:
         raise NumericalError("finite-difference step underflowed")
-
-    def image(aa, bb):
-        return sphere_coords(gauss_map(chart.map(aa, bb), sign))
-
-    n0 = image(a, b)
-    t1, t2 = _sphere_frame(n0)
-    col_a = (image(a + h, b) - image(a - h, b)) / (2.0 * h)
-    col_b = (image(a, b + h) - image(a, b - h)) / (2.0 * h)
-    return np.array(
-        [[np.dot(t1, col_a), np.dot(t1, col_b)], [np.dot(t2, col_a), np.dot(t2, col_b)]]
-    )
+    geos = [chart.map(aa, bb) for aa, bb in ((a, b), (a + h, b), (a - h, b), (a, b + h), (a, b - h))]
+    jacobians = []
+    for sign in (1, -1):
+        n0, na_plus, na_minus, nb_plus, nb_minus = (sphere_coords(gauss_map(g, sign)) for g in geos)
+        t1, t2 = _sphere_frame(n0)
+        col_a = (na_plus - na_minus) / (2.0 * h)
+        col_b = (nb_plus - nb_minus) / (2.0 * h)
+        jacobians.append(
+            np.array(
+                [[np.dot(t1, col_a), np.dot(t1, col_b)], [np.dot(t2, col_a), np.dot(t2, col_b)]]
+            )
+        )
+    return jacobians[0], jacobians[1]
 
 
 def endpoint_velocity_rank(x1: JacobiData, x2: JacobiData, sign: int = 1, atol: float = 1e-6) -> int:
@@ -418,16 +428,7 @@ def endpoint_velocity_rank(x1: JacobiData, x2: JacobiData, sign: int = 1, atol: 
     _require_same_geodesic(x1, x2)
     cols = []
     for x in (x1, x2):
-        e = np.sqrt(max(mink_inner(x.j0.w, x.j0.w) + mink_inner(x.j0p.w, x.j0p.w), 0.0))
+        e = x.energy
         col = x.j0.w + sign * x.j0p.w
         cols.append(col / e if e > 0.0 else np.zeros(4))
     return svd_rank(np.column_stack(cols), atol=atol)
-
-
-# ---------------------------------------------------------------------------
-# transport along a geodesic, in the representation used everywhere here
-
-
-def parallel_transport(g: OrientedGeodesic, s: float, t: HTangent) -> HTangent:
-    """Parallel transport of ``t`` from the foot of ``g`` to arc length ``s``."""
-    return transport_along(g.dir, s, t)

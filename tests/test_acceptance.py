@@ -105,7 +105,7 @@ def test_acceptance_04_vertical_family(announce):
         worst_form = max(worst_form, max(abs(k) for k in s.k_values))
     assert worst_form < 1e-9
     for a, b in hf.grid_params(chart, (20, 20)):
-        jac = hf.gauss_map_jacobian(chart, (a, b), 1)
+        jac, _ = hf.gauss_map_jacobian(chart, (a, b))
         assert hf.svd_rank(jac) == 0
     worst_nabla = 0.0
     rng = np.random.default_rng(11)
@@ -128,10 +128,11 @@ def test_acceptance_05_plane_normal_family(announce):
     assert rep.aggregate == "semidefinite"
     assert all(s.verdict == "semidefinite" for s in rep.samples)
     for a, b in hf.grid_params(chart, (10, 10)):
-        assert hf.svd_rank(hf.gauss_map_jacobian(chart, (a, b), 1)) == 2
-        assert hf.svd_rank(hf.gauss_map_jacobian(chart, (a, b), -1)) == 2
+        jac_f, jac_b = hf.gauss_map_jacobian(chart, (a, b))
+        assert hf.svd_rank(jac_f) == 2
+        assert hf.svd_rank(jac_b) == 2
         assert hf.initial_value_rank(chart, (a, b)) == 2
-    minima = hf.critical_point_scan(chart, base=O, grid=(15, 15))
+    minima, _ = hf.critical_point_scan(chart, base=O, grid=(15, 15))
     assert len(minima) == 1
     assert minima[0].value < 1e-12
     announce(5, f"plane-normal family (one minimum, value {minima[0].value:.1e})")
@@ -154,8 +155,7 @@ def test_acceptance_06_spiral_family(announce, rng):
         t = rng.uniform(t0d + 0.02, t1d - 0.02)
         x, y = rng.standard_normal(2)
         want = float(np.array([x, y]) @ hf.cross_form_matrix(r, t, half) @ np.array([x, y]))
-        xa = hf.chart_tangent(chart, (r, t), 0)
-        xb = hf.chart_tangent(chart, (r, t), 1)
+        xa, xb = hf.chart_tangent(chart, (r, t))
         got = (
             x * x * hf.cross_metric(xa)
             + 2 * x * y * hf.cross_metric(xa, xb)
@@ -191,7 +191,7 @@ def test_acceptance_07_counterexample_intersection(announce):
     assert res.kind == "point"
     seed_point = hf.polar_frame(2.0, 0.0).point
     assert hf.dist(res.point, seed_point) < 1e-8
-    minima = hf.critical_point_scan(chart, base=seed_point, grid=(25, 25))
+    minima, _ = hf.critical_point_scan(chart, base=seed_point, grid=(25, 25))
     small = [m for m in minima if m.value < 1e-10]
     assert len(small) >= 2
     announce(7, f"counterexample intersection ({len(small)} zero minima)")
@@ -208,7 +208,7 @@ def test_acceptance_08_gauss_kernel(announce, rng):
             g, hf.HTangent(g.foot, j0b), hf.HTangent(g.foot, rng.uniform(-0.8, 0.8) * j0b)
         )
         chart = hf.jacobi_variation_chart(stable, generic)
-        jac = hf.gauss_map_jacobian(chart, (0.0, 0.0), 1)
+        jac, _ = hf.gauss_map_jacobian(chart, (0.0, 0.0))
         worst = max(worst, float(np.linalg.norm(jac[:, 0])))
         assert np.linalg.norm(jac[:, 1]) > 1e-4  # only the stable direction dies
     assert worst < 1e-6

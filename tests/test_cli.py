@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from hypfol import cli
 from hypfol.cli import main
+from util import counting_chart
 
 ALPHA0 = repr(math.pi / 4.0)
 
@@ -152,7 +154,18 @@ def test_bad_grid(tmp_path):
 
 
 def test_bad_tol(tmp_path):
-    assert run(["classify", "--family", "vertical", "--tol", "-1", "--out", str(tmp_path / "x")]) == 2
+    for tol in ("-1", "nan", "inf"):
+        assert run(["classify", "--family", "vertical", "--tol", tol, "--out", str(tmp_path / "x")]) == 2
+
+
+def test_non_finite_values_rejected(tmp_path, capsys):
+    for flag, value in (("--lambda", "inf"), ("--lambda", "nan"), ("--alpha0", "nan"), ("--delta", "inf")):
+        argv = ["classify", "--family", "prop", "--lambda", "0.07", flag, value]
+        assert run(argv + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_base_point(tmp_path):
@@ -184,6 +197,37 @@ def test_bad_alpha0_for_prop(tmp_path):
         ["classify", "--family", "prop", "--alpha0", "2.0", "--lambda", "0.1", "--out", str(tmp_path / "x")]
     )
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# chart evaluations per command
+
+
+@pytest.fixture
+def chart_map_calls(monkeypatch):
+    """Record every ``chart.map`` evaluation of the chart a command resolves."""
+    calls = []
+    resolve = cli._resolve_family
+
+    def counted_resolve(cfg):
+        chart, field = resolve(cfg)
+        return counting_chart(chart, calls), field
+
+    monkeypatch.setattr(cli, "_resolve_family", counted_resolve)
+    return calls
+
+
+def test_gauss_evaluates_chart_six_times_per_sample(tmp_path, chart_map_calls):
+    # one center geodesic for both endpoint images, five for both Jacobians
+    assert run(["gauss", "--family", "plane-normal", "--grid", "4x3", "--out", str(tmp_path / "g")]) == 0
+    assert len(chart_map_calls) == 6 * 12
+
+
+def test_critical_evaluates_grid_once(tmp_path, chart_map_calls):
+    # 225 grid points, shared by the minima and the rings, plus 153 descent steps
+    assert run(["critical", "--family", "plane-normal", "--grid", "15x15", "--out", str(tmp_path / "c")]) == 0
+    assert len(chart_map_calls) == 378
+    assert len(set(chart_map_calls[:225])) == 225
 
 
 # ---------------------------------------------------------------------------

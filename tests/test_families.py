@@ -62,8 +62,7 @@ def test_plane_normal_leaf_through_base():
 def test_plane_normal_derivative_vanishes_on_plane():
     _, chart = hf.plane_normal_family()
     for params in ((0.0, 0.0), (0.5, -0.2)):
-        for axis in (0, 1):
-            x = hf.chart_tangent(chart, params, axis)
+        for x in hf.chart_tangent(chart, params):
             assert np.max(np.abs(x.j0p.w)) < 1e-9
 
 
@@ -179,7 +178,7 @@ def test_spiral_raw_tangents_match_closed_forms(params):
     alpha = params.tilt(r, t)
     lam = params.lam
     for axis, (x, y) in ((0, (1.0, 0.0)), (1, (0.0, 1.0))):
-        raw = hf.chart_variation_raw(chart, (r, t), axis)
+        raw = hf.chart_variation_raw(chart, (r, t))[axis]
         j0_want = x * fr.radial.w + y * math.sinh(r) * fr.angular.w
         j0p_want = (
             -(y * math.cosh(r) * math.cos(alpha)) * fr.radial.w
@@ -200,8 +199,7 @@ def test_spiral_gram_matches_quadratic_form(params, rng):
         x, y = rng.standard_normal(2)
         q = hf.cross_form_matrix(r, t, params)
         want = float(np.array([x, y]) @ q @ np.array([x, y]))
-        x0 = hf.chart_tangent(chart, (r, t), 0)
-        x1 = hf.chart_tangent(chart, (r, t), 1)
+        x0, x1 = hf.chart_tangent(chart, (r, t))
         got = (
             x * x * hf.cross_metric(x0)
             + 2.0 * x * y * hf.cross_metric(x0, x1)
@@ -215,7 +213,7 @@ def test_spiral_gram_matches_quadratic_form(params, rng):
 def test_spiral_radial_norm_is_pitch(params):
     chart = hf.spiral_chart(params)
     for r, t in ((1.3, 0.0), (2.0, 2.0), (2.8, 5.5)):
-        x0 = hf.chart_tangent(chart, (r, t), 0)
+        x0, _ = hf.chart_tangent(chart, (r, t))
         assert hf.cross_metric(x0) == pytest.approx(params.lam, rel=1e-6)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypfol as hf
-from util import minner, perp_component, rand_geodesic, rand_point
+from util import counting_chart, minner, perp_component, rand_geodesic, rand_point
 
 O = hf.ORIGIN
 
@@ -40,21 +40,21 @@ def test_chart_tangent_zero_on_constant_axis():
         return chart.map(a, 0.0)
 
     degenerate = hf.FoliationChart(map=collapsed, domain=chart.domain, name="collapsed")
-    x = hf.chart_tangent(degenerate, (0.2, -0.1), 1)
+    _, x = hf.chart_tangent(degenerate, (0.2, -0.1))
     assert np.linalg.norm(x.j0.w) < 1e-12
     assert np.linalg.norm(x.j0p.w) < 1e-12
 
 
 def test_chart_tangent_is_orthogonal_jacobi_data(spiral):
     _, chart = spiral
-    x = hf.chart_tangent(chart, (1.7, 2.3), 0)
+    x, _ = hf.chart_tangent(chart, (1.7, 2.3))
     assert x.is_orthogonal
 
 
 def test_chart_tangent_radial_axis_recovers_frame_field(spiral):
     params, chart = spiral
     fr = hf.polar_frame(2.0, 0.5)
-    x = hf.chart_tangent(chart, (2.0, 0.5), 0)
+    x, _ = hf.chart_tangent(chart, (2.0, 0.5))
     # the radial-axis variation is already orthogonal, so J(0) is the radial vector
     assert np.max(np.abs(x.j0.w - fr.radial.w)) < 1e-6
 
@@ -62,20 +62,15 @@ def test_chart_tangent_radial_axis_recovers_frame_field(spiral):
 def test_chart_tangent_schemes_consistent(spiral):
     _, chart = spiral
     params = (1.9, 1.1)
-    central = hf.chart_tangent(chart, params, 1, h=1e-4)
-    forward = hf.chart_tangent(chart, params, 1, h=1e-4, scheme="forward")
-    # forward differences are first order; agreement is O(h)
-    assert np.max(np.abs(central.j0.w - forward.j0.w)) < 1e-2
-    half = hf.chart_tangent(chart, params, 1, h=5e-5)
+    _, central = hf.chart_tangent(chart, params, h=1e-4)
+    _, half = hf.chart_tangent(chart, params, h=5e-5)
     assert np.max(np.abs(central.j0.w - half.j0.w)) < 1e-6
 
 
 def test_chart_tangent_bad_axis_and_step(spiral):
     _, chart = spiral
-    with pytest.raises(hf.GeometryError):
-        hf.chart_tangent(chart, (2.0, 1.0), 2)
     with pytest.raises(hf.NumericalError):
-        hf.chart_tangent(chart, (2.0, 1.0), 0, h=0.0)
+        hf.chart_tangent(chart, (2.0, 1.0), h=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +84,14 @@ def test_classify_point_on_families(vertical, plane_normal, spiral):
     assert hf.classify_point(chartv, (0.3, -0.2)).verdict == "almost_semidefinite"
     assert hf.classify_point(chartp, (0.3, -0.2)).verdict == "semidefinite"
     assert hf.classify_point(charts, (2.0, 3.0)).verdict == "definite"
+
+
+def test_classify_point_evaluates_chart_five_times(spiral):
+    # the center geodesic once, and the four central-difference neighbours
+    _, chart = spiral
+    calls = []
+    assert hf.classify_point(counting_chart(chart, calls), (2.0, 3.0)).verdict == "definite"
+    assert len(calls) == 5
 
 
 def test_classify_chart_aggregates(vertical, plane_normal):
@@ -161,7 +164,7 @@ def test_field_chart_tangents_satisfy_derivative_identity(vertical, plane_normal
     # J'(0) equals the covariant differential of the field applied to J(0)
     for field, chart in (vertical, plane_normal):
         for params in ((0.25, -0.35), (0.0, 0.4)):
-            x = hf.chart_tangent(chart, params, 0)
+            x, _ = hf.chart_tangent(chart, params)
             g = chart.map(*params)
             mat, frame = hf.covariant_differential(field, g.foot)
             j0_coords = np.array([minner(x.j0.w, e.w) for e in frame])
@@ -309,7 +312,7 @@ def test_spiral_leaves_intersect_on_seed_annulus(spiral):
 
 def test_critical_scan_plane_normal(plane_normal):
     _, chart = plane_normal
-    minima = hf.critical_point_scan(chart, grid=(15, 15))
+    minima, _ = hf.critical_point_scan(chart, grid=(15, 15))
     assert len(minima) == 1
     assert minima[0].value < 1e-12
     assert math.hypot(minima[0].a, minima[0].b) < 1e-5
@@ -317,7 +320,7 @@ def test_critical_scan_plane_normal(plane_normal):
 
 def test_critical_scan_vertical(vertical):
     _, chart = vertical
-    minima = hf.critical_point_scan(chart, grid=(15, 15))
+    minima, _ = hf.critical_point_scan(chart, grid=(15, 15))
     assert len(minima) == 1
     assert minima[0].value < 1e-12
 
@@ -325,7 +328,7 @@ def test_critical_scan_vertical(vertical):
 def test_critical_scan_spiral_two_minima(spiral):
     params, chart = spiral
     base = hf.polar_frame(2.0, 0.0).point
-    minima = hf.critical_point_scan(chart, base=base, grid=(25, 25))
+    minima, _ = hf.critical_point_scan(chart, base=base, grid=(25, 25))
     small = [m for m in minima if m.value < 1e-10]
     assert len(small) >= 2
     ts = sorted(m.b for m in small)
@@ -335,8 +338,22 @@ def test_critical_scan_spiral_two_minima(spiral):
 
 def test_ring_growth_evidence(plane_normal):
     _, chart = plane_normal
-    rings = hf.ring_growth_evidence(chart, grid=(15, 15))
+    _, rings = hf.critical_point_scan(chart, grid=(15, 15))
     assert rings[0] < rings[-1]
+
+
+def test_ring_growth_evidence_of_synthetic_grid():
+    # odd sides: ring 0 is the center cell; the minima sit off the corners
+    values = np.full((5, 5), 9.0)
+    values[2, 2] = 4.0
+    values[1, 3] = 2.0
+    values[4, 1] = 1.0
+    values[0, 0] = 5.0
+    assert hf.ring_growth_evidence(values) == [4.0, 2.0, 1.0]
+    # even sides: the central 2x2 block is ring 1 and there is no ring 0
+    assert hf.ring_growth_evidence(np.arange(16.0).reshape(4, 4)) == [5.0, 0.0]
+    # a rectangle: rings are Chebyshev distances from the center cell
+    assert hf.ring_growth_evidence(np.arange(15.0).reshape(3, 5)[:, ::-1]) == [7.0, 1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_dist_symmetric_and_separating(rng):
 
 def test_transport_moves_velocity_to_velocity():
     g = hf.make_geodesic(O, E1)
-    moved = hf.parallel_transport(g, 0.7, g.dir)
+    moved = hf.transport_along(g.dir, 0.7, g.dir)
     _, vel = g.eval(0.7)
     assert np.allclose(moved.w, vel.w, atol=1e-12)
 
@@ -118,7 +118,7 @@ def test_transport_is_isometry(rng):
     for _ in range(20):
         g = rand_geodesic(rng)
         t = rand_unit_tangent(rng, g.foot)
-        moved = hf.parallel_transport(g, 1.3, t)
+        moved = hf.transport_along(g.dir, 1.3, t)
         assert moved.norm_sq == pytest.approx(t.norm_sq, abs=1e-12)
 
 
@@ -130,7 +130,7 @@ def test_transport_round_trip(rng):
         g = rand_geodesic(rng, scale=0.3)
         s = rng.uniform(-3.0, 3.0)
         t = rand_unit_tangent(rng, g.foot)
-        moved = hf.parallel_transport(g, s, t)
+        moved = hf.transport_along(g.dir, s, t)
         pt, vel = g.eval(s)
         back = hf.transport_along(vel, -s, moved)
         worst = max(worst, float(np.max(np.abs(back.w - t.w))))
@@ -150,7 +150,7 @@ def test_transport_gram_preservation(rng):
             for f in triple:
                 w = w - minner(w, f.w) * f.w
             triple.append(hf.HTangent(g.foot, w).normalized())
-        moved = [hf.parallel_transport(g, 2.1, t) for t in triple]
+        moved = [hf.transport_along(g.dir, 2.1, t) for t in triple]
         for i in range(3):
             for j in range(3):
                 want = 1.0 if i == j else 0.0
@@ -163,7 +163,7 @@ def test_transport_base_mismatch():
     p = hf.exp_map(hf.HTangent(O, (0.0, 0.0, 0.9, 0.0)))
     t = hf.project_to_tangent(p, np.array([0.0, 0.0, 0.0, 1.0]))
     with pytest.raises(hf.BaseMismatchError):
-        hf.parallel_transport(g, 1.0, t)
+        hf.transport_along(g.dir, 1.0, t)
 
 
 # ---------------------------------------------------------------------------

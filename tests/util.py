@@ -1,4 +1,6 @@
-"""Shared random generators and independent numerical oracles."""
+"""Shared random generators, independent numerical oracles and a chart-evaluation counter."""
+
+import dataclasses
 
 import numpy as np
 
@@ -14,6 +16,16 @@ from hypfol import (
 )
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+def counting_chart(chart, calls: list):
+    """The chart with ``map`` wrapped to append every evaluation's parameters to ``calls``."""
+
+    def counted(a, b):
+        calls.append((a, b))
+        return chart.map(a, b)
+
+    return dataclasses.replace(chart, map=counted)
 
 
 def minner(a, b):
