@@ -2,10 +2,10 @@
 
 Subcommands: ``classify`` (grid classification of a family chart),
 ``scan-lambda`` (largest spiral pitch with positive margin, plus a margin
-CSV), ``gauss`` (endpoint images and Jacobian ranks), ``critical``
-(local minima of the squared distance).  Angles are radians.  Exit codes:
-0 computed (whatever the verdict), 2 invalid configuration, 3 numerical
-failure.
+CSV), ``gauss`` (endpoint images and the ranks of their differentials
+``J +- J'``), ``critical`` (local minima of the squared distance).  Angles
+are radians.  Exit codes: 0 computed (whatever the verdict), 2 invalid
+configuration, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,13 +30,14 @@ from .families import (
 from .foliation import (
     VERDICT_TOL,
     ball_samples,
+    chart_tangent,
     check_geodesic_field,
     classify_chart,
     critical_point_scan,
     grid_params,
     nondegeneracy_eigencheck,
 )
-from .geodesics import gauss_map, gauss_map_jacobian, svd_rank
+from .geodesics import endpoint_velocity_rank, gauss_map
 from .lorentz import HPoint, mink_inner, project_to_hyperboloid, sphere_coords
 from .report import report_payload, write_csv, write_report
 
@@ -80,7 +81,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     lam = getattr(args, "lam", None)
-    values = (("--tol", args.tol), ("--lambda", lam), ("--alpha0", args.alpha0), ("--delta", args.delta))
+    base_point = getattr(args, "base_point", None)
+    values = [("--tol", args.tol), ("--lambda", lam), ("--alpha0", args.alpha0), ("--delta", args.delta)]
+    values += [("--base-point", x) for x in base_point or ()]
     for flag, value in values:
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value!r}")
@@ -89,9 +92,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     family = getattr(args, "family", None)
     if family is not None and family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
-    base_point = None
-    if getattr(args, "base_point", None) is not None:
-        base_point = tuple(float(x) for x in args.base_point)
     return RunConfig(
         command=args.command,
         family=family,
@@ -100,7 +100,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         lam=lam,
         grid=_parse_grid(args.grid),
         tol=args.tol,
-        base_point=base_point,
+        base_point=None if base_point is None else tuple(base_point),
         seed=args.seed,
     )
 
@@ -125,11 +125,15 @@ def _base_point(cfg: RunConfig) -> HPoint:
     if cfg.base_point is None:
         return HPoint((1.0, 0.0, 0.0, 0.0))
     arr = np.asarray(cfg.base_point, dtype=float)
-    if abs(mink_inner(arr, arr) + 1.0) > 1e-6 * max(1.0, float(np.dot(arr, arr))):
+    # scaled down by a power of two so that no square overflows; the scaling
+    # is exact, so the check and the projection are those of the raw point
+    k = max(0, math.frexp(float(np.max(np.abs(arr))))[1])
+    u, unit = np.ldexp(arr, -k), math.ldexp(1.0, -2 * k)
+    if abs(mink_inner(u, u) + unit) > 1e-6 * max(unit, float(np.dot(u, u))):
         raise ConfigError("--base-point must satisfy -x0^2 + x1^2 + x2^2 + x3^2 = -1")
     if arr[0] <= 0.0:
         raise ConfigError("--base-point must have x0 > 0")
-    return project_to_hyperboloid(arr)
+    return project_to_hyperboloid(u)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +174,10 @@ def cmd_gauss(cfg: RunConfig, out_base: str) -> int:
     rows = []
     rank_counts = {1: {}, -1: {}}
     for a, b in grid_params(chart, cfg.grid):
-        geo = chart.map(a, b)
+        x1, x2 = chart_tangent(chart, (a, b))
         row = [a, b]
-        for sign, jac in zip((1, -1), gauss_map_jacobian(chart, (a, b))):
-            image = sphere_coords(gauss_map(geo, sign))
-            rank = svd_rank(jac, atol=cfg.tol)
+        for sign, rank in zip((1, -1), endpoint_velocity_rank(x1, x2, atol=cfg.tol)):
+            image = sphere_coords(gauss_map(x1.geo, sign))
             rank_counts[sign][rank] = rank_counts[sign].get(rank, 0) + 1
             row.extend([image[0], image[1], image[2], rank])
         rows.append(row)

@@ -4,8 +4,10 @@ A candidate is supplied either as a two-parameter chart of oriented
 geodesics or as a unit vector field on a region of hyperbolic space.  The
 classifier samples the chart, converts both parameter directions into
 Jacobi data by central differences around one evaluation of the center
-geodesic (``chart_tangent`` returns the pair, on that one geodesic), builds
-the 2x2 Gram matrix of the cross metric, and decides per sample between
+geodesic (``chart_tangent`` returns the pair, on that one geodesic), takes
+their parallel-frame coordinates once (``frame_coords``), reads the 2x2
+Gram matrix of the cross metric and the Killing values from them, and
+decides per sample between
 
 * ``definite``            - the cross metric restricts to a definite form;
 * ``semidefinite``        - its null directions all have positive Killing
@@ -37,9 +39,12 @@ import numpy as np
 
 from .errors import GeometryError, NumericalError
 from .geodesics import (
+    CROSS_FORM,
+    KILLING_FORM,
     JacobiData,
     OrientedGeodesic,
-    cross_metric,
+    _unit_rows,
+    frame_coords,
     gauss_map,
     geodesic_dist_sq,
     same_geodesic,
@@ -174,22 +179,6 @@ def chart_tangent(
     return x1.orthogonal_part(), x2.orthogonal_part()
 
 
-def _rescale(x: JacobiData, factor: float) -> JacobiData:
-    return JacobiData(
-        x.geo,
-        HTangent(x.geo.foot, factor * x.j0.w),
-        HTangent(x.geo.foot, factor * x.j0p.w),
-    )
-
-
-def _combine(x1: JacobiData, x2: JacobiData, alpha: float, beta: float) -> JacobiData:
-    return JacobiData(
-        x1.geo,
-        HTangent(x1.geo.foot, alpha * x1.j0.w + beta * x2.j0.w),
-        HTangent(x1.geo.foot, alpha * x1.j0p.w + beta * x2.j0p.w),
-    )
-
-
 _FLAT_DIRECTIONS = tuple(
     (math.cos(k * math.pi / 8.0), math.sin(k * math.pi / 8.0)) for k in range(8)
 )
@@ -224,44 +213,34 @@ def classify_point(
     params: tuple[float, float],
     tol: float = VERDICT_TOL,
 ) -> SampleRecord:
-    """Classify one chart sample; rank-deficient tangents are reported, not classified."""
-    x1, x2 = chart_tangent(chart, params)
-    e1, e2 = x1.energy, x2.energy
-    if min(e1, e2) <= 1e-12 * max(e1, e2, 1.0):
+    """Classify one chart sample; rank-deficient tangents are reported, not classified.
+
+    Energies (row norms), the rank check, the Gram matrix and the Killing
+    values are all read from the frame coordinates of the two chart tangents.
+    """
+    z = frame_coords(*chart_tangent(chart, params))
+    energy = np.linalg.norm(z, axis=1)
+    if energy.min() <= 1e-12 * max(energy.max(), 1.0):
         return SampleRecord(tuple(params), None, (), None, note="rank-deficient tangent plane")
-    stacked = np.column_stack(
-        [
-            np.concatenate((x1.j0.w, x1.j0p.w)) / e1,
-            np.concatenate((x2.j0.w, x2.j0p.w)) / e2,
-        ]
-    )
-    sv = np.linalg.svd(stacked, compute_uv=False)
+    z = z / energy[:, None]
+    sv = np.linalg.svd(z, compute_uv=False)
     if sv[-1] <= 1e-7 * sv[0]:
         return SampleRecord(tuple(params), None, (), None, note="rank-deficient tangent plane")
-    x1n, x2n = _rescale(x1, 1.0 / e1), _rescale(x2, 1.0 / e2)
-    g11 = cross_metric(x1n)
-    g22 = cross_metric(x2n)
-    g12 = cross_metric(x1n, x2n)
-    gram = np.array([[g11, g12], [g12, g22]])
+    gram = z @ CROSS_FORM @ z.T
+    gram[1, 0] = gram[0, 1]
     dirs, mode = _null_directions(gram, tol)
+    # unit null directions on rows of full rank, so |y| >= sv[-1] > 0
+    y = np.reshape(dirs, (-1, 2)) @ z
+    kv = np.sum((y @ KILLING_FORM) * y, axis=1) / np.sum(y * y, axis=1)
     if mode == "definite":
-        return SampleRecord(
-            tuple(params), ((g11, g12), (g12, g22)), (), "definite"
-        )
-    k_values = []
-    for alpha, beta in dirs:
-        y = _combine(x1n, x2n, float(alpha), float(beta))
-        num = mink_inner(y.j0.w, y.j0.w) - mink_inner(y.j0p.w, y.j0p.w)
-        den = mink_inner(y.j0.w, y.j0.w) + mink_inner(y.j0p.w, y.j0p.w)
-        k_values.append(num / den if den > 1e-30 else 0.0)
-    kv = np.asarray(k_values)
-    if np.all(kv > tol):
+        verdict = "definite"
+    elif np.all(kv > tol):
         verdict = "semidefinite"
     elif np.all(kv >= -tol):
         verdict = "almost_semidefinite"
     else:
         verdict = "indefinite"
-    return SampleRecord(tuple(params), ((g11, g12), (g12, g22)), tuple(k_values), verdict)
+    return SampleRecord(tuple(params), tuple(map(tuple, gram.tolist())), tuple(kv.tolist()), verdict)
 
 
 def grid_params(chart: FoliationChart, grid: tuple[int, int]) -> list[tuple[float, float]]:
@@ -566,11 +545,8 @@ def initial_value_rank(
     geodesic at its footpoint: the surjectivity needed for the geodesics to
     sweep out an open region.
     """
-    cols = []
-    for x in chart_tangent(chart, params):
-        e = x.energy
-        cols.append(x.j0.w / e if e > 0.0 else np.zeros(4))
-    return svd_rank(np.column_stack(cols), atol=tol)
+    z = _unit_rows(frame_coords(*chart_tangent(chart, params)))
+    return svd_rank(z[:, :2], atol=tol)
 
 
 def jacobi_variation_chart(

@@ -13,9 +13,12 @@ Two pieces of structure computed here carry the whole package:
   (built from the oriented cross product) and ``killing_metric``
   (difference of squared norms), both constant along the geodesic;
 * the forward/backward endpoint maps to the ideal boundary
-  (``gauss_map``) together with their finite-difference Jacobians in
-  sphere coordinates; ``gauss_map_jacobian`` returns the forward and the
-  backward Jacobian from one set of five chart geodesics.
+  (``gauss_map``), with differentials ``J(0) +- J'(0)``.
+
+Both are read from the parallel-frame coordinates ``(J1, J2, J1', J2')`` of
+Jacobi data (``frame_coords``), on which the metrics are the constant forms
+``CROSS_FORM`` and ``KILLING_FORM``.  ``gauss_map_jacobian`` keeps the
+finite-difference endpoint Jacobians as an independent check.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .lorentz import (
     HTangent,
     _finish_point,
     _finish_tangent,
+    _require_unit,
     _unitize,
     exp_map,
     log_map,
@@ -63,8 +67,7 @@ class OrientedGeodesic:
     def __post_init__(self):
         if not same_point(self.dir.base, self.foot):
             raise BaseMismatchError("direction must be based at the footpoint")
-        if abs(self.dir.norm_sq - 1.0) > 1e-6:
-            raise GeometryError("direction must be a unit vector")
+        _require_unit(self.dir, "direction")
 
     def eval(self, s: float) -> tuple[HPoint, HTangent]:
         """Point and unit velocity at arc length ``s`` from the foot."""
@@ -88,8 +91,7 @@ def make_geodesic(p: HPoint, w: HTangent, base: HPoint = ORIGIN) -> OrientedGeod
     """
     if not same_point(w.base, p):
         raise BaseMismatchError("velocity must be based at the given point")
-    if abs(w.norm_sq - 1.0) > 1e-6:
-        raise GeometryError("velocity must be a unit vector")
+    _require_unit(w, "velocity")
     w = _unitize(w)
     a = -mink_inner(base.v, p.v)
     b = -mink_inner(base.v, w.w)
@@ -142,8 +144,7 @@ class ChartPoint:
     def __post_init__(self):
         if not same_point(self.u.base, self.v.base):
             raise BaseMismatchError("chart components must share a base point")
-        if abs(self.u.norm_sq - 1.0) > 1e-6:
-            raise GeometryError("u must be a unit vector")
+        _require_unit(self.u, "u")
         scale = max(1.0, float(np.linalg.norm(self.u.w) * np.linalg.norm(self.v.w)))
         if abs(mink_inner(self.u.w, self.v.w)) > 1e-8 * scale:
             raise GeometryError("u and v must be orthogonal")
@@ -195,14 +196,6 @@ class JacobiData:
     def __post_init__(self):
         if not (same_point(self.j0.base, self.geo.foot) and same_point(self.j0p.base, self.geo.foot)):
             raise BaseMismatchError("Jacobi data must be anchored at the footpoint")
-
-    @property
-    def energy(self) -> float:
-        """Size ``sqrt(|J(0)|^2 + |J'(0)|^2)`` of the data, the normalizer of
-        verdict forms and endpoint ranks."""
-        return float(
-            np.sqrt(max(mink_inner(self.j0.w, self.j0.w) + mink_inner(self.j0p.w, self.j0p.w), 0.0))
-        )
 
     @property
     def is_orthogonal(self) -> bool:
@@ -279,17 +272,35 @@ def _perp_frame(g: OrientedGeodesic) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _frame_coords(jd: JacobiData, e1: np.ndarray, e2: np.ndarray, s: float):
-    """Components of J(s) and J'(s) in the parallel frame (e1, e2)."""
+#: The cross metric on frame coordinates ``(J1, J2, J1', J2')``: the
+#: polarization of ``<velocity x J, J'> = J1 J2' - J2 J1'``, since
+#: velocity x (0, J1, J2) = (0, -J2, J1) in the right-handed parallel frame.
+CROSS_FORM = 0.5 * np.array(
+    [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0], [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+)
+#: The Killing metric on frame coordinates: ``|J|^2 - |J'|^2``.
+KILLING_FORM = np.diag([1.0, 1.0, -1.0, -1.0])
+_ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+def frame_coords(*jds: JacobiData, s: float = 0.0) -> np.ndarray:
+    """Coordinates ``(J1, J2, J1', J2')`` of J(s) and J'(s), one row per datum,
+    in the parallel frame of the plane orthogonal to the first datum's geodesic.
+
+    Tangential components drop out.  The row norm of orthogonal data is its
+    energy ``sqrt(|J|^2 + |J'|^2)``, the normalizer of verdict forms and ranks.
+    """
+    frame = _ETA @ np.column_stack(_perp_frame(jds[0].geo))
+    a = np.array([x.j0.w for x in jds]) @ frame
+    b = np.array([x.j0p.w for x in jds]) @ frame
     ch, sh = np.cosh(s), np.sinh(s)
-    a1, a2 = mink_inner(jd.j0.w, e1), mink_inner(jd.j0.w, e2)
-    b1, b2 = mink_inner(jd.j0p.w, e1), mink_inner(jd.j0p.w, e2)
-    return (
-        ch * a1 + sh * b1,
-        ch * a2 + sh * b2,
-        sh * a1 + ch * b1,
-        sh * a2 + ch * b2,
-    )
+    return np.hstack((ch * a + sh * b, sh * a + ch * b))
+
+
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; zero rows stay zero."""
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    return np.divide(z, norms, out=np.zeros_like(z), where=norms > 0.0)
 
 
 def cross_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -> float:
@@ -305,11 +316,8 @@ def cross_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -> 
         y = x
     else:
         _require_same_geodesic(x, y)
-    e1, e2 = _perp_frame(x.geo)
-    j1x, j2x, jp1x, jp2x = _frame_coords(x, e1, e2, s)
-    j1y, j2y, jp1y, jp2y = _frame_coords(y, e1, e2, s)
-    # velocity x (0, j1, j2) = (0, -j2, j1) in the right-handed parallel frame
-    return 0.5 * ((j1x * jp2y - j2x * jp1y) + (j1y * jp2x - j2y * jp1x))
+    zx, zy = frame_coords(x, y, s=s)
+    return float(zx @ CROSS_FORM @ zy)
 
 
 def killing_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -> float:
@@ -325,10 +333,8 @@ def killing_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -
         _require_same_geodesic(x, y)
     if not (x.is_orthogonal and y.is_orthogonal):
         raise NonOrthogonalJacobiError("the Killing metric needs data orthogonal to the direction")
-    e1, e2 = _perp_frame(x.geo)
-    j1x, j2x, jp1x, jp2x = _frame_coords(x, e1, e2, s)
-    j1y, j2y, jp1y, jp2y = _frame_coords(y, e1, e2, s)
-    return (j1x * j1y + j2x * j2y) - (jp1x * jp1y + jp2x * jp2y)
+    zx, zy = frame_coords(x, y, s=s)
+    return float(zx @ KILLING_FORM @ zy)
 
 
 def stability_classify(jd: JacobiData, tol: float = 1e-8) -> str:
@@ -398,6 +404,7 @@ def gauss_map_jacobian(
     it is evaluated once at the center and once at each of the four
     central-difference neighbours.  Only the rank and kernel of each result
     are meaningful; the sphere chart at the center image fixes the row frame.
+    This is the independent reference for ``endpoint_velocity_rank``.
     """
     a, b = float(params[0]), float(params[1])
     if a + h == a or b + h == b:
@@ -417,18 +424,17 @@ def gauss_map_jacobian(
     return jacobians[0], jacobians[1]
 
 
-def endpoint_velocity_rank(x1: JacobiData, x2: JacobiData, sign: int = 1, atol: float = 1e-6) -> int:
-    """Rank of the linearized endpoint map on the span of two Jacobi tangents.
+def endpoint_velocity_rank(x1: JacobiData, x2: JacobiData, atol: float = 1e-6) -> tuple[int, int]:
+    """Ranks ``(forward, backward)`` of the linearized endpoint maps on the
+    span of two Jacobi tangents.
 
     The variation of the asymptotic direction at the foot has derivative
     ``J(0) + J'(0)`` for the forward endpoint and ``J(0) - J'(0)`` for the
     backward one (the latter by applying the same identity to the reversed
-    geodesic).  Columns are normalized by the energy of each tangent.
+    geodesic).  Both are read from one set of frame coordinates, each
+    tangent normalized by its energy.
     """
     _require_same_geodesic(x1, x2)
-    cols = []
-    for x in (x1, x2):
-        e = x.energy
-        col = x.j0.w + sign * x.j0p.w
-        cols.append(col / e if e > 0.0 else np.zeros(4))
-    return svd_rank(np.column_stack(cols), atol=atol)
+    z = _unit_rows(frame_coords(x1, x2))
+    j, jp = z[:, :2], z[:, 2:]
+    return svd_rank(j + jp, atol=atol), svd_rank(j - jp, atol=atol)

@@ -58,6 +58,12 @@ def _scale_sq(a: np.ndarray) -> float:
     return max(1.0, float(np.dot(a, a)))
 
 
+def _require_unit(t: HTangent, name: str) -> None:
+    """Unit-norm check at the relative tolerance of the constructor invariants."""
+    if abs(t.norm_sq - 1.0) > MODEL_TOL * _scale_sq(t.w):
+        raise GeometryError(f"{name} must be a unit vector")
+
+
 @dataclass(frozen=True, eq=False)
 class HPoint:
     """A point of hyperbolic 3-space: ``<v, v> = -1`` with ``v0 > 0``."""
@@ -238,8 +244,7 @@ def transport_along(direction: HTangent, s: float, t: HTangent) -> HTangent:
     Components orthogonal to the geodesic's 2-plane are untouched; the
     component along the velocity follows the velocity.
     """
-    if abs(direction.norm_sq - 1.0) > 1e-6:
-        raise GeometryError("transport direction must be a unit vector")
+    _require_unit(direction, "transport direction")
     if not same_point(direction.base, t.base):
         raise BaseMismatchError("transported vector is not based at the geodesic start")
     p = direction.base.v

@@ -2,15 +2,21 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypfol as hf
 from hypfol import cli
 from hypfol.cli import main
 from util import counting_chart
 
 ALPHA0 = repr(math.pi / 4.0)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(argv):
@@ -168,6 +174,23 @@ def test_non_finite_values_rejected(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "point", [["inf", "inf", "0", "0"], ["nan", "0", "0", "0"], ["1e200", "1e200", "0", "0"]]
+)
+def test_non_finite_or_huge_base_point_gives_one_error_line(tmp_path, point):
+    # a separate interpreter, so that numpy warnings reach stderr as they would
+    argv = ["critical", "--family", "vertical", "--grid", "4x4", "--base-point", *point]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypfol", *argv, "--out", str(tmp_path / "x")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_bad_base_point(tmp_path):
     code = run(
         [
@@ -217,10 +240,24 @@ def chart_map_calls(monkeypatch):
     return calls
 
 
-def test_gauss_evaluates_chart_six_times_per_sample(tmp_path, chart_map_calls):
-    # one center geodesic for both endpoint images, five for both Jacobians
+def test_gauss_evaluates_chart_five_times_per_sample(tmp_path, chart_map_calls):
+    # one pair of chart tangents gives both endpoint images and both ranks
     assert run(["gauss", "--family", "plane-normal", "--grid", "4x3", "--out", str(tmp_path / "g")]) == 0
-    assert len(chart_map_calls) == 6 * 12
+    assert len(chart_map_calls) == 5 * 12
+
+
+@pytest.mark.parametrize(
+    "family,extra",
+    [("vertical", []), ("plane-normal", []), ("prop", ["--alpha0", ALPHA0, "--lambda", "0.07"])],
+)
+def test_gauss_ranks_match_finite_difference_jacobians(tmp_path, family, extra):
+    argv = ["gauss", "--family", family, *extra, "--grid", "5x5"]
+    assert run(argv + ["--out", str(tmp_path / "g")]) == 0
+    rows = np.loadtxt(tmp_path / "g.csv", delimiter=",", skiprows=1)
+    chart, _ = cli._resolve_family(cli._build_config(cli.build_parser().parse_args(argv)))
+    for row in rows:
+        jacobians = hf.gauss_map_jacobian(chart, (row[0], row[1]))
+        assert (row[5], row[9]) == tuple(hf.svd_rank(j, atol=hf.VERDICT_TOL) for j in jacobians)
 
 
 def test_critical_evaluates_grid_once(tmp_path, chart_map_calls):

@@ -94,6 +94,60 @@ def test_classify_point_evaluates_chart_five_times(spiral):
     assert len(calls) == 5
 
 
+def test_classify_point_builds_one_frame(vertical, spiral, monkeypatch):
+    # Gram matrix, Killing values and energies share one parallel frame
+    frames = []
+    perp_frame = hf.geodesics._perp_frame
+
+    def counted(g):
+        frames.append(g)
+        return perp_frame(g)
+
+    monkeypatch.setattr(hf.geodesics, "_perp_frame", counted)
+    cases = ((vertical, (0.3, 0.2), "almost_semidefinite"), (spiral, (2.0, 3.0), "definite"))
+    for (_, chart), params, verdict in cases:
+        frames.clear()
+        assert hf.classify_point(chart, params).verdict == verdict
+        assert len(frames) == 1
+
+
+def _energy(x):
+    return float(np.linalg.norm(hf.geodesics.frame_coords(x)))
+
+
+def _scaled(x, factor):
+    foot = x.geo.foot
+    return hf.JacobiData(x.geo, hf.HTangent(foot, factor * x.j0.w), hf.HTangent(foot, factor * x.j0p.w))
+
+
+def test_classify_point_matches_metrics_of_normalized_tangents(vertical, plane_normal):
+    # every branch: flat (the closed families), definite, cone (steep spiral)
+    # and kernel (the grid corner of the spiral at the largest valid pitch)
+    lam_max = hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1, grid=(4, 4)).lambda_max
+    spirals = [
+        hf.spiral_chart(hf.SpiralParams(alpha0=math.pi / 4.0, lam=lam, delta=0.1)) for lam in (lam_max, 0.3)
+    ]
+    branches = set()
+    for chart in (vertical[1], plane_normal[1], *spirals):
+        for params in hf.grid_params(chart, (4, 4)):
+            rec = hf.classify_point(chart, params)
+            x1, x2 = (_scaled(x, 1.0 / _energy(x)) for x in hf.chart_tangent(chart, params))
+            want = [[hf.cross_metric(a, b) for b in (x1, x2)] for a in (x1, x2)]
+            assert np.max(np.abs(np.array(rec.gram) - want)) <= 1e-12
+            dirs, branch = hf.foliation._null_directions(np.array(rec.gram), hf.VERDICT_TOL)
+            branches.add(branch)
+            assert len(dirs) == len(rec.k_values)
+            for (alpha, beta), k in zip(dirs, rec.k_values):
+                foot = x1.geo.foot
+                y = hf.JacobiData(
+                    x1.geo,
+                    hf.HTangent(foot, alpha * x1.j0.w + beta * x2.j0.w),
+                    hf.HTangent(foot, alpha * x1.j0p.w + beta * x2.j0p.w),
+                )
+                assert abs(hf.killing_metric(_scaled(y, 1.0 / _energy(y))) - k) <= 1e-12
+    assert branches == {"flat", "kernel", "definite", "cone"}
+
+
 def test_classify_chart_aggregates(vertical, plane_normal):
     _, chartv = vertical
     repv = hf.classify_chart(chartv, grid=(10, 10))

@@ -48,6 +48,31 @@ def test_make_geodesic_rejects_non_unit():
         hf.make_geodesic(O, hf.HTangent(O, (0.0, 2.0, 0.0, 0.0)))
 
 
+@pytest.mark.parametrize("distance", [12.0, 14.0])
+def test_unit_checks_scale_with_distance(rng, distance):
+    # unit directions far from the base point carry roundoff of order
+    # eps * |w|^2 in their norm; all four unit checks accept them (make_geodesic
+    # canonicalizes about p itself, so only its unit check is exercised)
+    for _ in range(50):
+        u = rng.standard_normal(3)
+        p = hf.exp_map(hf.HTangent(O, np.concatenate(([0.0], distance * u / np.linalg.norm(u)))))
+        w = rand_unit_tangent(rng, p)
+        hf.OrientedGeodesic(p, w)
+        hf.make_geodesic(p, w, base=p)
+        hf.ChartPoint(w, hf.HTangent(p, np.zeros(4)))
+        hf.transport_along(w, 0.5, w)
+    # twice a unit vector at the origin is still rejected everywhere
+    double = hf.HTangent(O, 2.0 * E3.w)
+    for build in (
+        lambda: hf.OrientedGeodesic(O, double),
+        lambda: hf.make_geodesic(O, double),
+        lambda: hf.ChartPoint(double, E1),
+        lambda: hf.transport_along(double, 0.5, E1),
+    ):
+        with pytest.raises(hf.GeometryError, match="unit vector"):
+            build()
+
+
 def test_canonical_foot_minimizes_distance(rng):
     # derivative of s -> dist(base, gamma(s)) vanishes at the foot (scan
     # oracle); the distance is even about the foot, so the central
@@ -410,8 +435,7 @@ def test_endpoint_velocity_rank_matches_jacobian(rng):
     j0b = perp_component(g, rng.standard_normal(4))
     stable = hf.JacobiData(g, hf.HTangent(g.foot, j0a), hf.HTangent(g.foot, -j0a))
     generic = hf.JacobiData(g, hf.HTangent(g.foot, j0b), hf.HTangent(g.foot, 0.5 * j0b))
-    assert hf.endpoint_velocity_rank(stable, generic, 1) == 1
-    assert hf.endpoint_velocity_rank(stable, generic, -1) == 2
+    assert hf.endpoint_velocity_rank(stable, generic) == (1, 2)
     chart = hf.jacobi_variation_chart(stable, generic)
     jac_f, jac_b = hf.gauss_map_jacobian(chart, (0.0, 0.0))
     assert hf.svd_rank(jac_f) == 1
