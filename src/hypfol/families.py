@@ -177,10 +177,8 @@ def spiral_chart(params: SpiralParams) -> FoliationChart:
     """Chart of the geodesics seeded by the spiral directions over the annulus."""
 
     def chart_map(r: float, t: float) -> OrientedGeodesic:
-        frame = polar_frame(r, t)
-        alpha = params.tilt(r, t)
-        w = math.cos(alpha) * frame.angular.w + math.sin(alpha) * frame.normal.w
-        return OrientedGeodesic(frame.point, HTangent(frame.point, w))
+        w = spiral_direction(r, t, params)
+        return OrientedGeodesic(w.base, w)
 
     return FoliationChart(map=chart_map, domain=params.rect, margin=0.05, name="prop")
 

@@ -3,11 +3,12 @@
 A candidate is supplied either as a two-parameter chart of oriented
 geodesics or as a unit vector field on a region of hyperbolic space.  The
 classifier samples the chart, converts both parameter directions into
-Jacobi data by central differences around one evaluation of the center
-geodesic (``chart_tangent`` returns the pair, on that one geodesic), takes
-their parallel-frame coordinates once (``frame_coords``), reads the 2x2
-Gram matrix of the cross metric and the Killing values from them, and
-decides per sample between
+orthogonal Jacobi data by central differences around one evaluation of the
+center geodesic (``chart_tangent`` returns the pair, on that one geodesic,
+each difference projected to the plane normal to the leaf as it is
+formed), takes their parallel-frame coordinates once (``frame_coords``),
+reads the 2x2 Gram matrix of the cross metric and the Killing values from
+them, and decides per sample between
 
 * ``definite``            - the cross metric restricts to a definite form;
 * ``semidefinite``        - its null directions all have positive Killing
@@ -21,9 +22,11 @@ locally injective endpoint maps and to charts on which the cross metric is
 Riemannian.  The remaining operations (covariant differential of a field,
 eigenvector degeneracy, intersection detection, critical points of the
 squared distance, initial-value rank) exercise the same criteria from the
-vector-field side.  ``critical_point_scan`` evaluates its squared-distance
-grid once and returns the refined minima together with the ring minima of
-that grid.
+vector-field side; field derivatives are transported central differences,
+read in the orthonormal frame ``lorentz.orthonormal_complement`` gives at
+the point.  ``critical_point_scan`` evaluates its squared-distance grid
+once and returns the refined minima together with the ring minima of that
+grid.
 
 All verdicts are decided at an explicit tolerance on quadratic-form values
 normalized by the energy of the Jacobi data, recorded in every report.
@@ -57,8 +60,8 @@ from .lorentz import (
     HTangent,
     exp_map,
     mink_inner,
+    orthonormal_complement,
     project_to_hyperboloid,
-    project_to_tangent,
     same_ray,
     transport_to,
 )
@@ -143,40 +146,34 @@ class ClassificationReport:
 # chart tangents by finite differences
 
 
-def chart_variation_raw(
+def chart_tangent(
     chart: FoliationChart, params: tuple[float, float], h: float = FD_STEP
 ) -> tuple[JacobiData, JacobiData]:
-    """Raw variation fields of the chart along both parameter axes.
+    """Chart tangents along both parameter axes, as orthogonal Jacobi data
+    on the one center geodesic.
 
-    Returns the Jacobi data of the two geodesic variations by central
-    differences, in the chart's own presentation; they need not be
-    orthogonal to the direction.  The center geodesic is evaluated once
-    and both fields live on it.
+    Each central difference of the foot and of the direction is projected
+    to the tangent space at the foot and stripped of its ``dir`` component
+    in one step.  Different presentations of the same chart change the raw
+    variation field only by that tangential part ``(a + b s) dir``, so the
+    result is the class of the variation, whatever the presentation.
     """
     a, b = float(params[0]), float(params[1])
     if a + h == a or b + h == b:
         raise NumericalError("finite-difference step underflowed")
     g0 = chart.map(a, b)
+    f, d = g0.foot.v, g0.dir.w
+
+    def normal_part(arr: np.ndarray) -> HTangent:
+        return HTangent(g0.foot, arr + mink_inner(arr, f) * f - mink_inner(arr, d) * d)
+
     fields = []
     for plus, minus in (((a + h, b), (a - h, b)), ((a, b + h), (a, b - h))):
         g_plus, g_minus = chart.map(*plus), chart.map(*minus)
-        j0 = project_to_tangent(g0.foot, (g_plus.foot.v - g_minus.foot.v) / (2.0 * h))
-        j0p = project_to_tangent(g0.foot, (g_plus.dir.w - g_minus.dir.w) / (2.0 * h))
+        j0 = normal_part((g_plus.foot.v - g_minus.foot.v) / (2.0 * h))
+        j0p = normal_part((g_plus.dir.w - g_minus.dir.w) / (2.0 * h))
         fields.append(JacobiData(g0, j0, j0p))
     return fields[0], fields[1]
-
-
-def chart_tangent(
-    chart: FoliationChart, params: tuple[float, float], h: float = FD_STEP
-) -> tuple[JacobiData, JacobiData]:
-    """Orthogonalized chart tangents along both axes: the classes of the raw
-    variation fields.
-
-    Different presentations of the same chart change a raw field only by
-    the tangential part ``(a + b s) dir``, which this subtracts.
-    """
-    x1, x2 = chart_variation_raw(chart, params, h=h)
-    return x1.orthogonal_part(), x2.orthogonal_part()
 
 
 _FLAT_DIRECTIONS = tuple(
@@ -281,6 +278,16 @@ def classify_chart(
 # vector-field side
 
 
+def _transported_difference(field: UnitField, p: HPoint, w: np.ndarray) -> np.ndarray:
+    """Central difference of the field along ``w`` at ``p``, both values
+    parallel transported back to ``p`` first."""
+    q_plus = exp_map(HTangent(p, FD_STEP * w))
+    q_minus = exp_map(HTangent(p, -FD_STEP * w))
+    w_plus = transport_to(field.func(q_plus), p)
+    w_minus = transport_to(field.func(q_minus), p)
+    return (w_plus.w - w_minus.w) / (2.0 * FD_STEP)
+
+
 def check_geodesic_field(field: UnitField, samples: list[HPoint]) -> float:
     """Max norm of the self-derivative of the field over the samples.
 
@@ -289,40 +296,18 @@ def check_geodesic_field(field: UnitField, samples: list[HPoint]) -> float:
     """
     worst = 0.0
     for p in samples:
-        v = field.func(p)
-        q_plus = exp_map(HTangent(p, FD_STEP * v.w))
-        q_minus = exp_map(HTangent(p, -FD_STEP * v.w))
-        w_plus = transport_to(field.func(q_plus), p)
-        w_minus = transport_to(field.func(q_minus), p)
-        r = (w_plus.w - w_minus.w) / (2.0 * FD_STEP)
+        r = _transported_difference(field, p, field.func(p).w)
         worst = max(worst, float(np.sqrt(max(mink_inner(r, r), 0.0))))
     return worst
-
-
-def _frame_at(p: HPoint) -> list[HTangent]:
-    # orthonormal tangent frame by Gram-Schmidt on projected coordinate axes
-    frame = []
-    for k in (1, 2, 3):
-        e = np.zeros(4)
-        e[k] = 1.0
-        w = project_to_tangent(p, e).w
-        for f in frame:
-            w = w - mink_inner(w, f.w) * f.w
-        frame.append(project_to_tangent(p, w).normalized())
-    return frame
 
 
 def covariant_differential(field: UnitField, p: HPoint) -> tuple[np.ndarray, list[HTangent]]:
     """Matrix of the covariant differential of the field in an orthonormal
     frame at ``p``; column ``j`` holds the derivative along frame vector ``j``."""
-    frame = _frame_at(p)
+    frame = [HTangent(p, e) for e in orthonormal_complement(p.v)]
     mat = np.empty((3, 3))
     for j, ej in enumerate(frame):
-        q_plus = exp_map(HTangent(p, FD_STEP * ej.w))
-        q_minus = exp_map(HTangent(p, -FD_STEP * ej.w))
-        w_plus = transport_to(field.func(q_plus), p)
-        w_minus = transport_to(field.func(q_minus), p)
-        col = (w_plus.w - w_minus.w) / (2.0 * FD_STEP)
+        col = _transported_difference(field, p, ej.w)
         for i, ei in enumerate(frame):
             mat[i, j] = mink_inner(col, ei.w)
     return mat, frame
@@ -582,12 +567,12 @@ def jacobi_variation_chart(
 def ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> list[HPoint]:
     """Deterministic sample points in a geodesic ball (seeded)."""
     rng = np.random.default_rng(seed)
-    frame = _frame_at(center)
+    frame = orthonormal_complement(center.v)
     out = []
     for _ in range(count):
         d = rng.standard_normal(3)
         d /= np.linalg.norm(d)
         r = radius * rng.uniform() ** (1.0 / 3.0)
-        w = r * sum(c * e.w for c, e in zip(d, frame))
+        w = r * sum(c * e for c, e in zip(d, frame))
         out.append(exp_map(HTangent(center, w)))
     return out

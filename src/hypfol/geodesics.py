@@ -17,8 +17,11 @@ Two pieces of structure computed here carry the whole package:
 
 Both are read from the parallel-frame coordinates ``(J1, J2, J1', J2')`` of
 Jacobi data (``frame_coords``), on which the metrics are the constant forms
-``CROSS_FORM`` and ``KILLING_FORM``.  ``gauss_map_jacobian`` keeps the
-finite-difference endpoint Jacobians as an independent check.
+``CROSS_FORM`` and ``KILLING_FORM``.  The parallel frame is
+``lorentz.orthonormal_complement`` of ``(foot, dir)``, the package's one
+frame builder.  ``gauss_map_jacobian`` keeps the finite-difference endpoint
+Jacobians as an independent check, in the sphere frame that the same
+builder gives for ``(o, (0, n))``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .errors import (
     NumericalError,
 )
 from .lorentz import (
+    ETA,
     ORIGIN,
     BoundaryPoint,
     HPoint,
@@ -46,6 +50,7 @@ from .lorentz import (
     exp_map,
     log_map,
     mink_inner,
+    orthonormal_complement,
     project_to_tangent,
     same_point,
     sphere_coords,
@@ -207,16 +212,6 @@ class JacobiData:
             and abs(mink_inner(self.j0p.w, d)) <= 1e-9 * s1
         )
 
-    def orthogonal_part(self) -> "JacobiData":
-        """Project out the tangential component, landing in the orthogonal class."""
-        d = self.geo.dir.w
-        a = mink_inner(self.j0.w, d)
-        b = mink_inner(self.j0p.w, d)
-        return JacobiData(
-            self.geo,
-            HTangent(self.geo.foot, self.j0.w - a * d),
-            HTangent(self.geo.foot, self.j0p.w - b * d),
-        )
 
 
 def jacobi_eval(jd: JacobiData, s: float) -> tuple[HTangent, HTangent]:
@@ -244,34 +239,6 @@ def _require_same_geodesic(x: JacobiData, y: JacobiData):
         raise GeodesicMismatchError("Jacobi data lives on different geodesics")
 
 
-def _perp_frame(g: OrientedGeodesic) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the plane orthogonal to the geodesic's 2-plane,
-    oriented so that (foot, dir, E1, E2) is positively oriented.
-
-    Both vectors are invariant under parallel transport along the geodesic,
-    so they give a parallel frame at every arc length.
-    """
-    f, d = g.foot.v, g.dir.w
-    frame: list[np.ndarray] = []
-    for k in range(4):
-        e = np.zeros(4)
-        e[k] = 1.0
-        w = e + mink_inner(e, f) * f - mink_inner(e, d) * d
-        for b in frame:
-            w = w - mink_inner(w, b) * b
-        n2 = mink_inner(w, w)
-        if n2 > 1e-8:
-            frame.append(w / np.sqrt(n2))
-        if len(frame) == 2:
-            break
-    if len(frame) < 2:
-        raise GeometryError("could not frame the plane orthogonal to the geodesic")
-    e1, e2 = frame
-    if np.linalg.det(np.column_stack([f, d, e1, e2])) < 0.0:
-        e2 = -e2
-    return e1, e2
-
-
 #: The cross metric on frame coordinates ``(J1, J2, J1', J2')``: the
 #: polarization of ``<velocity x J, J'> = J1 J2' - J2 J1'``, since
 #: velocity x (0, J1, J2) = (0, -J2, J1) in the right-handed parallel frame.
@@ -280,17 +247,19 @@ CROSS_FORM = 0.5 * np.array(
 )
 #: The Killing metric on frame coordinates: ``|J|^2 - |J'|^2``.
 KILLING_FORM = np.diag([1.0, 1.0, -1.0, -1.0])
-_ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 def frame_coords(*jds: JacobiData, s: float = 0.0) -> np.ndarray:
     """Coordinates ``(J1, J2, J1', J2')`` of J(s) and J'(s), one row per datum,
     in the parallel frame of the plane orthogonal to the first datum's geodesic.
 
-    Tangential components drop out.  The row norm of orthogonal data is its
+    The frame is the orthonormal complement of ``(foot, dir)``, oriented so
+    that ``(foot, dir, E1, E2)`` is positive; both vectors are invariant under
+    parallel transport along the geodesic.  Tangential components drop out.  The row norm of orthogonal data is its
     energy ``sqrt(|J|^2 + |J'|^2)``, the normalizer of verdict forms and ranks.
     """
-    frame = _ETA @ np.column_stack(_perp_frame(jds[0].geo))
+    g = jds[0].geo
+    frame = ETA @ np.column_stack(orthonormal_complement((g.foot.v, g.dir.w)))
     a = np.array([x.j0.w for x in jds]) @ frame
     b = np.array([x.j0p.w for x in jds]) @ frame
     ch, sh = np.cosh(s), np.sinh(s)
@@ -383,17 +352,6 @@ def svd_rank(mat: np.ndarray, atol: float = 1e-6, rtol: float = 1e-9) -> int:
     return int(np.sum(s > max(atol, rtol * float(s[0]))))
 
 
-def _sphere_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # deterministic orthonormal tangent frame on S^2 at n
-    k = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    t1 = e - n[k] * n
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(n, t1)
-    return t1, t2
-
-
 def gauss_map_jacobian(
     chart, params: tuple[float, float], h: float = 1e-4
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -413,7 +371,8 @@ def gauss_map_jacobian(
     jacobians = []
     for sign in (1, -1):
         n0, na_plus, na_minus, nb_plus, nb_minus = (sphere_coords(gauss_map(g, sign)) for g in geos)
-        t1, t2 = _sphere_frame(n0)
+        # (n0, t1, t2) is positively oriented, since (o, (0, n0), (0, t1), (0, t2)) is
+        t1, t2 = (t[1:] for t in orthonormal_complement((ORIGIN.v, np.concatenate(([0.0], n0)))))
         col_a = (na_plus - na_minus) / (2.0 * h)
         col_b = (nb_plus - nb_minus) / (2.0 * h)
         jacobians.append(

@@ -33,6 +33,9 @@ from .errors import BaseMismatchError, GeometryError
 #: rejected for plain roundoff.
 MODEL_TOL = 1e-9
 
+#: The Minkowski form as a matrix: ``<x, y> = x @ ETA @ y``.
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+
 
 def _as_mink(arr) -> np.ndarray:
     a = np.array(arr, dtype=float)
@@ -167,6 +170,40 @@ def project_to_tangent(p: HPoint, arr: np.ndarray) -> HTangent:
     """Minkowski-orthogonal projection of an ambient vector onto T_p."""
     a = np.asarray(arr, dtype=float)
     return HTangent(p, a + mink_inner(a, p.v) * p.v)
+
+
+def orthonormal_complement(rows) -> tuple[np.ndarray, ...]:
+    """The spacelike unit vectors completing Minkowski-orthonormal ``rows``,
+    timelike row first, to a positively oriented orthonormal basis of R^{3,1}.
+
+    Pivoted Gram-Schmidt over the coordinate axes: each step keeps the axis
+    whose residual against the basis so far is longest, and projects it
+    twice.  For orthonormal rows that residual has squared norm at least
+    1/4 (the squared Euclidean norms of a unit spacelike basis of the
+    complement sum to at least its dimension), so a shorter one means the
+    rows do not span a nondegenerate subspace.  The orientation is fixed by
+    the sign of the last vector.  At the base point the frame is exactly
+    ``(e1, e2, e3)``.
+    """
+    rows = np.array(rows, dtype=float).reshape(-1, 4)
+    first = len(rows)
+    basis = np.zeros((4, 4))
+    basis[:first] = rows
+    signs = ETA.diagonal()  # <b_i, b_i> of the finished basis
+    for k in range(first, 4):
+        b = basis[:k]
+        # row i of ``dual`` pairs with x to its b_i coefficient, <x, b_i> / <b_i, b_i>
+        dual = signs[:k, None] * b @ ETA
+        residual = np.eye(4) - dual.T @ b
+        w = residual[int(np.argmax((residual * residual) @ signs))]
+        w = w - (dual @ w) @ b
+        n2 = mink_inner(w, w)
+        if not n2 > 0.125:
+            raise GeometryError("could not complete the orthonormal frame")
+        basis[k] = w / np.sqrt(n2)
+    if np.linalg.det(basis) < 0.0:
+        basis[3] = -basis[3]
+    return tuple(basis[first:])
 
 
 #: Hygiene renormalization is applied only below this component magnitude.

@@ -191,6 +191,32 @@ def test_non_finite_or_huge_base_point_gives_one_error_line(tmp_path, point):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_experiment_scripts_run(tmp_path):
+    # both scripts on small grids; they drive the endpoint Jacobians, the
+    # eigenvector test and the initial-value rank outside the CLI
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    outputs = []
+    for argv in (
+        ["classify_families.py", "--grid", "4x4"],
+        ["reproduce_counterexample.py", "--scan-grid", "40x40", "--classify-grid", "4x4"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, str(scripts / argv[0]), *argv[1:]],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    families, counterexample = outputs
+    vertical, plane_normal = families.split("== plane-normal")
+    assert "endpoint-map ranks: forward [0], backward [2]" in vertical
+    assert "endpoint-map ranks: forward [2], backward [2]" in plane_normal
+    assert "leaves at t=0 and t=2*pi: point" in counterexample
+
+
 def test_bad_base_point(tmp_path):
     code = run(
         [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hypfol as hf
-from util import minner
+from util import minner, perp_component
 
 O = hf.ORIGIN
 SINH_2 = 3.626860407847019  # frozen from direct evaluation
@@ -172,21 +172,23 @@ def test_spiral_chart_seeds_on_annulus(params):
 
 
 def test_spiral_raw_tangents_match_closed_forms(params):
+    # chart_tangent is the orthogonal part of the closed-form raw variation
     chart = hf.spiral_chart(params)
     r, t = 2.0, 1.0
     fr = hf.polar_frame(r, t)
     alpha = params.tilt(r, t)
     lam = params.lam
     for axis, (x, y) in ((0, (1.0, 0.0)), (1, (0.0, 1.0))):
-        raw = hf.chart_variation_raw(chart, (r, t))[axis]
-        j0_want = x * fr.radial.w + y * math.sinh(r) * fr.angular.w
-        j0p_want = (
+        tangent = hf.chart_tangent(chart, (r, t))[axis]
+        j0_raw = x * fr.radial.w + y * math.sinh(r) * fr.angular.w
+        j0p_raw = (
             -(y * math.cosh(r) * math.cos(alpha)) * fr.radial.w
             + lam * (x - y) * math.sin(alpha) * fr.angular.w
             - lam * (x - y) * math.cos(alpha) * fr.normal.w
         )
-        assert np.max(np.abs(raw.j0.w - j0_want)) < 1e-6
-        assert np.max(np.abs(raw.j0p.w - j0p_want)) < 1e-5
+        g = tangent.geo
+        assert np.max(np.abs(tangent.j0.w - perp_component(g, j0_raw))) < 1e-6
+        assert np.max(np.abs(tangent.j0p.w - perp_component(g, j0p_raw))) < 1e-5
 
 
 def test_spiral_gram_matches_quadratic_form(params, rng):

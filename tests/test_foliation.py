@@ -97,13 +97,14 @@ def test_classify_point_evaluates_chart_five_times(spiral):
 def test_classify_point_builds_one_frame(vertical, spiral, monkeypatch):
     # Gram matrix, Killing values and energies share one parallel frame
     frames = []
-    perp_frame = hf.geodesics._perp_frame
+    builder = hf.lorentz.orthonormal_complement
 
-    def counted(g):
-        frames.append(g)
-        return perp_frame(g)
+    def counted(rows):
+        frames.append(rows)
+        return builder(rows)
 
-    monkeypatch.setattr(hf.geodesics, "_perp_frame", counted)
+    for module in (hf.geodesics, hf.foliation):
+        monkeypatch.setattr(module, "orthonormal_complement", counted)
     cases = ((vertical, (0.3, 0.2), "almost_semidefinite"), (spiral, (2.0, 3.0), "definite"))
     for (_, chart), params, verdict in cases:
         frames.clear()

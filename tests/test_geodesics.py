@@ -234,6 +234,35 @@ def test_jacobi_eval_general_data_satisfies_ode(rng):
 
 
 # ---------------------------------------------------------------------------
+# the parallel frame of the plane normal to the leaf
+
+
+def _frame_residual(g):
+    """Largest entry of M eta M^T - eta for M = [foot; dir; E1; E2], and det M."""
+    m = np.vstack((g.foot.v, g.dir.w, *hf.orthonormal_complement((g.foot.v, g.dir.w))))
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    return float(np.max(np.abs(m @ eta @ m.T - eta))), float(np.linalg.det(m))
+
+
+def test_geodesic_frame_is_orthonormal_far_from_base(rng):
+    # the spiral foot at x0 ~ 10 (a lone Gram-Schmidt pass left 2.7e-11 there)
+    g = hf.spiral_chart(hf.SpiralParams(lam=0.3)).map(3.0, -0.1)
+    resid, det = _frame_residual(g)
+    assert resid <= 1e-12
+    assert det == pytest.approx(1.0, abs=1e-9)
+    # 200 geodesics through points at distance 8, where foot and dir alone are
+    # orthonormal only to about 1e-9
+    worst = 0.0
+    for _ in range(200):
+        u = rng.standard_normal(3)
+        p = hf.exp_map(hf.HTangent(O, np.concatenate(([0.0], 8.0 * u / np.linalg.norm(u)))))
+        resid, det = _frame_residual(hf.OrientedGeodesic(p, rand_unit_tangent(rng, p)))
+        assert det > 0.0
+        worst = max(worst, resid)
+    assert worst <= 1e-8
+
+
+# ---------------------------------------------------------------------------
 # the two neutral metrics
 
 

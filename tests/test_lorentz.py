@@ -197,6 +197,29 @@ def test_cross_base_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# orthonormal frames
+
+
+def test_orthonormal_complement_at_base_is_standard_frame():
+    # exact, so ball samples and field checks about the base point do not move
+    assert np.array_equal(np.array(hf.orthonormal_complement(O.v)), np.eye(4)[1:])
+    with pytest.raises(hf.GeometryError):
+        hf.orthonormal_complement((O.v, np.full(4, np.nan)))
+
+
+def test_sphere_frame_is_positively_oriented(rng):
+    # the spatial part of the complement of (o, (0, n)) is a frame (t1, t2)
+    # with det[n, t1, t2] = +1
+    normals = [np.roll([0.0, 0.0, s], k) for k in range(3) for s in (1.0, -1.0)]
+    normals += [u / np.linalg.norm(u) for u in rng.standard_normal((30, 3))]
+    for n in normals:
+        t1, t2 = (t[1:] for t in hf.orthonormal_complement((O.v, np.concatenate(([0.0], n)))))
+        m = np.array([n, t1, t2])
+        assert np.allclose(m @ m.T, np.eye(3), atol=1e-14)
+        assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # model conversions
 
 
