@@ -80,27 +80,24 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    lam = getattr(args, "lam", None)
-    base_point = getattr(args, "base_point", None)
-    values = [("--tol", args.tol), ("--lambda", lam), ("--alpha0", args.alpha0), ("--delta", args.delta)]
-    values += [("--base-point", x) for x in base_point or ()]
+    values = [("--tol", args.tol), ("--lambda", args.lam), ("--alpha0", args.alpha0), ("--delta", args.delta)]
+    values += [("--base-point", x) for x in args.base_point or ()]
     for flag, value in values:
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value!r}")
     if args.tol <= 0.0:
         raise ConfigError("--tol must be positive")
-    family = getattr(args, "family", None)
-    if family is not None and family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}")
+    if args.family is not None and args.family not in FAMILIES:
+        raise ConfigError(f"unknown family {args.family!r}")
     return RunConfig(
         command=args.command,
-        family=family,
+        family=args.family,
         alpha0=args.alpha0,
         delta=args.delta,
-        lam=lam,
+        lam=args.lam,
         grid=_parse_grid(args.grid),
         tol=args.tol,
-        base_point=None if base_point is None else tuple(base_point),
+        base_point=None if args.base_point is None else tuple(args.base_point),
         seed=args.seed,
     )
 
@@ -160,10 +157,8 @@ def cmd_scan_lambda(cfg: RunConfig, out_base: str) -> int:
     payload = report_payload("scan-lambda", cfg.to_dict(), {"scan": scan.to_dict()}, __version__)
     write_report(out_base + ".json", payload)
     params = SpiralParams(alpha0=cfg.alpha0, lam=scan.lambda_max, delta=cfg.delta)
-    chart = spiral_chart(params)
-    rows = [
-        (r, t, definiteness_margin(r, t, params)) for r, t in grid_params(chart, cfg.grid)
-    ]
+    r, t = np.array(grid_params(spiral_chart(params), cfg.grid)).T
+    rows = np.column_stack((r, t, definiteness_margin(r, t, params))).tolist()
     write_csv(out_base + ".csv", ["r", "t", "h_value"], rows)
     print(f"lambda_max: {scan.lambda_max!r}")
     return 0
@@ -222,6 +217,14 @@ def cmd_critical(cfg: RunConfig, out_base: str) -> int:
 # ---------------------------------------------------------------------------
 # parser and entry point
 
+#: per command: help text and the options it reads besides --alpha0, --delta, --grid and --out
+_COMMAND_OPTIONS = {
+    "classify": ("classify a family chart on a grid", ("--family", "--lambda", "--tol", "--seed")),
+    "scan-lambda": ("largest spiral pitch with positive margin", ()),
+    "gauss": ("endpoint images and Jacobian ranks", ("--family", "--lambda", "--tol")),
+    "critical": ("local minima of the squared distance", ("--family", "--lambda", "--base-point")),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -231,25 +234,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hypfol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, family: bool):
-        if family:
-            p.add_argument("--family", choices=FAMILIES, required=True)
-        p.add_argument("--alpha0", type=float, default=math.pi / 4.0, help="tilt angle, radians")
-        p.add_argument("--delta", type=float, default=0.1, help="angular overhang of the annulus rectangle")
-        p.add_argument("--lambda", dest="lam", type=float, default=None, help="spiral pitch")
-        p.add_argument("--grid", type=str, default="20x20", help="sample grid, NxM")
-        p.add_argument("--tol", type=float, default=VERDICT_TOL)
-        p.add_argument("--base-point", dest="base_point", type=float, nargs=4, default=None, metavar=("X0", "X1", "X2", "X3"))
-        p.add_argument("--out", type=str, default=None, help="output path base; writes <out>.json and, where applicable, <out>.csv")
-        p.add_argument("--seed", type=int, default=0)
-
-    add_common(sub.add_parser("classify", help="classify a family chart on a grid"), family=True)
-    scan = sub.add_parser("scan-lambda", help="largest spiral pitch with positive margin")
-    add_common(scan, family=False)
-    scan.set_defaults(grid="200x200")
-    add_common(sub.add_parser("gauss", help="endpoint images and Jacobian ranks"), family=True)
-    add_common(sub.add_parser("critical", help="local minima of the squared distance"), family=True)
+    options = {
+        "--family": dict(choices=FAMILIES, required=True, default=None),
+        "--alpha0": dict(type=float, default=math.pi / 4.0, help="tilt angle, radians"),
+        "--delta": dict(type=float, default=0.1, help="angular overhang of the annulus rectangle"),
+        "--lambda": dict(dest="lam", type=float, default=None, help="spiral pitch"),
+        "--grid": dict(type=str, default="20x20", help="sample grid, NxM"),
+        "--tol": dict(type=float, default=VERDICT_TOL),
+        "--base-point": dict(dest="base_point", type=float, nargs=4, default=None, metavar=("X0", "X1", "X2", "X3")),
+        "--out": dict(type=str, default=None, help="output path base; writes <out>.json and, where applicable, <out>.csv"),
+        "--seed": dict(type=int, default=0),
+    }
+    for command, (text, flags) in _COMMAND_OPTIONS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, kw in options.items():
+            if flag in ("--alpha0", "--delta", "--grid", "--out") + flags:
+                p.add_argument(flag, **kw)
+            else:  # not taken, but every report carries the full configuration
+                p.set_defaults(**{kw.get("dest", flag[2:]): kw["default"]})
+    sub.choices["scan-lambda"].set_defaults(grid="200x200")
     return parser
 
 

@@ -44,11 +44,11 @@ from .lorentz import (
 VERTICAL_END = BoundaryPoint((1.0, 0.0, 0.0, 1.0))
 
 
-def vertical_family(half_width: float = 1.0) -> tuple[UnitField, FoliationChart]:
+def vertical_family() -> tuple[UnitField, FoliationChart]:
     """Unit field and chart of the geodesics asymptotic to ``VERTICAL_END``.
 
-    The chart is parametrized by the horosphere through the base point
-    (``z = 1`` in the half-space model); its map is polynomial in the
+    The chart is parametrized on ``[-1, 1]^2`` by the horosphere through the
+    base point (``z = 1`` in the half-space model); its map is polynomial in the
     parameters, so finite differences on it are exact to roundoff.
     """
 
@@ -62,21 +62,17 @@ def vertical_family(half_width: float = 1.0) -> tuple[UnitField, FoliationChart]
         direction = HTangent(foot, VERTICAL_END.n - foot.v)
         return OrientedGeodesic(foot, direction)
 
-    field = UnitField(func=field_func, center=ORIGIN, radius=5.0, name="vertical")
-    chart = FoliationChart(
-        map=chart_map,
-        domain=((-half_width, half_width), (-half_width, half_width)),
-        margin=0.5,
-        name="vertical",
-    )
+    field = UnitField(func=field_func, center=ORIGIN, name="vertical")
+    chart = FoliationChart(map=chart_map, domain=((-1.0, 1.0), (-1.0, 1.0)), name="vertical")
     return field, chart
 
 
 _E3 = np.array([0.0, 0.0, 0.0, 1.0])
 
 
-def plane_normal_family(half_width: float = 1.0) -> tuple[UnitField, FoliationChart]:
-    """Geodesics orthogonal to the totally geodesic plane ``x3 = 0``.
+def plane_normal_family() -> tuple[UnitField, FoliationChart]:
+    """Geodesics orthogonal to the totally geodesic plane ``x3 = 0``, charted
+    on ``[-1, 1]^2`` by the tangent vector at the base point of their feet.
 
     The field at ``p`` is the velocity of the normal geodesic through the
     foot of the perpendicular from ``p`` to the plane, oriented toward the
@@ -93,13 +89,8 @@ def plane_normal_family(half_width: float = 1.0) -> tuple[UnitField, FoliationCh
         foot = exp_map(HTangent(ORIGIN, (0.0, a, b, 0.0)))
         return OrientedGeodesic(foot, HTangent(foot, _E3))
 
-    field = UnitField(func=field_func, center=ORIGIN, radius=5.0, name="plane-normal")
-    chart = FoliationChart(
-        map=chart_map,
-        domain=((-half_width, half_width), (-half_width, half_width)),
-        margin=0.5,
-        name="plane-normal",
-    )
+    field = UnitField(func=field_func, center=ORIGIN, name="plane-normal")
+    chart = FoliationChart(map=chart_map, domain=((-1.0, 1.0), (-1.0, 1.0)), name="plane-normal")
     return field, chart
 
 
@@ -180,13 +171,14 @@ def spiral_chart(params: SpiralParams) -> FoliationChart:
         w = spiral_direction(r, t, params)
         return OrientedGeodesic(w.base, w)
 
-    return FoliationChart(map=chart_map, domain=params.rect, margin=0.05, name="prop")
+    return FoliationChart(map=chart_map, domain=params.rect, name="prop")
 
 
-def definiteness_margin(r: float, t: float, params: SpiralParams) -> float:
+def definiteness_margin(r, t, params: SpiralParams):
     """``sinh(2r) sin(2 tilt) - lam``; positive iff the cross form is
-    definite at the sample (pitch positive)."""
-    return math.sinh(2.0 * r) * math.sin(2.0 * params.tilt(r, t)) - params.lam
+    definite at the sample (pitch positive).  ``r`` and ``t`` may be
+    arrays that broadcast together."""
+    return np.sinh(2.0 * r) * np.sin(2.0 * params.tilt(r, t)) - params.lam
 
 
 def cross_form_matrix(r: float, t: float, params: SpiralParams) -> np.ndarray:
@@ -243,14 +235,11 @@ def scan_lambda_max(
     """
     rr = np.linspace(1.0, 3.0, grid[0])[:, None]
     tt = np.linspace(-delta, 2.0 * math.pi + delta, grid[1])[None, :]
-    sinh2r = np.sinh(2.0 * rr)
-    diff = tt - rr
 
     trace: list[tuple[float, float]] = []
 
     def min_margin(lam: float) -> float:
-        val = sinh2r * np.sin(2.0 * (alpha0 + lam * diff)) - lam
-        out = float(val.min())
+        out = float(definiteness_margin(rr, tt, SpiralParams(alpha0, lam, delta)).min())
         trace.append((lam, out))
         return out
 

@@ -80,23 +80,20 @@ class FoliationChart:
     """A two-parameter family of oriented geodesics.
 
     ``map`` must be evaluable on an open neighborhood of the closed domain
-    rectangle; ``margin`` declares how far beyond it finite differences may
-    step.
+    rectangle: finite differences step ``FD_STEP`` beyond its edges.
     """
 
     map: Callable[[float, float], OrientedGeodesic]
     domain: tuple[tuple[float, float], tuple[float, float]]
-    margin: float = 0.05
     name: str = ""
 
 
 @dataclass(frozen=True, eq=False)
 class UnitField:
-    """A unit vector field on a geodesic ball, given as an evaluable map."""
+    """A unit vector field about ``center``, given as an evaluable map."""
 
     func: Callable[[HPoint], HTangent]
     center: HPoint
-    radius: float
     name: str = ""
 
 
@@ -322,12 +319,12 @@ class EigenCheck:
     eigenvalue: float | None = None
 
 
-def operator_eigencheck(mat: np.ndarray, v_coords: np.ndarray, tol: float = 1e-6):
+def operator_eigencheck(mat: np.ndarray, v_coords: np.ndarray):
     """Real eigenvectors of a 3x3 operator versus a distinguished axis.
 
     Returns ``(degenerate, witness_coords, eigenvalue)`` where degenerate
     means some real eigenvector points away from the axis by more than
-    ``tol`` (measured as the sine of the angle).
+    ``1e-6`` (measured as the sine of the angle).
     """
     v_hat = np.asarray(v_coords, dtype=float)
     v_hat = v_hat / np.linalg.norm(v_hat)
@@ -344,17 +341,17 @@ def operator_eigencheck(mat: np.ndarray, v_coords: np.ndarray, tol: float = 1e-6
         if np.linalg.norm(mat @ x - lam.real * x) > 1e-6 * (1.0 + abs(lam.real)):
             continue
         off_axis = np.linalg.norm(x - np.dot(x, v_hat) * v_hat)
-        if off_axis > tol:
+        if off_axis > 1e-6:
             return True, x, float(lam.real)
     return False, None, None
 
 
-def nondegeneracy_eigencheck(field: UnitField, p: HPoint, tol: float = 1e-6) -> EigenCheck:
+def nondegeneracy_eigencheck(field: UnitField, p: HPoint) -> EigenCheck:
     """Degenerate iff the covariant differential has a real eigenvector off the field axis."""
     mat, frame = covariant_differential(field, p)
     v = field.func(p)
     v_coords = np.array([mink_inner(v.w, e.w) for e in frame])
-    degenerate, witness_coords, lam = operator_eigencheck(mat, v_coords, tol=tol)
+    degenerate, witness_coords, lam = operator_eigencheck(mat, v_coords)
     witness = None
     if witness_coords is not None:
         w = sum(c * e.w for c, e in zip(witness_coords, frame))
@@ -383,14 +380,14 @@ class IntersectionResult:
     boundary: BoundaryPoint | None = None
 
 
-def geodesics_intersect(
-    g1: OrientedGeodesic, g2: OrientedGeodesic, tol: float = 1e-8
-) -> IntersectionResult:
+def geodesics_intersect(g1: OrientedGeodesic, g2: OrientedGeodesic) -> IntersectionResult:
     """Decide how two trajectories meet, via their timelike 2-planes.
 
     The trajectories are plane sections of the hyperboloid; they share a
-    point iff the planes intersect in a timelike line.
+    point iff the planes intersect in a timelike line.  Null dimensions
+    and the causal type of that line are decided at relative ``1e-8``.
     """
+    tol = 1e-8
     m = np.column_stack([g1.foot.v, g1.dir.w, -g2.foot.v, -g2.dir.w])
     u, s, vt = np.linalg.svd(m)
     null_dim = int(np.sum(s <= max(tol * s[0], 1e-300)))
@@ -414,7 +411,7 @@ def geodesics_intersect(
     ends2 = [gauss_map(g2, 1), gauss_map(g2, -1)]
     for b1 in ends1:
         for b2 in ends2:
-            if same_ray(b1, b2, tol=1e-9):
+            if same_ray(b1, b2):
                 return IntersectionResult("disjoint", boundary=b1)
     return IntersectionResult("ambiguous")
 
@@ -433,11 +430,11 @@ class CriticalPoint:
         return {"params": [self.a, self.b], "value": self.value}
 
 
-def _coordinate_descent(fun, a, b, step, bounds, min_step=1e-12, max_evals=20000):
+def _coordinate_descent(fun, a, b, step, bounds):
     (a0, a1), (b0, b1) = bounds
     val = fun(a, b)
     evals = 0
-    while step > min_step and evals < max_evals:
+    while step > 1e-12 and evals < 20000:
         best = None
         for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
             na = min(max(a + da, a0), a1)
@@ -519,11 +516,7 @@ def ring_growth_evidence(values: np.ndarray) -> list[float]:
 # rank of the initial-value map and synthetic charts
 
 
-def initial_value_rank(
-    chart: FoliationChart,
-    params: tuple[float, float],
-    tol: float = 1e-6,
-) -> int:
+def initial_value_rank(chart: FoliationChart, params: tuple[float, float]) -> int:
     """Rank of the map sending chart tangents to their Jacobi value at the foot.
 
     Full rank (2) means the chart reaches every direction orthogonal to the
@@ -531,13 +524,12 @@ def initial_value_rank(
     sweep out an open region.
     """
     z = _unit_rows(frame_coords(*chart_tangent(chart, params)))
-    return svd_rank(z[:, :2], atol=tol)
+    return svd_rank(z[:, :2])
 
 
-def jacobi_variation_chart(
-    x1: JacobiData, x2: JacobiData, extent: float = 0.25
-) -> FoliationChart:
-    """A chart through one geodesic whose axis tangents are the given Jacobi data.
+def jacobi_variation_chart(x1: JacobiData, x2: JacobiData) -> FoliationChart:
+    """A chart on ``[-0.25, 0.25]^2`` through one geodesic whose axis
+    tangents are the given Jacobi data.
 
     Built by exponentiating the initial values and tilting the transported
     direction by the initial derivatives; exact to first order at the
@@ -556,12 +548,7 @@ def jacobi_variation_chart(
         w = transport_to(HTangent(foot, dir_w + j0pc), p)
         return OrientedGeodesic(p, w.normalized())
 
-    return FoliationChart(
-        map=chart_map,
-        domain=((-extent, extent), (-extent, extent)),
-        margin=0.5 * extent,
-        name="jacobi-variation",
-    )
+    return FoliationChart(map=chart_map, domain=((-0.25, 0.25), (-0.25, 0.25)), name="jacobi-variation")
 
 
 def ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> list[HPoint]:

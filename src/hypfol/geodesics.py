@@ -61,13 +61,12 @@ from .lorentz import (
 class OrientedGeodesic:
     """An oriented geodesic in footpoint + unit direction form.
 
-    ``canonical`` records that the foot is the closest point of the
-    trajectory to the base point used at construction time.
+    Any point of the trajectory may serve as the foot; ``make_geodesic``
+    gives the representative whose foot is closest to a base point.
     """
 
     foot: HPoint
     dir: HTangent
-    canonical: bool = False
 
     def __post_init__(self):
         if not same_point(self.dir.base, self.foot):
@@ -82,10 +81,10 @@ class OrientedGeodesic:
 
     def reverse(self) -> "OrientedGeodesic":
         """Same trajectory with the opposite orientation (same footpoint)."""
-        return OrientedGeodesic(self.foot, -self.dir, canonical=self.canonical)
+        return OrientedGeodesic(self.foot, -self.dir)
 
     def __repr__(self):
-        return f"OrientedGeodesic(foot={self.foot!r}, dir={self.dir!r}, canonical={self.canonical})"
+        return f"OrientedGeodesic(foot={self.foot!r}, dir={self.dir!r})"
 
 
 def make_geodesic(p: HPoint, w: HTangent, base: HPoint = ORIGIN) -> OrientedGeodesic:
@@ -104,25 +103,33 @@ def make_geodesic(p: HPoint, w: HTangent, base: HPoint = ORIGIN) -> OrientedGeod
     s_star = 0.5 * np.log((a - b) / (a + b))
     foot = _finish_point(np.cosh(s_star) * p.v + np.sinh(s_star) * w.w)
     vel = _finish_tangent(foot, np.sinh(s_star) * p.v + np.cosh(s_star) * w.w)
-    return OrientedGeodesic(foot, _unitize(vel), canonical=True)
+    return OrientedGeodesic(foot, _unitize(vel))
 
 
-def same_geodesic(g1: OrientedGeodesic, g2: OrientedGeodesic, tol: float = 1e-8) -> bool:
-    """Whether two representatives describe the same oriented geodesic."""
+def same_geodesic(g1: OrientedGeodesic, g2: OrientedGeodesic) -> bool:
+    """Whether two representatives describe the same oriented geodesic
+    (canonical feet and directions agree to ``1e-8``)."""
     if g1 is g2:
         return True
     c1, c2 = make_geodesic(g1.foot, g1.dir), make_geodesic(g2.foot, g2.dir)
     return bool(
-        np.max(np.abs(c1.foot.v - c2.foot.v)) <= tol
-        and np.max(np.abs(c1.dir.w - c2.dir.w)) <= tol
+        np.max(np.abs(c1.foot.v - c2.foot.v)) <= 1e-8
+        and np.max(np.abs(c1.dir.w - c2.dir.w)) <= 1e-8
     )
 
 
 def dist_to_geodesic(q: HPoint, g: OrientedGeodesic) -> float:
-    """Distance from a point to the trajectory (closed form, any representative)."""
+    """Distance from a point to the trajectory (closed form, any representative).
+
+    ``sinh`` of the distance is the Minkowski norm of the part of ``q``
+    orthogonal to the plane of the trajectory.  Read that way it keeps full
+    relative accuracy near the trajectory, where ``arccosh`` of
+    ``cosh(d) = sqrt(a^2 - b^2)`` would lose it to cancellation.
+    """
     a = -mink_inner(q.v, g.foot.v)
-    b = -mink_inner(q.v, g.dir.w)
-    return float(np.arccosh(np.sqrt(max(a * a - b * b, 1.0))))
+    b = mink_inner(q.v, g.dir.w)
+    r = q.v - (a * g.foot.v + b * g.dir.w)
+    return float(np.arcsinh(np.sqrt(max(mink_inner(r, r), 0.0))))
 
 
 def geodesic_dist_sq(g: OrientedGeodesic, base: HPoint = ORIGIN) -> float:
@@ -167,7 +174,7 @@ def geodesic_from_chart(c: ChartPoint) -> OrientedGeodesic:
     """
     foot = exp_map(c.v)
     direction = _unitize(_finish_tangent(foot, c.u.w))
-    return OrientedGeodesic(foot, direction, canonical=True)
+    return OrientedGeodesic(foot, direction)
 
 
 def chart_of_geodesic(g: OrientedGeodesic, base: HPoint = ORIGIN) -> ChartPoint:
@@ -306,18 +313,18 @@ def killing_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -
     return float(zx @ KILLING_FORM @ zy)
 
 
-def stability_classify(jd: JacobiData, tol: float = 1e-8) -> str:
+def stability_classify(jd: JacobiData) -> str:
     """Classify decay: "stable" (``J' = -J``), "unstable" (``J' = +J``) or "neither".
 
     Stable data decays like ``e^{-s}`` forward, unstable like ``e^{s}``
-    backward.  The zero field is reported stable.  ``tol`` is relative.
+    backward.  The zero field is reported stable.  The test is relative, at ``1e-8``.
     """
     n0 = float(np.linalg.norm(jd.j0.w))
     n1 = float(np.linalg.norm(jd.j0p.w))
     scale = max(n0, n1, 1e-300)
-    if np.linalg.norm(jd.j0p.w + jd.j0.w) <= tol * scale:
+    if np.linalg.norm(jd.j0p.w + jd.j0.w) <= 1e-8 * scale:
         return "stable"
-    if np.linalg.norm(jd.j0p.w - jd.j0.w) <= tol * scale:
+    if np.linalg.norm(jd.j0p.w - jd.j0.w) <= 1e-8 * scale:
         return "unstable"
     return "neither"
 
@@ -344,12 +351,13 @@ def asymptote_vector(p: HPoint, b: BoundaryPoint) -> HTangent:
     return _unitize(_finish_tangent(p, m - p.v))
 
 
-def svd_rank(mat: np.ndarray, atol: float = 1e-6, rtol: float = 1e-9) -> int:
-    """Rank by singular values, with an absolute floor for all-zero matrices."""
+def svd_rank(mat: np.ndarray, atol: float = 1e-6) -> int:
+    """Rank by singular values above ``1e-9`` of the largest, with the
+    absolute floor ``atol`` for all-zero matrices."""
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0:
         return 0
-    return int(np.sum(s > max(atol, rtol * float(s[0]))))
+    return int(np.sum(s > max(atol, 1e-9 * float(s[0]))))
 
 
 def gauss_map_jacobian(

@@ -150,9 +150,9 @@ def same_point(p: HPoint, q: HPoint, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(p.v - q.v)) <= tol * max(1.0, float(np.max(np.abs(p.v)))))
 
 
-def same_ray(a: BoundaryPoint, b: BoundaryPoint, tol: float = 1e-9) -> bool:
-    """Whether two ideal points coincide (rays are stored normalized)."""
-    return bool(np.max(np.abs(a.n - b.n)) <= tol)
+def same_ray(a: BoundaryPoint, b: BoundaryPoint) -> bool:
+    """Whether two ideal points coincide to ``1e-9`` (rays are stored normalized)."""
+    return bool(np.max(np.abs(a.n - b.n)) <= 1e-9)
 
 
 def project_to_hyperboloid(arr: np.ndarray) -> HPoint:

@@ -191,6 +191,31 @@ def test_non_finite_or_huge_base_point_gives_one_error_line(tmp_path, point):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("classify", ["--base-point", "1", "0", "0", "0"]),
+        ("scan-lambda", ["--lambda", "0.1"]),
+        ("scan-lambda", ["--tol", "1e-7"]),
+        ("scan-lambda", ["--base-point", "1", "0", "0", "0"]),
+        ("scan-lambda", ["--seed", "1"]),
+        ("gauss", ["--base-point", "1", "0", "0", "0"]),
+        ("gauss", ["--seed", "1"]),
+        ("critical", ["--tol", "1e-7"]),
+        ("critical", ["--seed", "1"]),
+    ],
+)
+def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    family = [] if command == "scan-lambda" else ["--family", "vertical"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *family, "--grid", "4x4", *flag, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_experiment_scripts_run(tmp_path):
     # both scripts on small grids; they drive the endpoint Jacobians, the
     # eigenvector test and the initial-value rank outside the CLI
@@ -305,7 +330,7 @@ def test_critical_evaluates_grid_once(tmp_path, chart_map_calls):
         (["scan-lambda", "--alpha0", ALPHA0, "--grid", "30x30"], ["json", "csv"]),
         (["gauss", "--family", "plane-normal", "--grid", "4x4"], ["json", "csv"]),
         (
-            ["critical", "--family", "plane-normal", "--grid", "10x10", "--seed", "3"],
+            ["critical", "--family", "plane-normal", "--grid", "10x10"],
             ["json"],
         ),
     ],

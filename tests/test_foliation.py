@@ -249,7 +249,7 @@ def test_perturbed_field_fails_residual(vertical):
         w = v.w + 0.1 * u
         return hf.HTangent(p, w / np.sqrt(minner(w, w)))
 
-    bad = hf.UnitField(func=perturbed, center=O, radius=5.0, name="perturbed")
+    bad = hf.UnitField(func=perturbed, center=O, name="perturbed")
     samples = hf.ball_samples(O, 0.8, 8, seed=5)
     assert hf.check_geodesic_field(bad, samples) > 1e-2
 
