@@ -19,14 +19,10 @@ def diagnose(name: str, field: hf.UnitField, chart: hf.FoliationChart, grid):
     print(f"  aggregate verdict: {rep.aggregate}")
     samples = hf.ball_samples(hf.ORIGIN, 0.8, 8, seed=0)
     print(f"  geodesic-field residual: {hf.check_geodesic_field(field, samples):.2e}")
-    ranks_f, ranks_b, iv = set(), set(), set()
-    for params in hf.grid_params(chart, (6, 6)):
-        jac_f, jac_b = hf.gauss_map_jacobian(chart, params)
-        ranks_f.add(hf.svd_rank(jac_f))
-        ranks_b.add(hf.svd_rank(jac_b))
-        iv.add(hf.initial_value_rank(chart, params))
-    print(f"  endpoint-map ranks: forward {sorted(ranks_f)}, backward {sorted(ranks_b)}")
-    print(f"  initial-value ranks: {sorted(iv)}")
+    jets = hf.chart_jets(chart, *hf.grid_arrays(chart, (6, 6)))
+    ranks_f, ranks_b = (sorted(set(r.tolist())) for r in jets.endpoint_ranks())
+    print(f"  endpoint-map ranks: forward {ranks_f}, backward {ranks_b}")
+    print(f"  initial-value ranks: {sorted(set(jets.initial_value_ranks().tolist()))}")
     check = hf.nondegeneracy_eigencheck(field, samples[0])
     print(f"  eigenvector degeneracy: {check.degenerate} (eigenvalue {check.eigenvalue})")
     minima, _ = hf.critical_point_scan(chart, grid=(15, 15))

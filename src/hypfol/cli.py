@@ -5,7 +5,8 @@ Subcommands: ``classify`` (grid classification of a family chart),
 CSV), ``gauss`` (endpoint images and the ranks of their differentials
 ``J +- J'``), ``critical`` (local minima of the squared distance).  Angles
 are radians.  Exit codes: 0 computed (whatever the verdict), 2 invalid
-configuration, 3 numerical failure.
+configuration (including an unwritable ``--out``), 3 numerical failure
+(including a chart leaf or tangent that fails validation).
 """
 
 from __future__ import annotations
@@ -30,18 +31,20 @@ from .families import (
 from .foliation import (
     VERDICT_TOL,
     ball_samples,
-    chart_tangent,
+    chart_jets,
     check_geodesic_field,
     classify_chart,
     critical_point_scan,
-    grid_params,
+    grid_arrays,
     nondegeneracy_eigencheck,
 )
-from .geodesics import endpoint_velocity_rank, gauss_map
-from .lorentz import HPoint, mink_inner, project_to_hyperboloid, sphere_coords
+from .geodesics import endpoint_images
+from .lorentz import HPoint, mink_inner, project_to_hyperboloid
 from .report import report_payload, write_csv, write_report
 
 FAMILIES = ("vertical", "plane-normal", "prop")
+#: the flags only the spiral (``prop``) family reads, with their defaults
+_SPIRAL_FLAGS = (("--lambda", "lam", None), ("--alpha0", "alpha0", math.pi / 4.0), ("--delta", "delta", 0.1))
 
 
 @dataclass(frozen=True)
@@ -87,18 +90,23 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{flag} must be finite, got {value!r}")
     if args.tol <= 0.0:
         raise ConfigError("--tol must be positive")
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
     if args.family is not None and args.family not in FAMILIES:
         raise ConfigError(f"unknown family {args.family!r}")
+    if args.family not in (None, "prop"):
+        given = [flag for flag, dest, _ in _SPIRAL_FLAGS if getattr(args, dest) is not None]
+        if given:
+            raise ConfigError(f"--family {args.family} does not take {', '.join(given)} (only prop does)")
+    spiral = {dest: default if getattr(args, dest) is None else getattr(args, dest) for _, dest, default in _SPIRAL_FLAGS}
     return RunConfig(
         command=args.command,
         family=args.family,
-        alpha0=args.alpha0,
-        delta=args.delta,
-        lam=args.lam,
         grid=_parse_grid(args.grid),
         tol=args.tol,
         base_point=None if args.base_point is None else tuple(args.base_point),
         seed=args.seed,
+        **spiral,
     )
 
 
@@ -157,7 +165,7 @@ def cmd_scan_lambda(cfg: RunConfig, out_base: str) -> int:
     payload = report_payload("scan-lambda", cfg.to_dict(), {"scan": scan.to_dict()}, __version__)
     write_report(out_base + ".json", payload)
     params = SpiralParams(alpha0=cfg.alpha0, lam=scan.lambda_max, delta=cfg.delta)
-    r, t = np.array(grid_params(spiral_chart(params), cfg.grid)).T
+    r, t = grid_arrays(spiral_chart(params), cfg.grid)
     rows = np.column_stack((r, t, definiteness_margin(r, t, params))).tolist()
     write_csv(out_base + ".csv", ["r", "t", "h_value"], rows)
     print(f"lambda_max: {scan.lambda_max!r}")
@@ -166,16 +174,15 @@ def cmd_scan_lambda(cfg: RunConfig, out_base: str) -> int:
 
 def cmd_gauss(cfg: RunConfig, out_base: str) -> int:
     chart, _ = _resolve_family(cfg)
-    rows = []
-    rank_counts = {1: {}, -1: {}}
-    for a, b in grid_params(chart, cfg.grid):
-        x1, x2 = chart_tangent(chart, (a, b))
-        row = [a, b]
-        for sign, rank in zip((1, -1), endpoint_velocity_rank(x1, x2, atol=cfg.tol)):
-            image = sphere_coords(gauss_map(x1.geo, sign))
-            rank_counts[sign][rank] = rank_counts[sign].get(rank, 0) + 1
-            row.extend([image[0], image[1], image[2], rank])
-        rows.append(row)
+    jets = chart_jets(chart, *grid_arrays(chart, cfg.grid))
+    ranks = jets.endpoint_ranks(atol=cfg.tol)
+    images = [endpoint_images(jets.foot, jets.dir, sign).tolist() for sign in (1, -1)]
+    rows = [
+        [a, b, *fwd, fwd_rank, *bwd, bwd_rank]
+        for (a, b), fwd, fwd_rank, bwd, bwd_rank in zip(
+            jets.params.tolist(), images[0], ranks[0].tolist(), images[1], ranks[1].tolist()
+        )
+    ]
     header = [
         "a",
         "b",
@@ -190,8 +197,8 @@ def cmd_gauss(cfg: RunConfig, out_base: str) -> int:
     ]
     write_csv(out_base + ".csv", header, rows)
     results = {
-        "forward_rank_counts": {str(k): v for k, v in sorted(rank_counts[1].items())},
-        "backward_rank_counts": {str(k): v for k, v in sorted(rank_counts[-1].items())},
+        f"{side}_rank_counts": {str(k): int(n) for k, n in zip(*np.unique(r, return_counts=True))}
+        for side, r in zip(("forward", "backward"), ranks)
     }
     payload = report_payload("gauss", cfg.to_dict(), results, __version__)
     write_report(out_base + ".json", payload)
@@ -236,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     options = {
         "--family": dict(choices=FAMILIES, required=True, default=None),
-        "--alpha0": dict(type=float, default=math.pi / 4.0, help="tilt angle, radians"),
-        "--delta": dict(type=float, default=0.1, help="angular overhang of the annulus rectangle"),
+        "--alpha0": dict(type=float, default=None, help="tilt angle, radians (default pi/4)"),
+        "--delta": dict(type=float, default=None, help="angular overhang of the annulus rectangle (default 0.1)"),
         "--lambda": dict(dest="lam", type=float, default=None, help="spiral pitch"),
         "--grid": dict(type=str, default="20x20", help="sample grid, NxM"),
         "--tol": dict(type=float, default=VERDICT_TOL),
@@ -273,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[cfg.command](cfg, out_base)
     except (ConfigError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -31,13 +31,13 @@ import numpy as np
 
 from .errors import GeometryError
 from .foliation import FoliationChart, UnitField
-from .geodesics import OrientedGeodesic, asymptote_vector
+from .geodesics import asymptote_vector
 from .lorentz import (
     ORIGIN,
     BoundaryPoint,
     HPoint,
     HTangent,
-    exp_map,
+    cosh_sinhc,
 )
 
 #: ideal endpoint of the vertical family: the half-space point at infinity
@@ -49,21 +49,20 @@ def vertical_family() -> tuple[UnitField, FoliationChart]:
 
     The chart is parametrized on ``[-1, 1]^2`` by the horosphere through the
     base point (``z = 1`` in the half-space model); its map is polynomial in the
-    parameters, so finite differences on it are exact to roundoff.
+    parameters.
     """
 
     def field_func(p: HPoint) -> HTangent:
         return asymptote_vector(p, VERTICAL_END)
 
-    def chart_map(a: float, b: float) -> OrientedGeodesic:
+    def arrays(a, b):
         s = a * a + b * b
-        foot = HPoint((1.0 + 0.5 * s, a, b, 0.5 * s))
+        foot = np.stack((1.0 + 0.5 * s, a, b, 0.5 * s), axis=-1)
         # the horosphere <n, p> = -1 makes the asymptote direction n - p
-        direction = HTangent(foot, VERTICAL_END.n - foot.v)
-        return OrientedGeodesic(foot, direction)
+        return foot, VERTICAL_END.n - foot
 
     field = UnitField(func=field_func, center=ORIGIN, name="vertical")
-    chart = FoliationChart(map=chart_map, domain=((-1.0, 1.0), (-1.0, 1.0)), name="vertical")
+    chart = FoliationChart(arrays=arrays, domain=((-1.0, 1.0), (-1.0, 1.0)), name="vertical")
     return field, chart
 
 
@@ -85,12 +84,14 @@ def plane_normal_family() -> tuple[UnitField, FoliationChart]:
         q = np.array([p.v[0], p.v[1], p.v[2], 0.0]) / s
         return HTangent(p, x3 * q + s * _E3)
 
-    def chart_map(a: float, b: float) -> OrientedGeodesic:
-        foot = exp_map(HTangent(ORIGIN, (0.0, a, b, 0.0)))
-        return OrientedGeodesic(foot, HTangent(foot, _E3))
+    def arrays(a, b):
+        # the foot is exp(a e1 + b e2) from the base point
+        ch, sc = cosh_sinhc(a * a + b * b)
+        foot = np.stack((ch, sc * a, sc * b, np.zeros_like(ch)), axis=-1)
+        return foot, np.broadcast_to(_E3, foot.shape)
 
     field = UnitField(func=field_func, center=ORIGIN, name="plane-normal")
-    chart = FoliationChart(map=chart_map, domain=((-1.0, 1.0), (-1.0, 1.0)), name="plane-normal")
+    chart = FoliationChart(arrays=arrays, domain=((-1.0, 1.0), (-1.0, 1.0)), name="plane-normal")
     return field, chart
 
 
@@ -157,21 +158,20 @@ def polar_frame(r: float, t: float) -> PolarFrame:
 
 def spiral_direction(r: float, t: float, params: SpiralParams) -> HTangent:
     """Unit vector ``cos(tilt) angular + sin(tilt) normal`` at the annulus point."""
-    frame = polar_frame(r, t)
-    alpha = params.tilt(r, t)
-    return HTangent(
-        frame.point, math.cos(alpha) * frame.angular.w + math.sin(alpha) * frame.normal.w
-    )
+    return spiral_chart(params).map(r, t).dir
 
 
 def spiral_chart(params: SpiralParams) -> FoliationChart:
     """Chart of the geodesics seeded by the spiral directions over the annulus."""
 
-    def chart_map(r: float, t: float) -> OrientedGeodesic:
-        w = spiral_direction(r, t, params)
-        return OrientedGeodesic(w.base, w)
+    def arrays(r, t):
+        c, s = np.cos(t), np.sin(t)
+        alpha = params.tilt(r, t)
+        foot = np.stack((np.cosh(r), np.sinh(r) * c, np.sinh(r) * s, np.zeros_like(c)), axis=-1)
+        direction = np.stack((np.zeros_like(c), -s * np.cos(alpha), c * np.cos(alpha), np.sin(alpha)), axis=-1)
+        return foot, direction
 
-    return FoliationChart(map=chart_map, domain=params.rect, name="prop")
+    return FoliationChart(arrays=arrays, domain=params.rect, name="prop")
 
 
 def definiteness_margin(r, t, params: SpiralParams):

@@ -1,14 +1,18 @@
 """Classifiers for candidate geodesic foliations.
 
 A candidate is supplied either as a two-parameter chart of oriented
-geodesics or as a unit vector field on a region of hyperbolic space.  The
-classifier samples the chart, converts both parameter directions into
-orthogonal Jacobi data by central differences around one evaluation of the
-center geodesic (``chart_tangent`` returns the pair, on that one geodesic,
-each difference projected to the plane normal to the leaf as it is
-formed), takes their parallel-frame coordinates once (``frame_coords``),
-reads the 2x2 Gram matrix of the cross metric and the Killing values from
-them, and decides per sample between
+geodesics or as a unit vector field on a region of hyperbolic space.  A
+chart is an array map ``(a, b) -> (foot, dir)`` that accepts complex
+parameters.  One kernel, ``chart_jets``, evaluates it three times per grid
+(the values, then complex steps in ``a`` and in ``b``), validates the
+leaves, and keeps both axis tangents as Jacobi data in endpoint form
+``J +- J'``: the parts of the derivatives of ``foot +- dir`` normal to the
+leaf, exact to roundoff.  Every per-sample quantity is read from these
+arrays without a frame: the energies and the rank check from Minkowski
+pairings, the 2x2 Gram matrix of the cross metric from determinants
+``det[foot, dir, u, v]``, the Killing values on its null directions from
+pairings, and the endpoint images and ranks.  Each sample is classified
+as
 
 * ``definite``            - the cross metric restricts to a definite form;
 * ``semidefinite``        - its null directions all have positive Killing
@@ -19,14 +23,15 @@ them, and decides per sample between
 Charts whose geodesics fill a region without crossing always land in the
 almost-semidefinite class; the stricter classes correspond to charts with
 locally injective endpoint maps and to charts on which the cross metric is
-Riemannian.  The remaining operations (covariant differential of a field,
-eigenvector degeneracy, intersection detection, critical points of the
-squared distance, initial-value rank) exercise the same criteria from the
-vector-field side; field derivatives are transported central differences,
-read in the orthonormal frame ``lorentz.orthonormal_complement`` gives at
-the point.  ``critical_point_scan`` evaluates its squared-distance grid
-once and returns the refined minima together with the ring minima of that
-grid.
+Riemannian.  ``critical_point_scan`` evaluates its squared-distance grid
+with one array call and returns the refined minima together with the ring
+minima of that grid.  The remaining operations (covariant differential of
+a field, eigenvector degeneracy, intersection detection) exercise the same
+criteria from the vector-field side; field derivatives are transported
+central differences, read in the orthonormal frame
+``lorentz.orthonormal_complement`` gives at the point.
+``chart_tangent`` keeps central-difference chart tangents as an
+independent check of the kernel.
 
 All verdicts are decided at an explicit tolerance on quadratic-form values
 normalized by the energy of the Jacobi data, recorded in every report.
@@ -42,16 +47,19 @@ import numpy as np
 
 from .errors import GeometryError, NumericalError
 from .geodesics import (
-    CROSS_FORM,
-    KILLING_FORM,
     JacobiData,
     OrientedGeodesic,
-    _unit_rows,
-    frame_coords,
+    check_leaves,
+    cross_pairing,
+    endpoint_ranks,
     gauss_map,
     geodesic_dist_sq,
+    leaf_dist,
+    normal_part,
+    plane_det,
+    rank_2x2,
     same_geodesic,
-    svd_rank,
+    unit_tangents,
 )
 from .lorentz import (
     ORIGIN,
@@ -59,6 +67,7 @@ from .lorentz import (
     HPoint,
     HTangent,
     exp_map,
+    mink,
     mink_inner,
     orthonormal_complement,
     project_to_hyperboloid,
@@ -73,19 +82,52 @@ _SEVERITY = {name: k for k, name in enumerate(VERDICTS)}
 VERDICT_TOL = 1e-7
 #: default finite-difference step (central differences)
 FD_STEP = 1e-4
+#: complex step of the chart kernel: ``df/da = Im f(a + ih, b) / h`` takes no
+#: difference, so it is exact to roundoff
+CS_STEP = 1e-30
+
+
+def _leaf_map(arrays) -> Callable[[float, float], OrientedGeodesic]:
+    """One leaf of an array map as a validated ``OrientedGeodesic``; an
+    invalid leaf raises ``NumericalError``."""
+
+    def chart_map(a: float, b: float) -> OrientedGeodesic:
+        # overflow shows up as non-finite components, which the constructors reject
+        with np.errstate(all="ignore"):
+            foot, direction = arrays(np.array([a], dtype=float), np.array([b], dtype=float))
+        try:
+            p = HPoint(foot[0])
+            return OrientedGeodesic(p, HTangent(p, direction[0]))
+        except GeometryError as exc:
+            raise NumericalError(f"chart leaf at {(a, b)}: {exc}") from None
+
+    return chart_map
 
 
 @dataclass(frozen=True, eq=False)
 class FoliationChart:
     """A two-parameter family of oriented geodesics.
 
-    ``map`` must be evaluable on an open neighborhood of the closed domain
-    rectangle: finite differences step ``FD_STEP`` beyond its edges.
+    ``arrays(a, b) -> (foot, dir)`` maps ``(N,)`` parameter arrays to the
+    ``(N, 4)`` feet and unit directions of the leaves.  It must accept
+    complex parameters and be analytic in them (numpy arithmetic and
+    elementary functions; no ``abs``, comparisons or casts to float), since
+    the chart tangents are complex-step derivatives of it.  ``map(a, b)`` is
+    one leaf as a validated ``OrientedGeodesic``, derived from ``arrays``
+    unless given (so ``dataclasses.replace`` with new ``arrays`` passes
+    ``map=None`` to derive it again); the finite-difference
+    ``chart_tangent`` evaluates it up to ``FD_STEP`` beyond the domain
+    rectangle.
     """
 
-    map: Callable[[float, float], OrientedGeodesic]
+    arrays: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     domain: tuple[tuple[float, float], tuple[float, float]]
     name: str = ""
+    map: Callable[[float, float], OrientedGeodesic] | None = None
+
+    def __post_init__(self):
+        if self.map is None:
+            object.__setattr__(self, "map", _leaf_map(self.arrays))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,14 +182,121 @@ class ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# chart tangents by finite differences
+# the chart kernel
+
+
+def _evaluate(chart: FoliationChart, a, b) -> tuple[np.ndarray, np.ndarray]:
+    # overflow shows up as non-finite values, which the callers check
+    with np.errstate(all="ignore"):
+        foot, direction = chart.arrays(a, b)
+    return np.asarray(foot), np.asarray(direction)
+
+
+@dataclass(frozen=True, eq=False)
+class ChartJets:
+    """Validated leaves of a chart at ``N`` parameter pairs, with both axis
+    tangents as Jacobi data in endpoint form.
+
+    ``params`` is ``(N, 2)``; ``foot`` and ``dir`` are ``(N, 4)``; ``plus``
+    and ``minus`` are ``(2, N, 4)``, the variations ``J + J'`` and ``J - J'``
+    of the forward and backward endpoints along ``a`` (row 0) and ``b``
+    (row 1): the parts of the derivatives of ``foot +- dir`` normal to the
+    leaf.  ``energy`` ``(2, N)`` is ``sqrt(|J|^2 + |J'|^2)``, and
+    ``unit_plus``, ``unit_minus`` are the data scaled to unit energy.
+    """
+
+    params: np.ndarray
+    foot: np.ndarray
+    dir: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    energy: np.ndarray
+    unit_plus: np.ndarray
+    unit_minus: np.ndarray
+
+    def gram(self, unit: bool = True) -> np.ndarray:
+        """``(N, 2, 2)`` Gram matrices of the cross metric on the unit-energy
+        (or, with ``unit=False``, the raw) axis tangents."""
+        p, m = (self.unit_plus, self.unit_minus) if unit else (self.plus, self.minus)
+        f, d = self.foot, self.dir
+        g01 = cross_pairing(f, d, p[0], m[0], p[1], m[1])
+        g00 = cross_pairing(f, d, p[0], m[0], p[0], m[0])
+        g11 = cross_pairing(f, d, p[1], m[1], p[1], m[1])
+        return np.stack((np.stack((g00, g01), -1), np.stack((g01, g11), -1)), -2)
+
+    def full_rank(self) -> np.ndarray:
+        """Whether the two tangents span a plane: both energies above
+        ``1e-12`` of the larger (or of 1), and the smaller singular value of
+        the pair of unit-energy tangents above ``1e-7`` of the larger.  For
+        unit vectors the squared singular values are ``|x0 -+ x1|^2 / 2``."""
+        e = self.energy
+        p, m = self.unit_plus, self.unit_minus
+        minus, plus = (
+            mink(p[0] - sgn * p[1], p[0] - sgn * p[1]) + mink(m[0] - sgn * m[1], m[0] - sgn * m[1]) for sgn in (1, -1)
+        )
+        return (e.min(axis=0) > 1e-12 * np.maximum(e.max(axis=0), 1.0)) & (
+            np.minimum(minus, plus) > 1e-14 * np.maximum(minus, plus)
+        )
+
+    def endpoint_ranks(self, atol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+        """Ranks ``(forward, backward)`` of the endpoint maps."""
+        return endpoint_ranks(self.foot, self.dir, self.unit_plus, self.unit_minus, atol)
+
+    def initial_value_ranks(self) -> np.ndarray:
+        """Ranks of the map from the unit-energy tangents to their values ``J(0)``."""
+        j = 0.5 * (self.unit_plus + self.unit_minus)
+        return rank_2x2(plane_det(self.foot, self.dir, j[0], j[1]), mink(j[0], j[0]) + mink(j[1], j[1]))
+
+
+def chart_jets(chart: FoliationChart, a, b) -> ChartJets:
+    """Evaluate the chart at parameter arrays ``a``, ``b`` with three array
+    calls: the leaves, then complex steps of ``CS_STEP`` in ``a`` and in ``b``.
+
+    Raises ``NumericalError`` when a leaf fails the value objects' checks or
+    a tangent is not finite.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    params = np.column_stack((a, b))
+    foot, direction = _evaluate(chart, a, b)
+    check_leaves(foot, direction, params)
+    steps = [_evaluate(chart, a + 1j * CS_STEP, b), _evaluate(chart, a, b + 1j * CS_STEP)]
+    with np.errstate(all="ignore"):
+        df = np.stack([np.imag(f) / CS_STEP for f, _ in steps])
+        dd = np.stack([np.imag(d) / CS_STEP for _, d in steps])
+        plus, minus = normal_part(foot, direction, df + dd), normal_part(foot, direction, df - dd)
+        energy, unit_plus, unit_minus = unit_tangents(plus, minus)
+    finite = np.isfinite(energy).all(axis=0) & np.isfinite(unit_plus - unit_minus).all(axis=(0, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NumericalError(f"chart tangents at {tuple(params[k].tolist())} are not finite")
+    return ChartJets(params, foot, direction, plus, minus, energy, unit_plus, unit_minus)
+
+
+def grid_arrays(chart: FoliationChart, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major sample parameters over the chart domain, endpoints included,
+    as two flat arrays; the second parameter varies fastest."""
+    (a0, a1), (b0, b1) = chart.domain
+    avals = np.linspace(a0, a1, grid[0])
+    bvals = np.linspace(b0, b1, grid[1])
+    return np.repeat(avals, grid[1]), np.tile(bvals, grid[0])
+
+
+def grid_params(chart: FoliationChart, grid: tuple[int, int]) -> list[tuple[float, float]]:
+    """``grid_arrays`` as a list of ``(a, b)`` pairs."""
+    a, b = grid_arrays(chart, grid)
+    return list(zip(a.tolist(), b.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# chart tangents by finite differences: the independent check of the kernel
 
 
 def chart_tangent(
     chart: FoliationChart, params: tuple[float, float], h: float = FD_STEP
 ) -> tuple[JacobiData, JacobiData]:
     """Chart tangents along both parameter axes, as orthogonal Jacobi data
-    on the one center geodesic.
+    on the one center geodesic, by central differences of ``chart.map``.
 
     Each central difference of the foot and of the direction is projected
     to the tangent space at the foot and stripped of its ``dir`` component
@@ -160,46 +309,85 @@ def chart_tangent(
         raise NumericalError("finite-difference step underflowed")
     g0 = chart.map(a, b)
     f, d = g0.foot.v, g0.dir.w
-
-    def normal_part(arr: np.ndarray) -> HTangent:
-        return HTangent(g0.foot, arr + mink_inner(arr, f) * f - mink_inner(arr, d) * d)
-
     fields = []
     for plus, minus in (((a + h, b), (a - h, b)), ((a, b + h), (a, b - h))):
         g_plus, g_minus = chart.map(*plus), chart.map(*minus)
-        j0 = normal_part((g_plus.foot.v - g_minus.foot.v) / (2.0 * h))
-        j0p = normal_part((g_plus.dir.w - g_minus.dir.w) / (2.0 * h))
-        fields.append(JacobiData(g0, j0, j0p))
+        j0 = normal_part(f, d, (g_plus.foot.v - g_minus.foot.v) / (2.0 * h))
+        j0p = normal_part(f, d, (g_plus.dir.w - g_minus.dir.w) / (2.0 * h))
+        fields.append(JacobiData(g0, HTangent(g0.foot, j0), HTangent(g0.foot, j0p)))
     return fields[0], fields[1]
 
 
-_FLAT_DIRECTIONS = tuple(
-    (math.cos(k * math.pi / 8.0), math.sin(k * math.pi / 8.0)) for k in range(8)
-)
+# ---------------------------------------------------------------------------
+# classification
+
+_FLAT_DIRECTIONS = np.array([(math.cos(k * math.pi / 8.0), math.sin(k * math.pi / 8.0)) for k in range(8)])
+#: branch of ``_null_directions`` by the number of null directions it returns
+NULL_BRANCHES = {0: "definite", 1: "kernel", 2: "cone", 8: "flat"}
 
 
-def _null_directions(gram: np.ndarray, tol: float):
-    """Directions on which the 2x2 form vanishes, with the branch taken.
+def _null_directions(grams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Directions on which each 2x2 form of a stack vanishes: ``(N, 8, 2)``
+    unit directions of which the first ``count`` ``(N,)`` are used.
 
-    A fully flat Gram makes every direction null; a fixed fan of 8
-    directions is sampled then.  A single small eigenvalue contributes its
-    eigenvector; an indefinite pair contributes the two cone directions.
+    The count names the branch taken (``NULL_BRANCHES``).  A fully flat Gram
+    makes every direction null; a fixed fan of 8 directions is sampled then.
+    A single small eigenvalue contributes its eigenvector; an indefinite pair
+    contributes the two cone directions; a definite form has none.
     """
-    evals, evecs = np.linalg.eigh(gram)
-    if np.all(np.abs(evals) <= tol):
-        return [np.asarray(d) for d in _FLAT_DIRECTIONS], "flat"
-    if np.min(np.abs(evals)) <= tol:
-        k = int(np.argmin(np.abs(evals)))
-        return [evecs[:, k]], "kernel"
-    if evals[0] < 0.0 < evals[1]:
-        lo, hi = evals
-        u_lo, u_hi = evecs[:, 0], evecs[:, 1]
-        dirs = []
-        for sgn in (1.0, -1.0):
-            d = np.sqrt(hi) * u_lo + sgn * np.sqrt(-lo) * u_hi
-            dirs.append(d / np.linalg.norm(d))
-        return dirs, "cone"
-    return [], "definite"
+    evals, evecs = np.linalg.eigh(grams)
+    small = np.abs(evals) <= tol
+    flat = small.all(axis=1)
+    kernel = small.any(axis=1) & ~flat
+    cone = ~small.any(axis=1) & (evals[:, 0] < 0.0) & (evals[:, 1] > 0.0)
+    dirs = np.repeat(_FLAT_DIRECTIONS[None], len(grams), axis=0)
+    smallest = np.argmin(np.abs(evals), axis=1)
+    dirs[kernel, 0] = evecs[np.arange(len(grams)), :, smallest][kernel]
+    lo, hi = evals[cone, 0, None], evals[cone, 1, None]
+    for slot, sgn in enumerate((1.0, -1.0)):
+        d = np.sqrt(hi) * evecs[cone, :, 0] + sgn * np.sqrt(-lo) * evecs[cone, :, 1]
+        dirs[cone, slot] = d / np.linalg.norm(d, axis=1, keepdims=True)
+    return dirs, np.select([flat, kernel, cone], [8, 1, 2], 0)
+
+
+def _classify(jets: ChartJets, tol: float) -> list[SampleRecord]:
+    """Sample records of the kernel's samples; rank-deficient tangents are
+    reported, not classified.
+
+    The Killing value on a null direction ``(x, y)`` is the Killing square
+    norm over the energy of ``Y = x X0 + y X1``, ``X`` the unit-energy axis
+    tangents: ``<Y+, Y-> / ((|Y+|^2 + |Y-|^2) / 2)`` in endpoint form.
+    """
+    ok = jets.full_rank()
+    gram = jets.gram()[ok]
+    dirs, count = _null_directions(gram, tol)
+    p, m = jets.unit_plus[:, ok, None], jets.unit_minus[:, ok, None]
+    yp = dirs[..., :1] * p[0] + dirs[..., 1:] * p[1]
+    ym = dirs[..., :1] * m[0] + dirs[..., 1:] * m[1]
+    energy = 0.5 * (mink(yp, yp) + mink(ym, ym))
+    unused = np.arange(8) >= count[:, None]
+    # a full-rank pair gives every direction energy at least sv_min^2 > 0;
+    # roundoff far from the base point can cancel it away
+    resolved = (energy > 0.0) | unused
+    if not resolved.all():
+        k = int(np.flatnonzero(ok)[np.argmin(resolved.all(axis=1))])
+        raise NumericalError(f"null direction without energy at {tuple(jets.params[k].tolist())}: tangents unresolved")
+    kv = mink(yp, ym) / np.where(unused, 1.0, energy)
+    verdict = np.where(
+        np.all((kv > tol) | unused, axis=1),
+        "semidefinite",
+        np.where(np.all((kv >= -tol) | unused, axis=1), "almost_semidefinite", "indefinite"),
+    )
+    verdict[count == 0] = "definite"
+    classified = iter(zip(gram.tolist(), kv.tolist(), count.tolist(), verdict.tolist()))
+    records = []
+    for params, good in zip(jets.params.tolist(), ok.tolist()):
+        if not good:
+            records.append(SampleRecord(tuple(params), None, (), None, note="rank-deficient tangent plane"))
+            continue
+        g, k, n, v = next(classified)
+        records.append(SampleRecord(tuple(params), tuple(map(tuple, g)), tuple(k[:n]), v))
+    return records
 
 
 def classify_point(
@@ -207,42 +395,8 @@ def classify_point(
     params: tuple[float, float],
     tol: float = VERDICT_TOL,
 ) -> SampleRecord:
-    """Classify one chart sample; rank-deficient tangents are reported, not classified.
-
-    Energies (row norms), the rank check, the Gram matrix and the Killing
-    values are all read from the frame coordinates of the two chart tangents.
-    """
-    z = frame_coords(*chart_tangent(chart, params))
-    energy = np.linalg.norm(z, axis=1)
-    if energy.min() <= 1e-12 * max(energy.max(), 1.0):
-        return SampleRecord(tuple(params), None, (), None, note="rank-deficient tangent plane")
-    z = z / energy[:, None]
-    sv = np.linalg.svd(z, compute_uv=False)
-    if sv[-1] <= 1e-7 * sv[0]:
-        return SampleRecord(tuple(params), None, (), None, note="rank-deficient tangent plane")
-    gram = z @ CROSS_FORM @ z.T
-    gram[1, 0] = gram[0, 1]
-    dirs, mode = _null_directions(gram, tol)
-    # unit null directions on rows of full rank, so |y| >= sv[-1] > 0
-    y = np.reshape(dirs, (-1, 2)) @ z
-    kv = np.sum((y @ KILLING_FORM) * y, axis=1) / np.sum(y * y, axis=1)
-    if mode == "definite":
-        verdict = "definite"
-    elif np.all(kv > tol):
-        verdict = "semidefinite"
-    elif np.all(kv >= -tol):
-        verdict = "almost_semidefinite"
-    else:
-        verdict = "indefinite"
-    return SampleRecord(tuple(params), tuple(map(tuple, gram.tolist())), tuple(kv.tolist()), verdict)
-
-
-def grid_params(chart: FoliationChart, grid: tuple[int, int]) -> list[tuple[float, float]]:
-    """Row-major sample parameters over the chart domain, endpoints included."""
-    (a0, a1), (b0, b1) = chart.domain
-    avals = np.linspace(a0, a1, grid[0])
-    bvals = np.linspace(b0, b1, grid[1])
-    return [(float(a), float(b)) for a in avals for b in bvals]
+    """Classify one chart sample; rank-deficient tangents are reported, not classified."""
+    return _classify(chart_jets(chart, [params[0]], [params[1]]), tol)[0]
 
 
 def classify_chart(
@@ -256,7 +410,7 @@ def classify_chart(
     the aggregate; if nothing could be classified the aggregate is
     "degenerate".
     """
-    samples = [classify_point(chart, p, tol=tol) for p in grid_params(chart, grid)]
+    samples = _classify(chart_jets(chart, *grid_arrays(chart, grid)), tol)
     classified = [s.verdict for s in samples if s.verdict is not None]
     if not classified:
         aggregate = "degenerate"
@@ -458,10 +612,10 @@ def critical_point_scan(
     """Local minima of the squared distance from ``base`` over the chart,
     and the ring minima of the same grid.
 
-    The grid is evaluated once.  Grid-local minima (8-neighborhood) are
-    refined by coordinate descent and deduplicated by parameter distance;
-    they are sorted by value.  The ring minima are
-    ``ring_growth_evidence`` of the grid values.
+    The grid is evaluated with one array call.  Grid-local minima
+    (8-neighborhood) are refined by coordinate descent on ``chart.map`` and
+    deduplicated by parameter distance; they are sorted by value.  The ring
+    minima are ``ring_growth_evidence`` of the grid values.
     """
     (a0, a1), (b0, b1) = chart.domain
     avals = np.linspace(a0, a1, grid[0])
@@ -470,7 +624,10 @@ def critical_point_scan(
     def fun(a, b):
         return geodesic_dist_sq(chart.map(a, b), base)
 
-    values = np.array([[fun(a, b) for b in bvals] for a in avals])
+    a, b = grid_arrays(chart, grid)
+    foot, direction = _evaluate(chart, a, b)
+    check_leaves(foot, direction, np.column_stack((a, b)))
+    values = (leaf_dist(foot, direction, base.v) ** 2).reshape(grid)
     candidates = []
     for i in range(grid[0]):
         for j in range(grid[1]):
@@ -523,32 +680,31 @@ def initial_value_rank(chart: FoliationChart, params: tuple[float, float]) -> in
     geodesic at its footpoint: the surjectivity needed for the geodesics to
     sweep out an open region.
     """
-    z = _unit_rows(frame_coords(*chart_tangent(chart, params)))
-    return svd_rank(z[:, :2])
+    return int(chart_jets(chart, [params[0]], [params[1]]).initial_value_ranks()[0])
 
 
 def jacobi_variation_chart(x1: JacobiData, x2: JacobiData) -> FoliationChart:
     """A chart on ``[-0.25, 0.25]^2`` through one geodesic whose axis
     tangents are the given Jacobi data.
 
-    Built by exponentiating the initial values and tilting the transported
-    direction by the initial derivatives; exact to first order at the
-    center, which is all finite differences need.
+    The foot moves to ``foot + a J1 + b J2`` and the direction tilts to
+    ``dir + a J1' + b J2'``, each put back on the hyperboloid and its unit
+    tangent sphere; exact to first order at the center, which is all
+    derivatives there need.
     """
     if not same_geodesic(x1.geo, x2.geo):
         raise GeometryError("both Jacobi tangents must live on the same geodesic")
-    g = x1.geo
-    foot = g.foot
-    dir_w = g.dir.w
+    foot, dir_w = x1.geo.foot.v, x1.geo.dir.w
 
-    def chart_map(a: float, b: float) -> OrientedGeodesic:
-        j0c = a * x1.j0.w + b * x2.j0.w
-        j0pc = a * x1.j0p.w + b * x2.j0p.w
-        p = exp_map(HTangent(foot, j0c))
-        w = transport_to(HTangent(foot, dir_w + j0pc), p)
-        return OrientedGeodesic(p, w.normalized())
+    def arrays(a, b):
+        a, b = a[:, None], b[:, None]
+        p = foot + a * x1.j0.w + b * x2.j0.w
+        p = p / np.sqrt(-mink(p, p))[:, None]
+        w = dir_w + a * x1.j0p.w + b * x2.j0p.w
+        w = w + mink(w, p)[:, None] * p
+        return p, w / np.sqrt(mink(w, w))[:, None]
 
-    return FoliationChart(map=chart_map, domain=((-0.25, 0.25), (-0.25, 0.25)), name="jacobi-variation")
+    return FoliationChart(arrays=arrays, domain=((-0.25, 0.25), (-0.25, 0.25)), name="jacobi-variation")
 
 
 def ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> list[HPoint]:

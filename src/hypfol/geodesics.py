@@ -15,13 +15,17 @@ Two pieces of structure computed here carry the whole package:
 * the forward/backward endpoint maps to the ideal boundary
   (``gauss_map``), with differentials ``J(0) +- J'(0)``.
 
-Both are read from the parallel-frame coordinates ``(J1, J2, J1', J2')`` of
-Jacobi data (``frame_coords``), on which the metrics are the constant forms
-``CROSS_FORM`` and ``KILLING_FORM``.  The parallel frame is
-``lorentz.orthonormal_complement`` of ``(foot, dir)``, the package's one
-frame builder.  ``gauss_map_jacobian`` keeps the finite-difference endpoint
-Jacobians as an independent check, in the sphere frame that the same
-builder gives for ``(o, (0, n))``.
+Both are computed without a frame, on arrays of leaves ``(foot, dir)`` and
+ambient Jacobi data in endpoint form ``J +- J'`` (the differentials of the
+two endpoint maps): the cross metric from determinants
+``det[foot, dir, u, v]`` (``plane_det``), the Killing metric and the
+energies from Minkowski pairings, the endpoint ranks from a determinant and
+a Frobenius norm (``rank_2x2``).  ``cross_metric``, ``killing_metric``,
+``endpoint_velocity_rank`` and ``dist_to_geodesic`` are validated scalar
+forms of these array functions.  ``gauss_map_jacobian`` keeps the
+finite-difference endpoint Jacobians as an independent check, in the
+sphere frame that ``lorentz.orthonormal_complement`` gives for
+``(o, (0, n))``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .errors import (
     NumericalError,
 )
 from .lorentz import (
-    ETA,
+    MODEL_TOL,
     ORIGIN,
     BoundaryPoint,
     HPoint,
@@ -49,6 +53,7 @@ from .lorentz import (
     _unitize,
     exp_map,
     log_map,
+    mink,
     mink_inner,
     orthonormal_complement,
     project_to_tangent,
@@ -91,7 +96,13 @@ def make_geodesic(p: HPoint, w: HTangent, base: HPoint = ORIGIN) -> OrientedGeod
     """Canonical representative of the geodesic through ``p`` with unit velocity ``w``.
 
     The foot is moved to the closest point to ``base``; there the velocity
-    is Minkowski-orthogonal to the base point's position vector.
+    is Minkowski-orthogonal to the base point's position vector.  The result
+    is checked: ``p`` must lie within ``1e-8`` of its trajectory, and
+    ``|<base, dir>|`` (``cosh(dist(base, foot))`` times the arc length from
+    the foot to the closest point) must be at most ``1e-8``, each up to the
+    roundoff of the check itself.  Data at distance ``D`` from the base
+    point fix the foot only to about ``eps e^{3D}``; there ``NumericalError``
+    is raised instead of returning a wrong representative.
     """
     if not same_point(w.base, p):
         raise BaseMismatchError("velocity must be based at the given point")
@@ -100,10 +111,25 @@ def make_geodesic(p: HPoint, w: HTangent, base: HPoint = ORIGIN) -> OrientedGeod
     a = -mink_inner(base.v, p.v)
     b = -mink_inner(base.v, w.w)
     # tanh(s*) = -b/a and a > |b|; the log form avoids arctanh overflow
+    if not (a - b > 0.0 and a + b > 0.0):
+        raise NumericalError("cannot canonicalize the geodesic: its foot shift cancels to roundoff")
     s_star = 0.5 * np.log((a - b) / (a + b))
-    foot = _finish_point(np.cosh(s_star) * p.v + np.sinh(s_star) * w.w)
-    vel = _finish_tangent(foot, np.sinh(s_star) * p.v + np.cosh(s_star) * w.w)
-    return OrientedGeodesic(foot, _unitize(vel))
+    try:
+        foot = _finish_point(np.cosh(s_star) * p.v + np.sinh(s_star) * w.w)
+        vel = _finish_tangent(foot, np.sinh(s_star) * p.v + np.cosh(s_star) * w.w)
+        g = OrientedGeodesic(foot, _unitize(vel))
+    except GeometryError as exc:
+        raise NumericalError(f"cannot canonicalize the geodesic: {exc}") from None
+    # each check up to the roundoff of its own pairings, a few ulps of the
+    # products of Euclidean sizes
+    ulps = 8.0 * np.finfo(float).eps
+    size_p, size_f, size_d = (float(np.linalg.norm(x)) for x in (p.v, g.foot.v, g.dir.w))
+    if not (
+        dist_to_geodesic(p, g) <= 1e-8 + ulps * size_p * (size_f + size_d)
+        and abs(mink_inner(base.v, g.dir.w)) <= 1e-8 + ulps * float(np.linalg.norm(base.v)) * size_d
+    ):
+        raise NumericalError("the canonical representative is not accurate to 1e-8 this far from the base point")
+    return g
 
 
 def same_geodesic(g1: OrientedGeodesic, g2: OrientedGeodesic) -> bool:
@@ -119,17 +145,9 @@ def same_geodesic(g1: OrientedGeodesic, g2: OrientedGeodesic) -> bool:
 
 
 def dist_to_geodesic(q: HPoint, g: OrientedGeodesic) -> float:
-    """Distance from a point to the trajectory (closed form, any representative).
-
-    ``sinh`` of the distance is the Minkowski norm of the part of ``q``
-    orthogonal to the plane of the trajectory.  Read that way it keeps full
-    relative accuracy near the trajectory, where ``arccosh`` of
-    ``cosh(d) = sqrt(a^2 - b^2)`` would lose it to cancellation.
-    """
-    a = -mink_inner(q.v, g.foot.v)
-    b = mink_inner(q.v, g.dir.w)
-    r = q.v - (a * g.foot.v + b * g.dir.w)
-    return float(np.arcsinh(np.sqrt(max(mink_inner(r, r), 0.0))))
+    """Distance from a point to the trajectory (closed form, any representative);
+    the scalar form of ``leaf_dist``."""
+    return float(leaf_dist(g.foot.v, g.dir.w, q.v))
 
 
 def geodesic_dist_sq(g: OrientedGeodesic, base: HPoint = ORIGIN) -> float:
@@ -246,62 +264,35 @@ def _require_same_geodesic(x: JacobiData, y: JacobiData):
         raise GeodesicMismatchError("Jacobi data lives on different geodesics")
 
 
-#: The cross metric on frame coordinates ``(J1, J2, J1', J2')``: the
-#: polarization of ``<velocity x J, J'> = J1 J2' - J2 J1'``, since
-#: velocity x (0, J1, J2) = (0, -J2, J1) in the right-handed parallel frame.
-CROSS_FORM = 0.5 * np.array(
-    [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0], [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
-)
-#: The Killing metric on frame coordinates: ``|J|^2 - |J'|^2``.
-KILLING_FORM = np.diag([1.0, 1.0, -1.0, -1.0])
-
-
-def frame_coords(*jds: JacobiData, s: float = 0.0) -> np.ndarray:
-    """Coordinates ``(J1, J2, J1', J2')`` of J(s) and J'(s), one row per datum,
-    in the parallel frame of the plane orthogonal to the first datum's geodesic.
-
-    The frame is the orthonormal complement of ``(foot, dir)``, oriented so
-    that ``(foot, dir, E1, E2)`` is positive; both vectors are invariant under
-    parallel transport along the geodesic.  Tangential components drop out.  The row norm of orthogonal data is its
-    energy ``sqrt(|J|^2 + |J'|^2)``, the normalizer of verdict forms and ranks.
-    """
-    g = jds[0].geo
-    frame = ETA @ np.column_stack(orthonormal_complement((g.foot.v, g.dir.w)))
-    a = np.array([x.j0.w for x in jds]) @ frame
-    b = np.array([x.j0p.w for x in jds]) @ frame
-    ch, sh = np.cosh(s), np.sinh(s)
-    return np.hstack((ch * a + sh * b, sh * a + ch * b))
-
-
-def _unit_rows(z: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit length; zero rows stay zero."""
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    return np.divide(z, norms, out=np.zeros_like(z), where=norms > 0.0)
+def _endpoint_variations(x: JacobiData, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """``J(s) + J'(s)`` and ``J(s) - J'(s)``, the forward and backward endpoint
+    variations, up to parts along the leaf's plane (which every pairing
+    drops).  Along the leaf they only scale, by ``e^s`` and ``e^-s``, so the
+    pairings at any ``s`` are as well conditioned as at the foot."""
+    return np.exp(s) * (x.j0.w + x.j0p.w), np.exp(-s) * (x.j0.w - x.j0p.w)
 
 
 def cross_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -> float:
     """Cross-product metric; the square norm of ``x`` when ``y`` is omitted.
 
-    Polarization of ``<velocity x J, J'>`` evaluated at arc length ``s``.
-    The pairing is computed in the parallel orthonormal frame of the plane
-    orthogonal to the geodesic, which keeps it well conditioned for large
-    ``s``; the value does not depend on ``s``.  The velocity cross product
-    kills tangential components, so non-orthogonal Jacobi data is accepted.
+    Polarization of ``<velocity x J, J'>`` evaluated at arc length ``s``; the
+    value does not depend on ``s``.  The scalar form of ``cross_pairing``,
+    which drops tangential components, so non-orthogonal Jacobi data is
+    accepted.
     """
     if y is None:
         y = x
     else:
         _require_same_geodesic(x, y)
-    zx, zy = frame_coords(x, y, s=s)
-    return float(zx @ CROSS_FORM @ zy)
+    g = x.geo
+    return float(cross_pairing(g.foot.v, g.dir.w, *_endpoint_variations(x, s), *_endpoint_variations(y, s)))
 
 
 def killing_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -> float:
     """Killing-form metric ``<Jx, Jy> - <Jx', Jy'>`` evaluated at arc length ``s``.
 
-    Requires data orthogonal to the direction; such fields stay in the
-    parallel frame of the orthogonal plane, where the evaluation is well
-    conditioned.  The value does not depend on ``s``.
+    Requires data orthogonal to the direction; the value does not depend on
+    ``s``.  The scalar form of ``killing_pairing``.
     """
     if y is None:
         y = x
@@ -309,8 +300,142 @@ def killing_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -
         _require_same_geodesic(x, y)
     if not (x.is_orthogonal and y.is_orthogonal):
         raise NonOrthogonalJacobiError("the Killing metric needs data orthogonal to the direction")
-    zx, zy = frame_coords(x, y, s=s)
-    return float(zx @ KILLING_FORM @ zy)
+    return float(killing_pairing(*_endpoint_variations(x, s), *_endpoint_variations(y, s)))
+
+
+# ---------------------------------------------------------------------------
+# array forms: leaves as (N, 4) feet and directions, Jacobi data as ambient
+# vectors at the feet
+
+
+def check_leaves(foot: np.ndarray, direction: np.ndarray, params: np.ndarray) -> None:
+    """Raise ``NumericalError`` unless every row is a leaf that the value
+    objects would accept: finite, the foot on the unit hyperboloid with
+    ``x0 > 0``, the direction a unit tangent at the foot, all at the
+    constructors' relative tolerance ``MODEL_TOL``.  ``params`` name the rows
+    in the message."""
+    with np.errstate(all="ignore"):
+        fs = np.sum(foot * foot, axis=-1)
+        ds = np.sum(direction * direction, axis=-1)
+        checks = (
+            ("non-finite leaf", np.isfinite(fs) & np.isfinite(ds)),
+            ("point is not on the unit hyperboloid", np.abs(mink(foot, foot) + 1.0) <= MODEL_TOL * np.maximum(1.0, fs)),
+            ("point is on the past sheet", foot[..., 0] > 0.0),
+            (
+                "vector is not tangent at its base point",
+                np.abs(mink(foot, direction)) <= MODEL_TOL * np.maximum(1.0, np.sqrt(fs * ds)),
+            ),
+            ("direction must be a unit vector", np.abs(mink(direction, direction) - 1.0) <= MODEL_TOL * np.maximum(1.0, ds)),
+        )
+    for message, ok in checks:
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise NumericalError(f"chart leaf at {tuple(np.asarray(params[k]).tolist())}: {message}")
+
+
+def normal_part(foot: np.ndarray, direction: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The part of ambient vectors ``u`` Minkowski-orthogonal to the leaf's
+    plane: a variation of the foot or of the direction becomes Jacobi data."""
+    return u + mink(u, foot)[..., None] * foot - mink(u, direction)[..., None] * direction
+
+
+_PAIR_I, _PAIR_J = np.triu_indices(4, 1)  # column pairs 01 02 03 12 13 23
+_LAPLACE_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+
+
+def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., _PAIR_I] * v[..., _PAIR_J] - u[..., _PAIR_J] * v[..., _PAIR_I]
+
+
+def plane_det(foot: np.ndarray, direction: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``det[foot, dir, u, v]`` row by row, by Laplace expansion in 2x2 minors.
+
+    On vectors normal to the leaf this is their oriented area in the
+    normal plane, the parallel frame ``(E1, E2)`` completing ``(foot, dir)``
+    being positively oriented.  Parts along the leaf's plane drop out, and
+    swapping ``u`` and ``v`` flips the sign to the last bit.
+    """
+    return np.sum(_LAPLACE_SIGNS * _wedge(foot, direction) * _wedge(u, v)[..., ::-1], axis=-1)
+
+
+# The pairings below take Jacobi data in endpoint form, ``J+ = J + J'`` and
+# ``J- = J - J'``: the differentials of the forward and backward endpoint
+# maps.  In that form the cross metric
+# ``(det[foot, dir, Jx, Jy'] + det[foot, dir, Jy, Jx']) / 2`` reads
+# ``(det[foot, dir, Jx-, Jy+] + det[foot, dir, Jy-, Jx+]) / 4``, the Killing
+# metric ``<Jx, Jy> - <Jx', Jy'>`` reads ``(<Jx+, Jy-> + <Jy+, Jx->) / 2``, and
+# the energy ``|J|^2 + |J'|^2`` reads ``(|J+|^2 + |J-|^2) / 2``.  A vanishing
+# endpoint variation (all leaves sharing an endpoint) makes them vanish
+# exactly.
+
+
+def cross_pairing(foot, direction, xp, xm, yp, ym) -> np.ndarray:
+    """Cross metric of Jacobi data ``x`` and ``y`` in endpoint form, the
+    polarization of ``<velocity x J, J'>``."""
+    return 0.25 * (plane_det(foot, direction, xm, yp) + plane_det(foot, direction, ym, xp))
+
+
+def killing_pairing(xp, xm, yp, ym) -> np.ndarray:
+    """Killing metric of Jacobi data ``x`` and ``y`` in endpoint form,
+    normal to the leaf."""
+    return 0.5 * (mink(xp, ym) + mink(yp, xm))
+
+
+def unit_tangents(jp: np.ndarray, jm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energies ``sqrt(|J|^2 + |J'|^2)`` of Jacobi data in endpoint form,
+    normal to the leaf, and the data scaled to unit energy (zero data stays
+    zero)."""
+    energy = np.sqrt(np.maximum(0.5 * (mink(jp, jp) + mink(jm, jm)), 0.0))
+    scale = np.divide(1.0, energy, out=np.zeros_like(energy), where=energy > 0.0)[..., None]
+    return energy, jp * scale, jm * scale
+
+
+def rank_2x2(det: np.ndarray, frob_sq: np.ndarray, atol: float = 1e-6) -> np.ndarray:
+    """``svd_rank`` of 2x2 matrices given by their determinant and squared
+    Frobenius norm.  The small singular value is read as ``|det| / s1``, so it
+    keeps its relative accuracy and the ``1e-9`` relative floor stays
+    resolvable."""
+    s1 = np.sqrt(0.5 * (frob_sq + np.sqrt(np.maximum(frob_sq * frob_sq - 4.0 * det * det, 0.0))))
+    s2 = np.divide(np.abs(det), s1, out=np.zeros_like(s1), where=s1 > 0.0)
+    floor = np.maximum(atol, 1e-9 * s1)
+    return (s1 > floor).astype(int) + (s2 > floor)
+
+
+def endpoint_ranks(foot, direction, up, um, atol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks ``(forward, backward)`` of the linearized endpoint maps on the
+    span of two unit-energy Jacobi data in endpoint form, ``(up[0], um[0])``
+    and ``(up[1], um[1])``.
+
+    The variation of the asymptotic direction at the foot has derivative
+    ``J(0) + J'(0)`` for the forward endpoint and ``J(0) - J'(0)`` for the
+    backward one (the latter by applying the same identity to the reversed
+    geodesic).
+    """
+    return tuple(
+        rank_2x2(plane_det(foot, direction, v[0], v[1]), mink(v[0], v[0]) + mink(v[1], v[1]), atol)
+        for v in (up, um)
+    )
+
+
+def leaf_dist(foot: np.ndarray, direction: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distance from a point to each leaf, closed form for any representative.
+
+    ``sinh`` of the distance is the Minkowski norm of the part of ``q``
+    orthogonal to the plane of the trajectory.  Read that way it keeps full
+    relative accuracy near the trajectory, where ``arccosh`` of
+    ``cosh(d) = sqrt(a^2 - b^2)`` would lose it to cancellation.
+    """
+    a = -mink(q, foot)
+    b = mink(q, direction)
+    r = q - (a[..., None] * foot + b[..., None] * direction)
+    return np.arcsinh(np.sqrt(np.maximum(mink(r, r), 0.0)))
+
+
+def endpoint_images(foot: np.ndarray, direction: np.ndarray, sign: int) -> np.ndarray:
+    """Sphere coordinates of the forward (+1) or backward (-1) endpoints of
+    the leaves: ``gauss_map`` followed by ``sphere_coords``."""
+    u = (foot + sign * direction)[..., 1:]
+    return u / np.sqrt(np.sum(u * u, axis=-1, keepdims=True))
 
 
 def stability_classify(jd: JacobiData) -> str:
@@ -393,15 +518,10 @@ def gauss_map_jacobian(
 
 def endpoint_velocity_rank(x1: JacobiData, x2: JacobiData, atol: float = 1e-6) -> tuple[int, int]:
     """Ranks ``(forward, backward)`` of the linearized endpoint maps on the
-    span of two Jacobi tangents.
-
-    The variation of the asymptotic direction at the foot has derivative
-    ``J(0) + J'(0)`` for the forward endpoint and ``J(0) - J'(0)`` for the
-    backward one (the latter by applying the same identity to the reversed
-    geodesic).  Both are read from one set of frame coordinates, each
-    tangent normalized by its energy.
-    """
+    span of two Jacobi tangents, each normalized by its energy; the scalar
+    form of ``endpoint_ranks``."""
     _require_same_geodesic(x1, x2)
-    z = _unit_rows(frame_coords(x1, x2))
-    j, jp = z[:, :2], z[:, 2:]
-    return svd_rank(j + jp, atol=atol), svd_rank(j - jp, atol=atol)
+    f, d = x1.geo.foot.v, x1.geo.dir.w
+    plus, minus = (normal_part(f, d, np.array([[x.j0.w + sgn * x.j0p.w] for x in (x1, x2)])) for sgn in (1, -1))
+    forward, backward = endpoint_ranks(f, d, *unit_tangents(plus, minus)[1:], atol)
+    return int(forward[0]), int(backward[0])

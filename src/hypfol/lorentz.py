@@ -57,6 +57,12 @@ def mink_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(a[1] * b[1] + a[2] * b[2] + a[3] * b[3] - a[0] * b[0])
 
 
+def mink(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``mink_inner`` over the last axis of arrays of 4-vectors, broadcasting
+    the others; complex-safe (no conjugation)."""
+    return x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2] + x[..., 3] * y[..., 3] - x[..., 0] * y[..., 0]
+
+
 def _scale_sq(a: np.ndarray) -> float:
     return max(1.0, float(np.dot(a, a)))
 
@@ -244,6 +250,19 @@ def exp_map(t: HTangent) -> HPoint:
         return t.base
     arr = np.cosh(r) * t.base.v + (np.sinh(r) / r) * t.w
     return _finish_point(arr)
+
+
+def cosh_sinhc(x):
+    """``cosh(sqrt x)`` and ``sinh(sqrt x) / sqrt x`` for an array of squared
+    lengths ``x``: the coefficients of the exponential map.  Both are entire
+    functions of ``x``, evaluated from their Taylor series near 0, so complex
+    steps pass through them."""
+    x = np.asarray(x)
+    small = np.abs(x) < 1e-3
+    r = np.sqrt(np.where(small, 1.0, x))
+    ch = np.where(small, 1.0 + x / 2.0 * (1.0 + x / 12.0 * (1.0 + x / 30.0 * (1.0 + x / 56.0))), np.cosh(r))
+    sc = np.where(small, 1.0 + x / 6.0 * (1.0 + x / 20.0 * (1.0 + x / 42.0 * (1.0 + x / 72.0))), np.sinh(r) / r)
+    return ch, sc
 
 
 def log_map(p: HPoint, q: HPoint) -> HTangent:

@@ -1,14 +1,19 @@
 """Command line front end: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hypfol as hf
 from hypfol import cli
@@ -278,8 +283,9 @@ def test_bad_alpha0_for_prop(tmp_path):
 
 
 @pytest.fixture
-def chart_map_calls(monkeypatch):
-    """Record every ``chart.map`` evaluation of the chart a command resolves."""
+def chart_array_calls(monkeypatch):
+    """Record the size of every array evaluation of the chart a command
+    resolves; a scalar ``chart.map`` evaluation records 1."""
     calls = []
     resolve = cli._resolve_family
 
@@ -291,10 +297,13 @@ def chart_map_calls(monkeypatch):
     return calls
 
 
-def test_gauss_evaluates_chart_five_times_per_sample(tmp_path, chart_map_calls):
-    # one pair of chart tangents gives both endpoint images and both ranks
-    assert run(["gauss", "--family", "plane-normal", "--grid", "4x3", "--out", str(tmp_path / "g")]) == 0
-    assert len(chart_map_calls) == 5 * 12
+@pytest.mark.parametrize("grid", [(4, 3), (9, 7)])
+def test_gauss_evaluates_chart_arrays_three_times(tmp_path, chart_array_calls, grid):
+    # the leaves and one complex step per parameter give both endpoint
+    # images and both ranks of every sample
+    argv = ["gauss", "--family", "plane-normal", "--grid", f"{grid[0]}x{grid[1]}"]
+    assert run(argv + ["--out", str(tmp_path / "g")]) == 0
+    assert chart_array_calls == [grid[0] * grid[1]] * 3
 
 
 @pytest.mark.parametrize(
@@ -311,11 +320,111 @@ def test_gauss_ranks_match_finite_difference_jacobians(tmp_path, family, extra):
         assert (row[5], row[9]) == tuple(hf.svd_rank(j, atol=hf.VERDICT_TOL) for j in jacobians)
 
 
-def test_critical_evaluates_grid_once(tmp_path, chart_map_calls):
-    # 225 grid points, shared by the minima and the rings, plus 153 descent steps
+def test_critical_evaluates_grid_once(tmp_path, chart_array_calls):
+    # one array call for the 225 grid points, shared by the minima and the
+    # rings, then 153 scalar evaluations by the descent
     assert run(["critical", "--family", "plane-normal", "--grid", "15x15", "--out", str(tmp_path / "c")]) == 0
-    assert len(chart_map_calls) == 378
-    assert len(set(chart_map_calls[:225])) == 225
+    assert chart_array_calls == [225] + [1] * 153
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+
+@pytest.mark.parametrize("family", ["vertical", "plane-normal"])
+@pytest.mark.parametrize("flag", [["--lambda", "5"], ["--alpha0", "3"], ["--delta", "0.1"]])
+@pytest.mark.parametrize("command", ["classify", "gauss", "critical"])
+def test_spiral_flags_rejected_for_other_families(tmp_path, capsys, command, family, flag):
+    assert run([command, "--family", family, *flag, "--grid", "3x3", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --family {family} does not take {flag[0]} (only prop does)\n"
+    assert not list(tmp_path.iterdir())
+
+
+def _broken(chart):
+    """The chart with every foot pushed off the hyperboloid."""
+
+    def arrays(a, b):
+        foot, direction = chart.arrays(a, b)
+        return 1.5 * foot, direction
+
+    return hf.FoliationChart(arrays=arrays, domain=chart.domain)
+
+
+@pytest.mark.parametrize("command", ["classify", "gauss", "critical"])
+def test_chart_geometry_failure_exits_3(tmp_path, capsys, monkeypatch, command):
+    resolve = cli._resolve_family
+    monkeypatch.setattr(cli, "_resolve_family", lambda cfg: (_broken(resolve(cfg)[0]), None))
+    assert run([command, "--family", "plane-normal", "--grid", "3x3", "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: chart leaf at (-1.0, -1.0): point is not on the unit hyperboloid\n"
+    )
+    # a scalar evaluation of an invalid leaf fails the same way
+    with pytest.raises(hf.NumericalError, match="not on the unit hyperboloid"):
+        _broken(hf.plane_normal_family()[1]).map(0.1, 0.2)
+
+
+def test_overflowing_complex_step_exits_3(tmp_path, capsys):
+    argv = ["classify", "--family", "prop", "--lambda", "1e300", "--grid", "3x3", "--out", str(tmp_path / "x")]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == "numerical failure: chart tangents at (1.0, -0.1) are not finite\n"
+
+
+#: valid values of each flag, and values or flags that must be rejected
+_GOOD = {
+    "--lambda": ["0.07", "0.3", "5", "1e300"],
+    "--alpha0": ["0.7", "1.2"],
+    "--delta": ["0.1", "0.5", "50"],
+    "--grid": ["2x2", "3x2", "4x3"],
+    "--tol": ["1e-7", "0.5", "1e-300", "1e300"],
+    "--base-point": [["1", "0", "0", "0"], ["3.7621956910836314", "3.626860407847019", "0", "0"]],
+    "--seed": ["0", "3"],
+}
+_BAD = [
+    ["--family", "helix"], ["--lambda", "0"], ["--lambda", "-0.1"], ["--lambda", "nan"], ["--lambda", "inf"],
+    ["--alpha0", "0"], ["--alpha0", "3"], ["--alpha0", "nan"], ["--delta", "0"], ["--delta", "-1"],
+    ["--delta", "inf"], ["--grid", "1x3"], ["--grid", "abc"], ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
+    ["--base-point", "1", "1", "0", "0"], ["--base-point", "nan", "0", "0", "0"],
+    ["--base-point", "1e200", "1e200", "0", "0"], ["--seed", "-1"], ["--bogus"], ["--out", "missing/x"],
+]
+
+
+@st.composite
+def _argv(draw):
+    """Mostly valid command lines, some with one flag or value that must be rejected."""
+    command = draw(st.sampled_from(sorted(cli._COMMAND_OPTIONS)))
+    flags = ["--alpha0", "--delta", "--grid", *cli._COMMAND_OPTIONS[command][1]]
+    argv = [command]
+    if "--family" in flags:
+        family = draw(st.sampled_from(cli.FAMILIES))
+        argv += ["--family", family]
+        if family != "prop":
+            flags = [f for f in flags if f not in ("--lambda", "--alpha0", "--delta")]
+        else:
+            argv += ["--lambda", draw(st.sampled_from(_GOOD["--lambda"]))]
+    for flag in flags:
+        if flag in _GOOD and flag != "--lambda" and draw(st.booleans()):
+            value = draw(st.sampled_from(_GOOD[flag]))
+            argv += [flag, *([value] if isinstance(value, str) else value)]
+    return argv + draw(st.one_of(st.just([]), st.sampled_from(_BAD)))
+
+
+@given(_argv())
+def test_every_argv_exits_0_2_or_3_without_traceback(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [os.path.join(tmp, x) if prev == "--out" else x for prev, x in zip([None, *argv], argv)]
+        if "--out" not in argv:
+            argv += ["--out", os.path.join(tmp, "x")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse
+                code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().strip(), "a failure must say why"
 
 
 # ---------------------------------------------------------------------------

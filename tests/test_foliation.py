@@ -8,7 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypfol as hf
-from util import counting_chart, minner, perp_component, rand_geodesic, rand_point
+from util import (
+    CROSS_FORM,
+    KILLING_FORM,
+    collapsed_chart,
+    counting_chart,
+    frame_coords,
+    minner,
+    rand_geodesic,
+    rand_point,
+)
 
 O = hf.ORIGIN
 
@@ -35,12 +44,7 @@ def spiral():
 
 def test_chart_tangent_zero_on_constant_axis():
     _, chart = hf.plane_normal_family()
-
-    def collapsed(a, b):
-        return chart.map(a, 0.0)
-
-    degenerate = hf.FoliationChart(map=collapsed, domain=chart.domain, name="collapsed")
-    _, x = hf.chart_tangent(degenerate, (0.2, -0.1))
+    _, x = hf.chart_tangent(collapsed_chart(chart), (0.2, -0.1))
     assert np.linalg.norm(x.j0.w) < 1e-12
     assert np.linalg.norm(x.j0p.w) < 1e-12
 
@@ -86,16 +90,21 @@ def test_classify_point_on_families(vertical, plane_normal, spiral):
     assert hf.classify_point(charts, (2.0, 3.0)).verdict == "definite"
 
 
-def test_classify_point_evaluates_chart_five_times(spiral):
-    # the center geodesic once, and the four central-difference neighbours
+def test_classify_evaluates_chart_arrays_three_times(spiral):
+    # the leaves, then one complex step per parameter, whatever the grid
     _, chart = spiral
     calls = []
     assert hf.classify_point(counting_chart(chart, calls), (2.0, 3.0)).verdict == "definite"
-    assert len(calls) == 5
+    assert calls == [1, 1, 1]
+    for grid in ((2, 2), (7, 5)):
+        calls.clear()
+        assert hf.classify_chart(counting_chart(chart, calls), grid=grid).aggregate == "definite"
+        assert calls == [grid[0] * grid[1]] * 3
 
 
-def test_classify_point_builds_one_frame(vertical, spiral, monkeypatch):
-    # Gram matrix, Killing values and energies share one parallel frame
+def test_classify_point_builds_no_frame(vertical, spiral, monkeypatch):
+    # Gram matrix, Killing values and energies come from determinants and
+    # Minkowski pairings of the ambient Jacobi data
     frames = []
     builder = hf.lorentz.orthonormal_complement
 
@@ -107,18 +116,28 @@ def test_classify_point_builds_one_frame(vertical, spiral, monkeypatch):
         monkeypatch.setattr(module, "orthonormal_complement", counted)
     cases = ((vertical, (0.3, 0.2), "almost_semidefinite"), (spiral, (2.0, 3.0), "definite"))
     for (_, chart), params, verdict in cases:
-        frames.clear()
         assert hf.classify_point(chart, params).verdict == verdict
-        assert len(frames) == 1
+    assert frames == []
 
 
 def _energy(x):
-    return float(np.linalg.norm(hf.geodesics.frame_coords(x)))
+    return float(np.linalg.norm(frame_coords(x)))
 
 
 def _scaled(x, factor):
     foot = x.geo.foot
     return hf.JacobiData(x.geo, hf.HTangent(foot, factor * x.j0.w), hf.HTangent(foot, factor * x.j0p.w))
+
+
+def _kernel_tangents(chart, params):
+    """The kernel's two unit-energy axis tangents at one sample, as Jacobi data."""
+    jets = hf.chart_jets(chart, [params[0]], [params[1]])
+    foot = hf.HPoint(jets.foot[0])
+    geo = hf.OrientedGeodesic(foot, hf.HTangent(foot, jets.dir[0]))
+    return [
+        hf.JacobiData(geo, hf.HTangent(foot, 0.5 * (p + m)), hf.HTangent(foot, 0.5 * (p - m)))
+        for p, m in zip(jets.unit_plus[:, 0], jets.unit_minus[:, 0])
+    ]
 
 
 def test_classify_point_matches_metrics_of_normalized_tangents(vertical, plane_normal):
@@ -132,13 +151,13 @@ def test_classify_point_matches_metrics_of_normalized_tangents(vertical, plane_n
     for chart in (vertical[1], plane_normal[1], *spirals):
         for params in hf.grid_params(chart, (4, 4)):
             rec = hf.classify_point(chart, params)
-            x1, x2 = (_scaled(x, 1.0 / _energy(x)) for x in hf.chart_tangent(chart, params))
+            x1, x2 = (_scaled(x, 1.0 / _energy(x)) for x in _kernel_tangents(chart, params))
             want = [[hf.cross_metric(a, b) for b in (x1, x2)] for a in (x1, x2)]
             assert np.max(np.abs(np.array(rec.gram) - want)) <= 1e-12
-            dirs, branch = hf.foliation._null_directions(np.array(rec.gram), hf.VERDICT_TOL)
-            branches.add(branch)
-            assert len(dirs) == len(rec.k_values)
-            for (alpha, beta), k in zip(dirs, rec.k_values):
+            dirs, count = hf.foliation._null_directions(np.array([rec.gram]), hf.VERDICT_TOL)
+            branches.add(hf.foliation.NULL_BRANCHES[count[0]])
+            assert count[0] == len(rec.k_values)
+            for (alpha, beta), k in zip(dirs[0], rec.k_values):
                 foot = x1.geo.foot
                 y = hf.JacobiData(
                     x1.geo,
@@ -147,6 +166,105 @@ def test_classify_point_matches_metrics_of_normalized_tangents(vertical, plane_n
                 )
                 assert abs(hf.killing_metric(_scaled(y, 1.0 / _energy(y))) - k) <= 1e-12
     assert branches == {"flat", "kernel", "definite", "cone"}
+
+
+def _killing_matrix(jets, unit=True):
+    p, m = (jets.unit_plus, jets.unit_minus) if unit else (jets.plus, jets.minus)
+    return np.array(
+        [[hf.geodesics.killing_pairing(p[x], m[x], p[y], m[y]) for y in (0, 1)] for x in (0, 1)]
+    ).transpose(2, 0, 1)
+
+
+def test_kernel_raw_gram_matches_closed_form(rng):
+    # complex-step tangents carry no truncation error: 600 random spiral
+    # samples over three pitches agree with the closed form to roundoff
+    worst = 0.0
+    for lam in (0.02, 0.07, 0.3):
+        params = hf.SpiralParams(alpha0=math.pi / 4.0, lam=lam, delta=0.1)
+        (r0, r1), (t0, t1) = params.rect
+        r, t = rng.uniform(r0, r1, 200), rng.uniform(t0, t1, 200)
+        gram = hf.chart_jets(hf.spiral_chart(params), r, t).gram(unit=False)
+        for g, rr, tt in zip(gram, r, t):
+            want = hf.cross_form_matrix(rr, tt, params)
+            worst = max(worst, float(np.max(np.abs(g - want)) / np.max(np.abs(want))))
+    assert worst <= 1e-12
+
+
+def _stereographic_jet(chart, a, b, sign, axis):
+    """Stereographic coordinate ``z = (u1 + i u2) / (1 - u3)`` of the endpoints
+    and its derivative along one parameter, from a complex step of the sphere
+    coordinates ``u``."""
+    h = 1e-30
+    step = 1j * h * np.eye(2)[axis]
+    foot, direction = chart.arrays(a + step[0], b + step[1])
+    n = foot + sign * direction
+    u = (n / n[:, :1])[:, 1:]
+    u = u / np.sqrt(np.sum(u * u, axis=1, keepdims=True))
+    u, du = u.real, u.imag / h
+    w, dw = u[:, 0] + 1j * u[:, 1], du[:, 0] + 1j * du[:, 1]
+    return w / (1.0 - u[:, 2]), dw / (1.0 - u[:, 2]) + w * du[:, 2] / (1.0 - u[:, 2]) ** 2
+
+
+def test_kernel_forms_match_endpoint_identity(rng, plane_normal):
+    # with Q(x, y) the symmetrized dz+(x) dz-(y) / (z+ - z-)^2 of the
+    # stereographic endpoint coordinates, cross = 2 Im Q and Killing = -4 Re Q
+    spiral = hf.spiral_chart(hf.SpiralParams(alpha0=math.pi / 4.0, lam=0.3, delta=0.1))
+    rho, theta = rng.uniform(0.3, 1.0, 100), rng.uniform(0.0, 2.0 * math.pi, 100)
+    samples = (
+        (spiral, rng.uniform(1.0, 3.0, 100), rng.uniform(0.0, 2.0 * math.pi, 100)),
+        # away from the leaf whose forward endpoint is the projection pole
+        (plane_normal[1], rho * np.cos(theta), rho * np.sin(theta)),
+    )
+    for chart, a, b in samples:
+        jets = hf.chart_jets(chart, a, b)
+        (zp, dzp0), (_, dzp1) = (_stereographic_jet(chart, a, b, 1, axis) for axis in (0, 1))
+        (zm, dzm0), (_, dzm1) = (_stereographic_jet(chart, a, b, -1, axis) for axis in (0, 1))
+        dzp, dzm = (dzp0, dzp1), (dzm0, dzm1)
+        q = np.array(
+            [[0.5 * (dzp[x] * dzm[y] + dzp[y] * dzm[x]) / (zp - zm) ** 2 for y in (0, 1)] for x in (0, 1)]
+        ).transpose(2, 0, 1)
+        gram, killing = jets.gram(unit=False), _killing_matrix(jets, unit=False)
+        scale = np.max(np.abs(gram)) + np.max(np.abs(killing))
+        assert np.max(np.abs(gram - 2.0 * q.imag)) <= 1e-11 * scale
+        assert np.max(np.abs(killing + 4.0 * q.real)) <= 1e-11 * scale
+
+
+def test_kernel_matches_finite_difference_tangents(vertical, plane_normal, spiral):
+    # the finite-difference tangents in the parallel frame, an independent
+    # route to the same normalized forms, agree to finite-difference accuracy
+    worst = 0.0
+    for chart in (vertical[1], plane_normal[1], spiral[1]):
+        a, b = hf.grid_arrays(chart, (4, 4))
+        jets = hf.chart_jets(chart, a, b)
+        gram, killing = jets.gram(), _killing_matrix(jets)
+        for k, params in enumerate(zip(a, b)):
+            z = frame_coords(*hf.chart_tangent(chart, params))
+            z = z / np.linalg.norm(z, axis=1, keepdims=True)
+            worst = max(worst, float(np.max(np.abs(z @ CROSS_FORM @ z.T - gram[k]))))
+            worst = max(worst, float(np.max(np.abs(z @ KILLING_FORM @ z.T - killing[k]))))
+    assert worst <= 1e-6
+
+
+def _boosted(chart, distance):
+    """The chart moved by a boost of length ``distance`` along e1."""
+    ch, sh = math.cosh(distance), math.sinh(distance)
+
+    def arrays(a, b):
+        return tuple(
+            np.stack((ch * x[:, 0] + sh * x[:, 1], sh * x[:, 0] + ch * x[:, 1], x[:, 2], x[:, 3]), axis=-1)
+            for x in chart.arrays(a, b)
+        )
+
+    return hf.FoliationChart(arrays=arrays, domain=chart.domain, name=chart.name)
+
+
+@pytest.mark.parametrize("distance", [6.0, 12.0])
+def test_far_field_verdicts(vertical, spiral, distance):
+    # verdicts are isometry invariants; central differences gave wrong ones
+    # from a distance of about 6 (ROADMAP item 1, far field)
+    for (_, chart), verdict in ((vertical, "almost_semidefinite"), (spiral, "definite")):
+        rep = hf.classify_chart(_boosted(chart, distance), grid=(6, 6))
+        assert [s.verdict for s in rep.samples] == [verdict] * 36
 
 
 def test_classify_chart_aggregates(vertical, plane_normal):
@@ -171,12 +289,7 @@ def test_classify_large_pitch_contains_bad_samples():
 
 def test_classifier_flags_rank_deficient_plane(plane_normal):
     _, chart = plane_normal
-
-    def collapsed(a, b):
-        return chart.map(a, 0.0)
-
-    degenerate = hf.FoliationChart(map=collapsed, domain=chart.domain, name="collapsed")
-    rec = hf.classify_point(degenerate, (0.1, 0.1))
+    rec = hf.classify_point(collapsed_chart(chart), (0.1, 0.1))
     assert rec.verdict is None
     assert "rank-deficient" in rec.note
 
@@ -425,12 +538,7 @@ def test_initial_value_rank_families(vertical, plane_normal):
 
 def test_initial_value_rank_collapsed(plane_normal):
     _, chart = plane_normal
-
-    def collapsed(a, b):
-        return chart.map(a, 0.0)
-
-    degenerate = hf.FoliationChart(map=collapsed, domain=chart.domain, name="collapsed")
-    assert hf.initial_value_rank(degenerate, (0.2, 0.2)) < 2
+    assert hf.initial_value_rank(collapsed_chart(chart), (0.2, 0.2)) < 2
 
 
 # ---------------------------------------------------------------------------

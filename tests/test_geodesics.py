@@ -118,6 +118,26 @@ def test_make_geodesic_far_from_base(rng, distance):
         assert abs(hf.mink_inner(O.v, g.dir.w)) < 1e-8
 
 
+def test_make_geodesic_raises_where_it_cannot_be_accurate(rng):
+    # through points at distance 5 to 10 the data fix the canonical foot only
+    # to about eps e^{3D}: each draw is canonicalized to 1e-8 (up to the
+    # checks' own roundoff, below 1e-9 here) or raises NumericalError
+    returned = raised = 0
+    for distance in (5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
+        for _ in range(100):
+            u = rng.standard_normal(3)
+            p = hf.exp_map(hf.HTangent(O, np.concatenate(([0.0], distance * u / np.linalg.norm(u)))))
+            try:
+                g = hf.make_geodesic(p, rand_unit_tangent(rng, p))
+            except hf.NumericalError:
+                raised += 1
+                continue
+            returned += 1
+            assert hf.dist_to_geodesic(p, g) <= 1.1e-8
+            assert abs(hf.mink_inner(O.v, g.dir.w)) <= 1.1e-8
+    assert returned and raised
+
+
 def test_eval_matches_exp_and_unit_speed(rng):
     g = rand_geodesic(rng)
     for s in (-1.7, 0.0, 0.4, 2.2):

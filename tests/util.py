@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 
+import hypfol as hf
 from hypfol import (
     ORIGIN,
     HPoint,
@@ -19,13 +20,42 @@ ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 def counting_chart(chart, calls: list):
-    """The chart with ``map`` wrapped to append every evaluation's parameters to ``calls``."""
+    """The chart with ``arrays`` wrapped to append the number of parameter
+    pairs of every evaluation to ``calls``.  Its ``map`` is rederived from the
+    wrapped arrays, so a scalar evaluation counts as one call of size 1."""
 
     def counted(a, b):
-        calls.append((a, b))
-        return chart.map(a, b)
+        calls.append(len(a))
+        return chart.arrays(a, b)
 
-    return dataclasses.replace(chart, map=counted)
+    return dataclasses.replace(chart, arrays=counted, map=None)
+
+
+def collapsed_chart(chart):
+    """The chart with its second parameter frozen at 0: a rank-deficient family."""
+    return hf.FoliationChart(arrays=lambda a, b: chart.arrays(a, 0.0 * b), domain=chart.domain, name="collapsed")
+
+
+def frame_coords(*jds, s=0.0):
+    """Coordinates ``(J1, J2, J1', J2')`` of J(s) and J'(s), one row per datum, in
+    the parallel frame ``orthonormal_complement((foot, dir))`` of the first
+    datum's geodesic; tangential components drop out.  An oracle for the
+    frame-free pairings of ``hypfol.geodesics``."""
+    g = jds[0].geo
+    frame = ETA @ np.column_stack(hf.orthonormal_complement((g.foot.v, g.dir.w)))
+    a = np.array([x.j0.w for x in jds]) @ frame
+    b = np.array([x.j0p.w for x in jds]) @ frame
+    ch, sh = np.cosh(s), np.sinh(s)
+    return np.hstack((ch * a + sh * b, sh * a + ch * b))
+
+
+#: the cross metric on frame coordinates: the polarization of
+#: ``<velocity x J, J'> = J1 J2' - J2 J1'`` in the right-handed parallel frame
+CROSS_FORM = 0.5 * np.array(
+    [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0], [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+)
+#: the Killing metric on frame coordinates: ``|J|^2 - |J'|^2``
+KILLING_FORM = np.diag([1.0, 1.0, -1.0, -1.0])
 
 
 def minner(a, b):
