@@ -36,6 +36,7 @@ from .foliation import (
     classify_chart,
     critical_point_scan,
     grid_arrays,
+    grid_axes,
     nondegeneracy_eigencheck,
 )
 from .geodesics import endpoint_images
@@ -165,9 +166,8 @@ def cmd_scan_lambda(cfg: RunConfig, out_base: str) -> int:
     payload = report_payload("scan-lambda", cfg.to_dict(), {"scan": scan.to_dict()}, __version__)
     write_report(out_base + ".json", payload)
     params = SpiralParams(alpha0=cfg.alpha0, lam=scan.lambda_max, delta=cfg.delta)
-    r, t = grid_arrays(spiral_chart(params), cfg.grid)
-    rows = np.column_stack((r, t, definiteness_margin(r, t, params))).tolist()
-    write_csv(out_base + ".csv", ["r", "t", "h_value"], rows)
+    r, t = grid_axes(spiral_chart(params), cfg.grid)
+    write_csv(out_base + ".csv", ["r", "t", "h_value"], (r, t), [definiteness_margin(r[:, None], t, params)])
     print(f"lambda_max: {scan.lambda_max!r}")
     return 0
 
@@ -176,13 +176,9 @@ def cmd_gauss(cfg: RunConfig, out_base: str) -> int:
     chart, _ = _resolve_family(cfg)
     jets = chart_jets(chart, *grid_arrays(chart, cfg.grid))
     ranks = jets.endpoint_ranks(atol=cfg.tol)
-    images = [endpoint_images(jets.foot, jets.dir, sign).tolist() for sign in (1, -1)]
-    rows = [
-        [a, b, *fwd, fwd_rank, *bwd, bwd_rank]
-        for (a, b), fwd, fwd_rank, bwd, bwd_rank in zip(
-            jets.params.tolist(), images[0], ranks[0].tolist(), images[1], ranks[1].tolist()
-        )
-    ]
+    columns = []
+    for sign, rank in zip((1, -1), ranks):
+        columns += [*endpoint_images(jets.foot, jets.dir, sign).T, rank]
     header = [
         "a",
         "b",
@@ -195,14 +191,14 @@ def cmd_gauss(cfg: RunConfig, out_base: str) -> int:
         "bwd_z",
         "bwd_rank",
     ]
-    write_csv(out_base + ".csv", header, rows)
+    write_csv(out_base + ".csv", header, grid_axes(chart, cfg.grid), columns)
     results = {
         f"{side}_rank_counts": {str(k): int(n) for k, n in zip(*np.unique(r, return_counts=True))}
         for side, r in zip(("forward", "backward"), ranks)
     }
     payload = report_payload("gauss", cfg.to_dict(), results, __version__)
     write_report(out_base + ".json", payload)
-    print(f"rows: {len(rows)}")
+    print(f"rows: {len(jets.params)}")
     return 0
 
 

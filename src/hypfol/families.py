@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .foliation import FoliationChart, UnitField
+from .foliation import FoliationChart, UnitField, grid_axes
 from .geodesics import asymptote_vector
 from .lorentz import (
     ORIGIN,
@@ -178,7 +178,21 @@ def definiteness_margin(r, t, params: SpiralParams):
     """``sinh(2r) sin(2 tilt) - lam``; positive iff the cross form is
     definite at the sample (pitch positive).  ``r`` and ``t`` may be
     arrays that broadcast together."""
-    return np.sinh(2.0 * r) * np.sin(2.0 * params.tilt(r, t)) - params.lam
+    out = np.empty(np.broadcast_shapes(np.shape(r), np.shape(t)))
+    # [()] reads a scalar out of a 0-d result and leaves arrays as they are
+    return _margin(np.sinh(2.0 * r), np.subtract(t, r), params.alpha0, params.lam, out)[()]
+
+
+def _margin(sinh_2r, t_minus_r, alpha0: float, lam: float, out: np.ndarray) -> np.ndarray:
+    """The margin from its pitch-free factors ``sinh(2r)`` and ``t - r``, in
+    place in ``out`` (which has the broadcast shape of the factors)."""
+    np.multiply(lam, t_minus_r, out=out)
+    out += alpha0
+    out *= 2.0
+    np.sin(out, out=out)
+    out *= sinh_2r
+    out -= lam
+    return out
 
 
 def cross_form_matrix(r: float, t: float, params: SpiralParams) -> np.ndarray:
@@ -231,15 +245,18 @@ def scan_lambda_max(
     The margin tends to ``sinh(2r) sin(2 alpha0) > 0`` as the pitch goes to
     zero, so a positive value always exists.  Bisection runs on
     ``(0, sinh 6]``; the trace records every evaluated (pitch, grid-min)
-    pair in order.
+    pair in order.  ``sinh(2r)`` and ``t - r`` are computed once, and each
+    step evaluates the margin into one buffer.
     """
-    rr = np.linspace(1.0, 3.0, grid[0])[:, None]
-    tt = np.linspace(-delta, 2.0 * math.pi + delta, grid[1])[None, :]
+    params = SpiralParams(alpha0, LAMBDA_SCAN_CAP, delta)  # validates alpha0 and delta
+    r, t = grid_axes(spiral_chart(params), grid)
+    sinh_2r, t_minus_r = np.sinh(2.0 * r[:, None]), t - r[:, None]
+    buffer = np.empty(t_minus_r.shape)
 
     trace: list[tuple[float, float]] = []
 
     def min_margin(lam: float) -> float:
-        out = float(definiteness_margin(rr, tt, SpiralParams(alpha0, lam, delta)).min())
+        out = float(_margin(sinh_2r, t_minus_r, alpha0, lam, buffer).min())
         trace.append((lam, out))
         return out
 

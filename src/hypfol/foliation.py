@@ -273,19 +273,18 @@ def chart_jets(chart: FoliationChart, a, b) -> ChartJets:
     return ChartJets(params, foot, direction, plus, minus, energy, unit_plus, unit_minus)
 
 
-def grid_arrays(chart: FoliationChart, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major sample parameters over the chart domain, endpoints included,
-    as two flat arrays; the second parameter varies fastest."""
+def grid_axes(chart: FoliationChart, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The two sample axes of an ``n x m`` grid over the chart domain,
+    endpoints included."""
     (a0, a1), (b0, b1) = chart.domain
-    avals = np.linspace(a0, a1, grid[0])
-    bvals = np.linspace(b0, b1, grid[1])
+    return np.linspace(a0, a1, grid[0]), np.linspace(b0, b1, grid[1])
+
+
+def grid_arrays(chart: FoliationChart, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major sample parameters of ``grid_axes`` as two flat arrays; the
+    second parameter varies fastest."""
+    avals, bvals = grid_axes(chart, grid)
     return np.repeat(avals, grid[1]), np.tile(bvals, grid[0])
-
-
-def grid_params(chart: FoliationChart, grid: tuple[int, int]) -> list[tuple[float, float]]:
-    """``grid_arrays`` as a list of ``(a, b)`` pairs."""
-    a, b = grid_arrays(chart, grid)
-    return list(zip(a.tolist(), b.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +617,7 @@ def critical_point_scan(
     minima are ``ring_growth_evidence`` of the grid values.
     """
     (a0, a1), (b0, b1) = chart.domain
-    avals = np.linspace(a0, a1, grid[0])
-    bvals = np.linspace(b0, b1, grid[1])
+    avals, bvals = grid_axes(chart, grid)
 
     def fun(a, b):
         return geodesic_dist_sq(chart.map(a, b), base)

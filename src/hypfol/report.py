@@ -2,33 +2,22 @@
 
 Reports are single JSON documents with sorted keys, two-space indentation
 and a trailing newline; floats go through Python's shortest round-trip
-repr.  CSVs are UTF-8 with a header row, "." decimal separator and "\n"
-line endings, rows in row-major grid order.  Identical inputs produce
-identical bytes.
+repr, and numpy scalars and arrays are encoded as the Python values of
+their ``tolist()``.  Grid CSVs are UTF-8 with a header row, "." decimal
+separator and "\n" line endings, one row per grid point in row-major grid
+order: the two axis values, then one value per column.  Identical inputs
+produce identical bytes.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 SCHEMA_VERSION = 1
-
-
-def to_jsonable(obj):
-    """Recursively convert numpy scalars/arrays and tuples to plain Python."""
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    return obj
 
 
 def report_payload(command: str, config: dict, results: dict, version: str) -> dict:
@@ -37,27 +26,36 @@ def report_payload(command: str, config: dict, results: dict, version: str) -> d
         "tool": "hypfol",
         "tool_version": version,
         "command": command,
-        "config": to_jsonable(config),
-        "results": to_jsonable(results),
+        "config": config,
+        "results": results,
     }
 
 
+def _encode(obj):
+    """``json.dumps`` fallback for the values it does not know: numpy scalars and arrays."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_report(path: str | Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_encode) + "\n"
     Path(path).write_text(text, encoding="utf-8")
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> None:
+def write_csv(path: str | Path, header: list[str], axes, columns) -> None:
+    """Write the grid CSV of two axes (``n`` and ``m`` values) and value
+    columns (``n*m`` values each, in row-major grid order).
+
+    A cell is the ``repr`` of the Python value ``tolist()`` gives: the
+    shortest round-trip repr of a float, the digits of an integer.  The
+    file is written one grid row at a time.
+    """
+    a_cells, b_cells = ([repr(x) for x in np.asarray(axis).tolist()] for axis in axes)
+    values = [np.ravel(col).tolist() for col in columns]
+    m = len(b_cells)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(x) for x in row])
-
-
-def _cell(x):
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return x
+        fh.write(",".join(header) + "\n")
+        for i, a in enumerate(a_cells):
+            cells = (map(repr, v[i * m : (i + 1) * m]) for v in values)
+            fh.write("\n".join(map(",".join, zip(repeat(a, m), b_cells, *cells))) + "\n")

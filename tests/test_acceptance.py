@@ -14,6 +14,7 @@ import pytest
 import hypfol as hf
 from hypfol.cli import main as cli_main
 from util import (
+    grid_params,
     jacobi_basis,
     minner,
     perp_component,
@@ -104,7 +105,7 @@ def test_acceptance_04_vertical_family(announce):
         worst_form = max(worst_form, float(np.max(np.abs(np.asarray(s.gram)))))
         worst_form = max(worst_form, max(abs(k) for k in s.k_values))
     assert worst_form < 1e-9
-    for a, b in hf.grid_params(chart, (20, 20)):
+    for a, b in grid_params(chart, (20, 20)):
         jac, _ = hf.gauss_map_jacobian(chart, (a, b))
         assert hf.svd_rank(jac) == 0
     worst_nabla = 0.0
@@ -127,7 +128,7 @@ def test_acceptance_05_plane_normal_family(announce):
     rep = hf.classify_chart(chart, grid=(20, 20))
     assert rep.aggregate == "semidefinite"
     assert all(s.verdict == "semidefinite" for s in rep.samples)
-    for a, b in hf.grid_params(chart, (10, 10)):
+    for a, b in grid_params(chart, (10, 10)):
         jac_f, jac_b = hf.gauss_map_jacobian(chart, (a, b))
         assert hf.svd_rank(jac_f) == 2
         assert hf.svd_rank(jac_b) == 2
@@ -168,7 +169,7 @@ def test_acceptance_06_spiral_family(announce, rng):
     chart2 = hf.spiral_chart(double)
     negatives = [
         (r, t)
-        for r, t in hf.grid_params(chart2, (20, 20))
+        for r, t in grid_params(chart2, (20, 20))
         if hf.definiteness_margin(r, t, double) < -1e-4
     ]
     assert negatives

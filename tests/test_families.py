@@ -268,6 +268,19 @@ def test_scan_lambda_max():
     assert all(lam > 0.0 for lam, _ in scan.trace)
 
 
+@pytest.mark.parametrize("grid", [(40, 55), (7, 300)])
+@pytest.mark.parametrize("alpha0", [math.pi / 4.0, 0.55])
+def test_scan_lambda_trace_is_the_grid_minimum_of_the_margin(grid, alpha0):
+    scan = hf.scan_lambda_max(alpha0=alpha0, delta=0.1, grid=grid)
+    rr = np.linspace(1.0, 3.0, grid[0])[:, None]
+    tt = np.linspace(-0.1, 2.0 * math.pi + 0.1, grid[1])[None, :]
+    for lam, value in scan.trace:
+        want = float(hf.definiteness_margin(rr, tt, hf.SpiralParams(alpha0, lam, 0.1)).min())
+        written_out = float((np.sinh(2.0 * rr) * np.sin(2.0 * (alpha0 + lam * (tt - rr))) - lam).min())
+        assert value.hex() == want.hex() == written_out.hex()
+    assert scan.lambda_max == max(lam for lam, value in scan.trace if value > 0.0)
+
+
 def test_spiral_params_validation():
     with pytest.raises(hf.GeometryError):
         hf.SpiralParams(alpha0=0.0, lam=0.1)

@@ -14,6 +14,7 @@ from util import (
     collapsed_chart,
     counting_chart,
     frame_coords,
+    grid_params,
     minner,
     rand_geodesic,
     rand_point,
@@ -149,7 +150,7 @@ def test_classify_point_matches_metrics_of_normalized_tangents(vertical, plane_n
     ]
     branches = set()
     for chart in (vertical[1], plane_normal[1], *spirals):
-        for params in hf.grid_params(chart, (4, 4)):
+        for params in grid_params(chart, (4, 4)):
             rec = hf.classify_point(chart, params)
             x1, x2 = (_scaled(x, 1.0 / _energy(x)) for x in _kernel_tangents(chart, params))
             want = [[hf.cross_metric(a, b) for b in (x1, x2)] for a in (x1, x2)]

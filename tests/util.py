@@ -1,5 +1,7 @@
-"""Shared random generators, independent numerical oracles and a chart-evaluation counter."""
+"""Shared random generators, independent numerical oracles, a reference CSV
+writer and a chart-evaluation counter."""
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -34,6 +36,31 @@ def counting_chart(chart, calls: list):
 def collapsed_chart(chart):
     """The chart with its second parameter frozen at 0: a rank-deficient family."""
     return hf.FoliationChart(arrays=lambda a, b: chart.arrays(a, 0.0 * b), domain=chart.domain, name="collapsed")
+
+
+def grid_params(chart, grid: tuple[int, int]) -> list[tuple[float, float]]:
+    """``hf.grid_arrays`` as a list of ``(a, b)`` pairs."""
+    a, b = hf.grid_arrays(chart, grid)
+    return list(zip(a.tolist(), b.tolist()))
+
+
+def reference_write_csv(path, header, rows):
+    """The row-list CSV writer ``report.write_csv`` must match byte for byte:
+    ``csv.writer`` over rows of cells, a float written as its ``repr``, an
+    integer as an integer."""
+
+    def cell(x):
+        if isinstance(x, (float, np.floating)):
+            return repr(float(x))
+        if isinstance(x, (int, np.integer)):
+            return int(x)
+        return x
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell(x) for x in row])
 
 
 def frame_coords(*jds, s=0.0):
