@@ -243,7 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--delta": dict(type=float, default=None, help="angular overhang of the annulus rectangle (default 0.1)"),
         "--lambda": dict(dest="lam", type=float, default=None, help="spiral pitch"),
         "--grid": dict(type=str, default="20x20", help="sample grid, NxM"),
-        "--tol": dict(type=float, default=VERDICT_TOL),
+        "--tol": dict(
+            type=float,
+            default=VERDICT_TOL,
+            help="classify: verdict tolerance on the normalized forms; "
+            "gauss: absolute singular-value floor of the endpoint ranks (default %(default)s)",
+        ),
         "--base-point": dict(dest="base_point", type=float, nargs=4, default=None, metavar=("X0", "X1", "X2", "X3")),
         "--out": dict(type=str, default=None, help="output path base; writes <out>.json and, where applicable, <out>.csv"),
         "--seed": dict(type=int, default=0),

@@ -24,11 +24,13 @@ Charts whose geodesics fill a region without crossing always land in the
 almost-semidefinite class; the stricter classes correspond to charts with
 locally injective endpoint maps and to charts on which the cross metric is
 Riemannian.  ``critical_point_scan`` evaluates its squared-distance grid
-with one array call and returns the refined minima together with the ring
-minima of that grid.  The remaining operations (covariant differential of
-a field, eigenvector degeneracy, intersection detection) exercise the same
-criteria from the vector-field side; field derivatives are transported
-central differences, read in the orthonormal frame
+with one array call, refines every grid-local minimum at once by a
+coordinate descent that makes one array call per sweep, and returns the
+minima together with the ring minima of that grid.  The remaining
+operations (covariant differential of a field, eigenvector degeneracy,
+intersection detection) exercise the same criteria from the vector-field
+side; field derivatives are transported central differences, read in the
+orthonormal frame
 ``lorentz.orthonormal_complement`` gives at the point.
 ``chart_tangent`` keeps central-difference chart tangents as an
 independent check of the kernel.
@@ -53,7 +55,6 @@ from .geodesics import (
     cross_pairing,
     endpoint_ranks,
     gauss_map,
-    geodesic_dist_sq,
     leaf_dist,
     normal_part,
     plane_det,
@@ -117,7 +118,8 @@ class FoliationChart:
     unless given (so ``dataclasses.replace`` with new ``arrays`` passes
     ``map=None`` to derive it again); the finite-difference
     ``chart_tangent`` evaluates it up to ``FD_STEP`` beyond the domain
-    rectangle.
+    rectangle.  The grid drivers (classification, endpoint ranks and the
+    critical-point scan with its descent) evaluate only ``arrays``.
     """
 
     arrays: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -583,23 +585,36 @@ class CriticalPoint:
         return {"params": [self.a, self.b], "value": self.value}
 
 
-def _coordinate_descent(fun, a, b, step, bounds):
+#: the descent's moves in tie-break order: +a, -a, +b, -b
+_MOVES = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+
+
+def _coordinate_descent(fun, a, b, val, step, bounds):
+    """Coordinate descent of ``fun`` from every start ``(a[k], b[k])`` at once.
+
+    ``fun`` maps parameter arrays to values; ``val`` holds its values at the
+    starts.  Each sweep evaluates the four moves of every active start,
+    clamped to ``bounds``, in one call.  A start moves to the smallest
+    value below its own (the first such in the order of ``_MOVES``), or
+    else halves its step; it stops once the step reaches ``1e-12`` or it
+    has made 20000 evaluations.  Returns the final ``a``, ``b`` and values.
+    """
     (a0, a1), (b0, b1) = bounds
-    val = fun(a, b)
-    evals = 0
-    while step > 1e-12 and evals < 20000:
-        best = None
-        for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            na = min(max(a + da, a0), a1)
-            nb = min(max(b + db, b0), b1)
-            v = fun(na, nb)
-            evals += 1
-            if v < val and (best is None or v < best[2]):
-                best = (na, nb, v)
-        if best is None:
-            step *= 0.5
-        else:
-            a, b, val = best
+    a, b, val = (np.array(x, dtype=float) for x in (a, b, val))
+    step = np.full(len(a), float(step))
+    evals = np.zeros(len(a), dtype=int)
+    while (active := np.flatnonzero((step > 1e-12) & (evals < 20000))).size:
+        moves = step[active, None, None] * _MOVES
+        na = np.minimum(np.maximum(a[active, None] + moves[..., 0], a0), a1)
+        nb = np.minimum(np.maximum(b[active, None] + moves[..., 1], b0), b1)
+        v = fun(na.ravel(), nb.ravel()).reshape(-1, 4)
+        evals[active] += 4
+        lower = v < val[active, None]
+        moved = lower.any(axis=1)
+        k = np.argmin(np.where(lower, v, np.inf), axis=1)[moved]
+        to = active[moved]
+        a[to], b[to], val[to] = na[moved, k], nb[moved, k], v[moved, k]
+        step[active[~moved]] *= 0.5
     return a, b, val
 
 
@@ -612,37 +627,33 @@ def critical_point_scan(
     and the ring minima of the same grid.
 
     The grid is evaluated with one array call.  Grid-local minima
-    (8-neighborhood) are refined by coordinate descent on ``chart.map`` and
-    deduplicated by parameter distance; they are sorted by value.  The ring
+    (8-neighborhood) are refined together by ``_coordinate_descent``, one
+    array call per sweep, from the grid spacing down; they are
+    deduplicated by parameter distance and sorted by value.  The ring
     minima are ``ring_growth_evidence`` of the grid values.
     """
     (a0, a1), (b0, b1) = chart.domain
     avals, bvals = grid_axes(chart, grid)
 
-    def fun(a, b):
-        return geodesic_dist_sq(chart.map(a, b), base)
+    def dist_sq(a, b):
+        foot, direction = _evaluate(chart, a, b)
+        check_leaves(foot, direction, np.column_stack((a, b)))
+        return leaf_dist(foot, direction, base.v) ** 2
 
-    a, b = grid_arrays(chart, grid)
-    foot, direction = _evaluate(chart, a, b)
-    check_leaves(foot, direction, np.column_stack((a, b)))
-    values = (leaf_dist(foot, direction, base.v) ** 2).reshape(grid)
-    candidates = []
-    for i in range(grid[0]):
-        for j in range(grid[1]):
-            v = values[i, j]
-            neighborhood = values[
-                max(i - 1, 0) : min(i + 2, grid[0]), max(j - 1, 0) : min(j + 2, grid[1])
-            ]
-            if v <= neighborhood.min():
-                candidates.append((float(avals[i]), float(bvals[j])))
+    values = dist_sq(*grid_arrays(chart, grid)).reshape(grid)
+    padded = np.full((grid[0] + 2, grid[1] + 2), np.inf)
+    padded[1:-1, 1:-1] = values
+    is_min = np.ones(values.shape, dtype=bool)
+    for di in range(3):
+        for dj in range(3):
+            is_min &= values <= padded[di : di + grid[0], dj : dj + grid[1]]
+    rows, cols = np.nonzero(is_min)
     spacing = max(
         (a1 - a0) / max(grid[0] - 1, 1),
         (b1 - b0) / max(grid[1] - 1, 1),
     )
-    refined = [
-        _coordinate_descent(fun, a, b, spacing, chart.domain) for a, b in candidates
-    ]
-    refined.sort(key=lambda r: (r[2], r[0], r[1]))
+    a, b, val = _coordinate_descent(dist_sq, avals[rows], bvals[cols], values[rows, cols], spacing, chart.domain)
+    refined = sorted(zip(a.tolist(), b.tolist(), val.tolist()), key=lambda r: (r[2], r[0], r[1]))
     merged: list[CriticalPoint] = []
     for a, b, v in refined:
         if all(math.hypot(a - m.a, b - m.b) > 0.75 * spacing for m in merged):
@@ -653,18 +664,17 @@ def critical_point_scan(
 def ring_growth_evidence(values: np.ndarray) -> list[float]:
     """Minimum of a grid of values on concentric rings about its center, inside out.
 
-    On the squared-distance grid of ``critical_point_scan``, growth along
-    the rings is reported as sampled evidence that the functional escapes
-    to infinity along the chart; it is not a proof.
+    Ring ``k`` holds the cells whose Chebyshev distance from the center
+    rounds half up to ``k``, so a grid with an even side has no ring 0.  On the
+    squared-distance grid of ``critical_point_scan``, growth along the rings
+    is reported as sampled evidence that the functional escapes to infinity
+    along the chart; it is not a proof.
     """
     n, m = values.shape
-    ci, cj = (n - 1) / 2.0, (m - 1) / 2.0
-    rings: dict[int, float] = {}
-    for i in range(n):
-        for j in range(m):
-            ring = int(max(abs(i - ci), abs(j - cj)) + 0.5)
-            rings[ring] = min(rings.get(ring, np.inf), float(values[i, j]))
-    return [rings[k] for k in sorted(rings)]
+    di, dj = np.abs(np.arange(n) - (n - 1) / 2.0), np.abs(np.arange(m) - (m - 1) / 2.0)
+    ring = (np.maximum.outer(di, dj) + 0.5).astype(int)
+    # the rings that occur are contiguous: ring 0 only with two odd sides
+    return [float(values[ring == k].min()) for k in range(ring.min(), ring.max() + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -322,9 +322,10 @@ def test_gauss_ranks_match_finite_difference_jacobians(tmp_path, family, extra):
 
 def test_critical_evaluates_grid_once(tmp_path, chart_array_calls):
     # one array call for the 225 grid points, shared by the minima and the
-    # rings, then 153 scalar evaluations by the descent
+    # rings; the descent starts its one candidate from the grid value and
+    # then evaluates the four moves of each of its 38 sweeps in one call
     assert run(["critical", "--family", "plane-normal", "--grid", "15x15", "--out", str(tmp_path / "c")]) == 0
-    assert chart_array_calls == [225] + [1] * 153
+    assert chart_array_calls == [225] + [4] * 38
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +363,35 @@ def test_chart_geometry_failure_exits_3(tmp_path, capsys, monkeypatch, command):
     # a scalar evaluation of an invalid leaf fails the same way
     with pytest.raises(hf.NumericalError, match="not on the unit hyperboloid"):
         _broken(hf.plane_normal_family()[1]).map(0.1, 0.2)
+
+
+@pytest.mark.parametrize("command", ["classify", "gauss"])
+def test_tol_help_names_both_meanings(capsys, command):
+    # one flag, two readings: the verdict tolerance and the endpoint rank floor
+    with pytest.raises(SystemExit):
+        run([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "classify: verdict tolerance" in text and "gauss: absolute singular-value floor of the endpoint ranks" in text
+
+
+def test_leaf_failing_during_descent_exits_3(tmp_path, capsys, monkeypatch):
+    # every grid leaf is valid; the descent's first moves off the grid, half
+    # a cell from the centre, are not
+    def off_grid(chart):
+        def arrays(a, b):
+            foot, direction = chart.arrays(a, b)
+            bad = (np.abs(a) > 0.0) & (np.abs(a) < 0.1)
+            return np.where(bad[:, None], 1.5 * foot, foot), direction
+
+        return hf.FoliationChart(arrays=arrays, domain=chart.domain)
+
+    resolve = cli._resolve_family
+    monkeypatch.setattr(cli, "_resolve_family", lambda cfg: (off_grid(resolve(cfg)[0]), None))
+    assert run(["critical", "--family", "plane-normal", "--grid", "15x15", "--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: chart leaf at (0.07142857142857142, 0.0): point is not on the unit hyperboloid\n"
+    )
+    assert not list(tmp_path.iterdir())
 
 
 def test_overflowing_complex_step_exits_3(tmp_path, capsys):

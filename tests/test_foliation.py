@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypfol as hf
+from hypfol import foliation
 from util import (
     CROSS_FORM,
     KILLING_FORM,
@@ -18,6 +19,9 @@ from util import (
     minner,
     rand_geodesic,
     rand_point,
+    reference_descent,
+    reference_grid_minima,
+    reference_ring_growth,
 )
 
 O = hf.ORIGIN
@@ -505,6 +509,101 @@ def test_critical_scan_spiral_two_minima(spiral):
     assert abs(ts[-1] - 2.0 * math.pi) < 1e-3
 
 
+def _critical_case(name):
+    """Chart, base point and grid of a critical-point scan."""
+    if name == "plane-normal":
+        # four central cells of equal value, each with two equally good moves
+        return hf.plane_normal_family()[1], O, (16, 16)
+    if name == "vertical":
+        return hf.vertical_family()[1], O, (15, 15)
+    if name == "prop-crossing":
+        chart = hf.spiral_chart(hf.SpiralParams(alpha0=math.pi / 4.0, lam=0.0711, delta=0.1))
+        return chart, hf.polar_frame(2.0, 0.0).point, (40, 40)
+    # the nearest leaf of the whole family lies beyond b = 1, so the minimum is clamped to that edge
+    return hf.plane_normal_family()[1], hf.HPoint(np.array([math.cosh(2.0), 0.0, math.sinh(2.0), 0.0])), (9, 12)
+
+
+def _bits(rows):
+    return [tuple(float(x).hex() for x in row) for row in rows]
+
+
+@pytest.mark.parametrize("case", ["plane-normal", "vertical", "prop-crossing", "clamped"])
+def test_critical_descent_matches_scalar_reference(monkeypatch, case):
+    # the lockstep descent refines every candidate to the same bits as a
+    # scalar descent on validated leaves, started from that candidate alone
+    chart, base, grid = _critical_case(case)
+    runs = []
+    descent = foliation._coordinate_descent
+
+    def recorded(*args):
+        runs.append((args, descent(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(foliation, "_coordinate_descent", recorded)
+    minima, _ = hf.critical_point_scan(chart, base=base, grid=grid)
+    [((_, start_a, start_b, start_val, step, bounds), refined)] = runs
+
+    def fun(a, b):
+        return hf.geodesic_dist_sq(chart.map(a, b), base)
+
+    avals, bvals = (x.tolist() for x in hf.grid_axes(chart, grid))
+    values = np.array([[fun(a, b) for b in bvals] for a in avals])
+    cells = reference_grid_minima(values)
+    (a0, a1), (b0, b1) = chart.domain
+    spacing = max((a1 - a0) / (grid[0] - 1), (b1 - b0) / (grid[1] - 1))
+    assert (step, bounds) == (spacing, chart.domain)
+    assert _bits(zip(start_a, start_b, start_val)) == _bits((avals[i], bvals[j], values[i, j]) for i, j in cells)
+    reference = _bits(reference_descent(fun, avals[i], bvals[j], spacing, chart.domain) for i, j in cells)
+    assert _bits(zip(*refined)) == reference
+    assert minima and set(_bits((m.a, m.b, m.value) for m in minima)) <= set(reference)
+    if case == "clamped":
+        assert [(m.a, m.b) for m in minima] == [(0.0, b1)]
+
+
+def test_critical_scan_builds_no_value_objects(monkeypatch):
+    chart, base, grid = _critical_case("prop-crossing")
+    built = []
+    for cls in (hf.HPoint, hf.HTangent, hf.OrientedGeodesic):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, name=cls.__name__: built.append(name))
+    minima, _ = hf.critical_point_scan(chart, base=base, grid=grid)
+    assert len(minima) == 2 and built == []
+
+
+def _lockstep_against_reference(rng, fun, step):
+    """Ends of the lockstep descent from a spread of starts, after checking
+    them bit for bit, and its number of evaluations, against scalar descents
+    from each start alone."""
+    bounds = ((-1.0, 1.0), (-1.0, 1.0))
+    t = np.linspace(-1.0, 1.0, 9)
+    a = np.concatenate((t, t, rng.uniform(-1.0, 1.0, 8), [0.9999, 1.0]))
+    b = np.concatenate((t, -t, rng.uniform(-1.0, 1.0, 8), [0.9999, 0.5]))
+    sizes = []
+
+    def counted(x, y):
+        sizes.append(np.size(x))
+        return fun(x, y)
+
+    refined = foliation._coordinate_descent(counted, a, b, fun(a, b), step, bounds)
+    lockstep_evals, sizes[:] = sum(sizes), []
+    reference = [reference_descent(counted, x, y, step, bounds) for x, y in zip(a.tolist(), b.tolist())]
+    assert _bits(zip(*refined)) == _bits(reference)
+    # the scalar descents also evaluate their starts
+    assert lockstep_evals == len(sizes) - len(a)
+    return {r[:2] for r in reference}
+
+
+def test_lockstep_descent_breaks_ties_like_the_scalar_reference(rng):
+    # every diagonal start sees four equal moves, and the tie decides the corner it reaches
+    ends = _lockstep_against_reference(rng, lambda a, b: -(a - b) * (a - b), 0.25)
+    assert ends == {(1.0, -1.0), (-1.0, 1.0)}
+
+
+def test_lockstep_descent_caps_each_start_like_the_scalar_reference(rng):
+    # a slope too long for the small step: the starts far from the corner stop at the cap
+    ends = _lockstep_against_reference(rng, lambda a, b: -(a + 2.0 * b), 1e-5)
+    assert (1.0, 1.0) in ends and len(ends) > 1
+
+
 def test_ring_growth_evidence(plane_normal):
     _, chart = plane_normal
     _, rings = hf.critical_point_scan(chart, grid=(15, 15))
@@ -523,6 +622,15 @@ def test_ring_growth_evidence_of_synthetic_grid():
     assert hf.ring_growth_evidence(np.arange(16.0).reshape(4, 4)) == [5.0, 0.0]
     # a rectangle: rings are Chebyshev distances from the center cell
     assert hf.ring_growth_evidence(np.arange(15.0).reshape(3, 5)[:, ::-1]) == [7.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (4, 6), (2, 7), (40, 40)])
+def test_ring_growth_evidence_matches_cellwise_reduction(rng, shape):
+    # a side of even length has no ring 0, and no ring comes out empty
+    values = rng.standard_normal(shape)
+    rings = hf.ring_growth_evidence(values)
+    assert rings == reference_ring_growth(values)
+    assert np.isfinite(rings).all()
 
 
 # ---------------------------------------------------------------------------

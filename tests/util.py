@@ -167,3 +167,56 @@ def rk4_jacobi(g: OrientedGeodesic, j0, j0p, s_end, n_steps=1500):
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         s += h
     return y[:4], y[4:]
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the critical-point scan
+
+
+def reference_grid_minima(values) -> list[tuple[int, int]]:
+    """Row-major ``(i, j)`` of the cells no larger than any of their up to 8
+    neighbors, one cell at a time."""
+    n, m = values.shape
+    out = []
+    for i in range(n):
+        for j in range(m):
+            neighborhood = values[max(i - 1, 0) : min(i + 2, n), max(j - 1, 0) : min(j + 2, m)]
+            if values[i, j] <= neighborhood.min():
+                out.append((i, j))
+    return out
+
+
+def reference_descent(fun, a, b, step, bounds):
+    """Coordinate descent of a scalar ``fun`` from one start: each sweep tries
+    +a, -a, +b, -b clamped to ``bounds`` and moves to the first strictly
+    smallest value below the current one, or else halves the step."""
+    (a0, a1), (b0, b1) = bounds
+    val = fun(a, b)
+    evals = 0
+    while step > 1e-12 and evals < 20000:
+        best = None
+        for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+            na = min(max(a + da, a0), a1)
+            nb = min(max(b + db, b0), b1)
+            v = fun(na, nb)
+            evals += 1
+            if v < val and (best is None or v < best[2]):
+                best = (na, nb, v)
+        if best is None:
+            step *= 0.5
+        else:
+            a, b, val = best
+    return a, b, val
+
+
+def reference_ring_growth(values) -> list[float]:
+    """Ring minima of a grid, reduced one cell at a time into a dict keyed
+    by ring index."""
+    n, m = values.shape
+    ci, cj = (n - 1) / 2.0, (m - 1) / 2.0
+    rings: dict[int, float] = {}
+    for i in range(n):
+        for j in range(m):
+            ring = int(max(abs(i - ci), abs(j - cj)) + 0.5)
+            rings[ring] = min(rings.get(ring, np.inf), float(values[i, j]))
+    return [rings[k] for k in sorted(rings)]
