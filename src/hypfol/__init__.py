@@ -24,44 +24,33 @@ from .lorentz import (
     HPoint,
     HTangent,
     boundary_from_sphere,
-    convert_model,
-    cross,
     dist,
     exp_map,
-    from_ball,
-    from_half_space,
     log_map,
     mink_inner,
-    mink_vec,
     orthonormal_complement,
     project_to_hyperboloid,
     project_to_tangent,
     same_point,
     same_ray,
     sphere_coords,
-    to_ball,
-    to_half_space,
     transport_along,
     transport_to,
 )
 from .geodesics import (
-    ChartPoint,
     JacobiData,
     OrientedGeodesic,
     asymptote_vector,
-    chart_of_geodesic,
     cross_metric,
     dist_to_geodesic,
     endpoint_velocity_rank,
     gauss_map,
     gauss_map_jacobian,
     geodesic_dist_sq,
-    geodesic_from_chart,
     jacobi_eval,
     killing_metric,
     make_geodesic,
     same_geodesic,
-    stability_classify,
     svd_rank,
 )
 from .foliation import (
@@ -84,6 +73,7 @@ from .foliation import (
     classify_chart,
     classify_point,
     covariant_differential,
+    covariant_differentials,
     critical_point_scan,
     geodesics_intersect,
     grid_arrays,

@@ -91,7 +91,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{flag} must be finite, got {value!r}")
     if args.tol <= 0.0:
         raise ConfigError("--tol must be positive")
-    if args.seed < 0:
+    if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be nonnegative")
     if args.family is not None and args.family not in FAMILIES:
         raise ConfigError(f"unknown family {args.family!r}")
@@ -99,6 +99,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         given = [flag for flag, dest, _ in _SPIRAL_FLAGS if getattr(args, dest) is not None]
         if given:
             raise ConfigError(f"--family {args.family} does not take {', '.join(given)} (only prop does)")
+    if args.family == "prop" and args.seed is not None:
+        raise ConfigError("--family prop does not take --seed (only vertical and plane-normal do)")
     spiral = {dest: default if getattr(args, dest) is None else getattr(args, dest) for _, dest, default in _SPIRAL_FLAGS}
     return RunConfig(
         command=args.command,
@@ -106,7 +108,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         grid=_parse_grid(args.grid),
         tol=args.tol,
         base_point=None if args.base_point is None else tuple(args.base_point),
-        seed=args.seed,
+        seed=0 if args.seed is None else args.seed,
         **spiral,
     )
 
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         "--base-point": dict(dest="base_point", type=float, nargs=4, default=None, metavar=("X0", "X1", "X2", "X3")),
         "--out": dict(type=str, default=None, help="output path base; writes <out>.json and, where applicable, <out>.csv"),
-        "--seed": dict(type=int, default=0),
+        "--seed": dict(type=int, default=None, help="seed of the field sample points of vertical and plane-normal (default 0)"),
     }
     for command, (text, flags) in _COMMAND_OPTIONS.items():
         p = sub.add_parser(command, help=text)

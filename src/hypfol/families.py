@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .foliation import FoliationChart, UnitField, grid_axes
-from .geodesics import asymptote_vector
+from .geodesics import asymptote_directions
 from .lorentz import (
     ORIGIN,
     BoundaryPoint,
@@ -52,16 +52,13 @@ def vertical_family() -> tuple[UnitField, FoliationChart]:
     parameters.
     """
 
-    def field_func(p: HPoint) -> HTangent:
-        return asymptote_vector(p, VERTICAL_END)
-
     def arrays(a, b):
         s = a * a + b * b
         foot = np.stack((1.0 + 0.5 * s, a, b, 0.5 * s), axis=-1)
         # the horosphere <n, p> = -1 makes the asymptote direction n - p
         return foot, VERTICAL_END.n - foot
 
-    field = UnitField(func=field_func, center=ORIGIN, name="vertical")
+    field = UnitField(arrays=lambda points: asymptote_directions(points, VERTICAL_END.n), center=ORIGIN, name="vertical")
     chart = FoliationChart(arrays=arrays, domain=((-1.0, 1.0), (-1.0, 1.0)), name="vertical")
     return field, chart
 
@@ -78,11 +75,11 @@ def plane_normal_family() -> tuple[UnitField, FoliationChart]:
     positive side.
     """
 
-    def field_func(p: HPoint) -> HTangent:
-        x3 = p.v[3]
-        s = math.sqrt(1.0 + x3 * x3)
-        q = np.array([p.v[0], p.v[1], p.v[2], 0.0]) / s
-        return HTangent(p, x3 * q + s * _E3)
+    def field_arrays(points):
+        # x3 q + s e3, with q = (x0, x1, x2, 0) / s the foot of the perpendicular
+        # and s^2 = 1 + x3^2, is (x3 p + e3) / s
+        x3 = points[:, 3:]
+        return (x3 * points + _E3) / np.sqrt(1.0 + x3 * x3)
 
     def arrays(a, b):
         # the foot is exp(a e1 + b e2) from the base point
@@ -90,7 +87,7 @@ def plane_normal_family() -> tuple[UnitField, FoliationChart]:
         foot = np.stack((ch, sc * a, sc * b, np.zeros_like(ch)), axis=-1)
         return foot, np.broadcast_to(_E3, foot.shape)
 
-    field = UnitField(func=field_func, center=ORIGIN, name="plane-normal")
+    field = UnitField(arrays=field_arrays, center=ORIGIN, name="plane-normal")
     chart = FoliationChart(arrays=arrays, domain=((-1.0, 1.0), (-1.0, 1.0)), name="plane-normal")
     return field, chart
 

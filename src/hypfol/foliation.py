@@ -29,9 +29,9 @@ coordinate descent that makes one array call per sweep, and returns the
 minima together with the ring minima of that grid.  The remaining
 operations (covariant differential of a field, eigenvector degeneracy,
 intersection detection) exercise the same criteria from the vector-field
-side; field derivatives are transported central differences, read in the
-orthonormal frame
-``lorentz.orthonormal_complement`` gives at the point.
+side.  A field is an array map as well, and ``covariant_differentials``
+takes its derivatives by complex steps along the orthonormal frame
+``lorentz.orthonormal_complement`` gives at each point.
 ``chart_tangent`` keeps central-difference chart tangents as an
 independent check of the kernel.
 
@@ -73,7 +73,6 @@ from .lorentz import (
     orthonormal_complement,
     project_to_hyperboloid,
     same_ray,
-    transport_to,
 )
 
 VERDICTS = ("indefinite", "almost_semidefinite", "semidefinite", "definite")
@@ -134,11 +133,23 @@ class FoliationChart:
 
 @dataclass(frozen=True, eq=False)
 class UnitField:
-    """A unit vector field about ``center``, given as an evaluable map."""
+    """A unit vector field about ``center``.
 
-    func: Callable[[HPoint], HTangent]
+    ``arrays(points) -> values`` maps ``(N, 4)`` points of the hyperboloid
+    to the ``(N, 4)`` field vectors at them.  Like ``FoliationChart.arrays``
+    it must accept complex points and be analytic in them (numpy arithmetic
+    and elementary functions; no ``abs``, comparisons or casts to float),
+    since covariant differentials are complex-step derivatives of it; under
+    pytest a ``ComplexWarning`` (a complex value cast to float) is an error.
+    ``func(p)`` is the value at one point as a validated ``HTangent``.
+    """
+
+    arrays: Callable[[np.ndarray], np.ndarray]
     center: HPoint
     name: str = ""
+
+    def func(self, p: HPoint) -> HTangent:
+        return HTangent(p, self.arrays(p.v[None])[0])
 
 
 @dataclass(frozen=True)
@@ -430,39 +441,45 @@ def classify_chart(
 # vector-field side
 
 
-def _transported_difference(field: UnitField, p: HPoint, w: np.ndarray) -> np.ndarray:
-    """Central difference of the field along ``w`` at ``p``, both values
-    parallel transported back to ``p`` first."""
-    q_plus = exp_map(HTangent(p, FD_STEP * w))
-    q_minus = exp_map(HTangent(p, -FD_STEP * w))
-    w_plus = transport_to(field.func(q_plus), p)
-    w_minus = transport_to(field.func(q_minus), p)
-    return (w_plus.w - w_minus.w) / (2.0 * FD_STEP)
+def covariant_differentials(field: UnitField, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Covariant differentials of the field at ``(N, 4)`` points, with one
+    complex-step call of ``field.arrays`` at ``p + i CS_STEP e_j`` for every
+    point and every vector ``e_j`` of its ``orthonormal_complement`` frame.
+
+    Returns the ``(N, 3, 3)`` matrices, whose column ``j`` holds the
+    derivative along ``e_j`` in the frame, the ``(N, 3, 4)`` frames and the
+    ``(N, 4)`` field values.  The Levi-Civita derivative on the hyperboloid
+    is the tangential part of the ambient one, and the frame spans the
+    tangent space, so pairing the ambient derivative with the frame reads it
+    exactly.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 4)
+    frames = np.array([orthonormal_complement(p) for p in points]).reshape(-1, 3, 4)
+    values = np.asarray(field.arrays((points[:, None] + 1j * CS_STEP * frames).reshape(-1, 4))).reshape(-1, 3, 4)
+    derivatives = np.imag(values) / CS_STEP  # row j: the derivative along e_j
+    mats = mink(frames[:, :, None], derivatives[:, None])
+    # the real part is the value at p: the step moves it by CS_STEP^2
+    return mats, frames, np.real(values[:, 0])
 
 
 def check_geodesic_field(field: UnitField, samples: list[HPoint]) -> float:
-    """Max norm of the self-derivative of the field over the samples.
+    """Max norm of the self-derivative ``nabla_V V`` of the field over the samples.
 
     Zero certifies (at the samples) that integral curves are geodesics.
-    Differences are taken after parallel transport to the center point.
+    ``nabla_V V`` is the covariant differential applied to the field's own
+    frame coordinates.
     """
-    worst = 0.0
-    for p in samples:
-        r = _transported_difference(field, p, field.func(p).w)
-        worst = max(worst, float(np.sqrt(max(mink_inner(r, r), 0.0))))
-    return worst
+    mats, frames, v = covariant_differentials(field, [p.v for p in samples])
+    r = np.einsum("nij,nj->ni", mats, mink(frames, v[:, None]))
+    return float(np.max(np.linalg.norm(r, axis=1), initial=0.0))
 
 
 def covariant_differential(field: UnitField, p: HPoint) -> tuple[np.ndarray, list[HTangent]]:
     """Matrix of the covariant differential of the field in an orthonormal
-    frame at ``p``; column ``j`` holds the derivative along frame vector ``j``."""
-    frame = [HTangent(p, e) for e in orthonormal_complement(p.v)]
-    mat = np.empty((3, 3))
-    for j, ej in enumerate(frame):
-        col = _transported_difference(field, p, ej.w)
-        for i, ei in enumerate(frame):
-            mat[i, j] = mink_inner(col, ei.w)
-    return mat, frame
+    frame at ``p``; column ``j`` holds the derivative along frame vector ``j``.
+    The scalar form of ``covariant_differentials``."""
+    mats, frames, _ = covariant_differentials(field, p.v)
+    return mats[0], [HTangent(p, e) for e in frames[0]]
 
 
 @dataclass(frozen=True)

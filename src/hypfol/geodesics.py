@@ -51,8 +51,6 @@ from .lorentz import (
     _finish_tangent,
     _require_unit,
     _unitize,
-    exp_map,
-    log_map,
     mink,
     mink_inner,
     orthonormal_complement,
@@ -153,54 +151,6 @@ def dist_to_geodesic(q: HPoint, g: OrientedGeodesic) -> float:
 def geodesic_dist_sq(g: OrientedGeodesic, base: HPoint = ORIGIN) -> float:
     """Squared distance from the base point to the trajectory."""
     return dist_to_geodesic(base, g) ** 2
-
-
-# ---------------------------------------------------------------------------
-# the global chart by closest-point data
-
-
-@dataclass(frozen=True, eq=False)
-class ChartPoint:
-    """Chart data for a geodesic: unit ``u`` and ``v`` orthogonal to it, at the base point.
-
-    The geodesic runs through ``exp(v)`` with direction the transport of ``u``
-    along the radial geodesic.  Its squared distance to the base point is
-    ``|v|^2``.
-    """
-
-    u: HTangent
-    v: HTangent
-
-    def __post_init__(self):
-        if not same_point(self.u.base, self.v.base):
-            raise BaseMismatchError("chart components must share a base point")
-        _require_unit(self.u, "u")
-        scale = max(1.0, float(np.linalg.norm(self.u.w) * np.linalg.norm(self.v.w)))
-        if abs(mink_inner(self.u.w, self.v.w)) > 1e-8 * scale:
-            raise GeometryError("u and v must be orthogonal")
-
-    @property
-    def base(self) -> HPoint:
-        return self.u.base
-
-
-def geodesic_from_chart(c: ChartPoint) -> OrientedGeodesic:
-    """The geodesic with chart data ``(u, v)``; a global diffeomorphism.
-
-    Because ``u`` is orthogonal to the radial direction, its ambient
-    components are unchanged by the radial transport.
-    """
-    foot = exp_map(c.v)
-    direction = _unitize(_finish_tangent(foot, c.u.w))
-    return OrientedGeodesic(foot, direction)
-
-
-def chart_of_geodesic(g: OrientedGeodesic, base: HPoint = ORIGIN) -> ChartPoint:
-    """Inverse chart: closest-point data ``(u, v)`` of a geodesic."""
-    gc = make_geodesic(g.foot, g.dir, base=base)
-    v = log_map(base, gc.foot)
-    u = project_to_tangent(base, gc.dir.w).normalized()
-    return ChartPoint(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -438,22 +388,6 @@ def endpoint_images(foot: np.ndarray, direction: np.ndarray, sign: int) -> np.nd
     return u / np.sqrt(np.sum(u * u, axis=-1, keepdims=True))
 
 
-def stability_classify(jd: JacobiData) -> str:
-    """Classify decay: "stable" (``J' = -J``), "unstable" (``J' = +J``) or "neither".
-
-    Stable data decays like ``e^{-s}`` forward, unstable like ``e^{s}``
-    backward.  The zero field is reported stable.  The test is relative, at ``1e-8``.
-    """
-    n0 = float(np.linalg.norm(jd.j0.w))
-    n1 = float(np.linalg.norm(jd.j0p.w))
-    scale = max(n0, n1, 1e-300)
-    if np.linalg.norm(jd.j0p.w + jd.j0.w) <= 1e-8 * scale:
-        return "stable"
-    if np.linalg.norm(jd.j0p.w - jd.j0.w) <= 1e-8 * scale:
-        return "unstable"
-    return "neither"
-
-
 # ---------------------------------------------------------------------------
 # endpoint (Gauss) maps to the ideal boundary
 
@@ -465,15 +399,20 @@ def gauss_map(g: OrientedGeodesic, sign: int = 1) -> BoundaryPoint:
     return BoundaryPoint(g.foot.v + sign * g.dir.w)
 
 
-def asymptote_vector(p: HPoint, b: BoundaryPoint) -> HTangent:
-    """The unique unit vector at ``p`` whose geodesic runs into ``b``.
+def asymptote_directions(points: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The unit vectors at ``(N, 4)`` points whose geodesics run into the
+    ideal point of the null vector ``n``; complex-safe.
 
     Closed form ``m - p`` where ``m`` is the null representative scaled so
     that ``<m, p> = -1``.
     """
-    denom = -mink_inner(b.n, p.v)
-    m = b.n / denom
-    return _unitize(_finish_tangent(p, m - p.v))
+    return n / -mink(n, points)[..., None] - points
+
+
+def asymptote_vector(p: HPoint, b: BoundaryPoint) -> HTangent:
+    """The unique unit vector at ``p`` whose geodesic runs into ``b``: the
+    validated scalar form of ``asymptote_directions``."""
+    return _unitize(_finish_tangent(p, asymptote_directions(p.v, b.n)))
 
 
 def svd_rank(mat: np.ndarray, atol: float = 1e-6) -> int:

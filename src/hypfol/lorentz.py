@@ -11,10 +11,7 @@ Conventions fixed here and used everywhere else:
 
 * base point ``ORIGIN = (1, 0, 0, 0)``;
 * orientation: ``(e1, e2, e3)`` is a positively oriented frame at the base
-  point, so ``cross(o, e1, e2) = e3``;
-* half-space model: ``ORIGIN`` maps to ``(0, 0, 1)`` and the geodesic
-  leaving it in the ``e3`` direction maps to the vertical line
-  ``t -> (0, 0, e^t)``;
+  point, so ``det[o, e1, e2, e3] = 1``;
 * ideal boundary points are future null rays, normalized so ``x0 = 1``;
   they correspond to unit vectors ``u`` at the base point via ``n ~ o + u``.
 """
@@ -45,11 +42,6 @@ def _as_mink(arr) -> np.ndarray:
         raise GeometryError("non-finite Minkowski components")
     a.flags.writeable = False
     return a
-
-
-def mink_vec(x0: float, x1: float, x2: float, x3: float) -> np.ndarray:
-    """Build a validated, read-only Minkowski 4-vector."""
-    return _as_mink((x0, x1, x2, x3))
 
 
 def mink_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -319,64 +311,6 @@ def transport_to(t: HTangent, target: HPoint) -> HTangent:
     r = u.norm
     moved = transport_along(HTangent(t.base, u.w / r), r, t)
     return _finish_tangent(target, moved.w)
-
-
-def cross(p: HPoint, a: HTangent, b: HTangent) -> HTangent:
-    """Oriented cross product on T_p, fixed by ``cross(o, e1, e2) = e3``.
-
-    The result ``c`` is the unique vector with ``<c, x> = det[p, a, b, x]``
-    for all ``x``; it is automatically tangent at ``p``, orthogonal to both
-    arguments, and satisfies ``|a x b|^2 = |a|^2 |b|^2 - <a, b>^2``.
-    """
-    if not (same_point(a.base, p) and same_point(b.base, p)):
-        raise BaseMismatchError("cross product arguments must be tangent at the same point")
-    rows = np.vstack((p.v, a.w, b.w))
-    d = [float(np.linalg.det(np.delete(rows, k, axis=1))) for k in range(4)]
-    c = np.array([d[0], d[1], -d[2], d[3]])
-    return project_to_tangent(p, c)
-
-
-# ---------------------------------------------------------------------------
-# model conversions
-
-
-def to_half_space(p: HPoint) -> np.ndarray:
-    """Upper half-space coordinates (x, y, z), z > 0."""
-    denom = p.v[0] - p.v[3]
-    return np.array([p.v[1] / denom, p.v[2] / denom, 1.0 / denom])
-
-
-def from_half_space(x: float, y: float, z: float) -> HPoint:
-    if z <= 0.0:
-        raise GeometryError("half-space points need z > 0")
-    s = x * x + y * y + z * z
-    arr = np.array([(1.0 + s) / (2.0 * z), x / z, y / z, (s - 1.0) / (2.0 * z)])
-    return _finish_point(arr)
-
-
-def to_ball(p: HPoint) -> np.ndarray:
-    """Poincare ball coordinates, Euclidean norm < 1."""
-    return np.asarray(p.v[1:] / (1.0 + p.v[0]))
-
-
-def from_ball(u) -> HPoint:
-    u = np.asarray(u, dtype=float)
-    n2 = float(np.dot(u, u))
-    if n2 >= 1.0:
-        raise GeometryError("ball points need Euclidean norm < 1")
-    arr = np.concatenate(([1.0 + n2], 2.0 * u)) / (1.0 - n2)
-    return _finish_point(arr)
-
-
-_MODEL_MAPS = {"half_space": to_half_space, "ball": to_ball}
-
-
-def convert_model(p: HPoint, target: str) -> np.ndarray:
-    """Coordinates of ``p`` in the requested model ("half_space" or "ball")."""
-    try:
-        return _MODEL_MAPS[target](p)
-    except KeyError:
-        raise GeometryError(f"unknown model {target!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,16 @@ def test_spiral_flags_rejected_for_other_families(tmp_path, capsys, command, fam
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_seed_rejected_for_prop(tmp_path, capsys, seed):
+    # only the vertical and plane-normal fields draw sample points
+    argv = ["classify", "--family", "prop", "--lambda", "0.07", "--seed", seed, "--grid", "3x3"]
+    assert run([*argv, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --family prop does not take --seed (only vertical and plane-normal do)\n"
+    assert not list(tmp_path.iterdir())
+
+
 def _broken(chart):
     """The chart with every foot pushed off the hyperboloid."""
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import hypfol as hf
 from hypfol import foliation
+from hypfol.lorentz import mink
 from util import (
     CROSS_FORM,
     KILLING_FORM,
@@ -19,6 +20,7 @@ from util import (
     minner,
     rand_geodesic,
     rand_point,
+    reference_covariant_differential,
     reference_descent,
     reference_grid_minima,
     reference_ring_growth,
@@ -334,42 +336,77 @@ def test_verdict_lattice_is_monotone(g11, g12, g22, kvals):
 
 
 def test_field_chart_tangents_satisfy_derivative_identity(vertical, plane_normal):
-    # J'(0) equals the covariant differential of the field applied to J(0)
+    # J' equals the covariant differential of the field applied to J, since
+    # the leaves are the field's integral curves; both sides are complex-step
+    # derivatives, so the identity holds to roundoff
+    a, b = np.array([0.25, 0.0, -0.7, 0.9]), np.array([-0.35, 0.4, 0.6, -0.8])
     for field, chart in (vertical, plane_normal):
-        for params in ((0.25, -0.35), (0.0, 0.4)):
-            x, _ = hf.chart_tangent(chart, params)
-            g = chart.map(*params)
-            mat, frame = hf.covariant_differential(field, g.foot)
-            j0_coords = np.array([minner(x.j0.w, e.w) for e in frame])
-            want = mat @ j0_coords
-            got = np.array([minner(x.j0p.w, e.w) for e in frame])
-            assert np.max(np.abs(want - got)) < 1e-5
+        jets = hf.chart_jets(chart, a, b)
+        for k, foot in enumerate(jets.foot):
+            mat, frame = hf.covariant_differential(field, hf.HPoint(foot))
+            for plus, minus in zip(jets.plus[:, k], jets.minus[:, k]):
+                j, jp = 0.5 * (plus + minus), 0.5 * (plus - minus)
+                want = mat @ np.array([minner(j, e.w) for e in frame])
+                got = np.array([minner(jp, e.w) for e in frame])
+                assert np.max(np.abs(want - got)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
 # geodesic fields
 
 
+def _perturbed(field):
+    """The field tilted by 0.1 toward the part of e1 tangent at the point
+    and orthogonal to the field: a unit field whose integral curves are not
+    geodesics."""
+
+    def arrays(p):
+        v = field.arrays(p)
+        u = np.array([0.0, 1.0, 0.0, 0.0]) + p[:, 1:2] * p  # e1 projected to T_p
+        u = u - mink(u, v)[:, None] * v
+        u = u / np.sqrt(mink(u, u))[:, None]
+        w = v + 0.1 * u
+        return w / np.sqrt(mink(w, w))[:, None]
+
+    return hf.UnitField(arrays=arrays, center=O, name="perturbed")
+
+
 def test_check_geodesic_field_families(vertical, plane_normal, rng):
     samples = hf.ball_samples(O, 0.8, 8, seed=5)
     for field, _ in (vertical, plane_normal):
-        assert hf.check_geodesic_field(field, samples) < 1e-6
+        assert hf.check_geodesic_field(field, samples) <= 1e-14
 
 
 def test_perturbed_field_fails_residual(vertical):
-    field, _ = vertical
-
-    def perturbed(p):
-        v = field.func(p)
-        u = hf.project_to_tangent(p, np.array([0.0, 1.0, 0.0, 0.0])).w
-        u = u - hf.mink_inner(u, v.w) * v.w  # tangent to the horospheres
-        u = u / np.sqrt(minner(u, u))
-        w = v.w + 0.1 * u
-        return hf.HTangent(p, w / np.sqrt(minner(w, w)))
-
-    bad = hf.UnitField(func=perturbed, center=O, name="perturbed")
+    bad = _perturbed(vertical[0])
     samples = hf.ball_samples(O, 0.8, 8, seed=5)
     assert hf.check_geodesic_field(bad, samples) > 1e-2
+
+
+def test_covariant_differentials_match_transported_differences(vertical, plane_normal):
+    samples = hf.ball_samples(O, 0.8, 8, seed=5)
+    for field in (vertical[0], plane_normal[0], _perturbed(vertical[0])):
+        mats, frames, values = hf.covariant_differentials(field, [p.v for p in samples])
+        for p, mat, frame, v in zip(samples, mats, frames, values):
+            want, want_frame = reference_covariant_differential(field, p)
+            assert np.array_equal(frame, [e.w for e in want_frame])
+            assert np.max(np.abs(mat - want)) < 1e-7
+            assert np.max(np.abs(v - field.func(p).w)) <= 1e-15
+
+
+def test_field_checks_make_one_field_call_and_build_no_value_objects(vertical, monkeypatch):
+    field, _ = vertical
+    samples = hf.ball_samples(O, 0.8, 5, seed=1)
+    calls, built = [], []
+
+    def counted(points):
+        calls.append(points.shape)
+        return field.arrays(points)
+
+    for cls in (hf.HPoint, hf.HTangent):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, name=cls.__name__: built.append(name))
+    residual = hf.check_geodesic_field(hf.UnitField(arrays=counted, center=O), samples)
+    assert residual <= 1e-14 and calls == [(15, 4)] and built == []
 
 
 def test_covariant_differential_vertical(vertical, rng):
@@ -401,11 +438,11 @@ def test_eigencheck_families(vertical, plane_normal, rng):
     resv = hf.nondegeneracy_eigencheck(fieldv, p)
     assert resv.degenerate
     assert resv.witness is not None
-    assert resv.eigenvalue == pytest.approx(-1.0, abs=1e-4)
+    assert resv.eigenvalue == pytest.approx(-1.0, abs=1e-12)
     fieldp, _ = plane_normal
     resp = hf.nondegeneracy_eigencheck(fieldp, O)
     assert resp.degenerate
-    assert resp.eigenvalue == pytest.approx(0.0, abs=1e-4)
+    assert resp.eigenvalue == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eigencheck_synthetic_nondegenerate():

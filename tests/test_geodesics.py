@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import hypfol as hf
 from util import (
+    cross,
     jacobi_basis,
     minner,
     perp_component,
@@ -50,7 +51,7 @@ def test_make_geodesic_rejects_non_unit():
 @pytest.mark.parametrize("distance", [12.0, 14.0])
 def test_unit_checks_scale_with_distance(rng, distance):
     # unit directions far from the base point carry roundoff of order
-    # eps * |w|^2 in their norm; all four unit checks accept them (make_geodesic
+    # eps * |w|^2 in their norm; all three unit checks accept them (make_geodesic
     # canonicalizes about p itself, so only its unit check is exercised)
     for _ in range(50):
         u = rng.standard_normal(3)
@@ -58,14 +59,12 @@ def test_unit_checks_scale_with_distance(rng, distance):
         w = rand_unit_tangent(rng, p)
         hf.OrientedGeodesic(p, w)
         hf.make_geodesic(p, w, base=p)
-        hf.ChartPoint(w, hf.HTangent(p, np.zeros(4)))
         hf.transport_along(w, 0.5, w)
     # twice a unit vector at the origin is still rejected everywhere
     double = hf.HTangent(O, 2.0 * E3.w)
     for build in (
         lambda: hf.OrientedGeodesic(O, double),
         lambda: hf.make_geodesic(O, double),
-        lambda: hf.ChartPoint(double, E1),
         lambda: hf.transport_along(double, 0.5, E1),
     ):
         with pytest.raises(hf.GeometryError, match="unit vector"):
@@ -168,42 +167,20 @@ def test_reverse_convention(rng):
 
 
 # ---------------------------------------------------------------------------
-# the global chart
-
-
-def test_chart_trivials():
-    c = hf.ChartPoint(E1, hf.HTangent(O, np.zeros(4)))
-    g = hf.geodesic_from_chart(c)
-    assert np.allclose(g.foot.v, O.v)
-    assert np.allclose(g.dir.w, E1.w)
-    back = hf.chart_of_geodesic(g)
-    assert back.v.norm < 1e-12
-    assert np.allclose(back.u.w, E1.w, atol=1e-12)
-
-
-def test_chart_round_trip(rng):
-    worst = 0.0
-    for _ in range(50):
-        p = rand_point(rng, scale=1.5)
-        u = rand_unit_tangent(rng, O)
-        v_raw = hf.project_to_tangent(O, rng.standard_normal(4)).w
-        v_raw = v_raw - hf.mink_inner(v_raw, u.w) * u.w
-        c = hf.ChartPoint(u, hf.HTangent(O, v_raw))
-        g = hf.geodesic_from_chart(c)
-        back = hf.chart_of_geodesic(g)
-        worst = max(worst, float(np.max(np.abs(back.u.w - c.u.w))))
-        worst = max(worst, float(np.max(np.abs(back.v.w - c.v.w))))
-    assert worst < 1e-10
+# distance to a geodesic
 
 
 def test_dist_sq_equals_v_norm_sq(rng):
+    # the geodesic through exp(v) with direction u, a unit vector at the base
+    # point orthogonal to v, has its closest point to the base point at exp(v)
+    # (u keeps its ambient components along the radial geodesic)
     for _ in range(20):
         u = rand_unit_tangent(rng, O)
         v_raw = hf.project_to_tangent(O, rng.standard_normal(4)).w
         v_raw = v_raw - hf.mink_inner(v_raw, u.w) * u.w
-        c = hf.ChartPoint(u, hf.HTangent(O, v_raw))
-        g = hf.geodesic_from_chart(c)
-        assert hf.geodesic_dist_sq(g) == pytest.approx(c.v.norm_sq, abs=1e-10)
+        foot = hf.exp_map(hf.HTangent(O, v_raw))
+        g = hf.OrientedGeodesic(foot, hf.HTangent(foot, u.w))
+        assert hf.geodesic_dist_sq(g) == pytest.approx(minner(v_raw, v_raw), abs=1e-10)
 
 
 def test_dist_sq_against_scan_oracle(rng):
@@ -377,7 +354,7 @@ def test_cross_metric_matches_direct_pairing(rng):
         for s in (-1.0, 0.0, 0.7):
             pt, vel = g.eval(s)
             j, jp = hf.jacobi_eval(x, s)
-            direct = hf.mink_inner(hf.cross(pt, vel, j).w, jp.w)
+            direct = hf.mink_inner(cross(pt, vel, j).w, jp.w)
             assert hf.cross_metric(x, s=s) == pytest.approx(direct, abs=1e-9)
 
 
@@ -403,19 +380,6 @@ def test_signature_two_two(rng):
             ev = np.sort(np.linalg.eigvalsh(gram))
             assert ev[0] < -1e-6 and ev[1] < -1e-6
             assert ev[2] > 1e-6 and ev[3] > 1e-6
-
-
-# ---------------------------------------------------------------------------
-# stability
-
-
-def test_stability_classify_trivials(rng):
-    g = rand_geodesic(rng)
-    j0 = perp_component(g, rng.standard_normal(4))
-    mk = lambda j0p: hf.JacobiData(g, hf.HTangent(g.foot, j0), hf.HTangent(g.foot, j0p))
-    assert hf.stability_classify(mk(-j0)) == "stable"
-    assert hf.stability_classify(mk(j0)) == "unstable"
-    assert hf.stability_classify(mk(np.zeros(4))) == "neither"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Shared random generators, independent numerical oracles, a reference CSV
-writer and a chart-evaluation counter."""
+"""Shared random generators, independent numerical oracles (the oriented
+cross product, frame coordinates, the transported-difference covariant
+differential), a reference CSV writer and a chart-evaluation counter."""
 
 import csv
 import dataclasses
@@ -8,14 +9,20 @@ import numpy as np
 
 import hypfol as hf
 from hypfol import (
+    FD_STEP,
     ORIGIN,
+    BaseMismatchError,
     HPoint,
     HTangent,
     JacobiData,
     OrientedGeodesic,
     exp_map,
     make_geodesic,
+    mink_inner,
+    orthonormal_complement,
     project_to_tangent,
+    same_point,
+    transport_to,
 )
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -88,6 +95,47 @@ KILLING_FORM = np.diag([1.0, 1.0, -1.0, -1.0])
 def minner(a, b):
     """Independent Minkowski pairing for oracle code."""
     return float(a @ ETA @ b)
+
+
+def cross(p: HPoint, a: HTangent, b: HTangent) -> HTangent:
+    """Oriented cross product on T_p, fixed by ``cross(o, e1, e2) = e3``: the
+    orientation oracle.
+
+    The result ``c`` is the unique vector with ``<c, x> = det[p, a, b, x]``
+    for all ``x``; it is automatically tangent at ``p``, orthogonal to both
+    arguments, and satisfies ``|a x b|^2 = |a|^2 |b|^2 - <a, b>^2``.
+    """
+    if not (same_point(a.base, p) and same_point(b.base, p)):
+        raise BaseMismatchError("cross product arguments must be tangent at the same point")
+    rows = np.vstack((p.v, a.w, b.w))
+    d = [float(np.linalg.det(np.delete(rows, k, axis=1))) for k in range(4)]
+    c = np.array([d[0], d[1], -d[2], d[3]])
+    return project_to_tangent(p, c)
+
+
+def _transported_difference(field, p: HPoint, w: np.ndarray) -> np.ndarray:
+    """Central difference of the field along ``w`` at ``p``, both values
+    parallel transported back to ``p`` first."""
+    q_plus = exp_map(HTangent(p, FD_STEP * w))
+    q_minus = exp_map(HTangent(p, -FD_STEP * w))
+    w_plus = transport_to(field.func(q_plus), p)
+    w_minus = transport_to(field.func(q_minus), p)
+    return (w_plus.w - w_minus.w) / (2.0 * FD_STEP)
+
+
+def reference_covariant_differential(field, p: HPoint) -> tuple[np.ndarray, list[HTangent]]:
+    """Matrix of the covariant differential of the field in an orthonormal
+    frame at ``p`` by transported central differences; column ``j`` holds
+    the derivative along frame vector ``j``.  An independent check of the
+    complex-step ``hypfol.covariant_differentials``, accurate to about
+    ``FD_STEP^2``."""
+    frame = [HTangent(p, e) for e in orthonormal_complement(p.v)]
+    mat = np.empty((3, 3))
+    for j, ej in enumerate(frame):
+        col = _transported_difference(field, p, ej.w)
+        for i, ei in enumerate(frame):
+            mat[i, j] = mink_inner(col, ei.w)
+    return mat, frame
 
 
 def rand_point(rng, scale=1.0) -> HPoint:
