@@ -41,10 +41,11 @@ def main() -> int:
         )
         chart = hf.spiral_chart(params)
         rep = hf.classify_chart(chart, grid=cg)
-        counts = {}
-        for s in rep.samples:
-            key = s.verdict or "degenerate"
-            counts[key] = counts.get(key, 0) + 1
+        # code -1 (rank-deficient) counts as "degenerate"; keys in order of first occurrence
+        codes = rep.verdict_code + 1
+        n = np.bincount(codes, minlength=len(hf.VERDICTS) + 1).tolist()
+        names = ("degenerate", *hf.VERDICTS)
+        counts = {names[c]: n[c] for c in dict.fromkeys(codes.tolist())}
         print(f"pitch x{factor}: aggregate {rep.aggregate}, verdict counts {counts}")
         results[f"classification_{label}"] = {"aggregate": rep.aggregate, "counts": counts}
 

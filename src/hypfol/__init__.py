@@ -75,6 +75,7 @@ from .foliation import (
     covariant_differential,
     covariant_differentials,
     critical_point_scan,
+    field_checks,
     geodesics_intersect,
     grid_arrays,
     grid_axes,

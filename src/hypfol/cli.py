@@ -32,12 +32,11 @@ from .foliation import (
     VERDICT_TOL,
     ball_samples,
     chart_jets,
-    check_geodesic_field,
     classify_chart,
     critical_point_scan,
+    field_checks,
     grid_arrays,
     grid_axes,
-    nondegeneracy_eigencheck,
 )
 from .geodesics import endpoint_images
 from .lorentz import HPoint, mink_inner, project_to_hyperboloid
@@ -151,11 +150,10 @@ def _base_point(cfg: RunConfig) -> HPoint:
 def cmd_classify(cfg: RunConfig, out_base: str) -> int:
     chart, field = _resolve_family(cfg)
     rep = classify_chart(chart, grid=cfg.grid, tol=cfg.tol)
-    results = {"classification": rep.to_dict()}
+    results = {"classification": rep}
     if field is not None:
-        samples = ball_samples(field.center, 0.8, 5, seed=cfg.seed)
-        results["field_residual"] = check_geodesic_field(field, samples)
-        checks = [nondegeneracy_eigencheck(field, p) for p in samples]
+        residual, checks = field_checks(field, ball_samples(field.center, 0.8, 5, seed=cfg.seed))
+        results["field_residual"] = residual
         results["eigencheck_degenerate"] = [bool(c.degenerate) for c in checks]
     payload = report_payload("classify", cfg.to_dict(), results, __version__)
     write_report(out_base + ".json", payload)
@@ -195,7 +193,7 @@ def cmd_gauss(cfg: RunConfig, out_base: str) -> int:
     ]
     write_csv(out_base + ".csv", header, grid_axes(chart, cfg.grid), columns)
     results = {
-        f"{side}_rank_counts": {str(k): int(n) for k, n in zip(*np.unique(r, return_counts=True))}
+        f"{side}_rank_counts": {str(k): n for k, n in enumerate(np.bincount(r).tolist()) if n}
         for side, r in zip(("forward", "backward"), ranks)
     }
     payload = report_payload("gauss", cfg.to_dict(), results, __version__)

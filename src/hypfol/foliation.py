@@ -75,8 +75,8 @@ from .lorentz import (
     same_ray,
 )
 
+#: the verdicts from worst to best
 VERDICTS = ("indefinite", "almost_semidefinite", "semidefinite", "definite")
-_SEVERITY = {name: k for k, name in enumerate(VERDICTS)}
 
 #: default tolerance for verdicts, applied to normalized quadratic forms
 VERDICT_TOL = 1e-7
@@ -152,10 +152,14 @@ class UnitField:
         return HTangent(p, self.arrays(p.v[None])[0])
 
 
+#: the note of a sample whose two tangents do not span a plane
+RANK_DEFICIENT = "rank-deficient tangent plane"
+
+
 @dataclass(frozen=True)
 class SampleRecord:
-    """Per-sample classification data: parameters, Gram matrix of the cross
-    metric on normalized tangents, Killing values on its null directions."""
+    """One classified sample: parameters, Gram matrix of the cross metric on
+    normalized tangents, Killing values on its null directions."""
 
     params: tuple[float, float]
     gram: tuple[tuple[float, float], tuple[float, float]] | None
@@ -163,35 +167,44 @@ class SampleRecord:
     verdict: str | None
     note: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "params": [self.params[0], self.params[1]],
-            "gram": None if self.gram is None else [list(r) for r in self.gram],
-            "k_values": list(self.k_values),
-            "verdict": self.verdict,
-            "note": self.note,
-        }
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassificationReport:
-    """Grid classification result; the aggregate is the worst sample verdict."""
+    """Grid classification result as per-sample columns, in row-major grid
+    order; the aggregate is the worst sample verdict.
+
+    ``params`` is ``(N, 2)``, ``gram`` ``(N, 2, 2)`` (the cross metric on the
+    unit-energy axis tangents), ``k_values`` ``(N, 8)`` (the Killing values
+    on the null directions, of which the first ``k_count`` ``(N,)`` are used;
+    the count names the branch, ``NULL_BRANCHES``, and is 0 where the sample
+    is rank-deficient), and ``verdict_code`` ``(N,)`` indexes ``VERDICTS``,
+    ``-1`` where the sample is rank-deficient.  Entries that are not defined
+    (unused Killing slots, the Gram matrix of a rank-deficient sample) are
+    NaN.  ``report.write_report`` writes the columns as one object per sample.
+    """
 
     chart_name: str
     grid: tuple[int, int]
     tol: float
-    samples: tuple[SampleRecord, ...]
+    params: np.ndarray
+    gram: np.ndarray
+    k_values: np.ndarray
+    k_count: np.ndarray
+    verdict_code: np.ndarray
     aggregate: str
 
-    def to_dict(self) -> dict:
-        return {
-            "chart": self.chart_name,
-            "grid": list(self.grid),
-            "tol": self.tol,
-            "fd_step": FD_STEP,
-            "aggregate": self.aggregate,
-            "samples": [s.to_dict() for s in self.samples],
-        }
+    @property
+    def rank_deficient(self) -> np.ndarray:
+        return self.verdict_code < 0
+
+    def sample(self, k: int) -> SampleRecord:
+        """Sample ``k`` as a record."""
+        params = tuple(self.params[k].tolist())
+        code = int(self.verdict_code[k])
+        if code < 0:
+            return SampleRecord(params, None, (), None, note=RANK_DEFICIENT)
+        kv = self.k_values[k, : self.k_count[k]].tolist()
+        return SampleRecord(params, tuple(map(tuple, self.gram[k].tolist())), tuple(kv), VERDICTS[code])
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +375,18 @@ def _null_directions(grams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     return dirs, np.select([flat, kernel, cone], [8, 1, 2], 0)
 
 
-def _classify(jets: ChartJets, tol: float) -> list[SampleRecord]:
-    """Sample records of the kernel's samples; rank-deficient tangents are
-    reported, not classified.
+def _classify(jets: ChartJets, tol: float, name: str, grid: tuple[int, int]) -> ClassificationReport:
+    """Classify the kernel's samples; rank-deficient tangents are reported,
+    not classified, and excluded from the aggregate, which is "degenerate"
+    if nothing could be classified.
 
     The Killing value on a null direction ``(x, y)`` is the Killing square
     norm over the energy of ``Y = x X0 + y X1``, ``X`` the unit-energy axis
     tangents: ``<Y+, Y-> / ((|Y+|^2 + |Y-|^2) / 2)`` in endpoint form.
     """
     ok = jets.full_rank()
-    gram = jets.gram()[ok]
-    dirs, count = _null_directions(gram, tol)
+    gram = jets.gram()
+    dirs, count = _null_directions(gram[ok], tol)
     p, m = jets.unit_plus[:, ok, None], jets.unit_minus[:, ok, None]
     yp = dirs[..., :1] * p[0] + dirs[..., 1:] * p[1]
     ym = dirs[..., :1] * m[0] + dirs[..., 1:] * m[1]
@@ -384,22 +398,17 @@ def _classify(jets: ChartJets, tol: float) -> list[SampleRecord]:
     if not resolved.all():
         k = int(np.flatnonzero(ok)[np.argmin(resolved.all(axis=1))])
         raise NumericalError(f"null direction without energy at {tuple(jets.params[k].tolist())}: tangents unresolved")
-    kv = mink(yp, ym) / np.where(unused, 1.0, energy)
-    verdict = np.where(
-        np.all((kv > tol) | unused, axis=1),
-        "semidefinite",
-        np.where(np.all((kv >= -tol) | unused, axis=1), "almost_semidefinite", "indefinite"),
-    )
-    verdict[count == 0] = "definite"
-    classified = iter(zip(gram.tolist(), kv.tolist(), count.tolist(), verdict.tolist()))
-    records = []
-    for params, good in zip(jets.params.tolist(), ok.tolist()):
-        if not good:
-            records.append(SampleRecord(tuple(params), None, (), None, note="rank-deficient tangent plane"))
-            continue
-        g, k, n, v = next(classified)
-        records.append(SampleRecord(tuple(params), tuple(map(tuple, g)), tuple(k[:n]), v))
-    return records
+    kv = np.where(unused, np.nan, mink(yp, ym) / np.where(unused, 1.0, energy))
+    semi = np.all((kv > tol) | unused, axis=1)
+    almost = np.all((kv >= -tol) | unused, axis=1)
+    n = len(ok)
+    k_values, k_count, code = np.full((n, 8), np.nan), np.zeros(n, dtype=int), np.full(n, -1)
+    k_values[ok], k_count[ok] = kv, count
+    # VERDICTS order: indefinite 0, almost_semidefinite 1, semidefinite 2, definite 3
+    code[ok] = np.select([count == 0, semi, almost], [3, 2, 1], 0)
+    gram[~ok] = np.nan
+    aggregate = VERDICTS[code[ok].min()] if ok.any() else "degenerate"
+    return ClassificationReport(name, tuple(grid), tol, jets.params, gram, k_values, k_count, code, aggregate)
 
 
 def classify_point(
@@ -408,7 +417,7 @@ def classify_point(
     tol: float = VERDICT_TOL,
 ) -> SampleRecord:
     """Classify one chart sample; rank-deficient tangents are reported, not classified."""
-    return _classify(chart_jets(chart, [params[0]], [params[1]]), tol)[0]
+    return _classify(chart_jets(chart, [params[0]], [params[1]]), tol, chart.name, (1, 1)).sample(0)
 
 
 def classify_chart(
@@ -422,19 +431,7 @@ def classify_chart(
     the aggregate; if nothing could be classified the aggregate is
     "degenerate".
     """
-    samples = _classify(chart_jets(chart, *grid_arrays(chart, grid)), tol)
-    classified = [s.verdict for s in samples if s.verdict is not None]
-    if not classified:
-        aggregate = "degenerate"
-    else:
-        aggregate = min(classified, key=lambda v: _SEVERITY[v])
-    return ClassificationReport(
-        chart_name=chart.name,
-        grid=tuple(grid),
-        tol=tol,
-        samples=tuple(samples),
-        aggregate=aggregate,
-    )
+    return _classify(chart_jets(chart, *grid_arrays(chart, grid)), tol, chart.name, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +459,19 @@ def covariant_differentials(field: UnitField, points) -> tuple[np.ndarray, np.nd
     return mats, frames, np.real(values[:, 0])
 
 
+def _self_derivative_norm(mats: np.ndarray, axes: np.ndarray) -> float:
+    """Max norm of ``nabla_V V``: each covariant differential applied to the
+    field's own frame coordinates."""
+    return float(np.max(np.linalg.norm(np.einsum("nij,nj->ni", mats, axes), axis=1), initial=0.0))
+
+
 def check_geodesic_field(field: UnitField, samples: list[HPoint]) -> float:
     """Max norm of the self-derivative ``nabla_V V`` of the field over the samples.
 
     Zero certifies (at the samples) that integral curves are geodesics.
-    ``nabla_V V`` is the covariant differential applied to the field's own
-    frame coordinates.
     """
     mats, frames, v = covariant_differentials(field, [p.v for p in samples])
-    r = np.einsum("nij,nj->ni", mats, mink(frames, v[:, None]))
-    return float(np.max(np.linalg.norm(r, axis=1), initial=0.0))
+    return _self_derivative_norm(mats, mink(frames, v[:, None]))
 
 
 def covariant_differential(field: UnitField, p: HPoint) -> tuple[np.ndarray, list[HTangent]]:
@@ -518,17 +518,23 @@ def operator_eigencheck(mat: np.ndarray, v_coords: np.ndarray):
     return False, None, None
 
 
+def field_checks(field: UnitField, samples: list[HPoint]) -> tuple[float, list[EigenCheck]]:
+    """``check_geodesic_field`` over the samples and ``nondegeneracy_eigencheck``
+    at each of them, from one ``covariant_differentials`` call."""
+    mats, frames, v = covariant_differentials(field, [p.v for p in samples])
+    axes = mink(frames, v[:, None])
+    checks = []
+    for p, mat, frame, axis in zip(samples, mats, frames, axes):
+        degenerate, coords, lam = operator_eigencheck(mat, axis)
+        witness = None if coords is None else HTangent(p, coords @ frame)
+        checks.append(EigenCheck(degenerate=degenerate, witness=witness, eigenvalue=lam))
+    return _self_derivative_norm(mats, axes), checks
+
+
 def nondegeneracy_eigencheck(field: UnitField, p: HPoint) -> EigenCheck:
-    """Degenerate iff the covariant differential has a real eigenvector off the field axis."""
-    mat, frame = covariant_differential(field, p)
-    v = field.func(p)
-    v_coords = np.array([mink_inner(v.w, e.w) for e in frame])
-    degenerate, witness_coords, lam = operator_eigencheck(mat, v_coords)
-    witness = None
-    if witness_coords is not None:
-        w = sum(c * e.w for c, e in zip(witness_coords, frame))
-        witness = HTangent(p, w)
-    return EigenCheck(degenerate=degenerate, witness=witness, eigenvalue=lam)
+    """Degenerate iff the covariant differential has a real eigenvector off
+    the field axis; the scalar form of ``field_checks``."""
+    return field_checks(field, [p])[1][0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,17 @@
 Reports are single JSON documents with sorted keys, two-space indentation
 and a trailing newline; floats go through Python's shortest round-trip
 repr, and numpy scalars and arrays are encoded as the Python values of
-their ``tolist()``.  Grid CSVs are UTF-8 with a header row, "." decimal
-separator and "\n" line endings, one row per grid point in row-major grid
-order: the two axis values, then one value per column.  Identical inputs
-produce identical bytes.
+their ``tolist()``.  A ``ClassificationReport`` in the payload becomes its
+header fields and a ``"samples"`` array, one object per sample; that array
+is streamed from the report's columns through one text template per shape
+of sample (0, 1, 2 or 8 Killing values, or rank-deficient with a null Gram
+matrix and a note) and verdict: the layout ``json.dumps`` gives the same
+objects, with a hole for each float's repr, so the bytes are those of the
+object form.  A non-finite value in a column raises ``NumericalError``
+before anything is written.  Grid CSVs are UTF-8 with a header row, "."
+decimal separator and "\n" line endings, one row per grid point in
+row-major grid order: the two axis values, then one value per column.
+Identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +23,9 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+
+from .errors import NumericalError
+from .foliation import FD_STEP, RANK_DEFICIENT, VERDICTS, ClassificationReport
 
 SCHEMA_VERSION = 1
 
@@ -38,9 +48,74 @@ def _encode(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _hole(k: int) -> str:
+    """The string that stands for the ``k``-th samples array until it is spliced in."""
+    return f"\0samples {k}\0"
+
+
+def _sample_template(count: int, code: int, pad: str) -> str:
+    """The ``json.dumps`` layout of one sample with ``count`` Killing values
+    and verdict ``VERDICTS[code]`` (rank-deficient for ``code < 0``),
+    indented by ``pad``, with a ``%r`` hole for each float: the Gram entries
+    in row-major order, the Killing values, the parameters."""
+    x = 0.5  # stands for every float; no key or string of a sample contains its repr
+    if code < 0:
+        sample = {"gram": None, "k_values": [], "note": RANK_DEFICIENT, "params": [x, x], "verdict": None}
+    else:
+        sample = {"gram": [[x, x], [x, x]], "k_values": [x] * count, "note": None, "params": [x, x], "verdict": VERDICTS[code]}
+    text = json.dumps(sample, indent=2, sort_keys=True).replace(repr(x), "%r")
+    return pad + text.replace("\n", "\n" + pad)
+
+
+def _samples_array(rep: ClassificationReport, pad: str) -> str:
+    """The ``"samples"`` array of a report whose key sits at indent ``pad``.
+
+    A sample's floats are the used cells of its row of ``[gram (4),
+    k_values (8), params (2)]``: the Gram matrix unless the sample is
+    rank-deficient, the first ``k_count`` Killing values, the parameters.
+    """
+    n = len(rep.params)
+    if n == 0:
+        return "[]"
+    values = np.concatenate((rep.gram.reshape(n, 4), rep.k_values, rep.params), axis=1)
+    used = np.ones(values.shape, dtype=bool)
+    used[:, :4] = ~rep.rank_deficient[:, None]
+    used[:, 4:12] = np.arange(8) < rep.k_count[:, None]
+    finite = np.isfinite(values) | ~used
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=1)))
+        raise NumericalError(f"non-finite value in the report sample at {tuple(rep.params[k].tolist())}")
+    shapes = list(zip(rep.k_count.tolist(), rep.verdict_code.tolist()))
+    templates = {shape: _sample_template(*shape, pad + "  ") for shape in set(shapes)}
+    text = ",\n".join(map(templates.__getitem__, shapes)) % tuple(values[used].tolist())
+    return f"[\n{text}\n{pad}]"
+
+
 def write_report(path: str | Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_encode) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    reports = []
+
+    def encode(obj):
+        if isinstance(obj, ClassificationReport):
+            reports.append(obj)
+            return {
+                "chart": obj.chart_name,
+                "grid": list(obj.grid),
+                "tol": obj.tol,
+                "fd_step": FD_STEP,
+                "aggregate": obj.aggregate,
+                "samples": _hole(len(reports) - 1),
+            }
+        return _encode(obj)
+
+    rest = json.dumps(payload, indent=2, sort_keys=True, default=encode) + "\n"
+    pieces = []
+    for k, rep in enumerate(reports):
+        head, rest = rest.split(json.dumps(_hole(k)), 1)
+        line = head[head.rfind("\n") + 1 :]
+        pieces += [head, _samples_array(rep, line[: len(line) - len(line.lstrip(" "))])]
+    pieces.append(rest)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
 
 
 def write_csv(path: str | Path, header: list[str], axes, columns) -> None:

@@ -1,6 +1,7 @@
 """Command line front end: outputs, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -326,6 +327,27 @@ def test_critical_evaluates_grid_once(tmp_path, chart_array_calls):
     # then evaluates the four moves of each of its 38 sweeps in one call
     assert run(["critical", "--family", "plane-normal", "--grid", "15x15", "--out", str(tmp_path / "c")]) == 0
     assert chart_array_calls == [225] + [4] * 38
+
+
+@pytest.mark.parametrize("family", ["vertical", "plane-normal"])
+def test_classify_field_checks_make_one_field_call(tmp_path, monkeypatch, family):
+    # the residual and all five eigenvector tests read one call at the 5
+    # sample points and their 3 frame vectors each
+    calls = []
+    resolve = cli._resolve_family
+
+    def counted_resolve(cfg):
+        chart, field = resolve(cfg)
+
+        def counted(points):
+            calls.append(points.shape)
+            return field.arrays(points)
+
+        return chart, dataclasses.replace(field, arrays=counted)
+
+    monkeypatch.setattr(cli, "_resolve_family", counted_resolve)
+    assert run(["classify", "--family", family, "--grid", "12x12", "--out", str(tmp_path / "c")]) == 0
+    assert calls == [(15, 4)]
 
 
 # ---------------------------------------------------------------------------

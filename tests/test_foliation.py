@@ -271,14 +271,14 @@ def test_far_field_verdicts(vertical, spiral, distance):
     # from a distance of about 6 (ROADMAP item 1, far field)
     for (_, chart), verdict in ((vertical, "almost_semidefinite"), (spiral, "definite")):
         rep = hf.classify_chart(_boosted(chart, distance), grid=(6, 6))
-        assert [s.verdict for s in rep.samples] == [verdict] * 36
+        assert [rep.sample(k).verdict for k in range(36)] == [verdict] * 36
 
 
 def test_classify_chart_aggregates(vertical, plane_normal):
     _, chartv = vertical
     repv = hf.classify_chart(chartv, grid=(10, 10))
     assert repv.aggregate == "almost_semidefinite"
-    assert all(s.verdict == "almost_semidefinite" for s in repv.samples)
+    assert [repv.sample(k).verdict for k in range(100)] == ["almost_semidefinite"] * 100
     _, chartp = plane_normal
     repp = hf.classify_chart(chartp, grid=(10, 10))
     assert repp.aggregate == "semidefinite"
@@ -289,7 +289,7 @@ def test_classify_large_pitch_contains_bad_samples():
     params = hf.SpiralParams(alpha0=math.pi / 4.0, lam=2.0 * scan.lambda_max, delta=0.1)
     chart = hf.spiral_chart(params)
     rep = hf.classify_chart(chart, grid=(12, 12))
-    bad = [s for s in rep.samples if s.verdict in (None, "indefinite")]
+    bad = [k for k in range(144) if rep.sample(k).verdict in (None, "indefinite")]
     assert bad, "expected indefinite or degenerate samples at double the validated pitch"
     assert rep.aggregate in ("indefinite", "degenerate")
 
@@ -694,4 +694,4 @@ def test_initial_value_rank_collapsed(plane_normal):
 def test_genuine_fields_never_indefinite(vertical, plane_normal):
     for _, chart in (vertical, plane_normal):
         rep = hf.classify_chart(chart, grid=(8, 8))
-        assert all(s.verdict != "indefinite" for s in rep.samples if s.verdict)
+        assert all(rep.sample(k).verdict != "indefinite" for k in range(64))

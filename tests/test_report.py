@@ -1,17 +1,21 @@
-"""Report and grid-CSV emission: the streamed writer against the row-list
-writer, the JSON encoding of numpy values, and the CSVs of the commands."""
+"""Report and grid-CSV emission: the streamed writers against the object
+form and the row-list writer, the JSON encoding of numpy values, and the
+CSVs of the commands."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hypfol as hf
-from hypfol import report
+from hypfol import cli, report
 from hypfol.cli import main
 from hypfol.geodesics import endpoint_images
-from util import reference_write_csv
+from util import collapsed_chart, reference_report_text, reference_write_csv
 
 #: values whose repr the writer must keep exactly
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-05]
@@ -93,3 +97,101 @@ def test_write_report_encodes_numpy_values_as_python_values(tmp_path):
 def test_write_report_rejects_unknown_values(tmp_path):
     with pytest.raises(TypeError, match="object is not JSON serializable"):
         report.write_report(tmp_path / "r.json", {"x": object()})
+
+
+# ---------------------------------------------------------------------------
+# the samples block of a classification report
+
+
+def _classify_payload(rep):
+    results = {"classification": rep, "field_residual": 3e-16}
+    return report.report_payload("classify", {"grid": list(rep.grid)}, results, "0")
+
+
+def _lam_max_4x4():
+    return hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1, grid=(4, 4)).lambda_max
+
+
+#: a chart and grid per sample shape, and the Killing-value count (None:
+#: rank-deficient) every sample or some sample of its report has
+SHAPES = {
+    "definite": (lambda: hf.spiral_chart(hf.SpiralParams(lam=0.07)), (100, 100), 0, all),
+    "kernel": (lambda: hf.spiral_chart(hf.SpiralParams(lam=_lam_max_4x4())), (4, 4), 1, any),
+    "cone": (lambda: hf.spiral_chart(hf.SpiralParams(lam=0.3)), (6, 6), 2, any),
+    "flat": (lambda: hf.vertical_family()[1], (5, 5), 8, all),
+    "rank-deficient": (lambda: collapsed_chart(hf.plane_normal_family()[1]), (4, 4), None, all),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_samples_block_matches_object_form(tmp_path, shape):
+    make_chart, grid, count, quantifier = SHAPES[shape]
+    rep = hf.classify_chart(make_chart(), grid=grid)
+    has = rep.rank_deficient if count is None else (rep.k_count == count) & ~rep.rank_deficient
+    assert quantifier(has.tolist())
+    payload = _classify_payload(rep)
+    report.write_report(tmp_path / "r.json", payload)
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == reference_report_text(payload)
+
+
+#: floats whose repr the samples block must keep exactly
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300, 1e300, 1e16, 1e-05, 0.1]
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+#: (Killing-value count, verdict code) of each sample shape; (0, -1) is rank-deficient
+_shapes = st.sampled_from([(0, -1), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (8, 0), (8, 1), (8, 2)])
+
+
+@st.composite
+def _reports(draw):
+    shapes = draw(st.lists(_shapes, min_size=0, max_size=6))
+    n = len(shapes)
+    values = np.array(draw(st.lists(_floats, min_size=14 * n, max_size=14 * n)), dtype=float).reshape(n, 14)
+    k_count = np.array([c for c, _ in shapes], dtype=int)
+    code = np.array([v for _, v in shapes], dtype=int)
+    gram, k_values = values[:, :4].reshape(n, 2, 2), values[:, 4:12].copy()
+    gram[code < 0] = np.nan
+    k_values[np.arange(8) >= k_count[:, None]] = np.nan
+    return hf.ClassificationReport("drawn", (n, 1), 1e-7, values[:, 12:], gram, k_values, k_count, code, "definite")
+
+
+@given(_reports())
+def test_samples_block_keeps_every_float(tmp_path_factory, rep):
+    # the report at two depths of one payload, so the block is spliced twice
+    payload = {"a": rep, "results": {"classification": rep, "z": [1.5]}}
+    path = tmp_path_factory.mktemp("r") / "r.json"
+    report.write_report(path, payload)
+    assert path.read_text(encoding="utf-8") == reference_report_text(payload)
+
+
+@pytest.mark.parametrize("column, cell", [("gram", (1, 0, 1)), ("k_values", (1, 7)), ("params", (1, 0))])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_column_value_raises_before_writing(tmp_path, column, cell, bad):
+    rep = hf.classify_chart(hf.vertical_family()[1], grid=(2, 2))
+    values = getattr(rep, column).copy()
+    values[cell] = bad
+    path = tmp_path / "r.json"
+    with pytest.raises(hf.NumericalError, match="non-finite value in the report sample at"):
+        report.write_report(path, _classify_payload(dataclasses.replace(rep, **{column: values})))
+    assert not path.exists()
+
+
+def test_undefined_cells_are_not_written(tmp_path):
+    # NaN marks the cells a sample does not use: unused Killing slots and the
+    # Gram matrix of a rank-deficient sample
+    rep = hf.classify_chart(collapsed_chart(hf.plane_normal_family()[1]), grid=(3, 3))
+    assert np.isnan(rep.gram).all() and np.isnan(rep.k_values).all()
+    report.write_report(tmp_path / "r.json", _classify_payload(rep))
+    assert "NaN" not in (tmp_path / "r.json").read_text(encoding="utf-8")
+
+
+def test_non_finite_column_value_exits_3(tmp_path, capsys, monkeypatch):
+    def classify_with_nan(chart, grid, tol):
+        rep = hf.classify_chart(chart, grid=grid, tol=tol)
+        k_values = rep.k_values.copy()
+        k_values[3, 0] = math.nan
+        return dataclasses.replace(rep, k_values=k_values)
+
+    monkeypatch.setattr(cli, "classify_chart", classify_with_nan)
+    assert main(["classify", "--family", "vertical", "--grid", "3x3", "--out", str(tmp_path / "c")]) == 3
+    assert "numerical failure: non-finite value in the report sample at" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()

@@ -1,9 +1,11 @@
 """Shared random generators, independent numerical oracles (the oriented
 cross product, frame coordinates, the transported-difference covariant
-differential), a reference CSV writer and a chart-evaluation counter."""
+differential), reference CSV and report writers and a chart-evaluation
+counter."""
 
 import csv
 import dataclasses
+import json
 
 import numpy as np
 
@@ -68,6 +70,38 @@ def reference_write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([cell(x) for x in row])
+
+
+def reference_report_text(payload) -> str:
+    """The text ``report.write_report`` must match byte for byte: every
+    ``ClassificationReport`` in the payload as its object form, one dict per
+    sample read from ``sample(k)``, and the whole payload through
+    ``json.dumps(indent=2, sort_keys=True)``."""
+
+    def sample_dict(s):
+        return {
+            "params": [s.params[0], s.params[1]],
+            "gram": None if s.gram is None else [list(r) for r in s.gram],
+            "k_values": list(s.k_values),
+            "verdict": s.verdict,
+            "note": s.note,
+        }
+
+    def encode(obj):
+        if isinstance(obj, hf.ClassificationReport):
+            return {
+                "chart": obj.chart_name,
+                "grid": list(obj.grid),
+                "tol": obj.tol,
+                "fd_step": FD_STEP,
+                "aggregate": obj.aggregate,
+                "samples": [sample_dict(obj.sample(k)) for k in range(len(obj.params))],
+            }
+        if isinstance(obj, (np.generic, np.ndarray)):
+            return obj.tolist()
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+    return json.dumps(payload, indent=2, sort_keys=True, default=encode) + "\n"
 
 
 def frame_coords(*jds, s=0.0):
