@@ -230,6 +230,38 @@ class LambdaScan:
 
 
 LAMBDA_SCAN_CAP = math.sinh(6.0)
+#: absolute error allowed to numpy's ``sin`` (not correctly rounded on every
+#: platform) in the per-row margin bounds: many ulps of a value of size 1
+_SIN_SLACK = 4e-15
+#: relative widening, down and up, of a row's range of sine arguments (in
+#: turns) when looking for a minimum of the sine in it
+_WIDEN = np.array([-1e-9, 1e-9])
+
+
+def _row_bounds(sinh_2r, ends, alpha0: float, lam: float) -> np.ndarray:
+    """Lower bound of ``_margin`` on every row of the scan grid.
+
+    ``sinh_2r`` holds a row's ``sinh(2r)`` (shape ``(n, 1)``), ``ends`` the
+    least and largest ``t - r`` of the row (shape ``(n, 2)``).  With the
+    pitch positive, ``_margin``'s floating-point sine argument is monotone
+    in ``t - r``, so on a row it lies between the arguments of ``ends``,
+    computed here with the same operations.  Over that interval the sine is
+    at least -1 if it holds a minimum ``3 pi/2 + 2 k pi`` (looked for in the
+    interval widened by ``_WIDEN``) and otherwise at least its value at an
+    end; the result is that sine bound less ``_SIN_SLACK``, times
+    ``sinh(2r)``, less the pitch, the last two again in ``_margin``'s
+    operations.  Shape ``(n,)``."""
+    x = np.multiply(lam, ends)
+    x += alpha0
+    x *= 2.0
+    sine = np.sin(x)
+    # the minima of the sine sit at whole numbers of turns
+    turns = (x - 1.5 * math.pi) / (2.0 * math.pi)
+    turns += _WIDEN * (1.0 + np.abs(turns))
+    floor = np.floor(turns)
+    low = np.where(floor[:, 1] > floor[:, 0], -1.0, np.minimum(sine[:, 0], sine[:, 1]))
+    low -= _SIN_SLACK
+    return low * sinh_2r[:, 0] - lam
 
 
 def scan_lambda_max(
@@ -242,18 +274,29 @@ def scan_lambda_max(
     The margin tends to ``sinh(2r) sin(2 alpha0) > 0`` as the pitch goes to
     zero, so a positive value always exists.  Bisection runs on
     ``(0, sinh 6]``; the trace records every evaluated (pitch, grid-min)
-    pair in order.  ``sinh(2r)`` and ``t - r`` are computed once, and each
-    step evaluates the margin into one buffer.
+    pair in order.  ``sinh(2r)`` and ``t - r`` are computed once.  Each step
+    bounds the margin of every grid row from below (``_row_bounds``),
+    evaluates the rows of least bound, then every row whose bound does not
+    exceed their minimum, and takes the minimum of those: the other rows
+    cannot hold a smaller value, and the evaluated cells go through
+    ``_margin`` as in a full-grid evaluation, so the minimum is the grid's,
+    bit for bit.
     """
     params = SpiralParams(alpha0, LAMBDA_SCAN_CAP, delta)  # validates alpha0 and delta
     r, t = grid_axes(spiral_chart(params), grid)
     sinh_2r, t_minus_r = np.sinh(2.0 * r[:, None]), t - r[:, None]
-    buffer = np.empty(t_minus_r.shape)
+    ends = np.stack((t_minus_r.min(axis=1), t_minus_r.max(axis=1)), axis=1)
 
     trace: list[tuple[float, float]] = []
 
+    def rows_min(lam: float, rows: np.ndarray) -> float:
+        out = np.empty((len(rows), t_minus_r.shape[1]))
+        return float(_margin(sinh_2r[rows], t_minus_r[rows], alpha0, lam, out).min())
+
     def min_margin(lam: float) -> float:
-        out = float(_margin(sinh_2r, t_minus_r, alpha0, lam, buffer).min())
+        bound = _row_bounds(sinh_2r, ends, alpha0, lam)
+        least = rows_min(lam, np.flatnonzero(bound == bound.min()))
+        out = rows_min(lam, np.flatnonzero(bound <= least))
         trace.append((lam, out))
         return out
 

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hypfol as hf
-from util import cross, minner, perp_component
+from hypfol import families
+from util import cross, minner, perp_component, reference_scan_lambda_max
 
 O = hf.ORIGIN
 SINH_2 = 3.626860407847019  # frozen from direct evaluation
@@ -279,6 +282,63 @@ def test_scan_lambda_trace_is_the_grid_minimum_of_the_margin(grid, alpha0):
         written_out = float((np.sinh(2.0 * rr) * np.sin(2.0 * (alpha0 + lam * (tt - rr))) - lam).min())
         assert value.hex() == want.hex() == written_out.hex()
     assert scan.lambda_max == max(lam for lam, value in scan.trace if value > 0.0)
+
+
+_alpha0s = st.one_of(
+    st.sampled_from([1e-300, 1e-13, 1e-6, math.pi / 4.0, math.pi / 2.0 - 1e-6]),
+    st.floats(0.0, math.pi / 2.0, exclude_min=True, exclude_max=True),
+)
+_deltas = st.one_of(st.sampled_from([1e-300, 1e-6, 5.0]), st.floats(0.0, 5.0, exclude_min=True))
+_sizes = st.integers(2, 400)
+#: square-ish grids and the skewed 2 x M and N x 2 shapes
+_grids = st.one_of(st.tuples(_sizes, _sizes), st.tuples(st.just(2), _sizes), st.tuples(_sizes, st.just(2)))
+
+
+def _scan_outcome(scan, alpha0, delta, grid):
+    """The scan's ``lambda_max`` and trace as hex strings, or its exception."""
+    try:
+        result = scan(alpha0=alpha0, delta=delta, grid=grid)
+    except hf.GeometryError as exc:
+        return repr(exc)
+    return result.lambda_max.hex(), [(lam.hex(), value.hex()) for lam, value in result.trace]
+
+
+@given(_alpha0s, _deltas, _grids)
+def test_scan_lambda_max_matches_full_grid_bisection(alpha0, delta, grid):
+    new = _scan_outcome(hf.scan_lambda_max, alpha0, delta, grid)
+    assert new == _scan_outcome(reference_scan_lambda_max, alpha0, delta, grid)
+
+
+@given(
+    _alpha0s,
+    _deltas,
+    st.tuples(st.integers(2, 60), st.integers(2, 60)),
+    st.floats(-12.0, math.log10(families.LAMBDA_SCAN_CAP)),
+)
+def test_row_bounds_are_below_every_row_minimum(alpha0, delta, grid, log_lam):
+    lam = min(10.0**log_lam, families.LAMBDA_SCAN_CAP)
+    r, t = hf.grid_axes(hf.spiral_chart(hf.SpiralParams(alpha0, lam, delta)), grid)
+    sinh_2r, t_minus_r = np.sinh(2.0 * r[:, None]), t - r[:, None]
+    ends = np.stack((t_minus_r.min(axis=1), t_minus_r.max(axis=1)), axis=1)
+    bound = families._row_bounds(sinh_2r, ends, alpha0, lam)
+    margin = families._margin(sinh_2r, t_minus_r, alpha0, lam, np.empty(grid))
+    assert (margin.min(axis=1) >= bound).all()
+
+
+@pytest.mark.parametrize("alpha0", [0.5, math.pi / 4.0, 1.0])
+def test_scan_lambda_max_evaluates_few_cells(monkeypatch, alpha0):
+    cells = []
+    margin = families._margin
+
+    def counted(sinh_2r, t_minus_r, alpha0, lam, out):
+        cells.append(out.size)
+        return margin(sinh_2r, t_minus_r, alpha0, lam, out)
+
+    monkeypatch.setattr(families, "_margin", counted)
+    scan = hf.scan_lambda_max(alpha0=alpha0, delta=0.1, grid=(300, 300))
+    assert len(scan.trace) == 50
+    # the full-grid bisection evaluates 50 x 90 000 cells
+    assert sum(cells) <= 0.02 * 50 * 300 * 300
 
 
 def test_spiral_params_validation():

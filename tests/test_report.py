@@ -5,6 +5,7 @@ CSVs of the commands."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,25 @@ def test_samples_block_keeps_every_float(tmp_path_factory, rep):
     path = tmp_path_factory.mktemp("r") / "r.json"
     report.write_report(path, payload)
     assert path.read_text(encoding="utf-8") == reference_report_text(payload)
+
+
+def test_samples_block_keeps_signed_zeros_among_repeated_floats(tmp_path):
+    # a 3 x 3 grid whose axes repeat across rows and columns and hold both
+    # zeros; symmetric Gram matrices whose off-diagonal entry is 0.0 or -0.0
+    axis = [-0.0, 0.0, 0.1]
+    params = np.array([(a, b) for a in axis for b in axis[::-1]])
+    off = np.array([0.0, -0.0, 0.1] * 3)
+    gram = np.stack((np.stack((params[:, 0], off), axis=-1), np.stack((off, params[:, 1]), axis=-1)), axis=1)
+    k_count = np.array([0, 1, 2, 8, 0, 1, 2, 8, 0])
+    k_values = np.where(np.arange(8) < k_count[:, None], np.tile([-0.0, 0.0, 0.1, -0.1], 2), np.nan)
+    code = np.array([3, 0, 1, 2, 0, 1, 2, 0, -1])
+    gram[code < 0] = np.nan
+    rep = hf.ClassificationReport("zeros", (3, 3), 1e-7, params, gram, k_values, k_count, code, "definite")
+    payload = _classify_payload(rep)
+    report.write_report(tmp_path / "r.json", payload)
+    text = (tmp_path / "r.json").read_text(encoding="utf-8")
+    assert text == reference_report_text(payload)
+    assert re.search(r" -0\.0[,\n]", text) and re.search(r" 0\.0[,\n]", text)
 
 
 @pytest.mark.parametrize("column, cell", [("gram", (1, 0, 1)), ("k_values", (1, 7)), ("params", (1, 0))])

@@ -1,11 +1,12 @@
 """Shared random generators, independent numerical oracles (the oriented
 cross product, frame coordinates, the transported-difference covariant
-differential), reference CSV and report writers and a chart-evaluation
-counter."""
+differential), reference CSV and report writers, the full-grid pitch scan
+and a chart-evaluation counter."""
 
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from hypfol import (
     FD_STEP,
     ORIGIN,
     BaseMismatchError,
+    GeometryError,
     HPoint,
     HTangent,
     JacobiData,
@@ -26,6 +28,8 @@ from hypfol import (
     same_point,
     transport_to,
 )
+from hypfol.families import LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, _margin, spiral_chart
+from hypfol.foliation import grid_axes
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -302,3 +306,42 @@ def reference_ring_growth(values) -> list[float]:
             ring = int(max(abs(i - ci), abs(j - cj)) + 0.5)
             rings[ring] = min(rings.get(ring, np.inf), float(values[i, j]))
     return [rings[k] for k in sorted(rings)]
+
+
+# ---------------------------------------------------------------------------
+# the full-grid pitch scan
+
+
+def reference_scan_lambda_max(
+    alpha0: float = math.pi / 4.0,
+    delta: float = 0.1,
+    grid: tuple[int, int] = (200, 200),
+) -> LambdaScan:
+    """``families.scan_lambda_max`` evaluating the margin on the whole grid
+    at every bisection step: the oracle of the row-bounded scan, which must
+    give the same trace and ``lambda_max`` bit for bit."""
+    params = SpiralParams(alpha0, LAMBDA_SCAN_CAP, delta)  # validates alpha0 and delta
+    r, t = grid_axes(spiral_chart(params), grid)
+    sinh_2r, t_minus_r = np.sinh(2.0 * r[:, None]), t - r[:, None]
+    buffer = np.empty(t_minus_r.shape)
+
+    trace: list[tuple[float, float]] = []
+
+    def min_margin(lam: float) -> float:
+        out = float(_margin(sinh_2r, t_minus_r, alpha0, lam, buffer).min())
+        trace.append((lam, out))
+        return out
+
+    hi = LAMBDA_SCAN_CAP
+    if min_margin(hi) > 0.0:
+        return LambdaScan(hi, alpha0, delta, tuple(grid), tuple(trace))
+    lo = 1e-12
+    if min_margin(lo) <= 0.0:
+        raise GeometryError("margin is not positive even for vanishing pitch")
+    while hi - lo > 1e-12 * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        if min_margin(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return LambdaScan(lo, alpha0, delta, tuple(grid), tuple(trace))
