@@ -5,8 +5,9 @@ Subcommands: ``classify`` (grid classification of a family chart),
 CSV), ``gauss`` (endpoint images and the ranks of their differentials
 ``J +- J'``), ``critical`` (local minima of the squared distance).  Angles
 are radians.  Exit codes: 0 computed (whatever the verdict), 2 invalid
-configuration (including an unwritable ``--out``), 3 numerical failure
-(including a chart leaf or tangent that fails validation).
+configuration (including an unwritable ``--out`` and a grid too large to
+allocate), 3 numerical failure (including a chart leaf or tangent that
+fails validation).
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ from .report import report_payload, write_csv, write_report
 FAMILIES = ("vertical", "plane-normal", "prop")
 #: the flags only the spiral (``prop``) family reads, with their defaults
 _SPIRAL_FLAGS = (("--lambda", "lam", None), ("--alpha0", "alpha0", math.pi / 4.0), ("--delta", "delta", 0.1))
+#: the most grid samples: no array holds 1024 bytes per sample, so numpy can
+#: size every array of a smaller grid, and at worst fails to allocate it
+_MAX_SAMPLES = sys.maxsize // 1024
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ConfigError(f"grid must look like NxM, got {text!r}") from None
     if n < 2 or m < 2:
         raise ConfigError("grid dimensions must be at least 2")
+    if n * m > _MAX_SAMPLES:
+        raise ConfigError(f"grid {n}x{m} has more samples than an array can hold")
     return n, m
 
 
@@ -284,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: not enough memory for a {args.grid} grid", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

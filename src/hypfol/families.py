@@ -164,8 +164,9 @@ def spiral_chart(params: SpiralParams) -> FoliationChart:
     def arrays(r, t):
         c, s = np.cos(t), np.sin(t)
         alpha = params.tilt(r, t)
-        foot = np.stack((np.cosh(r), np.sinh(r) * c, np.sinh(r) * s, np.zeros_like(c)), axis=-1)
-        direction = np.stack((np.zeros_like(c), -s * np.cos(alpha), c * np.cos(alpha), np.sin(alpha)), axis=-1)
+        sh, ca, zero = np.sinh(r), np.cos(alpha), np.zeros_like(c)
+        foot = np.stack((np.cosh(r), sh * c, sh * s, zero), axis=-1)
+        direction = np.stack((zero, -s * ca, c * ca, np.sin(alpha)), axis=-1)
         return foot, direction
 
     return FoliationChart(arrays=arrays, domain=params.rect, name="prop")
@@ -272,10 +273,14 @@ def scan_lambda_max(
     """Largest pitch on a bisection schedule keeping the margin positive on the grid.
 
     The margin tends to ``sinh(2r) sin(2 alpha0) > 0`` as the pitch goes to
-    zero, so a positive value always exists.  Bisection runs on
-    ``(0, sinh 6]``; the trace records every evaluated (pitch, grid-min)
-    pair in order.  ``sinh(2r)`` and ``t - r`` are computed once.  Each step
-    bounds the margin of every grid row from below (``_row_bounds``),
+    zero, so a positive value always exists.  Bisection runs between
+    ``sinh 6`` and a lower bracket of ``1e-12``, or, where the margin is not
+    positive there (``alpha0`` within about ``1e-12 (3 + delta)`` of 0 or
+    ``pi/2``), half the least pitch that takes the tilt ``alpha0 + lam (t -
+    r)`` to 0 or ``pi/2`` at a corner of the rectangle, where ``t - r`` is
+    ``-(3 + delta)`` or ``2 pi + delta - 1``.  The trace records every
+    evaluated (pitch, grid-min) pair in order.  ``sinh(2r)`` and ``t - r``
+    are computed once.  Each step bounds the margin of every grid row from below (``_row_bounds``),
     evaluates the rows of least bound, then every row whose bound does not
     exceed their minimum, and takes the minimum of those: the other rows
     cannot hold a smaller value, and the evaluated cells go through
@@ -305,7 +310,9 @@ def scan_lambda_max(
         return LambdaScan(hi, alpha0, delta, tuple(grid), tuple(trace))
     lo = 1e-12
     if min_margin(lo) <= 0.0:
-        raise GeometryError("margin is not positive even for vanishing pitch")
+        lo = min(lo, 0.5 * min(alpha0 / (3.0 + delta), (0.5 * math.pi - alpha0) / (2.0 * math.pi + delta - 1.0)))
+        if min_margin(lo) <= 0.0:
+            raise GeometryError("margin is not positive even for vanishing pitch")
     while hi - lo > 1e-12 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
         if min_margin(mid) > 0.0:

@@ -285,7 +285,7 @@ def chart_jets(chart: FoliationChart, a, b) -> ChartJets:
     b = np.asarray(b, dtype=float).ravel()
     params = np.column_stack((a, b))
     foot, direction = _evaluate(chart, a, b)
-    check_leaves(foot, direction, params)
+    check_leaves(foot, direction, (a, b))
     steps = [_evaluate(chart, a + 1j * CS_STEP, b), _evaluate(chart, a, b + 1j * CS_STEP)]
     with np.errstate(all="ignore"):
         df = np.stack([np.imag(f) / CS_STEP for f, _ in steps])
@@ -622,23 +622,29 @@ def _coordinate_descent(fun, a, b, val, step, bounds):
     else halves its step; it stops once the step reaches ``1e-12`` or it
     has made 20000 evaluations.  Returns the final ``a``, ``b`` and values.
     """
-    (a0, a1), (b0, b1) = bounds
-    a, b, val = (np.array(x, dtype=float) for x in (a, b, val))
-    step = np.full(len(a), float(step))
-    evals = np.zeros(len(a), dtype=int)
-    while (active := np.flatnonzero((step > 1e-12) & (evals < 20000))).size:
-        moves = step[active, None, None] * _MOVES
-        na = np.minimum(np.maximum(a[active, None] + moves[..., 0], a0), a1)
-        nb = np.minimum(np.maximum(b[active, None] + moves[..., 1], b0), b1)
-        v = fun(na.ravel(), nb.ravel()).reshape(-1, 4)
-        evals[active] += 4
-        lower = v < val[active, None]
-        moved = lower.any(axis=1)
-        k = np.argmin(np.where(lower, v, np.inf), axis=1)[moved]
-        to = active[moved]
-        a[to], b[to], val[to] = na[moved, k], nb[moved, k], v[moved, k]
-        step[active[~moved]] *= 0.5
-    return a, b, val
+    lo, hi = np.array(bounds, dtype=float).T
+    p, val = np.array((a, b), dtype=float).T, np.array(val, dtype=float)
+    # the active starts, compacted: their rows of p, points, values and steps
+    idx = np.arange(len(val) if step > 1e-12 else 0)
+    x, fx, h = p[idx], val[idx], np.full(len(idx), float(step))
+    evals = 0  # the same for every active start
+    while idx.size and evals < 20000:
+        rows = np.arange(len(idx))
+        moves = np.minimum(np.maximum(x[:, None] + h[:, None, None] * _MOVES, lo), hi)
+        v = fun(moves[..., 0].ravel(), moves[..., 1].ravel()).reshape(-1, 4)
+        evals += 4
+        lower = np.where(v < fx[:, None], v, np.inf)
+        k = lower.argmin(axis=1)
+        best = lower[rows, k]
+        moved = best < fx
+        x = np.where(moved[:, None], moves[rows, k], x)
+        fx = np.where(moved, best, fx)
+        h = np.where(moved, h, 0.5 * h)
+        if not (keep := h > 1e-12).all():
+            p[idx], val[idx] = x, fx
+            idx, x, fx, h = idx[keep], x[keep], fx[keep], h[keep]
+    p[idx], val[idx] = x, fx
+    return p[:, 0], p[:, 1], val
 
 
 def critical_point_scan(
@@ -660,7 +666,7 @@ def critical_point_scan(
 
     def dist_sq(a, b):
         foot, direction = _evaluate(chart, a, b)
-        check_leaves(foot, direction, np.column_stack((a, b)))
+        check_leaves(foot, direction, (a, b))
         return leaf_dist(foot, direction, base.v) ** 2
 
     values = dist_sq(*grid_arrays(chart, grid)).reshape(grid)

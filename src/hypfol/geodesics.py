@@ -258,29 +258,39 @@ def killing_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -
 # vectors at the feet
 
 
-def check_leaves(foot: np.ndarray, direction: np.ndarray, params: np.ndarray) -> None:
+def _mink_of_products(p: np.ndarray) -> np.ndarray:
+    """``mink(x, y)`` from the products ``p = x * y``, in ``mink``'s order of
+    operations, so to the same bits."""
+    return p[..., 1] + p[..., 2] + p[..., 3] - p[..., 0]
+
+
+def check_leaves(foot: np.ndarray, direction: np.ndarray, params) -> None:
     """Raise ``NumericalError`` unless every row is a leaf that the value
     objects would accept: finite, the foot on the unit hyperboloid with
     ``x0 > 0``, the direction a unit tangent at the foot, all at the
-    constructors' relative tolerance ``MODEL_TOL``.  ``params`` name the rows
-    in the message."""
+    constructors' relative tolerance ``MODEL_TOL``.  ``params``, the pair of
+    parameter arrays ``(a, b)``, are read only to name the first failing row
+    of the first check that fails."""
     with np.errstate(all="ignore"):
-        fs = np.sum(foot * foot, axis=-1)
-        ds = np.sum(direction * direction, axis=-1)
+        fsq, dsq = foot * foot, direction * direction
+        fs, ds = np.add.reduce(fsq, axis=-1), np.add.reduce(dsq, axis=-1)
+        ff, dd = _mink_of_products(fsq), _mink_of_products(dsq)
         checks = (
             ("non-finite leaf", np.isfinite(fs) & np.isfinite(ds)),
-            ("point is not on the unit hyperboloid", np.abs(mink(foot, foot) + 1.0) <= MODEL_TOL * np.maximum(1.0, fs)),
+            ("point is not on the unit hyperboloid", np.abs(ff + 1.0) <= MODEL_TOL * np.maximum(1.0, fs)),
             ("point is on the past sheet", foot[..., 0] > 0.0),
             (
                 "vector is not tangent at its base point",
                 np.abs(mink(foot, direction)) <= MODEL_TOL * np.maximum(1.0, np.sqrt(fs * ds)),
             ),
-            ("direction must be a unit vector", np.abs(mink(direction, direction) - 1.0) <= MODEL_TOL * np.maximum(1.0, ds)),
+            ("direction must be a unit vector", np.abs(dd - 1.0) <= MODEL_TOL * np.maximum(1.0, ds)),
         )
+    if np.logical_and.reduce([ok for _, ok in checks], axis=None):
+        return
     for message, ok in checks:
         if not ok.all():
             k = int(np.argmin(ok))
-            raise NumericalError(f"chart leaf at {tuple(np.asarray(params[k]).tolist())}: {message}")
+            raise NumericalError(f"chart leaf at {tuple(float(x[k]) for x in params)}: {message}")
 
 
 def normal_part(foot: np.ndarray, direction: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -375,10 +385,10 @@ def leaf_dist(foot: np.ndarray, direction: np.ndarray, q: np.ndarray) -> np.ndar
     relative accuracy near the trajectory, where ``arccosh`` of
     ``cosh(d) = sqrt(a^2 - b^2)`` would lose it to cancellation.
     """
-    a = -mink(q, foot)
-    b = mink(q, direction)
+    a = -_mink_of_products(foot * q)
+    b = _mink_of_products(direction * q)
     r = q - (a[..., None] * foot + b[..., None] * direction)
-    return np.arcsinh(np.sqrt(np.maximum(mink(r, r), 0.0)))
+    return np.arcsinh(np.sqrt(np.maximum(_mink_of_products(r * r), 0.0)))
 
 
 def endpoint_images(foot: np.ndarray, direction: np.ndarray, sign: int) -> np.ndarray:

@@ -165,6 +165,33 @@ def test_bad_grid(tmp_path):
     assert run(["classify", "--family", "vertical", "--grid", "abc", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command", [["classify", "--family", "vertical"], ["scan-lambda"], ["gauss", "--family", "vertical"]]
+)
+def test_grid_too_large_for_an_array_exits_2(tmp_path, capsys, command):
+    assert run([*command, "--grid", "2x99999999999999999999", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: grid 2x99999999999999999999 has more samples than an array can hold\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["classify", "gauss", "critical"])
+def test_grid_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, command):
+    def no_memory(chart, grid):
+        raise MemoryError
+
+    for module in (cli, hf.foliation):
+        monkeypatch.setattr(module, "grid_arrays", no_memory)
+    assert run([command, "--family", "vertical", "--grid", "3x3", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: not enough memory for a 3x3 grid\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("alpha0", ["2e-13", "1.5707963267946"])
+def test_scan_lambda_near_the_ends_of_the_tilt_range(tmp_path, capsys, alpha0):
+    assert run(["scan-lambda", "--alpha0", alpha0, "--grid", "2x2", "--out", str(tmp_path / "x")]) == 0
+    assert float(capsys.readouterr().out.removeprefix("lambda_max: ")) > 0.0
+
+
 def test_bad_tol(tmp_path):
     for tol in ("-1", "nan", "inf"):
         assert run(["classify", "--family", "vertical", "--tol", tol, "--out", str(tmp_path / "x")]) == 2
@@ -445,7 +472,8 @@ _GOOD = {
 _BAD = [
     ["--family", "helix"], ["--lambda", "0"], ["--lambda", "-0.1"], ["--lambda", "nan"], ["--lambda", "inf"],
     ["--alpha0", "0"], ["--alpha0", "3"], ["--alpha0", "nan"], ["--delta", "0"], ["--delta", "-1"],
-    ["--delta", "inf"], ["--grid", "1x3"], ["--grid", "abc"], ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
+    ["--delta", "inf"], ["--grid", "1x3"], ["--grid", "abc"], ["--grid", "2x99999999999999999999"], ["--tol", "0"],
+    ["--tol", "-1"], ["--tol", "nan"],
     ["--base-point", "1", "1", "0", "0"], ["--base-point", "nan", "0", "0", "0"],
     ["--base-point", "1e200", "1e200", "0", "0"], ["--seed", "-1"], ["--bogus"], ["--out", "missing/x"],
 ]

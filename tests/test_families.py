@@ -325,6 +325,24 @@ def test_row_bounds_are_below_every_row_minimum(alpha0, delta, grid, log_lam):
     assert (margin.min(axis=1) >= bound).all()
 
 
+@given(
+    st.one_of(
+        st.sampled_from([2e-13, 1.5707963267946]),
+        st.floats(1e-300, 1e-11),
+        st.floats(math.pi / 2.0 - 1e-11, math.pi / 2.0, exclude_max=True),
+    ),
+    st.floats(1e-6, 50.0),
+    st.tuples(st.integers(2, 40), st.integers(2, 40)),
+)
+def test_scan_lambda_max_near_the_ends_of_the_tilt_range(alpha0, delta, grid):
+    # a tilt too close to 0 or pi/2 for the pitch 1e-12 still has a positive pitch
+    scan = hf.scan_lambda_max(alpha0=alpha0, delta=delta, grid=grid)
+    params = hf.SpiralParams(alpha0, scan.lambda_max, delta)
+    r, t = hf.grid_axes(hf.spiral_chart(params), grid)
+    assert scan.lambda_max > 0.0
+    assert hf.definiteness_margin(r[:, None], t, params).min() > 0.0
+
+
 @pytest.mark.parametrize("alpha0", [0.5, math.pi / 4.0, 1.0])
 def test_scan_lambda_max_evaluates_few_cells(monkeypatch, alpha0):
     cells = []

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypfol as hf
@@ -606,14 +606,18 @@ def test_critical_scan_builds_no_value_objects(monkeypatch):
     assert len(minima) == 2 and built == []
 
 
-def _lockstep_against_reference(rng, fun, step):
-    """Ends of the lockstep descent from a spread of starts, after checking
-    them bit for bit, and its number of evaluations, against scalar descents
-    from each start alone."""
+def _lockstep_against_reference(rng, fun, step, starts=None):
+    """Ends of the lockstep descent from the ``(a, b)`` pairs ``starts`` (by
+    default a spread of starts drawn with ``rng``), after checking them bit
+    for bit, and its number of evaluations, against scalar descents from
+    each start alone."""
     bounds = ((-1.0, 1.0), (-1.0, 1.0))
-    t = np.linspace(-1.0, 1.0, 9)
-    a = np.concatenate((t, t, rng.uniform(-1.0, 1.0, 8), [0.9999, 1.0]))
-    b = np.concatenate((t, -t, rng.uniform(-1.0, 1.0, 8), [0.9999, 0.5]))
+    if starts is None:
+        t = np.linspace(-1.0, 1.0, 9)
+        a = np.concatenate((t, t, rng.uniform(-1.0, 1.0, 8), [0.9999, 1.0]))
+        b = np.concatenate((t, -t, rng.uniform(-1.0, 1.0, 8), [0.9999, 0.5]))
+    else:
+        a, b = np.array(starts, dtype=float).T
     sizes = []
 
     def counted(x, y):
@@ -639,6 +643,40 @@ def test_lockstep_descent_caps_each_start_like_the_scalar_reference(rng):
     # a slope too long for the small step: the starts far from the corner stop at the cap
     ends = _lockstep_against_reference(rng, lambda a, b: -(a + 2.0 * b), 1e-5)
     assert (1.0, 1.0) in ends and len(ends) > 1
+
+
+_coords = st.floats(-1.0, 1.0)
+#: starts anywhere in the box, on its sides and at its corners
+_starts = st.lists(st.tuples(st.one_of(_coords, st.sampled_from([-1.0, 1.0])), _coords), min_size=1, max_size=5)
+
+
+def _quadratic(centre, coeffs):
+    (x0, y0), (cxx, cyy, cxy) = centre, coeffs
+    return lambda a, b: cxx * (a - x0) * (a - x0) + cyy * (b - y0) * (b - y0) + cxy * (a - x0) * (b - y0)
+
+
+def _sines(terms):
+    return lambda a, b: sum(c * np.sin(fa * a + fb * b + ph) for c, fa, fb, ph in terms)
+
+
+@given(
+    st.one_of(
+        # centres inside the box and outside it; the cross term may make the form indefinite
+        st.builds(
+            _quadratic,
+            st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+            st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(-10.0, 10.0)),
+        ),
+        st.builds(_sines, st.lists(st.tuples(*[st.floats(-5.0, 5.0)] * 4), min_size=1, max_size=3)),
+    ),
+    st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+    _starts,
+    st.booleans(),
+)
+@settings(max_examples=25)
+def test_lockstep_descent_matches_the_scalar_reference(fun, step, starts, twice):
+    # repeated starts must move in lockstep as if each ran alone
+    _lockstep_against_reference(None, fun, step, starts * 2 if twice else starts)
 
 
 def test_ring_growth_evidence(plane_normal):

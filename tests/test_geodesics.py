@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypfol as hf
+from hypfol.geodesics import check_leaves
 from util import (
     cross,
     jacobi_basis,
@@ -204,6 +205,88 @@ def test_dist_to_geodesic_near_the_leaf(rng, d):
         q = hf.exp_map(hf.HTangent(g.foot, d * n / np.sqrt(minner(n, n))))
         moved = hf.OrientedGeodesic(*g.eval(rng.uniform(-2.0, 2.0)))
         assert hf.dist_to_geodesic(q, moved) == pytest.approx(d, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# validation of leaf arrays
+
+_LEAF_A = np.array([1.2, 1.5, 2.0, 2.5, 2.9])
+_LEAF_B = np.array([0.1, 1.0, 2.0, 3.0, 4.0])
+
+
+def _spiral_leaves():
+    foot, direction = hf.spiral_chart(hf.SpiralParams(lam=0.07)).arrays(_LEAF_A, _LEAF_B)
+    return foot.copy(), direction.copy()
+
+
+def _non_finite(foot, direction, k):
+    foot[k, 1] = np.nan  # every later check fails as well
+
+
+def _off_hyperboloid(foot, direction, k):
+    foot[k] *= 1.5
+
+
+def _past_sheet(foot, direction, k):
+    foot[k] *= -1.0
+
+
+def _not_tangent(foot, direction, k):
+    # a boost of the direction toward the foot keeps it a unit vector
+    direction[k] = np.cosh(0.5) * direction[k] + np.sinh(0.5) * foot[k]
+
+
+def _not_unit(foot, direction, k):
+    direction[k] *= 1.5
+
+
+_LEAF_FAULTS = [
+    (_non_finite, "non-finite leaf"),
+    (_off_hyperboloid, "point is not on the unit hyperboloid"),
+    (_past_sheet, "point is on the past sheet"),
+    (_not_tangent, "vector is not tangent at its base point"),
+    (_not_unit, "direction must be a unit vector"),
+]
+
+
+def _leaf_failure(foot, direction):
+    with pytest.raises(hf.NumericalError) as exc:
+        check_leaves(foot, direction, (_LEAF_A, _LEAF_B))
+    return str(exc.value)
+
+
+def test_check_leaves_accepts_valid_leaves_without_reading_params():
+    check_leaves(*_spiral_leaves(), None)
+
+
+def test_check_leaves_rejects_an_overflowing_square():
+    # every other check passes on a direction whose square overflows
+    foot, direction = _spiral_leaves()
+    direction[3] = (0.0, 0.0, 0.0, 1e200)
+    assert _leaf_failure(foot, direction) == "chart leaf at (2.5, 3.0): non-finite leaf"
+
+
+@pytest.mark.parametrize("fault,message", _LEAF_FAULTS)
+def test_check_leaves_names_the_first_failing_row(fault, message):
+    foot, direction = _spiral_leaves()
+    for k in (3, 1):
+        fault(foot, direction, k)
+    assert _leaf_failure(foot, direction) == f"chart leaf at (1.5, 1.0): {message}"
+
+
+@pytest.mark.parametrize("i,j", [(i, j) for i in range(len(_LEAF_FAULTS)) for j in range(i + 1, len(_LEAF_FAULTS))])
+def test_check_leaves_reports_the_earlier_check(i, j):
+    (fault, message), (later, _) = _LEAF_FAULTS[i], _LEAF_FAULTS[j]
+    # one row failing both checks
+    foot, direction = _spiral_leaves()
+    fault(foot, direction, 2)
+    later(foot, direction, 2)
+    assert _leaf_failure(foot, direction) == f"chart leaf at (2.0, 2.0): {message}"
+    # a row failing the earlier check after one failing only the later check
+    foot, direction = _spiral_leaves()
+    fault(foot, direction, 4)
+    later(foot, direction, 0)
+    assert _leaf_failure(foot, direction) == f"chart leaf at (2.9, 4.0): {message}"
 
 
 # ---------------------------------------------------------------------------

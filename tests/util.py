@@ -337,7 +337,9 @@ def reference_scan_lambda_max(
         return LambdaScan(hi, alpha0, delta, tuple(grid), tuple(trace))
     lo = 1e-12
     if min_margin(lo) <= 0.0:
-        raise GeometryError("margin is not positive even for vanishing pitch")
+        lo = min(lo, 0.5 * min(alpha0 / (3.0 + delta), (0.5 * math.pi - alpha0) / (2.0 * math.pi + delta - 1.0)))
+        if min_margin(lo) <= 0.0:
+            raise GeometryError("margin is not positive even for vanishing pitch")
     while hi - lo > 1e-12 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
         if min_margin(mid) > 0.0:
