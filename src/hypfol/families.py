@@ -25,6 +25,7 @@ product (which is constant in the ambient coordinates).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,8 +279,11 @@ def scan_lambda_max(
     positive there (``alpha0`` within about ``1e-12 (3 + delta)`` of 0 or
     ``pi/2``), half the least pitch that takes the tilt ``alpha0 + lam (t -
     r)`` to 0 or ``pi/2`` at a corner of the rectangle, where ``t - r`` is
-    ``-(3 + delta)`` or ``2 pi + delta - 1``.  The trace records every
-    evaluated (pitch, grid-min) pair in order.  ``sinh(2r)`` and ``t - r``
+    ``-(3 + delta)`` or ``2 pi + delta - 1``.  It stops once the bracket is
+    at most ``1e-12 max(hi, 1)`` wide and at most ``1e-9 lo`` (``lo`` taken
+    as at least the least normal float), so ``lambda_max`` is within
+    ``1e-9`` relative of the grid's threshold at tiny pitches too.  The
+    trace records every evaluated (pitch, grid-min) pair in order.  ``sinh(2r)`` and ``t - r``
     are computed once.  Each step bounds the margin of every grid row from below (``_row_bounds``),
     evaluates the rows of least bound, then every row whose bound does not
     exceed their minimum, and takes the minimum of those: the other rows
@@ -313,7 +317,7 @@ def scan_lambda_max(
         lo = min(lo, 0.5 * min(alpha0 / (3.0 + delta), (0.5 * math.pi - alpha0) / (2.0 * math.pi + delta - 1.0)))
         if min_margin(lo) <= 0.0:
             raise GeometryError("margin is not positive even for vanishing pitch")
-    while hi - lo > 1e-12 * max(hi, 1.0):
+    while hi - lo > 1e-12 * max(hi, 1.0) or hi - lo > 1e-9 * max(lo, sys.float_info.min):
         mid = 0.5 * (lo + hi)
         if min_margin(mid) > 0.0:
             lo = mid

@@ -25,13 +25,13 @@ almost-semidefinite class; the stricter classes correspond to charts with
 locally injective endpoint maps and to charts on which the cross metric is
 Riemannian.  ``critical_point_scan`` evaluates its squared-distance grid
 with one array call, refines every grid-local minimum at once by a
-coordinate descent that makes one array call per sweep, and returns the
-minima together with the ring minima of that grid.  The remaining
-operations (covariant differential of a field, eigenvector degeneracy,
-intersection detection) exercise the same criteria from the vector-field
-side.  A field is an array map as well, and ``covariant_differentials``
-takes its derivatives by complex steps along the orthonormal frame
-``lorentz.orthonormal_complement`` gives at each point.
+coordinate descent whose array calls each try several halvings of every
+start's step, and returns the minima together with the ring minima of that
+grid.  The remaining operations (covariant differential of a field,
+eigenvector degeneracy, intersection detection) exercise the same criteria
+from the vector-field side.  A field is an array map as well, and
+``covariant_differentials`` takes its derivatives by complex steps along the
+orthonormal frame ``lorentz.orthonormal_complement`` gives at each point.
 ``chart_tangent`` keeps central-difference chart tangents as an
 independent check of the kernel.
 
@@ -610,39 +610,55 @@ class CriticalPoint:
 
 #: the descent's moves in tie-break order: +a, -a, +b, -b
 _MOVES = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+#: step levels per descent call: a start's step and its next 7 halvings
+_LEVELS = 8
+_LEVEL = np.arange(float(_LEVELS))
+#: exact powers of two: the step factor of each level, and after all of them
+_HALVINGS = np.array([math.ldexp(1.0, -k) for k in range(_LEVELS + 1)])
 
 
 def _coordinate_descent(fun, a, b, val, step, bounds):
     """Coordinate descent of ``fun`` from every start ``(a[k], b[k])`` at once.
 
     ``fun`` maps parameter arrays to values; ``val`` holds its values at the
-    starts.  Each sweep evaluates the four moves of every active start,
-    clamped to ``bounds``, in one call.  A start moves to the smallest
-    value below its own (the first such in the order of ``_MOVES``), or
-    else halves its step; it stops once the step reaches ``1e-12`` or it
-    has made 20000 evaluations.  Returns the final ``a``, ``b`` and values.
+    starts.  A sweep tries a start's four moves, clamped to ``bounds``, and
+    moves to the smallest value below its own (the first in ``_MOVES``
+    order), or else halves the step; a start stops at step ``1e-12`` or
+    20000 evaluations.  ``fun`` also sees points between a start and its
+    moves that no sweep tries.  Returns the final ``a``, ``b`` and values.
     """
     lo, hi = np.array(bounds, dtype=float).T
     p, val = np.array((a, b), dtype=float).T, np.array(val, dtype=float)
-    # the active starts, compacted: their rows of p, points, values and steps
+    # the active starts, compacted: their rows of p, points, values, steps and evaluation counts
     idx = np.arange(len(val) if step > 1e-12 else 0)
-    x, fx, h = p[idx], val[idx], np.full(len(idx), float(step))
-    evals = 0  # the same for every active start
-    while idx.size and evals < 20000:
+    x, fx, h, evals = p[idx], val[idx], np.full(len(idx), float(step)), np.zeros(len(idx))
+    # Each call makes _LEVELS sweeps of every active start, at its step and
+    # successive halvings (exact, so bitwise the points of as many failed
+    # sweeps), and the start takes the first sweep that moves it, counting
+    # four evaluations per sweep taken or failed.  A sweep past either stop
+    # is evaluated but never taken, so the ends are those of one sweep at a
+    # time; the extra points are the clamped moves of the untaken sweeps.
+    while idx.size:
         rows = np.arange(len(idx))
-        moves = np.minimum(np.maximum(x[:, None] + h[:, None, None] * _MOVES, lo), hi)
-        v = fun(moves[..., 0].ravel(), moves[..., 1].ravel()).reshape(-1, 4)
-        evals += 4
-        lower = np.where(v < fx[:, None], v, np.inf)
-        k = lower.argmin(axis=1)
-        best = lower[rows, k]
-        moved = best < fx
-        x = np.where(moved[:, None], moves[rows, k], x)
-        fx = np.where(moved, best, fx)
-        h = np.where(moved, h, 0.5 * h)
-        if not (keep := h > 1e-12).all():
+        steps = h[:, None] * _HALVINGS[:-1]
+        moves = np.minimum(np.maximum(x[:, None, None] + steps[..., None, None] * _MOVES, lo), hi)
+        v = fun(moves[..., 0].ravel(), moves[..., 1].ravel()).reshape(-1, _LEVELS, 4)
+        lower = np.where(v < fx[:, None, None], v, np.inf)
+        best = lower.min(axis=2)
+        takes = (best < fx[:, None]) & (steps > 1e-12) & (evals[:, None] + 4.0 * _LEVEL < 20000.0)
+        # j is the first level taken, or 0 where none is and level is _LEVELS
+        first = np.where(takes, _LEVEL, float(_LEVELS))
+        j = first.argmin(axis=1)
+        level = first[rows, j]
+        moved = level < _LEVELS
+        k = lower[rows, j].argmin(axis=1)
+        x = np.where(moved[:, None], moves[rows, j, k], x)
+        fx = np.where(moved, best[rows, j], fx)
+        h = h * np.where(moved, _HALVINGS[j], _HALVINGS[-1])
+        evals += 4.0 * np.minimum(level + 1.0, _LEVELS)
+        if not (keep := (h > 1e-12) & (evals < 20000.0)).all():
             p[idx], val[idx] = x, fx
-            idx, x, fx, h = idx[keep], x[keep], fx[keep], h[keep]
+            idx, x, fx, h, evals = idx[keep], x[keep], fx[keep], h[keep], evals[keep]
     p[idx], val[idx] = x, fx
     return p[:, 0], p[:, 1], val
 
@@ -656,8 +672,8 @@ def critical_point_scan(
     and the ring minima of the same grid.
 
     The grid is evaluated with one array call.  Grid-local minima
-    (8-neighborhood) are refined together by ``_coordinate_descent``, one
-    array call per sweep, from the grid spacing down; they are
+    (8-neighborhood) are refined together by ``_coordinate_descent`` from
+    the grid spacing down (each leaf it tries is validated); they are
     deduplicated by parameter distance and sorted by value.  The ring
     minima are ``ring_growth_evidence`` of the grid values.
     """

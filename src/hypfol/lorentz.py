@@ -247,13 +247,21 @@ def exp_map(t: HTangent) -> HPoint:
 def cosh_sinhc(x):
     """``cosh(sqrt x)`` and ``sinh(sqrt x) / sqrt x`` for an array of squared
     lengths ``x``: the coefficients of the exponential map.  Both are entire
-    functions of ``x``, evaluated from their Taylor series near 0, so complex
-    steps pass through them."""
+    functions of ``x``, evaluated from their Taylor series where ``|x| <
+    1e-3``, so complex steps pass through them; ``cosh`` and ``sinh`` are
+    evaluated only on the other rows."""
     x = np.asarray(x)
     small = np.abs(x) < 1e-3
-    r = np.sqrt(np.where(small, 1.0, x))
-    ch = np.where(small, 1.0 + x / 2.0 * (1.0 + x / 12.0 * (1.0 + x / 30.0 * (1.0 + x / 56.0))), np.cosh(r))
-    sc = np.where(small, 1.0 + x / 6.0 * (1.0 + x / 20.0 * (1.0 + x / 42.0 * (1.0 + x / 72.0))), np.sinh(r) / r)
+    if not small.any():
+        r = np.sqrt(x)
+        return np.cosh(r), np.sinh(r) / r
+    # the series costs less than picking out the small rows
+    ch = 1.0 + x / 2.0 * (1.0 + x / 12.0 * (1.0 + x / 30.0 * (1.0 + x / 56.0)))
+    sc = 1.0 + x / 6.0 * (1.0 + x / 20.0 * (1.0 + x / 42.0 * (1.0 + x / 72.0)))
+    if not small.all():
+        large = ~small
+        r = np.sqrt(x[large])
+        ch[large], sc[large] = np.cosh(r), np.sinh(r) / r
     return ch, sc
 
 

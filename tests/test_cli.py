@@ -350,10 +350,12 @@ def test_gauss_ranks_match_finite_difference_jacobians(tmp_path, family, extra):
 
 def test_critical_evaluates_grid_once(tmp_path, chart_array_calls):
     # one array call for the 225 grid points, shared by the minima and the
-    # rings; the descent starts its one candidate from the grid value and
-    # then evaluates the four moves of each of its 38 sweeps in one call
+    # rings; the descent starts its one candidate from the grid value, which
+    # only halves its step 38 times, and evaluates the four moves of
+    # ``_LEVELS`` of those sweeps in one call
+    levels = hf.foliation._LEVELS
     assert run(["critical", "--family", "plane-normal", "--grid", "15x15", "--out", str(tmp_path / "c")]) == 0
-    assert chart_array_calls == [225] + [4] * 38
+    assert chart_array_calls == [225] + [4 * levels] * math.ceil(38 / levels)
 
 
 @pytest.mark.parametrize("family", ["vertical", "plane-normal"])

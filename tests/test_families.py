@@ -343,6 +343,19 @@ def test_scan_lambda_max_near_the_ends_of_the_tilt_range(alpha0, delta, grid):
     assert hf.definiteness_margin(r[:, None], t, params).min() > 0.0
 
 
+@pytest.mark.parametrize("alpha0", [2e-13, 1e-11])
+def test_scan_lambda_max_bisects_tiny_pitches_to_the_grid_threshold(alpha0):
+    # a pitch below 1e-12 is bisected to 1e-9 relative, not left at its lower bracket
+    scan = hf.scan_lambda_max(alpha0=alpha0, grid=(2, 2))
+
+    def grid_margin(lam):
+        params = hf.SpiralParams(alpha0, lam, 0.1)
+        r, t = hf.grid_axes(hf.spiral_chart(params), (2, 2))
+        return hf.definiteness_margin(r[:, None], t, params).min()
+
+    assert grid_margin(scan.lambda_max) > 0.0 >= grid_margin(scan.lambda_max * (1.0 + 1e-9))
+
+
 @pytest.mark.parametrize("alpha0", [0.5, math.pi / 4.0, 1.0])
 def test_scan_lambda_max_evaluates_few_cells(monkeypatch, alpha0):
     cells = []

@@ -606,11 +606,31 @@ def test_critical_scan_builds_no_value_objects(monkeypatch):
     assert len(minima) == 2 and built == []
 
 
+@pytest.mark.parametrize("case,grid,most", [("prop-crossing", (40, 40), 35), ("plane-normal", (24, 24), 8)])
+def test_critical_descent_takes_several_step_levels_per_call(monkeypatch, case, grid, most):
+    # the two critical commands of the endpoint benchmark: 69 and 39 calls at one step level per call
+    chart, base, _ = _critical_case(case)
+    calls = []
+    descent = foliation._coordinate_descent
+
+    def counted(fun, *args):
+        def counted_fun(a, b):
+            calls.append(a.size)
+            return fun(a, b)
+
+        return descent(counted_fun, *args)
+
+    monkeypatch.setattr(foliation, "_coordinate_descent", counted)
+    hf.critical_point_scan(chart, base=base, grid=grid)
+    assert 0 < len(calls) <= most
+
+
 def _lockstep_against_reference(rng, fun, step, starts=None):
     """Ends of the lockstep descent from the ``(a, b)`` pairs ``starts`` (by
     default a spread of starts drawn with ``rng``), after checking them bit
-    for bit, and its number of evaluations, against scalar descents from
-    each start alone."""
+    for bit against scalar descents from each start alone.  The lockstep
+    must also evaluate every point those descents evaluate, in at most as
+    many calls as the longest of them makes sweeps."""
     bounds = ((-1.0, 1.0), (-1.0, 1.0))
     if starts is None:
         t = np.linspace(-1.0, 1.0, 9)
@@ -618,31 +638,51 @@ def _lockstep_against_reference(rng, fun, step, starts=None):
         b = np.concatenate((t, -t, rng.uniform(-1.0, 1.0, 8), [0.9999, 0.5]))
     else:
         a, b = np.array(starts, dtype=float).T
-    sizes = []
+    calls = []
 
-    def counted(x, y):
-        sizes.append(np.size(x))
+    def recorded(x, y):
+        calls.append((x, y))
         return fun(x, y)
 
-    refined = foliation._coordinate_descent(counted, a, b, fun(a, b), step, bounds)
-    lockstep_evals, sizes[:] = sum(sizes), []
-    reference = [reference_descent(counted, x, y, step, bounds) for x, y in zip(a.tolist(), b.tolist())]
+    reference, sweeps, scalar_points = [], [], []
+    for x, y in zip(a.tolist(), b.tolist()):
+        reference.append(reference_descent(recorded, x, y, step, bounds))
+        # the scalar descent also evaluates its start, then four moves per sweep
+        sweeps.append((len(calls) - 1) // 4)
+        scalar_points += calls[1:]
+        calls[:] = []
+    refined = foliation._coordinate_descent(recorded, a, b, fun(a, b), step, bounds)
     assert _bits(zip(*refined)) == _bits(reference)
-    # the scalar descents also evaluate their starts
-    assert lockstep_evals == len(sizes) - len(a)
-    return {r[:2] for r in reference}
+    assert len(calls) <= max(sweeps)
+    # the evaluated points as bit patterns; only a lockstep point with both
+    # coordinates among the scalar ones can be a scalar point
+    sa, sb = np.array(scalar_points, dtype=float).reshape(-1, 2).view(np.int64).T
+    la, lb = (np.concatenate([np.empty(0)] + [call[i] for call in calls]).view(np.int64) for i in (0, 1))
+    near = np.isin(la, sa) & np.isin(lb, sb)
+    assert set(zip(sa.tolist(), sb.tolist())) <= set(zip(la[near].tolist(), lb[near].tolist()))
+    return {r[:2] for r in reference}, len(calls), max(sweeps)
 
 
 def test_lockstep_descent_breaks_ties_like_the_scalar_reference(rng):
     # every diagonal start sees four equal moves, and the tie decides the corner it reaches
-    ends = _lockstep_against_reference(rng, lambda a, b: -(a - b) * (a - b), 0.25)
+    ends, _, _ = _lockstep_against_reference(rng, lambda a, b: -(a - b) * (a - b), 0.25)
     assert ends == {(1.0, -1.0), (-1.0, 1.0)}
 
 
 def test_lockstep_descent_caps_each_start_like_the_scalar_reference(rng):
     # a slope too long for the small step: the starts far from the corner stop at the cap
-    ends = _lockstep_against_reference(rng, lambda a, b: -(a + 2.0 * b), 1e-5)
+    ends, _, _ = _lockstep_against_reference(rng, lambda a, b: -(a + 2.0 * b), 1e-5)
     assert (1.0, 1.0) in ends and len(ends) > 1
+
+
+def test_lockstep_descent_caps_a_start_between_step_levels():
+    # 4996 moves of step h reach 3h/64 short of the minimum; the sweeps at
+    # h, h/2, h/4 and h/8 fail and use up the 20000 evaluations, so the
+    # sweep at h/16, which would move, is evaluated in the same call but not taken
+    h, a0 = 1e-5, -0.5
+    centre = a0 + 4996 * h + 3.0 * h / 64.0
+    ends, _, sweeps = _lockstep_against_reference(None, lambda a, b: (a - centre) * (a - centre), h, [(a0, 0.0)])
+    assert sweeps == 5000 and abs(ends.pop()[0] - (centre - 3.0 * h / 64.0)) < 1e-9
 
 
 _coords = st.floats(-1.0, 1.0)
@@ -677,6 +717,14 @@ def _sines(terms):
 def test_lockstep_descent_matches_the_scalar_reference(fun, step, starts, twice):
     # repeated starts must move in lockstep as if each ran alone
     _lockstep_against_reference(None, fun, step, starts * 2 if twice else starts)
+
+
+@pytest.mark.parametrize("step", [0.25, 2.0**-30, 1.5e-12, 1e-12])
+def test_lockstep_descent_halves_several_levels_per_call(step):
+    # a start at the minimum never moves, so every call takes all its step levels
+    _, calls, sweeps = _lockstep_against_reference(None, _quadratic((0.3, -0.2), (1.0, 2.0, 0.5)), step, [(0.3, -0.2)])
+    assert calls == math.ceil(sweeps / foliation._LEVELS)
+    assert sweeps == max(0, math.ceil(math.log2(step / 1e-12)))
 
 
 def test_ring_growth_evidence(plane_normal):

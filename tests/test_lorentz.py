@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypfol as hf
+from hypfol.lorentz import cosh_sinhc
 from util import cross, minner, rand_point, rand_unit_tangent
 
 O = hf.ORIGIN
@@ -244,3 +245,24 @@ def test_endpoint_antipodes_only_through_base(rng):
     fwd2 = hf.sphere_coords(hf.gauss_map(g2, 1))
     bwd2 = hf.sphere_coords(hf.gauss_map(g2, -1))
     assert not np.allclose(fwd2, -bwd2, atol=1e-6)
+
+
+def _where_cosh_sinhc(x):
+    """``cosh_sinhc`` evaluating both the series and ``cosh``/``sinh`` on every row."""
+    small = np.abs(x) < 1e-3
+    r = np.sqrt(np.where(small, 1.0, x))
+    ch = np.where(small, 1.0 + x / 2.0 * (1.0 + x / 12.0 * (1.0 + x / 30.0 * (1.0 + x / 56.0))), np.cosh(r))
+    sc = np.where(small, 1.0 + x / 6.0 * (1.0 + x / 20.0 * (1.0 + x / 42.0 * (1.0 + x / 72.0))), np.sinh(r) / r)
+    return ch, sc
+
+
+@pytest.mark.parametrize("rows", [slice(0, 9), slice(9, None), slice(None)])
+@pytest.mark.parametrize("step", [0.0, 1e-30])
+def test_cosh_sinhc_matches_the_where_form_bitwise(rng, rows, step):
+    # rows below 1e-3 only, at or above it only (squared lengths), and both; real and complex-step arguments
+    x = np.concatenate((np.array([0.0, -0.0, 1e-300, 1e-8, 9.99e-4, -9.99e-4]), rng.uniform(-1e-3, 1e-3, 3),
+                        np.array([1e-3, 1.0000001e-3, 0.5, 7.0, 400.0]), rng.uniform(1e-3, 30.0, 3)))[rows]
+    x = x + 1j * step * x if step else x
+    for got, want in zip(cosh_sinhc(x), _where_cosh_sinhc(x)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -340,7 +341,7 @@ def reference_scan_lambda_max(
         lo = min(lo, 0.5 * min(alpha0 / (3.0 + delta), (0.5 * math.pi - alpha0) / (2.0 * math.pi + delta - 1.0)))
         if min_margin(lo) <= 0.0:
             raise GeometryError("margin is not positive even for vanishing pitch")
-    while hi - lo > 1e-12 * max(hi, 1.0):
+    while hi - lo > 1e-12 * max(hi, 1.0) or hi - lo > 1e-9 * max(lo, sys.float_info.min):
         mid = 0.5 * (lo + hi)
         if min_margin(mid) > 0.0:
             lo = mid
