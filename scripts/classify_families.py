@@ -8,8 +8,6 @@ and the critical points of the squared distance from the base point.
 
 import argparse
 
-import numpy as np
-
 import hypfol as hf
 
 
@@ -17,14 +15,13 @@ def diagnose(name: str, field: hf.UnitField, chart: hf.FoliationChart, grid):
     print(f"== {name}")
     rep = hf.classify_chart(chart, grid=grid)
     print(f"  aggregate verdict: {rep.aggregate}")
-    samples = hf.ball_samples(hf.ORIGIN, 0.8, 8, seed=0)
-    print(f"  geodesic-field residual: {hf.check_geodesic_field(field, samples):.2e}")
+    residual, checks = hf.field_checks(field, hf.ball_samples(hf.ORIGIN, 0.8, 8, seed=0))
+    print(f"  geodesic-field residual: {residual:.2e}")
     jets = hf.chart_jets(chart, *hf.grid_arrays(chart, (6, 6)))
     ranks_f, ranks_b = (sorted(set(r.tolist())) for r in jets.endpoint_ranks())
     print(f"  endpoint-map ranks: forward {ranks_f}, backward {ranks_b}")
     print(f"  initial-value ranks: {sorted(set(jets.initial_value_ranks().tolist()))}")
-    check = hf.nondegeneracy_eigencheck(field, samples[0])
-    print(f"  eigenvector degeneracy: {check.degenerate} (eigenvalue {check.eigenvalue})")
+    print(f"  eigenvector degeneracy: {checks[0].degenerate} (eigenvalue {checks[0].eigenvalue})")
     minima, _ = hf.critical_point_scan(chart, grid=(15, 15))
     print(f"  squared-distance minima: {[(round(m.a, 4), round(m.b, 4), m.value) for m in minima]}")
 

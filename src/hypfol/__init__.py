@@ -1,10 +1,10 @@
 """Geometry of the space of oriented geodesics of hyperbolic 3-space.
 
-Core objects: the hyperboloid model (``lorentz``), oriented geodesics with
-Jacobi-field calculus and the two neutral metrics (``geodesics``),
-classifiers for candidate geodesic foliations (``foliation``), and the
-closed-form study families (``families``).  A reporting CLI lives in
-``cli``.
+Core objects: the hyperboloid model (``lorentz``), oriented geodesics, the
+two neutral metrics and the endpoint maps, on arrays of leaves with Jacobi
+data in endpoint form (``geodesics``), the chart kernel and the classifiers
+for candidate geodesic foliations (``foliation``), and the closed-form
+study families (``families``).  A reporting CLI lives in ``cli``.
 """
 
 __version__ = "0.1.0"
@@ -23,31 +23,23 @@ from .lorentz import (
     BoundaryPoint,
     HPoint,
     HTangent,
-    boundary_from_sphere,
     dist,
     exp_map,
-    log_map,
     mink_inner,
     orthonormal_complement,
     project_to_hyperboloid,
-    project_to_tangent,
     same_point,
     same_ray,
     sphere_coords,
-    transport_along,
-    transport_to,
 )
 from .geodesics import (
     JacobiData,
     OrientedGeodesic,
-    asymptote_vector,
     cross_metric,
     dist_to_geodesic,
-    endpoint_velocity_rank,
     gauss_map,
     gauss_map_jacobian,
     geodesic_dist_sq,
-    jacobi_eval,
     killing_metric,
     make_geodesic,
     same_geodesic,
@@ -69,19 +61,13 @@ from .foliation import (
     ball_samples,
     chart_jets,
     chart_tangent,
-    check_geodesic_field,
     classify_chart,
-    classify_point,
-    covariant_differential,
     covariant_differentials,
     critical_point_scan,
     field_checks,
     geodesics_intersect,
     grid_arrays,
     grid_axes,
-    initial_value_rank,
-    jacobi_variation_chart,
-    nondegeneracy_eigencheck,
     operator_eigencheck,
     ring_growth_evidence,
 )
@@ -96,6 +82,5 @@ from .families import (
     polar_frame,
     scan_lambda_max,
     spiral_chart,
-    spiral_direction,
     vertical_family,
 )

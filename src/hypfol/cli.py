@@ -139,10 +139,11 @@ def _base_point(cfg: RunConfig) -> HPoint:
         return HPoint((1.0, 0.0, 0.0, 0.0))
     arr = np.asarray(cfg.base_point, dtype=float)
     # scaled down by a power of two so that no square overflows; the scaling
-    # is exact, so the check and the projection are those of the raw point
+    # is exact, so the check and the projection are those of the raw point.
+    # The check allows 1e-6 plus the pairing's own roundoff, 4 eps |x|^2.
     k = max(0, math.frexp(float(np.max(np.abs(arr))))[1])
     u, unit = np.ldexp(arr, -k), math.ldexp(1.0, -2 * k)
-    if abs(mink_inner(u, u) + unit) > 1e-6 * max(unit, float(np.dot(u, u))):
+    if abs(mink_inner(u, u) + unit) > 1e-6 * unit + 4.0 * sys.float_info.epsilon * float(np.dot(u, u)):
         raise ConfigError("--base-point must satisfy -x0^2 + x1^2 + x2^2 + x3^2 = -1")
     if arr[0] <= 0.0:
         raise ConfigError("--base-point must have x0 > 0")

@@ -154,11 +154,6 @@ def polar_frame(r: float, t: float) -> PolarFrame:
     return PolarFrame(point=point, radial=radial, angular=angular, normal=normal)
 
 
-def spiral_direction(r: float, t: float, params: SpiralParams) -> HTangent:
-    """Unit vector ``cos(tilt) angular + sin(tilt) normal`` at the annulus point."""
-    return spiral_chart(params).map(r, t).dir
-
-
 def spiral_chart(params: SpiralParams) -> FoliationChart:
     """Chart of the geodesics seeded by the spiral directions over the annulus."""
 

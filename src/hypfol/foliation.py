@@ -27,13 +27,14 @@ Riemannian.  ``critical_point_scan`` evaluates its squared-distance grid
 with one array call, refines every grid-local minimum at once by a
 coordinate descent whose array calls each try several halvings of every
 start's step, and returns the minima together with the ring minima of that
-grid.  The remaining operations (covariant differential of a field,
-eigenvector degeneracy, intersection detection) exercise the same criteria
-from the vector-field side.  A field is an array map as well, and
+grid.  ``field_checks`` exercises the same criteria from the vector-field
+side: the geodesic residual and the eigenvector degeneracy of a field, read
+from its covariant differentials.  A field is an array map as well, and
 ``covariant_differentials`` takes its derivatives by complex steps along the
 orthonormal frame ``lorentz.orthonormal_complement`` gives at each point.
-``chart_tangent`` keeps central-difference chart tangents as an
-independent check of the kernel.
+``geodesics_intersect`` decides how two leaves meet, and ``chart_tangent``
+keeps central-difference chart tangents as an independent check of the
+kernel.
 
 All verdicts are decided at an explicit tolerance on quadratic-form values
 normalized by the energy of the Jacobi data, recorded in every report.
@@ -59,7 +60,6 @@ from .geodesics import (
     normal_part,
     plane_det,
     rank_2x2,
-    same_geodesic,
     unit_tangents,
 )
 from .lorentz import (
@@ -269,7 +269,12 @@ class ChartJets:
         return endpoint_ranks(self.foot, self.dir, self.unit_plus, self.unit_minus, atol)
 
     def initial_value_ranks(self) -> np.ndarray:
-        """Ranks of the map from the unit-energy tangents to their values ``J(0)``."""
+        """Ranks of the map from the unit-energy tangents to their values ``J(0)``.
+
+        Full rank (2) means the chart reaches every direction orthogonal to
+        the leaf at its foot: the surjectivity needed for the leaves to sweep
+        out an open region.
+        """
         j = 0.5 * (self.unit_plus + self.unit_minus)
         return rank_2x2(plane_det(self.foot, self.dir, j[0], j[1]), mink(j[0], j[0]) + mink(j[1], j[1]))
 
@@ -411,15 +416,6 @@ def _classify(jets: ChartJets, tol: float, name: str, grid: tuple[int, int]) -> 
     return ClassificationReport(name, tuple(grid), tol, jets.params, gram, k_values, k_count, code, aggregate)
 
 
-def classify_point(
-    chart: FoliationChart,
-    params: tuple[float, float],
-    tol: float = VERDICT_TOL,
-) -> SampleRecord:
-    """Classify one chart sample; rank-deficient tangents are reported, not classified."""
-    return _classify(chart_jets(chart, [params[0]], [params[1]]), tol, chart.name, (1, 1)).sample(0)
-
-
 def classify_chart(
     chart: FoliationChart,
     grid: tuple[int, int] = (20, 20),
@@ -436,6 +432,20 @@ def classify_chart(
 
 # ---------------------------------------------------------------------------
 # vector-field side
+
+
+def ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> list[HPoint]:
+    """Deterministic sample points in a geodesic ball (seeded)."""
+    rng = np.random.default_rng(seed)
+    frame = orthonormal_complement(center.v)
+    out = []
+    for _ in range(count):
+        d = rng.standard_normal(3)
+        d /= np.linalg.norm(d)
+        r = radius * rng.uniform() ** (1.0 / 3.0)
+        w = r * sum(c * e for c, e in zip(d, frame))
+        out.append(exp_map(HTangent(center, w)))
+    return out
 
 
 def covariant_differentials(field: UnitField, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -463,23 +473,6 @@ def _self_derivative_norm(mats: np.ndarray, axes: np.ndarray) -> float:
     """Max norm of ``nabla_V V``: each covariant differential applied to the
     field's own frame coordinates."""
     return float(np.max(np.linalg.norm(np.einsum("nij,nj->ni", mats, axes), axis=1), initial=0.0))
-
-
-def check_geodesic_field(field: UnitField, samples: list[HPoint]) -> float:
-    """Max norm of the self-derivative ``nabla_V V`` of the field over the samples.
-
-    Zero certifies (at the samples) that integral curves are geodesics.
-    """
-    mats, frames, v = covariant_differentials(field, [p.v for p in samples])
-    return _self_derivative_norm(mats, mink(frames, v[:, None]))
-
-
-def covariant_differential(field: UnitField, p: HPoint) -> tuple[np.ndarray, list[HTangent]]:
-    """Matrix of the covariant differential of the field in an orthonormal
-    frame at ``p``; column ``j`` holds the derivative along frame vector ``j``.
-    The scalar form of ``covariant_differentials``."""
-    mats, frames, _ = covariant_differentials(field, p.v)
-    return mats[0], [HTangent(p, e) for e in frames[0]]
 
 
 @dataclass(frozen=True)
@@ -519,8 +512,14 @@ def operator_eigencheck(mat: np.ndarray, v_coords: np.ndarray):
 
 
 def field_checks(field: UnitField, samples: list[HPoint]) -> tuple[float, list[EigenCheck]]:
-    """``check_geodesic_field`` over the samples and ``nondegeneracy_eigencheck``
-    at each of them, from one ``covariant_differentials`` call."""
+    """The geodesic residual of the field and the eigenvector test at each
+    sample, from one ``covariant_differentials`` call.
+
+    The residual is the max norm of the self-derivative ``nabla_V V`` over
+    the samples; zero certifies (at the samples) that integral curves are
+    geodesics.  A sample is degenerate iff its covariant differential has a
+    real eigenvector off the field axis (``operator_eigencheck``).
+    """
     mats, frames, v = covariant_differentials(field, [p.v for p in samples])
     axes = mink(frames, v[:, None])
     checks = []
@@ -529,12 +528,6 @@ def field_checks(field: UnitField, samples: list[HPoint]) -> tuple[float, list[E
         witness = None if coords is None else HTangent(p, coords @ frame)
         checks.append(EigenCheck(degenerate=degenerate, witness=witness, eigenvalue=lam))
     return _self_derivative_norm(mats, axes), checks
-
-
-def nondegeneracy_eigencheck(field: UnitField, p: HPoint) -> EigenCheck:
-    """Degenerate iff the covariant differential has a real eigenvector off
-    the field axis; the scalar form of ``field_checks``."""
-    return field_checks(field, [p])[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -720,55 +713,3 @@ def ring_growth_evidence(values: np.ndarray) -> list[float]:
     ring = (np.maximum.outer(di, dj) + 0.5).astype(int)
     # the rings that occur are contiguous: ring 0 only with two odd sides
     return [float(values[ring == k].min()) for k in range(ring.min(), ring.max() + 1)]
-
-
-# ---------------------------------------------------------------------------
-# rank of the initial-value map and synthetic charts
-
-
-def initial_value_rank(chart: FoliationChart, params: tuple[float, float]) -> int:
-    """Rank of the map sending chart tangents to their Jacobi value at the foot.
-
-    Full rank (2) means the chart reaches every direction orthogonal to the
-    geodesic at its footpoint: the surjectivity needed for the geodesics to
-    sweep out an open region.
-    """
-    return int(chart_jets(chart, [params[0]], [params[1]]).initial_value_ranks()[0])
-
-
-def jacobi_variation_chart(x1: JacobiData, x2: JacobiData) -> FoliationChart:
-    """A chart on ``[-0.25, 0.25]^2`` through one geodesic whose axis
-    tangents are the given Jacobi data.
-
-    The foot moves to ``foot + a J1 + b J2`` and the direction tilts to
-    ``dir + a J1' + b J2'``, each put back on the hyperboloid and its unit
-    tangent sphere; exact to first order at the center, which is all
-    derivatives there need.
-    """
-    if not same_geodesic(x1.geo, x2.geo):
-        raise GeometryError("both Jacobi tangents must live on the same geodesic")
-    foot, dir_w = x1.geo.foot.v, x1.geo.dir.w
-
-    def arrays(a, b):
-        a, b = a[:, None], b[:, None]
-        p = foot + a * x1.j0.w + b * x2.j0.w
-        p = p / np.sqrt(-mink(p, p))[:, None]
-        w = dir_w + a * x1.j0p.w + b * x2.j0p.w
-        w = w + mink(w, p)[:, None] * p
-        return p, w / np.sqrt(mink(w, w))[:, None]
-
-    return FoliationChart(arrays=arrays, domain=((-0.25, 0.25), (-0.25, 0.25)), name="jacobi-variation")
-
-
-def ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> list[HPoint]:
-    """Deterministic sample points in a geodesic ball (seeded)."""
-    rng = np.random.default_rng(seed)
-    frame = orthonormal_complement(center.v)
-    out = []
-    for _ in range(count):
-        d = rng.standard_normal(3)
-        d /= np.linalg.norm(d)
-        r = radius * rng.uniform() ** (1.0 / 3.0)
-        w = r * sum(c * e for c, e in zip(d, frame))
-        out.append(exp_map(HTangent(center, w)))
-    return out

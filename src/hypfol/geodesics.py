@@ -20,12 +20,11 @@ ambient Jacobi data in endpoint form ``J +- J'`` (the differentials of the
 two endpoint maps): the cross metric from determinants
 ``det[foot, dir, u, v]`` (``plane_det``), the Killing metric and the
 energies from Minkowski pairings, the endpoint ranks from a determinant and
-a Frobenius norm (``rank_2x2``).  ``cross_metric``, ``killing_metric``,
-``endpoint_velocity_rank`` and ``dist_to_geodesic`` are validated scalar
-forms of these array functions.  ``gauss_map_jacobian`` keeps the
-finite-difference endpoint Jacobians as an independent check, in the
-sphere frame that ``lorentz.orthonormal_complement`` gives for
-``(o, (0, n))``.
+a Frobenius norm (``rank_2x2``).  ``cross_metric``, ``killing_metric`` and
+``dist_to_geodesic`` are validated scalar forms of these array functions.
+``gauss_map_jacobian`` keeps the finite-difference endpoint Jacobians as an
+independent check of ``endpoint_ranks``, in the sphere frame that
+``lorentz.orthonormal_complement`` gives for ``(o, (0, n))``.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from .lorentz import (
     mink,
     mink_inner,
     orthonormal_complement,
-    project_to_tangent,
     same_point,
     sphere_coords,
 )
@@ -187,26 +185,6 @@ class JacobiData:
             and abs(mink_inner(self.j0p.w, d)) <= 1e-9 * s1
         )
 
-
-
-def jacobi_eval(jd: JacobiData, s: float) -> tuple[HTangent, HTangent]:
-    """Value and covariant derivative of the Jacobi field at arc length ``s``.
-
-    The orthogonal part solves ``J'' = J`` and its ambient components are
-    parallel along the axis, so it evolves by cosh/sinh mixing; a tangential
-    part evolves as ``(a + b s)`` times the velocity.
-    """
-    g = jd.geo
-    d = g.dir.w
-    a = mink_inner(jd.j0.w, d)
-    b = mink_inner(jd.j0p.w, d)
-    j0_perp = jd.j0.w - a * d
-    j0p_perp = jd.j0p.w - b * d
-    pt, vel = g.eval(s)
-    ch, sh = np.cosh(s), np.sinh(s)
-    jw = ch * j0_perp + sh * j0p_perp + (a + b * s) * vel.w
-    jpw = sh * j0_perp + ch * j0p_perp + b * vel.w
-    return project_to_tangent(pt, jw), project_to_tangent(pt, jpw)
 
 
 def _require_same_geodesic(x: JacobiData, y: JacobiData):
@@ -419,12 +397,6 @@ def asymptote_directions(points: np.ndarray, n: np.ndarray) -> np.ndarray:
     return n / -mink(n, points)[..., None] - points
 
 
-def asymptote_vector(p: HPoint, b: BoundaryPoint) -> HTangent:
-    """The unique unit vector at ``p`` whose geodesic runs into ``b``: the
-    validated scalar form of ``asymptote_directions``."""
-    return _unitize(_finish_tangent(p, asymptote_directions(p.v, b.n)))
-
-
 def svd_rank(mat: np.ndarray, atol: float = 1e-6) -> int:
     """Rank by singular values above ``1e-9`` of the largest, with the
     absolute floor ``atol`` for all-zero matrices."""
@@ -444,7 +416,7 @@ def gauss_map_jacobian(
     it is evaluated once at the center and once at each of the four
     central-difference neighbours.  Only the rank and kernel of each result
     are meaningful; the sphere chart at the center image fixes the row frame.
-    This is the independent reference for ``endpoint_velocity_rank``.
+    This is the independent reference for ``endpoint_ranks``.
     """
     a, b = float(params[0]), float(params[1])
     if a + h == a or b + h == b:
@@ -463,14 +435,3 @@ def gauss_map_jacobian(
             )
         )
     return jacobians[0], jacobians[1]
-
-
-def endpoint_velocity_rank(x1: JacobiData, x2: JacobiData, atol: float = 1e-6) -> tuple[int, int]:
-    """Ranks ``(forward, backward)`` of the linearized endpoint maps on the
-    span of two Jacobi tangents, each normalized by its energy; the scalar
-    form of ``endpoint_ranks``."""
-    _require_same_geodesic(x1, x2)
-    f, d = x1.geo.foot.v, x1.geo.dir.w
-    plus, minus = (normal_part(f, d, np.array([[x.j0.w + sgn * x.j0p.w] for x in (x1, x2)])) for sgn in (1, -1))
-    forward, backward = endpoint_ranks(f, d, *unit_tangents(plus, minus)[1:], atol)
-    return int(forward[0]), int(backward[0])

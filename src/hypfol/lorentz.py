@@ -3,9 +3,8 @@
 The ambient bilinear form is ``<x, y> = -x0*y0 + x1*y1 + x2*y2 + x3*y3``.
 Hyperbolic space is the upper hyperboloid sheet ``{<x, x> = -1, x0 > 0}``;
 the tangent space at ``p`` is the Minkowski-orthogonal complement of ``p``.
-Geodesics, distances, parallel transport and the ideal boundary all have
-closed forms in this model, so nothing downstream needs numerical
-integration.
+Geodesics, distances and the ideal boundary all have closed forms in this
+model, so nothing downstream needs numerical integration.
 
 Conventions fixed here and used everywhere else:
 
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BaseMismatchError, GeometryError
+from .errors import GeometryError
 
 #: Relative tolerance for constructor invariants (hyperboloid membership,
 #: tangency, nullity).  Checks are scaled by the squared Euclidean size of
@@ -144,8 +143,9 @@ class BoundaryPoint:
 ORIGIN = HPoint((1.0, 0.0, 0.0, 0.0))
 
 
-def same_point(p: HPoint, q: HPoint, tol: float = 1e-9) -> bool:
-    return bool(np.max(np.abs(p.v - q.v)) <= tol * max(1.0, float(np.max(np.abs(p.v)))))
+def same_point(p: HPoint, q: HPoint) -> bool:
+    """Whether two points coincide to ``1e-9`` relative to the first one's largest component."""
+    return bool(np.max(np.abs(p.v - q.v)) <= 1e-9 * max(1.0, float(np.max(np.abs(p.v)))))
 
 
 def same_ray(a: BoundaryPoint, b: BoundaryPoint) -> bool:
@@ -162,12 +162,6 @@ def project_to_hyperboloid(arr: np.ndarray) -> HPoint:
     if v[0] <= 0.0:
         raise GeometryError("vector is past pointing")
     return HPoint(v)
-
-
-def project_to_tangent(p: HPoint, arr: np.ndarray) -> HTangent:
-    """Minkowski-orthogonal projection of an ambient vector onto T_p."""
-    a = np.asarray(arr, dtype=float)
-    return HTangent(p, a + mink_inner(a, p.v) * p.v)
 
 
 def orthonormal_complement(rows) -> tuple[np.ndarray, ...]:
@@ -265,21 +259,6 @@ def cosh_sinhc(x):
     return ch, sc
 
 
-def log_map(p: HPoint, q: HPoint) -> HTangent:
-    """Inverse of exp_map; well defined everywhere (no cut locus).
-
-    Computed from the tangential projection of ``q`` at ``p``, whose norm is
-    ``sinh(dist)``.  Using arcsinh avoids the cancellation that arccosh of
-    the inner product suffers for nearby points.
-    """
-    u_raw = q.v + mink_inner(p.v, q.v) * p.v
-    s = np.sqrt(max(mink_inner(u_raw, u_raw), 0.0))
-    if s == 0.0:
-        return HTangent(p, np.zeros(4))
-    d = np.arcsinh(s)
-    return HTangent(p, (d / s) * u_raw)
-
-
 def dist(p: HPoint, q: HPoint) -> float:
     """Hyperbolic distance, ``cosh(dist) = -<p, q>``.
 
@@ -293,34 +272,6 @@ def dist(p: HPoint, q: HPoint) -> float:
     return float(np.arccosh(c))
 
 
-def transport_along(direction: HTangent, s: float, t: HTangent) -> HTangent:
-    """Parallel transport of ``t`` by arc length ``s`` along the geodesic
-    with unit initial velocity ``direction``.
-
-    Components orthogonal to the geodesic's 2-plane are untouched; the
-    component along the velocity follows the velocity.
-    """
-    _require_unit(direction, "transport direction")
-    if not same_point(direction.base, t.base):
-        raise BaseMismatchError("transported vector is not based at the geodesic start")
-    p = direction.base.v
-    d = direction.w
-    c = mink_inner(t.w, d)
-    new_point = _finish_point(np.cosh(s) * p + np.sinh(s) * d)
-    w = t.w + c * (np.sinh(s) * p + (np.cosh(s) - 1.0) * d)
-    return _finish_tangent(new_point, w)
-
-
-def transport_to(t: HTangent, target: HPoint) -> HTangent:
-    """Parallel transport along the unique geodesic joining ``t.base`` to ``target``."""
-    if same_point(t.base, target, tol=1e-15):
-        return _finish_tangent(target, t.w)
-    u = log_map(t.base, target)
-    r = u.norm
-    moved = transport_along(HTangent(t.base, u.w / r), r, t)
-    return _finish_tangent(target, moved.w)
-
-
 # ---------------------------------------------------------------------------
 # ideal boundary
 
@@ -329,12 +280,3 @@ def sphere_coords(b: BoundaryPoint) -> np.ndarray:
     """Chart of the ideal boundary on the unit 2-sphere: ``n ~ o + u``."""
     u = np.asarray(b.n[1:], dtype=float)
     return u / np.linalg.norm(u)
-
-
-def boundary_from_sphere(u) -> BoundaryPoint:
-    """Inverse of sphere_coords."""
-    u = np.asarray(u, dtype=float)
-    n = np.linalg.norm(u)
-    if n == 0.0:
-        raise GeometryError("direction must be nonzero")
-    return BoundaryPoint(np.concatenate(([1.0], u / n)))

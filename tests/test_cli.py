@@ -293,6 +293,38 @@ def test_bad_base_point(tmp_path):
     assert code == 2
 
 
+def _point_at(distance, direction=(1.0, 0.0, 0.0)):
+    """``--base-point`` arguments of the point at ``distance`` from the origin along ``direction``."""
+    u = np.asarray(direction) / np.linalg.norm(direction)
+    return [repr(math.cosh(distance)), *(repr(float(x)) for x in math.sinh(distance) * u)]
+
+
+@pytest.mark.parametrize(
+    "point", [_point_at(0.0), _point_at(2.0), _point_at(8.0), _point_at(8.0, (0.3, -0.5, 0.8)), _point_at(14.0)]
+)
+def test_exact_base_point_is_accepted(tmp_path, point):
+    argv = ["critical", "--family", "vertical", "--grid", "4x4", "--base-point", *point]
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 0
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        # <x, x> = -200, at distance 9.90 from the origin, which a rescaling would move to 7.25
+        ["1e4", "9999.99", "0", "0"],
+        # the point at distance 2 to 7 digits: <x, x> + 1 is off by 4e-6
+        ["3.762196", "3.626860", "0", "0"],
+        [f"{math.cosh(14.0):.10g}", f"{math.sinh(14.0):.10g}", "0", "0"],
+    ],
+)
+def test_base_point_off_the_hyperboloid_exits_2(tmp_path, capsys, point):
+    argv = ["critical", "--family", "vertical", "--grid", "4x4", "--base-point", *point]
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --base-point must satisfy -x0^2 + x1^2 + x2^2 + x3^2 = -1\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_family_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["classify", "--family", "helix", "--out", str(tmp_path / "x")])

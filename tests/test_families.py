@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import hypfol as hf
 from hypfol import families
-from util import cross, minner, perp_component, reference_scan_lambda_max
+from util import cross, perp_component, reference_scan_lambda_max, transport_to
 
 O = hf.ORIGIN
 SINH_2 = 3.626860407847019  # frozen from direct evaluation
@@ -41,7 +41,7 @@ def test_vertical_leaves_share_forward_endpoint():
 def test_vertical_field_is_geodesic():
     field, _ = hf.vertical_family()
     samples = hf.ball_samples(O, 1.0, 10, seed=2)
-    assert hf.check_geodesic_field(field, samples) < 1e-6
+    assert hf.field_checks(field, samples)[0] < 1e-6
 
 
 def test_vertical_chart_and_field_agree():
@@ -78,7 +78,7 @@ def test_plane_normal_classifies_semidefinite():
 def test_plane_normal_field_is_geodesic():
     field, _ = hf.plane_normal_family()
     samples = hf.ball_samples(O, 1.0, 10, seed=3)
-    assert hf.check_geodesic_field(field, samples) < 1e-6
+    assert hf.field_checks(field, samples)[0] < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +125,8 @@ def _frame_derivative(component, along, r, t, h=1e-5):
     else:
         plus, minus = hf.polar_frame(r, t + h), hf.polar_frame(r, t - h)
         den = 2.0 * h * math.sinh(r)  # unit-speed reparametrization
-    wp = hf.transport_to(getattr(plus, component), fr.point)
-    wm = hf.transport_to(getattr(minus, component), fr.point)
+    wp = transport_to(getattr(plus, component), fr.point)
+    wm = transport_to(getattr(minus, component), fr.point)
     return (wp.w - wm.w) / den, fr
 
 
@@ -153,7 +153,7 @@ def test_polar_frame_connection_identities():
 
 def test_spiral_direction_unit_and_orthogonal_to_radial(params):
     for r, t in ((1.2, 0.3), (2.0, 4.0), (2.9, 6.0)):
-        v = hf.spiral_direction(r, t, params)
+        v = hf.spiral_chart(params).map(r, t).dir
         fr = hf.polar_frame(r, t)
         assert v.norm_sq == pytest.approx(1.0, abs=1e-12)
         assert abs(hf.mink_inner(v.w, fr.radial.w)) < 1e-12
@@ -163,7 +163,7 @@ def test_spiral_direction_zero_tilt_is_angular(params):
     # tilt vanishes along t = r - alpha0/lam
     r = 2.0
     t = r - params.alpha0 / params.lam
-    v = hf.spiral_direction(r, t, params)
+    v = hf.spiral_chart(params).map(r, t).dir
     fr = hf.polar_frame(r, t)
     assert np.max(np.abs(v.w - fr.angular.w)) < 1e-12
 

@@ -13,11 +13,13 @@ from hypfol.lorentz import mink
 from util import (
     CROSS_FORM,
     KILLING_FORM,
+    classify_point,
     collapsed_chart,
     counting_chart,
     frame_coords,
     grid_params,
     minner,
+    project_to_tangent,
     rand_geodesic,
     rand_point,
     reference_covariant_differential,
@@ -92,16 +94,16 @@ def test_classify_point_on_families(vertical, plane_normal, spiral):
     _, chartv = vertical
     _, chartp = plane_normal
     _, charts = spiral
-    assert hf.classify_point(chartv, (0.3, -0.2)).verdict == "almost_semidefinite"
-    assert hf.classify_point(chartp, (0.3, -0.2)).verdict == "semidefinite"
-    assert hf.classify_point(charts, (2.0, 3.0)).verdict == "definite"
+    assert classify_point(chartv, (0.3, -0.2)).verdict == "almost_semidefinite"
+    assert classify_point(chartp, (0.3, -0.2)).verdict == "semidefinite"
+    assert classify_point(charts, (2.0, 3.0)).verdict == "definite"
 
 
 def test_classify_evaluates_chart_arrays_three_times(spiral):
     # the leaves, then one complex step per parameter, whatever the grid
     _, chart = spiral
     calls = []
-    assert hf.classify_point(counting_chart(chart, calls), (2.0, 3.0)).verdict == "definite"
+    assert classify_point(counting_chart(chart, calls), (2.0, 3.0)).verdict == "definite"
     assert calls == [1, 1, 1]
     for grid in ((2, 2), (7, 5)):
         calls.clear()
@@ -123,7 +125,7 @@ def test_classify_point_builds_no_frame(vertical, spiral, monkeypatch):
         monkeypatch.setattr(module, "orthonormal_complement", counted)
     cases = ((vertical, (0.3, 0.2), "almost_semidefinite"), (spiral, (2.0, 3.0), "definite"))
     for (_, chart), params, verdict in cases:
-        assert hf.classify_point(chart, params).verdict == verdict
+        assert classify_point(chart, params).verdict == verdict
     assert frames == []
 
 
@@ -157,7 +159,7 @@ def test_classify_point_matches_metrics_of_normalized_tangents(vertical, plane_n
     branches = set()
     for chart in (vertical[1], plane_normal[1], *spirals):
         for params in grid_params(chart, (4, 4)):
-            rec = hf.classify_point(chart, params)
+            rec = classify_point(chart, params)
             x1, x2 = (_scaled(x, 1.0 / _energy(x)) for x in _kernel_tangents(chart, params))
             want = [[hf.cross_metric(a, b) for b in (x1, x2)] for a in (x1, x2)]
             assert np.max(np.abs(np.array(rec.gram) - want)) <= 1e-12
@@ -296,7 +298,7 @@ def test_classify_large_pitch_contains_bad_samples():
 
 def test_classifier_flags_rank_deficient_plane(plane_normal):
     _, chart = plane_normal
-    rec = hf.classify_point(collapsed_chart(chart), (0.1, 0.1))
+    rec = classify_point(collapsed_chart(chart), (0.1, 0.1))
     assert rec.verdict is None
     assert "rank-deficient" in rec.note
 
@@ -310,7 +312,7 @@ def test_classifier_matches_margin_sign(spiral):
     for r in (1.0, 1.5, 2.0, 2.5, 3.0):
         for t in (0.0, 1.5, 3.0, 4.5, 6.0):
             margin = hf.definiteness_margin(r, t, params)
-            rec = hf.classify_point(chart, (r, t), tol=tol)
+            rec = classify_point(chart, (r, t), tol=tol)
             if margin > 1e-4:
                 assert rec.verdict == "definite", (r, t, margin)
             elif margin < -1e-4:
@@ -342,12 +344,12 @@ def test_field_chart_tangents_satisfy_derivative_identity(vertical, plane_normal
     a, b = np.array([0.25, 0.0, -0.7, 0.9]), np.array([-0.35, 0.4, 0.6, -0.8])
     for field, chart in (vertical, plane_normal):
         jets = hf.chart_jets(chart, a, b)
-        for k, foot in enumerate(jets.foot):
-            mat, frame = hf.covariant_differential(field, hf.HPoint(foot))
+        mats, frames, _ = hf.covariant_differentials(field, jets.foot)
+        for k, (mat, frame) in enumerate(zip(mats, frames)):
             for plus, minus in zip(jets.plus[:, k], jets.minus[:, k]):
                 j, jp = 0.5 * (plus + minus), 0.5 * (plus - minus)
-                want = mat @ np.array([minner(j, e.w) for e in frame])
-                got = np.array([minner(jp, e.w) for e in frame])
+                want = mat @ np.array([minner(j, e) for e in frame])
+                got = np.array([minner(jp, e) for e in frame])
                 assert np.max(np.abs(want - got)) < 1e-13
 
 
@@ -374,13 +376,13 @@ def _perturbed(field):
 def test_check_geodesic_field_families(vertical, plane_normal, rng):
     samples = hf.ball_samples(O, 0.8, 8, seed=5)
     for field, _ in (vertical, plane_normal):
-        assert hf.check_geodesic_field(field, samples) <= 1e-14
+        assert hf.field_checks(field, samples)[0] <= 1e-14
 
 
 def test_perturbed_field_fails_residual(vertical):
     bad = _perturbed(vertical[0])
     samples = hf.ball_samples(O, 0.8, 8, seed=5)
-    assert hf.check_geodesic_field(bad, samples) > 1e-2
+    assert hf.field_checks(bad, samples)[0] > 1e-2
 
 
 def test_covariant_differentials_match_transported_differences(vertical, plane_normal):
@@ -405,17 +407,18 @@ def test_field_checks_make_one_field_call_and_build_no_value_objects(vertical, m
 
     for cls in (hf.HPoint, hf.HTangent):
         monkeypatch.setattr(cls, "__post_init__", lambda self, name=cls.__name__: built.append(name))
-    residual = hf.check_geodesic_field(hf.UnitField(arrays=counted, center=O), samples)
-    assert residual <= 1e-14 and calls == [(15, 4)] and built == []
+    residual, checks = hf.field_checks(hf.UnitField(arrays=counted, center=O), samples)
+    assert residual <= 1e-14 and calls == [(15, 4)]
+    # the only value objects are the witnesses it returns
+    assert built == ["HTangent" for c in checks if c.witness is not None]
 
 
 def test_covariant_differential_vertical(vertical, rng):
     field, _ = vertical
     for _ in range(5):
         p = rand_point(rng, scale=0.7)
-        mat, frame = hf.covariant_differential(field, p)
-        v = field.func(p)
-        vc = np.array([minner(v.w, e.w) for e in frame])
+        (mat,), (frame,), (v,) = hf.covariant_differentials(field, p.v)
+        vc = np.array([minner(v, e) for e in frame])
         # on the orthogonal complement of the field the operator is minus the identity
         x = rng.standard_normal(3)
         x -= np.dot(x, vc) * vc
@@ -427,7 +430,7 @@ def test_covariant_differential_vertical(vertical, rng):
 
 def test_covariant_differential_plane_normal_on_plane(plane_normal):
     field, _ = plane_normal
-    mat, _ = hf.covariant_differential(field, O)
+    (mat,), _, _ = hf.covariant_differentials(field, O.v)
     # at the plane the whole operator vanishes: totally geodesic leaves
     assert np.max(np.abs(mat)) < 1e-6
 
@@ -435,12 +438,12 @@ def test_covariant_differential_plane_normal_on_plane(plane_normal):
 def test_eigencheck_families(vertical, plane_normal, rng):
     fieldv, _ = vertical
     p = rand_point(rng, scale=0.6)
-    resv = hf.nondegeneracy_eigencheck(fieldv, p)
+    (resv,) = hf.field_checks(fieldv, [p])[1]
     assert resv.degenerate
     assert resv.witness is not None
     assert resv.eigenvalue == pytest.approx(-1.0, abs=1e-12)
     fieldp, _ = plane_normal
-    resp = hf.nondegeneracy_eigencheck(fieldp, O)
+    (resp,) = hf.field_checks(fieldp, [O])[1]
     assert resp.degenerate
     assert resp.eigenvalue == pytest.approx(0.0, abs=1e-12)
 
@@ -489,8 +492,8 @@ def test_intersect_generic_disjoint(plane_normal):
 def test_intersect_at_point(rng):
     for _ in range(10):
         p = rand_point(rng, scale=1.0)
-        w1 = hf.project_to_tangent(p, rng.standard_normal(4)).normalized()
-        w2 = hf.project_to_tangent(p, rng.standard_normal(4)).normalized()
+        w1 = project_to_tangent(p, rng.standard_normal(4)).normalized()
+        w2 = project_to_tangent(p, rng.standard_normal(4)).normalized()
         if abs(hf.mink_inner(w1.w, w2.w)) > 0.99:
             continue
         res = hf.geodesics_intersect(hf.make_geodesic(p, w1), hf.make_geodesic(p, w2))
@@ -502,8 +505,8 @@ def test_intersect_far_crossing_is_ambiguous(rng):
     # crossing at distance ~12 from the base: the plane intersection is null
     # at tolerance and no endpoint is shared, so the outcome is undecidable
     far = hf.exp_map(hf.HTangent(O, (0.0, 12.0, 0.0, 0.0)))
-    w1 = hf.project_to_tangent(far, np.array([0.0, 0.0, 1.0, 0.2])).normalized()
-    w2 = hf.project_to_tangent(far, np.array([0.0, 0.0, 0.2, 1.0])).normalized()
+    w1 = project_to_tangent(far, np.array([0.0, 0.0, 1.0, 0.2])).normalized()
+    w2 = project_to_tangent(far, np.array([0.0, 0.0, 0.2, 1.0])).normalized()
     res = hf.geodesics_intersect(hf.make_geodesic(far, w1), hf.make_geodesic(far, w2))
     assert res.kind == "ambiguous"
 
@@ -764,13 +767,12 @@ def test_initial_value_rank_families(vertical, plane_normal):
     _, chartv = vertical
     _, chartp = plane_normal
     for chart in (chartv, chartp):
-        for params in ((0.0, 0.0), (0.4, -0.3)):
-            assert hf.initial_value_rank(chart, params) == 2
+        assert hf.chart_jets(chart, [0.0, 0.4], [0.0, -0.3]).initial_value_ranks().tolist() == [2, 2]
 
 
 def test_initial_value_rank_collapsed(plane_normal):
     _, chart = plane_normal
-    assert hf.initial_value_rank(collapsed_chart(chart), (0.2, 0.2)) < 2
+    assert hf.chart_jets(collapsed_chart(chart), [0.2], [0.2]).initial_value_ranks()[0] < 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 
 import hypfol as hf
 from hypfol.lorentz import cosh_sinhc
-from util import cross, minner, rand_point, rand_unit_tangent
+from util import (
+    boundary_from_sphere,
+    cross,
+    log_map,
+    minner,
+    project_to_tangent,
+    rand_point,
+    rand_unit_tangent,
+    transport_along,
+)
 
 O = hf.ORIGIN
 E1 = hf.HTangent(O, (0.0, 1.0, 0.0, 0.0))
@@ -65,9 +74,9 @@ def test_exp_dist_consistency(x, y, z):
 
 
 def test_log_map_trivials():
-    assert np.allclose(hf.log_map(O, O).w, 0.0)
+    assert np.allclose(log_map(O, O).w, 0.0)
     q = hf.HPoint((np.cosh(1.0), np.sinh(1.0), 0.0, 0.0))
-    w = hf.log_map(O, q)
+    w = log_map(O, q)
     assert np.allclose(w.w, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -78,7 +87,7 @@ def test_exp_log_round_trip(rng):
         w = rand_unit_tangent(rng, p)
         r = rng.uniform(0.0, 10.0)
         t = hf.HTangent(p, r * w.w)
-        back = hf.log_map(p, hf.exp_map(t))
+        back = log_map(p, hf.exp_map(t))
         worst = max(worst, float(np.max(np.abs(back.w - t.w))))
     assert worst < 1e-10
 
@@ -102,7 +111,7 @@ def test_dist_symmetric_and_separating(rng):
 
 def test_transport_moves_velocity_to_velocity():
     g = hf.make_geodesic(O, E1)
-    moved = hf.transport_along(g.dir, 0.7, g.dir)
+    moved = transport_along(g.dir, 0.7, g.dir)
     _, vel = g.eval(0.7)
     assert np.allclose(moved.w, vel.w, atol=1e-12)
 
@@ -113,7 +122,7 @@ def test_transport_is_isometry(rng):
     for _ in range(20):
         g = rand_geodesic(rng)
         t = rand_unit_tangent(rng, g.foot)
-        moved = hf.transport_along(g.dir, 1.3, t)
+        moved = transport_along(g.dir, 1.3, t)
         assert moved.norm_sq == pytest.approx(t.norm_sq, abs=1e-12)
 
 
@@ -125,9 +134,9 @@ def test_transport_round_trip(rng):
         g = rand_geodesic(rng, scale=0.3)
         s = rng.uniform(-3.0, 3.0)
         t = rand_unit_tangent(rng, g.foot)
-        moved = hf.transport_along(g.dir, s, t)
+        moved = transport_along(g.dir, s, t)
         pt, vel = g.eval(s)
-        back = hf.transport_along(vel, -s, moved)
+        back = transport_along(vel, -s, moved)
         worst = max(worst, float(np.max(np.abs(back.w - t.w))))
     assert worst < 1e-12
 
@@ -141,11 +150,11 @@ def test_transport_gram_preservation(rng):
         # orthonormal tangent triple at the foot
         triple = []
         for _k in range(3):
-            w = hf.project_to_tangent(g.foot, rng.standard_normal(4)).w
+            w = project_to_tangent(g.foot, rng.standard_normal(4)).w
             for f in triple:
                 w = w - minner(w, f.w) * f.w
             triple.append(hf.HTangent(g.foot, w).normalized())
-        moved = [hf.transport_along(g.dir, 2.1, t) for t in triple]
+        moved = [transport_along(g.dir, 2.1, t) for t in triple]
         for i in range(3):
             for j in range(3):
                 want = 1.0 if i == j else 0.0
@@ -156,9 +165,9 @@ def test_transport_gram_preservation(rng):
 def test_transport_base_mismatch():
     g = hf.make_geodesic(O, E1)
     p = hf.exp_map(hf.HTangent(O, (0.0, 0.0, 0.9, 0.0)))
-    t = hf.project_to_tangent(p, np.array([0.0, 0.0, 0.0, 1.0]))
+    t = project_to_tangent(p, np.array([0.0, 0.0, 0.0, 1.0]))
     with pytest.raises(hf.BaseMismatchError):
-        hf.transport_along(g.dir, 1.0, t)
+        transport_along(g.dir, 1.0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +183,8 @@ def test_cross_orientation_convention():
 def test_cross_antisymmetry_and_orthogonality(rng):
     for _ in range(30):
         p = rand_point(rng)
-        a = hf.project_to_tangent(p, rng.standard_normal(4))
-        b = hf.project_to_tangent(p, rng.standard_normal(4))
+        a = project_to_tangent(p, rng.standard_normal(4))
+        b = project_to_tangent(p, rng.standard_normal(4))
         c = cross(p, a, b)
         scale = max(1.0, float(np.max(np.abs(a.w))) ** 2)
         assert np.allclose(cross(p, a, a).w, 0.0, atol=1e-12 * scale)
@@ -222,7 +231,7 @@ def test_boundary_chart_convention():
     b = hf.BoundaryPoint((1.0, 1.0, 0.0, 0.0))
     assert np.allclose(hf.sphere_coords(b), [1.0, 0.0, 0.0])
     u = np.array([0.3, -0.4, 0.5])
-    back = hf.sphere_coords(hf.boundary_from_sphere(u))
+    back = hf.sphere_coords(boundary_from_sphere(u))
     assert np.allclose(back, u / np.linalg.norm(u), atol=1e-14)
 
 
@@ -241,7 +250,7 @@ def test_endpoint_antipodes_only_through_base(rng):
     assert np.allclose(fwd, -bwd, atol=1e-12)
     # ...but not in general
     p = hf.exp_map(hf.HTangent(O, (0.0, 1.0, 0.0, 0.0)))
-    g2 = hf.make_geodesic(p, hf.project_to_tangent(p, np.array([0.0, 0.0, 0.0, 1.0])).normalized())
+    g2 = hf.make_geodesic(p, project_to_tangent(p, np.array([0.0, 0.0, 0.0, 1.0])).normalized())
     fwd2 = hf.sphere_coords(hf.gauss_map(g2, 1))
     bwd2 = hf.sphere_coords(hf.gauss_map(g2, -1))
     assert not np.allclose(fwd2, -bwd2, atol=1e-6)

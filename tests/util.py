@@ -1,7 +1,9 @@
 """Shared random generators, independent numerical oracles (the oriented
 cross product, frame coordinates, the transported-difference covariant
-differential), reference CSV and report writers, the full-grid pitch scan
-and a chart-evaluation counter."""
+differential, the RK4 Jacobi integrator), scalar references (parallel
+transport, asymptote vectors, closed-form Jacobi evaluation, the
+Jacobi-variation chart, one-sample classification), reference CSV and
+report writers, the full-grid pitch scan and a chart-evaluation counter."""
 
 import csv
 import dataclasses
@@ -15,22 +17,28 @@ import hypfol as hf
 from hypfol import (
     FD_STEP,
     ORIGIN,
+    VERDICT_TOL,
     BaseMismatchError,
+    BoundaryPoint,
+    FoliationChart,
     GeometryError,
     HPoint,
     HTangent,
     JacobiData,
     OrientedGeodesic,
+    SampleRecord,
+    chart_jets,
     exp_map,
     make_geodesic,
     mink_inner,
     orthonormal_complement,
-    project_to_tangent,
+    same_geodesic,
     same_point,
-    transport_to,
 )
 from hypfol.families import LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, _margin, spiral_chart
-from hypfol.foliation import grid_axes
+from hypfol.foliation import _classify, grid_axes
+from hypfol.geodesics import asymptote_directions
+from hypfol.lorentz import _finish_point, _finish_tangent, _require_unit, mink
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -225,27 +233,34 @@ def jacobi_basis(g: OrientedGeodesic) -> list[JacobiData]:
     ]
 
 
-def rk4_jacobi(g: OrientedGeodesic, j0, j0p, s_end, n_steps=1500):
-    """Fourth-order integration of the Jacobi system in ambient coordinates.
+def rk4_jacobi(data: list[JacobiData], s_end, n_steps=1500) -> tuple[np.ndarray, np.ndarray]:
+    """Fourth-order integration of the Jacobi system in ambient coordinates,
+    all rows at once: ``J(s_end[k])`` and ``J'(s_end[k])`` of ``data[k]`` as
+    two ``(N, 4)`` arrays, row ``k`` taking ``n_steps`` steps of
+    ``s_end[k] / n_steps``.
 
     Independent of the closed-form evaluation: only the geodesic curve
     itself (cosh/sinh mixing of foot and direction) is shared knowledge.
     The ambient system embeds the covariant one via the hyperboloid's
     second fundamental form.
     """
-    f, d = g.foot.v, g.dir.w
+    f = np.array([x.geo.foot.v for x in data])
+    d = np.array([x.geo.dir.w for x in data])
+
+    def pair(a, b):  # ``minner`` row by row
+        return np.vecdot(a @ ETA, b)[:, None]
 
     def rhs(s, y):
-        J, A = y[:4], y[4:]
+        J, A = y[:, :4], y[:, 4:]
         gamma = np.cosh(s) * f + np.sinh(s) * d
         vel = np.sinh(s) * f + np.cosh(s) * d
-        jdot = A + minner(J, vel) * gamma
-        adot = (J - minner(J, vel) * vel) + minner(A, vel) * gamma
-        return np.concatenate([jdot, adot])
+        jdot = A + pair(J, vel) * gamma
+        adot = (J - pair(J, vel) * vel) + pair(A, vel) * gamma
+        return np.hstack([jdot, adot])
 
-    y = np.concatenate([np.asarray(j0, float), np.asarray(j0p, float)])
-    s = 0.0
-    h = s_end / n_steps
+    y = np.array([np.concatenate([x.j0.w, x.j0p.w]) for x in data])
+    s = np.zeros((len(data), 1))
+    h = np.asarray(s_end, dtype=float).reshape(-1, 1) / n_steps
     for _ in range(n_steps):
         k1 = rhs(s, y)
         k2 = rhs(s + h / 2, y + h / 2 * k1)
@@ -253,7 +268,130 @@ def rk4_jacobi(g: OrientedGeodesic, j0, j0p, s_end, n_steps=1500):
         k4 = rhs(s + h, y + h * k3)
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         s += h
-    return y[:4], y[4:]
+    return y[:, :4], y[:, 4:]
+
+
+# ---------------------------------------------------------------------------
+# scalar references: tangent projection, log map, parallel transport, the
+# ideal boundary chart, one asymptote vector, closed-form Jacobi evaluation,
+# the Jacobi-variation chart and one-sample classification
+
+
+def project_to_tangent(p: HPoint, arr: np.ndarray) -> HTangent:
+    """Minkowski-orthogonal projection of an ambient vector onto T_p."""
+    a = np.asarray(arr, dtype=float)
+    return HTangent(p, a + mink_inner(a, p.v) * p.v)
+
+
+def log_map(p: HPoint, q: HPoint) -> HTangent:
+    """Inverse of exp_map; well defined everywhere (no cut locus).
+
+    Computed from the tangential projection of ``q`` at ``p``, whose norm is
+    ``sinh(dist)``.  Using arcsinh avoids the cancellation that arccosh of
+    the inner product suffers for nearby points.
+    """
+    u_raw = q.v + mink_inner(p.v, q.v) * p.v
+    s = np.sqrt(max(mink_inner(u_raw, u_raw), 0.0))
+    if s == 0.0:
+        return HTangent(p, np.zeros(4))
+    d = np.arcsinh(s)
+    return HTangent(p, (d / s) * u_raw)
+
+
+def transport_along(direction: HTangent, s: float, t: HTangent) -> HTangent:
+    """Parallel transport of ``t`` by arc length ``s`` along the geodesic
+    with unit initial velocity ``direction``.
+
+    Components orthogonal to the geodesic's 2-plane are untouched; the
+    component along the velocity follows the velocity.
+    """
+    _require_unit(direction, "transport direction")
+    if not same_point(direction.base, t.base):
+        raise BaseMismatchError("transported vector is not based at the geodesic start")
+    p = direction.base.v
+    d = direction.w
+    c = mink_inner(t.w, d)
+    new_point = _finish_point(np.cosh(s) * p + np.sinh(s) * d)
+    w = t.w + c * (np.sinh(s) * p + (np.cosh(s) - 1.0) * d)
+    return _finish_tangent(new_point, w)
+
+
+def transport_to(t: HTangent, target: HPoint) -> HTangent:
+    """Parallel transport along the unique geodesic joining ``t.base`` to ``target``."""
+    if np.max(np.abs(t.base.v - target.v)) <= 1e-15 * max(1.0, float(np.max(np.abs(t.base.v)))):
+        return _finish_tangent(target, t.w)
+    u = log_map(t.base, target)
+    r = u.norm
+    moved = transport_along(HTangent(t.base, u.w / r), r, t)
+    return _finish_tangent(target, moved.w)
+
+
+def boundary_from_sphere(u) -> BoundaryPoint:
+    """Inverse of sphere_coords."""
+    u = np.asarray(u, dtype=float)
+    n = np.linalg.norm(u)
+    if n == 0.0:
+        raise GeometryError("direction must be nonzero")
+    return BoundaryPoint(np.concatenate(([1.0], u / n)))
+
+
+def asymptote(p: HPoint, b: BoundaryPoint) -> HTangent:
+    """The unit vector at ``p`` whose geodesic runs into ``b``: one value of
+    ``asymptote_directions``, which the vertical field evaluates."""
+    return HTangent(p, asymptote_directions(p.v, b.n))
+
+
+def jacobi_eval(jd: JacobiData, s: float) -> tuple[HTangent, HTangent]:
+    """Value and covariant derivative of the Jacobi field at arc length ``s``.
+
+    The orthogonal part solves ``J'' = J`` and its ambient components are
+    parallel along the axis, so it evolves by cosh/sinh mixing; a tangential
+    part evolves as ``(a + b s)`` times the velocity.
+    """
+    g = jd.geo
+    d = g.dir.w
+    a = mink_inner(jd.j0.w, d)
+    b = mink_inner(jd.j0p.w, d)
+    j0_perp = jd.j0.w - a * d
+    j0p_perp = jd.j0p.w - b * d
+    pt, vel = g.eval(s)
+    ch, sh = np.cosh(s), np.sinh(s)
+    jw = ch * j0_perp + sh * j0p_perp + (a + b * s) * vel.w
+    jpw = sh * j0_perp + ch * j0p_perp + b * vel.w
+    return project_to_tangent(pt, jw), project_to_tangent(pt, jpw)
+
+
+def jacobi_variation_chart(x1: JacobiData, x2: JacobiData) -> FoliationChart:
+    """A chart on ``[-0.25, 0.25]^2`` through one geodesic whose axis
+    tangents are the given Jacobi data.
+
+    The foot moves to ``foot + a J1 + b J2`` and the direction tilts to
+    ``dir + a J1' + b J2'``, each put back on the hyperboloid and its unit
+    tangent sphere; exact to first order at the center, which is all
+    derivatives there need.
+    """
+    if not same_geodesic(x1.geo, x2.geo):
+        raise GeometryError("both Jacobi tangents must live on the same geodesic")
+    foot, dir_w = x1.geo.foot.v, x1.geo.dir.w
+
+    def arrays(a, b):
+        a, b = a[:, None], b[:, None]
+        p = foot + a * x1.j0.w + b * x2.j0.w
+        p = p / np.sqrt(-mink(p, p))[:, None]
+        w = dir_w + a * x1.j0p.w + b * x2.j0p.w
+        w = w + mink(w, p)[:, None] * p
+        return p, w / np.sqrt(mink(w, w))[:, None]
+
+    return FoliationChart(arrays=arrays, domain=((-0.25, 0.25), (-0.25, 0.25)), name="jacobi-variation")
+
+
+def classify_point(
+    chart: FoliationChart,
+    params: tuple[float, float],
+    tol: float = VERDICT_TOL,
+) -> SampleRecord:
+    """Classify one chart sample; rank-deficient tangents are reported, not classified."""
+    return _classify(chart_jets(chart, [params[0]], [params[1]]), tol, chart.name, (1, 1)).sample(0)
 
 
 # ---------------------------------------------------------------------------
