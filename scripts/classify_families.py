@@ -7,8 +7,24 @@ and the critical points of the squared distance from the base point.
 """
 
 import argparse
+import math
+
+import numpy as np
 
 import hypfol as hf
+
+
+def initial_value_rank(chart: hf.FoliationChart, params) -> int:
+    """Rank of the map from the unit-energy chart tangents at one sample to
+    their values ``J(0)``, from the finite-difference tangents.
+
+    Full rank (2) means the chart reaches every direction orthogonal to the
+    leaf at its foot: the surjectivity needed for the leaves to sweep out an
+    open region.
+    """
+    tangents = hf.chart_tangent(chart, params)
+    energies = [math.sqrt(hf.mink_inner(x.j0.w, x.j0.w) + hf.mink_inner(x.j0p.w, x.j0p.w)) for x in tangents]
+    return hf.svd_rank(np.column_stack([x.j0.w / e for x, e in zip(tangents, energies)]))
 
 
 def diagnose(name: str, field: hf.UnitField, chart: hf.FoliationChart, grid):
@@ -17,10 +33,10 @@ def diagnose(name: str, field: hf.UnitField, chart: hf.FoliationChart, grid):
     print(f"  aggregate verdict: {rep.aggregate}")
     residual, checks = hf.field_checks(field, hf.ball_samples(hf.ORIGIN, 0.8, 8, seed=0))
     print(f"  geodesic-field residual: {residual:.2e}")
-    jets = hf.chart_jets(chart, *hf.grid_arrays(chart, (6, 6)))
-    ranks_f, ranks_b = (sorted(set(r.tolist())) for r in jets.endpoint_ranks())
+    a, b = hf.grid_arrays(chart, (6, 6))
+    ranks_f, ranks_b = (sorted(set(r.tolist())) for r in hf.chart_jets(chart, a, b).endpoint_ranks())
     print(f"  endpoint-map ranks: forward {ranks_f}, backward {ranks_b}")
-    print(f"  initial-value ranks: {sorted(set(jets.initial_value_ranks().tolist()))}")
+    print(f"  initial-value ranks: {sorted({initial_value_rank(chart, params) for params in zip(a, b)})}")
     print(f"  eigenvector degeneracy: {checks[0].degenerate} (eigenvalue {checks[0].eigenvalue})")
     minima, _ = hf.critical_point_scan(chart, grid=(15, 15))
     print(f"  squared-distance minima: {[(round(m.a, 4), round(m.b, 4), m.value) for m in minima]}")

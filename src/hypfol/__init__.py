@@ -1,10 +1,10 @@
 """Geometry of the space of oriented geodesics of hyperbolic 3-space.
 
-Core objects: the hyperboloid model (``lorentz``), oriented geodesics, the
-two neutral metrics and the endpoint maps, on arrays of leaves with Jacobi
-data in endpoint form (``geodesics``), the chart kernel and the classifiers
-for candidate geodesic foliations (``foliation``), and the closed-form
-study families (``families``).  A reporting CLI lives in ``cli``.
+Core objects: the hyperboloid model (``lorentz``), oriented geodesics and
+their endpoint maps (``geodesics``), the chart kernel, which reads both
+neutral metrics from the sphere endpoints of the leaves, and the
+classifiers for candidate geodesic foliations (``foliation``), and the
+closed-form study families (``families``).  A reporting CLI lives in ``cli``.
 """
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ from .geodesics import (
     gauss_map,
     gauss_map_jacobian,
     geodesic_dist_sq,
-    killing_metric,
     make_geodesic,
     same_geodesic,
     svd_rank,
@@ -56,7 +55,6 @@ from .foliation import (
     EigenCheck,
     FoliationChart,
     IntersectionResult,
-    SampleRecord,
     UnitField,
     ball_samples,
     chart_jets,
@@ -76,7 +74,6 @@ from .families import (
     PolarFrame,
     SpiralParams,
     VERTICAL_END,
-    cross_form_matrix,
     definiteness_margin,
     plane_normal_family,
     polar_frame,

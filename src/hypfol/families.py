@@ -189,23 +189,6 @@ def _margin(sinh_2r, t_minus_r, alpha0: float, lam: float, out: np.ndarray) -> n
     return out
 
 
-def cross_form_matrix(r: float, t: float, params: SpiralParams) -> np.ndarray:
-    """Closed form of the cross metric on the raw chart tangents.
-
-    In the parameter coordinates ``(x, y)`` the square norm is
-    ``lam x^2 - lam x y + (sinh 2r sin 2 tilt) y^2 / 4``; its determinant
-    is ``lam / 4`` times the definiteness margin.
-    """
-    lam = params.lam
-    alpha = params.tilt(r, t)
-    return np.array(
-        [
-            [lam, -0.5 * lam],
-            [-0.5 * lam, 0.25 * math.sinh(2.0 * r) * math.sin(2.0 * alpha)],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class LambdaScan:
     """Result of scanning for the largest pitch with positive margin on a grid."""

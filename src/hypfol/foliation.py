@@ -5,14 +5,15 @@ geodesics or as a unit vector field on a region of hyperbolic space.  A
 chart is an array map ``(a, b) -> (foot, dir)`` that accepts complex
 parameters.  One kernel, ``chart_jets``, evaluates it three times per grid
 (the values, then complex steps in ``a`` and in ``b``), validates the
-leaves, and keeps both axis tangents as Jacobi data in endpoint form
-``J +- J'``: the parts of the derivatives of ``foot +- dir`` normal to the
-leaf, exact to roundoff.  Every per-sample quantity is read from these
-arrays without a frame: the energies and the rank check from Minkowski
-pairings, the 2x2 Gram matrix of the cross metric from determinants
-``det[foot, dir, u, v]``, the Killing values on its null directions from
-pairings, and the endpoint images and ranks.  Each sample is classified
-as
+leaves, and reads both axis tangents at the leaves' sphere endpoints, the
+rays of ``foot +- dir``: stereographic coordinates ``z+-`` and their
+derivatives ``dz+-``, exact to roundoff.  Both neutral metrics are parts of
+one complex form ``Q = dz+ dz- / (z+ - z-)^2`` (cross ``2 Im Q``, Killing
+``-4 Re Q``), and the energy ``|J|^2 + |J'|^2`` is that of the endpoint
+variations in the visual metric from the foot.  Every per-sample quantity
+is read from these 2x2 forms and variations: the Gram matrix of the cross
+metric, the rank check, the Killing values on its null directions and the
+endpoint ranks.  Each sample is classified as
 
 * ``definite``            - the cross metric restricts to a definite form;
 * ``semidefinite``        - its null directions all have positive Killing
@@ -37,7 +38,9 @@ keeps central-difference chart tangents as an independent check of the
 kernel.
 
 All verdicts are decided at an explicit tolerance on quadratic-form values
-normalized by the energy of the Jacobi data, recorded in every report.
+normalized by the energy of the Jacobi data, recorded in every report.  At
+distance ``D`` from the base point the normalized forms are accurate to
+about ``eps e^D``.
 """
 
 from __future__ import annotations
@@ -53,14 +56,9 @@ from .geodesics import (
     JacobiData,
     OrientedGeodesic,
     check_leaves,
-    cross_pairing,
-    endpoint_ranks,
     gauss_map,
     leaf_dist,
-    normal_part,
-    plane_det,
     rank_2x2,
-    unit_tangents,
 )
 from .lorentz import (
     ORIGIN,
@@ -141,31 +139,15 @@ class UnitField:
     and elementary functions; no ``abs``, comparisons or casts to float),
     since covariant differentials are complex-step derivatives of it; under
     pytest a ``ComplexWarning`` (a complex value cast to float) is an error.
-    ``func(p)`` is the value at one point as a validated ``HTangent``.
     """
 
     arrays: Callable[[np.ndarray], np.ndarray]
     center: HPoint
     name: str = ""
 
-    def func(self, p: HPoint) -> HTangent:
-        return HTangent(p, self.arrays(p.v[None])[0])
-
 
 #: the note of a sample whose two tangents do not span a plane
 RANK_DEFICIENT = "rank-deficient tangent plane"
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One classified sample: parameters, Gram matrix of the cross metric on
-    normalized tangents, Killing values on its null directions."""
-
-    params: tuple[float, float]
-    gram: tuple[tuple[float, float], tuple[float, float]] | None
-    k_values: tuple[float, ...]
-    verdict: str | None
-    note: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,15 +179,6 @@ class ClassificationReport:
     def rank_deficient(self) -> np.ndarray:
         return self.verdict_code < 0
 
-    def sample(self, k: int) -> SampleRecord:
-        """Sample ``k`` as a record."""
-        params = tuple(self.params[k].tolist())
-        code = int(self.verdict_code[k])
-        if code < 0:
-            return SampleRecord(params, None, (), None, note=RANK_DEFICIENT)
-        kv = self.k_values[k, : self.k_count[k]].tolist()
-        return SampleRecord(params, tuple(map(tuple, self.gram[k].tolist())), tuple(kv), VERDICTS[code])
-
 
 # ---------------------------------------------------------------------------
 # the chart kernel
@@ -218,73 +191,98 @@ def _evaluate(chart: FoliationChart, a, b) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(foot), np.asarray(direction)
 
 
+#: the candidate projection poles: the 6 axis points and the 8 cube diagonals
+#: of the unit sphere, in tie-break order
+_POLES = np.vstack(
+    (np.eye(3), -np.eye(3), np.array([(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]) / math.sqrt(3.0))
+)
+#: per pole in turn, the vectors ``(e1, e2, pole)`` of a positively oriented
+#: orthonormal frame of R^3 (``(o, (0, pole), (0, e1), (0, e2))`` is), as the
+#: columns of one ``(3, 42)`` matrix
+_POLE_FRAMES = np.array(
+    [[*(t[1:] for t in orthonormal_complement((ORIGIN.v, np.concatenate(([0.0], p))))), p] for p in _POLES]
+).reshape(-1, 3).T
+
+
 @dataclass(frozen=True, eq=False)
 class ChartJets:
-    """Validated leaves of a chart at ``N`` parameter pairs, with both axis
-    tangents as Jacobi data in endpoint form.
+    """Validated leaves of a chart at ``N`` parameter pairs, with the forms
+    of both axis tangents read from the leaves' sphere endpoints.
 
-    ``params`` is ``(N, 2)``; ``foot`` and ``dir`` are ``(N, 4)``; ``plus``
-    and ``minus`` are ``(2, N, 4)``, the variations ``J + J'`` and ``J - J'``
-    of the forward and backward endpoints along ``a`` (row 0) and ``b``
-    (row 1): the parts of the derivatives of ``foot +- dir`` normal to the
-    leaf.  ``energy`` ``(2, N)`` is ``sqrt(|J|^2 + |J'|^2)``, and
-    ``unit_plus``, ``unit_minus`` are the data scaled to unit energy.
+    ``params`` is ``(N, 2)``; ``foot`` and ``dir`` are ``(N, 4)``.
+    ``cross``, ``killing`` and ``energy`` are the ``(N, 2, 2)`` Gram matrices
+    of the cross metric, the Killing metric and the energy ``|J|^2 + |J'|^2``
+    on the raw tangents along ``a`` and ``b``.  ``ends`` ``(2, 2, N)`` holds
+    the variations of the forward (row 0) and backward (row 1) endpoints
+    along ``a`` and ``b``, as complex numbers in an orthonormal frame of the
+    sphere's visual metric from the foot: their lengths are those of
+    ``J + J'`` and ``J - J'``.
     """
 
     params: np.ndarray
     foot: np.ndarray
     dir: np.ndarray
-    plus: np.ndarray
-    minus: np.ndarray
+    cross: np.ndarray
+    killing: np.ndarray
     energy: np.ndarray
-    unit_plus: np.ndarray
-    unit_minus: np.ndarray
+    ends: np.ndarray
 
-    def gram(self, unit: bool = True) -> np.ndarray:
-        """``(N, 2, 2)`` Gram matrices of the cross metric on the unit-energy
-        (or, with ``unit=False``, the raw) axis tangents."""
-        p, m = (self.unit_plus, self.unit_minus) if unit else (self.plus, self.minus)
-        f, d = self.foot, self.dir
-        g01 = cross_pairing(f, d, p[0], m[0], p[1], m[1])
-        g00 = cross_pairing(f, d, p[0], m[0], p[0], m[0])
-        g11 = cross_pairing(f, d, p[1], m[1], p[1], m[1])
-        return np.stack((np.stack((g00, g01), -1), np.stack((g01, g11), -1)), -2)
+    def _scale(self) -> np.ndarray:
+        """``(N, 2)`` reciprocal energies ``1 / sqrt(|J|^2 + |J'|^2)`` of the
+        tangents; 0 for a zero tangent."""
+        e = np.sqrt(np.diagonal(self.energy, axis1=1, axis2=2))
+        return np.divide(1.0, e, out=np.zeros_like(e), where=e > 0.0)
+
+    def unit(self, form: np.ndarray) -> np.ndarray:
+        """A stack of ``(N, 2, 2)`` Gram matrices on the tangents scaled to
+        unit energy (a zero tangent stays zero)."""
+        s = self._scale()
+        return form * s[:, :, None] * s[:, None, :]
 
     def full_rank(self) -> np.ndarray:
         """Whether the two tangents span a plane: both energies above
         ``1e-12`` of the larger (or of 1), and the smaller singular value of
-        the pair of unit-energy tangents above ``1e-7`` of the larger.  For
-        unit vectors the squared singular values are ``|x0 -+ x1|^2 / 2``."""
-        e = self.energy
-        p, m = self.unit_plus, self.unit_minus
-        minus, plus = (
-            mink(p[0] - sgn * p[1], p[0] - sgn * p[1]) + mink(m[0] - sgn * m[1], m[0] - sgn * m[1]) for sgn in (1, -1)
-        )
-        return (e.min(axis=0) > 1e-12 * np.maximum(e.max(axis=0), 1.0)) & (
+        the pair of unit-energy tangents above ``1e-7`` of the larger.  Their
+        squared singular values are the energies of ``x0 -+ x1``, over 2."""
+        e = np.sqrt(np.diagonal(self.energy, axis1=1, axis2=2))
+        m = self.unit(self.energy)
+        minus, plus = (m[:, 0, 0] + m[:, 1, 1] - sgn * 2.0 * m[:, 0, 1] for sgn in (1, -1))
+        return (e.min(axis=1) > 1e-12 * np.maximum(e.max(axis=1), 1.0)) & (
             np.minimum(minus, plus) > 1e-14 * np.maximum(minus, plus)
         )
 
     def endpoint_ranks(self, atol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-        """Ranks ``(forward, backward)`` of the endpoint maps."""
-        return endpoint_ranks(self.foot, self.dir, self.unit_plus, self.unit_minus, atol)
-
-    def initial_value_ranks(self) -> np.ndarray:
-        """Ranks of the map from the unit-energy tangents to their values ``J(0)``.
-
-        Full rank (2) means the chart reaches every direction orthogonal to
-        the leaf at its foot: the surjectivity needed for the leaves to sweep
-        out an open region.
-        """
-        j = 0.5 * (self.unit_plus + self.unit_minus)
-        return rank_2x2(plane_det(self.foot, self.dir, j[0], j[1]), mink(j[0], j[0]) + mink(j[1], j[1]))
+        """Ranks ``(forward, backward)`` of the endpoint maps on the span of
+        the unit-energy tangents: each is a 2x2 matrix with columns the
+        endpoint variations, read by ``rank_2x2``."""
+        w = self.ends * self._scale().T
+        w0, w1 = w[:, 0], w[:, 1]
+        det, frob_sq = np.imag(np.conj(w0) * w1), np.abs(w0) ** 2 + np.abs(w1) ** 2
+        return tuple(rank_2x2(det, frob_sq, atol))
 
 
 def chart_jets(chart: FoliationChart, a, b) -> ChartJets:
     """Evaluate the chart at parameter arrays ``a``, ``b`` with three array
     calls: the leaves, then complex steps of ``CS_STEP`` in ``a`` and in ``b``.
 
+    Both neutral forms are parts of one complex form on pairs of sphere
+    points: with ``z+`` and ``z-`` stereographic coordinates of a leaf's
+    endpoints and ``dz+-`` their derivatives along the tangents ``x`` and
+    ``y``, ``Q(x, y) = (dz+(x) dz-(y) + dz+(y) dz-(x)) / (2 (z+ - z-)^2)``
+    gives cross ``= 2 Im Q`` and Killing ``= -4 Re Q``.  ``Q`` does not
+    change under rotations, so each row projects from the pole of
+    ``_POLES`` farthest from both its endpoints (the first on ties), in that
+    pole's frame ``(e1, e2, p)``.  The endpoints are the rays of the null
+    vectors ``n = foot +- dir``; with ``x = n.e1``, ``y = n.e2`` and ``w =
+    n0 - n.p`` on their spatial parts, ``z = (x + iy) / w`` and ``dz = (dx +
+    i dy - z dw) / w``, where ``dx``, ``dy``, ``dw`` are complex-step
+    derivatives of the real projections.  In the visual metric from the
+    foot the endpoint variations are ``W = 2 n0 dz / (1 + |z|^2)``, of the
+    lengths of ``J + J'`` and ``J - J'``, and the energy is ``(|W+|^2 +
+    |W-|^2) / 2``.
+
     Raises ``NumericalError`` when a leaf fails the value objects' checks or
-    a tangent is not finite.
+    a form is not finite.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -293,15 +291,31 @@ def chart_jets(chart: FoliationChart, a, b) -> ChartJets:
     check_leaves(foot, direction, (a, b))
     steps = [_evaluate(chart, a + 1j * CS_STEP, b), _evaluate(chart, a, b + 1j * CS_STEP)]
     with np.errstate(all="ignore"):
-        df = np.stack([np.imag(f) / CS_STEP for f, _ in steps])
-        dd = np.stack([np.imag(d) / CS_STEP for _, d in steps])
-        plus, minus = normal_part(foot, direction, df + dd), normal_part(foot, direction, df - dd)
-        energy, unit_plus, unit_minus = unit_tangents(plus, minus)
-    finite = np.isfinite(energy).all(axis=0) & np.isfinite(unit_plus - unit_minus).all(axis=(0, 2))
+        # (value, derivative along a, derivative along b) of the foot and of
+        # the direction, then per side, forward then backward, of foot +- dir
+        f = np.stack((foot, *(np.imag(v) / CS_STEP for v, _ in steps)))
+        d = np.stack((direction, *(np.imag(v) / CS_STEP for _, v in steps)))
+        jet = np.stack((f + d, f - d))
+        n = jet[:, 0]
+        # the spatial parts in every pole's frame, of which each row reads
+        # those of its own pole
+        proj = (jet[..., 1:] @ _POLE_FRAMES).reshape(*jet.shape[:-1], -1, 3)
+        pole = np.argmin(np.max(proj[:, 0, :, :, 2] / n[..., :1], axis=0), axis=1)
+        x, y, p = np.moveaxis(proj[:, :, np.arange(len(pole)), pole], -1, 0)
+        xy, w = x + 1j * y, jet[..., 0] - p
+        z = xy[:, 0] / w[:, 0]
+        dz = (xy[:, 1:] - z[:, None] * w[:, 1:]) / w[:, None, 0]
+        # 2 Q on the axis tangents
+        prod = dz[0, :, None] * dz[1, None, :]
+        q2 = (prod + prod.transpose(1, 0, 2)) / (z[0] - z[1]) ** 2
+        ends = dz * (2.0 * n[..., 0] / (1.0 + (z * np.conj(z)).real))[:, None]
+        energy = 0.5 * (np.conj(ends[:, :, None]) * ends[:, None]).real.sum(axis=0)
+        forms = np.moveaxis(np.stack((q2.imag, -2.0 * q2.real, energy)), -1, 1)
+    finite = np.isfinite(forms).all(axis=(0, 2, 3))
     if not finite.all():
         k = int(np.argmin(finite))
         raise NumericalError(f"chart tangents at {tuple(params[k].tolist())} are not finite")
-    return ChartJets(params, foot, direction, plus, minus, energy, unit_plus, unit_minus)
+    return ChartJets(params, foot, direction, *forms, ends)
 
 
 def grid_axes(chart: FoliationChart, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -330,9 +344,10 @@ def chart_tangent(
 
     Each central difference of the foot and of the direction is projected
     to the tangent space at the foot and stripped of its ``dir`` component
-    in one step.  Different presentations of the same chart change the raw
-    variation field only by that tangential part ``(a + b s) dir``, so the
-    result is the class of the variation, whatever the presentation.
+    in one step: its part normal to the leaf's plane.  Different
+    presentations of the same chart change the raw variation field only by
+    that tangential part ``(a + b s) dir``, so the result is the class of
+    the variation, whatever the presentation.
     """
     a, b = float(params[0]), float(params[1])
     if a + h == a or b + h == b:
@@ -342,8 +357,8 @@ def chart_tangent(
     fields = []
     for plus, minus in (((a + h, b), (a - h, b)), ((a, b + h), (a, b - h))):
         g_plus, g_minus = chart.map(*plus), chart.map(*minus)
-        j0 = normal_part(f, d, (g_plus.foot.v - g_minus.foot.v) / (2.0 * h))
-        j0p = normal_part(f, d, (g_plus.dir.w - g_minus.dir.w) / (2.0 * h))
+        u = np.array((g_plus.foot.v - g_minus.foot.v, g_plus.dir.w - g_minus.dir.w)) / (2.0 * h)
+        j0, j0p = u + mink(u, f)[:, None] * f - mink(u, d)[:, None] * d
         fields.append(JacobiData(g0, HTangent(g0.foot, j0), HTangent(g0.foot, j0p)))
     return fields[0], fields[1]
 
@@ -385,17 +400,15 @@ def _classify(jets: ChartJets, tol: float, name: str, grid: tuple[int, int]) -> 
     not classified, and excluded from the aggregate, which is "degenerate"
     if nothing could be classified.
 
-    The Killing value on a null direction ``(x, y)`` is the Killing square
-    norm over the energy of ``Y = x X0 + y X1``, ``X`` the unit-energy axis
-    tangents: ``<Y+, Y-> / ((|Y+|^2 + |Y-|^2) / 2)`` in endpoint form.
+    The Killing value on a null direction ``d`` is the Killing square norm
+    over the energy of the combination ``d`` of the unit-energy axis
+    tangents, ``d^T K d / d^T M d``.
     """
     ok = jets.full_rank()
-    gram = jets.gram()
+    gram, killing, energy = (jets.unit(f) for f in (jets.cross, jets.killing, jets.energy))
     dirs, count = _null_directions(gram[ok], tol)
-    p, m = jets.unit_plus[:, ok, None], jets.unit_minus[:, ok, None]
-    yp = dirs[..., :1] * p[0] + dirs[..., 1:] * p[1]
-    ym = dirs[..., :1] * m[0] + dirs[..., 1:] * m[1]
-    energy = 0.5 * (mink(yp, yp) + mink(ym, ym))
+    # the Killing and energy square norms of the null directions
+    killing, energy = (np.einsum("nki,nij,nkj->nk", dirs, f[ok], dirs) for f in (killing, energy))
     unused = np.arange(8) >= count[:, None]
     # a full-rank pair gives every direction energy at least sv_min^2 > 0;
     # roundoff far from the base point can cancel it away
@@ -403,7 +416,7 @@ def _classify(jets: ChartJets, tol: float, name: str, grid: tuple[int, int]) -> 
     if not resolved.all():
         k = int(np.flatnonzero(ok)[np.argmin(resolved.all(axis=1))])
         raise NumericalError(f"null direction without energy at {tuple(jets.params[k].tolist())}: tangents unresolved")
-    kv = np.where(unused, np.nan, mink(yp, ym) / np.where(unused, 1.0, energy))
+    kv = np.where(unused, np.nan, killing / np.where(unused, 1.0, energy))
     semi = np.all((kv > tol) | unused, axis=1)
     almost = np.all((kv >= -tol) | unused, axis=1)
     n = len(ok)

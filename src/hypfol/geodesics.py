@@ -7,24 +7,17 @@ Tangent vectors to the space of geodesics are encoded as Jacobi data
 ``(J(0), J'(0))`` along the underlying geodesic; in curvature -1 the
 orthogonal Jacobi equation is ``J'' = J``, so evaluation is closed form.
 
-Two pieces of structure computed here carry the whole package:
-
-* the pair of neutral metrics on the geodesic space, ``cross_metric``
-  (built from the oriented cross product) and ``killing_metric``
-  (difference of squared norms), both constant along the geodesic;
-* the forward/backward endpoint maps to the ideal boundary
-  (``gauss_map``), with differentials ``J(0) +- J'(0)``.
-
-Both are computed without a frame, on arrays of leaves ``(foot, dir)`` and
-ambient Jacobi data in endpoint form ``J +- J'`` (the differentials of the
-two endpoint maps): the cross metric from determinants
-``det[foot, dir, u, v]`` (``plane_det``), the Killing metric and the
-energies from Minkowski pairings, the endpoint ranks from a determinant and
-a Frobenius norm (``rank_2x2``).  ``cross_metric``, ``killing_metric`` and
-``dist_to_geodesic`` are validated scalar forms of these array functions.
-``gauss_map_jacobian`` keeps the finite-difference endpoint Jacobians as an
-independent check of ``endpoint_ranks``, in the sphere frame that
-``lorentz.orthonormal_complement`` gives for ``(o, (0, n))``.
+Here live the leaves and their endpoints; the neutral metrics themselves
+are read by the chart kernel (``foliation.chart_jets``) from the sphere
+endpoints.  On arrays of leaves ``(foot, dir)``: ``check_leaves`` (the
+value objects' checks), ``leaf_dist``, the endpoint images
+(``endpoint_images``, the forward and backward endpoints being the rays of
+``foot +- dir``), ``asymptote_directions`` and ``rank_2x2``, the rank of
+2x2 matrices from a determinant and a Frobenius norm.  ``cross_metric``,
+the cross metric of Jacobi data ``(J(0), J'(0))`` from ambient
+determinants, and ``gauss_map_jacobian``, finite-difference endpoint
+Jacobians in the sphere frame that ``lorentz.orthonormal_complement`` gives
+for ``(o, (0, n))``, are independent checks of the kernel.
 """
 
 from __future__ import annotations
@@ -37,7 +30,6 @@ from .errors import (
     BaseMismatchError,
     GeodesicMismatchError,
     GeometryError,
-    NonOrthogonalJacobiError,
     NumericalError,
 )
 from .lorentz import (
@@ -73,16 +65,6 @@ class OrientedGeodesic:
         if not same_point(self.dir.base, self.foot):
             raise BaseMismatchError("direction must be based at the footpoint")
         _require_unit(self.dir, "direction")
-
-    def eval(self, s: float) -> tuple[HPoint, HTangent]:
-        """Point and unit velocity at arc length ``s`` from the foot."""
-        pt = _finish_point(np.cosh(s) * self.foot.v + np.sinh(s) * self.dir.w)
-        vel = _finish_tangent(pt, np.sinh(s) * self.foot.v + np.cosh(s) * self.dir.w)
-        return pt, _unitize(vel)
-
-    def reverse(self) -> "OrientedGeodesic":
-        """Same trajectory with the opposite orientation (same footpoint)."""
-        return OrientedGeodesic(self.foot, -self.dir)
 
     def __repr__(self):
         return f"OrientedGeodesic(foot={self.foot!r}, dir={self.dir!r})"
@@ -161,10 +143,9 @@ class JacobiData:
     derivative at the foot.
 
     Membership in the tangent space of the geodesic space corresponds to
-    both vectors being orthogonal to the direction; ``is_orthogonal``
-    reports that.  Non-orthogonal data is accepted because the cross metric
-    extends to it (the tangential part ``(a + b s) dir`` drops out), while
-    the Killing metric does not.
+    both vectors being orthogonal to the direction.  Non-orthogonal data is
+    accepted because the cross metric extends to it (the tangential part
+    ``(a + b s) dir`` drops out).
     """
 
     geo: OrientedGeodesic
@@ -175,17 +156,6 @@ class JacobiData:
         if not (same_point(self.j0.base, self.geo.foot) and same_point(self.j0p.base, self.geo.foot)):
             raise BaseMismatchError("Jacobi data must be anchored at the footpoint")
 
-    @property
-    def is_orthogonal(self) -> bool:
-        d = self.geo.dir.w
-        s0 = max(1.0, float(np.linalg.norm(self.j0.w)))
-        s1 = max(1.0, float(np.linalg.norm(self.j0p.w)))
-        return (
-            abs(mink_inner(self.j0.w, d)) <= 1e-9 * s0
-            and abs(mink_inner(self.j0p.w, d)) <= 1e-9 * s1
-        )
-
-
 
 def _require_same_geodesic(x: JacobiData, y: JacobiData):
     if not same_geodesic(x.geo, y.geo):
@@ -194,9 +164,9 @@ def _require_same_geodesic(x: JacobiData, y: JacobiData):
 
 def _endpoint_variations(x: JacobiData, s: float) -> tuple[np.ndarray, np.ndarray]:
     """``J(s) + J'(s)`` and ``J(s) - J'(s)``, the forward and backward endpoint
-    variations, up to parts along the leaf's plane (which every pairing
+    variations, up to parts along the leaf's plane (which the cross metric
     drops).  Along the leaf they only scale, by ``e^s`` and ``e^-s``, so the
-    pairings at any ``s`` are as well conditioned as at the foot."""
+    metric at any ``s`` is as well conditioned as at the foot."""
     return np.exp(s) * (x.j0.w + x.j0p.w), np.exp(-s) * (x.j0.w - x.j0p.w)
 
 
@@ -204,36 +174,22 @@ def cross_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -> 
     """Cross-product metric; the square norm of ``x`` when ``y`` is omitted.
 
     Polarization of ``<velocity x J, J'>`` evaluated at arc length ``s``; the
-    value does not depend on ``s``.  The scalar form of ``cross_pairing``,
-    which drops tangential components, so non-orthogonal Jacobi data is
-    accepted.
+    value does not depend on ``s``.  With ``J+- = J +- J'`` it reads
+    ``(det[foot, dir, Jx-, Jy+] + det[foot, dir, Jy-, Jx+]) / 4``, from which
+    tangential components drop out, so non-orthogonal Jacobi data is
+    accepted.  An ambient reference for the chart kernel.
     """
     if y is None:
         y = x
     else:
         _require_same_geodesic(x, y)
-    g = x.geo
-    return float(cross_pairing(g.foot.v, g.dir.w, *_endpoint_variations(x, s), *_endpoint_variations(y, s)))
-
-
-def killing_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -> float:
-    """Killing-form metric ``<Jx, Jy> - <Jx', Jy'>`` evaluated at arc length ``s``.
-
-    Requires data orthogonal to the direction; the value does not depend on
-    ``s``.  The scalar form of ``killing_pairing``.
-    """
-    if y is None:
-        y = x
-    else:
-        _require_same_geodesic(x, y)
-    if not (x.is_orthogonal and y.is_orthogonal):
-        raise NonOrthogonalJacobiError("the Killing metric needs data orthogonal to the direction")
-    return float(killing_pairing(*_endpoint_variations(x, s), *_endpoint_variations(y, s)))
+    (xp, xm), (yp, ym) = _endpoint_variations(x, s), _endpoint_variations(y, s)
+    f, d = x.geo.foot.v, x.geo.dir.w
+    return 0.25 * float(np.linalg.det(np.array((f, d, xm, yp))) + np.linalg.det(np.array((f, d, ym, xp))))
 
 
 # ---------------------------------------------------------------------------
-# array forms: leaves as (N, 4) feet and directions, Jacobi data as ambient
-# vectors at the feet
+# array forms: leaves as (N, 4) feet and directions
 
 
 def _mink_of_products(p: np.ndarray) -> np.ndarray:
@@ -271,63 +227,6 @@ def check_leaves(foot: np.ndarray, direction: np.ndarray, params) -> None:
             raise NumericalError(f"chart leaf at {tuple(float(x[k]) for x in params)}: {message}")
 
 
-def normal_part(foot: np.ndarray, direction: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The part of ambient vectors ``u`` Minkowski-orthogonal to the leaf's
-    plane: a variation of the foot or of the direction becomes Jacobi data."""
-    return u + mink(u, foot)[..., None] * foot - mink(u, direction)[..., None] * direction
-
-
-_PAIR_I, _PAIR_J = np.triu_indices(4, 1)  # column pairs 01 02 03 12 13 23
-_LAPLACE_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
-
-
-def _wedge(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., _PAIR_I] * v[..., _PAIR_J] - u[..., _PAIR_J] * v[..., _PAIR_I]
-
-
-def plane_det(foot: np.ndarray, direction: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``det[foot, dir, u, v]`` row by row, by Laplace expansion in 2x2 minors.
-
-    On vectors normal to the leaf this is their oriented area in the
-    normal plane, the parallel frame ``(E1, E2)`` completing ``(foot, dir)``
-    being positively oriented.  Parts along the leaf's plane drop out, and
-    swapping ``u`` and ``v`` flips the sign to the last bit.
-    """
-    return np.sum(_LAPLACE_SIGNS * _wedge(foot, direction) * _wedge(u, v)[..., ::-1], axis=-1)
-
-
-# The pairings below take Jacobi data in endpoint form, ``J+ = J + J'`` and
-# ``J- = J - J'``: the differentials of the forward and backward endpoint
-# maps.  In that form the cross metric
-# ``(det[foot, dir, Jx, Jy'] + det[foot, dir, Jy, Jx']) / 2`` reads
-# ``(det[foot, dir, Jx-, Jy+] + det[foot, dir, Jy-, Jx+]) / 4``, the Killing
-# metric ``<Jx, Jy> - <Jx', Jy'>`` reads ``(<Jx+, Jy-> + <Jy+, Jx->) / 2``, and
-# the energy ``|J|^2 + |J'|^2`` reads ``(|J+|^2 + |J-|^2) / 2``.  A vanishing
-# endpoint variation (all leaves sharing an endpoint) makes them vanish
-# exactly.
-
-
-def cross_pairing(foot, direction, xp, xm, yp, ym) -> np.ndarray:
-    """Cross metric of Jacobi data ``x`` and ``y`` in endpoint form, the
-    polarization of ``<velocity x J, J'>``."""
-    return 0.25 * (plane_det(foot, direction, xm, yp) + plane_det(foot, direction, ym, xp))
-
-
-def killing_pairing(xp, xm, yp, ym) -> np.ndarray:
-    """Killing metric of Jacobi data ``x`` and ``y`` in endpoint form,
-    normal to the leaf."""
-    return 0.5 * (mink(xp, ym) + mink(yp, xm))
-
-
-def unit_tangents(jp: np.ndarray, jm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Energies ``sqrt(|J|^2 + |J'|^2)`` of Jacobi data in endpoint form,
-    normal to the leaf, and the data scaled to unit energy (zero data stays
-    zero)."""
-    energy = np.sqrt(np.maximum(0.5 * (mink(jp, jp) + mink(jm, jm)), 0.0))
-    scale = np.divide(1.0, energy, out=np.zeros_like(energy), where=energy > 0.0)[..., None]
-    return energy, jp * scale, jm * scale
-
-
 def rank_2x2(det: np.ndarray, frob_sq: np.ndarray, atol: float = 1e-6) -> np.ndarray:
     """``svd_rank`` of 2x2 matrices given by their determinant and squared
     Frobenius norm.  The small singular value is read as ``|det| / s1``, so it
@@ -337,22 +236,6 @@ def rank_2x2(det: np.ndarray, frob_sq: np.ndarray, atol: float = 1e-6) -> np.nda
     s2 = np.divide(np.abs(det), s1, out=np.zeros_like(s1), where=s1 > 0.0)
     floor = np.maximum(atol, 1e-9 * s1)
     return (s1 > floor).astype(int) + (s2 > floor)
-
-
-def endpoint_ranks(foot, direction, up, um, atol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks ``(forward, backward)`` of the linearized endpoint maps on the
-    span of two unit-energy Jacobi data in endpoint form, ``(up[0], um[0])``
-    and ``(up[1], um[1])``.
-
-    The variation of the asymptotic direction at the foot has derivative
-    ``J(0) + J'(0)`` for the forward endpoint and ``J(0) - J'(0)`` for the
-    backward one (the latter by applying the same identity to the reversed
-    geodesic).
-    """
-    return tuple(
-        rank_2x2(plane_det(foot, direction, v[0], v[1]), mink(v[0], v[0]) + mink(v[1], v[1]), atol)
-        for v in (up, um)
-    )
 
 
 def leaf_dist(foot: np.ndarray, direction: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -416,7 +299,7 @@ def gauss_map_jacobian(
     it is evaluated once at the center and once at each of the four
     central-difference neighbours.  Only the rank and kernel of each result
     are meaningful; the sphere chart at the center image fixes the row frame.
-    This is the independent reference for ``endpoint_ranks``.
+    This is the independent reference for ``ChartJets.endpoint_ranks``.
     """
     a, b = float(params[0]), float(params[1])
     if a + h == a or b + h == b:

@@ -104,15 +104,6 @@ class HTangent:
     def norm(self) -> float:
         return float(np.sqrt(max(self.norm_sq, 0.0)))
 
-    def normalized(self) -> "HTangent":
-        n = self.norm
-        if n == 0.0:
-            raise GeometryError("cannot normalize the zero tangent vector")
-        return HTangent(self.base, self.w / n)
-
-    def __neg__(self) -> "HTangent":
-        return HTangent(self.base, -self.w)
-
     def __repr__(self):
         return f"HTangent(base0={self.base.v[0]:.4g}, w={np.array2string(self.w, precision=6)})"
 

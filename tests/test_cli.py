@@ -250,7 +250,7 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag)
 
 
 def test_experiment_scripts_run(tmp_path):
-    # both scripts on small grids; they drive the endpoint Jacobians, the
+    # both scripts on small grids; they drive the endpoint ranks, the
     # eigenvector test and the initial-value rank outside the CLI
     scripts = Path(__file__).resolve().parents[1] / "scripts"
     outputs = []
@@ -272,6 +272,8 @@ def test_experiment_scripts_run(tmp_path):
     vertical, plane_normal = families.split("== plane-normal")
     assert "endpoint-map ranks: forward [0], backward [2]" in vertical
     assert "endpoint-map ranks: forward [2], backward [2]" in plane_normal
+    for family in (vertical, plane_normal):
+        assert "initial-value ranks: [2]" in family
     assert "leaves at t=0 and t=2*pi: point" in counterexample
 
 

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 import hypfol as hf
 from hypfol import families
-from util import cross, perp_component, reference_scan_lambda_max, transport_to
+from util import (
+    cross,
+    cross_form_matrix,
+    field_value,
+    perp_component,
+    reference_scan_lambda_max,
+    transport_to,
+)
 
 O = hf.ORIGIN
 SINH_2 = 3.626860407847019  # frozen from direct evaluation
@@ -26,7 +33,7 @@ def params():
 
 def test_vertical_field_at_base():
     field, _ = hf.vertical_family()
-    v = field.func(O)
+    v = field_value(field, O)
     # the upward direction of the half-space model at (0, 0, 1)
     assert np.allclose(v.w, [0.0, 0.0, 0.0, 1.0], atol=1e-14)
 
@@ -47,7 +54,7 @@ def test_vertical_field_is_geodesic():
 def test_vertical_chart_and_field_agree():
     field, chart = hf.vertical_family()
     g = chart.map(0.3, -0.5)
-    v = field.func(g.foot)
+    v = field_value(field, g.foot)
     assert np.max(np.abs(v.w - g.dir.w)) < 1e-9
 
 
@@ -202,7 +209,7 @@ def test_spiral_gram_matches_quadratic_form(params, rng):
         r = rng.uniform(r0 + 0.05, r1 - 0.05)
         t = rng.uniform(t0 + 0.05, t1 - 0.05)
         x, y = rng.standard_normal(2)
-        q = hf.cross_form_matrix(r, t, params)
+        q = cross_form_matrix(r, t, params)
         want = float(np.array([x, y]) @ q @ np.array([x, y]))
         x0, x1 = hf.chart_tangent(chart, (r, t))
         got = (
@@ -245,7 +252,7 @@ def test_margin_determinant_identity(params, rng):
     for _ in range(20):
         r = rng.uniform(1.0, 3.0)
         t = rng.uniform(-0.1, 2.0 * math.pi + 0.1)
-        q = hf.cross_form_matrix(r, t, params)
+        q = cross_form_matrix(r, t, params)
         det = float(np.linalg.det(q))
         want = 0.25 * params.lam * hf.definiteness_margin(r, t, params)
         assert det == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))

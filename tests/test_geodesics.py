@@ -11,16 +11,21 @@ from util import (
     asymptote,
     boundary_from_sphere,
     cross,
+    eval_geodesic,
+    is_orthogonal,
     jacobi_basis,
     jacobi_eval,
     jacobi_variation_chart,
+    killing_metric,
     minner,
+    normalized,
     perp_component,
     project_to_tangent,
     rand_geodesic,
     rand_jacobi,
     rand_point,
     rand_unit_tangent,
+    reverse,
     rk4_jacobi,
     transport_along,
     transport_to,
@@ -44,7 +49,7 @@ def test_make_geodesic_through_base():
 
 def test_make_geodesic_orthogonal_offset_keeps_foot():
     p = hf.exp_map(hf.HTangent(O, (0.0, 0.0, 1.0, 0.0)))
-    w = project_to_tangent(p, E1.w).normalized()  # ambient e1 is tangent here
+    w = normalized(project_to_tangent(p, E1.w))  # ambient e1 is tangent here
     g = hf.make_geodesic(p, w)
     assert hf.dist(g.foot, p) < 1e-12
     # canonical velocity is orthogonal to the base position
@@ -87,8 +92,8 @@ def test_canonical_foot_minimizes_distance(rng):
     for _ in range(20):
         g = rand_geodesic(rng, scale=0.5)
         h = 1e-3
-        d_plus = hf.dist(O, g.eval(h)[0])
-        d_minus = hf.dist(O, g.eval(-h)[0])
+        d_plus = hf.dist(O, eval_geodesic(g, h)[0])
+        d_minus = hf.dist(O, eval_geodesic(g, -h)[0])
         worst = max(worst, abs(d_plus - d_minus) / (2 * h))
     assert worst < 1e-10
     # the canonical invariant itself, on wider draws; the construction
@@ -148,7 +153,7 @@ def test_make_geodesic_raises_where_it_cannot_be_accurate(rng):
 def test_eval_matches_exp_and_unit_speed(rng):
     g = rand_geodesic(rng)
     for s in (-1.7, 0.0, 0.4, 2.2):
-        pt, vel = g.eval(s)
+        pt, vel = eval_geodesic(g, s)
         assert hf.dist(g.foot, pt) == pytest.approx(abs(s), abs=1e-10)
         assert vel.norm_sq == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(pt.v, hf.exp_map(hf.HTangent(g.foot, s * g.dir.w)).v, atol=1e-12)
@@ -162,14 +167,14 @@ def test_eval_recovers_construction_data(rng):
     a = -hf.mink_inner(O.v, p.v)
     b = -hf.mink_inner(O.v, w.w)
     s_star = 0.5 * np.log((a - b) / (a + b))
-    pt, vel = g.eval(-s_star)
+    pt, vel = eval_geodesic(g, -s_star)
     assert np.allclose(pt.v, p.v, atol=1e-10)
     assert np.allclose(vel.w, w.w, atol=1e-10)
 
 
 def test_reverse_convention(rng):
     g = rand_geodesic(rng)
-    r = g.reverse()
+    r = reverse(g)
     assert np.allclose(r.foot.v, g.foot.v)
     assert np.allclose(r.dir.w, -g.dir.w)
 
@@ -195,10 +200,10 @@ def test_dist_sq_against_scan_oracle(rng):
     for _ in range(5):
         g = rand_geodesic(rng, scale=1.2)
         grid = np.linspace(-8.0, 8.0, 4001)
-        coarse = min(hf.dist(O, g.eval(s)[0]) for s in grid)
-        s0 = min(grid, key=lambda s: hf.dist(O, g.eval(s)[0]))
+        coarse = min(hf.dist(O, eval_geodesic(g, s)[0]) for s in grid)
+        s0 = min(grid, key=lambda s: hf.dist(O, eval_geodesic(g, s)[0]))
         fine = np.linspace(s0 - 0.01, s0 + 0.01, 2001)
-        dmin = min(hf.dist(O, g.eval(s)[0]) for s in fine)
+        dmin = min(hf.dist(O, eval_geodesic(g, s)[0]) for s in fine)
         assert hf.geodesic_dist_sq(g) == pytest.approx(dmin**2, abs=1e-8)
 
 
@@ -210,7 +215,7 @@ def test_dist_to_geodesic_near_the_leaf(rng, d):
         g = rand_geodesic(rng)
         n = perp_component(g, rng.standard_normal(4))
         q = hf.exp_map(hf.HTangent(g.foot, d * n / np.sqrt(minner(n, n))))
-        moved = hf.OrientedGeodesic(*g.eval(rng.uniform(-2.0, 2.0)))
+        moved = hf.OrientedGeodesic(*eval_geodesic(g, rng.uniform(-2.0, 2.0)))
         assert hf.dist_to_geodesic(q, moved) == pytest.approx(d, rel=1e-6)
 
 
@@ -339,7 +344,7 @@ def test_jacobi_orthogonality_preserved(rng):
     jd = rand_jacobi(rng, g)
     for s in np.linspace(-5, 5, 11):
         j, jp = jacobi_eval(jd, s)
-        _, vel = g.eval(s)
+        _, vel = eval_geodesic(g, s)
         scale = max(1.0, np.linalg.norm(j.w))
         assert abs(hf.mink_inner(j.w, vel.w)) < 1e-10 * scale
         assert abs(hf.mink_inner(jp.w, vel.w)) < 1e-10 * scale
@@ -351,7 +356,7 @@ def test_jacobi_eval_general_data_satisfies_ode(rng):
     j0 = project_to_tangent(g.foot, rng.standard_normal(4)).w
     j0p = project_to_tangent(g.foot, rng.standard_normal(4)).w
     jd = hf.JacobiData(g, hf.HTangent(g.foot, j0), hf.HTangent(g.foot, j0p))
-    assert not jd.is_orthogonal
+    assert not is_orthogonal(jd)
     (j_num,), _ = rk4_jacobi([jd], [2.0])
     j_cf, _ = jacobi_eval(jd, 2.0)
     assert np.linalg.norm(j_cf.w - j_num) / np.linalg.norm(j_num) < 1e-8
@@ -404,9 +409,9 @@ def test_killing_metric_values(rng):
     j0 = perp_component(g, rng.standard_normal(4))
     j0 = j0 / np.sqrt(minner(j0, j0))
     stable = hf.JacobiData(g, hf.HTangent(g.foot, j0), hf.HTangent(g.foot, -j0))
-    assert abs(hf.killing_metric(stable)) < 1e-12
+    assert abs(killing_metric(stable)) < 1e-12
     unit = hf.JacobiData(g, hf.HTangent(g.foot, j0), hf.HTangent(g.foot, np.zeros(4)))
-    assert hf.killing_metric(unit) == pytest.approx(1.0, abs=1e-12)
+    assert killing_metric(unit) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.floats(-3.0, 3.0, allow_nan=False))
@@ -416,14 +421,14 @@ def test_killing_norm_of_proportional_data(a):
     j0 = np.array([0.0, 0.7, -0.2, 0.0])
     jd = hf.JacobiData(g, hf.HTangent(g.foot, j0), hf.HTangent(g.foot, a * j0))
     want = (1.0 - a * a) * minner(j0, j0)
-    assert hf.killing_metric(jd) == pytest.approx(want, abs=1e-10)
+    assert killing_metric(jd) == pytest.approx(want, abs=1e-10)
 
 
 def test_killing_metric_rejects_non_orthogonal():
     g = hf.make_geodesic(O, E3)
     jd = hf.JacobiData(g, E3, hf.HTangent(O, np.zeros(4)))
     with pytest.raises(hf.NonOrthogonalJacobiError):
-        hf.killing_metric(jd)
+        killing_metric(jd)
 
 
 def test_metric_geodesic_mismatch(rng):
@@ -432,7 +437,7 @@ def test_metric_geodesic_mismatch(rng):
     with pytest.raises(hf.GeodesicMismatchError):
         hf.cross_metric(x, y)
     with pytest.raises(hf.GeodesicMismatchError):
-        hf.killing_metric(x, y)
+        killing_metric(x, y)
 
 
 def test_cross_metric_matches_direct_pairing(rng):
@@ -442,7 +447,7 @@ def test_cross_metric_matches_direct_pairing(rng):
         g = rand_geodesic(rng)
         x = rand_jacobi(rng, g)
         for s in (-1.0, 0.0, 0.7):
-            pt, vel = g.eval(s)
+            pt, vel = eval_geodesic(g, s)
             j, jp = jacobi_eval(x, s)
             direct = hf.mink_inner(cross(pt, vel, j).w, jp.w)
             assert hf.cross_metric(x, s=s) == pytest.approx(direct, abs=1e-9)
@@ -455,7 +460,7 @@ def test_metrics_constant_along_geodesic(rng):
         x = rand_jacobi(rng, g)
         vals = [hf.cross_metric(x, s=s) for s in np.linspace(-5, 5, 11)]
         worst = max(worst, max(vals) - min(vals))
-        kvals = [hf.killing_metric(x, s=s) for s in np.linspace(-5, 5, 11)]
+        kvals = [killing_metric(x, s=s) for s in np.linspace(-5, 5, 11)]
         worst = max(worst, max(kvals) - min(kvals))
     assert worst < 1e-9
 
@@ -465,7 +470,7 @@ def test_signature_two_two(rng):
         g = rand_geodesic(rng)
         basis = jacobi_basis(g)
         gram_x = np.array([[hf.cross_metric(a, b) for b in basis] for a in basis])
-        gram_k = np.array([[hf.killing_metric(a, b) for b in basis] for a in basis])
+        gram_k = np.array([[killing_metric(a, b) for b in basis] for a in basis])
         for gram in (gram_x, gram_k):
             ev = np.sort(np.linalg.eigvalsh(gram))
             assert ev[0] < -1e-6 and ev[1] < -1e-6
@@ -485,7 +490,7 @@ def test_gauss_map_through_base(rng):
 
 def test_gauss_map_reverse_identity(rng):
     g = rand_geodesic(rng)
-    fwd = hf.gauss_map(g.reverse(), 1)
+    fwd = hf.gauss_map(reverse(g), 1)
     bwd = hf.gauss_map(g, -1)
     assert np.array_equal(fwd.n, bwd.n)
 
@@ -494,7 +499,7 @@ def test_gauss_map_large_s_limit(rng):
     worst = 0.0
     for _ in range(20):
         g = rand_geodesic(rng)
-        pt, _ = g.eval(20.0)
+        pt, _ = eval_geodesic(g, 20.0)
         approx = pt.v[1:] / np.linalg.norm(pt.v[1:])
         exact = hf.sphere_coords(hf.gauss_map(g, 1))
         worst = max(worst, float(np.max(np.abs(approx - exact))))
@@ -525,9 +530,9 @@ def test_asymptote_field_equation(rng):
         g = rand_geodesic(rng)
         h = 1e-4
         for t in (-0.5, 0.2, 1.0):
-            pt, vel = g.eval(t)
-            p_plus, _ = g.eval(t + h)
-            p_minus, _ = g.eval(t - h)
+            pt, vel = eval_geodesic(g, t)
+            p_plus, _ = eval_geodesic(g, t + h)
+            p_minus, _ = eval_geodesic(g, t - h)
             w_here = asymptote(pt, b)
             w_plus = transport_to(asymptote(p_plus, b), pt)
             w_minus = transport_to(asymptote(p_minus, b), pt)

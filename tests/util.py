@@ -1,8 +1,11 @@
 """Shared random generators, independent numerical oracles (the oriented
 cross product, frame coordinates, the transported-difference covariant
-differential, the RK4 Jacobi integrator), scalar references (parallel
-transport, asymptote vectors, closed-form Jacobi evaluation, the
-Jacobi-variation chart, one-sample classification), reference CSV and
+differential, the RK4 Jacobi integrator, the ambient chart kernel and the
+Killing metric of Jacobi data), scalar references (parallel transport,
+asymptote vectors, closed-form Jacobi evaluation, the Jacobi-variation
+chart, one-sample classification), the value-object helpers only tests use
+(points along a geodesic, its reverse, unit tangents, one field value, one
+classified sample, the spiral's closed-form Gram matrix), reference CSV and
 report writers, the full-grid pitch scan and a chart-evaluation counter."""
 
 import csv
@@ -18,15 +21,17 @@ from hypfol import (
     FD_STEP,
     ORIGIN,
     VERDICT_TOL,
+    VERDICTS,
     BaseMismatchError,
     BoundaryPoint,
     FoliationChart,
+    GeodesicMismatchError,
     GeometryError,
     HPoint,
     HTangent,
     JacobiData,
+    NonOrthogonalJacobiError,
     OrientedGeodesic,
-    SampleRecord,
     chart_jets,
     exp_map,
     make_geodesic,
@@ -36,9 +41,9 @@ from hypfol import (
     same_point,
 )
 from hypfol.families import LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, _margin, spiral_chart
-from hypfol.foliation import _classify, grid_axes
+from hypfol.foliation import RANK_DEFICIENT, _classify, grid_axes
 from hypfol.geodesics import asymptote_directions
-from hypfol.lorentz import _finish_point, _finish_tangent, _require_unit, mink
+from hypfol.lorentz import _finish_point, _finish_tangent, _require_unit, _unitize, mink
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -88,7 +93,7 @@ def reference_write_csv(path, header, rows):
 def reference_report_text(payload) -> str:
     """The text ``report.write_report`` must match byte for byte: every
     ``ClassificationReport`` in the payload as its object form, one dict per
-    sample read from ``sample(k)``, and the whole payload through
+    sample read by ``sample``, and the whole payload through
     ``json.dumps(indent=2, sort_keys=True)``."""
 
     def sample_dict(s):
@@ -108,7 +113,7 @@ def reference_report_text(payload) -> str:
                 "tol": obj.tol,
                 "fd_step": FD_STEP,
                 "aggregate": obj.aggregate,
-                "samples": [sample_dict(obj.sample(k)) for k in range(len(obj.params))],
+                "samples": [sample_dict(sample(obj, k)) for k in range(len(obj.params))],
             }
         if isinstance(obj, (np.generic, np.ndarray)):
             return obj.tolist()
@@ -165,8 +170,8 @@ def _transported_difference(field, p: HPoint, w: np.ndarray) -> np.ndarray:
     parallel transported back to ``p`` first."""
     q_plus = exp_map(HTangent(p, FD_STEP * w))
     q_minus = exp_map(HTangent(p, -FD_STEP * w))
-    w_plus = transport_to(field.func(q_plus), p)
-    w_minus = transport_to(field.func(q_minus), p)
+    w_plus = transport_to(field_value(field, q_plus), p)
+    w_minus = transport_to(field_value(field, q_minus), p)
     return (w_plus.w - w_minus.w) / (2.0 * FD_STEP)
 
 
@@ -194,7 +199,7 @@ def rand_unit_tangent(rng, p: HPoint) -> HTangent:
     while True:
         t = project_to_tangent(p, rng.standard_normal(4))
         if t.norm > 1e-6:
-            return t.normalized()
+            return normalized(t)
 
 
 def rand_geodesic(rng, scale=1.0) -> OrientedGeodesic:
@@ -269,6 +274,151 @@ def rk4_jacobi(data: list[JacobiData], s_end, n_steps=1500) -> tuple[np.ndarray,
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         s += h
     return y[:, :4], y[:, 4:]
+
+
+# ---------------------------------------------------------------------------
+# value-object helpers only tests use
+
+
+def eval_geodesic(g: OrientedGeodesic, s: float) -> tuple[HPoint, HTangent]:
+    """Point and unit velocity at arc length ``s`` from the foot."""
+    pt = _finish_point(np.cosh(s) * g.foot.v + np.sinh(s) * g.dir.w)
+    vel = _finish_tangent(pt, np.sinh(s) * g.foot.v + np.cosh(s) * g.dir.w)
+    return pt, _unitize(vel)
+
+
+def reverse(g: OrientedGeodesic) -> OrientedGeodesic:
+    """Same trajectory with the opposite orientation (same footpoint)."""
+    return OrientedGeodesic(g.foot, HTangent(g.foot, -g.dir.w))
+
+
+def normalized(t: HTangent) -> HTangent:
+    n = t.norm
+    if n == 0.0:
+        raise GeometryError("cannot normalize the zero tangent vector")
+    return HTangent(t.base, t.w / n)
+
+
+def field_value(field, p: HPoint) -> HTangent:
+    """The value of a ``UnitField`` at one point as a validated ``HTangent``."""
+    return HTangent(p, field.arrays(p.v[None])[0])
+
+
+@dataclasses.dataclass(frozen=True)
+class SampleRecord:
+    """One classified sample: parameters, Gram matrix of the cross metric on
+    normalized tangents, Killing values on its null directions."""
+
+    params: tuple[float, float]
+    gram: tuple[tuple[float, float], tuple[float, float]] | None
+    k_values: tuple[float, ...]
+    verdict: str | None
+    note: str | None = None
+
+
+def sample(rep, k: int) -> SampleRecord:
+    """Sample ``k`` of a ``ClassificationReport`` as a record."""
+    params = tuple(rep.params[k].tolist())
+    code = int(rep.verdict_code[k])
+    if code < 0:
+        return SampleRecord(params, None, (), None, note=RANK_DEFICIENT)
+    kv = rep.k_values[k, : rep.k_count[k]].tolist()
+    return SampleRecord(params, tuple(map(tuple, rep.gram[k].tolist())), tuple(kv), VERDICTS[code])
+
+
+def cross_form_matrix(r: float, t: float, params: SpiralParams) -> np.ndarray:
+    """Closed form of the cross metric of the spiral chart on its raw tangents.
+
+    In the parameter coordinates ``(x, y)`` the square norm is
+    ``lam x^2 - lam x y + (sinh 2r sin 2 tilt) y^2 / 4``; its determinant
+    is ``lam / 4`` times the definiteness margin.
+    """
+    lam = params.lam
+    alpha = params.tilt(r, t)
+    return np.array(
+        [
+            [lam, -0.5 * lam],
+            [-0.5 * lam, 0.25 * math.sinh(2.0 * r) * math.sin(2.0 * alpha)],
+        ]
+    )
+
+
+# ---------------------------------------------------------------------------
+# ambient references for the endpoint-form kernel
+
+
+def is_orthogonal(x: JacobiData) -> bool:
+    """Whether both vectors of Jacobi data are orthogonal to the direction,
+    at ``1e-9`` of their size: membership in the tangent space of the
+    geodesic space."""
+    d = x.geo.dir.w
+    s0 = max(1.0, float(np.linalg.norm(x.j0.w)))
+    s1 = max(1.0, float(np.linalg.norm(x.j0p.w)))
+    return abs(mink_inner(x.j0.w, d)) <= 1e-9 * s0 and abs(mink_inner(x.j0p.w, d)) <= 1e-9 * s1
+
+
+def killing_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -> float:
+    """Killing-form metric ``<Jx, Jy> - <Jx', Jy'>`` evaluated at arc length ``s``.
+
+    Requires data orthogonal to the direction; the value does not depend on
+    ``s``.  With ``J+- = J +- J'``, which scale by ``e^+-s`` along the leaf,
+    it reads ``(<Jx+, Jy-> + <Jy+, Jx->) / 2``.
+    """
+    if y is None:
+        y = x
+    elif not same_geodesic(x.geo, y.geo):
+        raise GeodesicMismatchError("Jacobi data lives on different geodesics")
+    if not (is_orthogonal(x) and is_orthogonal(y)):
+        raise NonOrthogonalJacobiError("the Killing metric needs data orthogonal to the direction")
+    (xp, xm), (yp, ym) = ((np.exp(s) * (z.j0.w + z.j0p.w), np.exp(-s) * (z.j0.w - z.j0p.w)) for z in (x, y))
+    return 0.5 * (minner(xp, ym) + minner(yp, xm))
+
+
+def ambient_tangents(chart, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Leaves and both axis tangents of a chart as ambient Jacobi data in
+    endpoint form: ``(foot, dir, plus, minus)``, where ``plus`` and
+    ``minus`` ``(2, N, 4)`` are ``J + J'`` and ``J - J'`` along ``a`` (row
+    0) and ``b`` (row 1), the parts of the complex-step derivatives of
+    ``foot +- dir`` normal to the leaf."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    foot, direction = chart.arrays(a, b)
+    steps = [chart.arrays(a + 1j * hf.CS_STEP, b), chart.arrays(a, b + 1j * hf.CS_STEP)]
+    df = np.stack([np.imag(f) / hf.CS_STEP for f, _ in steps])
+    dd = np.stack([np.imag(d) / hf.CS_STEP for _, d in steps])
+
+    def normal(u):
+        return u + mink(u, foot)[..., None] * foot - mink(u, direction)[..., None] * direction
+
+    return foot, direction, normal(df + dd), normal(df - dd)
+
+
+def ambient_forms(chart, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(N, 2, 2)`` cross, Killing and energy Gram matrices of the raw
+    axis tangents from ``ambient_tangents``: the cross metric from
+    determinants, ``(det[foot, dir, x-, y+] + det[foot, dir, y-, x+]) / 4``,
+    the Killing metric ``(<x+, y-> + <y+, x->) / 2`` and the energy
+    ``(<x+, y+> + <x-, y->) / 2`` from Minkowski pairings."""
+    foot, direction, p, m = ambient_tangents(chart, a, b)
+
+    def det(u, v):
+        return np.linalg.det(np.stack((foot, direction, u, v), axis=-2))
+
+    forms = (
+        lambda i, j: 0.25 * (det(m[i], p[j]) + det(m[j], p[i])),
+        lambda i, j: 0.5 * (mink(p[i], m[j]) + mink(p[j], m[i])),
+        lambda i, j: 0.5 * (mink(p[i], p[j]) + mink(m[i], m[j])),
+    )
+    return tuple(np.array([[f(i, j) for j in (0, 1)] for i in (0, 1)]).transpose(2, 0, 1) for f in forms)
+
+
+def initial_value_rank(chart, params) -> int:
+    """Rank of the map from the unit-energy chart tangents at one sample to
+    their values ``J(0)``, read in the parallel frame from the
+    finite-difference tangents; a zero tangent stays zero."""
+    z = frame_coords(*hf.chart_tangent(chart, params))
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0.0)
+    return hf.svd_rank(z[:, :2])
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +504,7 @@ def jacobi_eval(jd: JacobiData, s: float) -> tuple[HTangent, HTangent]:
     b = mink_inner(jd.j0p.w, d)
     j0_perp = jd.j0.w - a * d
     j0p_perp = jd.j0p.w - b * d
-    pt, vel = g.eval(s)
+    pt, vel = eval_geodesic(g, s)
     ch, sh = np.cosh(s), np.sinh(s)
     jw = ch * j0_perp + sh * j0p_perp + (a + b * s) * vel.w
     jpw = sh * j0_perp + ch * j0p_perp + b * vel.w
@@ -391,7 +541,7 @@ def classify_point(
     tol: float = VERDICT_TOL,
 ) -> SampleRecord:
     """Classify one chart sample; rank-deficient tangents are reported, not classified."""
-    return _classify(chart_jets(chart, [params[0]], [params[1]]), tol, chart.name, (1, 1)).sample(0)
+    return sample(_classify(chart_jets(chart, [params[0]], [params[1]]), tol, chart.name, (1, 1)), 0)
 
 
 # ---------------------------------------------------------------------------
