@@ -53,6 +53,8 @@ def main() -> int:
     ap.add_argument("--first-seed", type=int, default=11)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2: the quartiles need two runs per side")
 
     bench = json.loads((args.after / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}

@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     GeodesicMismatchError,
     GeometryError,
-    NonOrthogonalJacobiError,
     NumericalError,
 )
 from .lorentz import (
@@ -24,7 +23,6 @@ from .lorentz import (
     HPoint,
     HTangent,
     dist,
-    exp_map,
     mink_inner,
     orthonormal_complement,
     project_to_hyperboloid,
@@ -52,7 +50,6 @@ from .foliation import (
     ChartJets,
     ClassificationReport,
     CriticalPoint,
-    EigenCheck,
     FoliationChart,
     IntersectionResult,
     UnitField,
@@ -66,7 +63,6 @@ from .foliation import (
     geodesics_intersect,
     grid_arrays,
     grid_axes,
-    operator_eigencheck,
     ring_growth_evidence,
 )
 from .families import (

@@ -159,9 +159,9 @@ def cmd_classify(cfg: RunConfig, out_base: str) -> int:
     rep = classify_chart(chart, grid=cfg.grid, tol=cfg.tol)
     results = {"classification": rep}
     if field is not None:
-        residual, checks = field_checks(field, ball_samples(field.center, 0.8, 5, seed=cfg.seed))
+        residual, degenerate, _, _ = field_checks(field, ball_samples(field.center, 0.8, 5, seed=cfg.seed))
         results["field_residual"] = residual
-        results["eigencheck_degenerate"] = [bool(c.degenerate) for c in checks]
+        results["eigencheck_degenerate"] = degenerate.tolist()
     payload = report_payload("classify", cfg.to_dict(), results, __version__)
     write_report(out_base + ".json", payload)
     print(f"aggregate: {rep.aggregate}")

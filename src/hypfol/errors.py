@@ -13,10 +13,6 @@ class GeodesicMismatchError(GeometryError):
     """Jacobi data belonging to different geodesics was combined."""
 
 
-class NonOrthogonalJacobiError(GeometryError):
-    """The operation requires Jacobi data orthogonal to the geodesic direction."""
-
-
 class NumericalError(RuntimeError):
     """A computation could not be resolved at the requested tolerance."""
 

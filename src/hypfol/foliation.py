@@ -32,10 +32,11 @@ grid.  ``field_checks`` exercises the same criteria from the vector-field
 side: the geodesic residual and the eigenvector degeneracy of a field, read
 from its covariant differentials.  A field is an array map as well, and
 ``covariant_differentials`` takes its derivatives by complex steps along the
-orthonormal frame ``lorentz.orthonormal_complement`` gives at each point.
-``geodesics_intersect`` decides how two leaves meet, and ``chart_tangent``
-keeps central-difference chart tangents as an independent check of the
-kernel.
+orthonormal frames that one stacked ``lorentz.orthonormal_complement`` call
+gives at all the points; ``field_checks`` tests every point's eigenpairs
+with one batched ``eig``.  ``geodesics_intersect`` decides how two leaves
+meet, and ``chart_tangent`` keeps central-difference chart tangents as an
+independent check of the kernel.
 
 All verdicts are decided at an explicit tolerance on quadratic-form values
 normalized by the energy of the Jacobi data, recorded in every report.  At
@@ -61,11 +62,13 @@ from .geodesics import (
     rank_2x2,
 )
 from .lorentz import (
+    _HYGIENE_CAP,
+    MODEL_TOL,
     ORIGIN,
     BoundaryPoint,
     HPoint,
     HTangent,
-    exp_map,
+    cosh_sinhc,
     mink,
     mink_inner,
     orthonormal_complement,
@@ -199,8 +202,12 @@ _POLES = np.vstack(
 #: per pole in turn, the vectors ``(e1, e2, pole)`` of a positively oriented
 #: orthonormal frame of R^3 (``(o, (0, pole), (0, e1), (0, e2))`` is), as the
 #: columns of one ``(3, 42)`` matrix
-_POLE_FRAMES = np.array(
-    [[*(t[1:] for t in orthonormal_complement((ORIGIN.v, np.concatenate(([0.0], p))))), p] for p in _POLES]
+_POLE_FRAMES = np.concatenate(
+    (
+        orthonormal_complement(np.stack(np.broadcast_arrays(ORIGIN.v, np.pad(_POLES, ((0, 0), (1, 0)))), axis=1))[..., 1:],
+        _POLES[:, None],
+    ),
+    axis=1,
 ).reshape(-1, 3).T
 
 
@@ -447,18 +454,27 @@ def classify_chart(
 # vector-field side
 
 
-def ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> list[HPoint]:
-    """Deterministic sample points in a geodesic ball (seeded)."""
+def ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> np.ndarray:
+    """``count`` deterministic (seeded) points of the geodesic ball about
+    ``center``, as a ``(count, 4)`` array."""
     rng = np.random.default_rng(seed)
-    frame = orthonormal_complement(center.v)
-    out = []
-    for _ in range(count):
-        d = rng.standard_normal(3)
-        d /= np.linalg.norm(d)
-        r = radius * rng.uniform() ** (1.0 / 3.0)
-        w = r * sum(c * e for c, e in zip(d, frame))
-        out.append(exp_map(HTangent(center, w)))
-    return out
+    d, r = np.empty((count, 3)), np.empty((count, 1))
+    for k in range(count):  # the draws interleave; a scalar norm and power keep each row's bits
+        d[k] = rng.standard_normal(3)
+        d[k] /= np.linalg.norm(d[k])
+        r[k] = radius * rng.uniform() ** (1.0 / 3.0)
+    e0, e1, e2 = orthonormal_complement(center.v)
+    w = r * (d[:, :1] * e0 + d[:, 1:2] * e1 + d[:, 2:] * e2)
+    ch, sc = cosh_sinhc(np.maximum(mink(w, w), 0.0))
+    points = ch[:, None] * center.v + sc[:, None] * w
+    # the hygiene rule of ``lorentz._finish_point``, row by row
+    q = -mink(points, points)
+    fix = (np.max(np.abs(points), axis=1) < _HYGIENE_CAP) & (q > 0.0)
+    points[fix] /= np.sqrt(q[fix])[:, None]
+    on_sheet = np.abs(mink(points, points) + 1.0) <= MODEL_TOL * np.maximum(1.0, np.sum(points * points, axis=1))
+    if not (np.isfinite(points).all() and on_sheet.all() and (points[:, 0] > 0.0).all()):
+        raise GeometryError("ball sample is not a point of the hyperboloid")
+    return points
 
 
 def covariant_differentials(field: UnitField, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -474,7 +490,7 @@ def covariant_differentials(field: UnitField, points) -> tuple[np.ndarray, np.nd
     exactly.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 4)
-    frames = np.array([orthonormal_complement(p) for p in points]).reshape(-1, 3, 4)
+    frames = orthonormal_complement(points[:, None])
     values = np.asarray(field.arrays((points[:, None] + 1j * CS_STEP * frames).reshape(-1, 4))).reshape(-1, 3, 4)
     derivatives = np.imag(values) / CS_STEP  # row j: the derivative along e_j
     mats = mink(frames[:, :, None], derivatives[:, None])
@@ -488,59 +504,54 @@ def _self_derivative_norm(mats: np.ndarray, axes: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(np.einsum("nij,nj->ni", mats, axes), axis=1), initial=0.0))
 
 
-@dataclass(frozen=True)
-class EigenCheck:
-    """Result of the eigenvector degeneracy test for a unit field."""
+def _eigenchecks(mats: np.ndarray, axes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real eigenvectors of ``(N, 3, 3)`` operators versus their ``(N, 3)``
+    distinguished axes.
 
-    degenerate: bool
-    witness: HTangent | None = None
-    eigenvalue: float | None = None
-
-
-def operator_eigencheck(mat: np.ndarray, v_coords: np.ndarray):
-    """Real eigenvectors of a 3x3 operator versus a distinguished axis.
-
-    Returns ``(degenerate, witness_coords, eigenvalue)`` where degenerate
-    means some real eigenvector points away from the axis by more than
-    ``1e-6`` (measured as the sine of the angle).
+    An eigenpair qualifies when its eigenvalue is real, its eigenvector is
+    not null, solves the eigen-equation to ``1e-6 (1 + |lambda|)`` once
+    normalized, and points away from the axis by more than ``1e-6``
+    (measured as the sine of the angle).  Returns the ``(N,)`` flags of
+    the operators with a qualifying eigenpair, and the eigenvalue and unit
+    eigenvector of each one's first, NaN where none qualifies.
     """
-    v_hat = np.asarray(v_coords, dtype=float)
-    v_hat = v_hat / np.linalg.norm(v_hat)
-    evals, evecs = np.linalg.eig(mat)
-    for k in range(3):
-        lam = evals[k]
-        if abs(lam.imag) > 1e-8 * (1.0 + abs(lam)):
-            continue
-        x = np.real(evecs[:, k])
-        nx = np.linalg.norm(x)
-        if nx < 1e-12:
-            continue
-        x = x / nx
-        if np.linalg.norm(mat @ x - lam.real * x) > 1e-6 * (1.0 + abs(lam.real)):
-            continue
-        off_axis = np.linalg.norm(x - np.dot(x, v_hat) * v_hat)
-        if off_axis > 1e-6:
-            return True, x, float(lam.real)
-    return False, None, None
+    evals, evecs = np.linalg.eig(mats)
+    lam, x = evals.real, evecs.real.swapaxes(1, 2)  # row k of ``x``: the k-th eigenvector
+
+    def norm(u):  # over the last axis, by matmul, as ``np.linalg.norm`` of each row bit for bit
+        return np.sqrt((u[..., None, :] @ u[..., None])[..., 0, 0])
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nx = norm(x)
+        x = x / nx[..., None]
+        v_hat = (axes / norm(axes)[:, None])[:, None]
+        residual = norm((mats[:, None] @ x[..., None])[..., 0] - lam[..., None] * x)
+        off_axis = norm(x - (x[..., None, :] @ v_hat[..., None])[..., 0] * v_hat)
+    # each test as the loop it replaces reads it, so a NaN fails only the last
+    ok = ~(np.abs(evals.imag) > 1e-8 * (1.0 + np.abs(evals)))
+    ok &= ~(nx < 1e-12) & ~(residual > 1e-6 * (1.0 + np.abs(lam))) & (off_axis > 1e-6)
+    degenerate = ok.any(axis=1)
+    rows, first = np.arange(len(ok)), np.argmax(ok, axis=1)
+    eigenvalue = np.where(degenerate, lam[rows, first], np.nan)
+    return degenerate, eigenvalue, np.where(degenerate[:, None], x[rows, first], np.nan)
 
 
-def field_checks(field: UnitField, samples: list[HPoint]) -> tuple[float, list[EigenCheck]]:
-    """The geodesic residual of the field and the eigenvector test at each
-    sample, from one ``covariant_differentials`` call.
+def field_checks(field: UnitField, points) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The geodesic residual of the field and the eigenvector test at each of
+    the ``(N, 4)`` points, from one ``covariant_differentials`` call.
 
     The residual is the max norm of the self-derivative ``nabla_V V`` over
-    the samples; zero certifies (at the samples) that integral curves are
-    geodesics.  A sample is degenerate iff its covariant differential has a
-    real eigenvector off the field axis (``operator_eigencheck``).
+    the points; zero certifies (at the points) that integral curves are
+    geodesics.  A point is degenerate iff its covariant differential has a
+    real eigenvector off the field axis (``_eigenchecks``).  Returns the
+    residual, the ``(N,)`` degenerate flags, and per point the eigenvalue and
+    the ambient unit eigenvector ``(N, 4)`` of the first such eigenpair: the
+    witness, NaN where the point is not degenerate.
     """
-    mats, frames, v = covariant_differentials(field, [p.v for p in samples])
+    mats, frames, v = covariant_differentials(field, points)
     axes = mink(frames, v[:, None])
-    checks = []
-    for p, mat, frame, axis in zip(samples, mats, frames, axes):
-        degenerate, coords, lam = operator_eigencheck(mat, axis)
-        witness = None if coords is None else HTangent(p, coords @ frame)
-        checks.append(EigenCheck(degenerate=degenerate, witness=witness, eigenvalue=lam))
-    return _self_derivative_norm(mats, axes), checks
+    degenerate, eigenvalue, coords = _eigenchecks(mats, axes)
+    return _self_derivative_norm(mats, axes), degenerate, eigenvalue, (coords[:, None] @ frames)[:, 0]
 
 
 # ---------------------------------------------------------------------------

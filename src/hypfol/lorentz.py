@@ -155,9 +155,11 @@ def project_to_hyperboloid(arr: np.ndarray) -> HPoint:
     return HPoint(v)
 
 
-def orthonormal_complement(rows) -> tuple[np.ndarray, ...]:
+def orthonormal_complement(rows) -> np.ndarray:
     """The spacelike unit vectors completing Minkowski-orthonormal ``rows``,
-    timelike row first, to a positively oriented orthonormal basis of R^{3,1}.
+    timelike row first, to a positively oriented orthonormal basis of R^{3,1}:
+    a ``(4 - k, 4)`` array for ``(k, 4)`` rows (a single vector counts as one
+    row), and a ``(N, 4 - k, 4)`` stack for an ``(N, k, 4)`` stack of rows.
 
     Pivoted Gram-Schmidt over the coordinate axes: each step keeps the axis
     whose residual against the basis so far is longest, and projects it
@@ -168,25 +170,25 @@ def orthonormal_complement(rows) -> tuple[np.ndarray, ...]:
     the sign of the last vector.  At the base point the frame is exactly
     ``(e1, e2, e3)``.
     """
-    rows = np.array(rows, dtype=float).reshape(-1, 4)
-    first = len(rows)
-    basis = np.zeros((4, 4))
-    basis[:first] = rows
+    rows = np.array(rows, dtype=float)
+    stack = rows if rows.ndim == 3 else rows.reshape(1, -1, 4)
+    count, first = stack.shape[:2]
+    basis = np.zeros((count, 4, 4))
+    basis[:, :first] = stack
     signs = ETA.diagonal()  # <b_i, b_i> of the finished basis
     for k in range(first, 4):
-        b = basis[:k]
+        b = basis[:, :k]
         # row i of ``dual`` pairs with x to its b_i coefficient, <x, b_i> / <b_i, b_i>
         dual = signs[:k, None] * b @ ETA
-        residual = np.eye(4) - dual.T @ b
-        w = residual[int(np.argmax((residual * residual) @ signs))]
-        w = w - (dual @ w) @ b
-        n2 = mink_inner(w, w)
-        if not n2 > 0.125:
-            raise GeometryError("could not complete the orthonormal frame")
-        basis[k] = w / np.sqrt(n2)
-    if np.linalg.det(basis) < 0.0:
-        basis[3] = -basis[3]
-    return tuple(basis[first:])
+        residual = np.eye(4) - dual.swapaxes(1, 2) @ b
+        w = residual[np.arange(count), np.argmax((residual * residual) @ signs, axis=1)]
+        w = w - ((dual @ w[:, :, None]).swapaxes(1, 2) @ b)[:, 0]
+        n2 = mink(w, w)
+        if not (n2 > 0.125).all():
+            raise GeometryError(f"could not complete the orthonormal frame of row {int(np.argmin(n2 > 0.125))}")
+        basis[:, k] = w / np.sqrt(n2)[:, None]
+    basis[np.linalg.det(basis) < 0.0, 3] *= -1.0
+    return basis[:, first:] if rows.ndim == 3 else basis[0, first:]
 
 
 #: Hygiene renormalization is applied only below this component magnitude.
@@ -218,15 +220,6 @@ def _unitize(t: HTangent) -> HTangent:
         if n2 > 0.0:
             return HTangent(t.base, t.w / np.sqrt(n2))
     return t
-
-
-def exp_map(t: HTangent) -> HPoint:
-    """Geodesic exponential: ``cosh|w| p + sinh|w| w/|w|`` (``p`` for ``w = 0``)."""
-    r = t.norm
-    if r == 0.0:
-        return t.base
-    arr = np.cosh(r) * t.base.v + (np.sinh(r) / r) * t.w
-    return _finish_point(arr)
 
 
 def cosh_sinhc(x):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import hypfol as hf
 from hypfol import cli
 from hypfol.cli import main
-from util import counting_chart
+from util import counting_chart, reference_ball_samples, reference_field_checks
 
 ALPHA0 = repr(math.pi / 4.0)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -277,6 +277,25 @@ def test_experiment_scripts_run(tmp_path):
     assert "leaves at t=0 and t=2*pi: point" in counterexample
 
 
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, pairs):
+    # refused before any benchmark run: the checkouts need not exist
+    script = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+    argv = ["--before", "missing", "--after", "missing", "--workload", "classify-mix", "--pairs", pairs]
+    proc = subprocess.run(
+        [sys.executable, str(script), *argv, "--out", "b.json"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "bench_pairs.py: error: --pairs must be at least 2: the quartiles need two runs per side"
+    )
+    assert not (tmp_path / "b.json").exists()
+
+
 def test_bad_base_point(tmp_path):
     code = run(
         [
@@ -411,6 +430,20 @@ def test_classify_field_checks_make_one_field_call(tmp_path, monkeypatch, family
     monkeypatch.setattr(cli, "_resolve_family", counted_resolve)
     assert run(["classify", "--family", family, "--grid", "12x12", "--out", str(tmp_path / "c")]) == 0
     assert calls == [(15, 4)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("family", ["vertical", "plane-normal"])
+def test_classify_field_checks_match_loop_reference_for_every_seed(tmp_path, family, seed):
+    # the benchmark runs the default seed only
+    argv = ["classify", "--family", family, "--grid", "3x3", "--seed", str(seed), "--out", str(tmp_path / "c")]
+    assert run(argv) == 0
+    results = json.loads((tmp_path / "c.json").read_text())["results"]
+    field, _ = hf.vertical_family() if family == "vertical" else hf.plane_normal_family()
+    points = [p.v for p in reference_ball_samples(field.center, 0.8, 5, seed=seed)]
+    residual, degenerate, _, _ = reference_field_checks(field, points)
+    assert results["field_residual"] == residual
+    assert results["eigencheck_degenerate"] == degenerate
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypfol import families
 from util import (
     cross,
     cross_form_matrix,
+    exp_map,
     field_value,
     perp_component,
     reference_scan_lambda_max,
@@ -111,7 +112,7 @@ def test_polar_frame_normal_is_cross_product():
 def test_polar_frame_is_polar_parametrization():
     r, t = 2.0, 1.0
     fr = hf.polar_frame(r, t)
-    want = hf.exp_map(
+    want = exp_map(
         hf.HTangent(O, (0.0, r * math.cos(t), r * math.sin(t), 0.0))
     )
     assert hf.dist(fr.point, want) < 1e-12

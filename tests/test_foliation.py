@@ -20,6 +20,7 @@ from util import (
     collapsed_chart,
     counting_chart,
     cross_form_matrix,
+    exp_map,
     field_value,
     frame_coords,
     grid_params,
@@ -28,11 +29,14 @@ from util import (
     killing_metric,
     minner,
     normalized,
+    operator_eigencheck,
     project_to_tangent,
     rand_geodesic,
     rand_point,
+    reference_ball_samples,
     reference_covariant_differential,
     reference_descent,
+    reference_field_checks,
     reference_grid_minima,
     reference_ring_growth,
     reverse,
@@ -411,8 +415,8 @@ def test_perturbed_field_fails_residual(vertical):
 def test_covariant_differentials_match_transported_differences(vertical, plane_normal):
     samples = hf.ball_samples(O, 0.8, 8, seed=5)
     for field in (vertical[0], plane_normal[0], _perturbed(vertical[0])):
-        mats, frames, values = hf.covariant_differentials(field, [p.v for p in samples])
-        for p, mat, frame, v in zip(samples, mats, frames, values):
+        mats, frames, values = hf.covariant_differentials(field, samples)
+        for p, mat, frame, v in zip(map(hf.HPoint, samples), mats, frames, values):
             want, want_frame = reference_covariant_differential(field, p)
             assert np.array_equal(frame, [e.w for e in want_frame])
             assert np.max(np.abs(mat - want)) < 1e-7
@@ -421,7 +425,6 @@ def test_covariant_differentials_match_transported_differences(vertical, plane_n
 
 def test_field_checks_make_one_field_call_and_build_no_value_objects(vertical, monkeypatch):
     field, _ = vertical
-    samples = hf.ball_samples(O, 0.8, 5, seed=1)
     calls, built = [], []
 
     def counted(points):
@@ -430,10 +433,45 @@ def test_field_checks_make_one_field_call_and_build_no_value_objects(vertical, m
 
     for cls in (hf.HPoint, hf.HTangent):
         monkeypatch.setattr(cls, "__post_init__", lambda self, name=cls.__name__: built.append(name))
-    residual, checks = hf.field_checks(hf.UnitField(arrays=counted, center=O), samples)
-    assert residual <= 1e-14 and calls == [(15, 4)]
-    # the only value objects are the witnesses it returns
-    assert built == ["HTangent" for c in checks if c.witness is not None]
+    samples = hf.ball_samples(O, 0.8, 5, seed=1)
+    residual, degenerate, _, _ = hf.field_checks(hf.UnitField(arrays=counted, center=O), samples)
+    assert residual <= 1e-14 and calls == [(15, 4)] and degenerate.all()
+    # the samples, the flags, the eigenvalues and the witnesses are arrays
+    assert built == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("count", [0, 5, 8, 10])
+def test_ball_samples_match_exp_map_loop(seed, count):
+    got = hf.ball_samples(O, 0.8, count, seed=seed)
+    want = np.array([p.v for p in reference_ball_samples(O, 0.8, count, seed=seed)]).reshape(-1, 4)
+    assert got.shape == (count, 4)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _assert_matches_loop(degenerate, eigenvalue, witness, want):
+    want_degenerate, want_eigenvalue, want_witness = want
+    assert degenerate.tolist() == want_degenerate
+    for flag, lam, w, want_lam, want_w in zip(degenerate, eigenvalue, witness, want_eigenvalue, want_witness):
+        if flag:
+            assert lam == want_lam and np.array_equal(w.view(np.int64), want_w.view(np.int64))
+        else:
+            assert np.isnan(lam) and np.isnan(w).all()
+
+
+def test_field_checks_match_eigencheck_loop(vertical, plane_normal):
+    # flags, eigenvalues and witnesses bit for bit those of one
+    # ``operator_eigencheck`` per sample, on geodesic and non-geodesic fields
+    for field in (vertical[0], plane_normal[0], _perturbed(vertical[0])):
+        for seed in (0, 1, 5):
+            samples = hf.ball_samples(O, 0.8, 8, seed=seed)
+            residual, *got = hf.field_checks(field, samples)
+            want_residual, *want = reference_field_checks(field, samples)
+            assert residual == want_residual
+            _assert_matches_loop(*got, want)
+    # an empty stack
+    residual, *got = hf.field_checks(vertical[0], np.empty((0, 4)))
+    assert residual == 0.0 and [g.shape for g in got] == [(0,), (0,), (0, 4)]
 
 
 def test_covariant_differential_vertical(vertical, rng):
@@ -461,29 +499,37 @@ def test_covariant_differential_plane_normal_on_plane(plane_normal):
 def test_eigencheck_families(vertical, plane_normal, rng):
     fieldv, _ = vertical
     p = rand_point(rng, scale=0.6)
-    (resv,) = hf.field_checks(fieldv, [p])[1]
-    assert resv.degenerate
-    assert resv.witness is not None
-    assert resv.eigenvalue == pytest.approx(-1.0, abs=1e-12)
+    _, (degenerate,), (lam,), (witness,) = hf.field_checks(fieldv, p.v)
+    assert degenerate
+    # a unit tangent at p orthogonal to the field
+    assert abs(minner(witness, p.v)) < 1e-12 and minner(witness, witness) == pytest.approx(1.0, abs=1e-12)
+    assert abs(minner(witness, field_value(fieldv, p).w)) < 1e-6
+    assert lam == pytest.approx(-1.0, abs=1e-12)
     fieldp, _ = plane_normal
-    (resp,) = hf.field_checks(fieldp, [O])[1]
-    assert resp.degenerate
-    assert resp.eigenvalue == pytest.approx(0.0, abs=1e-12)
+    _, (degenerate,), (lam,), _ = hf.field_checks(fieldp, O.v)
+    assert degenerate
+    assert lam == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eigencheck_synthetic_nondegenerate():
     # rotation + shear block: the only real eigenvector is the axis itself
     mat = np.array([[0.0, 0.3, -0.1], [0.0, 0.2, 0.9], [0.0, -0.9, 0.2]])
-    degenerate, witness, _ = hf.operator_eigencheck(mat, np.array([1.0, 0.0, 0.0]))
+    axis = np.array([1.0, 0.0, 0.0])
+    (degenerate,), (lam,), (witness,) = got = foliation._eigenchecks(mat[None], axis[None])
     assert not degenerate
-    assert witness is None
+    assert np.isnan(lam) and np.isnan(witness).all()
+    want_degenerate, want_witness, want_lam = operator_eigencheck(mat, axis)
+    _assert_matches_loop(*got, ([want_degenerate], [want_lam], [want_witness]))
 
 
 def test_eigencheck_synthetic_degenerate():
     mat = -np.eye(3)
-    degenerate, witness, lam = hf.operator_eigencheck(mat, np.array([1.0, 0.0, 0.0]))
+    axis = np.array([1.0, 0.0, 0.0])
+    (degenerate,), (lam,), _ = got = foliation._eigenchecks(mat[None], axis[None])
     assert degenerate
     assert lam == pytest.approx(-1.0)
+    want_degenerate, want_witness, want_lam = operator_eigencheck(mat, axis)
+    _assert_matches_loop(*got, ([want_degenerate], [want_lam], [want_witness]))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +573,7 @@ def test_intersect_at_point(rng):
 def test_intersect_far_crossing_is_ambiguous(rng):
     # crossing at distance ~12 from the base: the plane intersection is null
     # at tolerance and no endpoint is shared, so the outcome is undecidable
-    far = hf.exp_map(hf.HTangent(O, (0.0, 12.0, 0.0, 0.0)))
+    far = exp_map(hf.HTangent(O, (0.0, 12.0, 0.0, 0.0)))
     w1 = normalized(project_to_tangent(far, np.array([0.0, 0.0, 1.0, 0.2])))
     w2 = normalized(project_to_tangent(far, np.array([0.0, 0.0, 0.2, 1.0])))
     res = hf.geodesics_intersect(hf.make_geodesic(far, w1), hf.make_geodesic(far, w2))

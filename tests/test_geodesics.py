@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 import hypfol as hf
 from hypfol.geodesics import check_leaves
 from util import (
+    NonOrthogonalJacobiError,
     asymptote,
     boundary_from_sphere,
     cross,
     eval_geodesic,
+    exp_map,
     is_orthogonal,
     jacobi_basis,
     jacobi_eval,
@@ -48,7 +50,7 @@ def test_make_geodesic_through_base():
 
 
 def test_make_geodesic_orthogonal_offset_keeps_foot():
-    p = hf.exp_map(hf.HTangent(O, (0.0, 0.0, 1.0, 0.0)))
+    p = exp_map(hf.HTangent(O, (0.0, 0.0, 1.0, 0.0)))
     w = normalized(project_to_tangent(p, E1.w))  # ambient e1 is tangent here
     g = hf.make_geodesic(p, w)
     assert hf.dist(g.foot, p) < 1e-12
@@ -68,7 +70,7 @@ def test_unit_checks_scale_with_distance(rng, distance):
     # canonicalizes about p itself, so only its unit check is exercised)
     for _ in range(50):
         u = rng.standard_normal(3)
-        p = hf.exp_map(hf.HTangent(O, np.concatenate(([0.0], distance * u / np.linalg.norm(u)))))
+        p = exp_map(hf.HTangent(O, np.concatenate(([0.0], distance * u / np.linalg.norm(u)))))
         w = rand_unit_tangent(rng, p)
         hf.OrientedGeodesic(p, w)
         hf.make_geodesic(p, w, base=p)
@@ -124,7 +126,7 @@ def test_make_geodesic_far_from_base(rng, distance):
     # the base point (its velocity is orthogonal to the base position)
     for _ in range(200):
         u = rng.standard_normal(3)
-        p = hf.exp_map(hf.HTangent(O, np.concatenate(([0.0], distance * u / np.linalg.norm(u)))))
+        p = exp_map(hf.HTangent(O, np.concatenate(([0.0], distance * u / np.linalg.norm(u)))))
         g = hf.make_geodesic(p, rand_unit_tangent(rng, p))
         assert hf.dist_to_geodesic(p, g) < 1e-8
         assert abs(hf.mink_inner(O.v, g.dir.w)) < 1e-8
@@ -138,7 +140,7 @@ def test_make_geodesic_raises_where_it_cannot_be_accurate(rng):
     for distance in (5.0, 6.0, 7.0, 8.0, 9.0, 10.0):
         for _ in range(100):
             u = rng.standard_normal(3)
-            p = hf.exp_map(hf.HTangent(O, np.concatenate(([0.0], distance * u / np.linalg.norm(u)))))
+            p = exp_map(hf.HTangent(O, np.concatenate(([0.0], distance * u / np.linalg.norm(u)))))
             try:
                 g = hf.make_geodesic(p, rand_unit_tangent(rng, p))
             except hf.NumericalError:
@@ -156,7 +158,7 @@ def test_eval_matches_exp_and_unit_speed(rng):
         pt, vel = eval_geodesic(g, s)
         assert hf.dist(g.foot, pt) == pytest.approx(abs(s), abs=1e-10)
         assert vel.norm_sq == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(pt.v, hf.exp_map(hf.HTangent(g.foot, s * g.dir.w)).v, atol=1e-12)
+        assert np.allclose(pt.v, exp_map(hf.HTangent(g.foot, s * g.dir.w)).v, atol=1e-12)
 
 
 def test_eval_recovers_construction_data(rng):
@@ -191,7 +193,7 @@ def test_dist_sq_equals_v_norm_sq(rng):
         u = rand_unit_tangent(rng, O)
         v_raw = project_to_tangent(O, rng.standard_normal(4)).w
         v_raw = v_raw - hf.mink_inner(v_raw, u.w) * u.w
-        foot = hf.exp_map(hf.HTangent(O, v_raw))
+        foot = exp_map(hf.HTangent(O, v_raw))
         g = hf.OrientedGeodesic(foot, hf.HTangent(foot, u.w))
         assert hf.geodesic_dist_sq(g) == pytest.approx(minner(v_raw, v_raw), abs=1e-10)
 
@@ -214,7 +216,7 @@ def test_dist_to_geodesic_near_the_leaf(rng, d):
     for _ in range(20):
         g = rand_geodesic(rng)
         n = perp_component(g, rng.standard_normal(4))
-        q = hf.exp_map(hf.HTangent(g.foot, d * n / np.sqrt(minner(n, n))))
+        q = exp_map(hf.HTangent(g.foot, d * n / np.sqrt(minner(n, n))))
         moved = hf.OrientedGeodesic(*eval_geodesic(g, rng.uniform(-2.0, 2.0)))
         assert hf.dist_to_geodesic(q, moved) == pytest.approx(d, rel=1e-6)
 
@@ -384,7 +386,7 @@ def test_geodesic_frame_is_orthonormal_far_from_base(rng):
     worst = 0.0
     for _ in range(200):
         u = rng.standard_normal(3)
-        p = hf.exp_map(hf.HTangent(O, np.concatenate(([0.0], 8.0 * u / np.linalg.norm(u)))))
+        p = exp_map(hf.HTangent(O, np.concatenate(([0.0], 8.0 * u / np.linalg.norm(u)))))
         resid, det = _frame_residual(hf.OrientedGeodesic(p, rand_unit_tangent(rng, p)))
         assert det > 0.0
         worst = max(worst, resid)
@@ -427,7 +429,7 @@ def test_killing_norm_of_proportional_data(a):
 def test_killing_metric_rejects_non_orthogonal():
     g = hf.make_geodesic(O, E3)
     jd = hf.JacobiData(g, E3, hf.HTangent(O, np.zeros(4)))
-    with pytest.raises(hf.NonOrthogonalJacobiError):
+    with pytest.raises(NonOrthogonalJacobiError):
         killing_metric(jd)
 
 

@@ -6,11 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypfol as hf
+from hypfol.foliation import _POLE_FRAMES, _POLES
 from hypfol.lorentz import cosh_sinhc
 from util import (
     boundary_from_sphere,
     cross,
     eval_geodesic,
+    exp_map,
     log_map,
     minner,
     normalized,
@@ -57,9 +59,9 @@ def test_constructors_reject_bad_data():
 
 
 def test_exp_map_trivials():
-    assert hf.exp_map(hf.HTangent(O, np.zeros(4))) is O
+    assert exp_map(hf.HTangent(O, np.zeros(4))) is O
     s = 1.3
-    p = hf.exp_map(hf.HTangent(O, (0.0, s, 0.0, 0.0)))
+    p = exp_map(hf.HTangent(O, (0.0, s, 0.0, 0.0)))
     assert np.allclose(p.v, [np.cosh(s), np.sinh(s), 0.0, 0.0])
 
 
@@ -72,7 +74,7 @@ def test_dist_trivials():
 @given(coords, coords, coords)
 def test_exp_dist_consistency(x, y, z):
     w = hf.HTangent(O, (0.0, x, y, z))
-    assert hf.dist(O, hf.exp_map(w)) == pytest.approx(w.norm, abs=1e-10)
+    assert hf.dist(O, exp_map(w)) == pytest.approx(w.norm, abs=1e-10)
 
 
 def test_log_map_trivials():
@@ -89,7 +91,7 @@ def test_exp_log_round_trip(rng):
         w = rand_unit_tangent(rng, p)
         r = rng.uniform(0.0, 10.0)
         t = hf.HTangent(p, r * w.w)
-        back = log_map(p, hf.exp_map(t))
+        back = log_map(p, exp_map(t))
         worst = max(worst, float(np.max(np.abs(back.w - t.w))))
     assert worst < 1e-10
 
@@ -166,7 +168,7 @@ def test_transport_gram_preservation(rng):
 
 def test_transport_base_mismatch():
     g = hf.make_geodesic(O, E1)
-    p = hf.exp_map(hf.HTangent(O, (0.0, 0.0, 0.9, 0.0)))
+    p = exp_map(hf.HTangent(O, (0.0, 0.0, 0.9, 0.0)))
     t = project_to_tangent(p, np.array([0.0, 0.0, 0.0, 1.0]))
     with pytest.raises(hf.BaseMismatchError):
         transport_along(g.dir, 1.0, t)
@@ -197,7 +199,7 @@ def test_cross_antisymmetry_and_orthogonality(rng):
 
 
 def test_cross_base_mismatch():
-    p = hf.exp_map(hf.HTangent(O, (0.0, 1.0, 0.0, 0.0)))
+    p = exp_map(hf.HTangent(O, (0.0, 1.0, 0.0, 0.0)))
     with pytest.raises(hf.BaseMismatchError):
         cross(p, E1, E2)
 
@@ -223,6 +225,58 @@ def test_sphere_frame_is_positively_oriented(rng):
         m = np.array([n, t1, t2])
         assert np.allclose(m @ m.T, np.eye(3), atol=1e-14)
         assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-14)
+
+
+def _far_frame_rows(rng, distance, count=200):
+    """``count`` points at ``distance`` from the base point in random
+    directions, as ``(count, 1, 4)`` rows, and each with a random unit
+    tangent, as ``(count, 2, 4)`` rows."""
+    points = []
+    for _ in range(count):
+        u = rng.standard_normal(3)
+        points.append(exp_map(hf.HTangent(O, np.concatenate(([0.0], distance * u / np.linalg.norm(u))))))
+    pairs = [(p.v, rand_unit_tangent(rng, p).w) for p in points]
+    return np.array([p.v for p in points])[:, None], np.array(pairs)
+
+
+@pytest.mark.parametrize("distance", [0.5, 2.0, 4.0, 8.0, 12.0])
+def test_stacked_frames_match_per_row_frames(rng, distance):
+    for rows in _far_frame_rows(rng, distance):
+        stacked = hf.orthonormal_complement(rows)
+        assert stacked.shape == (len(rows), 4 - rows.shape[1], 4)
+        per_row = np.array([hf.orthonormal_complement(r) for r in rows])
+        assert np.array_equal(stacked.view(np.int64), per_row.view(np.int64))
+    # the pole frames of the chart kernel, built by one stacked call
+    want = [[*(t[1:] for t in hf.orthonormal_complement((O.v, np.concatenate(([0.0], p))))), p] for p in _POLES]
+    assert np.array_equal(_POLE_FRAMES, np.array(want).reshape(-1, 3).T)
+
+
+@pytest.mark.parametrize(
+    "distance",
+    [
+        4.0,
+        8.0,
+        12.0,
+        pytest.param(
+            14.0,
+            marks=pytest.mark.xfail(
+                raises=hf.GeometryError,
+                strict=True,
+                reason="the absolute n2 > 1/8 test of the pivoted Gram-Schmidt fails on some rows from "
+                "D = 13, where the rows' scale e^{2D} swamps it (ROADMAP item 2)",
+            ),
+        ),
+    ],
+)
+def test_frame_builder_range(rng, distance):
+    # every row completes, and the completed basis is Minkowski-orthonormal
+    # to 1e-12 of its scale, the largest squared row norm (measured: about
+    # 3e-16 up to D = 12)
+    for rows in _far_frame_rows(rng, distance):
+        basis = np.concatenate((rows, hf.orthonormal_complement(rows)), axis=1)
+        gram = basis @ hf.lorentz.ETA @ basis.swapaxes(1, 2)
+        scale = np.max(np.sum(basis * basis, axis=2), axis=1)
+        assert np.all(np.max(np.abs(gram - hf.lorentz.ETA), axis=(1, 2)) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +305,7 @@ def test_endpoint_antipodes_only_through_base(rng):
     bwd = hf.sphere_coords(hf.gauss_map(g, -1))
     assert np.allclose(fwd, -bwd, atol=1e-12)
     # ...but not in general
-    p = hf.exp_map(hf.HTangent(O, (0.0, 1.0, 0.0, 0.0)))
+    p = exp_map(hf.HTangent(O, (0.0, 1.0, 0.0, 0.0)))
     g2 = hf.make_geodesic(p, normalized(project_to_tangent(p, np.array([0.0, 0.0, 0.0, 1.0]))))
     fwd2 = hf.sphere_coords(hf.gauss_map(g2, 1))
     bwd2 = hf.sphere_coords(hf.gauss_map(g2, -1))

@@ -1,7 +1,8 @@
 """Shared random generators, independent numerical oracles (the oriented
 cross product, frame coordinates, the transported-difference covariant
 differential, the RK4 Jacobi integrator, the ambient chart kernel and the
-Killing metric of Jacobi data), scalar references (parallel transport,
+Killing metric of Jacobi data), scalar references (the exponential map,
+ball samples and the eigenvector test one at a time, parallel transport,
 asymptote vectors, closed-form Jacobi evaluation, the Jacobi-variation
 chart, one-sample classification), the value-object helpers only tests use
 (points along a geodesic, its reverse, unit tangents, one field value, one
@@ -30,10 +31,9 @@ from hypfol import (
     HPoint,
     HTangent,
     JacobiData,
-    NonOrthogonalJacobiError,
     OrientedGeodesic,
     chart_jets,
-    exp_map,
+    covariant_differentials,
     make_geodesic,
     mink_inner,
     orthonormal_complement,
@@ -41,11 +41,15 @@ from hypfol import (
     same_point,
 )
 from hypfol.families import LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, _margin, spiral_chart
-from hypfol.foliation import RANK_DEFICIENT, _classify, grid_axes
+from hypfol.foliation import RANK_DEFICIENT, _classify, _self_derivative_norm, grid_axes
 from hypfol.geodesics import asymptote_directions
 from hypfol.lorentz import _finish_point, _finish_tangent, _require_unit, _unitize, mink
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+class NonOrthogonalJacobiError(GeometryError):
+    """The operation requires Jacobi data orthogonal to the geodesic direction."""
 
 
 def counting_chart(chart, calls: list):
@@ -419,6 +423,76 @@ def initial_value_rank(chart, params) -> int:
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     z = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0.0)
     return hf.svd_rank(z[:, :2])
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the vector-field side: the exponential map, ball
+# samples one point at a time and the eigenvector test one operator at a time
+
+
+def exp_map(t: HTangent) -> HPoint:
+    """Geodesic exponential: ``cosh|w| p + sinh|w| w/|w|`` (``p`` for ``w = 0``)."""
+    r = t.norm
+    if r == 0.0:
+        return t.base
+    arr = np.cosh(r) * t.base.v + (np.sinh(r) / r) * t.w
+    return _finish_point(arr)
+
+
+def reference_ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> list[HPoint]:
+    """``hypfol.ball_samples`` one ``exp_map`` at a time: the oracle the
+    array form must match bit for bit."""
+    rng = np.random.default_rng(seed)
+    frame = orthonormal_complement(center.v)
+    out = []
+    for _ in range(count):
+        d = rng.standard_normal(3)
+        d /= np.linalg.norm(d)
+        r = radius * rng.uniform() ** (1.0 / 3.0)
+        w = r * sum(c * e for c, e in zip(d, frame))
+        out.append(exp_map(HTangent(center, w)))
+    return out
+
+
+def operator_eigencheck(mat: np.ndarray, v_coords: np.ndarray):
+    """Real eigenvectors of a 3x3 operator versus a distinguished axis.
+
+    Returns ``(degenerate, witness_coords, eigenvalue)`` where degenerate
+    means some real eigenvector points away from the axis by more than
+    ``1e-6`` (measured as the sine of the angle).
+    """
+    v_hat = np.asarray(v_coords, dtype=float)
+    v_hat = v_hat / np.linalg.norm(v_hat)
+    evals, evecs = np.linalg.eig(mat)
+    for k in range(3):
+        lam = evals[k]
+        if abs(lam.imag) > 1e-8 * (1.0 + abs(lam)):
+            continue
+        x = np.real(evecs[:, k])
+        nx = np.linalg.norm(x)
+        if nx < 1e-12:
+            continue
+        x = x / nx
+        if np.linalg.norm(mat @ x - lam.real * x) > 1e-6 * (1.0 + abs(lam.real)):
+            continue
+        off_axis = np.linalg.norm(x - np.dot(x, v_hat) * v_hat)
+        if off_axis > 1e-6:
+            return True, x, float(lam.real)
+    return False, None, None
+
+
+def reference_field_checks(field, points) -> tuple[float, list[bool], list[float | None], list[np.ndarray | None]]:
+    """``hypfol.field_checks`` with the eigenvector test one point at a time:
+    the residual, then per point the flag, the eigenvalue and the ambient
+    witness (``None`` where the point is not degenerate)."""
+    mats, frames, v = covariant_differentials(field, points)
+    axes = mink(frames, v[:, None])
+    out = ([], [], [])
+    for mat, frame, axis in zip(mats, frames, axes):
+        degenerate, coords, lam = operator_eigencheck(mat, axis)
+        for column, value in zip(out, (degenerate, lam, None if coords is None else coords @ frame)):
+            column.append(value)
+    return (_self_derivative_norm(mats, axes), *out)
 
 
 # ---------------------------------------------------------------------------
