@@ -9,8 +9,10 @@ for the run length that ``BENCHMARK.json`` sets, the "before" side first on
 even k and the "after" side first on odd k.  The file records the machine,
 every run's end-to-end metrics, and per metric each side's median and
 quartiles and the number of pairs the "after" side won (ties count for
-neither).  Repeating ``--workload`` runs several workloads; an existing
-``--out`` file keeps the workloads it already holds.
+neither), and per workload the commit of each checkout and whether a
+tracked file differed from it (both null outside a git tree).  Repeating
+``--workload`` runs several workloads; an existing ``--out`` file keeps the
+workloads it already holds.
 """
 
 from __future__ import annotations
@@ -39,6 +41,24 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict,
     return {name: m["value"] for name, m in result["metrics"].items()}, machine
 
 
+def checkout_state(checkout: Path) -> dict:
+    """The commit a checkout has checked out, and whether a tracked file
+    differs from it; both None where the checkout is not the top of a git
+    tree (or git is missing)."""
+    git = ["git", "-C", str(checkout)]
+    try:
+        head = subprocess.run([*git, "rev-parse", "--show-toplevel", "HEAD"], capture_output=True, text=True, check=False)
+    except OSError:
+        return {"commit": None, "dirty": None}
+    lines = head.stdout.splitlines()
+    if head.returncode or Path(lines[0]).resolve() != checkout.resolve():
+        return {"commit": None, "dirty": None}
+    status = subprocess.run(
+        [*git, "status", "--porcelain", "--untracked-files=no"], capture_output=True, text=True, check=True
+    )
+    return {"commit": lines[1], "dirty": bool(status.stdout)}
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -62,6 +82,7 @@ def main() -> int:
     doc["run_seconds"] = bench["run_seconds"]
     for workload in args.workload:
         runs = {"before": [], "after": []}
+        checkouts = {side: checkout_state(getattr(args, side)) for side in runs}
         seeds = [args.first_seed + k for k in range(args.pairs)]
         for k, seed in enumerate(seeds):
             for side in ("before", "after") if k % 2 == 0 else ("after", "before"):
@@ -77,7 +98,7 @@ def main() -> int:
                 "after": summary(after),
                 "after_wins": sum(sign * (a - b) > 0.0 for a, b in zip(after, before)),
             }
-        doc["workloads"][workload] = {"seeds": seeds, "runs": runs, "summary": stats}
+        doc["workloads"][workload] = {"checkouts": checkouts, "seeds": seeds, "runs": runs, "summary": stats}
         args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

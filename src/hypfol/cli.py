@@ -234,6 +234,34 @@ _COMMAND_OPTIONS = {
     "gauss": ("endpoint images and Jacobian ranks", ("--family", "--lambda", "--tol")),
     "critical": ("local minima of the squared distance", ("--family", "--lambda", "--base-point")),
 }
+_OPTIONS = {
+    "--family": dict(choices=FAMILIES, required=True, default=None),
+    "--alpha0": dict(type=float, default=None, help="tilt angle, radians (default pi/4)"),
+    "--delta": dict(type=float, default=None, help="angular overhang of the annulus rectangle (default 0.1)"),
+    "--lambda": dict(dest="lam", type=float, default=None, help="spiral pitch"),
+    "--grid": dict(type=str, default="20x20", help="sample grid, NxM"),
+    "--tol": dict(
+        type=float,
+        default=VERDICT_TOL,
+        help="classify: verdict tolerance on the normalized forms; "
+        "gauss: absolute singular-value floor of the endpoint ranks (default %(default)s)",
+    ),
+    "--base-point": dict(dest="base_point", type=float, nargs=4, default=None, metavar=("X0", "X1", "X2", "X3")),
+    "--out": dict(type=str, default=None, help="output path base; writes <out>.json and, where applicable, <out>.csv"),
+    "--seed": dict(type=int, default=None, help="seed of the field sample points of vertical and plane-normal (default 0)"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """``parser`` with the options of ``command``, and the defaults of the rest (reports carry all)."""
+    for flag, kw in _OPTIONS.items():
+        if flag in ("--alpha0", "--delta", "--grid", "--out") + _COMMAND_OPTIONS[command][1]:
+            parser.add_argument(flag, **kw)
+        else:
+            parser.set_defaults(**{kw.get("dest", flag[2:]): kw["default"]})
+    if command == "scan-lambda":
+        parser.set_defaults(grid="200x200")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,31 +272,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hypfol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    options = {
-        "--family": dict(choices=FAMILIES, required=True, default=None),
-        "--alpha0": dict(type=float, default=None, help="tilt angle, radians (default pi/4)"),
-        "--delta": dict(type=float, default=None, help="angular overhang of the annulus rectangle (default 0.1)"),
-        "--lambda": dict(dest="lam", type=float, default=None, help="spiral pitch"),
-        "--grid": dict(type=str, default="20x20", help="sample grid, NxM"),
-        "--tol": dict(
-            type=float,
-            default=VERDICT_TOL,
-            help="classify: verdict tolerance on the normalized forms; "
-            "gauss: absolute singular-value floor of the endpoint ranks (default %(default)s)",
-        ),
-        "--base-point": dict(dest="base_point", type=float, nargs=4, default=None, metavar=("X0", "X1", "X2", "X3")),
-        "--out": dict(type=str, default=None, help="output path base; writes <out>.json and, where applicable, <out>.csv"),
-        "--seed": dict(type=int, default=None, help="seed of the field sample points of vertical and plane-normal (default 0)"),
-    }
-    for command, (text, flags) in _COMMAND_OPTIONS.items():
-        p = sub.add_parser(command, help=text)
-        for flag, kw in options.items():
-            if flag in ("--alpha0", "--delta", "--grid", "--out") + flags:
-                p.add_argument(flag, **kw)
-            else:  # not taken, but every report carries the full configuration
-                p.set_defaults(**{kw.get("dest", flag[2:]): kw["default"]})
-    sub.choices["scan-lambda"].set_defaults(grid="200x200")
+    for command, (text, _) in _COMMAND_OPTIONS.items():
+        _add_options(sub.add_parser(command, help=text), command)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, from the named command's parser alone
+    where it parses the whole line.  The full tree reports leftovers, and ``--=...``,
+    which its top-level parser rejects as ambiguous before a command's parser runs."""
+    if argv and argv[0] in _COMMAND_OPTIONS and not any(a.startswith("--=") for a in argv):
+        parser = _add_options(argparse.ArgumentParser(prog=f"hypfol {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 _COMMANDS = {
@@ -280,8 +298,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         cfg = _build_config(args)
         out_base = args.out if args.out is not None else f"hypfol_{cfg.command.replace('-', '_')}"

@@ -117,6 +117,10 @@ class SpiralParams:
             raise GeometryError("lam must be positive")
         if self.delta <= 0.0:
             raise GeometryError("delta must be positive")
+        # the grid spans 2 pi + 2 delta in t, and the margin reads sin(2 tilt)
+        ends = (self.tilt(3.0, -self.delta), self.tilt(1.0, 2.0 * math.pi + self.delta))
+        if not all(math.isfinite(2.0 * x) for x in (*ends, math.pi + self.delta)):
+            raise GeometryError(f"the tilt overflows on the parameter rectangle at lam {self.lam!r}, delta {self.delta!r}")
 
     @property
     def rect(self) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -166,9 +166,10 @@ def orthonormal_complement(rows) -> np.ndarray:
     twice.  For orthonormal rows that residual has squared norm at least
     1/4 (the squared Euclidean norms of a unit spacelike basis of the
     complement sum to at least its dimension), so a shorter one means the
-    rows do not span a nondegenerate subspace.  The orientation is fixed by
-    the sign of the last vector.  At the base point the frame is exactly
-    ``(e1, e2, e3)``.
+    rows do not span a nondegenerate subspace.  That raises, as does a basis
+    whose Gram matrix misses ``ETA`` by over 1e-12 of its largest squared row
+    norm (some rows from distance 13).  The orientation is fixed by the sign
+    of the last vector.  At the base point the frame is exactly ``(e1, e2, e3)``.
     """
     rows = np.array(rows, dtype=float)
     stack = rows if rows.ndim == 3 else rows.reshape(1, -1, 4)
@@ -187,6 +188,9 @@ def orthonormal_complement(rows) -> np.ndarray:
         if not (n2 > 0.125).all():
             raise GeometryError(f"could not complete the orthonormal frame of row {int(np.argmin(n2 > 0.125))}")
         basis[:, k] = w / np.sqrt(n2)[:, None]
+    error = np.max(np.abs((basis * signs) @ basis.swapaxes(1, 2) - ETA), axis=(1, 2))
+    if not (ok := error <= 1e-12 * np.max(np.sum(basis * basis, axis=2), axis=1)).all():
+        raise GeometryError(f"could not complete the orthonormal frame of row {int(np.argmin(ok))} accurately")
     basis[np.linalg.det(basis) < 0.0, 3] *= -1.0
     return basis[:, first:] if rows.ndim == 3 else basis[0, first:]
 

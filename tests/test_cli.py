@@ -1,7 +1,9 @@
 """Command line front end: outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -10,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -296,6 +299,38 @@ def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, pairs):
     assert not (tmp_path / "b.json").exists()
 
 
+def test_bench_pairs_records_checkout_state(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+    )
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    repo, plain = tmp_path / "repo", tmp_path / "plain"
+    plain.mkdir()
+    (plain / "f").write_text("a\n")
+    assert bench_pairs.checkout_state(plain) == {"commit": None, "dirty": None}
+
+    def git(*argv):
+        return subprocess.run(
+            ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com", *argv],
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.strip()
+
+    repo.mkdir()
+    (repo / "f").write_text("a\n")
+    git("init", "-q")
+    git("add", "f")
+    git("commit", "-q", "-m", "one")
+    commit = git("rev-parse", "HEAD")
+    (repo / "untracked").write_text("x\n")  # untracked files do not count
+    assert bench_pairs.checkout_state(repo) == {"commit": commit, "dirty": False}
+    (repo / "f").write_text("b\n")
+    assert bench_pairs.checkout_state(repo) == {"commit": commit, "dirty": True}
+    # a directory inside a git tree is not a checkout of it
+    (repo / "sub").mkdir()
+    assert bench_pairs.checkout_state(repo / "sub") == {"commit": None, "dirty": None}
+
+
 def test_bad_base_point(tmp_path):
     code = run(
         [
@@ -528,6 +563,21 @@ def test_overflowing_complex_step_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "numerical failure: chart tangents at (1.0, -0.1) are not finite\n"
 
 
+@pytest.mark.parametrize("delta", ["8e305", "5e307", "1e308"])
+@pytest.mark.parametrize(
+    "command",
+    [["scan-lambda"], *([c, "--family", "prop", "--lambda", "1e3"] for c in ("classify", "gauss", "critical"))],
+    ids=lambda command: command[0],
+)
+def test_overflowing_tilt_exits_2(tmp_path, capsys, command, delta):
+    # the tilt alpha0 + lam (t - r) over the rectangle does not fit a float;
+    # a RuntimeWarning would fail the test (pytest turns it into an error)
+    assert run([*command, "--delta", delta, "--grid", "4x4", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the tilt overflows on the parameter rectangle") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 #: valid values of each flag, and values or flags that must be rejected
 _GOOD = {
     "--lambda": ["0.07", "0.3", "5", "1e300"],
@@ -541,8 +591,8 @@ _GOOD = {
 _BAD = [
     ["--family", "helix"], ["--lambda", "0"], ["--lambda", "-0.1"], ["--lambda", "nan"], ["--lambda", "inf"],
     ["--alpha0", "0"], ["--alpha0", "3"], ["--alpha0", "nan"], ["--delta", "0"], ["--delta", "-1"],
-    ["--delta", "inf"], ["--grid", "1x3"], ["--grid", "abc"], ["--grid", "2x99999999999999999999"], ["--tol", "0"],
-    ["--tol", "-1"], ["--tol", "nan"],
+    ["--delta", "inf"], ["--delta", "1e308"], ["--grid", "1x3"], ["--grid", "abc"], ["--grid", "2x99999999999999999999"],
+    ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
     ["--base-point", "1", "1", "0", "0"], ["--base-point", "nan", "0", "0", "0"],
     ["--base-point", "1e200", "1e200", "0", "0"], ["--seed", "-1"], ["--bogus"], ["--out", "missing/x"],
 ]
@@ -584,6 +634,94 @@ def test_every_argv_exits_0_2_or_3_without_traceback(argv):
     assert "Traceback" not in err.getvalue()
     if code:
         assert err.getvalue().strip(), "a failure must say why"
+
+
+#: command lines for the parser identity test, besides the ``_argv`` draws;
+#: ``OUT`` stands for the output base
+_PARSER_CASES = [
+    [], ["-h"], ["--version"], ["bogus"], ["classif"], ["--version", "classify"], ["-h", "gauss"],
+    ["classify", "-h"], ["gauss", "--help"], ["classify", "--version"], ["critical", "--bogus", "-h"],
+    ["classify", "--fam", "vertical", "--grid", "3x3", "--out", "OUT"],
+    ["classify", "--family=vertical", "--grid=3x3", "--out=OUT"],
+    ["classify", "--family", "vertical", "--grid", "2x2", "--grid", "3x3", "--out", "OUT"],
+    ["classify", "--family", "vertical", "--family", "helix", "--out", "OUT"],
+    ["classify", "--family", "vertical", "--grid", "3x3", "--out", "OUT", "extra"],
+    ["classify", "--grid", "3x3"], ["classify", "--family"], ["classify", "--lambda", "x", "--family", "prop"],
+    ["scan-lambda", "--", "x"], ["scan-lambda", "--grid", "3x3", "--out", "OUT", "--"],
+    ["gauss", "--family", "vertical", "--grid", "3x3", "--out", "OUT", "--seed", "1"],
+    ["classify", "--family", "prop", "--lambda", "-0.1", "--grid", "3x3", "--out", "OUT"],
+    ["critical", "--family", "vertical", "--grid", "4x4", "--base-point", "-1", "0", "0", "0", "--out", "OUT"],
+    ["critical", "--family", "vertical", "--base-point", "1", "0", "--out", "OUT"],
+    ["classify", "--=x"], ["gauss", "--family", "vertical", "--=1", "--out", "OUT"], ["--=x"],
+]
+
+
+def _outcome(argv, tmp):
+    """Exit code, stdout, stderr and the files written of one ``main`` call,
+    which runs in the empty directory ``tmp`` and leaves it empty again."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    files = {}
+    for path in sorted(Path(tmp).iterdir()):
+        files[path.name] = path.read_bytes()
+        path.unlink()
+    return code, out.getvalue(), err.getvalue(), files
+
+
+def _assert_parse_matches_full_tree(argv, tmp):
+    # one ``main`` call through ``cli._parse``, one through the full parser
+    # tree, with the terminal width that argparse's messages wrap to pinned
+    argv = [os.path.join(tmp, "x") if x == "OUT" else x.replace("=OUT", "=" + os.path.join(tmp, "x")) for x in argv]
+    with mock.patch.dict(os.environ, {"COLUMNS": "100"}):
+        fast = _outcome(argv, tmp)
+        with mock.patch.object(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv)):
+            full = _outcome(argv, tmp)
+    assert fast == full
+    return fast
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_command_parser_matches_full_tree(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err, _ = _assert_parse_matches_full_tree(argv, str(tmp_path))
+    assert code in (0, 2, 3) and (code == 0 or err)
+
+
+@given(_argv())
+def test_command_parser_matches_full_tree_on_drawn_lines(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_parse_matches_full_tree([*argv, "--out", "OUT"], tmp)
+
+
+@pytest.mark.parametrize(
+    "argv,parsers",
+    [
+        (["classify", "--family", "vertical", "--grid", "3x3"], 1),
+        (["gauss", "--family", "plane-normal", "--grid", "3x3"], 1),
+        (["--version"], 1 + len(cli._COMMAND_OPTIONS)),
+        # the command's parser leaves an argument over: the full tree reports it
+        (["gauss", "--family", "vertical", "--grid", "3x3", "--seed", "1"], 2 + len(cli._COMMAND_OPTIONS)),
+    ],
+)
+def test_parsers_built_per_command_line(tmp_path, monkeypatch, argv, parsers):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main([*argv, "--out", str(tmp_path / "x")])
+        except SystemExit:
+            pass
+    assert len(built) == parsers
 
 
 # ---------------------------------------------------------------------------

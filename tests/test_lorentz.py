@@ -279,6 +279,20 @@ def test_frame_builder_range(rng, distance):
         assert np.all(np.max(np.abs(gram - hf.lorentz.ETA), axis=(1, 2)) <= 1e-12 * scale)
 
 
+@pytest.mark.parametrize("distance", [13.0, 14.0, 16.0, 18.0])
+def test_far_frames_raise_or_meet_the_bound(rng, distance):
+    # past the builder's range a row either raises or still gets a frame
+    # that is Minkowski-orthonormal to 1e-12 of its scale
+    for rows in _far_frame_rows(rng, distance):
+        for row in rows:
+            try:
+                basis = np.concatenate((row, hf.orthonormal_complement(row)))
+            except hf.GeometryError:
+                continue
+            gram = basis @ hf.lorentz.ETA @ basis.T
+            assert np.max(np.abs(gram - hf.lorentz.ETA)) <= 1e-12 * np.max(np.sum(basis * basis, axis=1))
+
+
 # ---------------------------------------------------------------------------
 # ideal boundary
 
