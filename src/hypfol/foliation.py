@@ -62,15 +62,15 @@ from .geodesics import (
     rank_2x2,
 )
 from .lorentz import (
-    _HYGIENE_CAP,
-    MODEL_TOL,
     ORIGIN,
     BoundaryPoint,
     HPoint,
     HTangent,
+    _rescaled,
     cosh_sinhc,
     mink,
     mink_inner,
+    model_checks,
     orthonormal_complement,
     project_to_hyperboloid,
     same_ray,
@@ -93,7 +93,7 @@ def _leaf_map(arrays) -> Callable[[float, float], OrientedGeodesic]:
     invalid leaf raises ``NumericalError``."""
 
     def chart_map(a: float, b: float) -> OrientedGeodesic:
-        # overflow shows up as non-finite components, which the constructors reject
+        # overflow shows up as non-finite components or squares, which the constructors reject
         with np.errstate(all="ignore"):
             foot, direction = arrays(np.array([a], dtype=float), np.array([b], dtype=float))
         try:
@@ -466,13 +466,8 @@ def ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> np
     e0, e1, e2 = orthonormal_complement(center.v)
     w = r * (d[:, :1] * e0 + d[:, 1:2] * e1 + d[:, 2:] * e2)
     ch, sc = cosh_sinhc(np.maximum(mink(w, w), 0.0))
-    points = ch[:, None] * center.v + sc[:, None] * w
-    # the hygiene rule of ``lorentz._finish_point``, row by row
-    q = -mink(points, points)
-    fix = (np.max(np.abs(points), axis=1) < _HYGIENE_CAP) & (q > 0.0)
-    points[fix] /= np.sqrt(q[fix])[:, None]
-    on_sheet = np.abs(mink(points, points) + 1.0) <= MODEL_TOL * np.maximum(1.0, np.sum(points * points, axis=1))
-    if not (np.isfinite(points).all() and on_sheet.all() and (points[:, 0] > 0.0).all()):
+    points = _rescaled(ch[:, None] * center.v + sc[:, None] * w, -1.0)
+    if not all(ok.all() for _, ok in model_checks(points)):
         raise GeometryError("ball sample is not a point of the hyperboloid")
     return points
 

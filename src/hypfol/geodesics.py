@@ -10,9 +10,9 @@ orthogonal Jacobi equation is ``J'' = J``, so evaluation is closed form.
 Here live the leaves and their endpoints; the neutral metrics themselves
 are read by the chart kernel (``foliation.chart_jets``) from the sphere
 endpoints.  On arrays of leaves ``(foot, dir)``: ``check_leaves`` (the
-value objects' checks), ``leaf_dist``, the endpoint images
-(``endpoint_images``, the forward and backward endpoints being the rays of
-``foot +- dir``), ``asymptote_directions`` and ``rank_2x2``, the rank of
+model's invariants, ``lorentz.model_checks``), ``leaf_dist``, the endpoint
+images (``endpoint_images``, the forward and backward endpoints being the
+rays of ``foot +- dir``), ``asymptote_directions`` and ``rank_2x2``, the rank of
 2x2 matrices from a determinant and a Frobenius norm.  ``cross_metric``,
 the cross metric of Jacobi data ``(J(0), J'(0))`` from ambient
 determinants, and ``gauss_map_jacobian``, finite-difference endpoint
@@ -33,7 +33,6 @@ from .errors import (
     NumericalError,
 )
 from .lorentz import (
-    MODEL_TOL,
     ORIGIN,
     BoundaryPoint,
     HPoint,
@@ -44,6 +43,7 @@ from .lorentz import (
     _unitize,
     mink,
     mink_inner,
+    model_checks,
     orthonormal_complement,
     same_point,
     sphere_coords,
@@ -192,35 +192,13 @@ def cross_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -> 
 # array forms: leaves as (N, 4) feet and directions
 
 
-def _mink_of_products(p: np.ndarray) -> np.ndarray:
-    """``mink(x, y)`` from the products ``p = x * y``, in ``mink``'s order of
-    operations, so to the same bits."""
-    return p[..., 1] + p[..., 2] + p[..., 3] - p[..., 0]
-
-
 def check_leaves(foot: np.ndarray, direction: np.ndarray, params) -> None:
-    """Raise ``NumericalError`` unless every row is a leaf that the value
-    objects would accept: finite, the foot on the unit hyperboloid with
-    ``x0 > 0``, the direction a unit tangent at the foot, all at the
-    constructors' relative tolerance ``MODEL_TOL``.  ``params``, the pair of
-    parameter arrays ``(a, b)``, are read only to name the first failing row
-    of the first check that fails."""
-    with np.errstate(all="ignore"):
-        fsq, dsq = foot * foot, direction * direction
-        fs, ds = np.add.reduce(fsq, axis=-1), np.add.reduce(dsq, axis=-1)
-        ff, dd = _mink_of_products(fsq), _mink_of_products(dsq)
-        checks = (
-            ("non-finite leaf", np.isfinite(fs) & np.isfinite(ds)),
-            ("point is not on the unit hyperboloid", np.abs(ff + 1.0) <= MODEL_TOL * np.maximum(1.0, fs)),
-            ("point is on the past sheet", foot[..., 0] > 0.0),
-            (
-                "vector is not tangent at its base point",
-                np.abs(mink(foot, direction)) <= MODEL_TOL * np.maximum(1.0, np.sqrt(fs * ds)),
-            ),
-            ("direction must be a unit vector", np.abs(dd - 1.0) <= MODEL_TOL * np.maximum(1.0, ds)),
-        )
-    if np.logical_and.reduce([ok for _, ok in checks], axis=None):
-        return
+    """Raise ``NumericalError`` unless every row is a leaf by the table of
+    ``lorentz.model_checks``, naming the first failing row of the first check
+    that fails by its parameters ``params = (a, b)``, which are read only then;
+    a row whose squares are not finite is a "non-finite leaf"."""
+    checks = model_checks(foot, direction)
+    checks[0] = ("non-finite leaf", checks[0][1])
     for message, ok in checks:
         if not ok.all():
             k = int(np.argmin(ok))
@@ -246,10 +224,10 @@ def leaf_dist(foot: np.ndarray, direction: np.ndarray, q: np.ndarray) -> np.ndar
     relative accuracy near the trajectory, where ``arccosh`` of
     ``cosh(d) = sqrt(a^2 - b^2)`` would lose it to cancellation.
     """
-    a = -_mink_of_products(foot * q)
-    b = _mink_of_products(direction * q)
+    a = -mink(foot, q)
+    b = mink(direction, q)
     r = q - (a[..., None] * foot + b[..., None] * direction)
-    return np.arcsinh(np.sqrt(np.maximum(_mink_of_products(r * r), 0.0)))
+    return np.arcsinh(np.sqrt(np.maximum(mink(r, r), 0.0)))
 
 
 def endpoint_images(foot: np.ndarray, direction: np.ndarray, sign: int) -> np.ndarray:

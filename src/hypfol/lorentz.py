@@ -23,10 +23,9 @@ import numpy as np
 
 from .errors import GeometryError
 
-#: Relative tolerance for constructor invariants (hyperboloid membership,
-#: tangency, nullity).  Checks are scaled by the squared Euclidean size of
-#: the data so that large-coordinate points far from the base are not
-#: rejected for plain roundoff.
+#: Relative tolerance of the model's invariants (``model_checks``): each is
+#: scaled by the squared Euclidean size of its data, so that large-coordinate
+#: points far from the base are not rejected for plain roundoff.
 MODEL_TOL = 1e-9
 
 #: The Minkowski form as a matrix: ``<x, y> = x @ ETA @ y``.
@@ -43,24 +42,59 @@ def _as_mink(arr) -> np.ndarray:
     return a
 
 
+def mink(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Minkowski pairing over the last axis of arrays of 4-vectors,
+    broadcasting the others; complex-safe (no conjugation)."""
+    p = x * y
+    return p[..., 1] + p[..., 2] + p[..., 3] - p[..., 0]
+
+
 def mink_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Minkowski pairing of signature (3,1)."""
-    return float(a[1] * b[1] + a[2] * b[2] + a[3] * b[3] - a[0] * b[0])
+    return float(mink(a, b))
 
 
-def mink(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``mink_inner`` over the last axis of arrays of 4-vectors, broadcasting
-    the others; complex-safe (no conjugation)."""
-    return x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2] + x[..., 3] * y[..., 3] - x[..., 0] * y[..., 0]
+def _size_and_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared Euclidean norms and ``mink(x, x)`` of 4-vectors, from one set of squares."""
+    p = x * x
+    time, spatial = p[..., 0], p[..., 1] + p[..., 2] + p[..., 3]
+    return spatial + time, spatial - time
 
 
-def _scale_sq(a: np.ndarray) -> float:
-    return max(1.0, float(np.dot(a, a)))
+def model_checks(points: np.ndarray, vectors: np.ndarray | None = None) -> list[tuple[str, np.ndarray]]:
+    """The hyperboloid model's invariants on arrays of 4-vectors, as ``(message,
+    ok)`` pairs in check order: finite squares, ``points`` on the unit
+    hyperboloid and its future sheet, and given ``vectors``, each tangent at its
+    point and unit.  Each holds to ``MODEL_TOL`` of the squared Euclidean size
+    of its data (``|p| |v|`` for tangency), at least 1."""
+    with np.errstate(all="ignore"):
+        ps, pp = _size_and_square(points)
+        finite = np.isfinite(ps)
+        checks = [
+            ("point is not on the unit hyperboloid", np.abs(pp + 1.0) <= MODEL_TOL * np.maximum(1.0, ps)),
+            ("point is on the past sheet", points[..., 0] > 0.0),
+        ]
+        if vectors is not None:
+            vs, vv = _size_and_square(vectors)
+            finite &= np.isfinite(vs)
+            size = np.maximum(1.0, np.sqrt(ps) * np.sqrt(vs))
+            checks += [
+                ("vector is not tangent at its base point", np.abs(mink(points, vectors)) <= MODEL_TOL * size),
+                ("direction must be a unit vector", np.abs(vv - 1.0) <= MODEL_TOL * np.maximum(1.0, vs)),
+            ]
+    return [("non-finite squares", finite), *checks]
+
+
+def _require(checks) -> None:
+    """Raise ``GeometryError`` with the message of the first failing check."""
+    for message, ok in checks:
+        if not ok:
+            raise GeometryError(message)
 
 
 def _require_unit(t: HTangent, name: str) -> None:
-    """Unit-norm check at the relative tolerance of the constructor invariants."""
-    if abs(t.norm_sq - 1.0) > MODEL_TOL * _scale_sq(t.w):
+    """The unit check of ``model_checks`` on a tangent."""
+    if not model_checks(t.base.v, t.w)[-1][1]:
         raise GeometryError(f"{name} must be a unit vector")
 
 
@@ -71,12 +105,8 @@ class HPoint:
     v: np.ndarray
 
     def __post_init__(self):
-        v = _as_mink(self.v)
-        object.__setattr__(self, "v", v)
-        if abs(mink_inner(v, v) + 1.0) > MODEL_TOL * _scale_sq(v):
-            raise GeometryError("point is not on the unit hyperboloid")
-        if v[0] <= 0.0:
-            raise GeometryError("point is on the past sheet")
+        object.__setattr__(self, "v", _as_mink(self.v))
+        _require(model_checks(self.v))
 
     def __repr__(self):
         return f"HPoint({np.array2string(self.v, precision=6)})"
@@ -90,19 +120,8 @@ class HTangent:
     w: np.ndarray
 
     def __post_init__(self):
-        w = _as_mink(self.w)
-        object.__setattr__(self, "w", w)
-        scale = max(1.0, float(np.linalg.norm(self.base.v) * np.linalg.norm(w)))
-        if abs(mink_inner(self.base.v, w)) > MODEL_TOL * scale:
-            raise GeometryError("vector is not tangent at its base point")
-
-    @property
-    def norm_sq(self) -> float:
-        return mink_inner(self.w, self.w)
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(max(self.norm_sq, 0.0)))
+        object.__setattr__(self, "w", _as_mink(self.w))
+        _require(model_checks(self.base.v, self.w)[:-1])
 
     def __repr__(self):
         return f"HTangent(base0={self.base.v[0]:.4g}, w={np.array2string(self.w, precision=6)})"
@@ -118,9 +137,10 @@ class BoundaryPoint:
         a = np.array(self.n, dtype=float)
         if a.shape != (4,) or not np.all(np.isfinite(a)):
             raise GeometryError("boundary point needs 4 finite components")
+        _require(model_checks(a)[:1])
         if a[0] <= 0.0:
             raise GeometryError("boundary ray must be future pointing")
-        if abs(mink_inner(a, a)) > MODEL_TOL * _scale_sq(a):
+        if abs(mink_inner(a, a)) > MODEL_TOL * max(1.0, float(np.dot(a, a))):
             raise GeometryError("boundary ray is not null")
         a = a / a[0]
         a[0] = 1.0
@@ -203,12 +223,18 @@ def orthonormal_complement(rows) -> np.ndarray:
 _HYGIENE_CAP = 8.0
 
 
+def _rescaled(x: np.ndarray, sign: float) -> np.ndarray:
+    """The hygiene rule: 4-vectors, or ``(N, 4)`` rows of them, rescaled to
+    ``sign <x, x> = 1`` where that is well conditioned (components below
+    ``_HYGIENE_CAP`` and ``sign <x, x> > 0``), the others as they are."""
+    with np.errstate(all="ignore"):
+        q = sign * mink(x, x)
+        fix = (np.max(np.abs(x), axis=-1) < _HYGIENE_CAP) & (q > 0.0)
+        return np.where(fix[..., None], x / np.sqrt(np.where(fix, q, 1.0))[..., None], x)
+
+
 def _finish_point(arr: np.ndarray) -> HPoint:
-    if float(np.max(np.abs(arr))) < _HYGIENE_CAP:
-        q = -mink_inner(arr, arr)
-        if q > 0.0:
-            arr = arr / np.sqrt(q)
-    return HPoint(arr)
+    return HPoint(_rescaled(arr, -1.0))
 
 
 def _finish_tangent(p: HPoint, arr: np.ndarray) -> HTangent:
@@ -219,11 +245,7 @@ def _finish_tangent(p: HPoint, arr: np.ndarray) -> HTangent:
 
 def _unitize(t: HTangent) -> HTangent:
     """Normalize a mathematically-unit tangent only where well conditioned."""
-    if float(np.max(np.abs(t.w))) < _HYGIENE_CAP:
-        n2 = mink_inner(t.w, t.w)
-        if n2 > 0.0:
-            return HTangent(t.base, t.w / np.sqrt(n2))
-    return t
+    return HTangent(t.base, _rescaled(t.w, 1.0))
 
 
 def cosh_sinhc(x):

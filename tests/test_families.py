@@ -14,6 +14,7 @@ from util import (
     cross_form_matrix,
     exp_map,
     field_value,
+    norm_sq,
     perp_component,
     reference_scan_lambda_max,
     transport_to,
@@ -163,7 +164,7 @@ def test_spiral_direction_unit_and_orthogonal_to_radial(params):
     for r, t in ((1.2, 0.3), (2.0, 4.0), (2.9, 6.0)):
         v = hf.spiral_chart(params).map(r, t).dir
         fr = hf.polar_frame(r, t)
-        assert v.norm_sq == pytest.approx(1.0, abs=1e-12)
+        assert norm_sq(v) == pytest.approx(1.0, abs=1e-12)
         assert abs(hf.mink_inner(v.w, fr.radial.w)) < 1e-12
 
 

@@ -16,6 +16,7 @@ from util import (
     KILLING_FORM,
     ambient_forms,
     ambient_tangents,
+    boost_matrix,
     classify_point,
     collapsed_chart,
     counting_chart,
@@ -93,6 +94,18 @@ def test_chart_tangent_schemes_consistent(spiral):
     _, central = hf.chart_tangent(chart, params, h=1e-4)
     _, half = hf.chart_tangent(chart, params, h=5e-5)
     assert np.max(np.abs(central.j0.w - half.j0.w)) < 1e-6
+
+
+def test_chart_map_and_chart_jets_reject_an_overflowing_leaf():
+    def arrays(a, b):
+        rows = np.ones_like(a)[:, None]
+        return rows * np.array([1e200, 1e200, 0.0, 0.0]), rows * np.array([0.0, 0.0, 1.0, 0.0])
+
+    chart = hf.FoliationChart(arrays=arrays, domain=((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(hf.NumericalError, match=r"^chart leaf at \(0.5, 0.5\): non-finite squares$"):
+        chart.map(0.5, 0.5)
+    with pytest.raises(hf.NumericalError, match=r"^chart leaf at \(0.5, 0.5\): non-finite leaf$"):
+        hf.chart_jets(chart, [0.5], [0.5])
 
 
 def test_chart_tangent_bad_axis_and_step(spiral):
@@ -251,16 +264,6 @@ def _moved(chart, matrix):
     return hf.FoliationChart(arrays=arrays, domain=chart.domain, name=chart.name)
 
 
-def _boost(direction, distance):
-    """The boost of length ``distance`` along a spatial direction."""
-    v = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
-    ch, sh = math.cosh(distance), math.sinh(distance)
-    boost = np.eye(4)
-    boost[0, 0], boost[0, 1:], boost[1:, 0] = ch, sh * v, sh * v
-    boost[1:, 1:] += (ch - 1.0) * np.outer(v, v)
-    return boost
-
-
 @pytest.mark.parametrize("distance", [6.0, 8.0, 12.0, 16.0, 20.0, 24.0])
 def test_far_field_verdicts(vertical, spiral, distance):
     # verdicts are isometry invariants; central differences gave wrong ones
@@ -269,7 +272,7 @@ def test_far_field_verdicts(vertical, spiral, distance):
     # vertical chart's own leaves may fail the value objects' checks: a
     # limit of the data, reported as a numerical failure
     for direction in ((1.0, 0.0, 0.0), (1.0, 2.0, 3.0), (-0.3, 0.8, 0.5), (1.0, 1.0, 1.0)):
-        boost = _boost(direction, distance)
+        boost = boost_matrix(direction, distance)
         try:
             rep = hf.classify_chart(_moved(vertical[1], boost), grid=(6, 6))
         except hf.NumericalError as exc:

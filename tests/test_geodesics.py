@@ -10,6 +10,7 @@ from hypfol.geodesics import check_leaves
 from util import (
     NonOrthogonalJacobiError,
     asymptote,
+    boost_matrix,
     boundary_from_sphere,
     cross,
     eval_geodesic,
@@ -20,6 +21,7 @@ from util import (
     jacobi_variation_chart,
     killing_metric,
     minner,
+    norm_sq,
     normalized,
     perp_component,
     project_to_tangent,
@@ -157,7 +159,7 @@ def test_eval_matches_exp_and_unit_speed(rng):
     for s in (-1.7, 0.0, 0.4, 2.2):
         pt, vel = eval_geodesic(g, s)
         assert hf.dist(g.foot, pt) == pytest.approx(abs(s), abs=1e-10)
-        assert vel.norm_sq == pytest.approx(1.0, abs=1e-12)
+        assert norm_sq(vel) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(pt.v, exp_map(hf.HTangent(g.foot, s * g.dir.w)).v, atol=1e-12)
 
 
@@ -301,6 +303,123 @@ def test_check_leaves_reports_the_earlier_check(i, j):
     fault(foot, direction, 4)
     later(foot, direction, 0)
     assert _leaf_failure(foot, direction) == f"chart leaf at (2.9, 4.0): {message}"
+
+
+def _overflowing(foot, direction, k):
+    foot[k] *= 1e200  # finite components whose squares overflow
+
+
+#: the value objects name what is non-finite, a component or a square;
+#: ``check_leaves`` reports either as a non-finite leaf
+_AS_LEAF = {"non-finite Minkowski components": "non-finite leaf", "non-finite squares": "non-finite leaf"}
+
+
+#: the messages of the checks on the feet alone; every fault here that fails
+#: one of them changes only the foot
+_POINT_MESSAGES = ("non-finite leaf", "point is not on the unit hyperboloid", "point is on the past sheet")
+
+
+def _scalar_failure(foot, direction=None):
+    """The message with which the value objects reject one leaf, or None:
+    ``HPoint``, then ``HTangent`` and ``OrientedGeodesic`` unless
+    ``direction`` is None."""
+    try:
+        p = hf.HPoint(foot)
+        if direction is not None:
+            hf.OrientedGeodesic(p, hf.HTangent(p, direction))
+    except hf.GeometryError as exc:
+        return _AS_LEAF.get(str(exc), str(exc))
+    return None
+
+
+def _assert_parity(foot, direction):
+    """``check_leaves`` and the value objects reject the same rows with the
+    same messages, and ``HPoint`` alone the rows whose feet fail; returns
+    the messages."""
+    messages = [_array_failure(f, d) for f, d in zip(foot, direction)]
+    assert [_scalar_failure(f, d) for f, d in zip(foot, direction)] == messages
+    assert [_scalar_failure(f) for f in foot] == [m if m in _POINT_MESSAGES else None for m in messages]
+    return messages
+
+
+def _array_failure(foot, direction):
+    """The message with which ``check_leaves`` rejects one leaf, or None."""
+    try:
+        check_leaves(foot[None], direction[None], ([0.0], [0.0]))
+    except hf.NumericalError as exc:
+        return str(exc).removeprefix("chart leaf at (0.0, 0.0): ")
+    return None
+
+
+def _moved_leaves(rng, distances):
+    """The spiral leaves, then their copies moved by a seeded boost of each length."""
+    foot, direction = _spiral_leaves()
+    feet, directions = [foot], [direction]
+    for distance in distances:
+        b = boost_matrix(rng.standard_normal(3), distance)
+        feet.append(foot @ b.T)
+        directions.append(direction @ b.T)
+    return np.concatenate(feet), np.concatenate(directions)
+
+
+@pytest.mark.parametrize("fault", [None, _overflowing] + [fault for fault, _ in _LEAF_FAULTS])
+def test_value_objects_reject_the_rows_check_leaves_rejects(rng, fault):
+    foot, direction = _moved_leaves(rng, (5.0, 10.0, 15.0, 20.0))
+    if fault is not None:
+        for k in range(0, len(foot), 2):
+            fault(foot, direction, k)
+    messages = _assert_parity(foot, direction)
+    if fault is None:
+        # every moved leaf is valid to far below the tolerance
+        assert messages == [None] * len(foot)
+    else:
+        # far out the relative tolerances admit the milder faults, so only the
+        # unmoved rows are sure to fail
+        want = dict(_LEAF_FAULTS).get(fault, "non-finite leaf")
+        assert messages[:5] == [want, None, want, None, want]
+
+
+def _ratios(foot, direction):
+    """How far a leaf is from each tolerance, as multiples of it: the
+    hyperboloid, tangency and unit deviations over ``MODEL_TOL`` of their
+    scales, in oracle arithmetic."""
+    fs, ds = float(np.dot(foot, foot)), float(np.dot(direction, direction))
+    deviations = (minner(foot, foot) + 1.0, minner(foot, direction), minner(direction, direction) - 1.0)
+    scales = (fs, np.sqrt(fs * ds), ds)
+    return [abs(x) / (hf.MODEL_TOL * max(1.0, s)) for x, s in zip(deviations, scales)]
+
+
+def _at_tolerance(invariant, c, foot, direction):
+    """The leaf moved to ``c`` times the tolerance of one invariant."""
+    foot, direction = foot.copy(), direction.copy()
+    if invariant == 0:
+        # <f, f> falls by c MODEL_TOL |f|^2 as the time component grows
+        foot[0] = np.sqrt(foot[0] ** 2 + c * hf.MODEL_TOL * max(1.0, float(np.dot(foot, foot))))
+    elif invariant == 1:
+        # <f, d + t f> = <f, d> - t, while <d + t f, d + t f> = 1 - t^2; the
+        # step moves |d| too, so t is refined once
+        t = 0.0
+        for _ in range(2):
+            t = c * hf.MODEL_TOL * max(1.0, float(np.linalg.norm(foot) * np.linalg.norm(direction + t * foot)))
+        direction += t * foot
+    else:
+        # a scaled direction stays tangent; <sd, sd> - 1 = c MODEL_TOL |sd|^2
+        direction /= np.sqrt(1.0 - c * hf.MODEL_TOL * float(np.dot(direction, direction)))
+    return foot, direction
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+@pytest.mark.parametrize("invariant", [0, 1, 2], ids=["hyperboloid", "tangent", "unit"])
+def test_value_objects_and_check_leaves_share_each_tolerance(rng, invariant, c):
+    # the perturbations are small against the leaf up to a distance of about 6
+    want = None if c < 1.0 else [message for _, message in _LEAF_FAULTS][[1, 3, 4][invariant]]
+    for foot, direction in zip(*_moved_leaves(rng, (3.0, 6.0))):
+        foot, direction = _at_tolerance(invariant, c, foot, direction)
+        ratios = _ratios(foot, direction)
+        assert ratios[invariant] == pytest.approx(c, rel=1e-2)
+        # the invariants checked before this one hold, and at c = 0.5 all do
+        assert max(ratios[:invariant], default=0.0) < 0.5 and (c > 1.0 or max(ratios) < 1.0)
+        assert _assert_parity(foot[None], direction[None]) == [want]
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +638,7 @@ def test_asymptote_round_trip(rng):
         p = rand_point(rng, scale=1.5)
         b = boundary_from_sphere(rng.standard_normal(3))
         v = asymptote(p, b)
-        assert v.norm_sq == pytest.approx(1.0, abs=1e-9)
+        assert norm_sq(v) == pytest.approx(1.0, abs=1e-9)
         again = hf.gauss_map(hf.make_geodesic(p, v), 1)
         assert hf.same_ray(again, b)
 

@@ -1,4 +1,8 @@
-"""Hyperboloid model: inner product, exp/log, transport, the cross-product oracle, frames, boundary."""
+"""Hyperboloid model: inner product, the model's invariants, exp/log, transport, the cross-product oracle, frames,
+boundary."""
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from util import (
     exp_map,
     log_map,
     minner,
+    norm,
+    norm_sq,
     normalized,
     project_to_tangent,
     rand_point,
@@ -58,6 +64,44 @@ def test_constructors_reject_bad_data():
         hf.BoundaryPoint((1.0, 1.0, 1.0, 0.0))  # not null
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hf.HPoint((1e200, 1e200, 0.0, 0.0)),
+        lambda: hf.HTangent(O, (0.0, 1e200, 1e200, 0.0)),
+        # the direction's square overflows, so its HTangent is already rejected
+        lambda: hf.OrientedGeodesic(O, hf.HTangent(O, (0.0, 1e200, 0.0, 0.0))),
+        lambda: hf.make_geodesic(O, hf.HTangent(O, (0.0, 1e200, 0.0, 0.0))),
+        # timelike, and without the check it would normalize to (1, 0, 0, 0)
+        lambda: hf.BoundaryPoint((1e200, 0.0, 0.0, 0.0)),
+    ],
+    ids=["HPoint", "HTangent", "OrientedGeodesic", "make_geodesic", "BoundaryPoint"],
+)
+def test_constructors_reject_overflowing_squares(build):
+    # every tolerance test of an overflowing square compares inf or NaN, which
+    # accepts; RuntimeWarning is an error under pytest, so none escapes either
+    with pytest.raises(hf.GeometryError, match="^non-finite squares$"):
+        build()
+
+
+def test_model_tol_is_read_only_in_lorentz():
+    # the invariants and their tolerance live in lorentz (model_checks); a
+    # tolerance test anywhere else would be a second copy of the policy.
+    # The package's __init__ may re-export the constant, nothing may read it
+    readers = []
+    for path in sorted(pathlib.Path(hf.__file__).parent.glob("*.py")):
+        if path.name == "lorentz.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                (isinstance(node, ast.Name) and node.id == "MODEL_TOL")
+                or (isinstance(node, ast.Attribute) and node.attr == "MODEL_TOL")
+                or (isinstance(node, ast.alias) and node.name == "MODEL_TOL" and path.name != "__init__.py")
+            ):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
+
+
 def test_exp_map_trivials():
     assert exp_map(hf.HTangent(O, np.zeros(4))) is O
     s = 1.3
@@ -74,7 +118,7 @@ def test_dist_trivials():
 @given(coords, coords, coords)
 def test_exp_dist_consistency(x, y, z):
     w = hf.HTangent(O, (0.0, x, y, z))
-    assert hf.dist(O, exp_map(w)) == pytest.approx(w.norm, abs=1e-10)
+    assert hf.dist(O, exp_map(w)) == pytest.approx(norm(w), abs=1e-10)
 
 
 def test_log_map_trivials():
@@ -127,7 +171,7 @@ def test_transport_is_isometry(rng):
         g = rand_geodesic(rng)
         t = rand_unit_tangent(rng, g.foot)
         moved = transport_along(g.dir, 1.3, t)
-        assert moved.norm_sq == pytest.approx(t.norm_sq, abs=1e-12)
+        assert norm_sq(moved) == pytest.approx(norm_sq(t), abs=1e-12)
 
 
 def test_transport_round_trip(rng):
@@ -194,8 +238,8 @@ def test_cross_antisymmetry_and_orthogonality(rng):
         assert np.allclose(cross(p, a, a).w, 0.0, atol=1e-12 * scale)
         assert abs(hf.mink_inner(c.w, a.w)) < 1e-10 * scale
         assert abs(hf.mink_inner(c.w, b.w)) < 1e-10 * scale
-        want = a.norm_sq * b.norm_sq - hf.mink_inner(a.w, b.w) ** 2
-        assert c.norm_sq == pytest.approx(want, rel=1e-9, abs=1e-10)
+        want = norm_sq(a) * norm_sq(b) - hf.mink_inner(a.w, b.w) ** 2
+        assert norm_sq(c) == pytest.approx(want, rel=1e-9, abs=1e-10)
 
 
 def test_cross_base_mismatch():

@@ -5,9 +5,10 @@ Killing metric of Jacobi data), scalar references (the exponential map,
 ball samples and the eigenvector test one at a time, parallel transport,
 asymptote vectors, closed-form Jacobi evaluation, the Jacobi-variation
 chart, one-sample classification), the value-object helpers only tests use
-(points along a geodesic, its reverse, unit tangents, one field value, one
-classified sample, the spiral's closed-form Gram matrix), reference CSV and
-report writers, the full-grid pitch scan and a chart-evaluation counter."""
+(points along a geodesic, its reverse, tangent norms, unit tangents, one
+field value, one classified sample, the spiral's closed-form Gram matrix),
+boost matrices, reference CSV and report writers, the full-grid pitch scan
+and a chart-evaluation counter."""
 
 import csv
 import dataclasses
@@ -202,7 +203,7 @@ def rand_point(rng, scale=1.0) -> HPoint:
 def rand_unit_tangent(rng, p: HPoint) -> HTangent:
     while True:
         t = project_to_tangent(p, rng.standard_normal(4))
-        if t.norm > 1e-6:
+        if norm(t) > 1e-6:
             return normalized(t)
 
 
@@ -296,8 +297,26 @@ def reverse(g: OrientedGeodesic) -> OrientedGeodesic:
     return OrientedGeodesic(g.foot, HTangent(g.foot, -g.dir.w))
 
 
+def boost_matrix(direction, distance):
+    """The boost of length ``distance`` along a spatial direction."""
+    v = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+    ch, sh = math.cosh(distance), math.sinh(distance)
+    boost = np.eye(4)
+    boost[0, 0], boost[0, 1:], boost[1:, 0] = ch, sh * v, sh * v
+    boost[1:, 1:] += (ch - 1.0) * np.outer(v, v)
+    return boost
+
+
+def norm_sq(t: HTangent) -> float:
+    return mink_inner(t.w, t.w)
+
+
+def norm(t: HTangent) -> float:
+    return float(np.sqrt(max(norm_sq(t), 0.0)))
+
+
 def normalized(t: HTangent) -> HTangent:
-    n = t.norm
+    n = norm(t)
     if n == 0.0:
         raise GeometryError("cannot normalize the zero tangent vector")
     return HTangent(t.base, t.w / n)
@@ -432,7 +451,7 @@ def initial_value_rank(chart, params) -> int:
 
 def exp_map(t: HTangent) -> HPoint:
     """Geodesic exponential: ``cosh|w| p + sinh|w| w/|w|`` (``p`` for ``w = 0``)."""
-    r = t.norm
+    r = norm(t)
     if r == 0.0:
         return t.base
     arr = np.cosh(r) * t.base.v + (np.sinh(r) / r) * t.w
@@ -545,7 +564,7 @@ def transport_to(t: HTangent, target: HPoint) -> HTangent:
     if np.max(np.abs(t.base.v - target.v)) <= 1e-15 * max(1.0, float(np.max(np.abs(t.base.v)))):
         return _finish_tangent(target, t.w)
     u = log_map(t.base, target)
-    r = u.norm
+    r = norm(u)
     moved = transport_along(HTangent(t.base, u.w / r), r, t)
     return _finish_tangent(target, moved.w)
 
