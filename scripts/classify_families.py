@@ -2,8 +2,9 @@
 """Run the full diagnostic battery on the two genuine foliation families.
 
 For each family (vertical and plane-normal): grid classification, field
-residual, endpoint-map ranks, initial-value rank, eigenvector degeneracy,
-and the critical points of the squared distance from the base point.
+residual, endpoint-map ranks, initial-value rank, the verdicts and endpoint
+ranks of the field's transverse charts, and the critical points of the
+squared distance from the base point.
 """
 
 import argparse
@@ -31,13 +32,15 @@ def diagnose(name: str, field: hf.UnitField, chart: hf.FoliationChart, grid):
     print(f"== {name}")
     rep = hf.classify_chart(chart, grid=grid)
     print(f"  aggregate verdict: {rep.aggregate}")
-    residual, degenerate, eigenvalue, _ = hf.field_checks(field, hf.ball_samples(hf.ORIGIN, 0.8, 8, seed=0))
+    residual, code, field_f, field_b = hf.field_checks(field, hf.ball_samples(hf.ORIGIN, 0.8, 8, seed=0))
     print(f"  geodesic-field residual: {residual:.2e}")
     a, b = hf.grid_arrays(chart, (6, 6))
     ranks_f, ranks_b = (sorted(set(r.tolist())) for r in hf.chart_jets(chart, a, b).endpoint_ranks())
     print(f"  endpoint-map ranks: forward {ranks_f}, backward {ranks_b}")
     print(f"  initial-value ranks: {sorted({initial_value_rank(chart, params) for params in zip(a, b)})}")
-    print(f"  eigenvector degeneracy: {bool(degenerate[0])} (eigenvalue {float(eigenvalue[0])})")
+    verdicts = sorted({hf.VERDICTS[c] for c in code})
+    field_f, field_b = (sorted(set(r.tolist())) for r in (field_f, field_b))
+    print(f"  field verdicts: {verdicts}, endpoint ranks: forward {field_f}, backward {field_b}")
     minima, _ = hf.critical_point_scan(chart, grid=(15, 15))
     print(f"  squared-distance minima: {[(round(m.a, 4), round(m.b, 4), m.value) for m in minima]}")
 

@@ -31,6 +31,7 @@ from .families import (
 )
 from .foliation import (
     VERDICT_TOL,
+    VERDICTS,
     ball_samples,
     chart_jets,
     classify_chart,
@@ -159,9 +160,9 @@ def cmd_classify(cfg: RunConfig, out_base: str) -> int:
     rep = classify_chart(chart, grid=cfg.grid, tol=cfg.tol)
     results = {"classification": rep}
     if field is not None:
-        residual, degenerate, _, _ = field_checks(field, ball_samples(field.center, 0.8, 5, seed=cfg.seed))
+        residual, code, _, _ = field_checks(field, ball_samples(field.center, 0.8, 5, seed=cfg.seed))
         results["field_residual"] = residual
-        results["eigencheck_degenerate"] = degenerate.tolist()
+        results["eigencheck_degenerate"] = (code != VERDICTS.index("definite")).tolist()
     payload = report_payload("classify", cfg.to_dict(), results, __version__)
     write_report(out_base + ".json", payload)
     print(f"aggregate: {rep.aggregate}")

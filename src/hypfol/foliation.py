@@ -28,15 +28,16 @@ Riemannian.  ``critical_point_scan`` evaluates its squared-distance grid
 with one array call, refines every grid-local minimum at once by a
 coordinate descent whose array calls each try several halvings of every
 start's step, and returns the minima together with the ring minima of that
-grid.  ``field_checks`` exercises the same criteria from the vector-field
-side: the geodesic residual and the eigenvector degeneracy of a field, read
-from its covariant differentials.  A field is an array map as well, and
-``covariant_differentials`` takes its derivatives by complex steps along the
-orthonormal frames that one stacked ``lorentz.orthonormal_complement`` call
-gives at all the points; ``field_checks`` tests every point's eigenpairs
-with one batched ``eig``.  ``geodesics_intersect`` decides how two leaves
-meet, and ``chart_tangent`` keeps central-difference chart tangents as an
-independent check of the kernel.
+grid.  ``field_checks`` applies the same classifier from the vector-field
+side.  A field is an array map as well, and ``covariant_differentials``
+takes its derivatives by complex steps along the orthonormal frames that
+one stacked ``lorentz.orthonormal_complement`` call gives at all the points.
+At each point the field's integral geodesics through a disc transverse to it
+form a chart whose jets are those steps, so the kernel's forms and the
+chart classifier give the field's verdicts and endpoint ranks, next to its
+geodesic residual.  ``geodesics_intersect`` decides how two leaves meet, and
+``chart_tangent`` keeps central-difference chart tangents as an independent
+check of the kernel.
 
 All verdicts are decided at an explicit tolerance on quadratic-form values
 normalized by the energy of the Jacobi data, recorded in every report.  At
@@ -216,7 +217,8 @@ class ChartJets:
     """Validated leaves of a chart at ``N`` parameter pairs, with the forms
     of both axis tangents read from the leaves' sphere endpoints.
 
-    ``params`` is ``(N, 2)``; ``foot`` and ``dir`` are ``(N, 4)``.
+    ``params`` is ``(N, 2)`` (for the transverse charts of a field, the
+    ``(N, 4)`` points); ``foot`` and ``dir`` are ``(N, 4)``.
     ``cross``, ``killing`` and ``energy`` are the ``(N, 2, 2)`` Gram matrices
     of the cross metric, the Killing metric and the energy ``|J|^2 + |J'|^2``
     on the raw tangents along ``a`` and ``b``.  ``ends`` ``(2, 2, N)`` holds
@@ -270,7 +272,22 @@ class ChartJets:
 
 def chart_jets(chart: FoliationChart, a, b) -> ChartJets:
     """Evaluate the chart at parameter arrays ``a``, ``b`` with three array
-    calls: the leaves, then complex steps of ``CS_STEP`` in ``a`` and in ``b``.
+    calls, the leaves and then complex steps of ``CS_STEP`` in ``a`` and in
+    ``b``, and read their forms (``_jets``)."""
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    foot, direction = _evaluate(chart, a, b)
+    steps = [_evaluate(chart, a + 1j * CS_STEP, b), _evaluate(chart, a, b + 1j * CS_STEP)]
+    with np.errstate(all="ignore"):
+        f = np.stack((foot, *(np.imag(v) / CS_STEP for v, _ in steps)))
+        d = np.stack((direction, *(np.imag(v) / CS_STEP for _, v in steps)))
+    return _jets(np.column_stack((a, b)), f, d)
+
+
+def _jets(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> ChartJets:
+    """The ``ChartJets`` of ``N`` leaves from ``(3, N, 4)`` stacks of their
+    feet ``f`` and directions ``d``: the values, then the derivatives along
+    the tangents ``x`` and ``y``.  ``params`` ``(N, k)`` names the rows.
 
     Both neutral forms are parts of one complex form on pairs of sphere
     points: with ``z+`` and ``z-`` stereographic coordinates of a leaf's
@@ -291,22 +308,14 @@ def chart_jets(chart: FoliationChart, a, b) -> ChartJets:
     Raises ``NumericalError`` when a leaf fails the value objects' checks or
     a form is not finite.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    params = np.column_stack((a, b))
-    foot, direction = _evaluate(chart, a, b)
-    check_leaves(foot, direction, (a, b))
-    steps = [_evaluate(chart, a + 1j * CS_STEP, b), _evaluate(chart, a, b + 1j * CS_STEP)]
+    check_leaves(f[0], d[0], params.T)
     with np.errstate(all="ignore"):
-        # (value, derivative along a, derivative along b) of the foot and of
-        # the direction, then per side, forward then backward, of foot +- dir
-        f = np.stack((foot, *(np.imag(v) / CS_STEP for v, _ in steps)))
-        d = np.stack((direction, *(np.imag(v) / CS_STEP for _, v in steps)))
+        # per side, forward then backward, the value and both derivatives of foot +- dir
         jet = np.stack((f + d, f - d))
         n = jet[:, 0]
         # the spatial parts in every pole's frame, of which each row reads
         # those of its own pole
-        proj = (jet[..., 1:] @ _POLE_FRAMES).reshape(*jet.shape[:-1], -1, 3)
+        proj = (jet[..., 1:] @ _POLE_FRAMES).reshape(*jet.shape[:-1], len(_POLES), 3)
         pole = np.argmin(np.max(proj[:, 0, :, :, 2] / n[..., :1], axis=0), axis=1)
         x, y, p = np.moveaxis(proj[:, :, np.arange(len(pole)), pole], -1, 0)
         xy, w = x + 1j * y, jet[..., 0] - p
@@ -322,7 +331,7 @@ def chart_jets(chart: FoliationChart, a, b) -> ChartJets:
     if not finite.all():
         k = int(np.argmin(finite))
         raise NumericalError(f"chart tangents at {tuple(params[k].tolist())} are not finite")
-    return ChartJets(params, foot, direction, *forms, ends)
+    return ChartJets(params, f[0], d[0], *forms, ends)
 
 
 def grid_axes(chart: FoliationChart, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -472,10 +481,20 @@ def ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> np
     return points
 
 
+def _field_steps(field: UnitField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One complex-step call of ``field.arrays`` at ``p + i CS_STEP e_j`` for
+    every one of the ``(N, 4)`` points and every vector ``e_j`` of its
+    ``orthonormal_complement`` frame: the ``(N, 3, 4)`` frames, the ``(N, 4)``
+    field values and the ``(N, 3, 4)`` ambient derivatives along the frames."""
+    frames = orthonormal_complement(points[:, None])
+    values = np.asarray(field.arrays((points[:, None] + 1j * CS_STEP * frames).reshape(-1, 4))).reshape(-1, 3, 4)
+    # the real part is the value at p: the step moves it by CS_STEP^2
+    return frames, np.real(values[:, 0]), np.imag(values) / CS_STEP
+
+
 def covariant_differentials(field: UnitField, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Covariant differentials of the field at ``(N, 4)`` points, with one
-    complex-step call of ``field.arrays`` at ``p + i CS_STEP e_j`` for every
-    point and every vector ``e_j`` of its ``orthonormal_complement`` frame.
+    """Covariant differentials of the field at ``(N, 4)`` points, from the
+    one field call of ``_field_steps``.
 
     Returns the ``(N, 3, 3)`` matrices, whose column ``j`` holds the
     derivative along ``e_j`` in the frame, the ``(N, 3, 4)`` frames and the
@@ -484,69 +503,34 @@ def covariant_differentials(field: UnitField, points) -> tuple[np.ndarray, np.nd
     tangent space, so pairing the ambient derivative with the frame reads it
     exactly.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 4)
-    frames = orthonormal_complement(points[:, None])
-    values = np.asarray(field.arrays((points[:, None] + 1j * CS_STEP * frames).reshape(-1, 4))).reshape(-1, 3, 4)
-    derivatives = np.imag(values) / CS_STEP  # row j: the derivative along e_j
-    mats = mink(frames[:, :, None], derivatives[:, None])
-    # the real part is the value at p: the step moves it by CS_STEP^2
-    return mats, frames, np.real(values[:, 0])
-
-
-def _self_derivative_norm(mats: np.ndarray, axes: np.ndarray) -> float:
-    """Max norm of ``nabla_V V``: each covariant differential applied to the
-    field's own frame coordinates."""
-    return float(np.max(np.linalg.norm(np.einsum("nij,nj->ni", mats, axes), axis=1), initial=0.0))
-
-
-def _eigenchecks(mats: np.ndarray, axes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real eigenvectors of ``(N, 3, 3)`` operators versus their ``(N, 3)``
-    distinguished axes.
-
-    An eigenpair qualifies when its eigenvalue is real, its eigenvector is
-    not null, solves the eigen-equation to ``1e-6 (1 + |lambda|)`` once
-    normalized, and points away from the axis by more than ``1e-6``
-    (measured as the sine of the angle).  Returns the ``(N,)`` flags of
-    the operators with a qualifying eigenpair, and the eigenvalue and unit
-    eigenvector of each one's first, NaN where none qualifies.
-    """
-    evals, evecs = np.linalg.eig(mats)
-    lam, x = evals.real, evecs.real.swapaxes(1, 2)  # row k of ``x``: the k-th eigenvector
-
-    def norm(u):  # over the last axis, by matmul, as ``np.linalg.norm`` of each row bit for bit
-        return np.sqrt((u[..., None, :] @ u[..., None])[..., 0, 0])
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nx = norm(x)
-        x = x / nx[..., None]
-        v_hat = (axes / norm(axes)[:, None])[:, None]
-        residual = norm((mats[:, None] @ x[..., None])[..., 0] - lam[..., None] * x)
-        off_axis = norm(x - (x[..., None, :] @ v_hat[..., None])[..., 0] * v_hat)
-    # each test as the loop it replaces reads it, so a NaN fails only the last
-    ok = ~(np.abs(evals.imag) > 1e-8 * (1.0 + np.abs(evals)))
-    ok &= ~(nx < 1e-12) & ~(residual > 1e-6 * (1.0 + np.abs(lam))) & (off_axis > 1e-6)
-    degenerate = ok.any(axis=1)
-    rows, first = np.arange(len(ok)), np.argmax(ok, axis=1)
-    eigenvalue = np.where(degenerate, lam[rows, first], np.nan)
-    return degenerate, eigenvalue, np.where(degenerate[:, None], x[rows, first], np.nan)
+    frames, values, derivatives = _field_steps(field, np.asarray(points, dtype=float).reshape(-1, 4))
+    return mink(frames[:, :, None], derivatives[:, None]), frames, values
 
 
 def field_checks(field: UnitField, points) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """The geodesic residual of the field and the eigenvector test at each of
-    the ``(N, 4)`` points, from one ``covariant_differentials`` call.
+    """The geodesic residual of the field, and at each of the ``(N, 4)``
+    points the verdict and endpoint ranks of its transverse chart, from the
+    one field call of ``_field_steps``.
 
-    The residual is the max norm of the self-derivative ``nabla_V V`` over
+    The residual is the max norm of the self-derivative ``nabla_X X`` over
     the points; zero certifies (at the points) that integral curves are
-    geodesics.  A point is degenerate iff its covariant differential has a
-    real eigenvector off the field axis (``_eigenchecks``).  Returns the
-    residual, the ``(N,)`` degenerate flags, and per point the eigenvalue and
-    the ambient unit eigenvector ``(N, 4)`` of the first such eigenpair: the
-    witness, NaN where the point is not degenerate.
+    geodesics.  At ``p``, with ``e`` and ``e'`` the two frame vectors
+    farthest from ``X``, the integral geodesics through ``exp_p(a e + b
+    e')`` form a chart whose tangent along ``a`` at ``(0, 0)`` is ``J = e``,
+    ``J' = nabla_e X``, and likewise along ``b``.  As ``exp_p(i CS_STEP e)``
+    is ``p + i CS_STEP e`` bit for bit, the field's steps are that chart's
+    jets.  Returns the residual, the ``(N,)`` verdict codes of ``_classify``
+    at ``VERDICT_TOL`` and the ``(N,)`` forward and backward endpoint ranks.
     """
-    mats, frames, v = covariant_differentials(field, points)
+    points = np.asarray(points, dtype=float).reshape(-1, 4)
+    frames, v, derivatives = _field_steps(field, points)
     axes = mink(frames, v[:, None])
-    degenerate, eigenvalue, coords = _eigenchecks(mats, axes)
-    return _self_derivative_norm(mats, axes), degenerate, eigenvalue, (coords[:, None] @ frames)[:, 0]
+    nabla_x = np.einsum("nij,nj->ni", mink(frames[:, :, None], derivatives[:, None]), axes)
+    rows, pair = np.arange(len(points))[:, None], np.argsort(np.abs(axes), axis=1)[:, :2]
+    f, d = (np.concatenate((x[None], np.moveaxis(dx[rows, pair], 1, 0))) for x, dx in ((points, frames), (v, derivatives)))
+    jets = _jets(points, f, d)
+    code = _classify(jets, VERDICT_TOL, field.name, (len(points), 1)).verdict_code
+    return float(np.max(np.linalg.norm(nabla_x, axis=1), initial=0.0)), code, *jets.endpoint_ranks()
 
 
 # ---------------------------------------------------------------------------

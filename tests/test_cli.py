@@ -448,7 +448,7 @@ def test_critical_evaluates_grid_once(tmp_path, chart_array_calls):
 
 @pytest.mark.parametrize("family", ["vertical", "plane-normal"])
 def test_classify_field_checks_make_one_field_call(tmp_path, monkeypatch, family):
-    # the residual and all five eigenvector tests read one call at the 5
+    # the residual and all five transverse charts read one call at the 5
     # sample points and their 3 frame vectors each
     calls = []
     resolve = cli._resolve_family

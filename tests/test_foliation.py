@@ -45,6 +45,7 @@ from util import (
 )
 
 O = hf.ORIGIN
+_DEFINITE = hf.VERDICTS.index("definite")
 
 
 @pytest.fixture(scope="module")
@@ -437,9 +438,9 @@ def test_field_checks_make_one_field_call_and_build_no_value_objects(vertical, m
     for cls in (hf.HPoint, hf.HTangent):
         monkeypatch.setattr(cls, "__post_init__", lambda self, name=cls.__name__: built.append(name))
     samples = hf.ball_samples(O, 0.8, 5, seed=1)
-    residual, degenerate, _, _ = hf.field_checks(hf.UnitField(arrays=counted, center=O), samples)
-    assert residual <= 1e-14 and calls == [(15, 4)] and degenerate.all()
-    # the samples, the flags, the eigenvalues and the witnesses are arrays
+    residual, code, _, _ = hf.field_checks(hf.UnitField(arrays=counted, center=O), samples)
+    assert residual <= 1e-14 and calls == [(15, 4)] and (code != _DEFINITE).all()
+    # the samples, the verdicts and the ranks are arrays
     assert built == []
 
 
@@ -452,29 +453,23 @@ def test_ball_samples_match_exp_map_loop(seed, count):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _assert_matches_loop(degenerate, eigenvalue, witness, want):
-    want_degenerate, want_eigenvalue, want_witness = want
-    assert degenerate.tolist() == want_degenerate
-    for flag, lam, w, want_lam, want_w in zip(degenerate, eigenvalue, witness, want_eigenvalue, want_witness):
-        if flag:
-            assert lam == want_lam and np.array_equal(w.view(np.int64), want_w.view(np.int64))
-        else:
-            assert np.isnan(lam) and np.isnan(w).all()
-
-
 def test_field_checks_match_eigencheck_loop(vertical, plane_normal):
-    # flags, eigenvalues and witnesses bit for bit those of one
-    # ``operator_eigencheck`` per sample, on geodesic and non-geodesic fields
-    for field in (vertical[0], plane_normal[0], _perturbed(vertical[0])):
+    # the residual bit for bit that of the loop reference, on geodesic and
+    # non-geodesic fields; on the geodesic fields, whose transverse charts
+    # are charts of their leaves, the verdict is not definite exactly where
+    # ``operator_eigencheck`` finds a real eigenvector off the field axis
+    geodesic = (vertical[0], plane_normal[0])
+    for field in (*geodesic, _perturbed(vertical[0])):
         for seed in (0, 1, 5):
             samples = hf.ball_samples(O, 0.8, 8, seed=seed)
-            residual, *got = hf.field_checks(field, samples)
-            want_residual, *want = reference_field_checks(field, samples)
+            residual, code, _, _ = hf.field_checks(field, samples)
+            want_residual, want_degenerate, _, _ = reference_field_checks(field, samples)
             assert residual == want_residual
-            _assert_matches_loop(*got, want)
+            if field in geodesic:
+                assert (code != _DEFINITE).tolist() == want_degenerate
     # an empty stack
     residual, *got = hf.field_checks(vertical[0], np.empty((0, 4)))
-    assert residual == 0.0 and [g.shape for g in got] == [(0,), (0,), (0, 4)]
+    assert residual == 0.0 and [g.shape for g in got] == [(0,), (0,), (0,)]
 
 
 def test_covariant_differential_vertical(vertical, rng):
@@ -502,14 +497,14 @@ def test_covariant_differential_plane_normal_on_plane(plane_normal):
 def test_eigencheck_families(vertical, plane_normal, rng):
     fieldv, _ = vertical
     p = rand_point(rng, scale=0.6)
-    _, (degenerate,), (lam,), (witness,) = hf.field_checks(fieldv, p.v)
+    _, (degenerate,), (lam,), (witness,) = reference_field_checks(fieldv, p.v)
     assert degenerate
     # a unit tangent at p orthogonal to the field
     assert abs(minner(witness, p.v)) < 1e-12 and minner(witness, witness) == pytest.approx(1.0, abs=1e-12)
     assert abs(minner(witness, field_value(fieldv, p).w)) < 1e-6
     assert lam == pytest.approx(-1.0, abs=1e-12)
     fieldp, _ = plane_normal
-    _, (degenerate,), (lam,), _ = hf.field_checks(fieldp, O.v)
+    _, (degenerate,), (lam,), _ = reference_field_checks(fieldp, O.v)
     assert degenerate
     assert lam == pytest.approx(0.0, abs=1e-12)
 
@@ -518,21 +513,94 @@ def test_eigencheck_synthetic_nondegenerate():
     # rotation + shear block: the only real eigenvector is the axis itself
     mat = np.array([[0.0, 0.3, -0.1], [0.0, 0.2, 0.9], [0.0, -0.9, 0.2]])
     axis = np.array([1.0, 0.0, 0.0])
-    (degenerate,), (lam,), (witness,) = got = foliation._eigenchecks(mat[None], axis[None])
+    degenerate, witness, lam = operator_eigencheck(mat, axis)
     assert not degenerate
-    assert np.isnan(lam) and np.isnan(witness).all()
-    want_degenerate, want_witness, want_lam = operator_eigencheck(mat, axis)
-    _assert_matches_loop(*got, ([want_degenerate], [want_lam], [want_witness]))
+    assert lam is None and witness is None
 
 
 def test_eigencheck_synthetic_degenerate():
     mat = -np.eye(3)
     axis = np.array([1.0, 0.0, 0.0])
-    (degenerate,), (lam,), _ = got = foliation._eigenchecks(mat[None], axis[None])
+    degenerate, _, lam = operator_eigencheck(mat, axis)
     assert degenerate
     assert lam == pytest.approx(-1.0)
-    want_degenerate, want_witness, want_lam = operator_eigencheck(mat, axis)
-    _assert_matches_loop(*got, ([want_degenerate], [want_lam], [want_witness]))
+
+
+# ---------------------------------------------------------------------------
+# the dictionary between a geodesic field's operator A = nabla X on the
+# normal plane and its transverse chart: definite exactly where A has no real
+# eigenvector, endpoint ranks rank(I +- A)
+
+
+@pytest.mark.parametrize("radius", [0.8, 2.0, 4.0, 8.0])
+def test_field_verdicts_follow_the_eigencheck_oracle(vertical, plane_normal, radius):
+    samples = hf.ball_samples(O, radius, 50, seed=3)
+    # plane-normal's transverse chart at distance s from the plane x3 = 0 has
+    # A = tanh(s) I, so one endpoint variation is (1 - tanh|s|) v, under the
+    # absolute rank floor of ``endpoint_ranks`` from |s| about 6.9 on
+    near = np.abs(np.arcsinh(samples[:, 3])) < 6.5
+    for (field, chart), verdict in ((vertical, "almost_semidefinite"), (plane_normal, "semidefinite")):
+        _, code, forward, backward = hf.field_checks(field, samples)
+        _, degenerate, _, _ = reference_field_checks(field, samples)
+        assert (code != _DEFINITE).tolist() == degenerate
+        assert {hf.VERDICTS[c] for c in code} == {verdict}
+        # the ranks of the family's own chart: vertical (0, 2), plane-normal (2, 2)
+        ranks = [set(r.tolist()) for r in hf.chart_jets(chart, *hf.grid_arrays(chart, (6, 6))).endpoint_ranks()]
+        assert ranks == ([{0}, {2}] if field is vertical[0] else [{2}, {2}])
+        keep = near if field is plane_normal[0] else slice(None)
+        assert [set(r[keep].tolist()) for r in (forward, backward)] == ranks
+
+
+@pytest.mark.parametrize("lam", [0.035, 0.0711, 0.3])
+def test_spiral_definite_exactly_where_its_operator_has_no_real_eigenvector(lam):
+    # the other direction, on a family that is definite: A = J' J^-1 on each
+    # leaf's normal plane, from the chart's ambient tangents
+    params = hf.SpiralParams(lam=lam)
+    chart = hf.spiral_chart(params)
+    rep = hf.classify_chart(chart, grid=(20, 20))
+    a, b = rep.params.T
+    foot, direction, plus, minus = ambient_tangents(chart, a, b)
+    normal = hf.orthonormal_complement(np.stack((foot, direction), axis=1))
+    # [n, i, k]: tangent k's J (or J') on vector i of the normal plane
+    j, jp = (mink(normal[:, :, None], np.moveaxis(u, 0, 1)[:, None]) for u in (0.5 * (plus + minus), 0.5 * (plus - minus)))
+    ops = np.zeros((len(a), 3, 3))
+    ops[:, 1:, 1:] = jp @ np.linalg.inv(j)
+    real = np.array([operator_eigencheck(op, np.array([1.0, 0.0, 0.0]))[0] for op in ops])
+    clear = np.abs(hf.definiteness_margin(a, b, params)) >= 1e-6
+    definite = rep.verdict_code == _DEFINITE
+    assert clear.sum() >= 390
+    assert np.array_equal(~real[clear], definite[clear])
+    if lam == 0.3:
+        assert 0 < definite.sum() < len(a)
+
+
+def _transverse_jets(op):
+    """The kernel's jets at the origin of the geodesics with direction ``e1``
+    at the feet ``O + a e2 + b e3`` (to first order) and ``nabla X = op`` on
+    the plane of ``e2`` and ``e3``."""
+    e = np.eye(4)
+    f = np.stack((O.v, e[2], e[3]))[:, None]
+    d = np.stack((e[1], op[0, 0] * e[2] + op[1, 0] * e[3], op[0, 1] * e[2] + op[1, 1] * e[3]))[:, None]
+    return foliation._jets(np.zeros((1, 2)), f, d)
+
+
+@pytest.mark.parametrize(
+    "op, verdict, ranks",
+    [
+        ([[0.2, 0.9], [-0.9, 0.2]], "definite", (2, 2)),
+        ([[0.3, 0.0], [0.0, -0.5]], "semidefinite", (2, 2)),
+        ([[-1.0, 0.0], [0.0, -1.0]], "almost_semidefinite", (0, 2)),
+    ],
+)
+def test_synthetic_operators_through_the_shared_builder(op, verdict, ranks):
+    op = np.array(op)
+    jets = _transverse_jets(op)
+    (code,) = foliation._classify(jets, hf.VERDICT_TOL, "", (1, 1)).verdict_code
+    assert hf.VERDICTS[code] == verdict
+    assert tuple(int(r[0]) for r in jets.endpoint_ranks()) == ranks
+    mat = np.zeros((3, 3))
+    mat[1:, 1:] = op
+    assert operator_eigencheck(mat, np.array([1.0, 0.0, 0.0]))[0] == (verdict != "definite")
 
 
 # ---------------------------------------------------------------------------

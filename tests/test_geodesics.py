@@ -117,7 +117,7 @@ def test_canonical_foot_minimizes_distance(rng):
             marks=pytest.mark.xfail(
                 strict=True,
                 reason="make_geodesic cancels in a - b far from the base point "
-                "(ROADMAP item 4; FOUND line on make_geodesic in CHANGES.md)",
+                "(ROADMAP item 1; FOUND line on make_geodesic in CHANGES.md)",
             ),
         ),
     ],
@@ -204,8 +204,7 @@ def test_dist_sq_against_scan_oracle(rng):
     for _ in range(5):
         g = rand_geodesic(rng, scale=1.2)
         grid = np.linspace(-8.0, 8.0, 4001)
-        coarse = min(hf.dist(O, eval_geodesic(g, s)[0]) for s in grid)
-        s0 = min(grid, key=lambda s: hf.dist(O, eval_geodesic(g, s)[0]))
+        s0 = grid[np.argmin([hf.dist(O, eval_geodesic(g, s)[0]) for s in grid])]
         fine = np.linspace(s0 - 0.01, s0 + 0.01, 2001)
         dmin = min(hf.dist(O, eval_geodesic(g, s)[0]) for s in fine)
         assert hf.geodesic_dist_sq(g) == pytest.approx(dmin**2, abs=1e-8)

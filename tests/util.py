@@ -42,7 +42,7 @@ from hypfol import (
     same_point,
 )
 from hypfol.families import LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, _margin, spiral_chart
-from hypfol.foliation import RANK_DEFICIENT, _classify, _self_derivative_norm, grid_axes
+from hypfol.foliation import RANK_DEFICIENT, _classify, grid_axes
 from hypfol.geodesics import asymptote_directions
 from hypfol.lorentz import _finish_point, _finish_tangent, _require_unit, _unitize, mink
 
@@ -501,9 +501,9 @@ def operator_eigencheck(mat: np.ndarray, v_coords: np.ndarray):
 
 
 def reference_field_checks(field, points) -> tuple[float, list[bool], list[float | None], list[np.ndarray | None]]:
-    """``hypfol.field_checks`` with the eigenvector test one point at a time:
-    the residual, then per point the flag, the eigenvalue and the ambient
-    witness (``None`` where the point is not degenerate)."""
+    """The oracle of ``hypfol.field_checks``: its residual, then per point
+    the ``operator_eigencheck`` flag, eigenvalue and ambient witness
+    (``None`` where the point is not degenerate), one point at a time."""
     mats, frames, v = covariant_differentials(field, points)
     axes = mink(frames, v[:, None])
     out = ([], [], [])
@@ -511,7 +511,8 @@ def reference_field_checks(field, points) -> tuple[float, list[bool], list[float
         degenerate, coords, lam = operator_eigencheck(mat, axis)
         for column, value in zip(out, (degenerate, lam, None if coords is None else coords @ frame)):
             column.append(value)
-    return (_self_derivative_norm(mats, axes), *out)
+    # the max norm of nabla_X X: each differential applied to the field's own frame coordinates
+    return (float(np.max(np.linalg.norm(np.einsum("nij,nj->ni", mats, axes), axis=1), initial=0.0)), *out)
 
 
 # ---------------------------------------------------------------------------
