@@ -47,8 +47,11 @@ from .report import report_payload, write_csv, write_report
 FAMILIES = ("vertical", "plane-normal", "prop")
 #: the flags only the spiral (``prop``) family reads, with their defaults
 _SPIRAL_FLAGS = (("--lambda", "lam", None), ("--alpha0", "alpha0", math.pi / 4.0), ("--delta", "delta", 0.1))
-#: the most grid samples: no array holds 1024 bytes per sample, so numpy can
-#: size every array of a smaller grid, and at worst fails to allocate it
+#: the most grid samples: no array holds 1024 bytes per sample (the largest
+#: whole-grid array is the classifier's null directions, (N, 8, 2) floats or
+#: 128 bytes; the kernel's projections onto all pole frames, 2016 bytes per
+#: sample, are formed one block of rows at a time), so numpy can size every
+#: array of a smaller grid, and at worst fails to allocate it
 _MAX_SAMPLES = sys.maxsize // 1024
 
 

@@ -3,17 +3,17 @@
 A candidate is supplied either as a two-parameter chart of oriented
 geodesics or as a unit vector field on a region of hyperbolic space.  A
 chart is an array map ``(a, b) -> (foot, dir)`` that accepts complex
-parameters.  One kernel, ``chart_jets``, evaluates it three times per grid
-(the values, then complex steps in ``a`` and in ``b``), validates the
-leaves, and reads both axis tangents at the leaves' sphere endpoints, the
-rays of ``foot +- dir``: stereographic coordinates ``z+-`` and their
-derivatives ``dz+-``, exact to roundoff.  Both neutral metrics are parts of
-one complex form ``Q = dz+ dz- / (z+ - z-)^2`` (cross ``2 Im Q``, Killing
-``-4 Re Q``), and the energy ``|J|^2 + |J'|^2`` is that of the endpoint
-variations in the visual metric from the foot.  Every per-sample quantity
-is read from these 2x2 forms and variations: the Gram matrix of the cross
-metric, the rank check, the Killing values on its null directions and the
-endpoint ranks.  Each sample is classified as
+parameters.  One kernel, ``chart_jets``, evaluates it three times per block
+of grid rows (the values, then complex steps in ``a`` and in ``b``),
+validates the leaves, and reads both axis tangents at the leaves' sphere
+endpoints, the rays of ``foot +- dir``: stereographic coordinates ``z+-``
+and their derivatives ``dz+-``, exact to roundoff.  Both neutral metrics are
+parts of one complex form ``Q = dz+ dz- / (z+ - z-)^2`` (cross ``2 Im Q``,
+Killing ``-4 Re Q``), and the energy ``|J|^2 + |J'|^2`` is that of the
+endpoint variations in the visual metric from the foot.  Every per-sample
+quantity is read from these 2x2 forms and variations: the Gram matrix of
+the cross metric, the rank check, the Killing values on its null directions
+and the endpoint ranks.  Each sample is classified as
 
 * ``definite``            - the cross metric restricts to a definite form;
 * ``semidefinite``        - its null directions all have positive Killing
@@ -87,6 +87,9 @@ FD_STEP = 1e-4
 #: complex step of the chart kernel: ``df/da = Im f(a + ih, b) / h`` takes no
 #: difference, so it is exact to roundoff
 CS_STEP = 1e-30
+#: rows per block of the whole-grid stages (the chart kernel, the samples
+#: array of a report), which bounds their temporaries whatever the grid
+_BLOCK = 4096
 
 
 def _leaf_map(arrays) -> Callable[[float, float], OrientedGeodesic]:
@@ -270,24 +273,59 @@ class ChartJets:
         return tuple(rank_2x2(det, frob_sq, atol))
 
 
+def row_blocks(n: int) -> list[slice]:
+    """``range(n)`` as consecutive slices of nearly equal size, at most
+    ``_BLOCK`` rows each (3 for a ``_BLOCK`` of 2).  No slice has one row
+    unless ``n`` is 1: a one-row matrix product takes numpy's matrix-vector
+    path, which can round differently."""
+    k = max(1, min(-(-n // _BLOCK), n // 2))
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
+def _joined(parts: list[tuple[np.ndarray, ...]], axis: int = 0) -> tuple[np.ndarray, ...]:
+    """Per-block results, tuples of arrays, joined along ``axis``; one
+    block's own arrays when there is one."""
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(x, axis=axis) for x in zip(*parts))
+
+
 def chart_jets(chart: FoliationChart, a, b) -> ChartJets:
     """Evaluate the chart at parameter arrays ``a``, ``b`` with three array
-    calls, the leaves and then complex steps of ``CS_STEP`` in ``a`` and in
-    ``b``, and read their forms (``_jets``)."""
+    calls per block of ``row_blocks``, the leaves and then complex steps of
+    ``CS_STEP`` in ``a`` and in ``b``, and read their forms (``_jets``)."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
-    foot, direction = _evaluate(chart, a, b)
-    steps = [_evaluate(chart, a + 1j * CS_STEP, b), _evaluate(chart, a, b + 1j * CS_STEP)]
-    with np.errstate(all="ignore"):
-        f = np.stack((foot, *(np.imag(v) / CS_STEP for v, _ in steps)))
-        d = np.stack((direction, *(np.imag(v) / CS_STEP for _, v in steps)))
-    return _jets(np.column_stack((a, b)), f, d)
+    foot, direction = _joined([_evaluate(chart, a[s], b[s]) for s in row_blocks(len(a))])
+
+    def stacks(s):
+        steps = [_evaluate(chart, a[s] + 1j * CS_STEP, b[s]), _evaluate(chart, a[s], b[s] + 1j * CS_STEP)]
+        with np.errstate(all="ignore"):
+            f = np.stack((foot[s], *(np.imag(v) / CS_STEP for v, _ in steps)))
+            d = np.stack((direction[s], *(np.imag(v) / CS_STEP for _, v in steps)))
+        return f, d
+
+    return _jets(np.column_stack((a, b)), foot, direction, stacks)
 
 
-def _jets(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> ChartJets:
-    """The ``ChartJets`` of ``N`` leaves from ``(3, N, 4)`` stacks of their
-    feet ``f`` and directions ``d``: the values, then the derivatives along
-    the tangents ``x`` and ``y``.  ``params`` ``(N, k)`` names the rows.
+def _jets(params: np.ndarray, foot: np.ndarray, direction: np.ndarray, stacks) -> ChartJets:
+    """The ``ChartJets`` of ``N`` leaves with ``(N, 4)`` feet and directions:
+    every leaf is checked, and then the forms (``_forms``) are read one block
+    of ``row_blocks`` at a time from ``stacks(s)``, the ``(3, n, 4)`` stacks
+    of the feet and directions of the rows ``s``: the values, then the
+    derivatives along the two tangents.  ``params`` ``(N, k)`` names the
+    rows.  Raises ``NumericalError`` when a leaf fails the value objects'
+    checks or a form is not finite.
+    """
+    blocks = row_blocks(len(params))
+    check_leaves(foot, direction, params.T, blocks)
+    forms, ends = _joined([_forms(params[s], *stacks(s)) for s in blocks], axis=-1)
+    return ChartJets(params, foot, direction, *np.moveaxis(forms, -1, 1), ends)
+
+
+def _forms(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(3, 2, 2, n)`` cross, Killing and energy forms and the ``(2, 2,
+    n)`` endpoint variations of ``n`` leaves from ``(3, n, 4)`` stacks of
+    their feet ``f`` and directions ``d``: the values, then the derivatives
+    along the tangents ``x`` and ``y``.
 
     Both neutral forms are parts of one complex form on pairs of sphere
     points: with ``z+`` and ``z-`` stereographic coordinates of a leaf's
@@ -305,10 +343,9 @@ def _jets(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> ChartJets:
     lengths of ``J + J'`` and ``J - J'``, and the energy is ``(|W+|^2 +
     |W-|^2) / 2``.
 
-    Raises ``NumericalError`` when a leaf fails the value objects' checks or
-    a form is not finite.
+    Raises ``NumericalError``, naming the row by ``params``, when a form is
+    not finite.
     """
-    check_leaves(f[0], d[0], params.T)
     with np.errstate(all="ignore"):
         # per side, forward then backward, the value and both derivatives of foot +- dir
         jet = np.stack((f + d, f - d))
@@ -326,12 +363,12 @@ def _jets(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> ChartJets:
         q2 = (prod + prod.transpose(1, 0, 2)) / (z[0] - z[1]) ** 2
         ends = dz * (2.0 * n[..., 0] / (1.0 + (z * np.conj(z)).real))[:, None]
         energy = 0.5 * (np.conj(ends[:, :, None]) * ends[:, None]).real.sum(axis=0)
-        forms = np.moveaxis(np.stack((q2.imag, -2.0 * q2.real, energy)), -1, 1)
-    finite = np.isfinite(forms).all(axis=(0, 2, 3))
+        forms = np.stack((q2.imag, -2.0 * q2.real, energy))
+    finite = np.isfinite(forms).all(axis=(0, 1, 2))
     if not finite.all():
         k = int(np.argmin(finite))
         raise NumericalError(f"chart tangents at {tuple(params[k].tolist())} are not finite")
-    return ChartJets(params, f[0], d[0], *forms, ends)
+    return forms, ends
 
 
 def grid_axes(chart: FoliationChart, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -528,7 +565,7 @@ def field_checks(field: UnitField, points) -> tuple[float, np.ndarray, np.ndarra
     nabla_x = np.einsum("nij,nj->ni", mink(frames[:, :, None], derivatives[:, None]), axes)
     rows, pair = np.arange(len(points))[:, None], np.argsort(np.abs(axes), axis=1)[:, :2]
     f, d = (np.concatenate((x[None], np.moveaxis(dx[rows, pair], 1, 0))) for x, dx in ((points, frames), (v, derivatives)))
-    jets = _jets(points, f, d)
+    jets = _jets(points, f[0], d[0], lambda s: (f[:, s], d[:, s]))
     code = _classify(jets, VERDICT_TOL, field.name, (len(points), 1)).verdict_code
     return float(np.max(np.linalg.norm(nabla_x, axis=1), initial=0.0)), code, *jets.endpoint_ranks()
 

@@ -5,15 +5,19 @@ and a trailing newline; floats go through Python's shortest round-trip
 repr, and numpy scalars and arrays are encoded as the Python values of
 their ``tolist()``.  A ``ClassificationReport`` in the payload becomes its
 header fields and a ``"samples"`` array, one object per sample; that array
-is streamed from the report's columns through one text template per shape
+is formatted from the report's columns through one text template per shape
 of sample (0, 1, 2 or 8 Killing values, or rank-deficient with a null Gram
 matrix and a note) and verdict: the layout ``json.dumps`` gives the same
 objects, with a hole for each float's repr, so the bytes are those of the
-object form.  A non-finite value in a column raises ``NumericalError``
-before anything is written.  Grid CSVs are UTF-8 with a header row, "."
-decimal separator and "\n" line endings, one row per grid point in
-row-major grid order: the two axis values, then one value per column.
-Identical inputs produce identical bytes.
+object form.  The cells the samples use are checked first, and a
+non-finite one raises ``NumericalError`` before the file is opened; then the
+samples are formatted and written into the open file one block of
+``foliation.row_blocks`` at a time, so an error after that (such as
+``MemoryError``) leaves a truncated file.  Grid CSVs are UTF-8 with a
+header row, "." decimal separator and "\n" line endings, one row per grid
+point in row-major grid order: the two axis values, then one value per
+column; they are written one grid row at a time.  Identical inputs produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError
-from .foliation import FD_STEP, RANK_DEFICIENT, VERDICTS, ClassificationReport
+from .foliation import FD_STEP, RANK_DEFICIENT, VERDICTS, ClassificationReport, row_blocks
 
 SCHEMA_VERSION = 1
 
@@ -67,35 +71,58 @@ def _sample_template(count: int, code: int, pad: str) -> str:
     return pad + text.replace("\n", "\n" + pad)
 
 
-def _samples_array(rep: ClassificationReport, pad: str) -> str:
-    """The ``"samples"`` array of a report whose key sits at indent ``pad``.
-
-    A sample's floats are the used cells of its row of ``[gram (4),
-    k_values (8), params (2)]``: the Gram matrix unless the sample is
-    rank-deficient, the first ``k_count`` Killing values, the parameters.
-    Each distinct bit pattern is formatted once (by bits, not by value, so
-    ``-0.0`` and ``0.0`` keep their own reprs).
-    """
-    n = len(rep.params)
-    if n == 0:
-        return "[]"
-    values = np.concatenate((rep.gram.reshape(n, 4), rep.k_values, rep.params), axis=1)
+def _cells(rep: ClassificationReport, s: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The float cells of the samples ``s`` of a report, their rows of
+    ``[gram (4), k_values (8), params (2)]``, and which of them the samples
+    use: the Gram matrix unless the sample is rank-deficient, the first
+    ``k_count`` Killing values, the parameters."""
+    values = np.concatenate((rep.gram[s].reshape(-1, 4), rep.k_values[s], rep.params[s]), axis=1)
     used = np.ones(values.shape, dtype=bool)
-    used[:, :4] = ~rep.rank_deficient[:, None]
-    used[:, 4:12] = np.arange(8) < rep.k_count[:, None]
-    finite = np.isfinite(values) | ~used
-    if not finite.all():
-        k = int(np.argmin(finite.all(axis=1)))
-        raise NumericalError(f"non-finite value in the report sample at {tuple(rep.params[k].tolist())}")
-    shapes = list(zip(rep.k_count.tolist(), rep.verdict_code.tolist()))
+    used[:, :4] = ~rep.rank_deficient[s, None]
+    used[:, 4:12] = np.arange(8) < rep.k_count[s, None]
+    return values, used
+
+
+def _checked_cells(rep: ClassificationReport) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_cells`` of the first block of ``row_blocks`` of a report, once
+    every block is checked: ``NumericalError`` names the first sample that
+    uses a non-finite cell."""
+    blocks = row_blocks(len(rep.params))
+    for s in blocks:
+        values, used = cells = _cells(rep, s)
+        finite = np.isfinite(values) | ~used
+        if not finite.all():
+            k = s.start + int(np.argmin(finite.all(axis=1)))
+            raise NumericalError(f"non-finite value in the report sample at {tuple(rep.params[k].tolist())}")
+    return cells if len(blocks) == 1 else _cells(rep, blocks[0])
+
+
+def _samples_text(rep: ClassificationReport, s: slice, cells: tuple[np.ndarray, np.ndarray], pad: str) -> str:
+    """The samples ``s`` of a report, from their ``_cells``, as the items of
+    a ``"samples"`` array whose key sits at indent ``pad``.  Each distinct bit
+    pattern of the used cells is formatted once (by bits, not by value, so
+    ``-0.0`` and ``0.0`` keep their own reprs)."""
+    values, used = cells
+    shapes = list(zip(rep.k_count[s].tolist(), rep.verdict_code[s].tolist()))
     templates = {shape: _sample_template(*shape, pad + "  ") for shape in set(shapes)}
     # distinct patterns in order of first use: np.unique would sort, and
     # paging in numpy's sort code adds about 0.4 MB to the peak RSS
     bits = values[used].view(np.int64).tolist()
     distinct = list(dict.fromkeys(bits))
     reprs = dict(zip(distinct, map(repr, np.array(distinct, dtype=np.int64).view(np.float64).tolist())))
-    text = ",\n".join(map(templates.__getitem__, shapes)) % tuple(map(reprs.__getitem__, bits))
-    return f"[\n{text}\n{pad}]"
+    return ",\n".join(map(templates.__getitem__, shapes)) % tuple(map(reprs.__getitem__, bits))
+
+
+def _write_samples(fh, rep: ClassificationReport, pad: str, first: tuple[np.ndarray, np.ndarray]) -> None:
+    """Write the ``"samples"`` array of a report whose key sits at indent
+    ``pad``, one block of ``row_blocks`` at a time, the first from its
+    ``_cells`` ``first``."""
+    if len(rep.params) == 0:
+        fh.write("[]")
+        return
+    for j, s in enumerate(row_blocks(len(rep.params))):
+        fh.write((",\n" if j else "[\n") + _samples_text(rep, s, _cells(rep, s) if j else first, pad))
+    fh.write(f"\n{pad}]")
 
 
 def write_report(path: str | Path, payload: dict) -> None:
@@ -115,14 +142,14 @@ def write_report(path: str | Path, payload: dict) -> None:
         return _encode(obj)
 
     rest = json.dumps(payload, indent=2, sort_keys=True, default=encode) + "\n"
-    pieces = []
-    for k, rep in enumerate(reports):
-        head, rest = rest.split(json.dumps(_hole(k)), 1)
-        line = head[head.rfind("\n") + 1 :]
-        pieces += [head, _samples_array(rep, line[: len(line) - len(line.lstrip(" "))])]
-    pieces.append(rest)
+    firsts = [_checked_cells(rep) for rep in reports]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(pieces)
+        for k, (rep, first) in enumerate(zip(reports, firsts)):
+            head, rest = rest.split(json.dumps(_hole(k)), 1)
+            line = head[head.rfind("\n") + 1 :]
+            fh.write(head)
+            _write_samples(fh, rep, line[: len(line) - len(line.lstrip(" "))], first)
+        fh.write(rest)
 
 
 def write_csv(path: str | Path, header: list[str], axes, columns) -> None:
@@ -131,13 +158,14 @@ def write_csv(path: str | Path, header: list[str], axes, columns) -> None:
 
     A cell is the ``repr`` of the Python value ``tolist()`` gives: the
     shortest round-trip repr of a float, the digits of an integer.  The
-    file is written one grid row at a time.
+    file is written one grid row at a time, from one ``tolist()`` per
+    column and row, so no more than a row of cells is held as Python values.
     """
     a_cells, b_cells = ([repr(x) for x in np.asarray(axis).tolist()] for axis in axes)
-    values = [np.ravel(col).tolist() for col in columns]
     m = len(b_cells)
+    rows = [np.reshape(col, (len(a_cells), m)) for col in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for i, a in enumerate(a_cells):
-            cells = (map(repr, v[i * m : (i + 1) * m]) for v in values)
+            cells = (map(repr, v[i].tolist()) for v in rows)
             fh.write("\n".join(map(",".join, zip(repeat(a, m), b_cells, *cells))) + "\n")

@@ -1,0 +1,193 @@
+"""Row blocks of the whole-grid stages: the chart kernel and the report
+writer give the result of one whole-grid block at every block size, bit for
+bit, raise the same errors, and keep their traced memory per row bounded
+(numpy registers its buffers with ``tracemalloc``)."""
+
+import dataclasses
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import hypfol as hf
+from hypfol import foliation, report
+from hypfol.cli import main
+from util import collapsed_chart
+
+#: a block size that makes every grid here one block
+WHOLE = 10**9
+SIZES = (2, 3, 7)
+
+
+def _lam_max_4x4():
+    return hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1, grid=(4, 4)).lambda_max
+
+
+#: per sample shape, a chart, a grid with samples of that shape, and its
+#: Killing-value count (None: rank-deficient)
+CHARTS = {
+    "definite": (lambda: hf.spiral_chart(hf.SpiralParams(lam=0.07)), (5, 6), 0),
+    "kernel": (lambda: hf.spiral_chart(hf.SpiralParams(lam=_lam_max_4x4())), (4, 4), 1),
+    "cone": (lambda: hf.spiral_chart(hf.SpiralParams(lam=0.3)), (6, 6), 2),
+    "flat": (lambda: hf.vertical_family()[1], (5, 5), 8),
+    "rank-deficient": (lambda: collapsed_chart(hf.plane_normal_family()[1]), (4, 4), None),
+}
+
+
+@pytest.mark.parametrize("block", [*SIZES, 4096])
+def test_row_blocks_split_evenly_without_one_row_blocks(monkeypatch, block):
+    # a one-row block would take numpy's matrix-vector product in the
+    # kernel, whose last bits can differ from the matrix product's
+    monkeypatch.setattr(foliation, "_BLOCK", block)
+    for n in [*range(80), 4095, 4096, 4097, 8193, 90000]:
+        blocks = foliation.row_blocks(n)
+        sizes = [s.stop - s.start for s in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(s.stop == t.start for s, t in zip(blocks, blocks[1:]))
+        assert max(sizes) - min(sizes) <= 1
+        assert n < 2 or min(sizes) >= 2, (n, sizes)
+        assert max(sizes) <= max(block, 3)
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.shape, x.dtype, np.ascontiguousarray(x).tobytes()
+
+
+def _blocked(monkeypatch, tmp_path, block, chart, a, b):
+    """The jets, the classification and the report bytes of the rows ``a``, ``b`` at one block size."""
+    monkeypatch.setattr(foliation, "_BLOCK", block)
+    jets = hf.chart_jets(chart, a, b)
+    rep = foliation._classify(jets, hf.VERDICT_TOL, chart.name, (len(a), 1))
+    path = tmp_path / f"r{block}.json"
+    report.write_report(path, report.report_payload("classify", {}, {"classification": rep, "z": 1.5}, "0"))
+    return jets, rep, path.read_bytes()
+
+
+@pytest.mark.parametrize("block", SIZES)
+@pytest.mark.parametrize("shape", sorted(CHARTS))
+def test_blocks_give_the_whole_grid_result_bit_for_bit(monkeypatch, tmp_path, shape, block):
+    make_chart, grid, count = CHARTS[shape]
+    chart = make_chart()
+    a, b = hf.grid_arrays(chart, grid)
+    for n in (0, 1, block + 1, len(a)):
+        jets, rep, text = _blocked(monkeypatch, tmp_path, block, chart, a[:n], b[:n])
+        want_jets, want_rep, want_text = _blocked(monkeypatch, tmp_path, WHOLE, chart, a[:n], b[:n])
+        for field in dataclasses.fields(hf.ChartJets):
+            assert _bits(getattr(jets, field.name)) == _bits(getattr(want_jets, field.name)), (n, field.name)
+        for name in ("params", "gram", "k_values", "k_count", "verdict_code"):
+            assert _bits(getattr(rep, name)) == _bits(getattr(want_rep, name)), (n, name)
+        assert rep.aggregate == want_rep.aggregate
+        assert text == want_text
+    has = rep.rank_deficient if count is None else (rep.k_count == count) & ~rep.rank_deficient
+    assert has.any()
+
+
+@pytest.mark.parametrize("block", SIZES)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gauss", "--family", "prop", "--lambda", "0.05", "--grid", "5x6"],
+        ["gauss", "--family", "plane-normal", "--grid", "4x5"],
+        ["classify", "--family", "prop", "--lambda", "0.3", "--grid", "6x5"],
+        ["classify", "--family", "vertical", "--grid", "3x3"],
+    ],
+)
+def test_blocked_commands_write_the_whole_grid_bytes(monkeypatch, tmp_path, capsys, argv, block):
+    outputs = {}
+    for size in (block, WHOLE):
+        monkeypatch.setattr(foliation, "_BLOCK", size)
+        base = tmp_path / str(size)
+        assert main(argv + ["--out", str(base)]) == 0
+        files = sorted(tmp_path.glob(f"{size}.*"))
+        outputs[size] = [(f.suffix, f.read_bytes()) for f in files], capsys.readouterr().out
+    assert outputs[block] == outputs[WHOLE]
+
+
+# ---------------------------------------------------------------------------
+# errors across blocks
+
+
+def _faulty_chart(faults: dict, nan_rows: list):
+    """The spiral chart at pitch 0.07 on the rows ``a = 1 + k/64``, with
+    ``faults[k]`` applied to the foot of row ``k`` and NaN derivatives (so
+    non-finite forms, from valid leaves) on the rows ``nan_rows``."""
+    base = hf.spiral_chart(hf.SpiralParams(lam=0.07))
+
+    def arrays(a, b):
+        foot, direction = base.arrays(a, b)
+        k = np.rint((np.real(a) - 1.0) * 64.0).astype(int)
+        if np.iscomplexobj(foot):
+            direction = np.where(np.isin(k, nan_rows)[:, None], complex(math.nan, math.nan), direction)
+        for row, fault in faults.items():
+            foot = np.where((k == row)[:, None], fault(foot), foot)
+        return foot, direction
+
+    return hf.FoliationChart(arrays=arrays, domain=base.domain, name="faulty")
+
+
+_OFF = lambda foot: 2.0 * foot  # noqa: E731  off the hyperboloid
+_PAST = lambda foot: -foot  # noqa: E731  on the past sheet
+_INF = lambda foot: foot * math.inf  # noqa: E731  non-finite
+
+
+@pytest.mark.parametrize(
+    "faults, nan_rows, row, message",
+    [
+        # non-finite forms in an early block, a bad leaf in a later one
+        ({9: _OFF}, [1], 9, "chart leaf at {}: point is not on the unit hyperboloid"),
+        # a later check in an early block, an earlier check in a later one
+        ({2: _PAST, 10: _INF}, [], 10, "chart leaf at {}: non-finite leaf"),
+        ({2: _PAST, 10: _OFF}, [0], 10, "chart leaf at {}: point is not on the unit hyperboloid"),
+        ({4: _PAST, 6: _PAST}, [1], 4, "chart leaf at {}: point is on the past sheet"),
+        ({}, [4, 9], 4, "chart tangents at {} are not finite"),
+    ],
+)
+@pytest.mark.parametrize("block", [*SIZES, WHOLE])
+def test_blocks_raise_the_whole_grid_error(monkeypatch, faults, nan_rows, row, message, block):
+    a, b = 1.0 + np.arange(12) / 64.0, np.linspace(0.0, 1.0, 12)
+    monkeypatch.setattr(foliation, "_BLOCK", block)
+    with np.errstate(invalid="ignore"), pytest.raises(hf.NumericalError) as exc:
+        hf.chart_jets(_faulty_chart(faults, nan_rows), a, b)
+    assert str(exc.value) == message.format((float(a[row]), float(b[row])))
+
+
+# ---------------------------------------------------------------------------
+# memory per row
+
+
+def _traced_peak(fn) -> int:
+    """Peak of the memory traced while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chart_jets_memory_per_row_is_bounded():
+    # the result holds 240 bytes a row (params, foot and dir, three forms,
+    # the endpoint variations); the projections onto all 14 pole frames,
+    # 2016 bytes a row, live one block at a time
+    chart = hf.spiral_chart(hf.SpiralParams(lam=0.07))
+    a, b = hf.grid_arrays(chart, (200, 200))
+    assert _traced_peak(lambda: hf.chart_jets(chart, a, b)) < 1000 * len(a)
+
+
+def test_write_csv_memory_per_row_is_bounded(tmp_path):
+    # one grid row of Python floats at a time, not the whole column
+    params = hf.SpiralParams(lam=0.07)
+    r, t = hf.grid_axes(hf.spiral_chart(params), (300, 300))
+    margin = hf.definiteness_margin(r[:, None], t, params)
+    peak = _traced_peak(lambda: report.write_csv(tmp_path / "s.csv", ["r", "t", "h_value"], (r, t), [margin]))
+    assert peak < 4 * margin.size
+
+
+def test_write_report_memory_per_row_is_bounded(tmp_path):
+    # the samples text, about 250 bytes a sample, and its floats are formed
+    # one block at a time
+    rep = hf.classify_chart(hf.spiral_chart(hf.SpiralParams(lam=0.07)), grid=(100, 100))
+    payload = report.report_payload("classify", {}, {"classification": rep}, "0")
+    assert _traced_peak(lambda: report.write_report(tmp_path / "r.json", payload)) < 800 * len(rep.params)

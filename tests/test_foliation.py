@@ -581,7 +581,7 @@ def _transverse_jets(op):
     e = np.eye(4)
     f = np.stack((O.v, e[2], e[3]))[:, None]
     d = np.stack((e[1], op[0, 0] * e[2] + op[1, 0] * e[3], op[0, 1] * e[2] + op[1, 1] * e[3]))[:, None]
-    return foliation._jets(np.zeros((1, 2)), f, d)
+    return foliation._jets(np.zeros((1, 2)), f[0], d[0], lambda s: (f[:, s], d[:, s]))
 
 
 @pytest.mark.parametrize(
