@@ -57,7 +57,6 @@ from .foliation import (
     chart_jets,
     chart_tangent,
     classify_chart,
-    covariant_differentials,
     critical_point_scan,
     field_checks,
     geodesics_intersect,

@@ -69,13 +69,6 @@ class RunConfig:
     base_point: tuple[float, float, float, float] | None
     seed: int
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["grid"] = list(self.grid)
-        if self.base_point is not None:
-            d["base_point"] = list(self.base_point)
-        return d
-
 
 def _parse_grid(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
@@ -166,7 +159,7 @@ def cmd_classify(cfg: RunConfig, out_base: str) -> int:
         residual, code, _, _ = field_checks(field, ball_samples(field.center, 0.8, 5, seed=cfg.seed))
         results["field_residual"] = residual
         results["eigencheck_degenerate"] = (code != VERDICTS.index("definite")).tolist()
-    payload = report_payload("classify", cfg.to_dict(), results, __version__)
+    payload = report_payload("classify", asdict(cfg), results, __version__)
     write_report(out_base + ".json", payload)
     print(f"aggregate: {rep.aggregate}")
     return 0
@@ -174,7 +167,7 @@ def cmd_classify(cfg: RunConfig, out_base: str) -> int:
 
 def cmd_scan_lambda(cfg: RunConfig, out_base: str) -> int:
     scan = scan_lambda_max(alpha0=cfg.alpha0, delta=cfg.delta, grid=cfg.grid)
-    payload = report_payload("scan-lambda", cfg.to_dict(), {"scan": scan.to_dict()}, __version__)
+    payload = report_payload("scan-lambda", asdict(cfg), {"scan": asdict(scan)}, __version__)
     write_report(out_base + ".json", payload)
     params = SpiralParams(alpha0=cfg.alpha0, lam=scan.lambda_max, delta=cfg.delta)
     r, t = grid_axes(spiral_chart(params), cfg.grid)
@@ -207,7 +200,7 @@ def cmd_gauss(cfg: RunConfig, out_base: str) -> int:
         f"{side}_rank_counts": {str(k): n for k, n in enumerate(np.bincount(r).tolist()) if n}
         for side, r in zip(("forward", "backward"), ranks)
     }
-    payload = report_payload("gauss", cfg.to_dict(), results, __version__)
+    payload = report_payload("gauss", asdict(cfg), results, __version__)
     write_report(out_base + ".json", payload)
     print(f"rows: {len(jets.params)}")
     return 0
@@ -222,7 +215,7 @@ def cmd_critical(cfg: RunConfig, out_base: str) -> int:
         "count": len(minima),
         "ring_min_values": rings,
     }
-    payload = report_payload("critical", cfg.to_dict(), results, __version__)
+    payload = report_payload("critical", asdict(cfg), results, __version__)
     write_report(out_base + ".json", payload)
     print(f"minima: {len(minima)}")
     return 0

@@ -203,15 +203,6 @@ class LambdaScan:
     grid: tuple[int, int]
     trace: tuple[tuple[float, float], ...]  # (lam, grid minimum of the margin)
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_max": self.lambda_max,
-            "alpha0": self.alpha0,
-            "delta": self.delta,
-            "grid": list(self.grid),
-            "trace": [[lam, val] for lam, val in self.trace],
-        }
-
 
 LAMBDA_SCAN_CAP = math.sinh(6.0)
 #: absolute error allowed to numpy's ``sin`` (not correctly rounded on every

@@ -10,10 +10,11 @@ endpoints, the rays of ``foot +- dir``: stereographic coordinates ``z+-``
 and their derivatives ``dz+-``, exact to roundoff.  Both neutral metrics are
 parts of one complex form ``Q = dz+ dz- / (z+ - z-)^2`` (cross ``2 Im Q``,
 Killing ``-4 Re Q``), and the energy ``|J|^2 + |J'|^2`` is that of the
-endpoint variations in the visual metric from the foot.  Every per-sample
-quantity is read from these 2x2 forms and variations: the Gram matrix of
-the cross metric, the rank check, the Killing values on its null directions
-and the endpoint ranks.  Each sample is classified as
+endpoint variations in the visual metric from the foot.  The forms and
+variations are scaled to unit-energy tangents once, as they are made, and
+every per-sample quantity is read from them: the Gram matrix of the cross
+metric, the rank check, the Killing values on its null directions and the
+endpoint ranks.  Each sample is classified as
 
 * ``definite``            - the cross metric restricts to a definite form;
 * ``semidefinite``        - its null directions all have positive Killing
@@ -29,9 +30,9 @@ with one array call, refines every grid-local minimum at once by a
 coordinate descent whose array calls each try several halvings of every
 start's step, and returns the minima together with the ring minima of that
 grid.  ``field_checks`` applies the same classifier from the vector-field
-side.  A field is an array map as well, and ``covariant_differentials``
-takes its derivatives by complex steps along the orthonormal frames that
-one stacked ``lorentz.orthonormal_complement`` call gives at all the points.
+side.  A field is an array map as well, and ``field_checks`` takes its
+derivatives by complex steps along the orthonormal frames that one stacked
+``lorentz.orthonormal_complement`` call gives at all the points.
 At each point the field's integral geodesics through a disc transverse to it
 form a chart whose jets are those steps, so the kernel's forms and the
 chart classifier give the field's verdicts and endpoint ranks, next to its
@@ -224,11 +225,13 @@ class ChartJets:
     ``(N, 4)`` points); ``foot`` and ``dir`` are ``(N, 4)``.
     ``cross``, ``killing`` and ``energy`` are the ``(N, 2, 2)`` Gram matrices
     of the cross metric, the Killing metric and the energy ``|J|^2 + |J'|^2``
-    on the raw tangents along ``a`` and ``b``.  ``ends`` ``(2, 2, N)`` holds
-    the variations of the forward (row 0) and backward (row 1) endpoints
-    along ``a`` and ``b``, as complex numbers in an orthonormal frame of the
-    sphere's visual metric from the foot: their lengths are those of
-    ``J + J'`` and ``J - J'``.
+    on the tangents along ``a`` and ``b`` scaled to unit energy (a zero
+    tangent stays zero).  ``ends`` ``(2, 2, N)`` holds the variations of the
+    forward (row 0) and backward (row 1) endpoints along the same tangents,
+    as complex numbers in an orthonormal frame of the sphere's visual metric
+    from the foot: their lengths are those of ``J + J'`` and ``J - J'``.
+    ``full_rank`` ``(N,)`` tells whether the two tangents span a plane
+    (``_forms``).
     """
 
     params: np.ndarray
@@ -238,37 +241,13 @@ class ChartJets:
     killing: np.ndarray
     energy: np.ndarray
     ends: np.ndarray
-
-    def _scale(self) -> np.ndarray:
-        """``(N, 2)`` reciprocal energies ``1 / sqrt(|J|^2 + |J'|^2)`` of the
-        tangents; 0 for a zero tangent."""
-        e = np.sqrt(np.diagonal(self.energy, axis1=1, axis2=2))
-        return np.divide(1.0, e, out=np.zeros_like(e), where=e > 0.0)
-
-    def unit(self, form: np.ndarray) -> np.ndarray:
-        """A stack of ``(N, 2, 2)`` Gram matrices on the tangents scaled to
-        unit energy (a zero tangent stays zero)."""
-        s = self._scale()
-        return form * s[:, :, None] * s[:, None, :]
-
-    def full_rank(self) -> np.ndarray:
-        """Whether the two tangents span a plane: both energies above
-        ``1e-12`` of the larger (or of 1), and the smaller singular value of
-        the pair of unit-energy tangents above ``1e-7`` of the larger.  Their
-        squared singular values are the energies of ``x0 -+ x1``, over 2."""
-        e = np.sqrt(np.diagonal(self.energy, axis1=1, axis2=2))
-        m = self.unit(self.energy)
-        minus, plus = (m[:, 0, 0] + m[:, 1, 1] - sgn * 2.0 * m[:, 0, 1] for sgn in (1, -1))
-        return (e.min(axis=1) > 1e-12 * np.maximum(e.max(axis=1), 1.0)) & (
-            np.minimum(minus, plus) > 1e-14 * np.maximum(minus, plus)
-        )
+    full_rank: np.ndarray
 
     def endpoint_ranks(self, atol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
         """Ranks ``(forward, backward)`` of the endpoint maps on the span of
         the unit-energy tangents: each is a 2x2 matrix with columns the
         endpoint variations, read by ``rank_2x2``."""
-        w = self.ends * self._scale().T
-        w0, w1 = w[:, 0], w[:, 1]
+        w0, w1 = self.ends[:, 0], self.ends[:, 1]
         det, frob_sq = np.imag(np.conj(w0) * w1), np.abs(w0) ** 2 + np.abs(w1) ** 2
         return tuple(rank_2x2(det, frob_sq, atol))
 
@@ -317,15 +296,16 @@ def _jets(params: np.ndarray, foot: np.ndarray, direction: np.ndarray, stacks) -
     """
     blocks = row_blocks(len(params))
     check_leaves(foot, direction, params.T, blocks)
-    forms, ends = _joined([_forms(params[s], *stacks(s)) for s in blocks], axis=-1)
-    return ChartJets(params, foot, direction, *np.moveaxis(forms, -1, 1), ends)
+    forms, ends, full_rank = _joined([_forms(params[s], *stacks(s)) for s in blocks], axis=-1)
+    return ChartJets(params, foot, direction, *np.moveaxis(forms, -1, 1), ends, full_rank)
 
 
-def _forms(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _forms(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``(3, 2, 2, n)`` cross, Killing and energy forms and the ``(2, 2,
     n)`` endpoint variations of ``n`` leaves from ``(3, n, 4)`` stacks of
     their feet ``f`` and directions ``d``: the values, then the derivatives
-    along the tangents ``x`` and ``y``.
+    along the tangents ``x`` and ``y``, all on the tangents scaled to unit
+    energy; and the ``(n,)`` mask of the rows whose tangents span a plane.
 
     Both neutral forms are parts of one complex form on pairs of sphere
     points: with ``z+`` and ``z-`` stereographic coordinates of a leaf's
@@ -342,6 +322,11 @@ def _forms(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray
     foot the endpoint variations are ``W = 2 n0 dz / (1 + |z|^2)``, of the
     lengths of ``J + J'`` and ``J - J'``, and the energy is ``(|W+|^2 +
     |W-|^2) / 2``.
+
+    A tangent is scaled by ``1 / sqrt(|J|^2 + |J'|^2)`` (a zero one by 0).
+    The pair spans a plane when both raw energies are above ``1e-12`` of the
+    larger (or of 1) and the unit energies of ``x -+ y`` (twice the squared
+    singular values of the unit-energy pair) are within a ratio ``1e-14``.
 
     Raises ``NumericalError``, naming the row by ``params``, when a form is
     not finite.
@@ -368,7 +353,14 @@ def _forms(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray
     if not finite.all():
         k = int(np.argmin(finite))
         raise NumericalError(f"chart tangents at {tuple(params[k].tolist())} are not finite")
-    return forms, ends
+    e = np.sqrt(np.diagonal(energy))
+    scale = np.divide(1.0, e, out=np.zeros_like(e), where=e > 0.0).T
+    forms = forms * scale[:, None] * scale
+    m = forms[2]
+    minus, plus = (m[0, 0] + m[1, 1] - sgn * 2.0 * m[0, 1] for sgn in (1, -1))
+    full_rank = e.min(axis=1) > 1e-12 * np.maximum(e.max(axis=1), 1.0)
+    full_rank &= np.minimum(minus, plus) > 1e-14 * np.maximum(minus, plus)
+    return forms, ends * scale, full_rank
 
 
 def grid_axes(chart: FoliationChart, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -457,11 +449,10 @@ def _classify(jets: ChartJets, tol: float, name: str, grid: tuple[int, int]) -> 
     over the energy of the combination ``d`` of the unit-energy axis
     tangents, ``d^T K d / d^T M d``.
     """
-    ok = jets.full_rank()
-    gram, killing, energy = (jets.unit(f) for f in (jets.cross, jets.killing, jets.energy))
-    dirs, count = _null_directions(gram[ok], tol)
+    ok = jets.full_rank
+    dirs, count = _null_directions(jets.cross[ok], tol)
     # the Killing and energy square norms of the null directions
-    killing, energy = (np.einsum("nki,nij,nkj->nk", dirs, f[ok], dirs) for f in (killing, energy))
+    killing, energy = (np.einsum("nki,nij,nkj->nk", dirs, f[ok], dirs) for f in (jets.killing, jets.energy))
     unused = np.arange(8) >= count[:, None]
     # a full-rank pair gives every direction energy at least sv_min^2 > 0;
     # roundoff far from the base point can cancel it away
@@ -477,7 +468,7 @@ def _classify(jets: ChartJets, tol: float, name: str, grid: tuple[int, int]) -> 
     k_values[ok], k_count[ok] = kv, count
     # VERDICTS order: indefinite 0, almost_semidefinite 1, semidefinite 2, definite 3
     code[ok] = np.select([count == 0, semi, almost], [3, 2, 1], 0)
-    gram[~ok] = np.nan
+    gram = np.where(ok[:, None, None], jets.cross, np.nan)
     aggregate = VERDICTS[code[ok].min()] if ok.any() else "degenerate"
     return ClassificationReport(name, tuple(grid), tol, jets.params, gram, k_values, k_count, code, aggregate)
 
@@ -527,21 +518,6 @@ def _field_steps(field: UnitField, points: np.ndarray) -> tuple[np.ndarray, np.n
     values = np.asarray(field.arrays((points[:, None] + 1j * CS_STEP * frames).reshape(-1, 4))).reshape(-1, 3, 4)
     # the real part is the value at p: the step moves it by CS_STEP^2
     return frames, np.real(values[:, 0]), np.imag(values) / CS_STEP
-
-
-def covariant_differentials(field: UnitField, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Covariant differentials of the field at ``(N, 4)`` points, from the
-    one field call of ``_field_steps``.
-
-    Returns the ``(N, 3, 3)`` matrices, whose column ``j`` holds the
-    derivative along ``e_j`` in the frame, the ``(N, 3, 4)`` frames and the
-    ``(N, 4)`` field values.  The Levi-Civita derivative on the hyperboloid
-    is the tangential part of the ambient one, and the frame spans the
-    tangent space, so pairing the ambient derivative with the frame reads it
-    exactly.
-    """
-    frames, values, derivatives = _field_steps(field, np.asarray(points, dtype=float).reshape(-1, 4))
-    return mink(frames[:, :, None], derivatives[:, None]), frames, values
 
 
 def field_checks(field: UnitField, points) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:

@@ -83,26 +83,22 @@ def _cells(rep: ClassificationReport, s: slice) -> tuple[np.ndarray, np.ndarray]
     return values, used
 
 
-def _checked_cells(rep: ClassificationReport) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_cells`` of the first block of ``row_blocks`` of a report, once
-    every block is checked: ``NumericalError`` names the first sample that
-    uses a non-finite cell."""
-    blocks = row_blocks(len(rep.params))
-    for s in blocks:
-        values, used = cells = _cells(rep, s)
-        finite = np.isfinite(values) | ~used
-        if not finite.all():
-            k = s.start + int(np.argmin(finite.all(axis=1)))
-            raise NumericalError(f"non-finite value in the report sample at {tuple(rep.params[k].tolist())}")
-    return cells if len(blocks) == 1 else _cells(rep, blocks[0])
+def _check_finite(rep: ClassificationReport) -> None:
+    """Raise ``NumericalError`` naming the first sample of a report that uses
+    a non-finite cell (``_cells``)."""
+    values, used = _cells(rep, slice(None))
+    bad = (used & ~np.isfinite(values)).any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NumericalError(f"non-finite value in the report sample at {tuple(rep.params[k].tolist())}")
 
 
-def _samples_text(rep: ClassificationReport, s: slice, cells: tuple[np.ndarray, np.ndarray], pad: str) -> str:
+def _samples_text(rep: ClassificationReport, s: slice, pad: str) -> str:
     """The samples ``s`` of a report, from their ``_cells``, as the items of
     a ``"samples"`` array whose key sits at indent ``pad``.  Each distinct bit
     pattern of the used cells is formatted once (by bits, not by value, so
     ``-0.0`` and ``0.0`` keep their own reprs)."""
-    values, used = cells
+    values, used = _cells(rep, s)
     shapes = list(zip(rep.k_count[s].tolist(), rep.verdict_code[s].tolist()))
     templates = {shape: _sample_template(*shape, pad + "  ") for shape in set(shapes)}
     # distinct patterns in order of first use: np.unique would sort, and
@@ -113,15 +109,14 @@ def _samples_text(rep: ClassificationReport, s: slice, cells: tuple[np.ndarray, 
     return ",\n".join(map(templates.__getitem__, shapes)) % tuple(map(reprs.__getitem__, bits))
 
 
-def _write_samples(fh, rep: ClassificationReport, pad: str, first: tuple[np.ndarray, np.ndarray]) -> None:
+def _write_samples(fh, rep: ClassificationReport, pad: str) -> None:
     """Write the ``"samples"`` array of a report whose key sits at indent
-    ``pad``, one block of ``row_blocks`` at a time, the first from its
-    ``_cells`` ``first``."""
+    ``pad``, one block of ``row_blocks`` at a time."""
     if len(rep.params) == 0:
         fh.write("[]")
         return
     for j, s in enumerate(row_blocks(len(rep.params))):
-        fh.write((",\n" if j else "[\n") + _samples_text(rep, s, _cells(rep, s) if j else first, pad))
+        fh.write((",\n" if j else "[\n") + _samples_text(rep, s, pad))
     fh.write(f"\n{pad}]")
 
 
@@ -130,6 +125,7 @@ def write_report(path: str | Path, payload: dict) -> None:
 
     def encode(obj):
         if isinstance(obj, ClassificationReport):
+            _check_finite(obj)
             reports.append(obj)
             return {
                 "chart": obj.chart_name,
@@ -142,13 +138,12 @@ def write_report(path: str | Path, payload: dict) -> None:
         return _encode(obj)
 
     rest = json.dumps(payload, indent=2, sort_keys=True, default=encode) + "\n"
-    firsts = [_checked_cells(rep) for rep in reports]
     with open(path, "w", encoding="utf-8") as fh:
-        for k, (rep, first) in enumerate(zip(reports, firsts)):
+        for k, rep in enumerate(reports):
             head, rest = rest.split(json.dumps(_hole(k)), 1)
             line = head[head.rfind("\n") + 1 :]
             fh.write(head)
-            _write_samples(fh, rep, line[: len(line) - len(line.lstrip(" "))], first)
+            _write_samples(fh, rep, line[: len(line) - len(line.lstrip(" "))])
         fh.write(rest)
 
 

@@ -17,6 +17,7 @@ from util import (
     asymptote,
     boundary_from_sphere,
     classify_point,
+    covariant_differentials,
     cross_form_matrix,
     eval_geodesic,
     grid_params,
@@ -124,7 +125,7 @@ def test_acceptance_04_vertical_family(announce):
     worst_nabla = 0.0
     rng = np.random.default_rng(11)
     points = hf.ball_samples(O, 0.8, 10, seed=11)
-    for mat, frame, v in zip(*hf.covariant_differentials(field, points)):
+    for mat, frame, v in zip(*covariant_differentials(field, points)):
         vc = np.array([minner(v, e) for e in frame])
         for _ in range(3):
             x = rng.standard_normal(3)

@@ -84,6 +84,46 @@ def test_blocks_give_the_whole_grid_result_bit_for_bit(monkeypatch, tmp_path, sh
     assert has.any()
 
 
+@pytest.mark.parametrize("shape", sorted(CHARTS))
+def test_jets_hold_unit_energy_forms_and_the_full_rank_mask(shape):
+    # the kernel scales each block's forms once; the classifier reads them
+    # and writes into none of them
+    make_chart, grid, count = CHARTS[shape]
+    chart = make_chart()
+    jets = hf.chart_jets(chart, *hf.grid_arrays(chart, grid))
+    cross = _bits(jets.cross)
+    foliation._classify(jets, hf.VERDICT_TOL, chart.name, grid)
+    assert _bits(jets.cross) == cross
+    assert jets.full_rank.shape == (len(jets.params),)
+    if count is None:
+        # the frozen parameter's tangent is zero and stays zero
+        assert not jets.full_rank.any()
+        assert not jets.energy[:, 1].any()
+    else:
+        assert jets.full_rank.all()
+    diag = np.diagonal(jets.energy, axis1=1, axis2=2)[jets.full_rank]
+    assert np.max(np.abs(diag - 1.0), initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("block", SIZES)
+@pytest.mark.parametrize("family", [hf.vertical_family, hf.plane_normal_family])
+def test_blocked_field_checks_give_the_whole_result_bit_for_bit(monkeypatch, family, block):
+    # field_checks hands the kernel slices of its own steps, one block at a time
+    field = family()[0]
+    points = hf.ball_samples(field.center, 0.8, 12, seed=0)
+    made, build = [], foliation._jets
+    monkeypatch.setattr(foliation, "_jets", lambda *args: made.append(build(*args)) or made[-1])
+    for n in (0, 1, block + 1, len(points)):
+        results = []
+        for size in (block, WHOLE):
+            monkeypatch.setattr(foliation, "_BLOCK", size)
+            results.append((hf.field_checks(field, points[:n]), made.pop()))
+        (got, jets), (want, want_jets) = results
+        assert [_bits(x) for x in got] == [_bits(x) for x in want], n
+        for f in dataclasses.fields(hf.ChartJets):
+            assert _bits(getattr(jets, f.name)) == _bits(getattr(want_jets, f.name)), (n, f.name)
+
+
 @pytest.mark.parametrize("block", SIZES)
 @pytest.mark.parametrize(
     "argv",
@@ -168,9 +208,9 @@ def _traced_peak(fn) -> int:
 
 
 def test_chart_jets_memory_per_row_is_bounded():
-    # the result holds 240 bytes a row (params, foot and dir, three forms,
-    # the endpoint variations); the projections onto all 14 pole frames,
-    # 2016 bytes a row, live one block at a time
+    # the result holds 241 bytes a row (params, foot and dir, three forms,
+    # the endpoint variations, the full-rank mask); the projections onto
+    # all 14 pole frames, 2016 bytes a row, live one block at a time
     chart = hf.spiral_chart(hf.SpiralParams(lam=0.07))
     a, b = hf.grid_arrays(chart, (200, 200))
     assert _traced_peak(lambda: hf.chart_jets(chart, a, b)) < 1000 * len(a)

@@ -20,7 +20,9 @@ from util import (
     classify_point,
     collapsed_chart,
     counting_chart,
+    covariant_differentials,
     cross_form_matrix,
+    energy_form_matrix,
     exp_map,
     field_value,
     frame_coords,
@@ -206,9 +208,16 @@ def test_classify_point_matches_metrics_of_normalized_tangents(vertical, plane_n
     assert branches == {"flat", "kernel", "definite", "cone"}
 
 
+def _unit(form, energy):
+    """A ``(..., 2, 2)`` form on its tangents scaled by their own energies."""
+    s = 1.0 / np.sqrt(np.diagonal(energy, axis1=-2, axis2=-1))
+    return form * s[..., :, None] * s[..., None, :]
+
+
 def test_kernel_raw_gram_matches_closed_form(rng):
     # complex-step tangents carry no truncation error: 600 random spiral
-    # samples over three pitches agree with the closed form to roundoff
+    # samples over three pitches agree with the closed form, scaled to unit
+    # energy by the closed-form energies, to roundoff
     worst = 0.0
     for lam in (0.02, 0.07, 0.3):
         params = hf.SpiralParams(alpha0=math.pi / 4.0, lam=lam, delta=0.1)
@@ -216,7 +225,7 @@ def test_kernel_raw_gram_matches_closed_form(rng):
         r, t = rng.uniform(r0, r1, 200), rng.uniform(t0, t1, 200)
         gram = hf.chart_jets(hf.spiral_chart(params), r, t).cross
         for g, rr, tt in zip(gram, r, t):
-            want = cross_form_matrix(rr, tt, params)
+            want = _unit(cross_form_matrix(rr, tt, params), energy_form_matrix(rr, tt, params))
             worst = max(worst, float(np.max(np.abs(g - want)) / np.max(np.abs(want))))
     assert worst <= 1e-12
 
@@ -225,7 +234,8 @@ def test_kernel_forms_match_endpoint_identity(rng, plane_normal):
     # the kernel reads cross = 2 Im Q and Killing = -4 Re Q, with Q(x, y)
     # the symmetrized dz+(x) dz-(y) / (z+ - z-)^2 of the endpoints, and the
     # energy from the endpoint variations; the ambient Jacobi data give the
-    # same forms from determinants and Minkowski pairings
+    # same forms from determinants and Minkowski pairings, once both are
+    # scaled to unit-energy tangents
     spiral = hf.spiral_chart(hf.SpiralParams(alpha0=math.pi / 4.0, lam=0.3, delta=0.1))
     rho, theta = rng.uniform(0.0, 1.0, 100), rng.uniform(0.0, 2.0 * math.pi, 100)
     samples = (
@@ -234,7 +244,8 @@ def test_kernel_forms_match_endpoint_identity(rng, plane_normal):
     )
     for chart, a, b in samples:
         jets = hf.chart_jets(chart, a, b)
-        forms = ambient_forms(chart, a, b)
+        raw = ambient_forms(chart, a, b)
+        forms = [_unit(f, raw[2]) for f in raw]
         scale = max(float(np.max(np.abs(f))) for f in forms)
         for got, want in zip((jets.cross, jets.killing, jets.energy), forms):
             assert np.max(np.abs(got - want)) <= 1e-11 * scale
@@ -247,12 +258,11 @@ def test_kernel_matches_finite_difference_tangents(vertical, plane_normal, spira
     for chart in (vertical[1], plane_normal[1], spiral[1]):
         a, b = hf.grid_arrays(chart, (4, 4))
         jets = hf.chart_jets(chart, a, b)
-        gram, killing = jets.unit(jets.cross), jets.unit(jets.killing)
         for k, params in enumerate(zip(a, b)):
             z = frame_coords(*hf.chart_tangent(chart, params))
             z = z / np.linalg.norm(z, axis=1, keepdims=True)
-            worst = max(worst, float(np.max(np.abs(z @ CROSS_FORM @ z.T - gram[k]))))
-            worst = max(worst, float(np.max(np.abs(z @ KILLING_FORM @ z.T - killing[k]))))
+            worst = max(worst, float(np.max(np.abs(z @ CROSS_FORM @ z.T - jets.cross[k]))))
+            worst = max(worst, float(np.max(np.abs(z @ KILLING_FORM @ z.T - jets.killing[k]))))
     assert worst <= 1e-6
 
 
@@ -375,7 +385,7 @@ def test_field_chart_tangents_satisfy_derivative_identity(vertical, plane_normal
     a, b = np.array([0.25, 0.0, -0.7, 0.9]), np.array([-0.35, 0.4, 0.6, -0.8])
     for field, chart in (vertical, plane_normal):
         foot, _, plus, minus = ambient_tangents(chart, a, b)
-        mats, frames, _ = hf.covariant_differentials(field, foot)
+        mats, frames, _ = covariant_differentials(field, foot)
         for k, (mat, frame) in enumerate(zip(mats, frames)):
             for jplus, jminus in zip(plus[:, k], minus[:, k]):
                 j, jp = 0.5 * (jplus + jminus), 0.5 * (jplus - jminus)
@@ -419,7 +429,7 @@ def test_perturbed_field_fails_residual(vertical):
 def test_covariant_differentials_match_transported_differences(vertical, plane_normal):
     samples = hf.ball_samples(O, 0.8, 8, seed=5)
     for field in (vertical[0], plane_normal[0], _perturbed(vertical[0])):
-        mats, frames, values = hf.covariant_differentials(field, samples)
+        mats, frames, values = covariant_differentials(field, samples)
         for p, mat, frame, v in zip(map(hf.HPoint, samples), mats, frames, values):
             want, want_frame = reference_covariant_differential(field, p)
             assert np.array_equal(frame, [e.w for e in want_frame])
@@ -476,7 +486,7 @@ def test_covariant_differential_vertical(vertical, rng):
     field, _ = vertical
     for _ in range(5):
         p = rand_point(rng, scale=0.7)
-        (mat,), (frame,), (v,) = hf.covariant_differentials(field, p.v)
+        (mat,), (frame,), (v,) = covariant_differentials(field, p.v)
         vc = np.array([minner(v, e) for e in frame])
         # on the orthogonal complement of the field the operator is minus the identity
         x = rng.standard_normal(3)
@@ -489,7 +499,7 @@ def test_covariant_differential_vertical(vertical, rng):
 
 def test_covariant_differential_plane_normal_on_plane(plane_normal):
     field, _ = plane_normal
-    (mat,), _, _ = hf.covariant_differentials(field, O.v)
+    (mat,), _, _ = covariant_differentials(field, O.v)
     # at the plane the whole operator vanishes: totally geodesic leaves
     assert np.max(np.abs(mat)) < 1e-6
 

@@ -1,14 +1,15 @@
 """Shared random generators, independent numerical oracles (the oriented
-cross product, frame coordinates, the transported-difference covariant
-differential, the RK4 Jacobi integrator, the ambient chart kernel and the
-Killing metric of Jacobi data), scalar references (the exponential map,
-ball samples and the eigenvector test one at a time, parallel transport,
-asymptote vectors, closed-form Jacobi evaluation, the Jacobi-variation
-chart, one-sample classification), the value-object helpers only tests use
-(points along a geodesic, its reverse, tangent norms, unit tangents, one
-field value, one classified sample, the spiral's closed-form Gram matrix),
-boost matrices, reference CSV and report writers, the full-grid pitch scan
-and a chart-evaluation counter."""
+cross product, frame coordinates, the complex-step and the
+transported-difference covariant differentials, the RK4 Jacobi integrator,
+the ambient chart kernel and the Killing metric of Jacobi data), scalar
+references (the exponential map, ball samples and the eigenvector test one
+at a time, parallel transport, asymptote vectors, closed-form Jacobi
+evaluation, the Jacobi-variation chart, one-sample classification), the
+value-object helpers only tests use (points along a geodesic, its reverse,
+tangent norms, unit tangents, one field value, one classified sample, the
+spiral's closed-form Gram and energy matrices), boost matrices, reference
+CSV and report writers, the full-grid pitch scan and a chart-evaluation
+counter."""
 
 import csv
 import dataclasses
@@ -34,7 +35,6 @@ from hypfol import (
     JacobiData,
     OrientedGeodesic,
     chart_jets,
-    covariant_differentials,
     make_geodesic,
     mink_inner,
     orthonormal_complement,
@@ -42,7 +42,7 @@ from hypfol import (
     same_point,
 )
 from hypfol.families import LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, _margin, spiral_chart
-from hypfol.foliation import RANK_DEFICIENT, _classify, grid_axes
+from hypfol.foliation import RANK_DEFICIENT, UnitField, _classify, _field_steps, grid_axes
 from hypfol.geodesics import asymptote_directions
 from hypfol.lorentz import _finish_point, _finish_tangent, _require_unit, _unitize, mink
 
@@ -180,11 +180,26 @@ def _transported_difference(field, p: HPoint, w: np.ndarray) -> np.ndarray:
     return (w_plus.w - w_minus.w) / (2.0 * FD_STEP)
 
 
+def covariant_differentials(field: UnitField, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Covariant differentials of the field at ``(N, 4)`` points, from the
+    one field call of ``_field_steps``.
+
+    Returns the ``(N, 3, 3)`` matrices, whose column ``j`` holds the
+    derivative along ``e_j`` in the frame, the ``(N, 3, 4)`` frames and the
+    ``(N, 4)`` field values.  The Levi-Civita derivative on the hyperboloid
+    is the tangential part of the ambient one, and the frame spans the
+    tangent space, so pairing the ambient derivative with the frame reads it
+    exactly.
+    """
+    frames, values, derivatives = _field_steps(field, np.asarray(points, dtype=float).reshape(-1, 4))
+    return mink(frames[:, :, None], derivatives[:, None]), frames, values
+
+
 def reference_covariant_differential(field, p: HPoint) -> tuple[np.ndarray, list[HTangent]]:
     """Matrix of the covariant differential of the field in an orthonormal
     frame at ``p`` by transported central differences; column ``j`` holds
     the derivative along frame vector ``j``.  An independent check of the
-    complex-step ``hypfol.covariant_differentials``, accurate to about
+    complex-step ``covariant_differentials``, accurate to about
     ``FD_STEP^2``."""
     frame = [HTangent(p, e) for e in orthonormal_complement(p.v)]
     mat = np.empty((3, 3))
@@ -364,6 +379,20 @@ def cross_form_matrix(r: float, t: float, params: SpiralParams) -> np.ndarray:
             [-0.5 * lam, 0.25 * math.sinh(2.0 * r) * math.sin(2.0 * alpha)],
         ]
     )
+
+
+def energy_form_matrix(r: float, t: float, params: SpiralParams) -> np.ndarray:
+    """Closed form of the energy ``|J|^2 + |J'|^2`` of the spiral chart on its
+    raw tangents.
+
+    With tilt ``alpha`` the leaf runs along ``cos alpha angular + sin alpha
+    normal``.  Along ``r`` the tangent is ``J = radial``, ``J' = lam u``, and
+    along ``t`` it is ``J = sinh r sin alpha u``, ``J' = -cosh r cos alpha
+    radial - lam u``, with ``u = sin alpha angular - cos alpha normal``.
+    """
+    lam, alpha = params.lam, params.tilt(r, t)
+    along_t = (math.sinh(r) * math.sin(alpha)) ** 2 + (math.cosh(r) * math.cos(alpha)) ** 2 + lam * lam
+    return np.array([[1.0 + lam * lam, -lam * lam], [-lam * lam, along_t]])
 
 
 # ---------------------------------------------------------------------------
