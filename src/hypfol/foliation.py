@@ -49,6 +49,8 @@ about ``eps e^D``.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,8 +90,8 @@ FD_STEP = 1e-4
 #: complex step of the chart kernel: ``df/da = Im f(a + ih, b) / h`` takes no
 #: difference, so it is exact to roundoff
 CS_STEP = 1e-30
-#: rows per block of the whole-grid stages (the chart kernel, the samples
-#: array of a report), which bounds their temporaries whatever the grid
+#: rows per block of the whole-grid stages (the chart kernel, the classifier,
+#: the samples array of a report), which bounds their temporaries whatever the grid
 _BLOCK = 4096
 
 
@@ -441,33 +443,35 @@ def _null_directions(grams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
 
 
 def _classify(jets: ChartJets, tol: float, name: str, grid: tuple[int, int]) -> ClassificationReport:
-    """Classify the kernel's samples; rank-deficient tangents are reported,
-    not classified, and excluded from the aggregate, which is "degenerate"
-    if nothing could be classified.
+    """Classify the kernel's samples one block of ``row_blocks`` at a time;
+    rank-deficient tangents are reported, not classified, and excluded from
+    the aggregate, which is "degenerate" if nothing could be classified.
 
     The Killing value on a null direction ``d`` is the Killing square norm
     over the energy of the combination ``d`` of the unit-energy axis
     tangents, ``d^T K d / d^T M d``.
     """
     ok = jets.full_rank
-    dirs, count = _null_directions(jets.cross[ok], tol)
-    # the Killing and energy square norms of the null directions
-    killing, energy = (np.einsum("nki,nij,nkj->nk", dirs, f[ok], dirs) for f in (jets.killing, jets.energy))
-    unused = np.arange(8) >= count[:, None]
-    # a full-rank pair gives every direction energy at least sv_min^2 > 0;
-    # roundoff far from the base point can cancel it away
-    resolved = (energy > 0.0) | unused
-    if not resolved.all():
-        k = int(np.flatnonzero(ok)[np.argmin(resolved.all(axis=1))])
-        raise NumericalError(f"null direction without energy at {tuple(jets.params[k].tolist())}: tangents unresolved")
-    kv = np.where(unused, np.nan, killing / np.where(unused, 1.0, energy))
-    semi = np.all((kv > tol) | unused, axis=1)
-    almost = np.all((kv >= -tol) | unused, axis=1)
     n = len(ok)
     k_values, k_count, code = np.full((n, 8), np.nan), np.zeros(n, dtype=int), np.full(n, -1)
-    k_values[ok], k_count[ok] = kv, count
-    # VERDICTS order: indefinite 0, almost_semidefinite 1, semidefinite 2, definite 3
-    code[ok] = np.select([count == 0, semi, almost], [3, 2, 1], 0)
+    for s in row_blocks(n):  # each block's temporaries, written into the columns
+        bok = ok[s]
+        dirs, count = _null_directions(jets.cross[s][bok], tol)
+        # the Killing and energy square norms of the null directions
+        killing, energy = (np.einsum("nki,nij,nkj->nk", dirs, f[s][bok], dirs) for f in (jets.killing, jets.energy))
+        unused = np.arange(8) >= count[:, None]
+        # a full-rank pair gives every direction energy at least sv_min^2 > 0;
+        # roundoff far from the base point can cancel it away
+        resolved = (energy > 0.0) | unused
+        if not resolved.all():
+            k = s.start + int(np.flatnonzero(bok)[np.argmin(resolved.all(axis=1))])
+            raise NumericalError(f"null direction without energy at {tuple(jets.params[k].tolist())}: tangents unresolved")
+        kv = np.where(unused, np.nan, killing / np.where(unused, 1.0, energy))
+        semi = np.all((kv > tol) | unused, axis=1)
+        almost = np.all((kv >= -tol) | unused, axis=1)
+        k_values[s][bok], k_count[s][bok] = kv, count
+        # VERDICTS order: indefinite 0, almost_semidefinite 1, semidefinite 2, definite 3
+        code[s][bok] = np.select([count == 0, semi, almost], [3, 2, 1], 0)
     gram = np.where(ok[:, None, None], jets.cross, np.nan)
     aggregate = VERDICTS[code[ok].min()] if ok.any() else "degenerate"
     return ClassificationReport(name, tuple(grid), tol, jets.params, gram, k_values, k_count, code, aggregate)
@@ -493,13 +497,19 @@ def classify_chart(
 
 def ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> np.ndarray:
     """``count`` deterministic (seeded) points of the geodesic ball about
-    ``center``, as a ``(count, 4)`` array."""
-    rng = np.random.default_rng(seed)
+    ``center``, as a ``(count, 4)`` array, drawn from the standard library's
+    ``random.Random(seed)``: per point three normal direction components,
+    then a uniform radius fraction.  The seed is a nonnegative integer
+    (``TypeError`` otherwise, ``ValueError`` if negative)."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    rng = random.Random(seed)
     d, r = np.empty((count, 3)), np.empty((count, 1))
     for k in range(count):  # the draws interleave; a scalar norm and power keep each row's bits
-        d[k] = rng.standard_normal(3)
+        d[k] = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
         d[k] /= np.linalg.norm(d[k])
-        r[k] = radius * rng.uniform() ** (1.0 / 3.0)
+        r[k] = radius * rng.random() ** (1.0 / 3.0)
     e0, e1, e2 = orthonormal_complement(center.v)
     w = r * (d[:, :1] * e0 + d[:, 1:2] * e1 + d[:, 2:] * e2)
     ch, sc = cosh_sinhc(np.maximum(mink(w, w), 0.0))

@@ -1,7 +1,7 @@
-"""Row blocks of the whole-grid stages: the chart kernel and the report
-writer give the result of one whole-grid block at every block size, bit for
-bit, raise the same errors, and keep their traced memory per row bounded
-(numpy registers its buffers with ``tracemalloc``)."""
+"""Row blocks of the whole-grid stages: the chart kernel, the classifier and
+the report writer give the result of one whole-grid block at every block
+size, bit for bit, raise the same errors, and keep their traced memory per
+row bounded (numpy registers its buffers with ``tracemalloc``)."""
 
 import dataclasses
 import math
@@ -193,6 +193,23 @@ def test_blocks_raise_the_whole_grid_error(monkeypatch, faults, nan_rows, row, m
     assert str(exc.value) == message.format((float(a[row]), float(b[row])))
 
 
+@pytest.mark.parametrize("block", [*SIZES, WHOLE])
+def test_blocks_name_the_first_unresolved_null_direction(monkeypatch, block):
+    # flat samples (eight null directions each) with zero energy on rows 5
+    # and 9, and on row 1, which is rank-deficient and so not classified
+    chart = hf.vertical_family()[1]
+    jets = hf.chart_jets(chart, *hf.grid_arrays(chart, (4, 3)))
+    energy, full_rank = jets.energy.copy(), jets.full_rank.copy()
+    energy[[1, 5, 9]] = 0.0
+    full_rank[1] = False
+    jets = dataclasses.replace(jets, energy=energy, full_rank=full_rank)
+    monkeypatch.setattr(foliation, "_BLOCK", block)
+    with pytest.raises(hf.NumericalError) as exc:
+        foliation._classify(jets, hf.VERDICT_TOL, chart.name, (4, 3))
+    row = tuple(jets.params[5].tolist())
+    assert str(exc.value) == f"null direction without energy at {row}: tangents unresolved"
+
+
 # ---------------------------------------------------------------------------
 # memory per row
 
@@ -214,6 +231,13 @@ def test_chart_jets_memory_per_row_is_bounded():
     chart = hf.spiral_chart(hf.SpiralParams(lam=0.07))
     a, b = hf.grid_arrays(chart, (200, 200))
     assert _traced_peak(lambda: hf.chart_jets(chart, a, b)) < 1000 * len(a)
+
+
+def test_classify_chart_memory_per_row_is_bounded():
+    # the classifier's null directions and Killing norms live one block at a
+    # time, so its peak is the kernel's, about 575 bytes a row
+    chart = hf.spiral_chart(hf.SpiralParams(lam=0.07))
+    assert _traced_peak(lambda: hf.classify_chart(chart, grid=(200, 200))) < 650 * 200 * 200
 
 
 def test_write_csv_memory_per_row_is_bounded(tmp_path):

@@ -481,6 +481,23 @@ def test_classify_field_checks_match_loop_reference_for_every_seed(tmp_path, fam
     assert results["eigencheck_degenerate"] == degenerate
 
 
+@pytest.mark.parametrize("family", ["vertical", "plane-normal"])
+def test_classify_of_a_field_family_leaves_numpy_random_unimported(tmp_path, family):
+    # the sample points come from the standard library's generator, which
+    # numpy has already imported; numpy.random would add several MB
+    code = (
+        "import sys\n"
+        "from hypfol import cli\n"
+        f"assert cli.main(['classify', '--family', {family!r}, '--grid', '3x3', '--out', {str(tmp_path / 'c')!r}]) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "c.json").is_file()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

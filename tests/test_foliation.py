@@ -214,7 +214,7 @@ def _unit(form, energy):
     return form * s[..., :, None] * s[..., None, :]
 
 
-def test_kernel_raw_gram_matches_closed_form(rng):
+def test_kernel_unit_gram_matches_closed_form(rng):
     # complex-step tangents carry no truncation error: 600 random spiral
     # samples over three pitches agree with the closed form, scaled to unit
     # energy by the closed-form energies, to roundoff
@@ -461,6 +461,13 @@ def test_ball_samples_match_exp_map_loop(seed, count):
     want = np.array([p.v for p in reference_ball_samples(O, 0.8, count, seed=seed)]).reshape(-1, 4)
     assert got.shape == (count, 4)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), (None, TypeError)])
+def test_ball_samples_reject_a_seed_that_is_not_a_nonnegative_integer(seed, error):
+    # random.Random(-1) would silently draw the points of seed 1
+    with pytest.raises(error):
+        hf.ball_samples(O, 0.8, 5, seed=seed)
 
 
 def test_field_checks_match_eigencheck_loop(vertical, plane_normal):

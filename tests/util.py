@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -490,13 +491,13 @@ def exp_map(t: HTangent) -> HPoint:
 def reference_ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> list[HPoint]:
     """``hypfol.ball_samples`` one ``exp_map`` at a time: the oracle the
     array form must match bit for bit."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     frame = orthonormal_complement(center.v)
     out = []
     for _ in range(count):
-        d = rng.standard_normal(3)
+        d = np.array([rng.gauss(0.0, 1.0) for _ in range(3)])
         d /= np.linalg.norm(d)
-        r = radius * rng.uniform() ** (1.0 / 3.0)
+        r = radius * rng.random() ** (1.0 / 3.0)
         w = r * sum(c * e for c, e in zip(d, frame))
         out.append(exp_map(HTangent(center, w)))
     return out
