@@ -8,36 +8,39 @@ squared distance from the base point.
 """
 
 import argparse
-import math
 
 import numpy as np
 
 import hypfol as hf
+from hypfol.geodesics import rank_2x2
 
 
-def initial_value_rank(chart: hf.FoliationChart, params) -> int:
-    """Rank of the map from the unit-energy chart tangents at one sample to
-    their values ``J(0)``, from the finite-difference tangents.
+def initial_value_ranks(jets: hf.ChartJets) -> np.ndarray:
+    """Ranks of the maps from the unit-energy chart tangents at each sample
+    to their values ``J(0)``, read from the kernel's forms.
 
-    Full rank (2) means the chart reaches every direction orthogonal to the
-    leaf at its foot: the surjectivity needed for the leaves to sweep out an
-    open region.
+    The energy is ``|J|^2 + |J'|^2`` and the Killing metric ``|J|^2 -
+    |J'|^2``, so their mean is the Gram matrix ``G`` of ``J(0)``; a 2x2
+    matrix with that Gram has ``|det| = sqrt(det G)`` and squared Frobenius
+    norm ``trace G``.  Full rank (2) means the chart reaches every direction
+    orthogonal to the leaf at its foot: the surjectivity needed for the
+    leaves to sweep out an open region.
     """
-    tangents = hf.chart_tangent(chart, params)
-    energies = [math.sqrt(hf.mink_inner(x.j0.w, x.j0.w) + hf.mink_inner(x.j0p.w, x.j0p.w)) for x in tangents]
-    return hf.svd_rank(np.column_stack([x.j0.w / e for x, e in zip(tangents, energies)]))
+    g = 0.5 * (jets.energy + jets.killing)
+    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    return rank_2x2(np.sqrt(np.maximum(det, 0.0)), g[:, 0, 0] + g[:, 1, 1], 1e-6)
 
 
-def diagnose(name: str, field: hf.UnitField, chart: hf.FoliationChart, grid):
+def diagnose(name: str, field, chart: hf.FoliationChart, grid):
     print(f"== {name}")
     rep = hf.classify_chart(chart, grid=grid)
     print(f"  aggregate verdict: {rep.aggregate}")
-    residual, code, field_f, field_b = hf.field_checks(field, hf.ball_samples(hf.ORIGIN, 0.8, 8, seed=0))
+    residual, code, field_f, field_b = hf.field_checks(field, hf.ball_samples(0.8, 8, seed=0))
     print(f"  geodesic-field residual: {residual:.2e}")
-    a, b = hf.grid_arrays(chart, (6, 6))
-    ranks_f, ranks_b = (sorted(set(r.tolist())) for r in hf.chart_jets(chart, a, b).endpoint_ranks())
+    jets = hf.chart_jets(chart, *hf.grid_arrays(chart, (6, 6)))
+    ranks_f, ranks_b = (sorted(set(r.tolist())) for r in jets.endpoint_ranks())
     print(f"  endpoint-map ranks: forward {ranks_f}, backward {ranks_b}")
-    print(f"  initial-value ranks: {sorted({initial_value_rank(chart, params) for params in zip(a, b)})}")
+    print(f"  initial-value ranks: {sorted(set(initial_value_ranks(jets).tolist()))}")
     verdicts = sorted({hf.VERDICTS[c] for c in code})
     field_f, field_b = (sorted(set(r.tolist())) for r in (field_f, field_b))
     print(f"  field verdicts: {verdicts}, endpoint ranks: forward {field_f}, backward {field_b}")

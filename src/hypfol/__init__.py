@@ -52,7 +52,6 @@ from .foliation import (
     CriticalPoint,
     FoliationChart,
     IntersectionResult,
-    UnitField,
     ball_samples,
     chart_jets,
     chart_tangent,

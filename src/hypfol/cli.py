@@ -48,10 +48,11 @@ FAMILIES = ("vertical", "plane-normal", "prop")
 #: the flags only the spiral (``prop``) family reads, with their defaults
 _SPIRAL_FLAGS = (("--lambda", "lam", None), ("--alpha0", "alpha0", math.pi / 4.0), ("--delta", "delta", 0.1))
 #: the most grid samples: no array holds 1024 bytes per sample (the largest
-#: whole-grid array is the classifier's null directions, (N, 8, 2) floats or
-#: 128 bytes; the kernel's projections onto all pole frames, 2016 bytes per
-#: sample, are formed one block of rows at a time), so numpy can size every
-#: array of a smaller grid, and at worst fails to allocate it
+#: whole-grid array is the kernel's three forms, (3, 2, 2, N) floats or 96
+#: bytes; the classifier's null directions, 128 bytes per sample, and the
+#: kernel's projections onto all pole frames, 2016, are formed one block of
+#: rows at a time), so numpy can size every array of a smaller grid, and at
+#: worst fails to allocate it
 _MAX_SAMPLES = sys.maxsize // 1024
 
 
@@ -95,8 +96,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("--tol must be positive")
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be nonnegative")
-    if args.family is not None and args.family not in FAMILIES:
-        raise ConfigError(f"unknown family {args.family!r}")
     if args.family not in (None, "prop"):
         given = [flag for flag, dest, _ in _SPIRAL_FLAGS if getattr(args, dest) is not None]
         if given:
@@ -116,19 +115,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _resolve_family(cfg: RunConfig):
-    """(chart, field-or-None) for the configured family."""
-    if cfg.family == "vertical":
-        field, chart = vertical_family()
-        return chart, field
-    if cfg.family == "plane-normal":
-        field, chart = plane_normal_family()
-        return chart, field
+    """(chart, field-or-None) for the configured family; every command that
+    reads one has ``--family`` required and limited to ``FAMILIES``."""
     if cfg.family == "prop":
         if cfg.lam is None:
             raise ConfigError("--lambda is required for the prop family")
-        params = SpiralParams(alpha0=cfg.alpha0, lam=cfg.lam, delta=cfg.delta)
-        return spiral_chart(params), None
-    raise ConfigError("--family is required")
+        return spiral_chart(SpiralParams(alpha0=cfg.alpha0, lam=cfg.lam, delta=cfg.delta)), None
+    field, chart = {"vertical": vertical_family, "plane-normal": plane_normal_family}[cfg.family]()
+    return chart, field
 
 
 def _base_point(cfg: RunConfig) -> HPoint:
@@ -156,7 +150,7 @@ def cmd_classify(cfg: RunConfig, out_base: str) -> int:
     rep = classify_chart(chart, grid=cfg.grid, tol=cfg.tol)
     results = {"classification": rep}
     if field is not None:
-        residual, code, _, _ = field_checks(field, ball_samples(field.center, 0.8, 5, seed=cfg.seed))
+        residual, code, _, _ = field_checks(field, ball_samples(0.8, 5, seed=cfg.seed))
         results["field_residual"] = residual
         results["eigencheck_degenerate"] = (code != VERDICTS.index("definite")).tolist()
     payload = report_payload("classify", asdict(cfg), results, __version__)

@@ -27,26 +27,22 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import GeometryError
-from .foliation import FoliationChart, UnitField, grid_axes
+from .foliation import FoliationChart, grid_axes
 from .geodesics import asymptote_directions
-from .lorentz import (
-    ORIGIN,
-    BoundaryPoint,
-    HPoint,
-    HTangent,
-    cosh_sinhc,
-)
+from .lorentz import BoundaryPoint, HPoint, HTangent, cosh_sinhc
 
 #: ideal endpoint of the vertical family: the half-space point at infinity
 VERTICAL_END = BoundaryPoint((1.0, 0.0, 0.0, 1.0))
 
 
-def vertical_family() -> tuple[UnitField, FoliationChart]:
-    """Unit field and chart of the geodesics asymptotic to ``VERTICAL_END``.
+def vertical_family() -> tuple[Callable[[np.ndarray], np.ndarray], FoliationChart]:
+    """Unit field (an array map, ``foliation.field_checks``) and chart of
+    the geodesics asymptotic to ``VERTICAL_END``.
 
     The chart is parametrized on ``[-1, 1]^2`` by the horosphere through the
     base point (``z = 1`` in the half-space model); its map is polynomial in the
@@ -59,15 +55,16 @@ def vertical_family() -> tuple[UnitField, FoliationChart]:
         # the horosphere <n, p> = -1 makes the asymptote direction n - p
         return foot, VERTICAL_END.n - foot
 
-    field = UnitField(arrays=lambda points: asymptote_directions(points, VERTICAL_END.n), center=ORIGIN, name="vertical")
-    chart = FoliationChart(arrays=arrays, domain=((-1.0, 1.0), (-1.0, 1.0)), name="vertical")
-    return field, chart
+    def field(points):
+        return asymptote_directions(points, VERTICAL_END.n)
+
+    return field, FoliationChart(arrays=arrays, domain=((-1.0, 1.0), (-1.0, 1.0)), name="vertical")
 
 
 _E3 = np.array([0.0, 0.0, 0.0, 1.0])
 
 
-def plane_normal_family() -> tuple[UnitField, FoliationChart]:
+def plane_normal_family() -> tuple[Callable[[np.ndarray], np.ndarray], FoliationChart]:
     """Geodesics orthogonal to the totally geodesic plane ``x3 = 0``, charted
     on ``[-1, 1]^2`` by the tangent vector at the base point of their feet.
 
@@ -76,7 +73,7 @@ def plane_normal_family() -> tuple[UnitField, FoliationChart]:
     positive side.
     """
 
-    def field_arrays(points):
+    def field(points):
         # x3 q + s e3, with q = (x0, x1, x2, 0) / s the foot of the perpendicular
         # and s^2 = 1 + x3^2, is (x3 p + e3) / s
         x3 = points[:, 3:]
@@ -88,9 +85,7 @@ def plane_normal_family() -> tuple[UnitField, FoliationChart]:
         foot = np.stack((ch, sc * a, sc * b, np.zeros_like(ch)), axis=-1)
         return foot, np.broadcast_to(_E3, foot.shape)
 
-    field = UnitField(arrays=field_arrays, center=ORIGIN, name="plane-normal")
-    chart = FoliationChart(arrays=arrays, domain=((-1.0, 1.0), (-1.0, 1.0)), name="plane-normal")
-    return field, chart
+    return field, FoliationChart(arrays=arrays, domain=((-1.0, 1.0), (-1.0, 1.0)), name="plane-normal")
 
 
 # ---------------------------------------------------------------------------

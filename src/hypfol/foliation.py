@@ -139,23 +139,6 @@ class FoliationChart:
             object.__setattr__(self, "map", _leaf_map(self.arrays))
 
 
-@dataclass(frozen=True, eq=False)
-class UnitField:
-    """A unit vector field about ``center``.
-
-    ``arrays(points) -> values`` maps ``(N, 4)`` points of the hyperboloid
-    to the ``(N, 4)`` field vectors at them.  Like ``FoliationChart.arrays``
-    it must accept complex points and be analytic in them (numpy arithmetic
-    and elementary functions; no ``abs``, comparisons or casts to float),
-    since covariant differentials are complex-step derivatives of it; under
-    pytest a ``ComplexWarning`` (a complex value cast to float) is an error.
-    """
-
-    arrays: Callable[[np.ndarray], np.ndarray]
-    center: HPoint
-    name: str = ""
-
-
 #: the note of a sample whose two tangents do not span a plane
 RANK_DEFICIENT = "rank-deficient tangent plane"
 
@@ -495,12 +478,12 @@ def classify_chart(
 # vector-field side
 
 
-def ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> np.ndarray:
+def ball_samples(radius: float, count: int, seed: int = 0) -> np.ndarray:
     """``count`` deterministic (seeded) points of the geodesic ball about
-    ``center``, as a ``(count, 4)`` array, drawn from the standard library's
-    ``random.Random(seed)``: per point three normal direction components,
-    then a uniform radius fraction.  The seed is a nonnegative integer
-    (``TypeError`` otherwise, ``ValueError`` if negative)."""
+    the base point, as a ``(count, 4)`` array, drawn from the standard
+    library's ``random.Random(seed)``: per point three normal components of
+    a direction, then a uniform radius fraction.  The seed is a nonnegative
+    integer (``TypeError`` otherwise, ``ValueError`` if negative)."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
@@ -510,30 +493,40 @@ def ball_samples(center: HPoint, radius: float, count: int, seed: int = 0) -> np
         d[k] = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
         d[k] /= np.linalg.norm(d[k])
         r[k] = radius * rng.random() ** (1.0 / 3.0)
-    e0, e1, e2 = orthonormal_complement(center.v)
-    w = r * (d[:, :1] * e0 + d[:, 1:2] * e1 + d[:, 2:] * e2)
-    ch, sc = cosh_sinhc(np.maximum(mink(w, w), 0.0))
-    points = _rescaled(ch[:, None] * center.v + sc[:, None] * w, -1.0)
+    # at the base point the tangent space is the spatial part of R^{3,1};
+    # the square is summed in ``mink``'s order, so the points keep their bits
+    w = r * d
+    ch, sc = cosh_sinhc(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2])
+    points = _rescaled(np.column_stack((ch, sc[:, None] * w)), -1.0)
     if not all(ok.all() for _, ok in model_checks(points)):
         raise GeometryError("ball sample is not a point of the hyperboloid")
     return points
 
 
-def _field_steps(field: UnitField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One complex-step call of ``field.arrays`` at ``p + i CS_STEP e_j`` for
+def _field_steps(field, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One complex-step call of ``field`` at ``p + i CS_STEP e_j`` for
     every one of the ``(N, 4)`` points and every vector ``e_j`` of its
     ``orthonormal_complement`` frame: the ``(N, 3, 4)`` frames, the ``(N, 4)``
     field values and the ``(N, 3, 4)`` ambient derivatives along the frames."""
     frames = orthonormal_complement(points[:, None])
-    values = np.asarray(field.arrays((points[:, None] + 1j * CS_STEP * frames).reshape(-1, 4))).reshape(-1, 3, 4)
+    values = np.asarray(field((points[:, None] + 1j * CS_STEP * frames).reshape(-1, 4))).reshape(-1, 3, 4)
     # the real part is the value at p: the step moves it by CS_STEP^2
     return frames, np.real(values[:, 0]), np.imag(values) / CS_STEP
 
 
-def field_checks(field: UnitField, points) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """The geodesic residual of the field, and at each of the ``(N, 4)``
-    points the verdict and endpoint ranks of its transverse chart, from the
-    one field call of ``_field_steps``.
+def field_checks(
+    field: Callable[[np.ndarray], np.ndarray], points
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The geodesic residual of a unit vector field, and at each of the
+    ``(N, 4)`` points the verdict and endpoint ranks of its transverse
+    chart, from the one field call of ``_field_steps``.
+
+    ``field(points) -> values`` maps ``(N, 4)`` points of the hyperboloid to
+    the ``(N, 4)`` field vectors at them.  Like ``FoliationChart.arrays`` it
+    must accept complex points and be analytic in them (numpy arithmetic and
+    elementary functions; no ``abs``, comparisons or casts to float), since
+    its covariant differentials are complex-step derivatives of it; under
+    pytest a ``ComplexWarning`` (a complex value cast to float) is an error.
 
     The residual is the max norm of the self-derivative ``nabla_X X`` over
     the points; zero certifies (at the points) that integral curves are
@@ -552,7 +545,7 @@ def field_checks(field: UnitField, points) -> tuple[float, np.ndarray, np.ndarra
     rows, pair = np.arange(len(points))[:, None], np.argsort(np.abs(axes), axis=1)[:, :2]
     f, d = (np.concatenate((x[None], np.moveaxis(dx[rows, pair], 1, 0))) for x, dx in ((points, frames), (v, derivatives)))
     jets = _jets(points, f[0], d[0], lambda s: (f[:, s], d[:, s]))
-    code = _classify(jets, VERDICT_TOL, field.name, (len(points), 1)).verdict_code
+    code = _classify(jets, VERDICT_TOL, "", (len(points), 1)).verdict_code
     return float(np.max(np.linalg.norm(nabla_x, axis=1), initial=0.0)), code, *jets.endpoint_ranks()
 
 

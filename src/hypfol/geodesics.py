@@ -209,7 +209,7 @@ def check_leaves(foot: np.ndarray, direction: np.ndarray, params, blocks=None) -
         raise NumericalError(f"chart leaf at {tuple(float(x[k]) for x in params)}: {message}")
 
 
-def rank_2x2(det: np.ndarray, frob_sq: np.ndarray, atol: float = 1e-6) -> np.ndarray:
+def rank_2x2(det: np.ndarray, frob_sq: np.ndarray, atol: float) -> np.ndarray:
     """``svd_rank`` of 2x2 matrices given by their determinant and squared
     Frobenius norm.  The small singular value is read as ``|det| / s1``, so it
     keeps its relative accuracy and the ``1e-9`` relative floor stays

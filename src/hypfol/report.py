@@ -11,9 +11,9 @@ matrix and a note) and verdict: the layout ``json.dumps`` gives the same
 objects, with a hole for each float's repr, so the bytes are those of the
 object form.  The cells the samples use are checked first, and a
 non-finite one raises ``NumericalError`` before the file is opened; then the
-samples are formatted and written into the open file one block of
-``foliation.row_blocks`` at a time, so an error after that (such as
-``MemoryError``) leaves a truncated file.  Grid CSVs are UTF-8 with a
+samples are formatted and written into the open file.  Both passes go one
+block of ``foliation.row_blocks`` at a time, so an error after the check
+(such as ``MemoryError``) leaves a truncated file.  Grid CSVs are UTF-8 with a
 header row, "." decimal separator and "\n" line endings, one row per grid
 point in row-major grid order: the two axis values, then one value per
 column; they are written one grid row at a time.  Identical inputs produce
@@ -86,11 +86,12 @@ def _cells(rep: ClassificationReport, s: slice) -> tuple[np.ndarray, np.ndarray]
 def _check_finite(rep: ClassificationReport) -> None:
     """Raise ``NumericalError`` naming the first sample of a report that uses
     a non-finite cell (``_cells``)."""
-    values, used = _cells(rep, slice(None))
-    bad = (used & ~np.isfinite(values)).any(axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise NumericalError(f"non-finite value in the report sample at {tuple(rep.params[k].tolist())}")
+    for s in row_blocks(len(rep.params)):
+        values, used = _cells(rep, s)
+        bad = (used & ~np.isfinite(values)).any(axis=1)
+        if bad.any():
+            k = s.start + int(np.argmax(bad))
+            raise NumericalError(f"non-finite value in the report sample at {tuple(rep.params[k].tolist())}")
 
 
 def _samples_text(rep: ClassificationReport, s: slice, pad: str) -> str:

@@ -124,7 +124,7 @@ def test_acceptance_04_vertical_family(announce):
         assert hf.svd_rank(jac) == 0
     worst_nabla = 0.0
     rng = np.random.default_rng(11)
-    points = hf.ball_samples(O, 0.8, 10, seed=11)
+    points = hf.ball_samples(0.8, 10, seed=11)
     for mat, frame, v in zip(*covariant_differentials(field, points)):
         vc = np.array([minner(v, e) for e in frame])
         for _ in range(3):

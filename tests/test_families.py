@@ -49,7 +49,7 @@ def test_vertical_leaves_share_forward_endpoint():
 
 def test_vertical_field_is_geodesic():
     field, _ = hf.vertical_family()
-    samples = hf.ball_samples(O, 1.0, 10, seed=2)
+    samples = hf.ball_samples(1.0, 10, seed=2)
     assert hf.field_checks(field, samples)[0] < 1e-6
 
 
@@ -86,7 +86,7 @@ def test_plane_normal_classifies_semidefinite():
 
 def test_plane_normal_field_is_geodesic():
     field, _ = hf.plane_normal_family()
-    samples = hf.ball_samples(O, 1.0, 10, seed=3)
+    samples = hf.ball_samples(1.0, 10, seed=3)
     assert hf.field_checks(field, samples)[0] < 1e-6
 
 

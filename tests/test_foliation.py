@@ -1,6 +1,8 @@
 """Chart tangents, classifiers, field operators, intersections, critical points."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,31 +405,31 @@ def _perturbed(field):
     and orthogonal to the field: a unit field whose integral curves are not
     geodesics."""
 
-    def arrays(p):
-        v = field.arrays(p)
+    def perturbed(p):
+        v = field(p)
         u = np.array([0.0, 1.0, 0.0, 0.0]) + p[:, 1:2] * p  # e1 projected to T_p
         u = u - mink(u, v)[:, None] * v
         u = u / np.sqrt(mink(u, u))[:, None]
         w = v + 0.1 * u
         return w / np.sqrt(mink(w, w))[:, None]
 
-    return hf.UnitField(arrays=arrays, center=O, name="perturbed")
+    return perturbed
 
 
 def test_check_geodesic_field_families(vertical, plane_normal, rng):
-    samples = hf.ball_samples(O, 0.8, 8, seed=5)
+    samples = hf.ball_samples(0.8, 8, seed=5)
     for field, _ in (vertical, plane_normal):
         assert hf.field_checks(field, samples)[0] <= 1e-14
 
 
 def test_perturbed_field_fails_residual(vertical):
     bad = _perturbed(vertical[0])
-    samples = hf.ball_samples(O, 0.8, 8, seed=5)
+    samples = hf.ball_samples(0.8, 8, seed=5)
     assert hf.field_checks(bad, samples)[0] > 1e-2
 
 
 def test_covariant_differentials_match_transported_differences(vertical, plane_normal):
-    samples = hf.ball_samples(O, 0.8, 8, seed=5)
+    samples = hf.ball_samples(0.8, 8, seed=5)
     for field in (vertical[0], plane_normal[0], _perturbed(vertical[0])):
         mats, frames, values = covariant_differentials(field, samples)
         for p, mat, frame, v in zip(map(hf.HPoint, samples), mats, frames, values):
@@ -443,12 +445,12 @@ def test_field_checks_make_one_field_call_and_build_no_value_objects(vertical, m
 
     def counted(points):
         calls.append(points.shape)
-        return field.arrays(points)
+        return field(points)
 
     for cls in (hf.HPoint, hf.HTangent):
         monkeypatch.setattr(cls, "__post_init__", lambda self, name=cls.__name__: built.append(name))
-    samples = hf.ball_samples(O, 0.8, 5, seed=1)
-    residual, code, _, _ = hf.field_checks(hf.UnitField(arrays=counted, center=O), samples)
+    samples = hf.ball_samples(0.8, 5, seed=1)
+    residual, code, _, _ = hf.field_checks(counted, samples)
     assert residual <= 1e-14 and calls == [(15, 4)] and (code != _DEFINITE).all()
     # the samples, the verdicts and the ranks are arrays
     assert built == []
@@ -457,17 +459,33 @@ def test_field_checks_make_one_field_call_and_build_no_value_objects(vertical, m
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("count", [0, 5, 8, 10])
 def test_ball_samples_match_exp_map_loop(seed, count):
-    got = hf.ball_samples(O, 0.8, count, seed=seed)
-    want = np.array([p.v for p in reference_ball_samples(O, 0.8, count, seed=seed)]).reshape(-1, 4)
-    assert got.shape == (count, 4)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the base point's frame is (e1, e2, e3), so the drawn direction is the
+    # tangent direction itself, bit for bit out to radius 12
+    for radius in (0.8, 2.0, 8.0, 12.0):
+        got = hf.ball_samples(radius, count, seed=seed)
+        want = np.array([p.v for p in reference_ball_samples(O, radius, count, seed=seed)]).reshape(-1, 4)
+        assert got.shape == (count, 4)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), radius
+
+
+def test_ball_samples_build_no_frame(monkeypatch):
+    frames = []
+    builder = hf.lorentz.orthonormal_complement
+
+    def counted(rows):
+        frames.append(rows)
+        return builder(rows)
+
+    monkeypatch.setattr(hf.foliation, "orthonormal_complement", counted)
+    assert hf.ball_samples(0.8, 5, seed=1).shape == (5, 4)
+    assert frames == []
 
 
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), (None, TypeError)])
 def test_ball_samples_reject_a_seed_that_is_not_a_nonnegative_integer(seed, error):
     # random.Random(-1) would silently draw the points of seed 1
     with pytest.raises(error):
-        hf.ball_samples(O, 0.8, 5, seed=seed)
+        hf.ball_samples(0.8, 5, seed=seed)
 
 
 def test_field_checks_match_eigencheck_loop(vertical, plane_normal):
@@ -478,7 +496,7 @@ def test_field_checks_match_eigencheck_loop(vertical, plane_normal):
     geodesic = (vertical[0], plane_normal[0])
     for field in (*geodesic, _perturbed(vertical[0])):
         for seed in (0, 1, 5):
-            samples = hf.ball_samples(O, 0.8, 8, seed=seed)
+            samples = hf.ball_samples(0.8, 8, seed=seed)
             residual, code, _, _ = hf.field_checks(field, samples)
             want_residual, want_degenerate, _, _ = reference_field_checks(field, samples)
             assert residual == want_residual
@@ -551,7 +569,7 @@ def test_eigencheck_synthetic_degenerate():
 
 @pytest.mark.parametrize("radius", [0.8, 2.0, 4.0, 8.0])
 def test_field_verdicts_follow_the_eigencheck_oracle(vertical, plane_normal, radius):
-    samples = hf.ball_samples(O, radius, 50, seed=3)
+    samples = hf.ball_samples(radius, 50, seed=3)
     # plane-normal's transverse chart at distance s from the plane x3 = 0 has
     # A = tanh(s) I, so one endpoint variation is (1 - tanh|s|) v, under the
     # absolute rank floor of ``endpoint_ranks`` from |s| about 6.9 on
@@ -930,6 +948,32 @@ def test_initial_value_rank_families(vertical, plane_normal):
 def test_initial_value_rank_collapsed(plane_normal):
     _, chart = plane_normal
     assert initial_value_rank(collapsed_chart(chart), (0.2, 0.2)) < 2
+
+
+def _script(name):
+    """A program of ``scripts/`` loaded as a module."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("case, rank", [("vertical", 2), ("plane-normal", 2), ("prop", 2), ("collapsed", 1)])
+def test_initial_value_ranks_from_the_kernel_forms(vertical, plane_normal, spiral, case, rank):
+    # the mean of the energy |J|^2 + |J'|^2 and the Killing metric
+    # |J|^2 - |J'|^2 is the Gram matrix of J(0) on the unit-energy tangents,
+    # to the central differences' accuracy; its rank is the oracle's
+    chart = {"vertical": vertical[1], "plane-normal": plane_normal[1], "prop": spiral[1]}.get(case)
+    chart = chart or collapsed_chart(plane_normal[1])
+    jets = hf.chart_jets(chart, *hf.grid_arrays(chart, (6, 6)))
+    gram = 0.5 * (jets.energy + jets.killing)
+    for g, params in zip(gram, grid_params(chart, (6, 6))):
+        z = frame_coords(*hf.chart_tangent(chart, params))
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        j0 = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0.0)[:, :2]
+        assert np.max(np.abs(g - j0 @ j0.T)) < 1e-8, params
+    ranks = _script("classify_families").initial_value_ranks(jets).tolist()
+    assert ranks == [initial_value_rank(chart, params) for params in grid_params(chart, (6, 6))] == [rank] * 36
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from hypfol import (
     same_point,
 )
 from hypfol.families import LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, _margin, spiral_chart
-from hypfol.foliation import RANK_DEFICIENT, UnitField, _classify, _field_steps, grid_axes
+from hypfol.foliation import RANK_DEFICIENT, _classify, _field_steps, grid_axes
 from hypfol.geodesics import asymptote_directions
 from hypfol.lorentz import _finish_point, _finish_tangent, _require_unit, _unitize, mink
 
@@ -181,7 +181,7 @@ def _transported_difference(field, p: HPoint, w: np.ndarray) -> np.ndarray:
     return (w_plus.w - w_minus.w) / (2.0 * FD_STEP)
 
 
-def covariant_differentials(field: UnitField, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def covariant_differentials(field, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Covariant differentials of the field at ``(N, 4)`` points, from the
     one field call of ``_field_steps``.
 
@@ -339,8 +339,8 @@ def normalized(t: HTangent) -> HTangent:
 
 
 def field_value(field, p: HPoint) -> HTangent:
-    """The value of a ``UnitField`` at one point as a validated ``HTangent``."""
-    return HTangent(p, field.arrays(p.v[None])[0])
+    """The value of a field (an array map) at one point as a validated ``HTangent``."""
+    return HTangent(p, field(p.v[None])[0])
 
 
 @dataclasses.dataclass(frozen=True)
