@@ -26,13 +26,14 @@ Charts whose geodesics fill a region without crossing always land in the
 almost-semidefinite class; the stricter classes correspond to charts with
 locally injective endpoint maps and to charts on which the cross metric is
 Riemannian.  ``critical_point_scan`` evaluates its squared-distance grid
-with one array call, refines every grid-local minimum at once by a
-coordinate descent whose array calls each try several halvings of every
-start's step, and returns the minima together with the ring minima of that
-grid.  ``field_checks`` applies the same classifier from the vector-field
-side.  A field is an array map as well, and ``field_checks`` takes its
-derivatives by complex steps along the orthonormal frames that one stacked
-``lorentz.orthonormal_complement`` call gives at all the points.
+with one array call, refines every grid-local minimum at once by
+Gauss-Newton on the leaf residual, whose Jacobian is read from the complex
+steps of one chart call per iteration, and returns the minima together
+with the ring minima of that grid.  ``field_checks`` applies the same
+classifier from the vector-field side.  A field is an array map as well,
+and ``field_checks`` takes its derivatives by complex steps along the
+orthonormal frames that one stacked ``lorentz.orthonormal_complement`` call
+gives at all the points.
 At each point the field's integral geodesics through a disc transverse to it
 form a chart whose jets are those steps, so the kernel's forms and the
 chart classifier give the field's verdicts and endpoint ranks, next to its
@@ -63,6 +64,7 @@ from .geodesics import (
     check_leaves,
     gauss_map,
     leaf_dist,
+    leaf_residual,
     rank_2x2,
 )
 from .lorentz import (
@@ -120,13 +122,14 @@ class FoliationChart:
     ``(N, 4)`` feet and unit directions of the leaves.  It must accept
     complex parameters and be analytic in them (numpy arithmetic and
     elementary functions; no ``abs``, comparisons or casts to float), since
-    the chart tangents are complex-step derivatives of it.  ``map(a, b)`` is
-    one leaf as a validated ``OrientedGeodesic``, derived from ``arrays``
-    unless given (so ``dataclasses.replace`` with new ``arrays`` passes
-    ``map=None`` to derive it again); the finite-difference
-    ``chart_tangent`` evaluates it up to ``FD_STEP`` beyond the domain
-    rectangle.  The grid drivers (classification, endpoint ranks and the
-    critical-point scan with its descent) evaluate only ``arrays``.
+    the chart tangents and the critical-point solver's Jacobian are
+    complex-step derivatives of it.  ``map(a, b)`` is one leaf as a
+    validated ``OrientedGeodesic``, derived from ``arrays`` unless given
+    (so ``dataclasses.replace`` with new ``arrays`` passes ``map=None`` to
+    derive it again); the finite-difference ``chart_tangent`` evaluates it
+    up to ``FD_STEP`` beyond the domain rectangle.  The grid drivers
+    (classification, endpoint ranks and the critical-point scan with its
+    solver) evaluate only ``arrays``.
     """
 
     arrays: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -620,59 +623,99 @@ class CriticalPoint:
         return {"params": [self.a, self.b], "value": self.value}
 
 
-#: the descent's moves in tie-break order: +a, -a, +b, -b
-_MOVES = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
-#: step levels per descent call: a start's step and its next 7 halvings
-_LEVELS = 8
-_LEVEL = np.arange(float(_LEVELS))
-#: exact powers of two: the step factor of each level, and after all of them
-_HALVINGS = np.array([math.ldexp(1.0, -k) for k in range(_LEVELS + 1)])
+#: iteration cap of the leaf solver: its calls per start, when no other stop comes first
+_ITERATIONS = 40
+#: roundoff of the leaf solver: a clamped step below this times ``max(|x|, 1)``
+#: in both coordinates, or a decrease of ``<r, r>`` below this times ``<r, r>``
+_ROUNDOFF = 4.0 * np.finfo(float).eps
 
 
-def _coordinate_descent(fun, a, b, val, step, bounds):
-    """Coordinate descent of ``fun`` from every start ``(a[k], b[k])`` at once.
+def _newton_steps(gram: np.ndarray, grad: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Gauss-Newton steps ``(n, 2)`` from the ``(2, 2, n)`` Gram matrices
+    ``G`` of the Jacobian columns and the ``(2, n)`` gradients ``g`` (half
+    that of ``<r, r>``): the solution of the normal equations ``G x = -g``.
+    Where ``held`` ``(n, 2)`` fixes a coordinate, or where ``G`` is too near
+    singular to solve, the step is the minimum of the quadratic model along
+    ``-g`` on the free coordinates: the 1-D Newton step when one coordinate
+    is held, zero when both are.  A step that is not finite is zero."""
+    (g00, g01), (_, g11) = gram
+    grad = np.where(held.T, 0.0, grad)
+    det = g00 * g11 - g01 * g01
+    with np.errstate(all="ignore"):
+        full = np.array((g01 * grad[1] - g11 * grad[0], g01 * grad[0] - g00 * grad[1])) / det
+        curvature = g00 * grad[0] ** 2 + 2.0 * g01 * grad[0] * grad[1] + g11 * grad[1] ** 2
+        along = grad * -((grad * grad).sum(axis=0) / curvature)
+    step = np.where(~held.any(axis=1) & (det > 1e-12 * g00 * g11), full, along).T
+    return np.where(np.isfinite(step), step, 0.0)
 
-    ``fun`` maps parameter arrays to values; ``val`` holds its values at the
-    starts.  A sweep tries a start's four moves, clamped to ``bounds``, and
-    moves to the smallest value below its own (the first in ``_MOVES``
-    order), or else halves the step; a start stops at step ``1e-12`` or
-    20000 evaluations.  ``fun`` also sees points between a start and its
-    moves that no sweep tries.  Returns the final ``a``, ``b`` and values.
+
+def _refine_minima(chart: FoliationChart, q: np.ndarray, a, b, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Newton on the leaf residual from every start ``(a[k], b[k])``
+    at once; returns the best ``a``, ``b`` and squared leaf distances.
+
+    For a leaf with foot ``f`` and direction ``d`` the residual ``r =
+    leaf_residual(f, d, q)`` has ``<r, r> = sinh^2 dist(q, leaf)``.  Each
+    iteration makes one chart call of ``2n`` rows for the ``n`` active
+    starts, ``(a + i CS_STEP, b)`` stacked on ``(a, b + i CS_STEP)``: its
+    real parts are the leaves, each checked by ``check_leaves``, and its
+    imaginary parts give the two Jacobian columns of ``r``, whose parts on
+    the leaf's normal plane (where the Minkowski form is positive definite)
+    give the step (``_newton_steps``).  A coordinate at a bound whose step
+    points outward is held, and the step is clamped to ``bounds``.  A point
+    is kept only if ``<r, r>`` does not grow; otherwise the clamped step
+    from the best point is halved.  A start stops at ``<r, r> = 0``, at a
+    clamped step below roundoff (``_ROUNDOFF``), where the quadratic
+    model's decrease of ``<r, r>`` along the step is below roundoff of
+    ``<r, r>`` (at a minimum that is not zero the value resolves the
+    parameters only to about the square root of roundoff), or after
+    ``_ITERATIONS`` calls.
     """
     lo, hi = np.array(bounds, dtype=float).T
-    p, val = np.array((a, b), dtype=float).T, np.array(val, dtype=float)
-    # the active starts, compacted: their rows of p, points, values, steps and evaluation counts
-    idx = np.arange(len(val) if step > 1e-12 else 0)
-    x, fx, h, evals = p[idx], val[idx], np.full(len(idx), float(step)), np.zeros(len(idx))
-    # Each call makes _LEVELS sweeps of every active start, at its step and
-    # successive halvings (exact, so bitwise the points of as many failed
-    # sweeps), and the start takes the first sweep that moves it, counting
-    # four evaluations per sweep taken or failed.  A sweep past either stop
-    # is evaluated but never taken, so the ends are those of one sweep at a
-    # time; the extra points are the clamped moves of the untaken sweeps.
-    while idx.size:
-        rows = np.arange(len(idx))
-        steps = h[:, None] * _HALVINGS[:-1]
-        moves = np.minimum(np.maximum(x[:, None, None] + steps[..., None, None] * _MOVES, lo), hi)
-        v = fun(moves[..., 0].ravel(), moves[..., 1].ravel()).reshape(-1, _LEVELS, 4)
-        lower = np.where(v < fx[:, None, None], v, np.inf)
-        best = lower.min(axis=2)
-        takes = (best < fx[:, None]) & (steps > 1e-12) & (evals[:, None] + 4.0 * _LEVEL < 20000.0)
-        # j is the first level taken, or 0 where none is and level is _LEVELS
-        first = np.where(takes, _LEVEL, float(_LEVELS))
-        j = first.argmin(axis=1)
-        level = first[rows, j]
-        moved = level < _LEVELS
-        k = lower[rows, j].argmin(axis=1)
-        x = np.where(moved[:, None], moves[rows, j, k], x)
-        fx = np.where(moved, best[rows, j], fx)
-        h = h * np.where(moved, _HALVINGS[j], _HALVINGS[-1])
-        evals += 4.0 * np.minimum(level + 1.0, _LEVELS)
-        if not (keep := (h > 1e-12) & (evals < 20000.0)).all():
-            p[idx], val[idx] = x, fx
-            idx, x, fx, h, evals = idx[keep], x[keep], fx[keep], h[keep], evals[keep]
-    p[idx], val[idx] = x, fx
-    return p[:, 0], p[:, 1], val
+    out = np.array((a, b), dtype=float).T
+    out_rr = np.full(len(out), np.inf)
+    # the active starts: their rows of out, best points, <r, r>, steps, the
+    # model's decrease of <r, r> along each step, and the next points
+    idx, best, best_rr, x = np.arange(len(out)), out.copy(), out_rr.copy(), out.copy()
+    step, gain = np.zeros_like(out), np.zeros(len(out))
+    for _ in range(_ITERATIONS):
+        if not idx.size:
+            break
+        n, (xa, xb) = len(idx), x.T
+        steps = np.concatenate((xa + 1j * CS_STEP, xa)), np.concatenate((xb, xb + 1j * CS_STEP))
+        foot, direction = _evaluate(chart, *steps)
+        f, d = np.real(foot[:n]), np.real(direction[:n])
+        check_leaves(f, d, (xa, xb))
+        r = leaf_residual(f, d, q)
+        rr = np.maximum(mink(r, r), 0.0)
+        with np.errstate(all="ignore"):
+            jac = np.imag(leaf_residual(foot, direction, q)).reshape(2, n, 4) / CS_STEP
+        # the columns' parts on the leaf's normal plane, the orthogonal
+        # complement of the plane of f (timelike unit) and d (spacelike unit)
+        jac = jac + mink(jac, f)[..., None] * f - mink(jac, d)[..., None] * d
+        gram, grad = mink(jac[:, None], jac[None]), mink(jac, r)
+        new = _newton_steps(gram, grad, np.zeros((n, 2), dtype=bool))
+        held = ((x <= lo) & (new < 0.0)) | ((x >= hi) & (new > 0.0))
+        if held.any():
+            new = _newton_steps(gram, grad, held)
+        kept = rr <= best_rr
+        best = np.where(kept[:, None], x, best)
+        best_rr = np.where(kept, rr, best_rr)
+        step = np.where(kept[:, None], new, 0.5 * (x - best))
+        gain = np.where(kept, -(grad.T * new).sum(axis=1), 0.5 * gain)
+        x = np.clip(best + step, lo, hi)
+        going = (best_rr > 0.0) & (gain > _ROUNDOFF * best_rr)
+        going &= (np.abs(x - best) > _ROUNDOFF * np.maximum(np.abs(best), 1.0)).any(axis=1)
+        if not going.all():
+            out[idx], out_rr[idx] = best, best_rr
+            idx, best, best_rr, step, gain, x = (v[going] for v in (idx, best, best_rr, step, gain, x))
+    out[idx], out_rr[idx] = best, best_rr
+    # leaf_dist squared, bit for bit
+    return out[:, 0], out[:, 1], np.arcsinh(np.sqrt(out_rr)) ** 2
+
+
+#: the name the benchmark's layer tracer wraps; ROADMAP item 1's benchmark
+#: change retargets it, and this alias goes then
+_coordinate_descent = _refine_minima
 
 
 def critical_point_scan(
@@ -684,20 +727,24 @@ def critical_point_scan(
     and the ring minima of the same grid.
 
     The grid is evaluated with one array call.  Grid-local minima
-    (8-neighborhood) are refined together by ``_coordinate_descent`` from
-    the grid spacing down (each leaf it tries is validated); they are
-    deduplicated by parameter distance and sorted by value.  The ring
-    minima are ``ring_growth_evidence`` of the grid values.
+    (8-neighborhood) are refined together by the Gauss-Newton solver
+    ``_refine_minima`` (each leaf it evaluates is validated); they are
+    deduplicated by parameter distance (``0.75`` of the grid spacing) and
+    sorted by value.  The ring minima are ``ring_growth_evidence`` of the
+    grid values.
+
+    A minimum that is not isolated, such as a valley of equal distance
+    along a curve of leaves, is reported as one point of the valley per
+    merged start: the solver takes a start to the valley but not along it,
+    where its step is roundoff, so the count of such minima follows the
+    grid.
     """
     (a0, a1), (b0, b1) = chart.domain
     avals, bvals = grid_axes(chart, grid)
-
-    def dist_sq(a, b):
-        foot, direction = _evaluate(chart, a, b)
-        check_leaves(foot, direction, (a, b))
-        return leaf_dist(foot, direction, base.v) ** 2
-
-    values = dist_sq(*grid_arrays(chart, grid)).reshape(grid)
+    a, b = grid_arrays(chart, grid)
+    foot, direction = _evaluate(chart, a, b)
+    check_leaves(foot, direction, (a, b))
+    values = (leaf_dist(foot, direction, base.v) ** 2).reshape(grid)
     padded = np.full((grid[0] + 2, grid[1] + 2), np.inf)
     padded[1:-1, 1:-1] = values
     is_min = np.ones(values.shape, dtype=bool)
@@ -709,7 +756,7 @@ def critical_point_scan(
         (a1 - a0) / max(grid[0] - 1, 1),
         (b1 - b0) / max(grid[1] - 1, 1),
     )
-    a, b, val = _coordinate_descent(dist_sq, avals[rows], bvals[cols], values[rows, cols], spacing, chart.domain)
+    a, b, val = _refine_minima(chart, base.v, avals[rows], bvals[cols], chart.domain)
     refined = sorted(zip(a.tolist(), b.tolist(), val.tolist()), key=lambda r: (r[2], r[0], r[1]))
     merged: list[CriticalPoint] = []
     for a, b, v in refined:

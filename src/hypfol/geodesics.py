@@ -10,10 +10,11 @@ orthogonal Jacobi equation is ``J'' = J``, so evaluation is closed form.
 Here live the leaves and their endpoints; the neutral metrics themselves
 are read by the chart kernel (``foliation.chart_jets``) from the sphere
 endpoints.  On arrays of leaves ``(foot, dir)``: ``check_leaves`` (the
-model's invariants, ``lorentz.model_checks``), ``leaf_dist``, the endpoint
-images (``endpoint_images``, the forward and backward endpoints being the
-rays of ``foot +- dir``), ``asymptote_directions`` and ``rank_2x2``, the rank of
-2x2 matrices from a determinant and a Frobenius norm.  ``cross_metric``,
+model's invariants, ``lorentz.model_checks``), ``leaf_dist`` and its
+residual ``leaf_residual``, the endpoint images (``endpoint_images``, the
+forward and backward endpoints being the rays of ``foot +- dir``),
+``asymptote_directions`` and ``rank_2x2``, the rank of 2x2 matrices from a
+determinant and a Frobenius norm.  ``cross_metric``,
 the cross metric of Jacobi data ``(J(0), J'(0))`` from ambient
 determinants, and ``gauss_map_jacobian``, finite-difference endpoint
 Jacobians in the sphere frame that ``lorentz.orthonormal_complement`` gives
@@ -228,10 +229,17 @@ def leaf_dist(foot: np.ndarray, direction: np.ndarray, q: np.ndarray) -> np.ndar
     relative accuracy near the trajectory, where ``arccosh`` of
     ``cosh(d) = sqrt(a^2 - b^2)`` would lose it to cancellation.
     """
+    r = leaf_residual(foot, direction, q)
+    return np.arcsinh(np.sqrt(np.maximum(mink(r, r), 0.0)))
+
+
+def leaf_residual(foot: np.ndarray, direction: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The part ``r = q - (a foot + b direction)`` of ``q`` orthogonal to
+    the plane of each trajectory, ``a = -<foot, q>``, ``b = <direction,
+    q>``: ``<r, r> = sinh^2`` of the distance.  Complex-safe."""
     a = -mink(foot, q)
     b = mink(direction, q)
-    r = q - (a[..., None] * foot + b[..., None] * direction)
-    return np.arcsinh(np.sqrt(np.maximum(mink(r, r), 0.0)))
+    return q - (a[..., None] * foot + b[..., None] * direction)
 
 
 def endpoint_images(foot: np.ndarray, direction: np.ndarray, sign: int) -> np.ndarray:

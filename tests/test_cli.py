@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -437,12 +438,10 @@ def test_gauss_ranks_match_finite_difference_jacobians(tmp_path, family, extra):
 
 def test_critical_evaluates_grid_once(tmp_path, chart_array_calls):
     # one array call for the 225 grid points, shared by the minima and the
-    # rings; the descent starts its one candidate from the grid value, which
-    # only halves its step 38 times, and evaluates the four moves of
-    # ``_LEVELS`` of those sweeps in one call
-    levels = hf.foliation._LEVELS
+    # rings; the solver's one start sits on the leaf through the base point,
+    # so its first call of 2 rows (the two complex steps) ends it
     assert run(["critical", "--family", "plane-normal", "--grid", "15x15", "--out", str(tmp_path / "c")]) == 0
-    assert chart_array_calls == [225] + [4 * levels] * math.ceil(38 / levels)
+    assert chart_array_calls == [225, 2]
 
 
 @pytest.mark.parametrize("family", ["vertical", "plane-normal"])
@@ -554,22 +553,25 @@ def test_tol_help_names_both_meanings(capsys, command):
 
 
 def test_leaf_failing_during_descent_exits_3(tmp_path, capsys, monkeypatch):
-    # every grid leaf is valid; the descent's first moves off the grid, half
-    # a cell from the centre, are not
+    # every grid leaf is valid (the 16x16 grid's nearest a to 0 is 1/15);
+    # the leaves within 0.05 of a = 0, where the Gauss-Newton descent's
+    # first step from the four central cells lands, are not
     def off_grid(chart):
         def arrays(a, b):
             foot, direction = chart.arrays(a, b)
-            bad = (np.abs(a) > 0.0) & (np.abs(a) < 0.1)
+            bad = np.abs(np.real(a)) < 0.05
             return np.where(bad[:, None], 1.5 * foot, foot), direction
 
         return hf.FoliationChart(arrays=arrays, domain=chart.domain)
 
     resolve = cli._resolve_family
     monkeypatch.setattr(cli, "_resolve_family", lambda cfg: (off_grid(resolve(cfg)[0]), None))
-    assert run(["critical", "--family", "plane-normal", "--grid", "15x15", "--out", str(tmp_path / "x")]) == 3
-    assert capsys.readouterr().err == (
-        "numerical failure: chart leaf at (0.07142857142857142, 0.0): point is not on the unit hyperboloid\n"
+    assert run(["critical", "--family", "plane-normal", "--grid", "16x16", "--out", str(tmp_path / "x")]) == 3
+    err = re.fullmatch(
+        r"numerical failure: chart leaf at \((\S+), (\S+)\): point is not on the unit hyperboloid\n",
+        capsys.readouterr().err,
     )
+    assert err and abs(float(err[1])) < 0.05
     assert not list(tmp_path.iterdir())
 
 

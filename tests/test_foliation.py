@@ -734,29 +734,49 @@ def _critical_case(name):
     if name == "prop-crossing":
         chart = hf.spiral_chart(hf.SpiralParams(alpha0=math.pi / 4.0, lam=0.0711, delta=0.1))
         return chart, hf.polar_frame(2.0, 0.0).point, (40, 40)
+    if name == "collapsed":
+        # every leaf over a = 0.3 passes through the base point: the Gram
+        # matrix of the solver is singular, and its steps are along a only
+        chart = collapsed_chart(hf.plane_normal_family()[1])
+        foot, direction = chart.arrays(np.array([0.3]), np.array([0.0]))
+        return chart, hf.HPoint(math.cosh(0.5) * foot[0] + math.sinh(0.5) * direction[0]), (9, 12)
     # the nearest leaf of the whole family lies beyond b = 1, so the minimum is clamped to that edge
     return hf.plane_normal_family()[1], hf.HPoint(np.array([math.cosh(2.0), 0.0, math.sinh(2.0), 0.0])), (9, 12)
 
 
-def _bits(rows):
-    return [tuple(float(x).hex() for x in row) for row in rows]
+#: the minima of the ``_critical_case`` grids are zeros or clamped to the
+#: domain's edge: there the reference's ends lie within its last step,
+#: 1e-12, of the minimum and the solver's within roundoff
+PARAM_TOL = 1e-11
+#: the solver's minimum value is at most this above the descent's
+VALUE_TOL = 1e-15
 
 
-@pytest.mark.parametrize("case", ["plane-normal", "vertical", "prop-crossing", "clamped"])
+def _merged(ends, spacing):
+    """``critical_point_scan``'s merge of refined ``(a, b, value)`` ends."""
+    merged = []
+    for a, b, v in sorted(ends, key=lambda r: (r[2], r[0], r[1])):
+        if all(math.hypot(a - m[0], b - m[1]) > 0.75 * spacing for m in merged):
+            merged.append((a, b, v))
+    return merged
+
+
+@pytest.mark.parametrize("case", ["plane-normal", "vertical", "prop-crossing", "clamped", "collapsed"])
 def test_critical_descent_matches_scalar_reference(monkeypatch, case):
-    # the lockstep descent refines every candidate to the same bits as a
-    # scalar descent on validated leaves, started from that candidate alone
+    # the scan's Gauss-Newton descent starts from the grid-local minima and
+    # ends at the minima that a scalar coordinate descent on validated leaves
+    # reaches from each of them, as many after merging and no higher
     chart, base, grid = _critical_case(case)
     runs = []
-    descent = foliation._coordinate_descent
+    solver = foliation._refine_minima
 
     def recorded(*args):
-        runs.append((args, descent(*args)))
-        return runs[-1][1]
+        runs.append(args)
+        return solver(*args)
 
-    monkeypatch.setattr(foliation, "_coordinate_descent", recorded)
+    monkeypatch.setattr(foliation, "_refine_minima", recorded)
     minima, _ = hf.critical_point_scan(chart, base=base, grid=grid)
-    [((_, start_a, start_b, start_val, step, bounds), refined)] = runs
+    [(_, q, start_a, start_b, bounds)] = runs
 
     def fun(a, b):
         return hf.geodesic_dist_sq(chart.map(a, b), base)
@@ -766,11 +786,14 @@ def test_critical_descent_matches_scalar_reference(monkeypatch, case):
     cells = reference_grid_minima(values)
     (a0, a1), (b0, b1) = chart.domain
     spacing = max((a1 - a0) / (grid[0] - 1), (b1 - b0) / (grid[1] - 1))
-    assert (step, bounds) == (spacing, chart.domain)
-    assert _bits(zip(start_a, start_b, start_val)) == _bits((avals[i], bvals[j], values[i, j]) for i, j in cells)
-    reference = _bits(reference_descent(fun, avals[i], bvals[j], spacing, chart.domain) for i, j in cells)
-    assert _bits(zip(*refined)) == reference
-    assert minima and set(_bits((m.a, m.b, m.value) for m in minima)) <= set(reference)
+    assert bounds == chart.domain and np.array_equal(q, base.v)
+    assert list(zip(start_a.tolist(), start_b.tolist())) == [(avals[i], bvals[j]) for i, j in cells]
+    reference = _merged([reference_descent(fun, avals[i], bvals[j], spacing, chart.domain) for i, j in cells], spacing)
+    assert len(minima) == len(reference)
+    for m in minima:
+        a, b, v = min(reference, key=lambda r: math.hypot(r[0] - m.a, r[1] - m.b))
+        assert math.hypot(m.a - a, m.b - b) < PARAM_TOL
+        assert m.value <= v + VALUE_TOL
     if case == "clamped":
         assert [(m.a, m.b) for m in minima] == [(0.0, b1)]
 
@@ -784,125 +807,70 @@ def test_critical_scan_builds_no_value_objects(monkeypatch):
     assert len(minima) == 2 and built == []
 
 
-@pytest.mark.parametrize("case,grid,most", [("prop-crossing", (40, 40), 35), ("plane-normal", (24, 24), 8)])
-def test_critical_descent_takes_several_step_levels_per_call(monkeypatch, case, grid, most):
-    # the two critical commands of the endpoint benchmark: 69 and 39 calls at one step level per call
+@pytest.mark.parametrize("case,grid,starts,most", [("prop-crossing", (40, 40), 2, 5), ("plane-normal", (24, 24), 4, 4)])
+def test_critical_solver_calls(case, grid, starts, most):
+    # the two critical commands of the endpoint benchmark: one call for the
+    # grid, then one call of 2 rows per active start for each solver
+    # iteration; both converge quadratically to a zero minimum
     chart, base, _ = _critical_case(case)
     calls = []
-    descent = foliation._coordinate_descent
-
-    def counted(fun, *args):
-        def counted_fun(a, b):
-            calls.append(a.size)
-            return fun(a, b)
-
-        return descent(counted_fun, *args)
-
-    monkeypatch.setattr(foliation, "_coordinate_descent", counted)
-    hf.critical_point_scan(chart, base=base, grid=grid)
-    assert 0 < len(calls) <= most
+    minima, _ = hf.critical_point_scan(counting_chart(chart, calls), base=base, grid=grid)
+    assert calls[0] == grid[0] * grid[1] and calls[1] == 2 * starts
+    assert 0 < len(calls) - 1 <= most and all(n % 2 == 0 and n <= starts * 2 for n in calls[1:])
+    assert minima[0].value < 1e-30
 
 
-def _lockstep_against_reference(rng, fun, step, starts=None):
-    """Ends of the lockstep descent from the ``(a, b)`` pairs ``starts`` (by
-    default a spread of starts drawn with ``rng``), after checking them bit
-    for bit against scalar descents from each start alone.  The lockstep
-    must also evaluate every point those descents evaluate, in at most as
-    many calls as the longest of them makes sweeps."""
-    bounds = ((-1.0, 1.0), (-1.0, 1.0))
-    if starts is None:
-        t = np.linspace(-1.0, 1.0, 9)
-        a = np.concatenate((t, t, rng.uniform(-1.0, 1.0, 8), [0.9999, 1.0]))
-        b = np.concatenate((t, -t, rng.uniform(-1.0, 1.0, 8), [0.9999, 0.5]))
-    else:
-        a, b = np.array(starts, dtype=float).T
+@pytest.mark.parametrize("degrees,corner,most", [(45.0, True, 1), (70.0, False, 15)])
+def test_critical_solver_holds_a_coordinate_at_its_bound(degrees, corner, most):
+    # from distance 1.5 at this angle in the plane of the feet, the nearest
+    # leaf lies beyond b = 1, and at 45 degrees beyond a = 1 as well: the
+    # coordinates whose steps point out of the domain are held at their
+    # bounds, so the corner's first step is zero and on the edge a takes 1-D
+    # steps to a minimum that a coordinate descent cannot lower
+    chart = hf.plane_normal_family()[1]
+    t = math.radians(degrees)
+    base = hf.HPoint(np.array([math.cosh(1.5), math.sinh(1.5) * math.cos(t), math.sinh(1.5) * math.sin(t), 0.0]))
     calls = []
+    [m], _ = hf.critical_point_scan(counting_chart(chart, calls), base=base, grid=(9, 9))
+    assert calls[0] == 81 and len(calls) - 1 <= most and set(calls[1:]) == {2}
+    assert m.b == 1.0 and (m.a == 1.0) == corner
 
-    def recorded(x, y):
-        calls.append((x, y))
-        return fun(x, y)
+    def fun(a, b):
+        return hf.geodesic_dist_sq(chart.map(a, b), base)
 
-    reference, sweeps, scalar_points = [], [], []
-    for x, y in zip(a.tolist(), b.tolist()):
-        reference.append(reference_descent(recorded, x, y, step, bounds))
-        # the scalar descent also evaluates its start, then four moves per sweep
-        sweeps.append((len(calls) - 1) // 4)
-        scalar_points += calls[1:]
-        calls[:] = []
-    refined = foliation._coordinate_descent(recorded, a, b, fun(a, b), step, bounds)
-    assert _bits(zip(*refined)) == _bits(reference)
-    assert len(calls) <= max(sweeps)
-    # the evaluated points as bit patterns; only a lockstep point with both
-    # coordinates among the scalar ones can be a scalar point
-    sa, sb = np.array(scalar_points, dtype=float).reshape(-1, 2).view(np.int64).T
-    la, lb = (np.concatenate([np.empty(0)] + [call[i] for call in calls]).view(np.int64) for i in (0, 1))
-    near = np.isin(la, sa) & np.isin(lb, sb)
-    assert set(zip(sa.tolist(), sb.tolist())) <= set(zip(la[near].tolist(), lb[near].tolist()))
-    return {r[:2] for r in reference}, len(calls), max(sweeps)
+    assert reference_descent(fun, m.a, m.b, 0.25, chart.domain)[2] >= m.value * (1.0 - 1e-14)
 
 
-def test_lockstep_descent_breaks_ties_like_the_scalar_reference(rng):
-    # every diagonal start sees four equal moves, and the tie decides the corner it reaches
-    ends, _, _ = _lockstep_against_reference(rng, lambda a, b: -(a - b) * (a - b), 0.25)
-    assert ends == {(1.0, -1.0), (-1.0, 1.0)}
-
-
-def test_lockstep_descent_caps_each_start_like_the_scalar_reference(rng):
-    # a slope too long for the small step: the starts far from the corner stop at the cap
-    ends, _, _ = _lockstep_against_reference(rng, lambda a, b: -(a + 2.0 * b), 1e-5)
-    assert (1.0, 1.0) in ends and len(ends) > 1
-
-
-def test_lockstep_descent_caps_a_start_between_step_levels():
-    # 4996 moves of step h reach 3h/64 short of the minimum; the sweeps at
-    # h, h/2, h/4 and h/8 fail and use up the 20000 evaluations, so the
-    # sweep at h/16, which would move, is evaluated in the same call but not taken
-    h, a0 = 1e-5, -0.5
-    centre = a0 + 4996 * h + 3.0 * h / 64.0
-    ends, _, sweeps = _lockstep_against_reference(None, lambda a, b: (a - centre) * (a - centre), h, [(a0, 0.0)])
-    assert sweeps == 5000 and abs(ends.pop()[0] - (centre - 3.0 * h / 64.0)) < 1e-9
-
-
-_coords = st.floats(-1.0, 1.0)
-#: starts anywhere in the box, on its sides and at its corners
-_starts = st.lists(st.tuples(st.one_of(_coords, st.sampled_from([-1.0, 1.0])), _coords), min_size=1, max_size=5)
-
-
-def _quadratic(centre, coeffs):
-    (x0, y0), (cxx, cyy, cxy) = centre, coeffs
-    return lambda a, b: cxx * (a - x0) * (a - x0) + cyy * (b - y0) * (b - y0) + cxy * (a - x0) * (b - y0)
-
-
-def _sines(terms):
-    return lambda a, b: sum(c * np.sin(fa * a + fb * b + ph) for c, fa, fb, ph in terms)
-
-
-@given(
-    st.one_of(
-        # centres inside the box and outside it; the cross term may make the form indefinite
-        st.builds(
-            _quadratic,
-            st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-            st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(-10.0, 10.0)),
-        ),
-        st.builds(_sines, st.lists(st.tuples(*[st.floats(-5.0, 5.0)] * 4), min_size=1, max_size=3)),
-    ),
-    st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
-    _starts,
-    st.booleans(),
+@pytest.mark.parametrize(
+    "warp,inverse,grid,most",
+    [(lambda a: np.tanh(4.0 * a), lambda w: math.atanh(w) / 4.0, (4, 4), 8), (lambda a: a**3, math.cbrt, (5, 5), 15)],
+    ids=["tanh", "cube"],
 )
-@settings(max_examples=25)
-def test_lockstep_descent_matches_the_scalar_reference(fun, step, starts, twice):
-    # repeated starts must move in lockstep as if each ran alone
-    _lockstep_against_reference(None, fun, step, starts * 2 if twice else starts)
+def test_critical_solver_halves_a_step_that_overshoots(warp, inverse, grid, most):
+    # the plane-normal leaves with a warped: the first Gauss-Newton step
+    # overshoots to a larger distance (under the cube, whose a-column
+    # vanishes at the start a = 0, it is clamped to the domain's edge), and
+    # the halved steps reach the zero at warp(a) = 0.05
+    plane_normal = hf.plane_normal_family()[1]
+    chart = hf.FoliationChart(arrays=lambda a, b: plane_normal.arrays(warp(a), b), domain=plane_normal.domain)
+    foot, direction = plane_normal.arrays(np.array([0.05]), np.array([0.2]))
+    base = hf.HPoint(math.cosh(0.2) * foot[0] + math.sinh(0.2) * direction[0])
+    calls = []
+    [m], _ = hf.critical_point_scan(counting_chart(chart, calls), base=base, grid=grid)
+    assert abs(m.a - inverse(0.05)) < 1e-12 and abs(m.b - 0.2) < 1e-12 and m.value < 1e-30
+    assert len(calls) - 1 <= most
 
 
-@pytest.mark.parametrize("step", [0.25, 2.0**-30, 1.5e-12, 1e-12])
-def test_lockstep_descent_halves_several_levels_per_call(step):
-    # a start at the minimum never moves, so every call takes all its step levels
-    _, calls, sweeps = _lockstep_against_reference(None, _quadratic((0.3, -0.2), (1.0, 2.0, 0.5)), step, [(0.3, -0.2)])
-    assert calls == math.ceil(sweeps / foliation._LEVELS)
-    assert sweeps == max(0, math.ceil(math.log2(step / 1e-12)))
+def test_critical_scan_reports_a_valley_point_per_start(spiral):
+    # from the base point every leaf with r = 1, the domain edge a = 1, is at
+    # distance 1: the minima are not isolated, and the solver reports the
+    # point of the valley each merged start reached, in one call: 6 minima,
+    # where a coordinate descent moves along the valley and merges them into 5
+    _, chart = spiral
+    calls = []
+    minima, _ = hf.critical_point_scan(counting_chart(chart, calls), grid=(15, 15))
+    assert len(minima) == 6 and len(calls) == 2
+    assert all(m.a == 1.0 and abs(m.value - 1.0) < 1e-12 for m in minima)
 
 
 def test_ring_growth_evidence(plane_normal):
