@@ -37,8 +37,8 @@ from .foliation import (
     classify_chart,
     critical_point_scan,
     field_checks,
-    grid_arrays,
     grid_axes,
+    grid_params,
 )
 from .geodesics import endpoint_images
 from .lorentz import HPoint, mink_inner, project_to_hyperboloid
@@ -164,19 +164,27 @@ def cmd_scan_lambda(cfg: RunConfig, out_base: str) -> int:
     payload = report_payload("scan-lambda", asdict(cfg), {"scan": asdict(scan)}, __version__)
     write_report(out_base + ".json", payload)
     params = SpiralParams(alpha0=cfg.alpha0, lam=scan.lambda_max, delta=cfg.delta)
-    r, t = grid_axes(spiral_chart(params), cfg.grid)
-    write_csv(out_base + ".csv", ["r", "t", "h_value"], (r, t), [definiteness_margin(r[:, None], t, params)])
+    axes = grid_axes(spiral_chart(params), cfg.grid)
+    write_csv(
+        out_base + ".csv", ["r", "t", "h_value"], axes, lambda s: [definiteness_margin(*grid_params(axes, s), params)]
+    )
     print(f"lambda_max: {scan.lambda_max!r}")
     return 0
 
 
 def cmd_gauss(cfg: RunConfig, out_base: str) -> int:
     chart, _ = _resolve_family(cfg)
-    jets = chart_jets(chart, *grid_arrays(chart, cfg.grid))
-    ranks = jets.endpoint_ranks(atol=cfg.tol)
-    columns = []
-    for sign, rank in zip((1, -1), ranks):
-        columns += [*endpoint_images(jets.foot, jets.dir, sign).T, rank]
+    axes = grid_axes(chart, cfg.grid)
+    counts = np.zeros((2, 3), dtype=int)  # per side, the samples of rank 0, 1 and 2
+
+    def columns(s: slice) -> list[np.ndarray]:
+        jets = chart_jets(chart, *grid_params(axes, s))
+        out = []
+        for side, (sign, rank) in enumerate(zip((1, -1), jets.endpoint_ranks(atol=cfg.tol))):
+            counts[side] += np.bincount(rank, minlength=3)
+            out += [*endpoint_images(jets.foot, jets.dir, sign).T, rank]
+        return out
+
     header = [
         "a",
         "b",
@@ -189,14 +197,14 @@ def cmd_gauss(cfg: RunConfig, out_base: str) -> int:
         "bwd_z",
         "bwd_rank",
     ]
-    write_csv(out_base + ".csv", header, grid_axes(chart, cfg.grid), columns)
+    write_csv(out_base + ".csv", header, axes, columns)
     results = {
-        f"{side}_rank_counts": {str(k): n for k, n in enumerate(np.bincount(r).tolist()) if n}
-        for side, r in zip(("forward", "backward"), ranks)
+        f"{side}_rank_counts": {str(k): n for k, n in enumerate(c) if n}
+        for side, c in zip(("forward", "backward"), counts.tolist())
     }
     payload = report_payload("gauss", asdict(cfg), results, __version__)
     write_report(out_base + ".json", payload)
-    print(f"rows: {len(jets.params)}")
+    print(f"rows: {cfg.grid[0] * cfg.grid[1]}")
     return 0
 
 

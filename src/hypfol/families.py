@@ -251,24 +251,26 @@ def scan_lambda_max(
     at most ``1e-12 max(hi, 1)`` wide and at most ``1e-9 lo`` (``lo`` taken
     as at least the least normal float), so ``lambda_max`` is within
     ``1e-9`` relative of the grid's threshold at tiny pitches too.  The
-    trace records every evaluated (pitch, grid-min) pair in order.  ``sinh(2r)`` and ``t - r``
-    are computed once.  Each step bounds the margin of every grid row from below (``_row_bounds``),
-    evaluates the rows of least bound, then every row whose bound does not
-    exceed their minimum, and takes the minimum of those: the other rows
-    cannot hold a smaller value, and the evaluated cells go through
-    ``_margin`` as in a full-grid evaluation, so the minimum is the grid's,
-    bit for bit.
+    trace records every evaluated (pitch, grid-min) pair in order.
+    ``sinh(2r)`` is computed once, and ``t - r`` only on the rows a step
+    evaluates: a row's least and largest ``t - r`` are those of the least
+    and largest ``t``, as rounding is monotone.  Each step bounds the margin
+    of every grid row from below (``_row_bounds``), evaluates the rows of
+    least bound, then every row whose bound does not exceed their minimum,
+    and takes the minimum of those: the other rows cannot hold a smaller
+    value, and the evaluated cells go through ``_margin`` as in a full-grid
+    evaluation, so the minimum is the grid's, bit for bit.
     """
     params = SpiralParams(alpha0, LAMBDA_SCAN_CAP, delta)  # validates alpha0 and delta
     r, t = grid_axes(spiral_chart(params), grid)
-    sinh_2r, t_minus_r = np.sinh(2.0 * r[:, None]), t - r[:, None]
-    ends = np.stack((t_minus_r.min(axis=1), t_minus_r.max(axis=1)), axis=1)
+    sinh_2r = np.sinh(2.0 * r[:, None])
+    ends = np.stack((t.min() - r, t.max() - r), axis=1)
 
     trace: list[tuple[float, float]] = []
 
     def rows_min(lam: float, rows: np.ndarray) -> float:
-        out = np.empty((len(rows), t_minus_r.shape[1]))
-        return float(_margin(sinh_2r[rows], t_minus_r[rows], alpha0, lam, out).min())
+        out = np.empty((len(rows), len(t)))
+        return float(_margin(sinh_2r[rows], t - r[rows, None], alpha0, lam, out).min())
 
     def min_margin(lam: float) -> float:
         bound = _row_bounds(sinh_2r, ends, alpha0, lam)

@@ -358,11 +358,20 @@ def grid_axes(chart: FoliationChart, grid: tuple[int, int]) -> tuple[np.ndarray,
     return np.linspace(a0, a1, grid[0]), np.linspace(b0, b1, grid[1])
 
 
+def grid_params(axes: tuple[np.ndarray, np.ndarray], s: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The parameters of the samples ``s`` (in row-major order, the second
+    parameter varying fastest) of the grid of two axes, as two flat arrays:
+    views into the samples of the grid rows they meet."""
+    (a, b), size = axes, s.stop - s.start
+    i, j = divmod(s.start, len(b))
+    rows = -(-(j + size) // len(b))
+    return np.repeat(a[i : i + rows], len(b))[j : j + size], np.tile(b, rows)[j : j + size]
+
+
 def grid_arrays(chart: FoliationChart, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major sample parameters of ``grid_axes`` as two flat arrays; the
-    second parameter varies fastest."""
-    avals, bvals = grid_axes(chart, grid)
-    return np.repeat(avals, grid[1]), np.tile(bvals, grid[0])
+    """Row-major sample parameters of ``grid_axes`` as two flat arrays
+    (``grid_params`` of all samples)."""
+    return grid_params(grid_axes(chart, grid), slice(0, grid[0] * grid[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -776,6 +785,10 @@ def ring_growth_evidence(values: np.ndarray) -> list[float]:
     """
     n, m = values.shape
     di, dj = np.abs(np.arange(n) - (n - 1) / 2.0), np.abs(np.arange(m) - (m - 1) / 2.0)
-    ring = (np.maximum.outer(di, dj) + 0.5).astype(int)
-    # the rings that occur are contiguous: ring 0 only with two odd sides
-    return [float(values[ring == k].min()) for k in range(ring.min(), ring.max() + 1)]
+    ring = (np.maximum.outer(di, dj) + 0.5).astype(np.intp).ravel()
+    # the rings that occur are contiguous: ring 0 only with two odd sides;
+    # one scatter-minimum over the flat ring indices reads them all
+    ring -= ring.min()
+    minima = np.full(int(ring.max()) + 1, np.inf)
+    np.minimum.at(minima, ring, np.ravel(values))
+    return minima.tolist()

@@ -16,14 +16,15 @@ block of ``foliation.row_blocks`` at a time, so an error after the check
 (such as ``MemoryError``) leaves a truncated file.  Grid CSVs are UTF-8 with a
 header row, "." decimal separator and "\n" line endings, one row per grid
 point in row-major grid order: the two axis values, then one value per
-column; they are written one grid row at a time.  Identical inputs produce
+column; the writer asks for the columns one block of ``row_blocks`` at a
+time and writes them one grid row at a time.  Identical inputs produce
 identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -149,19 +150,29 @@ def write_report(path: str | Path, payload: dict) -> None:
 
 
 def write_csv(path: str | Path, header: list[str], axes, columns) -> None:
-    """Write the grid CSV of two axes (``n`` and ``m`` values) and value
-    columns (``n*m`` values each, in row-major grid order).
+    """Write the grid CSV of two axes (``n`` and ``m`` values) and the value
+    columns that ``columns(s)`` gives for each slice ``s`` of
+    ``row_blocks(n*m)``: one flat array per column holding the values of the
+    grid points ``s`` in row-major grid order.
 
     A cell is the ``repr`` of the Python value ``tolist()`` gives: the
-    shortest round-trip repr of a float, the digits of an integer.  The
-    file is written one grid row at a time, from one ``tolist()`` per
-    column and row, so no more than a row of cells is held as Python values.
+    shortest round-trip repr of a float, the digits of an integer.  The first
+    block is asked for before the file is opened, so an error in it leaves no
+    file, and an error in a later one leaves a truncated file.  A block is
+    written one grid row (or the part of one it holds) at a time, from one
+    ``tolist()`` per column and row, so no more than a block of values and a
+    row of cells is held.
     """
     a_cells, b_cells = ([repr(x) for x in np.asarray(axis).tolist()] for axis in axes)
     m = len(b_cells)
-    rows = [np.reshape(col, (len(a_cells), m)) for col in columns]
+    blocks = ((s, columns(s)) for s in row_blocks(len(a_cells) * m))
+    blocks = chain([next(blocks)], blocks)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i, a in enumerate(a_cells):
-            cells = (map(repr, v[i].tolist()) for v in rows)
-            fh.write("\n".join(map(",".join, zip(repeat(a, m), b_cells, *cells))) + "\n")
+        for s, values in blocks:
+            # each grid row the block meets, from its first sample ``start``
+            for start in range(s.start - s.start % m, s.stop, m):
+                lo, hi = max(start, s.start), min(start + m, s.stop)
+                cells = (map(repr, v[lo - s.start : hi - s.start].tolist()) for v in values)
+                lines = zip(repeat(a_cells[start // m], hi - lo), b_cells[lo - start : hi - start], *cells)
+                fh.write("\n".join(map(",".join, lines)) + "\n")

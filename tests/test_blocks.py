@@ -132,6 +132,7 @@ def test_blocked_field_checks_give_the_whole_result_bit_for_bit(monkeypatch, fam
         ["gauss", "--family", "plane-normal", "--grid", "4x5"],
         ["classify", "--family", "prop", "--lambda", "0.3", "--grid", "6x5"],
         ["classify", "--family", "vertical", "--grid", "3x3"],
+        ["scan-lambda", "--alpha0", "0.7", "--grid", "5x7"],
     ],
 )
 def test_blocked_commands_write_the_whole_grid_bytes(monkeypatch, tmp_path, capsys, argv, block):
@@ -244,9 +245,26 @@ def test_write_csv_memory_per_row_is_bounded(tmp_path):
     # one grid row of Python floats at a time, not the whole column
     params = hf.SpiralParams(lam=0.07)
     r, t = hf.grid_axes(hf.spiral_chart(params), (300, 300))
-    margin = hf.definiteness_margin(r[:, None], t, params)
-    peak = _traced_peak(lambda: report.write_csv(tmp_path / "s.csv", ["r", "t", "h_value"], (r, t), [margin]))
+    margin = hf.definiteness_margin(r[:, None], t, params).ravel()
+    peak = _traced_peak(lambda: report.write_csv(tmp_path / "s.csv", ["r", "t", "h_value"], (r, t), lambda s: [margin[s]]))
     assert peak < 4 * margin.size
+
+
+@pytest.mark.parametrize(
+    "argv, grids",
+    [
+        (["scan-lambda"], ("100x100", "400x400")),
+        (["gauss", "--family", "prop", "--lambda", "0.07"], ("64x64", "192x192")),
+    ],
+)
+def test_streamed_command_memory_does_not_grow_with_the_grid(monkeypatch, tmp_path, argv, grids):
+    # the CSV commands hold a block of samples and the grid's axes: at a
+    # block of 512 samples, the traced peak of a grid 9 or 16 times larger
+    # is within 1 MB (whole-grid columns would add over 2 MB to scan-lambda
+    # and over 10 MB to gauss)
+    monkeypatch.setattr(foliation, "_BLOCK", 512)
+    small, large = (_traced_peak(lambda: main(argv + ["--grid", g, "--out", str(tmp_path / g)])) for g in grids)
+    assert large < small + 1_000_000
 
 
 def test_report_finiteness_check_memory_is_bounded():

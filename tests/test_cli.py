@@ -179,11 +179,12 @@ def test_grid_too_large_for_an_array_exits_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["classify", "gauss", "critical"])
 def test_grid_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, command):
-    def no_memory(chart, grid):
+    def no_memory(axes, s):
         raise MemoryError
 
+    # every command builds its sample parameters through grid_params
     for module in (cli, hf.foliation):
-        monkeypatch.setattr(module, "grid_arrays", no_memory)
+        monkeypatch.setattr(module, "grid_params", no_memory)
     assert run([command, "--family", "vertical", "--grid", "3x3", "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == "error: not enough memory for a 3x3 grid\n"
     assert not list(tmp_path.iterdir())
@@ -538,9 +539,47 @@ def test_chart_geometry_failure_exits_3(tmp_path, capsys, monkeypatch, command):
     assert capsys.readouterr().err == (
         "numerical failure: chart leaf at (-1.0, -1.0): point is not on the unit hyperboloid\n"
     )
+    # the grid is one block, which fails before a file is opened
+    assert not list(tmp_path.iterdir())
     # a scalar evaluation of an invalid leaf fails the same way
     with pytest.raises(hf.NumericalError, match="not on the unit hyperboloid"):
         _broken(hf.plane_normal_family()[1]).map(0.1, 0.2)
+
+
+def test_gauss_failing_in_a_later_block_leaves_a_truncated_csv(tmp_path, capsys, monkeypatch):
+    # 70x61 is two blocks of 2135 samples (35 grid rows); the leaves with
+    # a > 0.5, grid rows 52 on, lie in the second
+    argv = ["gauss", "--family", "plane-normal", "--grid", "70x61", "--out"]
+    assert run(argv + [str(tmp_path / "whole")]) == 0
+    chart = hf.plane_normal_family()[1]
+
+    def arrays(a, b):
+        foot, direction = chart.arrays(a, b)
+        return np.where(np.real(a)[:, None] > 0.5, 1.5 * foot, foot), direction
+
+    monkeypatch.setattr(cli, "_resolve_family", lambda cfg: (hf.FoliationChart(arrays=arrays, domain=chart.domain), None))
+    capsys.readouterr()
+    assert [s.stop for s in hf.foliation.row_blocks(70 * 61)] == [2135, 4270]
+    assert run(argv + [str(tmp_path / "x")]) == 3
+    a = float(hf.grid_axes(chart, (70, 61))[0][52])
+    assert capsys.readouterr().err == (
+        f"numerical failure: chart leaf at ({a!r}, -1.0): point is not on the unit hyperboloid\n"
+    )
+    assert not (tmp_path / "x.json").exists()
+    whole = (tmp_path / "whole.csv").read_text().splitlines(keepends=True)
+    assert (tmp_path / "x.csv").read_text() == "".join(whole[: 1 + 2135])
+
+
+def test_peak_rss_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "peak_rss.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--grid", "3x3"], capture_output=True, text=True, timeout=120, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["scan-lambda", "gauss", "classify"]
+    for line in lines:
+        assert re.fullmatch(r"[^:]* --grid 3x3: \d+\.\d\d MB", line), line
 
 
 @pytest.mark.parametrize("command", ["classify", "gauss"])

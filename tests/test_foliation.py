@@ -44,6 +44,7 @@ from util import (
     reference_field_checks,
     reference_grid_minima,
     reference_ring_growth,
+    reference_ring_growth_masks,
     reverse,
     sample,
 )
@@ -873,6 +874,18 @@ def test_critical_scan_reports_a_valley_point_per_start(spiral):
     assert all(m.a == 1.0 and abs(m.value - 1.0) < 1e-12 for m in minima)
 
 
+@pytest.mark.parametrize("shape", [(1, 5), (2, 2), (3, 7), (7, 3), (2, 500), (500, 2)])
+def test_grid_params_of_a_slice_are_the_row_major_samples(rng, shape):
+    # every slice, empty and whole included, starting and ending anywhere in a grid row
+    n, m = shape
+    axes = rng.standard_normal(n), rng.standard_normal(m)
+    whole = np.repeat(axes[0], m), np.tile(axes[1], n)
+    cuts = [(0, 0), (0, n * m), *np.sort(rng.integers(0, n * m + 1, size=(40, 2))).tolist()]
+    for lo, hi in cuts:
+        got = foliation.grid_params(axes, slice(lo, hi))
+        assert [x.tolist() for x in got] == [x[lo:hi].tolist() for x in whole]
+
+
 def test_ring_growth_evidence(plane_normal):
     _, chart = plane_normal
     _, rings = hf.critical_point_scan(chart, grid=(15, 15))
@@ -893,12 +906,15 @@ def test_ring_growth_evidence_of_synthetic_grid():
     assert hf.ring_growth_evidence(np.arange(15.0).reshape(3, 5)[:, ::-1]) == [7.0, 1.0, 0.0]
 
 
-@pytest.mark.parametrize("shape", [(5, 5), (4, 6), (2, 7), (40, 40)])
+@pytest.mark.parametrize(
+    "shape", [(5, 5), (4, 6), (2, 7), (40, 40), (6, 8), (7, 9), (6, 9), (9, 6), (2, 2), (3, 3), (2, 12), (11, 2), (12, 2)]
+)
 def test_ring_growth_evidence_matches_cellwise_reduction(rng, shape):
-    # a side of even length has no ring 0, and no ring comes out empty
+    # a side of even length has no ring 0, and no ring comes out empty; the
+    # scatter-minimum gives the floats of one masked minimum per ring
     values = rng.standard_normal(shape)
     rings = hf.ring_growth_evidence(values)
-    assert rings == reference_ring_growth(values)
+    assert rings == reference_ring_growth(values) == reference_ring_growth_masks(values)
     assert np.isfinite(rings).all()
 
 

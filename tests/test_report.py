@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypfol as hf
-from hypfol import cli, report
+from hypfol import cli, foliation, report
 from hypfol.cli import main
 from hypfol.geodesics import endpoint_images
 from util import collapsed_chart, reference_report_text, reference_write_csv
@@ -36,16 +36,15 @@ def test_write_csv_matches_row_writer(tmp_path, rng, grid):
     floats = [_with_specials(rng, n * m) for _ in range(3)]
     ranks = rng.integers(0, 3, size=n * m)
     header = ["a", "b", "x", "rank", "y", "z"]
-    columns = [floats[0], ranks, floats[1].reshape(n, m), floats[2]]
-    report.write_csv(tmp_path / "new.csv", header, axes, columns)
+    columns = [floats[0], ranks, floats[1], floats[2]]
+    report.write_csv(tmp_path / "new.csv", header, axes, lambda s: [c[s] for c in columns])
     a, b = np.repeat(axes[0], m).tolist(), np.tile(axes[1], n).tolist()
     rows = [list(row) for row in zip(a, b, floats[0].tolist(), ranks.tolist(), floats[1].tolist(), floats[2].tolist())]
     reference_write_csv(tmp_path / "old.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_scan_lambda_csv_matches_row_writer(tmp_path):
-    grid = (13, 29)
+def _scan_lambda_csv_matches_row_writer(tmp_path, grid):
     argv = ["scan-lambda", "--alpha0", "0.61", "--grid", f"{grid[0]}x{grid[1]}", "--out", str(tmp_path / "s")]
     assert main(argv) == 0
     lam = json.loads((tmp_path / "s.json").read_text())["results"]["scan"]["lambda_max"]
@@ -56,11 +55,12 @@ def test_scan_lambda_csv_matches_row_writer(tmp_path):
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_gauss_csv_matches_row_writer(tmp_path):
-    assert main(["gauss", "--family", "prop", "--lambda", "0.05", "--grid", "5x6", "--out", str(tmp_path / "g")]) == 0
+def _gauss_csv_matches_row_writer(tmp_path, grid):
+    argv = ["gauss", "--family", "prop", "--lambda", "0.05", "--grid", f"{grid[0]}x{grid[1]}"]
+    assert main(argv + ["--out", str(tmp_path / "g")]) == 0
     lines = (tmp_path / "g.csv").read_text().splitlines()
     chart = hf.spiral_chart(hf.SpiralParams(lam=0.05))
-    jets = hf.chart_jets(chart, *hf.grid_arrays(chart, (5, 6)))
+    jets = hf.chart_jets(chart, *hf.grid_arrays(chart, grid))
     ranks = jets.endpoint_ranks(atol=hf.VERDICT_TOL)
     images = [endpoint_images(jets.foot, jets.dir, sign) for sign in (1, -1)]
     rows = [
@@ -71,6 +71,25 @@ def test_gauss_csv_matches_row_writer(tmp_path):
     ]
     reference_write_csv(tmp_path / "old.csv", lines[0].split(","), rows)
     assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_scan_lambda_csv_matches_row_writer(tmp_path):
+    _scan_lambda_csv_matches_row_writer(tmp_path, (13, 29))
+
+
+def test_gauss_csv_matches_row_writer(tmp_path):
+    _gauss_csv_matches_row_writer(tmp_path, (5, 6))
+
+
+@pytest.mark.parametrize(
+    "command, grid",
+    [("scan-lambda", (300, 300)), ("scan-lambda", (2, 5000)), ("gauss", (70, 61)), ("gauss", (3, 2000))],
+)
+def test_streamed_csv_matches_whole_grid_row_writer(tmp_path, command, grid):
+    # several blocks of row_blocks; all but those of 70x61 end inside a grid
+    # row.  The reference formats whole-grid columns in one pass
+    assert len(foliation.row_blocks(grid[0] * grid[1])) > 1
+    {"scan-lambda": _scan_lambda_csv_matches_row_writer, "gauss": _gauss_csv_matches_row_writer}[command](tmp_path, grid)
 
 
 def test_write_report_encodes_numpy_values_as_python_values(tmp_path):

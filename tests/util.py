@@ -721,6 +721,15 @@ def reference_ring_growth(values) -> list[float]:
     return [rings[k] for k in sorted(rings)]
 
 
+def reference_ring_growth_masks(values) -> list[float]:
+    """Ring minima of a grid, one boolean mask over the whole grid per ring
+    and numpy's ``min`` of the cells it selects."""
+    n, m = values.shape
+    di, dj = np.abs(np.arange(n) - (n - 1) / 2.0), np.abs(np.arange(m) - (m - 1) / 2.0)
+    ring = (np.maximum.outer(di, dj) + 0.5).astype(int)
+    return [float(values[ring == k].min()) for k in range(ring.min(), ring.max() + 1)]
+
+
 # ---------------------------------------------------------------------------
 # the full-grid pitch scan
 
