@@ -27,7 +27,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 COMMANDS = ("scan-lambda", "gauss --family prop --lambda 0.07", "classify --family prop --lambda 0.07")
 GRIDS = ("300x300", "1000x1000")
 
-#: the program of one run: argv is its first argument, the last line it prints is the peak in KiB
+#: the program of one run: its arguments are a hypfol command line, and its
+#: last line is the command's exit code and the rise of the peak RSS in KiB
 CHILD = """
 import resource, sys
 import hypfol.cli
@@ -48,10 +49,10 @@ def peak_mb(command: str, grid: str) -> float:
             env={**os.environ, "PYTHONPATH": str(SRC)},
             check=False,
         )
-    lines = proc.stdout.split()
-    if proc.returncode or lines[-2:-1] != ["0"]:
+    words = proc.stdout.split()
+    if proc.returncode or words[-2:-1] != ["0"]:
         sys.exit(f"error: {command} --grid {grid} failed:\n{proc.stderr}")
-    return int(lines[-1]) / 1024.0
+    return int(words[-1]) / 1024.0
 
 
 def main() -> int:
