@@ -17,13 +17,22 @@ block of ``foliation.row_blocks`` at a time, so an error after the check
 header row, "." decimal separator and "\n" line endings, one row per grid
 point in row-major grid order: the two axis values, then one value per
 column; the writer asks for the columns one block of ``row_blocks`` at a
-time and writes them one grid row at a time.  Identical inputs produce
-identical bytes.
+time and writes them one grid row at a time, each as one ``"".join`` of its
+cells and separators.  Identical inputs produce identical bytes.
+
+Both writers write a new file: an existing output that is a regular file
+with one link is unlinked before it is opened, so it is replaced by a new
+inode with default permissions, and no stale tail of it can survive a crash
+(truncating it in place would also make ext4 flush its data at close).  A
+symlink is written through, and a file with several hard links is rewritten
+in place, so every name sees the new bytes.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -44,6 +53,19 @@ def report_payload(command: str, config: dict, results: dict, version: str) -> d
         "config": config,
         "results": results,
     }
+
+
+def _create(path: str | Path, **kwargs):
+    """``open(path, "w", **kwargs)`` on a new file where ``path`` is a regular
+    file with one link: that file is unlinked first.  Anything else (a
+    symlink, a hard-linked file, no file, or an unlink that fails) is opened
+    as it is."""
+    try:
+        if stat.S_ISREG((st := os.lstat(path)).st_mode) and st.st_nlink == 1:
+            os.unlink(path)
+    except OSError:
+        pass
+    return open(path, "w", **kwargs)
 
 
 def _encode(obj):
@@ -140,7 +162,7 @@ def write_report(path: str | Path, payload: dict) -> None:
         return _encode(obj)
 
     rest = json.dumps(payload, indent=2, sort_keys=True, default=encode) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path, encoding="utf-8") as fh:
         for k, rep in enumerate(reports):
             head, rest = rest.split(json.dumps(_hole(k)), 1)
             line = head[head.rfind("\n") + 1 :]
@@ -160,19 +182,29 @@ def write_csv(path: str | Path, header: list[str], axes, columns) -> None:
     block is asked for before the file is opened, so an error in it leaves no
     file, and an error in a later one leaves a truncated file.  A block is
     written one grid row (or the part of one it holds) at a time, from one
-    ``tolist()`` per column and row, so no more than a block of values and a
-    row of cells is held.
+    ``tolist()`` per column and row, as one ``"".join`` of a parts list that
+    holds, for each grid point, its cells each followed by a separator (","
+    and, after the last, "\n"); the list is reused while the number of points
+    per write stays the same, so only its cells are assigned, by slice.  No
+    more than a block of values and a row of cells is held.
     """
     a_cells, b_cells = ([repr(x) for x in np.asarray(axis).tolist()] for axis in axes)
     m = len(b_cells)
     blocks = ((s, columns(s)) for s in row_blocks(len(a_cells) * m))
-    blocks = chain([next(blocks)], blocks)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    first = next(blocks)
+    width = 2 * (2 + len(first[1]))  # parts per grid point: its cells and their separators
+    parts = []
+    with _create(path, newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for s, values in blocks:
+        for s, values in chain([first], blocks):
             # each grid row the block meets, from its first sample ``start``
             for start in range(s.start - s.start % m, s.stop, m):
                 lo, hi = max(start, s.start), min(start + m, s.stop)
-                cells = (map(repr, v[lo - s.start : hi - s.start].tolist()) for v in values)
-                lines = zip(repeat(a_cells[start // m], hi - lo), b_cells[lo - start : hi - start], *cells)
-                fh.write("\n".join(map(",".join, lines)) + "\n")
+                if len(parts) != width * (hi - lo):
+                    parts = [","] * (width * (hi - lo))
+                    parts[width - 1 :: width] = repeat("\n", hi - lo)
+                parts[0::width] = repeat(a_cells[start // m], hi - lo)
+                parts[2::width] = b_cells[lo - start : hi - start]
+                for j, v in enumerate(values, 2):
+                    parts[2 * j :: width] = map(repr, v[lo - s.start : hi - s.start].tolist())
+                fh.write("".join(parts))
