@@ -10,9 +10,7 @@ even k and the "after" side first on odd k.  The file records the machine,
 every run's end-to-end metrics, and per metric each side's median and
 quartiles and the number of pairs the "after" side won (ties count for
 neither), and per workload the commit of each checkout and whether a
-tracked file differed from it (both null outside a git tree), and the type
-of the filesystem that holds it (null where the mount table cannot be
-read): the cost of writing the outputs depends on it.  Repeating
+tracked file differed from it (both null outside a git tree).  Repeating
 ``--workload`` runs several workloads; an existing ``--out`` file keeps the
 workloads it already holds.
 """
@@ -21,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import statistics
 import subprocess
 import sys
@@ -62,25 +59,6 @@ def checkout_state(checkout: Path) -> dict:
     return {"commit": lines[1], "dirty": bool(status.stdout)}
 
 
-def filesystem(checkout: Path, mountinfo: Path = Path("/proc/self/mountinfo")) -> str | None:
-    """The type of the mount whose mount point is the longest prefix of the
-    checkout's resolved path in the mount table ``mountinfo`` (the last such
-    mount where several share a mount point), or None where the table cannot
-    be read."""
-    try:
-        lines = mountinfo.read_text().splitlines()
-    except OSError:
-        return None
-    path, best, fs_type = checkout.resolve(), -1, None
-    for line in lines:
-        fields, rest = line.split(" - ", 1)
-        # octal escapes such as \040 for a space in the mount point
-        point = Path(re.sub(r"\\([0-7]{3})", lambda m: chr(int(m[1], 8)), fields.split()[4]))
-        if path.is_relative_to(point) and len(point.parts) >= best:
-            best, fs_type = len(point.parts), rest.split()[0]
-    return fs_type
-
-
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -104,10 +82,7 @@ def main() -> int:
     doc["run_seconds"] = bench["run_seconds"]
     for workload in args.workload:
         runs = {"before": [], "after": []}
-        checkouts = {}
-        for side in runs:
-            checkout = getattr(args, side)
-            checkouts[side] = {**checkout_state(checkout), "filesystem": filesystem(checkout)}
+        checkouts = {side: checkout_state(getattr(args, side)) for side in runs}
         seeds = [args.first_seed + k for k in range(args.pairs)]
         for k, seed in enumerate(seeds):
             for side in ("before", "after") if k % 2 == 0 else ("after", "before"):

@@ -19,20 +19,11 @@ point in row-major grid order: the two axis values, then one value per
 column; the writer asks for the columns one block of ``row_blocks`` at a
 time and writes them one grid row at a time, each as one ``"".join`` of its
 cells and separators.  Identical inputs produce identical bytes.
-
-Both writers write a new file: an existing output that is a regular file
-with one link is unlinked before it is opened, so it is replaced by a new
-inode with default permissions, and no stale tail of it can survive a crash
-(truncating it in place would also make ext4 flush its data at close).  A
-symlink is written through, and a file with several hard links is rewritten
-in place, so every name sees the new bytes.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import stat
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -53,19 +44,6 @@ def report_payload(command: str, config: dict, results: dict, version: str) -> d
         "config": config,
         "results": results,
     }
-
-
-def _create(path: str | Path, **kwargs):
-    """``open(path, "w", **kwargs)`` on a new file where ``path`` is a regular
-    file with one link: that file is unlinked first.  Anything else (a
-    symlink, a hard-linked file, no file, or an unlink that fails) is opened
-    as it is."""
-    try:
-        if stat.S_ISREG((st := os.lstat(path)).st_mode) and st.st_nlink == 1:
-            os.unlink(path)
-    except OSError:
-        pass
-    return open(path, "w", **kwargs)
 
 
 def _encode(obj):
@@ -162,7 +140,7 @@ def write_report(path: str | Path, payload: dict) -> None:
         return _encode(obj)
 
     rest = json.dumps(payload, indent=2, sort_keys=True, default=encode) + "\n"
-    with _create(path, encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for k, rep in enumerate(reports):
             head, rest = rest.split(json.dumps(_hole(k)), 1)
             line = head[head.rfind("\n") + 1 :]
@@ -194,7 +172,7 @@ def write_csv(path: str | Path, header: list[str], axes, columns) -> None:
     first = next(blocks)
     width = 2 * (2 + len(first[1]))  # parts per grid point: its cells and their separators
     parts = []
-    with _create(path, newline="", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for s, values in chain([first], blocks):
             # each grid row the block meets, from its first sample ``start``

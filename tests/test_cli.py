@@ -300,18 +300,12 @@ def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, pairs):
     assert not (tmp_path / "b.json").exists()
 
 
-def _bench_pairs():
-    """The module of ``scripts/bench_pairs.py``."""
+def test_bench_pairs_records_checkout_state(tmp_path):
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
     )
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
-    return bench_pairs
-
-
-def test_bench_pairs_records_checkout_state(tmp_path):
-    bench_pairs = _bench_pairs()
     repo, plain = tmp_path / "repo", tmp_path / "plain"
     plain.mkdir()
     (plain / "f").write_text("a\n")
@@ -336,28 +330,6 @@ def test_bench_pairs_records_checkout_state(tmp_path):
     # a directory inside a git tree is not a checkout of it
     (repo / "sub").mkdir()
     assert bench_pairs.checkout_state(repo / "sub") == {"commit": None, "dirty": None}
-
-
-def test_bench_pairs_finds_the_filesystem_of_a_checkout(tmp_path):
-    # nested mounts, a mount point with an escaped space, a mount point that
-    # is a string prefix but not a path prefix, and two mounts on one point
-    filesystem, root = _bench_pairs().filesystem, tmp_path.resolve()
-    mountinfo = tmp_path / "mountinfo"
-    mountinfo.write_text(
-        "22 1 8:1 / / rw,relatime shared:1 - ext4 /dev/sda1 rw\n"
-        f"30 22 0:26 / {root}/work rw,nosuid shared:5 - tmpfs tmpfs rw\n"
-        f"31 30 0:27 / {root}/work/my\\040disk rw master:2 - xfs /dev/sdb1 rw\n"
-        f"32 22 0:28 /sub {root}/workshop rw - btrfs /dev/sdc1 rw\n"
-        f"33 22 0:29 / {root}/stack rw - tmpfs tmpfs rw\n"
-        f"34 33 0:30 / {root}/stack rw - overlay overlay rw\n"
-    )
-    assert filesystem(root / "work" / "my disk" / "repo", mountinfo) == "xfs"
-    assert filesystem(root / "work" / "repo", mountinfo) == "tmpfs"
-    assert filesystem(root / "work", mountinfo) == "tmpfs"
-    assert filesystem(root / "workshop" / "repo", mountinfo) == "btrfs"
-    assert filesystem(root / "workbench", mountinfo) == "ext4"
-    assert filesystem(root / "stack" / "repo", mountinfo) == "overlay"
-    assert filesystem(root, tmp_path / "missing") is None
 
 
 def test_bad_base_point(tmp_path):

@@ -1,12 +1,10 @@
 """Report and grid-CSV emission: the streamed writers against the object
-form and the row-list writer, the JSON encoding of numpy values, the CSVs
-of the commands, and what the writers do with a file, symlink or hard link
-already at the output path."""
+form and the row-list writer, the JSON encoding of numpy values, and the
+CSVs of the commands."""
 
 import dataclasses
 import json
 import math
-import os
 import re
 
 import numpy as np
@@ -107,56 +105,6 @@ def test_streamed_csv_matches_whole_grid_row_writer(tmp_path, command, grid):
     # row.  The reference formats whole-grid columns in one pass
     assert len(foliation.row_blocks(grid[0] * grid[1])) > 1
     {"scan-lambda": _scan_lambda_csv_matches_row_writer, "gauss": _gauss_csv_matches_row_writer}[command](tmp_path, grid)
-
-
-#: each writer with a small output
-WRITERS = {
-    "write_report": lambda path: report.write_report(path, {"x": [1.5, -0.0]}),
-    "write_csv": lambda path: report.write_csv(path, ["a", "b", "x"], ([0.5], [1.0, 2.0]), lambda s: [np.array([3.0, 4.0])[s]]),
-}
-#: what sits at the output path before it is written
-OLD = b"an earlier output, longer than the new one\n" * 10
-
-
-def _new_bytes(tmp_path, writer):
-    WRITERS[writer](tmp_path / "fresh")
-    return (tmp_path / "fresh").read_bytes()
-
-
-@pytest.mark.parametrize("writer", sorted(WRITERS))
-def test_writer_replaces_a_regular_file_by_a_new_one(tmp_path, writer):
-    new = _new_bytes(tmp_path, writer)
-    path = tmp_path / "out"
-    path.write_bytes(OLD)
-    path.chmod(0o600)
-    with open(path, "rb") as old:  # held open, so the old inode cannot be reused
-        WRITERS[writer](path)
-        assert old.read() == OLD
-        assert os.fstat(old.fileno()).st_ino != path.stat().st_ino
-    assert path.read_bytes() == new
-    assert path.stat().st_mode == (tmp_path / "fresh").stat().st_mode
-
-
-@pytest.mark.parametrize("writer", sorted(WRITERS))
-def test_writer_writes_through_a_symlink(tmp_path, writer):
-    new = _new_bytes(tmp_path, writer)
-    target, path = tmp_path / "target", tmp_path / "out"
-    target.write_bytes(OLD)
-    path.symlink_to(target)
-    WRITERS[writer](path)
-    assert path.is_symlink() and target.read_bytes() == new
-
-
-@pytest.mark.parametrize("writer", sorted(WRITERS))
-def test_writer_rewrites_a_hard_linked_file_in_place(tmp_path, writer):
-    new = _new_bytes(tmp_path, writer)
-    path, other = tmp_path / "out", tmp_path / "other"
-    path.write_bytes(OLD)
-    os.link(path, other)
-    inode = path.stat().st_ino
-    WRITERS[writer](path)
-    assert path.stat().st_ino == other.stat().st_ino == inode
-    assert path.read_bytes() == other.read_bytes() == new
 
 
 def test_write_report_encodes_numpy_values_as_python_values(tmp_path):
