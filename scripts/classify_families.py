@@ -4,14 +4,17 @@
 For each family (vertical and plane-normal): grid classification, field
 residual, endpoint-map ranks, initial-value rank, the verdicts and endpoint
 ranks of the field's transverse charts, and the critical points of the
-squared distance from the base point.
+squared distance from the base point.  A grid the CLI rejects exits 2 with
+its message.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
 import hypfol as hf
+from hypfol.cli import _parse_grid
 from hypfol.geodesics import rank_2x2
 
 
@@ -52,7 +55,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grid", type=str, default="15x15")
     args = ap.parse_args()
-    grid = tuple(int(x) for x in args.grid.split("x"))
+    try:
+        grid = _parse_grid(args.grid)
+    except hf.ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     field, chart = hf.vertical_family()
     diagnose("vertical (horosphere-orthogonal) family", field, chart, grid)

@@ -3,20 +3,39 @@
 
 The script scans for the largest pitch with positive definiteness margin
 on the annulus rectangle, classifies the chart at half and double that
-pitch, exhibits the self-intersection of the family (two leaves through
-the same seed point), and shows the two zero minima of the squared
-distance from that seed point.  The chart is definite (cross metric
-Riemannian, all endpoint-map kernels trivial) yet its geodesics cross:
-definiteness alone does not make a foliation, closedness fails here.
+pitch, and exhibits the self-intersection of the family at half that
+pitch: the minima of the squared distance from a seed point, the polar
+point of radius 2, whose value is at most ``WITNESS_BOUND`` are leaves
+through it, and two of them meet there at a nonzero angle.  The chart is
+definite (cross metric Riemannian, all endpoint-map kernels trivial) yet
+its geodesics cross: definiteness alone does not make a foliation,
+closedness fails here.  A grid the CLI rejects exits 2 with its message.
 """
 
 import argparse
 import json
 import math
+import sys
 
 import numpy as np
 
 import hypfol as hf
+from hypfol.cli import _parse_grid
+from hypfol.lorentz import mink
+
+#: the largest squared distance from the seed of a minimum that counts as a
+#: leaf through it (the Gauss-Newton solver reaches about 1e-30 or 0 there)
+WITNESS_BOUND = 1e-24
+
+
+def crossing_angle(chart: hf.FoliationChart, q: np.ndarray, first: hf.CriticalPoint, second: hf.CriticalPoint) -> float:
+    """The angle between two leaves at their points nearest ``q``: with ``a
+    = -<foot, q>`` and ``b = <dir, q>`` a leaf's unit velocity there is
+    ``(b foot + a dir) / sqrt(a^2 - b^2)``."""
+    foot, direction = chart.arrays(np.array([first.a, second.a]), np.array([first.b, second.b]))
+    a, b = -mink(foot, q), mink(direction, q)
+    x = (b[:, None] * foot + a[:, None] * direction) / np.sqrt(a * a - b * b)[:, None]
+    return float(np.arccos(np.clip(mink(x[0], x[1]), -1.0, 1.0)))
 
 
 def main() -> int:
@@ -28,8 +47,11 @@ def main() -> int:
     ap.add_argument("--out", type=str, default=None, help="optional JSON dump")
     args = ap.parse_args()
 
-    sg = tuple(int(x) for x in args.scan_grid.split("x"))
-    cg = tuple(int(x) for x in args.classify_grid.split("x"))
+    try:
+        sg, cg = _parse_grid(args.scan_grid), _parse_grid(args.classify_grid)
+    except hf.ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     scan = hf.scan_lambda_max(alpha0=args.alpha0, delta=args.delta, grid=sg)
     print(f"largest valid pitch on {sg[0]}x{sg[1]} grid: {scan.lambda_max:.6f}")
@@ -53,17 +75,17 @@ def main() -> int:
         alpha0=args.alpha0, lam=0.5 * scan.lambda_max, delta=args.delta
     )
     chart = hf.spiral_chart(params)
-    seed = hf.polar_frame(2.0, 0.0).point
-    res = hf.geodesics_intersect(chart.map(2.0, 0.0), chart.map(2.0, 2.0 * math.pi))
-    gap = hf.dist(res.point, seed) if res.point is not None else float("nan")
-    print(f"leaves at t=0 and t=2*pi: {res.kind}, distance to seed point {gap:.2e}")
-    results["intersection"] = {"kind": res.kind, "distance_to_seed": gap}
-
+    seed = hf.HPoint((math.cosh(2.0), math.sinh(2.0), 0.0, 0.0))
     minima, _ = hf.critical_point_scan(chart, base=seed, grid=(25, 25))
     print("minima of the squared distance from the seed point:")
     for m in minima:
         print(f"  (r, t) = ({m.a:.6f}, {m.b:.6f})  value {m.value:.3e}")
     results["minima"] = [m.to_dict() for m in minima]
+
+    witnesses = [m for m in minima if m.value <= WITNESS_BOUND]
+    angle = crossing_angle(chart, seed.v, *witnesses[:2]) if len(witnesses) >= 2 else float("nan")
+    print(f"leaves through the seed point: {len(witnesses)}, the first two at an angle of {angle:.6f} rad")
+    results["leaves_through_seed"] = {"count": len(witnesses), "angle": angle}
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -19,23 +19,18 @@ from .errors import (
 from .lorentz import (
     MODEL_TOL,
     ORIGIN,
-    BoundaryPoint,
     HPoint,
     HTangent,
-    dist,
     mink_inner,
     orthonormal_complement,
     project_to_hyperboloid,
     same_point,
-    same_ray,
-    sphere_coords,
 )
 from .geodesics import (
     JacobiData,
     OrientedGeodesic,
     cross_metric,
     dist_to_geodesic,
-    gauss_map,
     gauss_map_jacobian,
     geodesic_dist_sq,
     make_geodesic,
@@ -51,26 +46,22 @@ from .foliation import (
     ClassificationReport,
     CriticalPoint,
     FoliationChart,
-    IntersectionResult,
     ball_samples,
     chart_jets,
     chart_tangent,
     classify_chart,
     critical_point_scan,
     field_checks,
-    geodesics_intersect,
     grid_arrays,
     grid_axes,
     ring_growth_evidence,
 )
 from .families import (
     LambdaScan,
-    PolarFrame,
     SpiralParams,
     VERTICAL_END,
     definiteness_margin,
     plane_normal_family,
-    polar_frame,
     scan_lambda_max,
     spiral_chart,
     vertical_family,

@@ -41,7 +41,7 @@ from .foliation import (
     grid_params,
 )
 from .geodesics import endpoint_images
-from .lorentz import HPoint, mink_inner, project_to_hyperboloid
+from .lorentz import ORIGIN, HPoint, mink_inner, project_to_hyperboloid
 from .report import report_payload, write_csv, write_report
 
 FAMILIES = ("vertical", "plane-normal", "prop")
@@ -127,7 +127,7 @@ def _resolve_family(cfg: RunConfig):
 
 def _base_point(cfg: RunConfig) -> HPoint:
     if cfg.base_point is None:
-        return HPoint((1.0, 0.0, 0.0, 0.0))
+        return ORIGIN
     arr = np.asarray(cfg.base_point, dtype=float)
     # scaled down by a power of two so that no square overflows; the scaling
     # is exact, so the check and the projection are those of the raw point.

@@ -16,10 +16,6 @@ Three families exercise the classifier across its verdict range:
   foliation: the leaves over ``t = 0`` and ``t = 2 pi`` pass through the
   same points of the annulus.  The definiteness margin has the closed form
   ``sinh(2 r) sin(2 alpha) - pitch``.
-
-The annulus frame is polar: ``radial`` is the unit radial direction,
-``angular`` the normalized angle derivative, ``normal`` their cross
-product (which is constant in the ambient coordinates).
 """
 
 from __future__ import annotations
@@ -34,10 +30,12 @@ import numpy as np
 from .errors import GeometryError
 from .foliation import FoliationChart, grid_axes
 from .geodesics import asymptote_directions
-from .lorentz import BoundaryPoint, HPoint, HTangent, cosh_sinhc
+from .lorentz import cosh_sinhc
 
-#: ideal endpoint of the vertical family: the half-space point at infinity
-VERTICAL_END = BoundaryPoint((1.0, 0.0, 0.0, 1.0))
+#: ideal endpoint of the vertical family, the half-space point at infinity,
+#: as its null vector (read-only)
+VERTICAL_END = np.array((1.0, 0.0, 0.0, 1.0))
+VERTICAL_END.flags.writeable = False
 
 
 def vertical_family() -> tuple[Callable[[np.ndarray], np.ndarray], FoliationChart]:
@@ -53,10 +51,10 @@ def vertical_family() -> tuple[Callable[[np.ndarray], np.ndarray], FoliationChar
         s = a * a + b * b
         foot = np.stack((1.0 + 0.5 * s, a, b, 0.5 * s), axis=-1)
         # the horosphere <n, p> = -1 makes the asymptote direction n - p
-        return foot, VERTICAL_END.n - foot
+        return foot, VERTICAL_END - foot
 
     def field(points):
-        return asymptote_directions(points, VERTICAL_END.n)
+        return asymptote_directions(points, VERTICAL_END)
 
     return field, FoliationChart(arrays=arrays, domain=((-1.0, 1.0), (-1.0, 1.0)), name="vertical")
 
@@ -123,34 +121,6 @@ class SpiralParams:
 
     def tilt(self, r: float, t: float) -> float:
         return self.alpha0 + self.lam * (t - r)
-
-
-@dataclass(frozen=True, eq=False)
-class PolarFrame:
-    """Orthonormal frame along the polar parametrization of the plane ``x3 = 0``."""
-
-    point: HPoint
-    radial: HTangent
-    angular: HTangent
-    normal: HTangent
-
-
-def polar_frame(r: float, t: float) -> PolarFrame:
-    """Frame at ``exp(r cos t e1 + r sin t e2)`` from the base point.
-
-    ``radial`` is the derivative in ``r``, ``angular`` the derivative in
-    ``t`` scaled by ``1/sinh r``, ``normal`` their cross product; the cross
-    product comes out as the constant ambient ``e3``.
-    """
-    if r <= 0.0:
-        raise GeometryError("polar frame needs r > 0")
-    c, s = math.cos(t), math.sin(t)
-    ch, sh = math.cosh(r), math.sinh(r)
-    point = HPoint((ch, sh * c, sh * s, 0.0))
-    radial = HTangent(point, (sh, ch * c, ch * s, 0.0))
-    angular = HTangent(point, (0.0, -s, c, 0.0))
-    normal = HTangent(point, _E3)
-    return PolarFrame(point=point, radial=radial, angular=angular, normal=normal)
 
 
 def spiral_chart(params: SpiralParams) -> FoliationChart:

@@ -29,17 +29,17 @@ Riemannian.  ``critical_point_scan`` evaluates its squared-distance grid
 with one array call, refines every grid-local minimum at once by
 Gauss-Newton on the leaf residual, whose Jacobian is read from the complex
 steps of one chart call per iteration, and returns the minima together
-with the ring minima of that grid.  ``field_checks`` applies the same
-classifier from the vector-field side.  A field is an array map as well,
-and ``field_checks`` takes its derivatives by complex steps along the
-orthonormal frames that one stacked ``lorentz.orthonormal_complement`` call
-gives at all the points.
+with the ring minima of that grid; its zero minima are the leaves through
+the base point, so two of them show two leaves crossing there.
+``field_checks`` applies the same classifier from the vector-field side.
+A field is an array map as well, and ``field_checks`` takes its
+derivatives by complex steps along the orthonormal frames that one stacked
+``lorentz.orthonormal_complement`` call gives at all the points.
 At each point the field's integral geodesics through a disc transverse to it
 form a chart whose jets are those steps, so the kernel's forms and the
 chart classifier give the field's verdicts and endpoint ranks, next to its
-geodesic residual.  ``geodesics_intersect`` decides how two leaves meet, and
-``chart_tangent`` keeps central-difference chart tangents as an independent
-check of the kernel.
+geodesic residual.  ``chart_tangent`` keeps central-difference chart
+tangents as an independent check of the kernel.
 
 All verdicts are decided at an explicit tolerance on quadratic-form values
 normalized by the energy of the Jacobi data, recorded in every report.  At
@@ -62,24 +62,19 @@ from .geodesics import (
     JacobiData,
     OrientedGeodesic,
     check_leaves,
-    gauss_map,
     leaf_dist,
     leaf_residual,
     rank_2x2,
 )
 from .lorentz import (
     ORIGIN,
-    BoundaryPoint,
     HPoint,
     HTangent,
     _rescaled,
     cosh_sinhc,
     mink,
-    mink_inner,
     model_checks,
     orthonormal_complement,
-    project_to_hyperboloid,
-    same_ray,
 )
 
 #: the verdicts from worst to best
@@ -154,11 +149,12 @@ class ClassificationReport:
     ``params`` is ``(N, 2)``, ``gram`` ``(N, 2, 2)`` (the cross metric on the
     unit-energy axis tangents), ``k_values`` ``(N, 8)`` (the Killing values
     on the null directions, of which the first ``k_count`` ``(N,)`` are used;
-    the count names the branch, ``NULL_BRANCHES``, and is 0 where the sample
-    is rank-deficient), and ``verdict_code`` ``(N,)`` indexes ``VERDICTS``,
-    ``-1`` where the sample is rank-deficient.  Entries that are not defined
-    (unused Killing slots, the Gram matrix of a rank-deficient sample) are
-    NaN.  ``report.write_report`` writes the columns as one object per sample.
+    the count names the branch, 0 definite, 1 kernel, 2 cone and 8 flat, and
+    is 0 where the sample is rank-deficient), and ``verdict_code`` ``(N,)``
+    indexes ``VERDICTS``, ``-1`` where the sample is rank-deficient.  Entries
+    that are not defined (unused Killing slots, the Gram matrix of a
+    rank-deficient sample) are NaN.  ``report.write_report`` writes the
+    columns as one object per sample.
     """
 
     chart_name: str
@@ -409,18 +405,17 @@ def chart_tangent(
 # classification
 
 _FLAT_DIRECTIONS = np.array([(math.cos(k * math.pi / 8.0), math.sin(k * math.pi / 8.0)) for k in range(8)])
-#: branch of ``_null_directions`` by the number of null directions it returns
-NULL_BRANCHES = {0: "definite", 1: "kernel", 2: "cone", 8: "flat"}
 
 
 def _null_directions(grams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Directions on which each 2x2 form of a stack vanishes: ``(N, 8, 2)``
     unit directions of which the first ``count`` ``(N,)`` are used.
 
-    The count names the branch taken (``NULL_BRANCHES``).  A fully flat Gram
-    makes every direction null; a fixed fan of 8 directions is sampled then.
-    A single small eigenvalue contributes its eigenvector; an indefinite pair
-    contributes the two cone directions; a definite form has none.
+    The count names the branch taken: 0 definite, 1 kernel, 2 cone and 8
+    flat.  A fully flat Gram makes every direction null; a fixed fan of 8
+    directions is sampled then.  A single small eigenvalue contributes its
+    eigenvector; an indefinite pair contributes the two cone directions; a
+    definite form has none.
     """
     evals, evecs = np.linalg.eigh(grams)
     small = np.abs(evals) <= tol
@@ -559,63 +554,6 @@ def field_checks(
     jets = _jets(points, f[0], d[0], lambda s: (f[:, s], d[:, s]))
     code = _classify(jets, VERDICT_TOL, "", (len(points), 1)).verdict_code
     return float(np.max(np.linalg.norm(nabla_x, axis=1), initial=0.0)), code, *jets.endpoint_ranks()
-
-
-# ---------------------------------------------------------------------------
-# intersections
-
-
-@dataclass(frozen=True)
-class IntersectionResult:
-    """Outcome of intersecting two geodesic trajectories.
-
-    ``kind`` is one of "identical", "point", "disjoint", "ambiguous".  A
-    shared ideal endpoint (asymptotic pair) yields "disjoint" with the
-    endpoint as ``boundary`` witness: the trajectories meet only at
-    infinity.  "ambiguous" marks configurations whose plane intersection is
-    null at tolerance without a matching endpoint, where a faraway crossing
-    cannot be distinguished from divergence.
-    """
-
-    kind: str
-    point: HPoint | None = None
-    boundary: BoundaryPoint | None = None
-
-
-def geodesics_intersect(g1: OrientedGeodesic, g2: OrientedGeodesic) -> IntersectionResult:
-    """Decide how two trajectories meet, via their timelike 2-planes.
-
-    The trajectories are plane sections of the hyperboloid; they share a
-    point iff the planes intersect in a timelike line.  Null dimensions
-    and the causal type of that line are decided at relative ``1e-8``.
-    """
-    tol = 1e-8
-    m = np.column_stack([g1.foot.v, g1.dir.w, -g2.foot.v, -g2.dir.w])
-    u, s, vt = np.linalg.svd(m)
-    null_dim = int(np.sum(s <= max(tol * s[0], 1e-300)))
-    if null_dim >= 2:
-        return IntersectionResult("identical")
-    if null_dim == 0:
-        return IntersectionResult("disjoint")
-    coef = vt[-1]
-    x1 = coef[0] * g1.foot.v + coef[1] * g1.dir.w
-    x2 = coef[2] * g2.foot.v + coef[3] * g2.dir.w
-    x = 0.5 * (x1 + x2)
-    q = mink_inner(x, x) / float(np.dot(x, x))
-    if q <= -tol:
-        if x[0] < 0.0:
-            x = -x
-        return IntersectionResult("point", point=project_to_hyperboloid(x))
-    if q >= tol:
-        return IntersectionResult("disjoint")
-    # null at tolerance: asymptotic if an actual endpoint is shared
-    ends1 = [gauss_map(g1, 1), gauss_map(g1, -1)]
-    ends2 = [gauss_map(g2, 1), gauss_map(g2, -1)]
-    for b1 in ends1:
-        for b2 in ends2:
-            if same_ray(b1, b2):
-                return IntersectionResult("disjoint", boundary=b1)
-    return IntersectionResult("ambiguous")
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ Here live the leaves and their endpoints; the neutral metrics themselves
 are read by the chart kernel (``foliation.chart_jets``) from the sphere
 endpoints.  On arrays of leaves ``(foot, dir)``: ``check_leaves`` (the
 model's invariants, ``lorentz.model_checks``), ``leaf_dist`` and its
-residual ``leaf_residual``, the endpoint images (``endpoint_images``, the
-forward and backward endpoints being the rays of ``foot +- dir``),
+residual ``leaf_residual``, the Gauss maps (``endpoint_images``: the
+forward and backward endpoints, the rays of ``foot +- dir``, in sphere
+coordinates; no other form of an ideal point is kept),
 ``asymptote_directions`` and ``rank_2x2``, the rank of 2x2 matrices from a
 determinant and a Frobenius norm.  ``cross_metric``,
 the cross metric of Jacobi data ``(J(0), J'(0))`` from ambient
@@ -35,7 +36,6 @@ from .errors import (
 )
 from .lorentz import (
     ORIGIN,
-    BoundaryPoint,
     HPoint,
     HTangent,
     _finish_point,
@@ -47,7 +47,6 @@ from .lorentz import (
     model_checks,
     orthonormal_complement,
     same_point,
-    sphere_coords,
 )
 
 
@@ -244,20 +243,10 @@ def leaf_residual(foot: np.ndarray, direction: np.ndarray, q: np.ndarray) -> np.
 
 def endpoint_images(foot: np.ndarray, direction: np.ndarray, sign: int) -> np.ndarray:
     """Sphere coordinates of the forward (+1) or backward (-1) endpoints of
-    the leaves: ``gauss_map`` followed by ``sphere_coords``."""
+    the leaves: the unit vector ``u`` at the base point with ``foot +- dir``
+    on the null ray of ``o + u``."""
     u = (foot + sign * direction)[..., 1:]
     return u / np.sqrt(np.sum(u * u, axis=-1, keepdims=True))
-
-
-# ---------------------------------------------------------------------------
-# endpoint (Gauss) maps to the ideal boundary
-
-
-def gauss_map(g: OrientedGeodesic, sign: int = 1) -> BoundaryPoint:
-    """Forward (+1) or backward (-1) endpoint at infinity, as a null ray."""
-    if sign not in (1, -1):
-        raise GeometryError("sign must be +1 or -1")
-    return BoundaryPoint(g.foot.v + sign * g.dir.w)
 
 
 def asymptote_directions(points: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -297,7 +286,7 @@ def gauss_map_jacobian(
     geos = [chart.map(aa, bb) for aa, bb in ((a, b), (a + h, b), (a - h, b), (a, b + h), (a, b - h))]
     jacobians = []
     for sign in (1, -1):
-        n0, na_plus, na_minus, nb_plus, nb_minus = (sphere_coords(gauss_map(g, sign)) for g in geos)
+        n0, na_plus, na_minus, nb_plus, nb_minus = (endpoint_images(g.foot.v, g.dir.w, sign) for g in geos)
         # (n0, t1, t2) is positively oriented, since (o, (0, n0), (0, t1), (0, t2)) is
         t1, t2 = (t[1:] for t in orthonormal_complement((ORIGIN.v, np.concatenate(([0.0], n0)))))
         col_a = (na_plus - na_minus) / (2.0 * h)

@@ -11,8 +11,9 @@ Conventions fixed here and used everywhere else:
 * base point ``ORIGIN = (1, 0, 0, 0)``;
 * orientation: ``(e1, e2, e3)`` is a positively oriented frame at the base
   point, so ``det[o, e1, e2, e3] = 1``;
-* ideal boundary points are future null rays, normalized so ``x0 = 1``;
-  they correspond to unit vectors ``u`` at the base point via ``n ~ o + u``.
+* ideal boundary points are future null rays; they correspond to unit
+  vectors ``u`` at the base point via ``n ~ o + u``, the sphere coordinates
+  that ``geodesics.endpoint_images`` gives for the endpoints of leaves.
 """
 
 from __future__ import annotations
@@ -127,41 +128,12 @@ class HTangent:
         return f"HTangent(base0={self.base.v[0]:.4g}, w={np.array2string(self.w, precision=6)})"
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryPoint:
-    """An ideal point: a future null ray, stored with ``n0 = 1`` exactly."""
-
-    n: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.n, dtype=float)
-        if a.shape != (4,) or not np.all(np.isfinite(a)):
-            raise GeometryError("boundary point needs 4 finite components")
-        _require(model_checks(a)[:1])
-        if a[0] <= 0.0:
-            raise GeometryError("boundary ray must be future pointing")
-        if abs(mink_inner(a, a)) > MODEL_TOL * max(1.0, float(np.dot(a, a))):
-            raise GeometryError("boundary ray is not null")
-        a = a / a[0]
-        a[0] = 1.0
-        a.flags.writeable = False
-        object.__setattr__(self, "n", a)
-
-    def __repr__(self):
-        return f"BoundaryPoint({np.array2string(self.n, precision=6)})"
-
-
 ORIGIN = HPoint((1.0, 0.0, 0.0, 0.0))
 
 
 def same_point(p: HPoint, q: HPoint) -> bool:
     """Whether two points coincide to ``1e-9`` relative to the first one's largest component."""
     return bool(np.max(np.abs(p.v - q.v)) <= 1e-9 * max(1.0, float(np.max(np.abs(p.v)))))
-
-
-def same_ray(a: BoundaryPoint, b: BoundaryPoint) -> bool:
-    """Whether two ideal points coincide to ``1e-9`` (rays are stored normalized)."""
-    return bool(np.max(np.abs(a.n - b.n)) <= 1e-9)
 
 
 def project_to_hyperboloid(arr: np.ndarray) -> HPoint:
@@ -267,26 +239,3 @@ def cosh_sinhc(x):
         r = np.sqrt(x[large])
         ch[large], sc[large] = np.cosh(r), np.sinh(r) / r
     return ch, sc
-
-
-def dist(p: HPoint, q: HPoint) -> float:
-    """Hyperbolic distance, ``cosh(dist) = -<p, q>``.
-
-    Near-coincident points go through the arcsinh of the tangential
-    projection, which does not suffer the arccosh cancellation at 1.
-    """
-    c = -mink_inner(p.v, q.v)
-    if c < 1.5:
-        u = q.v + mink_inner(p.v, q.v) * p.v
-        return float(np.arcsinh(np.sqrt(max(mink_inner(u, u), 0.0))))
-    return float(np.arccosh(c))
-
-
-# ---------------------------------------------------------------------------
-# ideal boundary
-
-
-def sphere_coords(b: BoundaryPoint) -> np.ndarray:
-    """Chart of the ideal boundary on the unit 2-sphere: ``n ~ o + u``."""
-    u = np.asarray(b.n[1:], dtype=float)
-    return u / np.linalg.norm(u)

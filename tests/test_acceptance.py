@@ -13,6 +13,7 @@ import pytest
 
 import hypfol as hf
 from hypfol.cli import main as cli_main
+from hypfol.geodesics import leaf_dist
 from util import (
     asymptote,
     boundary_from_sphere,
@@ -28,6 +29,7 @@ from util import (
     killing_metric,
     minner,
     perp_component,
+    polar_frame,
     rand_geodesic,
     rand_jacobi,
     rk4_jacobi,
@@ -199,12 +201,9 @@ def test_acceptance_06_spiral_family(announce, rng):
 def test_acceptance_07_counterexample_intersection(announce):
     params = hf.SpiralParams(alpha0=math.pi / 4.0, lam=0.07, delta=0.1)
     chart = hf.spiral_chart(params)
-    g1 = chart.map(2.0, 0.0)
-    g2 = chart.map(2.0, 2.0 * math.pi)
-    res = hf.geodesics_intersect(g1, g2)
-    assert res.kind == "point"
-    seed_point = hf.polar_frame(2.0, 0.0).point
-    assert hf.dist(res.point, seed_point) < 1e-8
+    seed_point = polar_frame(2.0, 0.0).point
+    foot, direction = chart.arrays(np.array([2.0, 2.0]), np.array([0.0, 2.0 * math.pi]))
+    assert np.all(leaf_dist(foot, direction, seed_point.v) < 1e-8)
     minima, _ = hf.critical_point_scan(chart, base=seed_point, grid=(25, 25))
     small = [m for m in minima if m.value < 1e-10]
     assert len(small) >= 2

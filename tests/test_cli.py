@@ -260,7 +260,7 @@ def test_experiment_scripts_run(tmp_path):
     outputs = []
     for argv in (
         ["classify_families.py", "--grid", "4x4"],
-        ["reproduce_counterexample.py", "--scan-grid", "40x40", "--classify-grid", "4x4"],
+        ["reproduce_counterexample.py", "--scan-grid", "40x40", "--classify-grid", "4x4", "--out", "crossing.json"],
     ):
         proc = subprocess.run(
             [sys.executable, str(scripts / argv[0]), *argv[1:]],
@@ -272,13 +272,43 @@ def test_experiment_scripts_run(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    families, counterexample = outputs
+    families, _ = outputs
     vertical, plane_normal = families.split("== plane-normal")
     assert "endpoint-map ranks: forward [0], backward [2]" in vertical
     assert "endpoint-map ranks: forward [2], backward [2]" in plane_normal
     for family in (vertical, plane_normal):
         assert "initial-value ranks: [2]" in family
-    assert "leaves at t=0 and t=2*pi: point" in counterexample
+    # the definite chart has two leaves through the seed point, at an angle
+    crossing = json.loads((tmp_path / "crossing.json").read_text())
+    assert crossing["classification_half"]["aggregate"] == "definite"
+    assert len([m for m in crossing["minima"] if m["value"] <= 1e-24]) == 2
+    assert crossing["leaves_through_seed"]["count"] == 2
+    assert crossing["leaves_through_seed"]["angle"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify_families.py", "--grid", "4"], "grid must look like NxM, got '4'"),
+        (["reproduce_counterexample.py", "--scan-grid", "1x40"], "grid dimensions must be at least 2"),
+        (["reproduce_counterexample.py", "--classify-grid", "4xq"], "grid must look like NxM, got '4xq'"),
+    ],
+)
+def test_experiment_scripts_reject_grids_like_the_cli(tmp_path, argv, message):
+    # the scripts parse their grids with the CLI's parser, so they exit 2 with its message
+    with pytest.raises(hf.ConfigError, match=f"^{re.escape(message)}$"):
+        cli._parse_grid(argv[2])
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve().parents[1] / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("pairs", ["1", "0", "-3"])
@@ -348,6 +378,11 @@ def test_bad_base_point(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_default_base_point_is_the_origin():
+    cfg = cli._build_config(cli._parse(["critical", "--family", "vertical"]))
+    assert cli._base_point(cfg) is hf.ORIGIN
 
 
 def _point_at(distance, direction=(1.0, 0.0, 0.0)):

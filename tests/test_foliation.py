@@ -1,4 +1,4 @@
-"""Chart tangents, classifiers, field operators, intersections, critical points."""
+"""Chart tangents, classifiers, field operators, leaf crossings, critical points."""
 
 import importlib.util
 import math
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import hypfol as hf
 from hypfol import foliation
+from hypfol.geodesics import leaf_dist
 from hypfol.lorentz import mink
 from hypfol.report import report_payload, write_report
 from util import (
@@ -25,7 +26,6 @@ from util import (
     covariant_differentials,
     cross_form_matrix,
     energy_form_matrix,
-    exp_map,
     field_value,
     frame_coords,
     grid_params,
@@ -33,10 +33,8 @@ from util import (
     is_orthogonal,
     killing_metric,
     minner,
-    normalized,
     operator_eigencheck,
-    project_to_tangent,
-    rand_geodesic,
+    polar_frame,
     rand_point,
     reference_ball_samples,
     reference_covariant_differential,
@@ -45,12 +43,13 @@ from util import (
     reference_grid_minima,
     reference_ring_growth,
     reference_ring_growth_masks,
-    reverse,
     sample,
 )
 
 O = hf.ORIGIN
 _DEFINITE = hf.VERDICTS.index("definite")
+#: branch of ``foliation._null_directions`` by the number of null directions it returns
+NULL_BRANCHES = {0: "definite", 1: "kernel", 2: "cone", 8: "flat"}
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +87,7 @@ def test_chart_tangent_is_orthogonal_jacobi_data(spiral):
 
 def test_chart_tangent_radial_axis_recovers_frame_field(spiral):
     params, chart = spiral
-    fr = hf.polar_frame(2.0, 0.5)
+    fr = polar_frame(2.0, 0.5)
     x, _ = hf.chart_tangent(chart, (2.0, 0.5))
     # the radial-axis variation is already orthogonal, so J(0) is the radial vector
     assert np.max(np.abs(x.j0.w - fr.radial.w)) < 1e-6
@@ -198,7 +197,7 @@ def test_classify_point_matches_metrics_of_normalized_tangents(vertical, plane_n
             want = [[hf.cross_metric(a, b) for b in (x1, x2)] for a in (x1, x2)]
             assert np.max(np.abs(np.array(rec.gram) - want)) <= 1e-12
             dirs, count = hf.foliation._null_directions(np.array([rec.gram]), hf.VERDICT_TOL)
-            branches.add(hf.foliation.NULL_BRANCHES[count[0]])
+            branches.add(NULL_BRANCHES[count[0]])
             assert count[0] == len(rec.k_values)
             for (alpha, beta), k in zip(dirs[0], rec.k_values):
                 foot = x1.geo.foot
@@ -640,59 +639,14 @@ def test_synthetic_operators_through_the_shared_builder(op, verdict, ranks):
 
 
 # ---------------------------------------------------------------------------
-# intersections
-
-
-def test_intersect_identical(rng):
-    g = rand_geodesic(rng)
-    assert hf.geodesics_intersect(g, g).kind == "identical"
-    assert hf.geodesics_intersect(g, reverse(g)).kind == "identical"
-
-
-def test_intersect_vertical_pair_disjoint(vertical):
-    _, chart = vertical
-    res = hf.geodesics_intersect(chart.map(0.4, 0.0), chart.map(-0.2, 0.3))
-    assert res.kind == "disjoint"
-    # the shared endpoint at infinity is reported as a witness
-    assert res.boundary is not None
-    assert hf.same_ray(res.boundary, hf.VERTICAL_END)
-
-
-def test_intersect_generic_disjoint(plane_normal):
-    _, chart = plane_normal
-    res = hf.geodesics_intersect(chart.map(0.0, 0.0), chart.map(0.5, 0.0))
-    assert res.kind == "disjoint"
-    assert res.boundary is None
-
-
-def test_intersect_at_point(rng):
-    for _ in range(10):
-        p = rand_point(rng, scale=1.0)
-        w1 = normalized(project_to_tangent(p, rng.standard_normal(4)))
-        w2 = normalized(project_to_tangent(p, rng.standard_normal(4)))
-        if abs(hf.mink_inner(w1.w, w2.w)) > 0.99:
-            continue
-        res = hf.geodesics_intersect(hf.make_geodesic(p, w1), hf.make_geodesic(p, w2))
-        assert res.kind == "point"
-        assert hf.dist(res.point, p) < 1e-8
-
-
-def test_intersect_far_crossing_is_ambiguous(rng):
-    # crossing at distance ~12 from the base: the plane intersection is null
-    # at tolerance and no endpoint is shared, so the outcome is undecidable
-    far = exp_map(hf.HTangent(O, (0.0, 12.0, 0.0, 0.0)))
-    w1 = normalized(project_to_tangent(far, np.array([0.0, 0.0, 1.0, 0.2])))
-    w2 = normalized(project_to_tangent(far, np.array([0.0, 0.0, 0.2, 1.0])))
-    res = hf.geodesics_intersect(hf.make_geodesic(far, w1), hf.make_geodesic(far, w2))
-    assert res.kind == "ambiguous"
+# leaf crossings
 
 
 def test_spiral_leaves_intersect_on_seed_annulus(spiral):
     params, chart = spiral
     for r in (1.5, 2.0, 2.5):
-        res = hf.geodesics_intersect(chart.map(r, 0.0), chart.map(r, 2.0 * math.pi))
-        assert res.kind == "point"
-        assert hf.dist(res.point, hf.polar_frame(r, 0.0).point) < 1e-8
+        foot, direction = chart.arrays(np.array([r, r]), np.array([0.0, 2.0 * math.pi]))
+        assert np.all(leaf_dist(foot, direction, polar_frame(r, 0.0).point.v) < 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +670,7 @@ def test_critical_scan_vertical(vertical):
 
 def test_critical_scan_spiral_two_minima(spiral):
     params, chart = spiral
-    base = hf.polar_frame(2.0, 0.0).point
+    base = polar_frame(2.0, 0.0).point
     minima, _ = hf.critical_point_scan(chart, base=base, grid=(25, 25))
     small = [m for m in minima if m.value < 1e-10]
     assert len(small) >= 2
@@ -734,7 +688,7 @@ def _critical_case(name):
         return hf.vertical_family()[1], O, (15, 15)
     if name == "prop-crossing":
         chart = hf.spiral_chart(hf.SpiralParams(alpha0=math.pi / 4.0, lam=0.0711, delta=0.1))
-        return chart, hf.polar_frame(2.0, 0.0).point, (40, 40)
+        return chart, polar_frame(2.0, 0.0).point, (40, 40)
     if name == "collapsed":
         # every leaf over a = 0.3 passes through the base point: the Gram
         # matrix of the solver is singular, and its steps are along a only

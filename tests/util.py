@@ -2,12 +2,13 @@
 cross product, frame coordinates, the complex-step and the
 transported-difference covariant differentials, the RK4 Jacobi integrator,
 the ambient chart kernel and the Killing metric of Jacobi data), scalar
-references (the exponential map, ball samples and the eigenvector test one
-at a time, parallel transport, asymptote vectors, closed-form Jacobi
-evaluation, the Jacobi-variation chart, one-sample classification), the
-value-object helpers only tests use (points along a geodesic, its reverse,
-tangent norms, unit tangents, one field value, one classified sample, the
-spiral's closed-form Gram and energy matrices), boost matrices, reference
+references (the exponential map, the distance, ball samples and the
+eigenvector test one at a time, parallel transport, asymptote vectors,
+closed-form Jacobi evaluation, the Jacobi-variation chart, one-sample
+classification), the value-object helpers only tests use (points along a
+geodesic, its reverse, tangent norms, unit tangents, one field value, one
+classified sample, the polar frame of the spiral's plane, the spiral's
+closed-form Gram and energy matrices), boost matrices, reference
 CSV and report writers, the full-grid pitch scan and a chart-evaluation
 counter."""
 
@@ -27,7 +28,6 @@ from hypfol import (
     VERDICT_TOL,
     VERDICTS,
     BaseMismatchError,
-    BoundaryPoint,
     FoliationChart,
     GeodesicMismatchError,
     GeometryError,
@@ -42,7 +42,7 @@ from hypfol import (
     same_geodesic,
     same_point,
 )
-from hypfol.families import LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, _margin, spiral_chart
+from hypfol.families import _E3, LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, _margin, spiral_chart
 from hypfol.foliation import RANK_DEFICIENT, _classify, _field_steps, grid_axes
 from hypfol.geodesics import asymptote_directions
 from hypfol.lorentz import _finish_point, _finish_tangent, _require_unit, _unitize, mink
@@ -365,6 +365,34 @@ def sample(rep, k: int) -> SampleRecord:
     return SampleRecord(params, tuple(map(tuple, rep.gram[k].tolist())), tuple(kv), VERDICTS[code])
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class PolarFrame:
+    """Orthonormal frame along the polar parametrization of the plane ``x3 = 0``."""
+
+    point: HPoint
+    radial: HTangent
+    angular: HTangent
+    normal: HTangent
+
+
+def polar_frame(r: float, t: float) -> PolarFrame:
+    """Frame at ``exp(r cos t e1 + r sin t e2)`` from the base point.
+
+    ``radial`` is the derivative in ``r``, ``angular`` the derivative in
+    ``t`` scaled by ``1/sinh r``, ``normal`` their cross product; the cross
+    product comes out as the constant ambient ``e3``.
+    """
+    if r <= 0.0:
+        raise GeometryError("polar frame needs r > 0")
+    c, s = math.cos(t), math.sin(t)
+    ch, sh = math.cosh(r), math.sinh(r)
+    point = HPoint((ch, sh * c, sh * s, 0.0))
+    radial = HTangent(point, (sh, ch * c, ch * s, 0.0))
+    angular = HTangent(point, (0.0, -s, c, 0.0))
+    normal = HTangent(point, _E3)
+    return PolarFrame(point=point, radial=radial, angular=angular, normal=normal)
+
+
 def cross_form_matrix(r: float, t: float, params: SpiralParams) -> np.ndarray:
     """Closed form of the cross metric of the spiral chart on its raw tangents.
 
@@ -477,6 +505,19 @@ def initial_value_rank(chart, params) -> int:
 # ---------------------------------------------------------------------------
 # scalar references for the vector-field side: the exponential map, ball
 # samples one point at a time and the eigenvector test one operator at a time
+
+
+def dist(p: HPoint, q: HPoint) -> float:
+    """Hyperbolic distance, ``cosh(dist) = -<p, q>``.
+
+    Near-coincident points go through the arcsinh of the tangential
+    projection, which does not suffer the arccosh cancellation at 1.
+    """
+    c = -mink_inner(p.v, q.v)
+    if c < 1.5:
+        u = q.v + mink_inner(p.v, q.v) * p.v
+        return float(np.arcsinh(np.sqrt(max(mink_inner(u, u), 0.0))))
+    return float(np.arccosh(c))
 
 
 def exp_map(t: HTangent) -> HPoint:
@@ -600,19 +641,21 @@ def transport_to(t: HTangent, target: HPoint) -> HTangent:
     return _finish_tangent(target, moved.w)
 
 
-def boundary_from_sphere(u) -> BoundaryPoint:
-    """Inverse of sphere_coords."""
+def boundary_from_sphere(u) -> np.ndarray:
+    """The null vector ``(1, u / |u|)`` of the ideal point in the direction
+    ``u``: the inverse of ``endpoint_images``."""
     u = np.asarray(u, dtype=float)
     n = np.linalg.norm(u)
     if n == 0.0:
         raise GeometryError("direction must be nonzero")
-    return BoundaryPoint(np.concatenate(([1.0], u / n)))
+    return np.concatenate(([1.0], u / n))
 
 
-def asymptote(p: HPoint, b: BoundaryPoint) -> HTangent:
-    """The unit vector at ``p`` whose geodesic runs into ``b``: one value of
-    ``asymptote_directions``, which the vertical field evaluates."""
-    return HTangent(p, asymptote_directions(p.v, b.n))
+def asymptote(p: HPoint, n: np.ndarray) -> HTangent:
+    """The unit vector at ``p`` whose geodesic runs into the ideal point of
+    the null vector ``n``: one value of ``asymptote_directions``, which the
+    vertical field evaluates."""
+    return HTangent(p, asymptote_directions(p.v, n))
 
 
 def jacobi_eval(jd: JacobiData, s: float) -> tuple[HTangent, HTangent]:
