@@ -9,7 +9,8 @@ point of radius 2, whose value is at most ``WITNESS_BOUND`` are leaves
 through it, and two of them meet there at a nonzero angle.  The chart is
 definite (cross metric Riemannian, all endpoint-map kernels trivial) yet
 its geodesics cross: definiteness alone does not make a foliation,
-closedness fails here.  A grid the CLI rejects exits 2 with its message.
+closedness fails here.  Arguments the CLI rejects exit 2 and a numerical
+failure exits 3, with the CLI's messages.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 import hypfol as hf
-from hypfol.cli import _parse_grid
+from hypfol.cli import _parse_grid, _require_finite
 from hypfol.lorentz import mink
 
 #: the largest squared distance from the seed of a minimum that counts as a
@@ -46,12 +47,19 @@ def main() -> int:
     ap.add_argument("--classify-grid", type=str, default="20x20")
     ap.add_argument("--out", type=str, default=None, help="optional JSON dump")
     args = ap.parse_args()
-
     try:
-        sg, cg = _parse_grid(args.scan_grid), _parse_grid(args.classify_grid)
-    except hf.ConfigError as exc:
+        return run(args)
+    except (hf.ConfigError, hf.GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except hf.NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+
+
+def run(args: argparse.Namespace) -> int:
+    _require_finite((("--alpha0", args.alpha0), ("--delta", args.delta)))
+    sg, cg = _parse_grid(args.scan_grid), _parse_grid(args.classify_grid)
 
     scan = hf.scan_lambda_max(alpha0=args.alpha0, delta=args.delta, grid=sg)
     print(f"largest valid pitch on {sg[0]}x{sg[1]} grid: {scan.lambda_max:.6f}")

@@ -48,11 +48,11 @@ FAMILIES = ("vertical", "plane-normal", "prop")
 #: the flags only the spiral (``prop``) family reads, with their defaults
 _SPIRAL_FLAGS = (("--lambda", "lam", None), ("--alpha0", "alpha0", math.pi / 4.0), ("--delta", "delta", 0.1))
 #: the most grid samples: no array holds 1024 bytes per sample (the largest
-#: whole-grid array is the kernel's three forms, (3, 2, 2, N) floats or 96
-#: bytes; the classifier's null directions, 128 bytes per sample, and the
-#: kernel's projections onto all pole frames, 2016, are formed one block of
-#: rows at a time), so numpy can size every array of a smaller grid, and at
-#: worst fails to allocate it
+#: whole-grid arrays are the classification report's columns, ``k_values``
+#: (N, 8) floats or 64 bytes; the kernel's forms, 96 bytes per sample, its
+#: projections onto all pole frames, 2016, and the classifier's null
+#: directions, 128, are formed one block of rows at a time), so numpy can size
+#: every array of a smaller grid, and at worst fails to allocate it
 _MAX_SAMPLES = sys.maxsize // 1024
 
 
@@ -86,12 +86,16 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return n, m
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    values = [("--tol", args.tol), ("--lambda", args.lam), ("--alpha0", args.alpha0), ("--delta", args.delta)]
-    values += [("--base-point", x) for x in args.base_point or ()]
+def _require_finite(values) -> None:
+    """Raise ``ConfigError`` naming the first ``(flag, value)`` pair whose value is given but not finite."""
     for flag, value in values:
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value!r}")
+
+
+def _build_config(args: argparse.Namespace) -> RunConfig:
+    values = [("--tol", args.tol), ("--lambda", args.lam), ("--alpha0", args.alpha0), ("--delta", args.delta)]
+    _require_finite(values + [("--base-point", x) for x in args.base_point or ()])
     if args.tol <= 0.0:
         raise ConfigError("--tol must be positive")
     if args.seed is not None and args.seed < 0:

@@ -3,8 +3,8 @@
 A candidate is supplied either as a two-parameter chart of oriented
 geodesics or as a unit vector field on a region of hyperbolic space.  A
 chart is an array map ``(a, b) -> (foot, dir)`` that accepts complex
-parameters.  One kernel, ``chart_jets``, evaluates it three times per block
-of grid rows (the values, then complex steps in ``a`` and in ``b``),
+parameters.  One kernel, ``chart_jets``, evaluates it three times on the
+rows it is given (the values, then complex steps in ``a`` and in ``b``),
 validates the leaves, and reads both axis tangents at the leaves' sphere
 endpoints, the rays of ``foot +- dir``: stereographic coordinates ``z+-``
 and their derivatives ``dz+-``, exact to roundoff.  Both neutral metrics are
@@ -14,7 +14,8 @@ endpoint variations in the visual metric from the foot.  The forms and
 variations are scaled to unit-energy tangents once, as they are made, and
 every per-sample quantity is read from them: the Gram matrix of the cross
 metric, the rank check, the Killing values on its null directions and the
-endpoint ranks.  Each sample is classified as
+endpoint ranks.  ``classify_chart`` runs the kernel and the classifier
+(``_verdicts``) one block of grid rows at a time.  Each sample is classified as
 
 * ``definite``            - the cross metric restricts to a definite form;
 * ``semidefinite``        - its null directions all have positive Killing
@@ -87,8 +88,8 @@ FD_STEP = 1e-4
 #: complex step of the chart kernel: ``df/da = Im f(a + ih, b) / h`` takes no
 #: difference, so it is exact to roundoff
 CS_STEP = 1e-30
-#: rows per block of the whole-grid stages (the chart kernel, the classifier,
-#: the samples array of a report), which bounds their temporaries whatever the grid
+#: rows per block of the grid drivers (``classify_chart``, ``report.write_csv``
+#: and the report writers), which bounds their temporaries whatever the grid
 _BLOCK = 4096
 
 
@@ -202,8 +203,8 @@ _POLE_FRAMES = np.concatenate(
 
 @dataclass(frozen=True, eq=False)
 class ChartJets:
-    """Validated leaves of a chart at ``N`` parameter pairs, with the forms
-    of both axis tangents read from the leaves' sphere endpoints.
+    """Validated leaves of a chart at ``N`` parameter pairs (a block of a
+    grid), with both axis tangents' forms read from the sphere endpoints.
 
     ``params`` is ``(N, 2)`` (for the transverse charts of a field, the
     ``(N, 4)`` points); ``foot`` and ``dir`` are ``(N, 4)``.
@@ -245,43 +246,31 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
-def _joined(parts: list[tuple[np.ndarray, ...]], axis: int = 0) -> tuple[np.ndarray, ...]:
-    """Per-block results, tuples of arrays, joined along ``axis``; one
-    block's own arrays when there is one."""
-    return parts[0] if len(parts) == 1 else tuple(np.concatenate(x, axis=axis) for x in zip(*parts))
-
-
 def chart_jets(chart: FoliationChart, a, b) -> ChartJets:
     """Evaluate the chart at parameter arrays ``a``, ``b`` with three array
-    calls per block of ``row_blocks``, the leaves and then complex steps of
-    ``CS_STEP`` in ``a`` and in ``b``, and read their forms (``_jets``)."""
+    calls, the leaves and then complex steps of ``CS_STEP`` in ``a`` and in
+    ``b``, and read their forms (``_jets``); grid drivers pass one block."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
-    foot, direction = _joined([_evaluate(chart, a[s], b[s]) for s in row_blocks(len(a))])
-
-    def stacks(s):
-        steps = [_evaluate(chart, a[s] + 1j * CS_STEP, b[s]), _evaluate(chart, a[s], b[s] + 1j * CS_STEP)]
-        with np.errstate(all="ignore"):
-            f = np.stack((foot[s], *(np.imag(v) / CS_STEP for v, _ in steps)))
-            d = np.stack((direction[s], *(np.imag(v) / CS_STEP for _, v in steps)))
-        return f, d
-
-    return _jets(np.column_stack((a, b)), foot, direction, stacks)
+    foot, direction = _evaluate(chart, a, b)
+    steps = [_evaluate(chart, a + 1j * CS_STEP, b), _evaluate(chart, a, b + 1j * CS_STEP)]
+    with np.errstate(all="ignore"):
+        f = np.stack((foot, *(np.imag(v) / CS_STEP for v, _ in steps)))
+        d = np.stack((direction, *(np.imag(v) / CS_STEP for _, v in steps)))
+    return _jets(np.column_stack((a, b)), f, d)
 
 
-def _jets(params: np.ndarray, foot: np.ndarray, direction: np.ndarray, stacks) -> ChartJets:
-    """The ``ChartJets`` of ``N`` leaves with ``(N, 4)`` feet and directions:
-    every leaf is checked, and then the forms (``_forms``) are read one block
-    of ``row_blocks`` at a time from ``stacks(s)``, the ``(3, n, 4)`` stacks
-    of the feet and directions of the rows ``s``: the values, then the
-    derivatives along the two tangents.  ``params`` ``(N, k)`` names the
-    rows.  Raises ``NumericalError`` when a leaf fails the value objects'
-    checks or a form is not finite.
+def _jets(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> ChartJets:
+    """The ``ChartJets`` of ``n`` leaves from ``(3, n, 4)`` stacks of their
+    feet ``f`` and directions ``d``: the values, then the derivatives along
+    the two tangents.  Every leaf is checked (``check_leaves``) and then the
+    forms are read (``_forms``); ``params`` ``(n, k)`` names the rows.
+    Raises ``NumericalError`` when a leaf fails the value objects' checks or
+    a form is not finite.
     """
-    blocks = row_blocks(len(params))
-    check_leaves(foot, direction, params.T, blocks)
-    forms, ends, full_rank = _joined([_forms(params[s], *stacks(s)) for s in blocks], axis=-1)
-    return ChartJets(params, foot, direction, *np.moveaxis(forms, -1, 1), ends, full_rank)
+    check_leaves(f[0], d[0], params.T)
+    forms, ends, full_rank = _forms(params, f, d)
+    return ChartJets(params, f[0], d[0], *np.moveaxis(forms, -1, 1), ends, full_rank)
 
 
 def _forms(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -432,10 +421,10 @@ def _null_directions(grams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     return dirs, np.select([flat, kernel, cone], [8, 1, 2], 0)
 
 
-def _classify(jets: ChartJets, tol: float, name: str, grid: tuple[int, int]) -> ClassificationReport:
-    """Classify the kernel's samples one block of ``row_blocks`` at a time;
-    rank-deficient tangents are reported, not classified, and excluded from
-    the aggregate, which is "degenerate" if nothing could be classified.
+def _verdicts(jets: ChartJets, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``ClassificationReport`` columns ``k_values`` ``(n, 8)``,
+    ``k_count`` and ``verdict_code`` ``(n,)`` of the kernel's samples;
+    rank-deficient tangents are reported, not classified.
 
     The Killing value on a null direction ``d`` is the Killing square norm
     over the energy of the combination ``d`` of the unit-energy axis
@@ -444,27 +433,23 @@ def _classify(jets: ChartJets, tol: float, name: str, grid: tuple[int, int]) -> 
     ok = jets.full_rank
     n = len(ok)
     k_values, k_count, code = np.full((n, 8), np.nan), np.zeros(n, dtype=int), np.full(n, -1)
-    for s in row_blocks(n):  # each block's temporaries, written into the columns
-        bok = ok[s]
-        dirs, count = _null_directions(jets.cross[s][bok], tol)
-        # the Killing and energy square norms of the null directions
-        killing, energy = (np.einsum("nki,nij,nkj->nk", dirs, f[s][bok], dirs) for f in (jets.killing, jets.energy))
-        unused = np.arange(8) >= count[:, None]
-        # a full-rank pair gives every direction energy at least sv_min^2 > 0;
-        # roundoff far from the base point can cancel it away
-        resolved = (energy > 0.0) | unused
-        if not resolved.all():
-            k = s.start + int(np.flatnonzero(bok)[np.argmin(resolved.all(axis=1))])
-            raise NumericalError(f"null direction without energy at {tuple(jets.params[k].tolist())}: tangents unresolved")
-        kv = np.where(unused, np.nan, killing / np.where(unused, 1.0, energy))
-        semi = np.all((kv > tol) | unused, axis=1)
-        almost = np.all((kv >= -tol) | unused, axis=1)
-        k_values[s][bok], k_count[s][bok] = kv, count
-        # VERDICTS order: indefinite 0, almost_semidefinite 1, semidefinite 2, definite 3
-        code[s][bok] = np.select([count == 0, semi, almost], [3, 2, 1], 0)
-    gram = np.where(ok[:, None, None], jets.cross, np.nan)
-    aggregate = VERDICTS[code[ok].min()] if ok.any() else "degenerate"
-    return ClassificationReport(name, tuple(grid), tol, jets.params, gram, k_values, k_count, code, aggregate)
+    dirs, count = _null_directions(jets.cross[ok], tol)
+    # the Killing and energy square norms of the null directions
+    killing, energy = (np.einsum("nki,nij,nkj->nk", dirs, f[ok], dirs) for f in (jets.killing, jets.energy))
+    unused = np.arange(8) >= count[:, None]
+    # a full-rank pair gives every direction energy at least sv_min^2 > 0;
+    # roundoff far from the base point can cancel it away
+    resolved = (energy > 0.0) | unused
+    if not resolved.all():
+        k = int(np.flatnonzero(ok)[np.argmin(resolved.all(axis=1))])
+        raise NumericalError(f"null direction without energy at {tuple(jets.params[k].tolist())}: tangents unresolved")
+    kv = np.where(unused, np.nan, killing / np.where(unused, 1.0, energy))
+    semi = np.all((kv > tol) | unused, axis=1)
+    almost = np.all((kv >= -tol) | unused, axis=1)
+    k_values[ok], k_count[ok] = kv, count
+    # VERDICTS order: indefinite 0, almost_semidefinite 1, semidefinite 2, definite 3
+    code[ok] = np.select([count == 0, semi, almost], [3, 2, 1], 0)
+    return k_values, k_count, code
 
 
 def classify_chart(
@@ -474,11 +459,22 @@ def classify_chart(
 ) -> ClassificationReport:
     """Classify every grid sample; the aggregate is the worst verdict seen.
 
-    Unclassified (rank-deficient) samples are recorded but excluded from
-    the aggregate; if nothing could be classified the aggregate is
-    "degenerate".
+    The kernel and ``_verdicts`` run one block of ``row_blocks`` at a time,
+    so the first failing block names the error.  Unclassified
+    (rank-deficient) samples are recorded but excluded from the aggregate;
+    if nothing could be classified the aggregate is "degenerate".
     """
-    return _classify(chart_jets(chart, *grid_arrays(chart, grid)), tol, chart.name, grid)
+    params = np.column_stack(grid_arrays(chart, grid))
+    n = len(params)
+    gram, k_values = np.empty((n, 2, 2)), np.empty((n, 8))
+    k_count, code = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    for s in row_blocks(n):
+        jets = chart_jets(chart, *params[s].T)
+        gram[s] = np.where(jets.full_rank[:, None, None], jets.cross, np.nan)
+        k_values[s], k_count[s], code[s] = _verdicts(jets, tol)
+    ok = code >= 0
+    aggregate = VERDICTS[code[ok].min()] if ok.any() else "degenerate"
+    return ClassificationReport(chart.name, tuple(grid), tol, params, gram, k_values, k_count, code, aggregate)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +538,7 @@ def field_checks(
     e')`` form a chart whose tangent along ``a`` at ``(0, 0)`` is ``J = e``,
     ``J' = nabla_e X``, and likewise along ``b``.  As ``exp_p(i CS_STEP e)``
     is ``p + i CS_STEP e`` bit for bit, the field's steps are that chart's
-    jets.  Returns the residual, the ``(N,)`` verdict codes of ``_classify``
+    jets.  Returns the residual, the ``(N,)`` verdict codes of ``_verdicts``
     at ``VERDICT_TOL`` and the ``(N,)`` forward and backward endpoint ranks.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 4)
@@ -551,8 +547,8 @@ def field_checks(
     nabla_x = np.einsum("nij,nj->ni", mink(frames[:, :, None], derivatives[:, None]), axes)
     rows, pair = np.arange(len(points))[:, None], np.argsort(np.abs(axes), axis=1)[:, :2]
     f, d = (np.concatenate((x[None], np.moveaxis(dx[rows, pair], 1, 0))) for x, dx in ((points, frames), (v, derivatives)))
-    jets = _jets(points, f[0], d[0], lambda s: (f[:, s], d[:, s]))
-    code = _classify(jets, VERDICT_TOL, "", (len(points), 1)).verdict_code
+    jets = _jets(points, f, d)
+    code = _verdicts(jets, VERDICT_TOL)[2]
     return float(np.max(np.linalg.norm(nabla_x, axis=1), initial=0.0)), code, *jets.endpoint_ranks()
 
 

@@ -192,21 +192,15 @@ def cross_metric(x: JacobiData, y: JacobiData | None = None, s: float = 0.0) -> 
 # array forms: leaves as (N, 4) feet and directions
 
 
-def check_leaves(foot: np.ndarray, direction: np.ndarray, params, blocks=None) -> None:
+def check_leaves(foot: np.ndarray, direction: np.ndarray, params) -> None:
     """Raise ``NumericalError`` unless every row is a leaf by the table of
     ``lorentz.model_checks``, naming the first failing row of the first check
     that fails by its parameters ``params = (a, b)``, which are read only then;
-    a row whose squares are not finite is a "non-finite leaf".  ``blocks``,
-    consecutive row slices covering all rows, has the table formed one slice
-    at a time."""
-    failed = {}  # check index -> (message, first failing row)
-    for s in blocks or [slice(0, len(foot))]:
-        for c, (message, ok) in enumerate(model_checks(foot[s], direction[s])):
-            if c not in failed and not ok.all():
-                failed[c] = ("non-finite leaf" if c == 0 else message, s.start + int(np.argmin(ok)))
-    if failed:
-        message, k = failed[min(failed)]
-        raise NumericalError(f"chart leaf at {tuple(float(x[k]) for x in params)}: {message}")
+    a row whose squares are not finite is a "non-finite leaf"."""
+    for c, (message, ok) in enumerate(model_checks(foot, direction)):
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise NumericalError(f"chart leaf at {tuple(float(x[k]) for x in params)}: {'non-finite leaf' if c == 0 else message}")
 
 
 def rank_2x2(det: np.ndarray, frob_sq: np.ndarray, atol: float) -> np.ndarray:

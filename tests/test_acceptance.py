@@ -14,6 +14,7 @@ import pytest
 import hypfol as hf
 from hypfol.cli import main as cli_main
 from hypfol.geodesics import leaf_dist
+from hypfol.lorentz import mink
 from util import (
     asymptote,
     boundary_from_sphere,
@@ -204,9 +205,16 @@ def test_acceptance_07_counterexample_intersection(announce):
     seed_point = polar_frame(2.0, 0.0).point
     foot, direction = chart.arrays(np.array([2.0, 2.0]), np.array([0.0, 2.0 * math.pi]))
     assert np.all(leaf_dist(foot, direction, seed_point.v) < 1e-8)
+    assert abs(mink(direction[0], direction[1]) - math.cos(2.0 * math.pi * params.lam)) < 1e-12
     minima, _ = hf.critical_point_scan(chart, base=seed_point, grid=(25, 25))
     small = [m for m in minima if m.value < 1e-10]
     assert len(small) >= 2
+    # found by the scan, not by construction: zero minima within one grid
+    # spacing of both parameters of the seed point
+    (a0, a1), (b0, b1) = chart.domain
+    spacing = max((a1 - a0) / 24, (b1 - b0) / 24)
+    for t in (0.0, 2.0 * math.pi):
+        assert min(math.hypot(m.a - 2.0, m.b - t) for m in small) <= spacing
     announce(7, f"counterexample intersection ({len(small)} zero minima)")
 
 

@@ -1,10 +1,14 @@
-"""Row blocks of the whole-grid stages: the chart kernel, the classifier and
-the report writer give the result of one whole-grid block at every block
-size, bit for bit, raise the same errors, and keep their traced memory per
-row bounded (numpy registers its buffers with ``tracemalloc``)."""
+"""Row blocks of the grid drivers: ``classify_chart``, which hands the chart
+kernel and the classifier one block at a time, and the report and CSV
+writers give the result of one whole-grid block at every block size, bit for
+bit, raise the error of the first failing block, and keep their traced
+memory per row bounded (numpy registers its buffers with ``tracemalloc``).
+The kernel and the classifier treat every row alone: on the rows of a block
+they give those rows of a whole-grid call."""
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -55,14 +59,19 @@ def _bits(x):
     return x.shape, x.dtype, np.ascontiguousarray(x).tobytes()
 
 
-def _blocked(monkeypatch, tmp_path, block, chart, a, b):
-    """The jets, the classification and the report bytes of the rows ``a``, ``b`` at one block size."""
+def _rows(jets, name: str, s: slice):
+    """The rows ``s`` of a ``ChartJets`` field (the samples are the last axis of ``ends``)."""
+    x = getattr(jets, name)
+    return x[..., s] if name == "ends" else x[s]
+
+
+def _blocked(monkeypatch, tmp_path, block, chart, grid):
+    """The classification of a grid and its report bytes at one block size."""
     monkeypatch.setattr(foliation, "_BLOCK", block)
-    jets = hf.chart_jets(chart, a, b)
-    rep = foliation._classify(jets, hf.VERDICT_TOL, chart.name, (len(a), 1))
+    rep = hf.classify_chart(chart, grid=grid)
     path = tmp_path / f"r{block}.json"
     report.write_report(path, report.report_payload("classify", {}, {"classification": rep, "z": 1.5}, "0"))
-    return jets, rep, path.read_bytes()
+    return rep, path.read_bytes()
 
 
 @pytest.mark.parametrize("block", SIZES)
@@ -70,29 +79,33 @@ def _blocked(monkeypatch, tmp_path, block, chart, a, b):
 def test_blocks_give_the_whole_grid_result_bit_for_bit(monkeypatch, tmp_path, shape, block):
     make_chart, grid, count = CHARTS[shape]
     chart = make_chart()
-    a, b = hf.grid_arrays(chart, grid)
-    for n in (0, 1, block + 1, len(a)):
-        jets, rep, text = _blocked(monkeypatch, tmp_path, block, chart, a[:n], b[:n])
-        want_jets, want_rep, want_text = _blocked(monkeypatch, tmp_path, WHOLE, chart, a[:n], b[:n])
-        for field in dataclasses.fields(hf.ChartJets):
-            assert _bits(getattr(jets, field.name)) == _bits(getattr(want_jets, field.name)), (n, field.name)
+    for g in ((0, 1), (1, 1), (1, block + 1), grid):
+        rep, text = _blocked(monkeypatch, tmp_path, block, chart, g)
+        want_rep, want_text = _blocked(monkeypatch, tmp_path, WHOLE, chart, g)
         for name in ("params", "gram", "k_values", "k_count", "verdict_code"):
-            assert _bits(getattr(rep, name)) == _bits(getattr(want_rep, name)), (n, name)
+            assert _bits(getattr(rep, name)) == _bits(getattr(want_rep, name)), (g, name)
         assert rep.aggregate == want_rep.aggregate
         assert text == want_text
     has = rep.rank_deficient if count is None else (rep.k_count == count) & ~rep.rank_deficient
     assert has.any()
+    # the kernel on the rows of each block gives those rows of the whole grid
+    a, b = hf.grid_arrays(chart, grid)
+    want_jets = hf.chart_jets(chart, a, b)
+    for s in foliation.row_blocks(len(a)):
+        jets = hf.chart_jets(chart, a[s], b[s])
+        for field in dataclasses.fields(hf.ChartJets):
+            assert _bits(getattr(jets, field.name)) == _bits(_rows(want_jets, field.name, s)), (s, field.name)
 
 
 @pytest.mark.parametrize("shape", sorted(CHARTS))
 def test_jets_hold_unit_energy_forms_and_the_full_rank_mask(shape):
-    # the kernel scales each block's forms once; the classifier reads them
-    # and writes into none of them
+    # the kernel scales the forms once; the classifier reads them and writes
+    # into none of them
     make_chart, grid, count = CHARTS[shape]
     chart = make_chart()
     jets = hf.chart_jets(chart, *hf.grid_arrays(chart, grid))
     cross = _bits(jets.cross)
-    foliation._classify(jets, hf.VERDICT_TOL, chart.name, grid)
+    foliation._verdicts(jets, hf.VERDICT_TOL)
     assert _bits(jets.cross) == cross
     assert jets.full_rank.shape == (len(jets.params),)
     if count is None:
@@ -108,20 +121,22 @@ def test_jets_hold_unit_energy_forms_and_the_full_rank_mask(shape):
 @pytest.mark.parametrize("block", SIZES)
 @pytest.mark.parametrize("family", [hf.vertical_family, hf.plane_normal_family])
 def test_blocked_field_checks_give_the_whole_result_bit_for_bit(monkeypatch, family, block):
-    # field_checks hands the kernel slices of its own steps, one block at a time
+    # field_checks on the points of each block gives those rows of one call
+    # on all points, its jets included, and the residual is their maximum
     field = family()[0]
     points = hf.ball_samples(0.8, 12, seed=0)
     made, build = [], foliation._jets
     monkeypatch.setattr(foliation, "_jets", lambda *args: made.append(build(*args)) or made[-1])
-    for n in (0, 1, block + 1, len(points)):
-        results = []
-        for size in (block, WHOLE):
-            monkeypatch.setattr(foliation, "_BLOCK", size)
-            results.append((hf.field_checks(field, points[:n]), made.pop()))
-        (got, jets), (want, want_jets) = results
-        assert [_bits(x) for x in got] == [_bits(x) for x in want], n
+    (want_residual, *want), want_jets = hf.field_checks(field, points), made.pop()
+    monkeypatch.setattr(foliation, "_BLOCK", block)
+    residuals = []
+    for s in foliation.row_blocks(len(points)):
+        (residual, *got), jets = hf.field_checks(field, points[s]), made.pop()
+        residuals.append(residual)
+        assert [_bits(x) for x in got] == [_bits(x[s]) for x in want], s
         for f in dataclasses.fields(hf.ChartJets):
-            assert _bits(getattr(jets, f.name)) == _bits(getattr(want_jets, f.name)), (n, f.name)
+            assert _bits(getattr(jets, f.name)) == _bits(_rows(want_jets, f.name, s)), (s, f.name)
+    assert max(residuals) == want_residual
 
 
 @pytest.mark.parametrize("block", SIZES)
@@ -153,7 +168,8 @@ def test_blocked_commands_write_the_whole_grid_bytes(monkeypatch, tmp_path, caps
 def _faulty_chart(faults: dict, nan_rows: list):
     """The spiral chart at pitch 0.07 on the rows ``a = 1 + k/64``, with
     ``faults[k]`` applied to the foot of row ``k`` and NaN derivatives (so
-    non-finite forms, from valid leaves) on the rows ``nan_rows``."""
+    non-finite forms, from valid leaves) on the rows ``nan_rows``; the 12 ``a``
+    values of a 12x1 grid over its domain are the rows 0 to 11."""
     base = hf.spiral_chart(hf.SpiralParams(lam=0.07))
 
     def arrays(a, b):
@@ -165,7 +181,7 @@ def _faulty_chart(faults: dict, nan_rows: list):
             foot = np.where((k == row)[:, None], fault(foot), foot)
         return foot, direction
 
-    return hf.FoliationChart(arrays=arrays, domain=base.domain, name="faulty")
+    return hf.FoliationChart(arrays=arrays, domain=((1.0, 1.0 + 11.0 / 64.0), (0.0, 1.0)), name="faulty")
 
 
 _OFF = lambda foot: 2.0 * foot  # noqa: E731  off the hyperboloid
@@ -187,11 +203,26 @@ _INF = lambda foot: foot * math.inf  # noqa: E731  non-finite
 )
 @pytest.mark.parametrize("block", [*SIZES, WHOLE])
 def test_blocks_raise_the_whole_grid_error(monkeypatch, faults, nan_rows, row, message, block):
+    # the kernel on one block names the first failing row of the first check
+    # that fails, leaves before forms
+    chart = _faulty_chart(faults, nan_rows)
     a, b = 1.0 + np.arange(12) / 64.0, np.linspace(0.0, 1.0, 12)
-    monkeypatch.setattr(foliation, "_BLOCK", block)
     with np.errstate(invalid="ignore"), pytest.raises(hf.NumericalError) as exc:
-        hf.chart_jets(_faulty_chart(faults, nan_rows), a, b)
+        hf.chart_jets(chart, a, b)
     assert str(exc.value) == message.format((float(a[row]), float(b[row])))
+    # classify_chart on the 12x1 grid of the same rows raises the kernel's
+    # error on the first block that holds a fault, and on one block the
+    # whole-grid error
+    monkeypatch.setattr(foliation, "_BLOCK", block)
+    a, b = hf.grid_arrays(chart, (12, 1))
+    first = next(s for s in foliation.row_blocks(12) if {*faults, *nan_rows} & {*range(s.start, s.stop)})
+    with np.errstate(invalid="ignore"), pytest.raises(hf.NumericalError) as want:
+        hf.chart_jets(chart, a[first], b[first])
+    with np.errstate(invalid="ignore"), pytest.raises(hf.NumericalError) as exc:
+        hf.classify_chart(chart, grid=(12, 1))
+    assert str(exc.value) == str(want.value)
+    if block == WHOLE:
+        assert str(exc.value) == message.format((float(a[row]), 0.0))
 
 
 @pytest.mark.parametrize("block", [*SIZES, WHOLE])
@@ -199,16 +230,26 @@ def test_blocks_name_the_first_unresolved_null_direction(monkeypatch, block):
     # flat samples (eight null directions each) with zero energy on rows 5
     # and 9, and on row 1, which is rank-deficient and so not classified
     chart = hf.vertical_family()[1]
-    jets = hf.chart_jets(chart, *hf.grid_arrays(chart, (4, 3)))
-    energy, full_rank = jets.energy.copy(), jets.full_rank.copy()
-    energy[[1, 5, 9]] = 0.0
-    full_rank[1] = False
-    jets = dataclasses.replace(jets, energy=energy, full_rank=full_rank)
+    params = np.column_stack(hf.grid_arrays(chart, (4, 3)))
+    build = foliation.chart_jets
+
+    def broken(chart, a, b):
+        jets = build(chart, a, b)
+        energy, full_rank = jets.energy.copy(), jets.full_rank.copy()
+        for k in (1, 5, 9):
+            hit = (jets.params == params[k]).all(axis=1)
+            energy[hit] = 0.0
+            full_rank[hit] &= k != 1
+        return dataclasses.replace(jets, energy=energy, full_rank=full_rank)
+
+    message = f"null direction without energy at {tuple(params[5].tolist())}: tangents unresolved"
+    with pytest.raises(hf.NumericalError, match=f"^{re.escape(message)}$"):
+        foliation._verdicts(broken(chart, *params.T), hf.VERDICT_TOL)
+    # classify_chart hands the classifier one block at a time
     monkeypatch.setattr(foliation, "_BLOCK", block)
-    with pytest.raises(hf.NumericalError) as exc:
-        foliation._classify(jets, hf.VERDICT_TOL, chart.name, (4, 3))
-    row = tuple(jets.params[5].tolist())
-    assert str(exc.value) == f"null direction without energy at {row}: tangents unresolved"
+    monkeypatch.setattr(foliation, "chart_jets", broken)
+    with pytest.raises(hf.NumericalError, match=f"^{re.escape(message)}$"):
+        hf.classify_chart(chart, grid=(4, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +266,20 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_chart_jets_memory_per_row_is_bounded():
-    # the result holds 241 bytes a row (params, foot and dir, three forms,
-    # the endpoint variations, the full-rank mask); the projections onto
-    # all 14 pole frames, 2016 bytes a row, live one block at a time
+def test_classify_chart_memory_grows_by_the_report_columns(monkeypatch):
+    # at a block of 512 samples, the kernel's jets and the classifier's
+    # temporaries are those of one block whatever the grid; only the report's
+    # columns, 128 bytes a sample, grow with it (whole-grid jets would add
+    # about 260 more)
+    monkeypatch.setattr(foliation, "_BLOCK", 512)
     chart = hf.spiral_chart(hf.SpiralParams(lam=0.07))
-    a, b = hf.grid_arrays(chart, (200, 200))
-    assert _traced_peak(lambda: hf.chart_jets(chart, a, b)) < 1000 * len(a)
+    small, large = (_traced_peak(lambda: hf.classify_chart(chart, grid=(n, n))) for n in (64, 192))
+    assert large - small < 160 * (192 * 192 - 64 * 64)
 
 
 def test_classify_chart_memory_per_row_is_bounded():
-    # the classifier's null directions and Killing norms live one block at a
-    # time, so its peak is the kernel's, about 575 bytes a row
+    # the report's columns, 128 bytes a sample, and one block of the kernel
+    # and the classifier: about 535 bytes a row
     chart = hf.spiral_chart(hf.SpiralParams(lam=0.07))
     assert _traced_peak(lambda: hf.classify_chart(chart, grid=(200, 200))) < 650 * 200 * 200
 

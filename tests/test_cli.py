@@ -292,12 +292,20 @@ def test_experiment_scripts_run(tmp_path):
         (["classify_families.py", "--grid", "4"], "grid must look like NxM, got '4'"),
         (["reproduce_counterexample.py", "--scan-grid", "1x40"], "grid dimensions must be at least 2"),
         (["reproduce_counterexample.py", "--classify-grid", "4xq"], "grid must look like NxM, got '4xq'"),
+        (["reproduce_counterexample.py", "--alpha0", "2"], "alpha0 must lie in (0, pi/2)"),
+        (["reproduce_counterexample.py", "--delta", "-1"], "delta must be positive"),
+        (["reproduce_counterexample.py", "--alpha0", "nan"], "--alpha0 must be finite, got nan"),
     ],
 )
-def test_experiment_scripts_reject_grids_like_the_cli(tmp_path, argv, message):
-    # the scripts parse their grids with the CLI's parser, so they exit 2 with its message
-    with pytest.raises(hf.ConfigError, match=f"^{re.escape(message)}$"):
-        cli._parse_grid(argv[2])
+def test_experiment_scripts_reject_grids_like_the_cli(tmp_path, capsys, argv, message):
+    # the scripts parse their grids with the CLI's parser and map the spiral's
+    # errors as the CLI does, so they exit 2 with its message
+    if argv[1].endswith("grid"):
+        with pytest.raises(hf.ConfigError, match=f"^{re.escape(message)}$"):
+            cli._parse_grid(argv[2])
+    else:
+        assert main(["scan-lambda", *argv[1:], "--out", str(tmp_path / "cli")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve().parents[1] / "scripts" / argv[0]), *argv[1:]],
         capture_output=True,

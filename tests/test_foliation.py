@@ -616,7 +616,7 @@ def _transverse_jets(op):
     e = np.eye(4)
     f = np.stack((O.v, e[2], e[3]))[:, None]
     d = np.stack((e[1], op[0, 0] * e[2] + op[1, 0] * e[3], op[0, 1] * e[2] + op[1, 1] * e[3]))[:, None]
-    return foliation._jets(np.zeros((1, 2)), f[0], d[0], lambda s: (f[:, s], d[:, s]))
+    return foliation._jets(np.zeros((1, 2)), f, d)
 
 
 @pytest.mark.parametrize(
@@ -630,7 +630,7 @@ def _transverse_jets(op):
 def test_synthetic_operators_through_the_shared_builder(op, verdict, ranks):
     op = np.array(op)
     jets = _transverse_jets(op)
-    (code,) = foliation._classify(jets, hf.VERDICT_TOL, "", (1, 1)).verdict_code
+    _, _, (code,) = foliation._verdicts(jets, hf.VERDICT_TOL)
     assert hf.VERDICTS[code] == verdict
     assert tuple(int(r[0]) for r in jets.endpoint_ranks()) == ranks
     mat = np.zeros((3, 3))
@@ -647,6 +647,9 @@ def test_spiral_leaves_intersect_on_seed_annulus(spiral):
     for r in (1.5, 2.0, 2.5):
         foot, direction = chart.arrays(np.array([r, r]), np.array([0.0, 2.0 * math.pi]))
         assert np.all(leaf_dist(foot, direction, polar_frame(r, 0.0).point.v) < 1e-8)
+        # the feet are the polar point by construction; the leaves are two,
+        # their directions a turn of 2 pi lam apart
+        assert abs(mink(direction[0], direction[1]) - math.cos(2.0 * math.pi * params.lam)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

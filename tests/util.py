@@ -43,7 +43,7 @@ from hypfol import (
     same_point,
 )
 from hypfol.families import _E3, LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, _margin, spiral_chart
-from hypfol.foliation import RANK_DEFICIENT, _classify, _field_steps, grid_axes
+from hypfol.foliation import RANK_DEFICIENT, _field_steps, _verdicts, grid_axes
 from hypfol.geodesics import asymptote_directions
 from hypfol.lorentz import _finish_point, _finish_tangent, _require_unit, _unitize, mink
 
@@ -708,7 +708,12 @@ def classify_point(
     tol: float = VERDICT_TOL,
 ) -> SampleRecord:
     """Classify one chart sample; rank-deficient tangents are reported, not classified."""
-    return sample(_classify(chart_jets(chart, [params[0]], [params[1]]), tol, chart.name, (1, 1)), 0)
+    jets = chart_jets(chart, [params[0]], [params[1]])
+    (kv,), (count,), (code,) = _verdicts(jets, tol)
+    p = tuple(jets.params[0].tolist())
+    if code < 0:
+        return SampleRecord(p, None, (), None, note=RANK_DEFICIENT)
+    return SampleRecord(p, tuple(map(tuple, jets.cross[0].tolist())), tuple(kv[:count].tolist()), VERDICTS[code])
 
 
 # ---------------------------------------------------------------------------
