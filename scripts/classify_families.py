@@ -4,17 +4,16 @@
 For each family (vertical and plane-normal): grid classification, field
 residual, endpoint-map ranks, initial-value rank, the verdicts and endpoint
 ranks of the field's transverse charts, and the critical points of the
-squared distance from the base point.  A grid the CLI rejects exits 2 with
-its message.
+squared distance from the base point.  Errors exit through the CLI's
+``guarded``, with its codes and messages.
 """
 
 import argparse
-import sys
 
 import numpy as np
 
 import hypfol as hf
-from hypfol.cli import _parse_grid
+from hypfol.cli import _parse_grid, guarded
 from hypfol.geodesics import rank_2x2
 
 
@@ -55,12 +54,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grid", type=str, default="15x15")
     args = ap.parse_args()
-    try:
-        grid = _parse_grid(args.grid)
-    except hf.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return guarded(lambda: run(_parse_grid(args.grid)), args.grid)
 
+
+def run(grid: tuple[int, int]) -> int:
     field, chart = hf.vertical_family()
     diagnose("vertical (horosphere-orthogonal) family", field, chart, grid)
     field, chart = hf.plane_normal_family()

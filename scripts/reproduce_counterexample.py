@@ -9,20 +9,19 @@ point of radius 2, whose value is at most ``WITNESS_BOUND`` are leaves
 through it, and two of them meet there at a nonzero angle.  The chart is
 definite (cross metric Riemannian, all endpoint-map kernels trivial) yet
 its geodesics cross: definiteness alone does not make a foliation,
-closedness fails here.  Arguments the CLI rejects exit 2 and a numerical
-failure exits 3, with the CLI's messages.
+closedness fails here.  Errors exit through the CLI's ``guarded``, with its
+codes and messages.
 """
 
 import argparse
-import json
 import math
-import sys
 
 import numpy as np
 
 import hypfol as hf
-from hypfol.cli import _parse_grid, _require_finite
+from hypfol.cli import _parse_grid, _require_finite, guarded
 from hypfol.lorentz import mink
+from hypfol.report import write_report
 
 #: the largest squared distance from the seed of a minimum that counts as a
 #: leaf through it (the Gauss-Newton solver reaches about 1e-30 or 0 there)
@@ -47,14 +46,7 @@ def main() -> int:
     ap.add_argument("--classify-grid", type=str, default="20x20")
     ap.add_argument("--out", type=str, default=None, help="optional JSON dump")
     args = ap.parse_args()
-    try:
-        return run(args)
-    except (hf.ConfigError, hf.GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except hf.NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    return guarded(lambda: run(args), args.scan_grid)
 
 
 def run(args: argparse.Namespace) -> int:
@@ -83,7 +75,7 @@ def run(args: argparse.Namespace) -> int:
         alpha0=args.alpha0, lam=0.5 * scan.lambda_max, delta=args.delta
     )
     chart = hf.spiral_chart(params)
-    seed = hf.HPoint((math.cosh(2.0), math.sinh(2.0), 0.0, 0.0))
+    seed = np.array([math.cosh(2.0), math.sinh(2.0), 0.0, 0.0])
     minima, _ = hf.critical_point_scan(chart, base=seed, grid=(25, 25))
     print("minima of the squared distance from the seed point:")
     for m in minima:
@@ -91,13 +83,12 @@ def run(args: argparse.Namespace) -> int:
     results["minima"] = [m.to_dict() for m in minima]
 
     witnesses = [m for m in minima if m.value <= WITNESS_BOUND]
-    angle = crossing_angle(chart, seed.v, *witnesses[:2]) if len(witnesses) >= 2 else float("nan")
+    angle = crossing_angle(chart, seed, *witnesses[:2]) if len(witnesses) >= 2 else float("nan")
     print(f"leaves through the seed point: {len(witnesses)}, the first two at an angle of {angle:.6f} rad")
     results["leaves_through_seed"] = {"count": len(witnesses), "angle": angle}
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
+        write_report(args.out, results)
         print(f"wrote {args.out}")
     return 0
 

@@ -23,7 +23,6 @@ from .lorentz import (
     HTangent,
     mink_inner,
     orthonormal_complement,
-    project_to_hyperboloid,
     same_point,
 )
 from .geodesics import (

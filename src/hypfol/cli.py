@@ -4,10 +4,13 @@ Subcommands: ``classify`` (grid classification of a family chart),
 ``scan-lambda`` (largest spiral pitch with positive margin, plus a margin
 CSV), ``gauss`` (endpoint images and the ranks of their differentials
 ``J +- J'``), ``critical`` (local minima of the squared distance).  Angles
-are radians.  Exit codes: 0 computed (whatever the verdict), 2 invalid
-configuration (including an unwritable ``--out`` and a grid too large to
-allocate), 3 numerical failure (including a chart leaf or tangent that
-fails validation).
+are radians.  A command computes its results (``gauss`` and ``scan-lambda``
+stream their CSV as they go) and ``main`` writes ``<out>.json`` last, then
+prints the summary line, so a failed run leaves no JSON.  Exit codes, from
+``guarded``, which the experiment scripts share: 0 computed (whatever the
+verdict), 2 invalid configuration (including an unwritable ``--out`` and a
+grid too large to allocate), 3 numerical failure (including a chart leaf or
+tangent that fails validation).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .foliation import (
     grid_params,
 )
 from .geodesics import endpoint_images
-from .lorentz import ORIGIN, HPoint, mink_inner, project_to_hyperboloid
+from .lorentz import ORIGIN, _require, mink_inner, model_checks
 from .report import report_payload, write_csv, write_report
 
 FAMILIES = ("vertical", "plane-normal", "prop")
@@ -129,27 +132,33 @@ def _resolve_family(cfg: RunConfig):
     return chart, field
 
 
-def _base_point(cfg: RunConfig) -> HPoint:
+def _base_point(cfg: RunConfig) -> np.ndarray:
+    """The ``--base-point`` as a checked ``(4,)`` point of the hyperboloid, ``ORIGIN.v`` if none is given."""
     if cfg.base_point is None:
-        return ORIGIN
+        return ORIGIN.v
     arr = np.asarray(cfg.base_point, dtype=float)
     # scaled down by a power of two so that no square overflows; the scaling
-    # is exact, so the check and the projection are those of the raw point.
+    # is exact, so the check and the normalization are those of the raw point.
     # The check allows 1e-6 plus the pairing's own roundoff, 4 eps |x|^2.
     k = max(0, math.frexp(float(np.max(np.abs(arr))))[1])
     u, unit = np.ldexp(arr, -k), math.ldexp(1.0, -2 * k)
-    if abs(mink_inner(u, u) + unit) > 1e-6 * unit + 4.0 * sys.float_info.epsilon * float(np.dot(u, u)):
+    uu = mink_inner(u, u)
+    if abs(uu + unit) > 1e-6 * unit + 4.0 * sys.float_info.epsilon * float(np.dot(u, u)):
         raise ConfigError("--base-point must satisfy -x0^2 + x1^2 + x2^2 + x3^2 = -1")
     if arr[0] <= 0.0:
         raise ConfigError("--base-point must have x0 > 0")
-    return project_to_hyperboloid(u)
+    if uu >= 0.0:
+        raise GeometryError("vector is not timelike")
+    v = u / math.sqrt(-uu)
+    _require(model_checks(v))
+    return v
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_classify(cfg: RunConfig, out_base: str) -> int:
+def cmd_classify(cfg: RunConfig, out_base: str) -> tuple[dict, str]:
     chart, field = _resolve_family(cfg)
     rep = classify_chart(chart, grid=cfg.grid, tol=cfg.tol)
     results = {"classification": rep}
@@ -157,26 +166,20 @@ def cmd_classify(cfg: RunConfig, out_base: str) -> int:
         residual, code, _, _ = field_checks(field, ball_samples(0.8, 5, seed=cfg.seed))
         results["field_residual"] = residual
         results["eigencheck_degenerate"] = (code != VERDICTS.index("definite")).tolist()
-    payload = report_payload("classify", asdict(cfg), results, __version__)
-    write_report(out_base + ".json", payload)
-    print(f"aggregate: {rep.aggregate}")
-    return 0
+    return results, f"aggregate: {rep.aggregate}"
 
 
-def cmd_scan_lambda(cfg: RunConfig, out_base: str) -> int:
+def cmd_scan_lambda(cfg: RunConfig, out_base: str) -> tuple[dict, str]:
     scan = scan_lambda_max(alpha0=cfg.alpha0, delta=cfg.delta, grid=cfg.grid)
-    payload = report_payload("scan-lambda", asdict(cfg), {"scan": asdict(scan)}, __version__)
-    write_report(out_base + ".json", payload)
     params = SpiralParams(alpha0=cfg.alpha0, lam=scan.lambda_max, delta=cfg.delta)
     axes = grid_axes(spiral_chart(params), cfg.grid)
     write_csv(
         out_base + ".csv", ["r", "t", "h_value"], axes, lambda s: [definiteness_margin(*grid_params(axes, s), params)]
     )
-    print(f"lambda_max: {scan.lambda_max!r}")
-    return 0
+    return {"scan": asdict(scan)}, f"lambda_max: {scan.lambda_max!r}"
 
 
-def cmd_gauss(cfg: RunConfig, out_base: str) -> int:
+def cmd_gauss(cfg: RunConfig, out_base: str) -> tuple[dict, str]:
     chart, _ = _resolve_family(cfg)
     axes = grid_axes(chart, cfg.grid)
     counts = np.zeros((2, 3), dtype=int)  # per side, the samples of rank 0, 1 and 2
@@ -206,25 +209,18 @@ def cmd_gauss(cfg: RunConfig, out_base: str) -> int:
         f"{side}_rank_counts": {str(k): n for k, n in enumerate(c) if n}
         for side, c in zip(("forward", "backward"), counts.tolist())
     }
-    payload = report_payload("gauss", asdict(cfg), results, __version__)
-    write_report(out_base + ".json", payload)
-    print(f"rows: {cfg.grid[0] * cfg.grid[1]}")
-    return 0
+    return results, f"rows: {cfg.grid[0] * cfg.grid[1]}"
 
 
-def cmd_critical(cfg: RunConfig, out_base: str) -> int:
+def cmd_critical(cfg: RunConfig, out_base: str) -> tuple[dict, str]:
     chart, _ = _resolve_family(cfg)
-    base = _base_point(cfg)
-    minima, rings = critical_point_scan(chart, base=base, grid=cfg.grid)
+    minima, rings = critical_point_scan(chart, base=_base_point(cfg), grid=cfg.grid)
     results = {
         "minima": [m.to_dict() for m in minima],
         "count": len(minima),
         "ring_min_values": rings,
     }
-    payload = report_payload("critical", asdict(cfg), results, __version__)
-    write_report(out_base + ".json", payload)
-    print(f"minima: {len(minima)}")
-    return 0
+    return results, f"minima: {len(minima)}"
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +296,12 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
+def guarded(run, grid: str) -> int:
+    """``run()``, with the program's errors as exit codes and one stderr line:
+    2 for an invalid configuration or geometry, an output that cannot be
+    written and a ``grid`` too large to allocate, 3 for a numerical failure."""
     try:
-        cfg = _build_config(args)
-        out_base = args.out if args.out is not None else f"hypfol_{cfg.command.replace('-', '_')}"
-        return _COMMANDS[cfg.command](cfg, out_base)
+        return run()
     except (ConfigError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -313,11 +309,25 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print(f"error: not enough memory for a {args.grid} grid", file=sys.stderr)
+        print(f"error: not enough memory for a {grid} grid", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
+
+    def run() -> int:
+        cfg = _build_config(args)
+        out_base = args.out if args.out is not None else f"hypfol_{cfg.command.replace('-', '_')}"
+        results, summary = _COMMANDS[cfg.command](cfg, out_base)
+        write_report(out_base + ".json", report_payload(cfg.command, asdict(cfg), results, __version__))
+        print(summary)
+        return 0
+
+    return guarded(run, args.grid)
 
 
 if __name__ == "__main__":

@@ -250,8 +250,7 @@ def scan_lambda_max(
         return out
 
     hi = LAMBDA_SCAN_CAP
-    if min_margin(hi) > 0.0:
-        return LambdaScan(hi, alpha0, delta, tuple(grid), tuple(trace))
+    min_margin(hi)  # for the trace: never positive, as the r = 1 row's margin is at most sinh 2 - sinh 6
     lo = 1e-12
     if min_margin(lo) <= 0.0:
         lo = min(lo, 0.5 * min(alpha0 / (3.0 + delta), (0.5 * math.pi - alpha0) / (2.0 * math.pi + delta - 1.0)))

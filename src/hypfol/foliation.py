@@ -663,11 +663,11 @@ _coordinate_descent = _refine_minima
 
 def critical_point_scan(
     chart: FoliationChart,
-    base: HPoint = ORIGIN,
+    base: np.ndarray = ORIGIN.v,
     grid: tuple[int, int] = (25, 25),
 ) -> tuple[list[CriticalPoint], list[float]]:
-    """Local minima of the squared distance from ``base`` over the chart,
-    and the ring minima of the same grid.
+    """Local minima of the squared distance from ``base``, a ``(4,)`` point
+    of the hyperboloid, over the chart, and the ring minima of the same grid.
 
     The grid is evaluated with one array call.  Grid-local minima
     (8-neighborhood) are refined together by the Gauss-Newton solver
@@ -687,7 +687,7 @@ def critical_point_scan(
     a, b = grid_arrays(chart, grid)
     foot, direction = _evaluate(chart, a, b)
     check_leaves(foot, direction, (a, b))
-    values = (leaf_dist(foot, direction, base.v) ** 2).reshape(grid)
+    values = (leaf_dist(foot, direction, base) ** 2).reshape(grid)
     padded = np.full((grid[0] + 2, grid[1] + 2), np.inf)
     padded[1:-1, 1:-1] = values
     is_min = np.ones(values.shape, dtype=bool)
@@ -699,7 +699,7 @@ def critical_point_scan(
         (a1 - a0) / max(grid[0] - 1, 1),
         (b1 - b0) / max(grid[1] - 1, 1),
     )
-    a, b, val = _refine_minima(chart, base.v, avals[rows], bvals[cols], chart.domain)
+    a, b, val = _refine_minima(chart, base, avals[rows], bvals[cols], chart.domain)
     refined = sorted(zip(a.tolist(), b.tolist(), val.tolist()), key=lambda r: (r[2], r[0], r[1]))
     merged: list[CriticalPoint] = []
     for a, b, v in refined:

@@ -136,17 +136,6 @@ def same_point(p: HPoint, q: HPoint) -> bool:
     return bool(np.max(np.abs(p.v - q.v)) <= 1e-9 * max(1.0, float(np.max(np.abs(p.v)))))
 
 
-def project_to_hyperboloid(arr: np.ndarray) -> HPoint:
-    """Rescale a timelike future vector onto the hyperboloid."""
-    q = -mink_inner(arr, arr)
-    if q <= 0.0:
-        raise GeometryError("vector is not timelike")
-    v = np.asarray(arr, dtype=float) / np.sqrt(q)
-    if v[0] <= 0.0:
-        raise GeometryError("vector is past pointing")
-    return HPoint(v)
-
-
 def orthonormal_complement(rows) -> np.ndarray:
     """The spacelike unit vectors completing Minkowski-orthonormal ``rows``,
     timelike row first, to a positively oriented orthonormal basis of R^{3,1}:

@@ -149,7 +149,7 @@ def test_acceptance_05_plane_normal_family(announce):
         assert hf.svd_rank(jac_f) == 2
         assert hf.svd_rank(jac_b) == 2
     assert {initial_value_rank(chart, params) for params in grid_params(chart, (10, 10))} == {2}
-    minima, _ = hf.critical_point_scan(chart, base=O, grid=(15, 15))
+    minima, _ = hf.critical_point_scan(chart, base=O.v, grid=(15, 15))
     assert len(minima) == 1
     assert minima[0].value < 1e-12
     announce(5, f"plane-normal family (one minimum, value {minima[0].value:.1e})")
@@ -206,7 +206,7 @@ def test_acceptance_07_counterexample_intersection(announce):
     foot, direction = chart.arrays(np.array([2.0, 2.0]), np.array([0.0, 2.0 * math.pi]))
     assert np.all(leaf_dist(foot, direction, seed_point.v) < 1e-8)
     assert abs(mink(direction[0], direction[1]) - math.cos(2.0 * math.pi * params.lam)) < 1e-12
-    minima, _ = hf.critical_point_scan(chart, base=seed_point, grid=(25, 25))
+    minima, _ = hf.critical_point_scan(chart, base=seed_point.v, grid=(25, 25))
     small = [m for m in minima if m.value < 1e-10]
     assert len(small) >= 2
     # found by the scan, not by construction: zero minima within one grid

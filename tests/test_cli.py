@@ -319,6 +319,25 @@ def test_experiment_scripts_reject_grids_like_the_cli(tmp_path, capsys, argv, me
     assert proc.stderr == f"error: {message}\n"
 
 
+def test_counterexample_script_reports_an_unwritable_out_like_the_cli(tmp_path):
+    # the experiment runs to the end, then its --out write fails: exit 2 with
+    # the CLI's message, as for a CLI output in a missing directory
+    argv = ["--scan-grid", "4x4", "--classify-grid", "4x4", "--out", str(tmp_path / "missing" / "x.json")]
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve().parents[1] / "scripts" / "reproduce_counterexample.py"), *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write the output: ") and proc.stderr.count("\n") == 1
+    assert "leaves through the seed point" in proc.stdout
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("pairs", ["1", "0", "-3"])
 def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, pairs):
     # refused before any benchmark run: the checkouts need not exist
@@ -390,7 +409,7 @@ def test_bad_base_point(tmp_path):
 
 def test_default_base_point_is_the_origin():
     cfg = cli._build_config(cli._parse(["critical", "--family", "vertical"]))
-    assert cli._base_point(cfg) is hf.ORIGIN
+    assert cli._base_point(cfg) is hf.ORIGIN.v
 
 
 def _point_at(distance, direction=(1.0, 0.0, 0.0)):
@@ -618,6 +637,16 @@ def test_directory_at_the_output_path_exits_2(tmp_path, capsys):
     assert run(["classify", "--family", "vertical", "--grid", "3x3", "--out", str(tmp_path / "c")]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write the output: ")
     assert (tmp_path / "c.json").is_dir() and not list((tmp_path / "c.json").iterdir())
+
+
+@pytest.mark.parametrize("command", ["scan-lambda", "gauss"])
+def test_directory_at_the_csv_path_leaves_no_json(tmp_path, capsys, command):
+    # every command writes its JSON last, so a CSV that cannot be written leaves none
+    (tmp_path / "c.csv").mkdir()
+    family = [] if command == "scan-lambda" else ["--family", "vertical"]
+    assert run([command, *family, "--grid", "3x3", "--out", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write the output: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]
 
 
 def test_peak_rss_script_runs():

@@ -1,7 +1,9 @@
 """Chart tangents, classifiers, field operators, leaf crossings, critical points."""
 
+import argparse
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypfol as hf
-from hypfol import foliation
+from hypfol import cli, foliation
 from hypfol.geodesics import leaf_dist
 from hypfol.lorentz import mink
 from hypfol.report import report_payload, write_report
@@ -674,7 +676,7 @@ def test_critical_scan_vertical(vertical):
 def test_critical_scan_spiral_two_minima(spiral):
     params, chart = spiral
     base = polar_frame(2.0, 0.0).point
-    minima, _ = hf.critical_point_scan(chart, base=base, grid=(25, 25))
+    minima, _ = hf.critical_point_scan(chart, base=base.v, grid=(25, 25))
     small = [m for m in minima if m.value < 1e-10]
     assert len(small) >= 2
     ts = sorted(m.b for m in small)
@@ -733,7 +735,7 @@ def test_critical_descent_matches_scalar_reference(monkeypatch, case):
         return solver(*args)
 
     monkeypatch.setattr(foliation, "_refine_minima", recorded)
-    minima, _ = hf.critical_point_scan(chart, base=base, grid=grid)
+    minima, _ = hf.critical_point_scan(chart, base=base.v, grid=grid)
     [(_, q, start_a, start_b, bounds)] = runs
 
     def fun(a, b):
@@ -756,13 +758,34 @@ def test_critical_descent_matches_scalar_reference(monkeypatch, case):
         assert [(m.a, m.b) for m in minima] == [(0.0, b1)]
 
 
-def test_critical_scan_builds_no_value_objects(monkeypatch):
-    chart, base, grid = _critical_case("prop-crossing")
+def _value_objects_built(monkeypatch) -> list[str]:
+    """The list to which the names of the ``HPoint``, ``HTangent`` and
+    ``OrientedGeodesic`` constructed from now on are appended."""
     built = []
     for cls in (hf.HPoint, hf.HTangent, hf.OrientedGeodesic):
         monkeypatch.setattr(cls, "__post_init__", lambda self, name=cls.__name__: built.append(name))
-    minima, _ = hf.critical_point_scan(chart, base=base, grid=grid)
+    return built
+
+
+def test_critical_scan_builds_no_value_objects(monkeypatch):
+    chart, base, grid = _critical_case("prop-crossing")
+    built = _value_objects_built(monkeypatch)
+    minima, _ = hf.critical_point_scan(chart, base=base.v, grid=grid)
     assert len(minima) == 2 and built == []
+
+
+def test_entry_points_hand_the_library_arrays(monkeypatch, tmp_path, capsys):
+    # a critical command with a --base-point, and the counterexample script
+    # through its crossing step, construct no value object
+    script = _script("reproduce_counterexample")
+    built = _value_objects_built(monkeypatch)
+    point = [repr(math.cosh(2.0)), repr(math.sinh(2.0)), "0.0", "0.0"]
+    argv = ["critical", "--family", "prop", "--lambda", "0.0711", "--grid", "12x12", "--base-point", *point]
+    assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
+    args = argparse.Namespace(alpha0=math.pi / 4.0, delta=0.1, scan_grid="40x40", classify_grid="4x4", out=None)
+    assert script.run(args) == 0
+    assert "leaves through the seed point: 2," in capsys.readouterr().out
+    assert built == []
 
 
 @pytest.mark.parametrize("case,grid,starts,most", [("prop-crossing", (40, 40), 2, 5), ("plane-normal", (24, 24), 4, 4)])
@@ -772,7 +795,7 @@ def test_critical_solver_calls(case, grid, starts, most):
     # iteration; both converge quadratically to a zero minimum
     chart, base, _ = _critical_case(case)
     calls = []
-    minima, _ = hf.critical_point_scan(counting_chart(chart, calls), base=base, grid=grid)
+    minima, _ = hf.critical_point_scan(counting_chart(chart, calls), base=base.v, grid=grid)
     assert calls[0] == grid[0] * grid[1] and calls[1] == 2 * starts
     assert 0 < len(calls) - 1 <= most and all(n % 2 == 0 and n <= starts * 2 for n in calls[1:])
     assert minima[0].value < 1e-30
@@ -789,7 +812,7 @@ def test_critical_solver_holds_a_coordinate_at_its_bound(degrees, corner, most):
     t = math.radians(degrees)
     base = hf.HPoint(np.array([math.cosh(1.5), math.sinh(1.5) * math.cos(t), math.sinh(1.5) * math.sin(t), 0.0]))
     calls = []
-    [m], _ = hf.critical_point_scan(counting_chart(chart, calls), base=base, grid=(9, 9))
+    [m], _ = hf.critical_point_scan(counting_chart(chart, calls), base=base.v, grid=(9, 9))
     assert calls[0] == 81 and len(calls) - 1 <= most and set(calls[1:]) == {2}
     assert m.b == 1.0 and (m.a == 1.0) == corner
 
@@ -814,7 +837,7 @@ def test_critical_solver_halves_a_step_that_overshoots(warp, inverse, grid, most
     foot, direction = plane_normal.arrays(np.array([0.05]), np.array([0.2]))
     base = hf.HPoint(math.cosh(0.2) * foot[0] + math.sinh(0.2) * direction[0])
     calls = []
-    [m], _ = hf.critical_point_scan(counting_chart(chart, calls), base=base, grid=grid)
+    [m], _ = hf.critical_point_scan(counting_chart(chart, calls), base=base.v, grid=grid)
     assert abs(m.a - inverse(0.05)) < 1e-12 and abs(m.b - 0.2) < 1e-12 and m.value < 1e-30
     assert len(calls) - 1 <= most
 
@@ -915,6 +938,18 @@ def test_initial_value_ranks_from_the_kernel_forms(vertical, plane_normal, spira
         assert np.max(np.abs(g - j0 @ j0.T)) < 1e-8, params
     ranks = _script("classify_families").initial_value_ranks(jets).tolist()
     assert ranks == [initial_value_rank(chart, params) for params in grid_params(chart, (6, 6))] == [rank] * 36
+
+
+def test_classify_families_exits_through_the_cli_policy(monkeypatch, capsys):
+    script = _script("classify_families")
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(hf, "classify_chart", no_memory)
+    monkeypatch.setattr(sys, "argv", ["classify_families.py", "--grid", "4x4"])
+    assert script.main() == 2
+    assert capsys.readouterr().err == "error: not enough memory for a 4x4 grid\n"
 
 
 # ---------------------------------------------------------------------------
