@@ -15,7 +15,9 @@ variations are scaled to unit-energy tangents once, as they are made, and
 every per-sample quantity is read from them: the Gram matrix of the cross
 metric, the rank check, the Killing values on its null directions and the
 endpoint ranks.  ``classify_chart`` runs the kernel and the classifier
-(``_verdicts``) one block of grid rows at a time.  Each sample is classified as
+(``_verdicts``) one block of grid rows at a time; the classifier takes the
+eigenvalues of every Gram matrix and eigenvectors only where a kernel or
+cone direction is read from them.  Each sample is classified as
 
 * ``definite``            - the cross metric restricts to a definite form;
 * ``semidefinite``        - its null directions all have positive Killing
@@ -405,20 +407,32 @@ def _null_directions(grams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     directions is sampled then.  A single small eigenvalue contributes its
     eigenvector; an indefinite pair contributes the two cone directions; a
     definite form has none.
+
+    Every row's eigenvalues come from ``eigvalsh``; only the kernel and
+    cone rows read eigenvectors, so ``eigh`` runs on those rows alone (not
+    at all when there are none).  This relies on LAPACK giving both the
+    same eigenvalues bit for bit and treating each matrix of a stack alone,
+    which ``tests/util.py`` ``reference_verdicts`` (one ``eigh`` on every
+    row) checks.
     """
-    evals, evecs = np.linalg.eigh(grams)
+    evals = np.linalg.eigvalsh(grams)
     small = np.abs(evals) <= tol
     flat = small.all(axis=1)
     kernel = small.any(axis=1) & ~flat
     cone = ~small.any(axis=1) & (evals[:, 0] < 0.0) & (evals[:, 1] > 0.0)
+    count = np.where(flat, 8, np.where(kernel, 1, np.where(cone, 2, 0)))
     dirs = np.repeat(_FLAT_DIRECTIONS[None], len(grams), axis=0)
-    smallest = np.argmin(np.abs(evals), axis=1)
-    dirs[kernel, 0] = evecs[np.arange(len(grams)), :, smallest][kernel]
-    lo, hi = evals[cone, 0, None], evals[cone, 1, None]
-    for slot, sgn in enumerate((1.0, -1.0)):
-        d = np.sqrt(hi) * evecs[cone, :, 0] + sgn * np.sqrt(-lo) * evecs[cone, :, 1]
-        dirs[cone, slot] = d / np.linalg.norm(d, axis=1, keepdims=True)
-    return dirs, np.select([flat, kernel, cone], [8, 1, 2], 0)
+    rows = np.flatnonzero(kernel | cone)
+    if rows.size:
+        evals, evecs = evals[rows], np.linalg.eigh(grams[rows])[1]
+        kernel, cone = kernel[rows], cone[rows]
+        smallest = np.argmin(np.abs(evals[kernel]), axis=1)
+        dirs[rows[kernel], 0] = evecs[kernel][np.arange(len(smallest)), :, smallest]
+        lo, hi = evals[cone, 0, None], evals[cone, 1, None]
+        for slot, sgn in enumerate((1.0, -1.0)):
+            d = np.sqrt(hi) * evecs[cone, :, 0] + sgn * np.sqrt(-lo) * evecs[cone, :, 1]
+            dirs[rows[cone], slot] = d / np.linalg.norm(d, axis=1, keepdims=True)
+    return dirs, count
 
 
 def _verdicts(jets: ChartJets, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -428,14 +442,23 @@ def _verdicts(jets: ChartJets, tol: float) -> tuple[np.ndarray, np.ndarray, np.n
 
     The Killing value on a null direction ``d`` is the Killing square norm
     over the energy of the combination ``d`` of the unit-energy axis
-    tangents, ``d^T K d / d^T M d``.
+    tangents, ``d^T K d / d^T M d``.  Both square norms are summed as
+    explicit products, ``(((0.0 + d0 F00 d0) + d0 F01 d1) + d1 F10 d0) + d1
+    F11 d1``: the order of ``np.einsum``, whose sum starts from +0.0, so a
+    value of ``-0.0`` reads ``0.0`` as it always has.
     """
     ok = jets.full_rank
     n = len(ok)
     k_values, k_count, code = np.full((n, 8), np.nan), np.zeros(n, dtype=int), np.full(n, -1)
     dirs, count = _null_directions(jets.cross[ok], tol)
+    d0, d1 = dirs[..., 0], dirs[..., 1]
+
+    def square_norms(f: np.ndarray) -> np.ndarray:
+        (f00, f01), (f10, f11) = f[ok].transpose(1, 2, 0)[..., None]
+        return 0.0 + d0 * f00 * d0 + d0 * f01 * d1 + d1 * f10 * d0 + d1 * f11 * d1
+
     # the Killing and energy square norms of the null directions
-    killing, energy = (np.einsum("nki,nij,nkj->nk", dirs, f[ok], dirs) for f in (jets.killing, jets.energy))
+    killing, energy = square_norms(jets.killing), square_norms(jets.energy)
     unused = np.arange(8) >= count[:, None]
     # a full-rank pair gives every direction energy at least sv_min^2 > 0;
     # roundoff far from the base point can cancel it away
@@ -448,7 +471,7 @@ def _verdicts(jets: ChartJets, tol: float) -> tuple[np.ndarray, np.ndarray, np.n
     almost = np.all((kv >= -tol) | unused, axis=1)
     k_values[ok], k_count[ok] = kv, count
     # VERDICTS order: indefinite 0, almost_semidefinite 1, semidefinite 2, definite 3
-    code[ok] = np.select([count == 0, semi, almost], [3, 2, 1], 0)
+    code[ok] = np.where(count == 0, 3, np.where(semi, 2, np.where(almost, 1, 0)))
     return k_values, k_count, code
 
 

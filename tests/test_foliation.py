@@ -45,6 +45,7 @@ from util import (
     reference_grid_minima,
     reference_ring_growth,
     reference_ring_growth_masks,
+    reference_verdicts,
     sample,
 )
 
@@ -380,6 +381,108 @@ def test_verdict_lattice_is_monotone(g11, g12, g22, kvals):
     order = {v: k for k, v in enumerate(hf.VERDICTS)}
     verdict = "semidefinite" if semi else ("almost_semidefinite" if almost else "indefinite")
     assert order[verdict] >= order["indefinite"]
+
+
+def _assert_reference_verdicts(jets, tol=hf.VERDICT_TOL) -> np.ndarray:
+    """``_verdicts`` equals ``reference_verdicts`` bit for bit: Killing values
+    as int64 bit patterns (so NaN slots and the sign of zero count), counts
+    and codes; returns the counts."""
+    (k_values, k_count, code), (want_values, want_count, want_code) = (
+        f(jets, tol) for f in (foliation._verdicts, reference_verdicts)
+    )
+    assert np.array_equal(k_values.view(np.int64), want_values.view(np.int64))
+    assert k_count.dtype == want_count.dtype and np.array_equal(k_count, want_count)
+    assert code.dtype == want_code.dtype and np.array_equal(code, want_code)
+    return k_count
+
+
+def _classify_mix_charts():
+    """The five 12x12 charts of the classify-mix benchmark workload: the two
+    closed families, and the spiral at 0.3, 1 and 4 times the pitch
+    ``lambda_max`` of that grid, which puts one grid corner on the kernel."""
+    lam_max = hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1, grid=(12, 12)).lambda_max
+    spirals = [hf.spiral_chart(hf.SpiralParams(math.pi / 4.0, s * lam_max, 0.1)) for s in (0.3, 1.0, 4.0)]
+    return [hf.vertical_family()[1], hf.plane_normal_family()[1], *spirals]
+
+
+def test_verdicts_match_the_reference_on_every_branch():
+    # the classify-mix charts reach all four branches; the squared second
+    # parameter leaves the b = 0 column of its grid rank-deficient
+    branches = set()
+    for chart in _classify_mix_charts():
+        branches.update(_assert_reference_verdicts(hf.chart_jets(chart, *hf.grid_arrays(chart, (12, 12)))).tolist())
+    assert branches == set(NULL_BRANCHES)
+    plane = hf.plane_normal_family()[1]
+    for chart in (collapsed_chart(plane), hf.FoliationChart(lambda a, b: plane.arrays(a, b * b), plane.domain)):
+        jets = hf.chart_jets(chart, *hf.grid_arrays(chart, (5, 5)))
+        _assert_reference_verdicts(jets)
+        assert not jets.full_rank.all()
+    assert jets.full_rank.any()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_field_verdicts_match_the_reference(vertical, plane_normal, monkeypatch, seed):
+    seen, verdicts = [], foliation._verdicts
+    monkeypatch.setattr(foliation, "_verdicts", lambda jets, tol: seen.append((jets, tol)) or verdicts(jets, tol))
+    for field, _ in (vertical, plane_normal):
+        hf.field_checks(field, hf.ball_samples(0.8, 50, seed))
+    monkeypatch.undo()
+    assert len(seen) == 2
+    for jets, tol in seen:
+        _assert_reference_verdicts(jets, tol)
+
+
+_TOL = hf.VERDICT_TOL
+#: eigenvalues on and around the tolerance and zero, or anywhere in [-1, 1]
+_EIGENVALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, *(s * _TOL * (1.0 + e) for s in (1.0, -1.0) for e in (-1e-12, 0.0, 1e-12))]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            _EIGENVALUES,
+            _EIGENVALUES,
+            st.floats(0.0, 2.0 * math.pi),
+            st.floats(-1.0, 1.0),
+            st.floats(-1.0, 1.0),
+            st.floats(-1.0, 1.0),
+            st.floats(-0.9, 0.9),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_verdicts_match_the_reference_on_rotated_diagonal_grams(rows):
+    # stacks of Grams R diag(l0, l1) R^T next to arbitrary Killing forms and
+    # unit-energy forms, some rows rank-deficient
+    l0, l1, angle, k00, k01, k11, e01, full_rank = (np.array(x) for x in zip(*rows))
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.stack((np.stack((c, -s), axis=-1), np.stack((s, c), axis=-1)), axis=1)
+    gram = (rot * np.stack((l0, l1), axis=-1)[:, None]) @ rot.transpose(0, 2, 1)
+    gram = 0.5 * (gram + gram.transpose(0, 2, 1))
+    n = len(rows)
+    killing = np.stack((np.stack((k00, k01), axis=-1), np.stack((k01, k11), axis=-1)), axis=1)
+    energy = np.stack((np.stack((np.ones(n), e01), axis=-1), np.stack((e01, np.ones(n)), axis=-1)), axis=1)
+    zeros = np.zeros((n, 4))
+    jets = hf.ChartJets(np.zeros((n, 2)), zeros, zeros, gram, killing, energy, np.zeros((2, 2, n)), full_rank)
+    _assert_reference_verdicts(jets)
+
+
+def test_classifier_takes_eigenvectors_only_on_kernel_and_cone_rows(monkeypatch):
+    # definite and flat samples read eigenvalues alone; the lambda_max grid
+    # has one kernel sample and no cone
+    rows, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: rows.append(len(a)) or eigh(a, *args, **kw))
+    vertical, plane, definite, corner, _ = _classify_mix_charts()
+    for chart, want in ((vertical, 0), (plane, 0), (definite, 0), (corner, 1)):
+        rows.clear()
+        rep = hf.classify_chart(chart, grid=(12, 12))
+        assert sum(rows) == want, (chart.name, rows)
+        assert np.count_nonzero((rep.k_count == 1) | (rep.k_count == 2)) == want
 
 
 def test_field_chart_tangents_satisfy_derivative_identity(vertical, plane_normal):

@@ -5,12 +5,13 @@ the ambient chart kernel and the Killing metric of Jacobi data), scalar
 references (the exponential map, the distance, ball samples and the
 eigenvector test one at a time, parallel transport, asymptote vectors,
 closed-form Jacobi evaluation, the Jacobi-variation chart, one-sample
-classification), the value-object helpers only tests use (points along a
-geodesic, its reverse, tangent norms, unit tangents, one field value, one
-classified sample, the polar frame of the spiral's plane, the spiral's
-closed-form Gram and energy matrices), boost matrices, reference
-CSV and report writers, the full-grid pitch scan and a chart-evaluation
-counter."""
+classification), the reference block classifier (every row's
+eigenvectors, square norms by ``einsum``), the value-object helpers only
+tests use (points along a geodesic, its reverse, tangent norms, unit
+tangents, one field value, one classified sample, the polar frame of the
+spiral's plane, the spiral's closed-form Gram and energy matrices), boost
+matrices, reference CSV and report writers, the full-grid pitch scan and a
+chart-evaluation counter."""
 
 import csv
 import dataclasses
@@ -34,6 +35,7 @@ from hypfol import (
     HPoint,
     HTangent,
     JacobiData,
+    NumericalError,
     OrientedGeodesic,
     chart_jets,
     make_geodesic,
@@ -43,7 +45,7 @@ from hypfol import (
     same_point,
 )
 from hypfol.families import _E3, LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, _margin, spiral_chart
-from hypfol.foliation import RANK_DEFICIENT, _field_steps, _verdicts, grid_axes
+from hypfol.foliation import _FLAT_DIRECTIONS, RANK_DEFICIENT, _field_steps, grid_axes
 from hypfol.geodesics import asymptote_directions
 from hypfol.lorentz import _finish_point, _finish_tangent, _require_unit, _unitize, mink
 
@@ -702,14 +704,58 @@ def jacobi_variation_chart(x1: JacobiData, x2: JacobiData) -> FoliationChart:
     return FoliationChart(arrays=arrays, domain=((-0.25, 0.25), (-0.25, 0.25)), name="jacobi-variation")
 
 
+def reference_null_directions(grams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``foliation._null_directions`` with one ``eigh`` on every row, whose
+    eigenvalues and eigenvectors all branches read."""
+    evals, evecs = np.linalg.eigh(grams)
+    small = np.abs(evals) <= tol
+    flat = small.all(axis=1)
+    kernel = small.any(axis=1) & ~flat
+    cone = ~small.any(axis=1) & (evals[:, 0] < 0.0) & (evals[:, 1] > 0.0)
+    dirs = np.repeat(_FLAT_DIRECTIONS[None], len(grams), axis=0)
+    smallest = np.argmin(np.abs(evals), axis=1)
+    dirs[kernel, 0] = evecs[np.arange(len(grams)), :, smallest][kernel]
+    lo, hi = evals[cone, 0, None], evals[cone, 1, None]
+    for slot, sgn in enumerate((1.0, -1.0)):
+        d = np.sqrt(hi) * evecs[cone, :, 0] + sgn * np.sqrt(-lo) * evecs[cone, :, 1]
+        dirs[cone, slot] = d / np.linalg.norm(d, axis=1, keepdims=True)
+    return dirs, np.select([flat, kernel, cone], [8, 1, 2], 0)
+
+
+def reference_verdicts(jets, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle of ``foliation._verdicts``: the same columns from
+    ``reference_null_directions`` and the square norms by ``np.einsum``."""
+    ok = jets.full_rank
+    n = len(ok)
+    k_values, k_count, code = np.full((n, 8), np.nan), np.zeros(n, dtype=int), np.full(n, -1)
+    dirs, count = reference_null_directions(jets.cross[ok], tol)
+    # the Killing and energy square norms of the null directions
+    killing, energy = (np.einsum("nki,nij,nkj->nk", dirs, f[ok], dirs) for f in (jets.killing, jets.energy))
+    unused = np.arange(8) >= count[:, None]
+    # a full-rank pair gives every direction energy at least sv_min^2 > 0;
+    # roundoff far from the base point can cancel it away
+    resolved = (energy > 0.0) | unused
+    if not resolved.all():
+        k = int(np.flatnonzero(ok)[np.argmin(resolved.all(axis=1))])
+        raise NumericalError(f"null direction without energy at {tuple(jets.params[k].tolist())}: tangents unresolved")
+    kv = np.where(unused, np.nan, killing / np.where(unused, 1.0, energy))
+    semi = np.all((kv > tol) | unused, axis=1)
+    almost = np.all((kv >= -tol) | unused, axis=1)
+    k_values[ok], k_count[ok] = kv, count
+    # VERDICTS order: indefinite 0, almost_semidefinite 1, semidefinite 2, definite 3
+    code[ok] = np.select([count == 0, semi, almost], [3, 2, 1], 0)
+    return k_values, k_count, code
+
+
 def classify_point(
     chart: FoliationChart,
     params: tuple[float, float],
     tol: float = VERDICT_TOL,
 ) -> SampleRecord:
-    """Classify one chart sample; rank-deficient tangents are reported, not classified."""
+    """Classify one chart sample with ``reference_verdicts``; rank-deficient
+    tangents are reported, not classified."""
     jets = chart_jets(chart, [params[0]], [params[1]])
-    (kv,), (count,), (code,) = _verdicts(jets, tol)
+    (kv,), (count,), (code,) = reference_verdicts(jets, tol)
     p = tuple(jets.params[0].tolist())
     if code < 0:
         return SampleRecord(p, None, (), None, note=RANK_DEFICIENT)
