@@ -432,10 +432,9 @@ def test_field_verdicts_match_the_reference(vertical, plane_normal, monkeypatch,
         _assert_reference_verdicts(jets, tol)
 
 
-_TOL = hf.VERDICT_TOL
 #: eigenvalues on and around the tolerance and zero, or anywhere in [-1, 1]
 _EIGENVALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, *(s * _TOL * (1.0 + e) for s in (1.0, -1.0) for e in (-1e-12, 0.0, 1e-12))]),
+    st.sampled_from([0.0, -0.0, *(s * hf.VERDICT_TOL * (1.0 + e) for s in (1.0, -1.0) for e in (-1e-12, 0.0, 1e-12))]),
     st.floats(-1.0, 1.0),
 )
 
