@@ -16,7 +16,9 @@ tangent that fails validation).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -276,13 +278,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, ``prog="hypfol <command>"``."""
+    return _add_options(argparse.ArgumentParser(prog=f"hypfol {command}"), command)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, from the named command's parser alone
     where it parses the whole line.  The full tree reports leftovers, and ``--=...``,
-    which its top-level parser rejects as ambiguous before a command's parser runs."""
+    which its top-level parser rejects as ambiguous before a command's parser runs.
+
+    Each command's parser is built on its first line and kept for the process
+    (``_command_parser``): parsing leaves a parser as it was, since the values go
+    into the fresh namespace, and argparse reads the terminal width and
+    ``sys.stderr`` when it formats usage and errors, not when it is built.  The
+    full tree is built per call; it serves only help, ``--version`` and errors."""
     if argv and argv[0] in _COMMAND_OPTIONS and not any(a.startswith("--=") for a in argv):
-        parser = _add_options(argparse.ArgumentParser(prog=f"hypfol {argv[0]}"), argv[0])
-        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if not rest:
             return args
     return build_parser().parse_args(argv)
@@ -321,6 +334,8 @@ def main(argv: list[str] | None = None) -> int:
 
     def run() -> int:
         cfg = _build_config(args)
+        if args.out is not None and not os.path.basename(args.out):
+            raise ConfigError(f"--out must name a file base, got {args.out!r}")
         out_base = args.out if args.out is not None else f"hypfol_{cfg.command.replace('-', '_')}"
         results, summary = _COMMANDS[cfg.command](cfg, out_base)
         write_report(out_base + ".json", report_payload(cfg.command, asdict(cfg), results, __version__))

@@ -23,6 +23,7 @@ cells and separators.  Identical inputs produce identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 from itertools import chain, repeat
 from pathlib import Path
@@ -58,11 +59,16 @@ def _hole(k: int) -> str:
     return f"\0samples {k}\0"
 
 
+@functools.cache
 def _sample_template(count: int, code: int, pad: str) -> str:
     """The ``json.dumps`` layout of one sample with ``count`` Killing values
     and verdict ``VERDICTS[code]`` (rank-deficient for ``code < 0``),
     indented by ``pad``, with a ``%s`` hole for each float's repr: the Gram
-    entries in row-major order, the Killing values, the parameters."""
+    entries in row-major order, the Killing values, the parameters.
+
+    Kept for the process: the text is a function of the arguments alone and
+    an immutable string, and only a few keys occur (four Killing counts, four
+    verdicts or rank-deficient, and the indent of the samples key)."""
     x = 0.5  # stands for every float; no key or string of a sample contains its repr
     if code < 0:
         sample = {"gram": None, "k_values": [], "note": RANK_DEFICIENT, "params": [x, x], "verdict": None}
