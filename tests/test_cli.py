@@ -20,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hypfol as hf
-from hypfol import cli
+from hypfol import cli, report
 from hypfol.cli import main
 from util import counting_chart, reference_ball_samples, reference_field_checks
 
@@ -639,6 +639,19 @@ def test_directory_at_the_output_path_exits_2(tmp_path, capsys):
     assert (tmp_path / "c.json").is_dir() and not list((tmp_path / "c.json").iterdir())
 
 
+@pytest.mark.parametrize("out", ["", "dir/"])
+@pytest.mark.parametrize(
+    "command", [["scan-lambda"], *([c, "--family", "vertical"] for c in ("classify", "gauss", "critical"))], ids=lambda c: c[0]
+)
+def test_out_without_a_file_base_exits_2(tmp_path, capsys, monkeypatch, command, out):
+    # an empty --out, or one ending in a separator, would write a hidden ".json"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    assert run([*command, "--grid", "3x3", "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: --out must name a file base, got {out!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"] and not list((tmp_path / "dir").iterdir())
+
+
 @pytest.mark.parametrize("command", ["scan-lambda", "gauss"])
 def test_directory_at_the_csv_path_leaves_no_json(tmp_path, capsys, command):
     # every command writes its JSON last, so a CSV that cannot be written leaves none
@@ -730,7 +743,7 @@ _BAD = [
     ["--delta", "inf"], ["--delta", "1e308"], ["--grid", "1x3"], ["--grid", "abc"], ["--grid", "2x99999999999999999999"],
     ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
     ["--base-point", "1", "1", "0", "0"], ["--base-point", "nan", "0", "0", "0"],
-    ["--base-point", "1e200", "1e200", "0", "0"], ["--seed", "-1"], ["--bogus"], ["--out", "missing/x"],
+    ["--base-point", "1e200", "1e200", "0", "0"], ["--seed", "-1"], ["--bogus"], ["--out", "missing/x"], ["--out", ""],
 ]
 
 
@@ -844,6 +857,8 @@ def test_command_parser_matches_full_tree_on_drawn_lines(argv):
     ],
 )
 def test_parsers_built_per_command_line(tmp_path, monkeypatch, argv, parsers):
+    # ``parsers`` are built on the first line of a process; each command's
+    # parser is built once, the full tree on every line that needs it
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -851,13 +866,89 @@ def test_parsers_built_per_command_line(tmp_path, monkeypatch, argv, parsers):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
+    def count(argv):
+        built.clear()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                main([*argv, "--out", str(tmp_path / "x")])
+            except SystemExit:
+                pass
+        return len(built)
+
+    cli._command_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            main([*argv, "--out", str(tmp_path / "x")])
-        except SystemExit:
-            pass
-    assert len(built) == parsers
+    assert count(argv) == parsers
+    assert count(argv) == parsers - (argv[0] in cli._COMMAND_OPTIONS)
+    # another command's first line builds its parser, and its next line none
+    assert count(["scan-lambda", "--grid", "3x3"]) == 1
+    assert count(["scan-lambda", "--grid", "2x3"]) == 0
+    assert count(argv) == parsers - (argv[0] in cli._COMMAND_OPTIONS)
+
+
+def test_warm_command_parsers_repeat_every_parser_case(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cli._command_parser.cache_clear()
+    first = [_assert_parse_matches_full_tree(argv, str(tmp_path)) for argv in _PARSER_CASES]
+    assert cli._command_parser.cache_info().currsize == len(cli._COMMAND_OPTIONS)
+    assert [_assert_parse_matches_full_tree(argv, str(tmp_path)) for argv in _PARSER_CASES] == first
+
+
+#: lines a command's parser or the configuration rejects, for the warm parser
+#: test: a bad float, a missing ``--family``, help, ``--=x`` and a leftover
+_ERROR_LINES = [
+    ["critical", "--family", "vertical", "--alpha0", "x", "--out", "OUT"],
+    ["gauss", "--grid", "3x3", "--out", "OUT"],
+    ["classify", "-h"],
+    ["scan-lambda", "--=x"],
+    ["classify", "--family", "vertical", "--grid", "3x3", "--out", "OUT", "extra"],
+]
+
+
+@given(_argv(), st.sampled_from(_ERROR_LINES))
+def test_warm_command_parsers_repeat_outcomes_around_errors(argv, error):
+    # the parsers stay cached across examples; each line's outcome is the
+    # full tree's, and a line's second outcome its first
+    with tempfile.TemporaryDirectory() as tmp:
+        line = [*argv, "--out", "OUT"]
+        first = _assert_parse_matches_full_tree(line, tmp)
+        failed = _assert_parse_matches_full_tree(error, tmp)
+        assert failed[0] == (0 if "-h" in error else 2)
+        assert _assert_parse_matches_full_tree(line, tmp) == first
+        assert _assert_parse_matches_full_tree(error, tmp) == failed
+
+
+def test_warm_sample_templates_give_the_same_report(tmp_path):
+    _, chart = hf.vertical_family()
+    rep = hf.classify_chart(chart, grid=(4, 5), tol=hf.VERDICT_TOL)
+    payload = report.report_payload("classify", {}, {"classification": rep}, hf.__version__)
+    report._sample_template.cache_clear()
+    report.write_report(tmp_path / "a.json", payload)
+    assert report._sample_template.cache_info().hits == 0
+    report.write_report(tmp_path / "b.json", payload)
+    assert report._sample_template.cache_info().hits > 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_import_builds_no_parser_and_leaves_the_cli_unimported():
+    # set-up and one-shot runs pay for nothing moved into import
+    code = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import hypfol\n"
+        "print(sorted(m for m in ('hypfol.cli', 'hypfol.report') if m in sys.modules))\n"
+        "import hypfol.cli\n"
+        "print(built)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"
 
 
 # ---------------------------------------------------------------------------
