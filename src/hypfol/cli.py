@@ -8,9 +8,9 @@ are radians.  A command computes its results (``gauss`` and ``scan-lambda``
 stream their CSV as they go) and ``main`` writes ``<out>.json`` last, then
 prints the summary line, so a failed run leaves no JSON.  Exit codes, from
 ``guarded``, which the experiment scripts share: 0 computed (whatever the
-verdict), 2 invalid configuration (including an unwritable ``--out`` and a
-grid too large to allocate), 3 numerical failure (including a chart leaf or
-tangent that fails validation).
+verdict), 2 invalid configuration (including an unwritable ``--out``, an
+``--out`` that names no file base and a grid too large to allocate), 3
+numerical failure (including a chart leaf or tangent that fails validation).
 """
 
 from __future__ import annotations
