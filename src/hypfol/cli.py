@@ -253,19 +253,13 @@ _OPTIONS = {
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    """``parser`` with the options of ``command``, and the defaults of the rest (reports carry all)."""
-    for flag, kw in _OPTIONS.items():
-        if flag in ("--alpha0", "--delta", "--grid", "--out") + _COMMAND_OPTIONS[command][1]:
-            parser.add_argument(flag, **kw)
-        else:
-            parser.set_defaults(**{kw.get("dest", flag[2:]): kw["default"]})
-    if command == "scan-lambda":
-        parser.set_defaults(grid="200x200")
-    return parser
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built on the first command line and kept for the
+    process.  Each command's parser takes its options and the defaults of the
+    rest (reports carry all).  Parsing leaves the tree as built, since the
+    values go into a fresh namespace, and argparse reads the terminal width
+    and ``sys.stderr`` when it formats usage and errors, not when it builds."""
     parser = argparse.ArgumentParser(
         prog="hypfol",
         description="Classify geodesic families of hyperbolic 3-space and "
@@ -273,32 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hypfol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, _) in _COMMAND_OPTIONS.items():
-        _add_options(sub.add_parser(command, help=text), command)
+    for command, (text, flags) in _COMMAND_OPTIONS.items():
+        command_parser = sub.add_parser(command, help=text)
+        for flag, kw in _OPTIONS.items():
+            if flag in ("--alpha0", "--delta", "--grid", "--out") + flags:
+                command_parser.add_argument(flag, **kw)
+            else:
+                command_parser.set_defaults(**{kw.get("dest", flag[2:]): kw["default"]})
+    sub.choices["scan-lambda"].set_defaults(grid="200x200")
     return parser
-
-
-@functools.cache
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, ``prog="hypfol <command>"``."""
-    return _add_options(argparse.ArgumentParser(prog=f"hypfol {command}"), command)
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, from the named command's parser alone
-    where it parses the whole line.  The full tree reports leftovers, and ``--=...``,
-    which its top-level parser rejects as ambiguous before a command's parser runs.
-
-    Each command's parser is built on its first line and kept for the process
-    (``_command_parser``): parsing leaves a parser as it was, since the values go
-    into the fresh namespace, and argparse reads the terminal width and
-    ``sys.stderr`` when it formats usage and errors, not when it is built.  The
-    full tree is built per call; it serves only help, ``--version`` and errors."""
-    if argv and argv[0] in _COMMAND_OPTIONS and not any(a.startswith("--=") for a in argv):
-        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
 
 
 _COMMANDS = {
@@ -330,11 +307,11 @@ def guarded(run, grid: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
 
     def run() -> int:
         cfg = _build_config(args)
-        if args.out is not None and not os.path.basename(args.out):
+        if args.out is not None and os.path.basename(args.out) in ("", ".", ".."):
             raise ConfigError(f"--out must name a file base, got {args.out!r}")
         out_base = args.out if args.out is not None else f"hypfol_{cfg.command.replace('-', '_')}"
         results, summary = _COMMANDS[cfg.command](cfg, out_base)
