@@ -12,7 +12,9 @@ quartiles and the number of pairs the "after" side won (ties count for
 neither), and per workload the commit of each checkout and whether a
 tracked file differed from it (both null outside a git tree).  Repeating
 ``--workload`` runs several workloads; an existing ``--out`` file keeps the
-workloads it already holds.
+workloads it already holds.  At the end it prints one line per workload and
+end-to-end metric: both medians, the "before" side's quartiles, the "after"
+side's wins, and whether its median lies outside those quartiles.
 """
 
 from __future__ import annotations
@@ -64,6 +66,35 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def pair_stats(runs: dict, better: dict) -> dict:
+    """Per metric of ``better`` (name: "lower" or "higher"), each side's
+    ``summary`` and the number of pairs the "after" side won."""
+    stats = {}
+    for name, direction in better.items():
+        before, after = ([r[name] for r in runs[side]] for side in ("before", "after"))
+        sign = 1.0 if direction == "higher" else -1.0
+        stats[name] = {
+            "before": summary(before),
+            "after": summary(after),
+            "after_wins": sum(sign * (a - b) > 0.0 for a, b in zip(after, before)),
+        }
+    return stats
+
+
+def stat_lines(workload: str, stats: dict, pairs: int) -> list[str]:
+    """One line per metric of a workload's ``pair_stats``."""
+    lines = []
+    for name, s in stats.items():
+        before, after = s["before"], s["after"]
+        where = "inside" if before["q1"] <= after["median"] <= before["q3"] else "outside"
+        lines.append(
+            f"{workload} {name}: median {before['median']:.6g} -> {after['median']:.6g}, "
+            f"before quartiles [{before['q1']:.6g}, {before['q3']:.6g}] (after median {where}), "
+            f"after wins {s['after_wins']} of {pairs}"
+        )
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", type=Path, required=True)
@@ -89,17 +120,11 @@ def main() -> int:
                 metrics, doc["machine"] = run(getattr(args, side), workload, seed, bench["run_seconds"])
                 runs[side].append(metrics)
                 print(f"{workload} seed {seed} {side}: {metrics}", flush=True)
-        stats = {}
-        for name, direction in better.items():
-            before, after = ([r[name] for r in runs[side]] for side in ("before", "after"))
-            sign = 1.0 if direction == "higher" else -1.0
-            stats[name] = {
-                "before": summary(before),
-                "after": summary(after),
-                "after_wins": sum(sign * (a - b) > 0.0 for a, b in zip(after, before)),
-            }
+        stats = pair_stats(runs, better)
         doc["workloads"][workload] = {"checkouts": checkouts, "seeds": seeds, "runs": runs, "summary": stats}
         args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for workload in args.workload:
+        print("\n".join(stat_lines(workload, doc["workloads"][workload]["summary"], args.pairs)))
     return 0
 
 

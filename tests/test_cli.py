@@ -357,12 +357,37 @@ def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, pairs):
     assert not (tmp_path / "b.json").exists()
 
 
-def test_bench_pairs_records_checkout_state(tmp_path):
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
     )
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_prints_one_line_per_metric():
+    # two fake runs per side; no benchmark runs
+    bench_pairs = _bench_pairs()
+    runs = {
+        "before": [{"wall_s": 1.0, "samples_per_s": 10.0}, {"wall_s": 3.0, "samples_per_s": 30.0}],
+        "after": [{"wall_s": 1.5, "samples_per_s": 40.0}, {"wall_s": 2.0, "samples_per_s": 50.0}],
+    }
+    stats = bench_pairs.pair_stats(runs, {"wall_s": "lower", "samples_per_s": "higher"})
+    assert stats["wall_s"] == {
+        "before": {"median": 2.0, "q1": 1.5, "q3": 2.5},
+        "after": {"median": 1.75, "q1": 1.625, "q3": 1.875},
+        "after_wins": 1,
+    }
+    assert bench_pairs.stat_lines("classify-mix", stats, 2) == [
+        "classify-mix wall_s: median 2 -> 1.75, before quartiles [1.5, 2.5] (after median inside), after wins 1 of 2",
+        "classify-mix samples_per_s: median 20 -> 45, before quartiles [15, 25] (after median outside), "
+        "after wins 2 of 2",
+    ]
+
+
+def test_bench_pairs_records_checkout_state(tmp_path):
+    bench_pairs = _bench_pairs()
     repo, plain = tmp_path / "repo", tmp_path / "plain"
     plain.mkdir()
     (plain / "f").write_text("a\n")
@@ -408,7 +433,7 @@ def test_bad_base_point(tmp_path):
 
 
 def test_default_base_point_is_the_origin():
-    cfg = cli._build_config(cli._parse(["critical", "--family", "vertical"]))
+    cfg = cli._build_config(cli.build_parser().parse_args(["critical", "--family", "vertical"]))
     assert cli._base_point(cfg) is hf.ORIGIN.v
 
 
@@ -639,12 +664,13 @@ def test_directory_at_the_output_path_exits_2(tmp_path, capsys):
     assert (tmp_path / "c.json").is_dir() and not list((tmp_path / "c.json").iterdir())
 
 
-@pytest.mark.parametrize("out", ["", "dir/"])
+@pytest.mark.parametrize("out", ["", "dir/", ".", "..", "dir/.", "dir/.."])
 @pytest.mark.parametrize(
     "command", [["scan-lambda"], *([c, "--family", "vertical"] for c in ("classify", "gauss", "critical"))], ids=lambda c: c[0]
 )
 def test_out_without_a_file_base_exits_2(tmp_path, capsys, monkeypatch, command, out):
-    # an empty --out, or one ending in a separator, would write a hidden ".json"
+    # an empty --out, one ending in a separator and a base name "." or ".."
+    # would write a hidden ".json", "..json" or "...json"
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dir").mkdir()
     assert run([*command, "--grid", "3x3", "--out", out]) == 2
@@ -744,6 +770,7 @@ _BAD = [
     ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
     ["--base-point", "1", "1", "0", "0"], ["--base-point", "nan", "0", "0", "0"],
     ["--base-point", "1e200", "1e200", "0", "0"], ["--seed", "-1"], ["--bogus"], ["--out", "missing/x"], ["--out", ""],
+    ["--out", "."],
 ]
 
 
@@ -822,15 +849,15 @@ def _outcome(argv, tmp):
 
 
 def _assert_parse_matches_full_tree(argv, tmp):
-    # one ``main`` call through ``cli._parse``, one through the full parser
-    # tree, with the terminal width that argparse's messages wrap to pinned
+    # one ``main`` call on the cached parser tree, one on a fresh tree, with
+    # the terminal width that argparse's messages wrap to pinned
     argv = [os.path.join(tmp, "x") if x == "OUT" else x.replace("=OUT", "=" + os.path.join(tmp, "x")) for x in argv]
     with mock.patch.dict(os.environ, {"COLUMNS": "100"}):
-        fast = _outcome(argv, tmp)
-        with mock.patch.object(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv)):
-            full = _outcome(argv, tmp)
-    assert fast == full
-    return fast
+        cached = _outcome(argv, tmp)
+        with mock.patch.object(cli, "build_parser", cli.build_parser.__wrapped__):
+            fresh = _outcome(argv, tmp)
+    assert cached == fresh
+    return cached
 
 
 @pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
@@ -849,16 +876,16 @@ def test_command_parser_matches_full_tree_on_drawn_lines(argv):
 @pytest.mark.parametrize(
     "argv,parsers",
     [
-        (["classify", "--family", "vertical", "--grid", "3x3"], 1),
-        (["gauss", "--family", "plane-normal", "--grid", "3x3"], 1),
+        (["classify", "--family", "vertical", "--grid", "3x3"], 1 + len(cli._COMMAND_OPTIONS)),
+        (["gauss", "--family", "plane-normal", "--grid", "3x3"], 1 + len(cli._COMMAND_OPTIONS)),
         (["--version"], 1 + len(cli._COMMAND_OPTIONS)),
-        # the command's parser leaves an argument over: the full tree reports it
-        (["gauss", "--family", "vertical", "--grid", "3x3", "--seed", "1"], 2 + len(cli._COMMAND_OPTIONS)),
+        # an argument left over, which the tree reports
+        (["gauss", "--family", "vertical", "--grid", "3x3", "--seed", "1"], 1 + len(cli._COMMAND_OPTIONS)),
     ],
 )
 def test_parsers_built_per_command_line(tmp_path, monkeypatch, argv, parsers):
-    # ``parsers`` are built on the first line of a process; each command's
-    # parser is built once, the full tree on every line that needs it
+    # ``parsers``, the top-level parser and one per command, are built on the
+    # first line of a process, whatever the line, and none on any later line
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -875,26 +902,27 @@ def test_parsers_built_per_command_line(tmp_path, monkeypatch, argv, parsers):
                 pass
         return len(built)
 
-    cli._command_parser.cache_clear()
+    cli.build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    warm = parsers - (argv[0] in cli._COMMAND_OPTIONS)  # the command's parser is cached
     assert count(argv) == parsers
-    assert count(argv) == warm
-    # another command's first line builds its parser, and its next line none
-    assert count(["scan-lambda", "--grid", "3x3"]) == 1
+    assert count(argv) == 0
+    # another command's first line builds nothing either
+    assert count(["scan-lambda", "--grid", "3x3"]) == 0
     assert count(["scan-lambda", "--grid", "2x3"]) == 0
-    assert count(argv) == warm
+    assert count(argv) == 0
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_warm_command_parsers_repeat_every_parser_case(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cli._command_parser.cache_clear()
+    cli.build_parser.cache_clear()
     first = [_assert_parse_matches_full_tree(argv, str(tmp_path)) for argv in _PARSER_CASES]
-    assert cli._command_parser.cache_info().currsize == len(cli._COMMAND_OPTIONS)
+    assert cli.build_parser.cache_info().currsize == 1
+    assert cli.build_parser.cache_info().hits == len(_PARSER_CASES) - 1
     assert [_assert_parse_matches_full_tree(argv, str(tmp_path)) for argv in _PARSER_CASES] == first
 
 
-#: lines a command's parser or the configuration rejects, for the warm parser
+#: lines the parser tree or the configuration rejects, for the warm parser
 #: test: a bad float, a missing ``--family``, help, ``--=x`` and a leftover
 _ERROR_LINES = [
     ["critical", "--family", "vertical", "--alpha0", "x", "--out", "OUT"],
@@ -907,8 +935,8 @@ _ERROR_LINES = [
 
 @given(_argv(), st.sampled_from(_ERROR_LINES))
 def test_warm_command_parsers_repeat_outcomes_around_errors(argv, error):
-    # the parsers stay cached across examples; each line's outcome is the
-    # full tree's, and a line's second outcome its first
+    # the tree stays cached across examples; each line's outcome is a fresh
+    # tree's, and a line's second outcome its first
     with tempfile.TemporaryDirectory() as tmp:
         line = [*argv, "--out", "OUT"]
         first = _assert_parse_matches_full_tree(line, tmp)
@@ -916,6 +944,42 @@ def test_warm_command_parsers_repeat_outcomes_around_errors(argv, error):
         assert failed[0] == (0 if "-h" in error else 2)
         assert _assert_parse_matches_full_tree(line, tmp) == first
         assert _assert_parse_matches_full_tree(error, tmp) == failed
+
+
+def test_cached_parser_formats_at_the_current_width(tmp_path, monkeypatch):
+    # argparse reads the terminal width when it formats help and errors, not
+    # when it builds a parser, so the cached tree wraps like a fresh one at
+    # every width, and a width left behind by its first line does not stick
+    monkeypatch.chdir(tmp_path)
+    lines = [["classify", "-h"], ["critical", "--family", "vertical", "--alpha0", "x"]]
+    cli.build_parser.cache_clear()
+    outcomes = {}
+    for columns in ("60", "100", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        cached = [_outcome(line, str(tmp_path)) for line in lines]
+        with mock.patch.object(cli, "build_parser", cli.build_parser.__wrapped__):
+            assert [_outcome(line, str(tmp_path)) for line in lines] == cached
+        assert outcomes.setdefault(columns, cached) == cached
+    assert cli.build_parser.cache_info().misses == 1
+    # the two widths wrap both outputs differently, so the test can tell them apart
+    assert all(a[1:] != b[1:] for a, b in zip(outcomes["60"], outcomes["100"]))
+
+
+def test_readme_synopsis_lists_every_option_of_each_command():
+    # a flag added to a command without a README synopsis line fails here
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    synopsis = {}
+    for line in block.splitlines():
+        if line.startswith("hypfol "):
+            command = line.split()[1]
+        synopsis.setdefault(command, set()).update(re.findall(r"--[a-z0-9-]+", line))
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        command: {flag for action in parser._actions for flag in action.option_strings if flag.startswith("--")}
+        for command, parser in sub.choices.items()
+    }
+    assert synopsis == {command: flags - {"--help"} for command, flags in options.items()}
 
 
 def test_warm_sample_templates_give_the_same_report(tmp_path):
