@@ -42,19 +42,18 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--alpha0", type=float, default=math.pi / 4.0)
     ap.add_argument("--delta", type=float, default=0.1)
-    ap.add_argument("--scan-grid", type=str, default="200x200")
     ap.add_argument("--classify-grid", type=str, default="20x20")
     ap.add_argument("--out", type=str, default=None, help="optional JSON dump")
     args = ap.parse_args()
-    return guarded(lambda: run(args), args.scan_grid)
+    return guarded(lambda: run(args), args.classify_grid)
 
 
 def run(args: argparse.Namespace) -> int:
     _require_finite((("--alpha0", args.alpha0), ("--delta", args.delta)))
-    sg, cg = _parse_grid(args.scan_grid), _parse_grid(args.classify_grid)
+    cg = _parse_grid(args.classify_grid)
 
-    scan = hf.scan_lambda_max(alpha0=args.alpha0, delta=args.delta, grid=sg)
-    print(f"largest valid pitch on {sg[0]}x{sg[1]} grid: {scan.lambda_max:.6f}")
+    scan = hf.scan_lambda_max(alpha0=args.alpha0, delta=args.delta)
+    print(f"largest valid pitch on the rectangle: {scan.lambda_max:.6f}")
 
     results = {"lambda_max": scan.lambda_max}
     for label, factor in (("half", 0.5), ("double", 2.0)):

@@ -1,16 +1,17 @@
 """Command line front end.
 
 Subcommands: ``classify`` (grid classification of a family chart),
-``scan-lambda`` (largest spiral pitch with positive margin, plus a margin
-CSV), ``gauss`` (endpoint images and the ranks of their differentials
-``J +- J'``), ``critical`` (local minima of the squared distance).  Angles
-are radians.  A command computes its results (``gauss`` and ``scan-lambda``
-stream their CSV as they go) and ``main`` writes ``<out>.json`` last, then
-prints the summary line, so a failed run leaves no JSON.  Exit codes, from
-``guarded``, which the experiment scripts share: 0 computed (whatever the
-verdict), 2 invalid configuration (including an unwritable ``--out``, an
-``--out`` that names no file base and a grid too large to allocate), 3
-numerical failure (including a chart leaf or tangent that fails validation).
+``scan-lambda`` (largest spiral pitch with positive margin on the parameter
+rectangle, plus a margin CSV on the grid), ``gauss`` (endpoint images and
+the ranks of their differentials ``J +- J'``), ``critical`` (local minima
+of the squared distance).  Angles are radians.  A command computes its
+results (``gauss`` and ``scan-lambda`` stream their CSV as they go) and
+``main`` writes ``<out>.json`` last, then prints the summary line, so a
+failed run leaves no JSON.  Exit codes, from ``guarded``, which the
+experiment scripts share: 0 computed (whatever the verdict), 2 invalid
+configuration (including an unwritable ``--out``, an ``--out`` that names
+no file base and a grid too large to allocate), 3 numerical failure
+(including a chart leaf or tangent that fails validation).
 """
 
 from __future__ import annotations
@@ -141,17 +142,19 @@ def _base_point(cfg: RunConfig) -> np.ndarray:
     arr = np.asarray(cfg.base_point, dtype=float)
     # scaled down by a power of two so that no square overflows; the scaling
     # is exact, so the check and the normalization are those of the raw point.
-    # The check allows 1e-6 plus the pairing's own roundoff, 4 eps |x|^2.
+    # The check allows 1e-6 plus the pairing's roundoff, 4 eps |x|^2; only a
+    # point within 1e-6 is normalized (dividing by roundoff would move it).
     k = max(0, math.frexp(float(np.max(np.abs(arr))))[1])
     u, unit = np.ldexp(arr, -k), math.ldexp(1.0, -2 * k)
     uu = mink_inner(u, u)
+    near = abs(uu + unit) <= 1e-6 * unit
     if abs(uu + unit) > 1e-6 * unit + 4.0 * sys.float_info.epsilon * float(np.dot(u, u)):
         raise ConfigError("--base-point must satisfy -x0^2 + x1^2 + x2^2 + x3^2 = -1")
     if arr[0] <= 0.0:
         raise ConfigError("--base-point must have x0 > 0")
     if uu >= 0.0:
         raise GeometryError("vector is not timelike")
-    v = u / math.sqrt(-uu)
+    v = u / math.sqrt(-uu) if near else arr
     _require(model_checks(v))
     return v
 
@@ -172,13 +175,13 @@ def cmd_classify(cfg: RunConfig, out_base: str) -> tuple[dict, str]:
 
 
 def cmd_scan_lambda(cfg: RunConfig, out_base: str) -> tuple[dict, str]:
-    scan = scan_lambda_max(alpha0=cfg.alpha0, delta=cfg.delta, grid=cfg.grid)
+    scan = scan_lambda_max(alpha0=cfg.alpha0, delta=cfg.delta)
     params = SpiralParams(alpha0=cfg.alpha0, lam=scan.lambda_max, delta=cfg.delta)
     axes = grid_axes(spiral_chart(params), cfg.grid)
     write_csv(
         out_base + ".csv", ["r", "t", "h_value"], axes, lambda s: [definiteness_margin(*grid_params(axes, s), params)]
     )
-    return {"scan": asdict(scan)}, f"lambda_max: {scan.lambda_max!r}"
+    return {"scan": {**asdict(scan), "grid": cfg.grid}}, f"lambda_max: {scan.lambda_max!r}"
 
 
 def cmd_gauss(cfg: RunConfig, out_base: str) -> tuple[dict, str]:

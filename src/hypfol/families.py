@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GeometryError
-from .foliation import FoliationChart, grid_axes
+from .foliation import FoliationChart
 from .geodesics import asymptote_directions
 from .lorentz import cosh_sinhc
 
@@ -160,97 +160,49 @@ def _margin(sinh_2r, t_minus_r, alpha0: float, lam: float, out: np.ndarray) -> n
 
 @dataclass(frozen=True)
 class LambdaScan:
-    """Result of scanning for the largest pitch with positive margin on a grid."""
+    """Result of scanning for the largest pitch with positive margin on the rectangle."""
 
     lambda_max: float
     alpha0: float
     delta: float
-    grid: tuple[int, int]
-    trace: tuple[tuple[float, float], ...]  # (lam, grid minimum of the margin)
+    trace: tuple[tuple[float, float], ...]  # (lam, minimum of the margin on the rectangle)
 
 
 LAMBDA_SCAN_CAP = math.sinh(6.0)
-#: absolute error allowed to numpy's ``sin`` (not correctly rounded on every
-#: platform) in the per-row margin bounds: many ulps of a value of size 1
-_SIN_SLACK = 4e-15
-#: relative widening, down and up, of a row's range of sine arguments (in
-#: turns) when looking for a minimum of the sine in it
-_WIDEN = np.array([-1e-9, 1e-9])
 
 
-def _row_bounds(sinh_2r, ends, alpha0: float, lam: float) -> np.ndarray:
-    """Lower bound of ``_margin`` on every row of the scan grid.
+def scan_lambda_max(alpha0: float = math.pi / 4.0, delta: float = 0.1) -> LambdaScan:
+    """Largest pitch on a bisection schedule keeping the margin positive on
+    the parameter rectangle, the same for every grid over it.
 
-    ``sinh_2r`` holds a row's ``sinh(2r)`` (shape ``(n, 1)``), ``ends`` the
-    least and largest ``t - r`` of the row (shape ``(n, 2)``).  With the
-    pitch positive, ``_margin``'s floating-point sine argument is monotone
-    in ``t - r``, so on a row it lies between the arguments of ``ends``,
-    computed here with the same operations.  Over that interval the sine is
-    at least -1 if it holds a minimum ``3 pi/2 + 2 k pi`` (looked for in the
-    interval widened by ``_WIDEN``) and otherwise at least its value at an
-    end; the result is that sine bound less ``_SIN_SLACK``, times
-    ``sinh(2r)``, less the pitch, the last two again in ``_margin``'s
-    operations.  Shape ``(n,)``."""
-    x = np.multiply(lam, ends)
-    x += alpha0
-    x *= 2.0
-    sine = np.sin(x)
-    # the minima of the sine sit at whole numbers of turns
-    turns = (x - 1.5 * math.pi) / (2.0 * math.pi)
-    turns += _WIDEN * (1.0 + np.abs(turns))
-    floor = np.floor(turns)
-    low = np.where(floor[:, 1] > floor[:, 0], -1.0, np.minimum(sine[:, 0], sine[:, 1]))
-    low -= _SIN_SLACK
-    return low * sinh_2r[:, 0] - lam
-
-
-def scan_lambda_max(
-    alpha0: float = math.pi / 4.0,
-    delta: float = 0.1,
-    grid: tuple[int, int] = (200, 200),
-) -> LambdaScan:
-    """Largest pitch on a bisection schedule keeping the margin positive on the grid.
-
-    The margin tends to ``sinh(2r) sin(2 alpha0) > 0`` as the pitch goes to
-    zero, so a positive value always exists.  Bisection runs between
-    ``sinh 6`` and a lower bracket of ``1e-12``, or, where the margin is not
-    positive there (``alpha0`` within about ``1e-12 (3 + delta)`` of 0 or
-    ``pi/2``), half the least pitch that takes the tilt ``alpha0 + lam (t -
-    r)`` to 0 or ``pi/2`` at a corner of the rectangle, where ``t - r`` is
-    ``-(3 + delta)`` or ``2 pi + delta - 1``.  It stops once the bracket is
-    at most ``1e-12 max(hi, 1)`` wide and at most ``1e-9 lo`` (``lo`` taken
-    as at least the least normal float), so ``lambda_max`` is within
-    ``1e-9`` relative of the grid's threshold at tiny pitches too.  The
-    trace records every evaluated (pitch, grid-min) pair in order.
-    ``sinh(2r)`` is computed once, and ``t - r`` only on the rows a step
-    evaluates: a row's least and largest ``t - r`` are those of the least
-    and largest ``t``, as rounding is monotone.  Each step bounds the margin
-    of every grid row from below (``_row_bounds``), evaluates the rows of
-    least bound, then every row whose bound does not exceed their minimum,
-    and takes the minimum of those: the other rows cannot hold a smaller
-    value, and the evaluated cells go through ``_margin`` as in a full-grid
-    evaluation, so the minimum is the grid's, bit for bit.
+    While the tilt ``alpha0 + lam (t - r)`` stays in ``(0, pi/2)``, ``log
+    sinh(2r)`` and ``log sin(2 tilt)`` are concave (the tilt is affine), so
+    the margin is least at a corner, a node of every grid: a step evaluates
+    ``_margin`` on the four corners, in a grid's operations.  Where the tilt
+    leaves ``(0, pi/2)`` at ``(3, -delta)`` or ``(1, 2 pi + delta)`` (it may
+    equal the float ``pi/2``, which lies below pi/2), it meets 0 or pi/2 on
+    the rectangle, the margin there is ``-lam``, and the step records that.
+    Bisection runs between ``sinh 6`` and ``1e-12``, or, where the margin is
+    not positive there, half the least pitch that takes the tilt to 0 or
+    ``pi/2``.  It stops once the bracket is at most ``1e-12 max(hi, 1)`` and
+    ``1e-9 lo`` wide (``lo`` taken as at least the least normal float).  The
+    trace records every (pitch, minimum) pair in order.
     """
     params = SpiralParams(alpha0, LAMBDA_SCAN_CAP, delta)  # validates alpha0 and delta
-    r, t = grid_axes(spiral_chart(params), grid)
-    sinh_2r = np.sinh(2.0 * r[:, None])
-    ends = np.stack((t.min() - r, t.max() - r), axis=1)
-
+    (r0, r1), (t0, t1) = params.rect
+    r = np.array([[r0], [r1]])
+    sinh_2r, t_minus_r = np.sinh(2.0 * r), np.array([t0, t1]) - r
+    out = np.empty((2, 2))
     trace: list[tuple[float, float]] = []
 
-    def rows_min(lam: float, rows: np.ndarray) -> float:
-        out = np.empty((len(rows), len(t)))
-        return float(_margin(sinh_2r[rows], t - r[rows, None], alpha0, lam, out).min())
-
     def min_margin(lam: float) -> float:
-        bound = _row_bounds(sinh_2r, ends, alpha0, lam)
-        least = rows_min(lam, np.flatnonzero(bound == bound.min()))
-        out = rows_min(lam, np.flatnonzero(bound <= least))
-        trace.append((lam, out))
-        return out
+        inside = 0.0 < lam * (t0 - r1) + alpha0 and lam * (t1 - r0) + alpha0 <= 0.5 * math.pi
+        value = float(_margin(sinh_2r, t_minus_r, alpha0, lam, out).min()) if inside else -lam
+        trace.append((lam, value))
+        return value
 
     hi = LAMBDA_SCAN_CAP
-    min_margin(hi)  # for the trace: never positive, as the r = 1 row's margin is at most sinh 2 - sinh 6
+    min_margin(hi)  # for the trace: -hi, as the tilt spans more than pi/2
     lo = 1e-12
     if min_margin(lo) <= 0.0:
         lo = min(lo, 0.5 * min(alpha0 / (3.0 + delta), (0.5 * math.pi - alpha0) / (2.0 * math.pi + delta - 1.0)))
@@ -262,4 +214,4 @@ def scan_lambda_max(
             lo = mid
         else:
             hi = mid
-    return LambdaScan(lo, alpha0, delta, tuple(grid), tuple(trace))
+    return LambdaScan(lo, alpha0, delta, tuple(trace))

@@ -606,12 +606,12 @@ def _newton_steps(gram: np.ndarray, grad: np.ndarray, held: np.ndarray) -> np.nd
     is held, zero when both are.  A step that is not finite is zero."""
     (g00, g01), (_, g11) = gram
     grad = np.where(held.T, 0.0, grad)
-    det = g00 * g11 - g01 * g01
     with np.errstate(all="ignore"):
+        det = g00 * g11 - g01 * g01
         full = np.array((g01 * grad[1] - g11 * grad[0], g01 * grad[0] - g00 * grad[1])) / det
         curvature = g00 * grad[0] ** 2 + 2.0 * g01 * grad[0] * grad[1] + g11 * grad[1] ** 2
         along = grad * -((grad * grad).sum(axis=0) / curvature)
-    step = np.where(~held.any(axis=1) & (det > 1e-12 * g00 * g11), full, along).T
+        step = np.where(~held.any(axis=1) & (det > 1e-12 * g00 * g11), full, along).T
     return np.where(np.isfinite(step), step, 0.0)
 
 

@@ -157,7 +157,7 @@ def test_acceptance_05_plane_normal_family(announce):
 
 def test_acceptance_06_spiral_family(announce, rng):
     t0 = time.perf_counter()
-    scan = hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1, grid=(200, 200))
+    scan = hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1)
     assert scan.lambda_max > 0.0
 
     half = hf.SpiralParams(alpha0=math.pi / 4.0, lam=scan.lambda_max / 2.0, delta=0.1)

@@ -25,7 +25,7 @@ SIZES = (2, 3, 7)
 
 
 def _lam_max_4x4():
-    return hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1, grid=(4, 4)).lambda_max
+    return hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1).lambda_max
 
 
 #: per sample shape, a chart, a grid with samples of that shape, and its

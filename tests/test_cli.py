@@ -260,7 +260,7 @@ def test_experiment_scripts_run(tmp_path):
     outputs = []
     for argv in (
         ["classify_families.py", "--grid", "4x4"],
-        ["reproduce_counterexample.py", "--scan-grid", "40x40", "--classify-grid", "4x4", "--out", "crossing.json"],
+        ["reproduce_counterexample.py", "--classify-grid", "4x4", "--out", "crossing.json"],
     ):
         proc = subprocess.run(
             [sys.executable, str(scripts / argv[0]), *argv[1:]],
@@ -290,7 +290,7 @@ def test_experiment_scripts_run(tmp_path):
     "argv, message",
     [
         (["classify_families.py", "--grid", "4"], "grid must look like NxM, got '4'"),
-        (["reproduce_counterexample.py", "--scan-grid", "1x40"], "grid dimensions must be at least 2"),
+        (["reproduce_counterexample.py", "--classify-grid", "1x40"], "grid dimensions must be at least 2"),
         (["reproduce_counterexample.py", "--classify-grid", "4xq"], "grid must look like NxM, got '4xq'"),
         (["reproduce_counterexample.py", "--alpha0", "2"], "alpha0 must lie in (0, pi/2)"),
         (["reproduce_counterexample.py", "--delta", "-1"], "delta must be positive"),
@@ -322,7 +322,7 @@ def test_experiment_scripts_reject_grids_like_the_cli(tmp_path, capsys, argv, me
 def test_counterexample_script_reports_an_unwritable_out_like_the_cli(tmp_path):
     # the experiment runs to the end, then its --out write fails: exit 2 with
     # the CLI's message, as for a CLI output in a missing directory
-    argv = ["--scan-grid", "4x4", "--classify-grid", "4x4", "--out", str(tmp_path / "missing" / "x.json")]
+    argv = ["--classify-grid", "4x4", "--out", str(tmp_path / "missing" / "x.json")]
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve().parents[1] / "scripts" / "reproduce_counterexample.py"), *argv],
         capture_output=True,
@@ -449,6 +449,36 @@ def _point_at(distance, direction=(1.0, 0.0, 0.0)):
 def test_exact_base_point_is_accepted(tmp_path, point):
     argv = ["critical", "--family", "vertical", "--grid", "4x4", "--base-point", *point]
     assert run(argv + ["--out", str(tmp_path / "x")]) == 0
+    # the point used is the typed one, normalized or not, to 1e-6 relative
+    used = cli._base_point(cli._build_config(cli.build_parser().parse_args(argv)))
+    typed = np.array([float(x) for x in point])
+    assert np.max(np.abs(used - typed)) <= 1e-6 * np.max(np.abs(typed))
+
+
+def test_base_point_admitted_by_roundoff_is_used_as_typed(tmp_path):
+    # <x, x> + 1 is about 4e184, inside the pairing's roundoff 4 eps |x|^2 =
+    # 1e185 but not within 1e-6: normalizing would divide by roundoff and
+    # measure from a point at distance about 18 instead of 231
+    point = ["1.0000000000000002e+100", "1e100", "0", "0"]
+    argv = ["critical", "--family", "plane-normal", "--grid", "3x3", "--base-point", *point]
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 0
+    results = json.loads((tmp_path / "x.json").read_text())["results"]
+    _, chart = hf.plane_normal_family()
+    minima, rings = hf.critical_point_scan(chart, base=np.array([float(x) for x in point]), grid=(3, 3))
+    assert results["minima"] == [m.to_dict() for m in minima] and results["ring_min_values"] == rings
+    # the nearest leaf, over (1, 0), crosses the plane of the point at distance 1 from the origin
+    assert results["minima"][0]["params"] == [1.0, 0.0]
+    assert math.sqrt(results["minima"][0]["value"]) == pytest.approx(math.acosh(1e100) - 1.0, rel=1e-12)
+
+
+def test_near_base_point_is_normalized():
+    # a point within 1e-6 of the hyperboloid is divided by sqrt(-<x, x>), so
+    # the crossing of the endpoint benchmark keeps its base point bit for bit
+    point = [repr(math.cosh(2.0)), repr(math.sinh(2.0)), "0.0", "0.0"]
+    argv = ["critical", "--family", "prop", "--lambda", "0.0711", "--base-point", *point]
+    typed = np.array([float(x) for x in point])
+    used = cli._base_point(cli._build_config(cli.build_parser().parse_args(argv)))
+    assert used.tolist() == (typed / math.sqrt(-hf.mink_inner(typed, typed))).tolist()
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 """The three study families: frames, directions, margins, scans."""
 
 import math
+import re
+import sys
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import hypfol as hf
@@ -265,7 +268,7 @@ def test_margin_determinant_identity(params, rng):
 
 
 def test_scan_lambda_max():
-    scan = hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1, grid=(200, 200))
+    scan = hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1)
     assert scan.lambda_max > 0.0
     # positive margin on the whole grid at the scan value
     p = hf.SpiralParams(alpha0=math.pi / 4.0, lam=scan.lambda_max, delta=0.1)
@@ -284,13 +287,35 @@ def test_scan_lambda_max():
     assert all(lam > 0.0 for lam, _ in scan.trace)
 
 
+def _tilt_leaves(alpha0, delta, lam):
+    """Whether the tilt, in the margin's operations, leaves ``(0, pi/2)`` at
+    a corner of the rectangle: its least and largest ``t - r`` are those of
+    ``(3, -delta)`` and ``(1, 2 pi + delta)``."""
+    (r0, r1), (t0, t1) = hf.SpiralParams(alpha0, families.LAMBDA_SCAN_CAP, delta).rect
+    return not (0.0 < lam * (t0 - r1) + alpha0 and lam * (t1 - r0) + alpha0 <= 0.5 * math.pi)
+
+
+def _grid_margin(alpha0, delta, grid, lam):
+    """The least margin on the grid, in ``definiteness_margin``'s operations;
+    ``lam`` may be 0, which a subnormal ``alpha0`` scans to."""
+    r = np.linspace(1.0, 3.0, grid[0])[:, None]
+    t = np.linspace(-delta, 2.0 * math.pi + delta, grid[1])
+    return families._margin(np.sinh(2.0 * r), t - r, alpha0, lam, np.empty(grid)).min()
+
+
 @pytest.mark.parametrize("grid", [(40, 55), (7, 300)])
 @pytest.mark.parametrize("alpha0", [math.pi / 4.0, 0.55])
 def test_scan_lambda_trace_is_the_grid_minimum_of_the_margin(grid, alpha0):
-    scan = hf.scan_lambda_max(alpha0=alpha0, delta=0.1, grid=grid)
+    # where the tilt stays in (0, pi/2), a trace value is the grid minimum
+    # bit for bit; where it leaves, it is -lam, the margin where the tilt
+    # meets 0 or pi/2
+    scan = hf.scan_lambda_max(alpha0=alpha0, delta=0.1)
     rr = np.linspace(1.0, 3.0, grid[0])[:, None]
     tt = np.linspace(-0.1, 2.0 * math.pi + 0.1, grid[1])[None, :]
     for lam, value in scan.trace:
+        if _tilt_leaves(alpha0, 0.1, lam):
+            assert value == -lam
+            continue
         want = float(hf.definiteness_margin(rr, tt, hf.SpiralParams(alpha0, lam, 0.1)).min())
         written_out = float((np.sinh(2.0 * rr) * np.sin(2.0 * (alpha0 + lam * (tt - rr))) - lam).min())
         assert value.hex() == want.hex() == written_out.hex()
@@ -307,35 +332,46 @@ _sizes = st.integers(2, 400)
 _grids = st.one_of(st.tuples(_sizes, _sizes), st.tuples(st.just(2), _sizes), st.tuples(_sizes, st.just(2)))
 
 
-def _scan_outcome(scan, alpha0, delta, grid):
-    """The scan's ``lambda_max`` and trace as hex strings, or its exception."""
-    try:
-        result = scan(alpha0=alpha0, delta=delta, grid=grid)
-    except hf.GeometryError as exc:
-        return repr(exc)
-    return result.lambda_max.hex(), [(lam.hex(), value.hex()) for lam, value in result.trace]
-
-
 @given(_alpha0s, _deltas, _grids)
 def test_scan_lambda_max_matches_full_grid_bisection(alpha0, delta, grid):
-    new = _scan_outcome(hf.scan_lambda_max, alpha0, delta, grid)
-    assert new == _scan_outcome(reference_scan_lambda_max, alpha0, delta, grid)
+    # the corner scan is the grid bisection bit for bit unless the grid
+    # bisection finds a positive minimum at a pitch whose tilt leaves
+    # (0, pi/2), a grid that misses the zero of the margin where the tilt
+    # meets 0 or pi/2; on every draw lambda_max is at the grid's threshold
+    try:
+        ref = reference_scan_lambda_max(alpha0=alpha0, delta=delta, grid=grid)
+    except hf.GeometryError as exc:
+        with pytest.raises(hf.GeometryError, match=f"^{re.escape(str(exc))}$"):
+            hf.scan_lambda_max(alpha0=alpha0, delta=delta)
+        return
+    scan = hf.scan_lambda_max(alpha0=alpha0, delta=delta)
+    if not any(value > 0.0 and _tilt_leaves(alpha0, delta, lam) for lam, value in ref.trace):
+        def positive(result):
+            return [(lam.hex(), value.hex()) for lam, value in result.trace if value > 0.0]
+
+        assert scan.lambda_max.hex() == ref.lambda_max.hex()
+        assert [lam for lam, _ in scan.trace] == [lam for lam, _ in ref.trace]
+        assert positive(scan) == positive(ref)
+    # within the scan's stated width, 1e-9 relative above the least normal float
+    lam = scan.lambda_max
+    above = lam + 1e-9 * max(lam, sys.float_info.min)
+    assert _grid_margin(alpha0, delta, grid, lam) > 0.0 >= _grid_margin(alpha0, delta, grid, above)
 
 
 @given(
     _alpha0s,
     _deltas,
     st.tuples(st.integers(2, 60), st.integers(2, 60)),
-    st.floats(-12.0, math.log10(families.LAMBDA_SCAN_CAP)),
+    st.floats(0.0, 14.0),
 )
-def test_row_bounds_are_below_every_row_minimum(alpha0, delta, grid, log_lam):
-    lam = min(10.0**log_lam, families.LAMBDA_SCAN_CAP)
+def test_margin_grid_minimum_is_at_a_corner(alpha0, delta, grid, decades):
+    # with the tilt in (0, pi/2) the margin's logarithm is concave, so its
+    # least grid cell, in the margin's float operations, is a corner cell
+    lam = min(alpha0 / (3.0 + delta), (0.5 * math.pi - alpha0) / (2.0 * math.pi + delta - 1.0)) * 10.0**-decades
+    assume(lam > 0.0 and not _tilt_leaves(alpha0, delta, lam))
     r, t = hf.grid_axes(hf.spiral_chart(hf.SpiralParams(alpha0, lam, delta)), grid)
-    sinh_2r, t_minus_r = np.sinh(2.0 * r[:, None]), t - r[:, None]
-    ends = np.stack((t_minus_r.min(axis=1), t_minus_r.max(axis=1)), axis=1)
-    bound = families._row_bounds(sinh_2r, ends, alpha0, lam)
-    margin = families._margin(sinh_2r, t_minus_r, alpha0, lam, np.empty(grid))
-    assert (margin.min(axis=1) >= bound).all()
+    margin = families._margin(np.sinh(2.0 * r[:, None]), t - r[:, None], alpha0, lam, np.empty(grid))
+    assert margin.min() == margin[[0, 0, -1, -1], [0, -1, 0, -1]].min()
 
 
 @given(
@@ -349,24 +385,18 @@ def test_row_bounds_are_below_every_row_minimum(alpha0, delta, grid, log_lam):
 )
 def test_scan_lambda_max_near_the_ends_of_the_tilt_range(alpha0, delta, grid):
     # a tilt too close to 0 or pi/2 for the pitch 1e-12 still has a positive pitch
-    scan = hf.scan_lambda_max(alpha0=alpha0, delta=delta, grid=grid)
-    params = hf.SpiralParams(alpha0, scan.lambda_max, delta)
-    r, t = hf.grid_axes(hf.spiral_chart(params), grid)
+    scan = hf.scan_lambda_max(alpha0=alpha0, delta=delta)
     assert scan.lambda_max > 0.0
-    assert hf.definiteness_margin(r[:, None], t, params).min() > 0.0
+    assert _grid_margin(alpha0, delta, grid, scan.lambda_max) > 0.0
 
 
 @pytest.mark.parametrize("alpha0", [2e-13, 1e-11])
 def test_scan_lambda_max_bisects_tiny_pitches_to_the_grid_threshold(alpha0):
-    # a pitch below 1e-12 is bisected to 1e-9 relative, not left at its lower bracket
-    scan = hf.scan_lambda_max(alpha0=alpha0, grid=(2, 2))
-
-    def grid_margin(lam):
-        params = hf.SpiralParams(alpha0, lam, 0.1)
-        r, t = hf.grid_axes(hf.spiral_chart(params), (2, 2))
-        return hf.definiteness_margin(r[:, None], t, params).min()
-
-    assert grid_margin(scan.lambda_max) > 0.0 >= grid_margin(scan.lambda_max * (1.0 + 1e-9))
+    # a pitch below 1e-12 is bisected to 1e-9 relative, not left at its lower
+    # bracket; the 2 x 2 grid is the rectangle's corners
+    scan = hf.scan_lambda_max(alpha0=alpha0)
+    lam = scan.lambda_max
+    assert _grid_margin(alpha0, 0.1, (2, 2), lam) > 0.0 >= _grid_margin(alpha0, 0.1, (2, 2), lam * (1.0 + 1e-9))
 
 
 @pytest.mark.parametrize("alpha0", [0.5, math.pi / 4.0, 1.0])
@@ -379,10 +409,22 @@ def test_scan_lambda_max_evaluates_few_cells(monkeypatch, alpha0):
         return margin(sinh_2r, t_minus_r, alpha0, lam, out)
 
     monkeypatch.setattr(families, "_margin", counted)
-    scan = hf.scan_lambda_max(alpha0=alpha0, delta=0.1, grid=(300, 300))
+    scan = hf.scan_lambda_max(alpha0=alpha0, delta=0.1)
     assert len(scan.trace) == 50
-    # the full-grid bisection evaluates 50 x 90 000 cells
-    assert sum(cells) <= 0.02 * 50 * 300 * 300
+    # at most one evaluation of the four corners per bisection step
+    assert len(cells) <= len(scan.trace) and max(cells) <= 4
+
+
+def test_scan_lambda_max_at_a_vanishing_tilt_is_fast():
+    # about 1030 bisection steps, nearly all at pitches whose tilt leaves
+    # (0, pi/2), which evaluate no margin
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        scan = hf.scan_lambda_max(alpha0=1e-300, delta=0.1)
+        times.append(time.perf_counter() - start)
+    assert min(times) <= 0.01
+    assert scan.lambda_max == reference_scan_lambda_max(alpha0=1e-300, delta=0.1, grid=(2, 2)).lambda_max
 
 
 def test_spiral_params_validation():

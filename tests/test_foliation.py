@@ -188,7 +188,7 @@ def _ambient_tangents(chart, params):
 def test_classify_point_matches_metrics_of_normalized_tangents(vertical, plane_normal):
     # every branch: flat (the closed families), definite, cone (steep spiral)
     # and kernel (the grid corner of the spiral at the largest valid pitch)
-    lam_max = hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1, grid=(4, 4)).lambda_max
+    lam_max = hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1).lambda_max
     spirals = [
         hf.spiral_chart(hf.SpiralParams(alpha0=math.pi / 4.0, lam=lam, delta=0.1)) for lam in (lam_max, 0.3)
     ]
@@ -332,8 +332,29 @@ def test_classify_chart_aggregates(vertical, plane_normal):
     assert repp.aggregate == "semidefinite"
 
 
+#: the verdict tolerance is not scaled by the pitch (ROADMAP item 2)
+_UNSCALED_TOL = pytest.mark.xfail(
+    strict=True,
+    reason="the cross Gram's small eigenvalue scales with the pitch, under the unscaled "
+    "VERDICT_TOL (ROADMAP item 2; FOUND line on the small-pitch spiral in CHANGES.md)",
+)
+
+
+@pytest.mark.parametrize("lam", [1e-6, pytest.param(1e-7, marks=_UNSCALED_TOL), pytest.param(1e-8, marks=_UNSCALED_TOL)])
+def test_spiral_with_a_clear_margin_is_definite_at_small_pitch(lam):
+    # the margin is at least 3.62 on the grid, so every sample is definite;
+    # measured: at 1e-7 (VERDICT_TOL) 133 of 144 samples read semidefinite,
+    # at 1e-8 all 144, on the kernel branch
+    params = hf.SpiralParams(alpha0=math.pi / 4.0, lam=lam, delta=0.1)
+    chart = hf.spiral_chart(params)
+    r, t = hf.grid_axes(chart, (12, 12))
+    assert hf.definiteness_margin(r[:, None], t, params).min() > 3.62
+    rep = hf.classify_chart(chart, grid=(12, 12))
+    assert rep.verdict_code.tolist() == [_DEFINITE] * 144
+
+
 def test_classify_large_pitch_contains_bad_samples():
-    scan = hf.scan_lambda_max(grid=(80, 80))
+    scan = hf.scan_lambda_max()
     params = hf.SpiralParams(alpha0=math.pi / 4.0, lam=2.0 * scan.lambda_max, delta=0.1)
     chart = hf.spiral_chart(params)
     rep = hf.classify_chart(chart, grid=(12, 12))
@@ -351,7 +372,7 @@ def test_classifier_flags_rank_deficient_plane(plane_normal):
 
 def test_classifier_matches_margin_sign(spiral):
     # definite exactly where the closed-form margin is positive
-    scan = hf.scan_lambda_max(grid=(60, 60))
+    scan = hf.scan_lambda_max()
     params = hf.SpiralParams(alpha0=math.pi / 4.0, lam=1.5 * scan.lambda_max, delta=0.1)
     chart = hf.spiral_chart(params)
     tol = 1e-7
@@ -400,7 +421,7 @@ def _classify_mix_charts():
     """The five 12x12 charts of the classify-mix benchmark workload: the two
     closed families, and the spiral at 0.3, 1 and 4 times the pitch
     ``lambda_max`` of that grid, which puts one grid corner on the kernel."""
-    lam_max = hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1, grid=(12, 12)).lambda_max
+    lam_max = hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1).lambda_max
     spirals = [hf.spiral_chart(hf.SpiralParams(math.pi / 4.0, s * lam_max, 0.1)) for s in (0.3, 1.0, 4.0)]
     return [hf.vertical_family()[1], hf.plane_normal_family()[1], *spirals]
 
@@ -884,7 +905,7 @@ def test_entry_points_hand_the_library_arrays(monkeypatch, tmp_path, capsys):
     point = [repr(math.cosh(2.0)), repr(math.sinh(2.0)), "0.0", "0.0"]
     argv = ["critical", "--family", "prop", "--lambda", "0.0711", "--grid", "12x12", "--base-point", *point]
     assert cli.main(argv + ["--out", str(tmp_path / "x")]) == 0
-    args = argparse.Namespace(alpha0=math.pi / 4.0, delta=0.1, scan_grid="40x40", classify_grid="4x4", out=None)
+    args = argparse.Namespace(alpha0=math.pi / 4.0, delta=0.1, classify_grid="4x4", out=None)
     assert script.run(args) == 0
     assert "leaves through the seed point: 2," in capsys.readouterr().out
     assert built == []

@@ -144,7 +144,7 @@ def _classify_payload(rep):
 
 
 def _lam_max_4x4():
-    return hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1, grid=(4, 4)).lambda_max
+    return hf.scan_lambda_max(alpha0=math.pi / 4.0, delta=0.1).lambda_max
 
 
 #: a chart and grid per sample shape, and the Killing-value count (None:

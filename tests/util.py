@@ -834,8 +834,9 @@ def reference_scan_lambda_max(
     grid: tuple[int, int] = (200, 200),
 ) -> LambdaScan:
     """``families.scan_lambda_max`` evaluating the margin on the whole grid
-    at every bisection step: the oracle of the row-bounded scan, which must
-    give the same trace and ``lambda_max`` bit for bit."""
+    at every bisection step: the grid threshold, the oracle of the corner
+    scan, which must give the same ``lambda_max`` and positive trace entries
+    bit for bit wherever no positive entry has a tilt leaving ``(0, pi/2)``."""
     params = SpiralParams(alpha0, LAMBDA_SCAN_CAP, delta)  # validates alpha0 and delta
     r, t = grid_axes(spiral_chart(params), grid)
     sinh_2r, t_minus_r = np.sinh(2.0 * r[:, None]), t - r[:, None]
@@ -850,7 +851,7 @@ def reference_scan_lambda_max(
 
     hi = LAMBDA_SCAN_CAP
     if min_margin(hi) > 0.0:
-        return LambdaScan(hi, alpha0, delta, tuple(grid), tuple(trace))
+        return LambdaScan(hi, alpha0, delta, tuple(trace))
     lo = 1e-12
     if min_margin(lo) <= 0.0:
         lo = min(lo, 0.5 * min(alpha0 / (3.0 + delta), (0.5 * math.pi - alpha0) / (2.0 * math.pi + delta - 1.0)))
@@ -862,4 +863,4 @@ def reference_scan_lambda_max(
             lo = mid
         else:
             hi = mid
-    return LambdaScan(lo, alpha0, delta, tuple(grid), tuple(trace))
+    return LambdaScan(lo, alpha0, delta, tuple(trace))
