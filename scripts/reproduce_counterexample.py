@@ -40,8 +40,8 @@ def crossing_angle(chart: hf.FoliationChart, q: np.ndarray, first: hf.CriticalPo
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--alpha0", type=float, default=math.pi / 4.0)
-    ap.add_argument("--delta", type=float, default=0.1)
+    ap.add_argument("--alpha0", type=float, default=hf.SpiralParams.alpha0)
+    ap.add_argument("--delta", type=float, default=hf.SpiralParams.delta)
     ap.add_argument("--classify-grid", type=str, default="20x20")
     ap.add_argument("--out", type=str, default=None, help="optional JSON dump")
     args = ap.parse_args()

@@ -52,7 +52,7 @@ from .report import report_payload, write_csv, write_report
 
 FAMILIES = ("vertical", "plane-normal", "prop")
 #: the flags only the spiral (``prop``) family reads, with their defaults
-_SPIRAL_FLAGS = (("--lambda", "lam", None), ("--alpha0", "alpha0", math.pi / 4.0), ("--delta", "delta", 0.1))
+_SPIRAL_FLAGS = (("--lambda", "lam", None), ("--alpha0", "alpha0", SpiralParams.alpha0), ("--delta", "delta", SpiralParams.delta))
 #: the most grid samples: no array holds 1024 bytes per sample (the largest
 #: whole-grid arrays are the classification report's columns, ``k_values``
 #: (N, 8) floats or 64 bytes; the kernel's forms, 96 bytes per sample, its
@@ -241,7 +241,7 @@ _COMMAND_OPTIONS = {
 _OPTIONS = {
     "--family": dict(choices=FAMILIES, required=True, default=None),
     "--alpha0": dict(type=float, default=None, help="tilt angle, radians (default pi/4)"),
-    "--delta": dict(type=float, default=None, help="angular overhang of the annulus rectangle (default 0.1)"),
+    "--delta": dict(type=float, default=None, help=f"angular overhang of the annulus rectangle (default {SpiralParams.delta})"),
     "--lambda": dict(dest="lam", type=float, default=None, help="spiral pitch"),
     "--grid": dict(type=str, default="20x20", help="sample grid, NxM"),
     "--tol": dict(

@@ -141,21 +141,7 @@ def definiteness_margin(r, t, params: SpiralParams):
     """``sinh(2r) sin(2 tilt) - lam``; positive iff the cross form is
     definite at the sample (pitch positive).  ``r`` and ``t`` may be
     arrays that broadcast together."""
-    out = np.empty(np.broadcast_shapes(np.shape(r), np.shape(t)))
-    # [()] reads a scalar out of a 0-d result and leaves arrays as they are
-    return _margin(np.sinh(2.0 * r), np.subtract(t, r), params.alpha0, params.lam, out)[()]
-
-
-def _margin(sinh_2r, t_minus_r, alpha0: float, lam: float, out: np.ndarray) -> np.ndarray:
-    """The margin from its pitch-free factors ``sinh(2r)`` and ``t - r``, in
-    place in ``out`` (which has the broadcast shape of the factors)."""
-    np.multiply(lam, t_minus_r, out=out)
-    out += alpha0
-    out *= 2.0
-    np.sin(out, out=out)
-    out *= sinh_2r
-    out -= lam
-    return out
+    return np.sinh(2.0 * r) * np.sin(2.0 * params.tilt(r, t)) - params.lam
 
 
 @dataclass(frozen=True)
@@ -171,33 +157,32 @@ class LambdaScan:
 LAMBDA_SCAN_CAP = math.sinh(6.0)
 
 
-def scan_lambda_max(alpha0: float = math.pi / 4.0, delta: float = 0.1) -> LambdaScan:
+def scan_lambda_max(alpha0: float = SpiralParams.alpha0, delta: float = SpiralParams.delta) -> LambdaScan:
     """Largest pitch on a bisection schedule keeping the margin positive on
     the parameter rectangle, the same for every grid over it.
 
     While the tilt ``alpha0 + lam (t - r)`` stays in ``(0, pi/2)``, ``log
     sinh(2r)`` and ``log sin(2 tilt)`` are concave (the tilt is affine), so
     the margin is least at a corner, a node of every grid: a step evaluates
-    ``_margin`` on the four corners, in a grid's operations.  Where the tilt
-    leaves ``(0, pi/2)`` at ``(3, -delta)`` or ``(1, 2 pi + delta)`` (it may
-    equal the float ``pi/2``, which lies below pi/2), it meets 0 or pi/2 on
-    the rectangle, the margin there is ``-lam``, and the step records that.
-    Bisection runs between ``sinh 6`` and ``1e-12``, or, where the margin is
-    not positive there, half the least pitch that takes the tilt to 0 or
-    ``pi/2``.  It stops once the bracket is at most ``1e-12 max(hi, 1)`` and
-    ``1e-9 lo`` wide (``lo`` taken as at least the least normal float).  The
-    trace records every (pitch, minimum) pair in order.
+    ``definiteness_margin`` on the four corners, in a grid's operations.
+    Where the tilt leaves ``(0, pi/2)`` at ``(3, -delta)`` or ``(1, 2 pi +
+    delta)`` (it may equal the float ``pi/2``, which lies below pi/2), it
+    meets 0 or pi/2 on the rectangle, the margin there is ``-lam``, and the
+    step records that.  Bisection, which takes the positive pitches to be
+    ``(0, lambda_max)``, runs between ``sinh 6`` and ``1e-12``, or, where the
+    margin is not positive there, half the least pitch that takes the tilt
+    to 0 or ``pi/2`` (a ``GeometryError`` where that underflows to 0).  It
+    stops once the bracket is at most ``1e-12 max(hi, 1)`` and ``1e-9 lo``
+    wide (``lo`` taken as at least the least normal float).  The trace
+    records every (pitch, minimum) pair in order.
     """
-    params = SpiralParams(alpha0, LAMBDA_SCAN_CAP, delta)  # validates alpha0 and delta
-    (r0, r1), (t0, t1) = params.rect
-    r = np.array([[r0], [r1]])
-    sinh_2r, t_minus_r = np.sinh(2.0 * r), np.array([t0, t1]) - r
-    out = np.empty((2, 2))
+    (r0, r1), (t0, t1) = SpiralParams(alpha0, LAMBDA_SCAN_CAP, delta).rect  # validates alpha0 and delta
+    r, t = np.array([[r0], [r1]]), np.array([t0, t1])
     trace: list[tuple[float, float]] = []
 
     def min_margin(lam: float) -> float:
         inside = 0.0 < lam * (t0 - r1) + alpha0 and lam * (t1 - r0) + alpha0 <= 0.5 * math.pi
-        value = float(_margin(sinh_2r, t_minus_r, alpha0, lam, out).min()) if inside else -lam
+        value = float(definiteness_margin(r, t, SpiralParams(alpha0, lam, delta)).min()) if inside else -lam
         trace.append((lam, value))
         return value
 
@@ -206,6 +191,8 @@ def scan_lambda_max(alpha0: float = math.pi / 4.0, delta: float = 0.1) -> Lambda
     lo = 1e-12
     if min_margin(lo) <= 0.0:
         lo = min(lo, 0.5 * min(alpha0 / (3.0 + delta), (0.5 * math.pi - alpha0) / (2.0 * math.pi + delta - 1.0)))
+        if lo == 0.0:
+            raise GeometryError(f"alpha0 {alpha0!r} is too small: the least pitch scanned underflows to 0 at delta {delta!r}")
         if min_margin(lo) <= 0.0:
             raise GeometryError("margin is not positive even for vanishing pitch")
     while hi - lo > 1e-12 * max(hi, 1.0) or hi - lo > 1e-9 * max(lo, sys.float_info.min):

@@ -634,8 +634,11 @@ def _refine_minima(chart: FoliationChart, q: np.ndarray, a, b, bounds) -> tuple[
     model's decrease of ``<r, r>`` along the step is below roundoff of
     ``<r, r>`` (at a minimum that is not zero the value resolves the
     parameters only to about the square root of roundoff), or after
-    ``_ITERATIONS`` calls.
+    ``_ITERATIONS`` calls.  ``q`` is scaled by a power of two, exactly, so
+    that the Gram products of a far ``q`` do not overflow.
     """
+    k = math.frexp(float(np.max(np.abs(q))))[1]
+    q = np.ldexp(q, -k)
     lo, hi = np.array(bounds, dtype=float).T
     out = np.array((a, b), dtype=float).T
     out_rr = np.full(len(out), np.inf)
@@ -676,7 +679,7 @@ def _refine_minima(chart: FoliationChart, q: np.ndarray, a, b, bounds) -> tuple[
             idx, best, best_rr, step, gain, x = (v[going] for v in (idx, best, best_rr, step, gain, x))
     out[idx], out_rr[idx] = best, best_rr
     # leaf_dist squared, bit for bit
-    return out[:, 0], out[:, 1], np.arcsinh(np.sqrt(out_rr)) ** 2
+    return out[:, 0], out[:, 1], np.arcsinh(np.ldexp(np.sqrt(out_rr), k)) ** 2
 
 
 #: the name the benchmark's layer tracer wraps; ROADMAP item 1's benchmark

@@ -1,4 +1,4 @@
-"""Seed 1 of every benchmark workload (``perfbench/workloads.py``) passes the
+"""Seeds 1-3 of every benchmark workload (``perfbench/workloads.py``) pass the
 benchmark's correctness oracle (``perfbench/oracles.py``), run in process
 through ``cli.main`` as the benchmark runs it."""
 
@@ -33,11 +33,24 @@ def bench():
                 sys.modules[name] = module
 
 
-@pytest.mark.parametrize("workload", ["classify-mix", "endpoint-mix", "scan-csv"])
-def test_seed_1_passes_the_benchmark_oracle(bench, tmp_path, capsys, workload):
+WORKLOADS = ["classify-mix", "endpoint-mix", "scan-csv"]
+
+
+def _passes_the_oracle(bench, tmp_path, capsys, workload, seed):
     workloads, oracles = bench
-    for k, cmd in enumerate(workloads.build(workload, 1)):
-        base = tmp_path / f"c{k}"
+    for k, cmd in enumerate(workloads.build(workload, seed)):
+        base = tmp_path / f"s{seed}c{k}"
         assert cli.main(cmd.argv + ["--out", str(base)]) == 0, capsys.readouterr().err
         files = {ext: base.with_suffix(f".{ext}").read_bytes() for ext in cmd.outputs}
         assert oracles.check(cmd, files, capsys.readouterr().out) == [], cmd.argv
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_seed_1_passes_the_benchmark_oracle(bench, tmp_path, capsys, workload):
+    _passes_the_oracle(bench, tmp_path, capsys, workload, 1)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_seeds_2_and_3_pass_the_benchmark_oracle(bench, tmp_path, capsys, workload, seed):
+    _passes_the_oracle(bench, tmp_path, capsys, workload, seed)

@@ -25,6 +25,7 @@ from hypfol.cli import main
 from util import counting_chart, reference_ball_samples, reference_field_checks
 
 ALPHA0 = repr(math.pi / 4.0)
+_UNDERFLOW = "the least pitch scanned underflows to 0 at delta 0.1"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -190,10 +191,28 @@ def test_grid_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, comman
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("alpha0", ["2e-13", "1.5707963267946"])
+@pytest.mark.parametrize("alpha0", ["2e-13", "1.5707963267946", "1e-310"])
 def test_scan_lambda_near_the_ends_of_the_tilt_range(tmp_path, capsys, alpha0):
     assert run(["scan-lambda", "--alpha0", alpha0, "--grid", "2x2", "--out", str(tmp_path / "x")]) == 0
     assert float(capsys.readouterr().out.removeprefix("lambda_max: ")) > 0.0
+
+
+@pytest.mark.parametrize(
+    "point, params",
+    [
+        (["1.0000000000000002e+80", "0", "0", "1e80"], [0.0, 0.0]),
+        (["1.0000000000000002e+100", "1e100", "0", "0"], [1.0, 0.0]),
+    ],
+)
+def test_critical_from_a_far_base_point_finds_its_one_leaf(tmp_path, point, params):
+    # at distance 185 and 231 the solver's Gram products would overflow
+    # unscaled, leaving every start on its grid node: the 4x4 grid gave 4
+    # and 2 minima.  The first point lies on the leaf over (0, 0), the
+    # nearest leaf to the second is over (1, 0)
+    argv = ["critical", "--family", "plane-normal", "--grid", "4x4", "--base-point", *point]
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 0
+    (minimum,) = json.loads((tmp_path / "x.json").read_text())["results"]["minima"]
+    assert minimum["params"] == pytest.approx(params, abs=1e-6)
 
 
 def test_bad_tol(tmp_path):
@@ -295,6 +314,8 @@ def test_experiment_scripts_run(tmp_path):
         (["reproduce_counterexample.py", "--alpha0", "2"], "alpha0 must lie in (0, pi/2)"),
         (["reproduce_counterexample.py", "--delta", "-1"], "delta must be positive"),
         (["reproduce_counterexample.py", "--alpha0", "nan"], "--alpha0 must be finite, got nan"),
+        (["reproduce_counterexample.py", "--alpha0", "5e-324"], f"alpha0 5e-324 is too small: {_UNDERFLOW}"),
+        (["reproduce_counterexample.py", "--alpha0", "1e-323"], f"alpha0 1e-323 is too small: {_UNDERFLOW}"),
     ],
 )
 def test_experiment_scripts_reject_grids_like_the_cli(tmp_path, capsys, argv, message):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import hypfol as hf
 from hypfol import families
+from hypfol.foliation import grid_params
 from hypfol.geodesics import endpoint_images
 from util import (
     cross,
@@ -22,6 +23,7 @@ from util import (
     norm_sq,
     perp_component,
     polar_frame,
+    reference_margin,
     reference_scan_lambda_max,
     transport_to,
 )
@@ -296,11 +298,10 @@ def _tilt_leaves(alpha0, delta, lam):
 
 
 def _grid_margin(alpha0, delta, grid, lam):
-    """The least margin on the grid, in ``definiteness_margin``'s operations;
-    ``lam`` may be 0, which a subnormal ``alpha0`` scans to."""
+    """The least ``definiteness_margin`` on the grid."""
     r = np.linspace(1.0, 3.0, grid[0])[:, None]
     t = np.linspace(-delta, 2.0 * math.pi + delta, grid[1])
-    return families._margin(np.sinh(2.0 * r), t - r, alpha0, lam, np.empty(grid)).min()
+    return hf.definiteness_margin(r, t, hf.SpiralParams(alpha0, lam, delta)).min()
 
 
 @pytest.mark.parametrize("grid", [(40, 55), (7, 300)])
@@ -370,8 +371,30 @@ def test_margin_grid_minimum_is_at_a_corner(alpha0, delta, grid, decades):
     lam = min(alpha0 / (3.0 + delta), (0.5 * math.pi - alpha0) / (2.0 * math.pi + delta - 1.0)) * 10.0**-decades
     assume(lam > 0.0 and not _tilt_leaves(alpha0, delta, lam))
     r, t = hf.grid_axes(hf.spiral_chart(hf.SpiralParams(alpha0, lam, delta)), grid)
-    margin = families._margin(np.sinh(2.0 * r[:, None]), t - r[:, None], alpha0, lam, np.empty(grid))
+    margin = hf.definiteness_margin(r[:, None], t, hf.SpiralParams(alpha0, lam, delta))
     assert margin.min() == margin[[0, 0, -1, -1], [0, -1, 0, -1]].min()
+
+
+_lams = st.one_of(st.sampled_from([1e-300, families.LAMBDA_SCAN_CAP]), st.floats(1e-300, families.LAMBDA_SCAN_CAP))
+
+
+def _hex(values):
+    return [x.hex() for x in np.ravel(values).tolist()]
+
+
+@given(_alpha0s, _lams, _deltas, st.tuples(st.integers(2, 40), st.integers(2, 40)), st.data())
+def test_margin_is_the_in_place_oracle_bit_for_bit(alpha0, lam, delta, grid, data):
+    # the one spelling of the margin makes the in-place oracle's operations
+    # up to commutation, on scalars, on (n, 1) x (m,) grids and on the flat
+    # blocks of the scan-lambda CSV
+    params = hf.SpiralParams(alpha0, lam, delta)
+    axes = hf.grid_axes(hf.spiral_chart(params), grid)
+    start = data.draw(st.integers(0, grid[0] * grid[1] - 1))
+    block = grid_params(axes, slice(start, data.draw(st.integers(start + 1, grid[0] * grid[1]))))
+    point = data.draw(st.floats(1.0, 3.0)), data.draw(st.floats(-delta, 2.0 * math.pi + delta))
+    for r, t in (point, (axes[0][:, None], axes[1]), block):
+        want = reference_margin(np.sinh(2.0 * r), np.subtract(t, r), alpha0, lam, np.empty(np.broadcast(r, t).shape))
+        assert _hex(hf.definiteness_margin(r, t, params)) == _hex(want)
 
 
 @given(
@@ -402,13 +425,13 @@ def test_scan_lambda_max_bisects_tiny_pitches_to_the_grid_threshold(alpha0):
 @pytest.mark.parametrize("alpha0", [0.5, math.pi / 4.0, 1.0])
 def test_scan_lambda_max_evaluates_few_cells(monkeypatch, alpha0):
     cells = []
-    margin = families._margin
+    margin = families.definiteness_margin
 
-    def counted(sinh_2r, t_minus_r, alpha0, lam, out):
-        cells.append(out.size)
-        return margin(sinh_2r, t_minus_r, alpha0, lam, out)
+    def counted(r, t, params):
+        cells.append(np.broadcast(r, t).size)
+        return margin(r, t, params)
 
-    monkeypatch.setattr(families, "_margin", counted)
+    monkeypatch.setattr(families, "definiteness_margin", counted)
     scan = hf.scan_lambda_max(alpha0=alpha0, delta=0.1)
     assert len(scan.trace) == 50
     # at most one evaluation of the four corners per bisection step

@@ -10,8 +10,8 @@ eigenvectors, square norms by ``einsum``), the value-object helpers only
 tests use (points along a geodesic, its reverse, tangent norms, unit
 tangents, one field value, one classified sample, the polar frame of the
 spiral's plane, the spiral's closed-form Gram and energy matrices), boost
-matrices, reference CSV and report writers, the full-grid pitch scan and a
-chart-evaluation counter."""
+matrices, reference CSV and report writers, the in-place spiral margin,
+the full-grid pitch scan and a chart-evaluation counter."""
 
 import csv
 import dataclasses
@@ -44,7 +44,7 @@ from hypfol import (
     same_geodesic,
     same_point,
 )
-from hypfol.families import _E3, LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, _margin, spiral_chart
+from hypfol.families import _E3, LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, spiral_chart
 from hypfol.foliation import _FLAT_DIRECTIONS, RANK_DEFICIENT, _field_steps, grid_axes
 from hypfol.geodesics import asymptote_directions
 from hypfol.lorentz import _finish_point, _finish_tangent, _require_unit, _unitize, mink
@@ -825,7 +825,20 @@ def reference_ring_growth_masks(values) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# the full-grid pitch scan
+# the spiral margin and the full-grid pitch scan
+
+
+def reference_margin(sinh_2r, t_minus_r, alpha0: float, lam: float, out: np.ndarray) -> np.ndarray:
+    """``families.definiteness_margin`` from its pitch-free factors
+    ``sinh(2r)`` and ``t - r``, in place in ``out`` (which has the broadcast
+    shape of the factors): the oracle of its operations, bit for bit."""
+    np.multiply(lam, t_minus_r, out=out)
+    out += alpha0
+    out *= 2.0
+    np.sin(out, out=out)
+    out *= sinh_2r
+    out -= lam
+    return out
 
 
 def reference_scan_lambda_max(
@@ -845,7 +858,7 @@ def reference_scan_lambda_max(
     trace: list[tuple[float, float]] = []
 
     def min_margin(lam: float) -> float:
-        out = float(_margin(sinh_2r, t_minus_r, alpha0, lam, buffer).min())
+        out = float(reference_margin(sinh_2r, t_minus_r, alpha0, lam, buffer).min())
         trace.append((lam, out))
         return out
 
@@ -855,6 +868,8 @@ def reference_scan_lambda_max(
     lo = 1e-12
     if min_margin(lo) <= 0.0:
         lo = min(lo, 0.5 * min(alpha0 / (3.0 + delta), (0.5 * math.pi - alpha0) / (2.0 * math.pi + delta - 1.0)))
+        if lo == 0.0:
+            raise GeometryError(f"alpha0 {alpha0!r} is too small: the least pitch scanned underflows to 0 at delta {delta!r}")
         if min_margin(lo) <= 0.0:
             raise GeometryError("margin is not positive even for vanishing pitch")
     while hi - lo > 1e-12 * max(hi, 1.0) or hi - lo > 1e-9 * max(lo, sys.float_info.min):
