@@ -65,7 +65,6 @@ from .geodesics import (
     JacobiData,
     OrientedGeodesic,
     check_leaves,
-    leaf_dist,
     leaf_residual,
     rank_2x2,
 )
@@ -617,7 +616,7 @@ def _newton_steps(gram: np.ndarray, grad: np.ndarray, held: np.ndarray) -> np.nd
 
 def _refine_minima(chart: FoliationChart, q: np.ndarray, a, b, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Newton on the leaf residual from every start ``(a[k], b[k])``
-    at once; returns the best ``a``, ``b`` and squared leaf distances.
+    at once; returns the best ``a``, ``b`` and their ``<r, r>``.
 
     For a leaf with foot ``f`` and direction ``d`` the residual ``r =
     leaf_residual(f, d, q)`` has ``<r, r> = sinh^2 dist(q, leaf)``.  Each
@@ -634,11 +633,9 @@ def _refine_minima(chart: FoliationChart, q: np.ndarray, a, b, bounds) -> tuple[
     model's decrease of ``<r, r>`` along the step is below roundoff of
     ``<r, r>`` (at a minimum that is not zero the value resolves the
     parameters only to about the square root of roundoff), or after
-    ``_ITERATIONS`` calls.  ``q`` is scaled by a power of two, exactly, so
-    that the Gram products of a far ``q`` do not overflow.
+    ``_ITERATIONS`` calls.  ``q`` is the base point divided by a power of
+    two (``critical_point_scan``), so that the Gram products do not overflow.
     """
-    k = math.frexp(float(np.max(np.abs(q))))[1]
-    q = np.ldexp(q, -k)
     lo, hi = np.array(bounds, dtype=float).T
     out = np.array((a, b), dtype=float).T
     out_rr = np.full(len(out), np.inf)
@@ -678,8 +675,7 @@ def _refine_minima(chart: FoliationChart, q: np.ndarray, a, b, bounds) -> tuple[
             out[idx], out_rr[idx] = best, best_rr
             idx, best, best_rr, step, gain, x = (v[going] for v in (idx, best, best_rr, step, gain, x))
     out[idx], out_rr[idx] = best, best_rr
-    # leaf_dist squared, bit for bit
-    return out[:, 0], out[:, 1], np.arcsinh(np.ldexp(np.sqrt(out_rr), k)) ** 2
+    return out[:, 0], out[:, 1], out_rr
 
 
 #: the name the benchmark's layer tracer wraps; ROADMAP item 1's benchmark
@@ -695,12 +691,13 @@ def critical_point_scan(
     """Local minima of the squared distance from ``base``, a ``(4,)`` point
     of the hyperboloid, over the chart, and the ring minima of the same grid.
 
-    The grid is evaluated with one array call.  Grid-local minima
-    (8-neighborhood) are refined together by the Gauss-Newton solver
-    ``_refine_minima`` (each leaf it evaluates is validated); they are
-    deduplicated by parameter distance (``0.75`` of the grid spacing) and
-    sorted by value.  The ring minima are ``ring_growth_evidence`` of the
-    grid values.
+    ``base`` is divided once, exactly, by ``2^k``, the power of two of its
+    largest component, so that no product overflows; every value is
+    ``arcsinh(2^k sqrt<r, r>)^2`` of its residuals ``r``.  One array call
+    evaluates the grid.  Its local minima (8-neighborhood) are refined
+    together by the Gauss-Newton solver ``_refine_minima`` (each leaf it
+    evaluates is validated), merged within ``0.75`` of the grid spacing and
+    sorted by value; the ring minima are ``ring_growth_evidence`` of the grid.
 
     A minimum that is not isolated, such as a valley of equal distance
     along a curve of leaves, is reported as one point of the valley per
@@ -708,25 +705,25 @@ def critical_point_scan(
     where its step is roundoff, so the count of such minima follows the
     grid.
     """
-    (a0, a1), (b0, b1) = chart.domain
-    avals, bvals = grid_axes(chart, grid)
-    a, b = grid_arrays(chart, grid)
+    avals, bvals = axes = grid_axes(chart, grid)
+    a, b = grid_params(axes, slice(0, grid[0] * grid[1]))
     foot, direction = _evaluate(chart, a, b)
     check_leaves(foot, direction, (a, b))
-    values = (leaf_dist(foot, direction, base) ** 2).reshape(grid)
+    k = math.frexp(float(np.max(np.abs(base))))[1]
+    q = np.ldexp(base, -k)
+
+    def dist_sq(rr):
+        return np.arcsinh(np.ldexp(np.sqrt(np.maximum(rr, 0.0)), k)) ** 2
+
+    r = leaf_residual(foot, direction, q)
+    values = dist_sq(mink(r, r)).reshape(grid)
     padded = np.full((grid[0] + 2, grid[1] + 2), np.inf)
     padded[1:-1, 1:-1] = values
-    is_min = np.ones(values.shape, dtype=bool)
-    for di in range(3):
-        for dj in range(3):
-            is_min &= values <= padded[di : di + grid[0], dj : dj + grid[1]]
-    rows, cols = np.nonzero(is_min)
-    spacing = max(
-        (a1 - a0) / max(grid[0] - 1, 1),
-        (b1 - b0) / max(grid[1] - 1, 1),
-    )
-    a, b, val = _refine_minima(chart, base, avals[rows], bvals[cols], chart.domain)
-    refined = sorted(zip(a.tolist(), b.tolist(), val.tolist()), key=lambda r: (r[2], r[0], r[1]))
+    shifted = [padded[i : i + grid[0], j : j + grid[1]] for i in range(3) for j in range(3)]
+    rows, cols = np.nonzero(values <= np.min(shifted, axis=0))
+    spacing = max((x[-1] - x[0]) / max(len(x) - 1, 1) for x in axes)
+    a, b, rr = _refine_minima(chart, q, avals[rows], bvals[cols], chart.domain)
+    refined = sorted(zip(a.tolist(), b.tolist(), dist_sq(rr).tolist()), key=lambda r: (r[2], r[0], r[1]))
     merged: list[CriticalPoint] = []
     for a, b, v in refined:
         if all(math.hypot(a - m.a, b - m.b) > 0.75 * spacing for m in merged):

@@ -1,6 +1,7 @@
 """Seeds 1-3 of every benchmark workload (``perfbench/workloads.py``) pass the
 benchmark's correctness oracle (``perfbench/oracles.py``), run in process
-through ``cli.main`` as the benchmark runs it."""
+through ``cli.main`` as the benchmark runs it, and write strict JSON (no
+``NaN`` or ``Infinity``)."""
 
 import importlib.util
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hypfol import cli
+from util import strict_json
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,6 +44,7 @@ def _passes_the_oracle(bench, tmp_path, capsys, workload, seed):
         base = tmp_path / f"s{seed}c{k}"
         assert cli.main(cmd.argv + ["--out", str(base)]) == 0, capsys.readouterr().err
         files = {ext: base.with_suffix(f".{ext}").read_bytes() for ext in cmd.outputs}
+        strict_json(files["json"].decode())
         assert oracles.check(cmd, files, capsys.readouterr().out) == [], cmd.argv
 
 

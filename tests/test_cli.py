@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import hypfol as hf
 from hypfol import cli, report
 from hypfol.cli import main
-from util import counting_chart, reference_ball_samples, reference_field_checks
+from util import counting_chart, reference_ball_samples, reference_field_checks, strict_json
 
 ALPHA0 = repr(math.pi / 4.0)
 _UNDERFLOW = "the least pitch scanned underflows to 0 at delta 0.1"
@@ -211,8 +211,31 @@ def test_critical_from_a_far_base_point_finds_its_one_leaf(tmp_path, point, para
     # nearest leaf to the second is over (1, 0)
     argv = ["critical", "--family", "plane-normal", "--grid", "4x4", "--base-point", *point]
     assert run(argv + ["--out", str(tmp_path / "x")]) == 0
-    (minimum,) = json.loads((tmp_path / "x.json").read_text())["results"]["minima"]
+    (minimum,) = strict_json((tmp_path / "x.json").read_text())["results"]["minima"]
     assert minimum["params"] == pytest.approx(params, abs=1e-6)
+
+
+@pytest.mark.parametrize("x1", [2.7492649673485706e153, 5e153])
+def test_critical_grid_from_the_farthest_base_points_stays_finite(tmp_path, x1):
+    # (x1 + ulp, x1, 0, 0) at distance 354.0 and 354.6 is admitted by the
+    # hyperboloid check; the grid values of the leaves far from it once
+    # overflowed, with RuntimeWarnings and a NaN ring value.  A separate
+    # interpreter, so that numpy warnings reach stderr as they would
+    point = [repr(math.nextafter(x1, math.inf)), repr(x1), "0", "0"]
+    argv = ["critical", "--family", "plane-normal", "--grid", "4x4", "--base-point", *point]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypfol", *argv, "--out", str(tmp_path / "x")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = strict_json((tmp_path / "x.json").read_text())["results"]
+    (minimum,) = results["minima"]
+    assert all(map(math.isfinite, results["ring_min_values"] + [minimum["value"]]))
+    # the nearest leaf is over (1, 0), as from the point at distance 231 above
+    assert minimum["params"] == pytest.approx([1.0, 0.0], abs=1e-6)
 
 
 def test_bad_tol(tmp_path):

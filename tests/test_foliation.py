@@ -869,7 +869,9 @@ def test_critical_descent_matches_scalar_reference(monkeypatch, case):
     cells = reference_grid_minima(values)
     (a0, a1), (b0, b1) = chart.domain
     spacing = max((a1 - a0) / (grid[0] - 1), (b1 - b0) / (grid[1] - 1))
-    assert bounds == chart.domain and np.array_equal(q, base.v)
+    # the solver gets the base point divided by the power of two of its largest component
+    k = math.frexp(float(np.max(np.abs(base.v))))[1]
+    assert bounds == chart.domain and np.array_equal(q, np.ldexp(base.v, -k))
     assert list(zip(start_a.tolist(), start_b.tolist())) == [(avals[i], bvals[j]) for i, j in cells]
     reference = _merged([reference_descent(fun, avals[i], bvals[j], spacing, chart.domain) for i, j in cells], spacing)
     assert len(minima) == len(reference)
@@ -993,6 +995,40 @@ def test_ring_growth_evidence(plane_normal):
     _, chart = plane_normal
     _, rings = hf.critical_point_scan(chart, grid=(15, 15))
     assert rings[0] < rings[-1]
+
+
+_RING_CHARTS = {
+    "vertical": hf.vertical_family()[1],
+    "plane-normal": hf.plane_normal_family()[1],
+    "prop-crossing": hf.spiral_chart(hf.SpiralParams(alpha0=math.pi / 4.0, lam=0.0711, delta=0.1)),
+}
+
+
+@given(
+    st.sampled_from(sorted(_RING_CHARTS)),
+    st.floats(0.0, 353.0),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda u: math.hypot(*u) > 0.0),
+    st.tuples(st.integers(3, 12), st.integers(3, 12)),
+)
+def test_scan_rings_are_those_of_the_unscaled_distance(name, d, u, grid):
+    # the scan reads its grid through the base point divided by 2^k; the
+    # scaling is exact, so its rings are finite and keep the bits of
+    # leaf_dist's wherever the unscaled squares stay in the normal range:
+    # they overflow on the spiral from about d = 350, and they underflow
+    # later than the scaled ones only in a value below 2^(2k - 1022) (on
+    # plane-normal, d = 28 in direction (0, 2.4e-174, 1) puts the base
+    # 1.7e-162 off the leaf over (0, 0): leaf_dist reads 5e-324, the scan 0)
+    chart = _RING_CHARTS[name]
+    u = np.array(u) / math.hypot(*u)
+    base = np.array([math.cosh(d), *(math.sinh(d) * u)])
+    _, rings = hf.critical_point_scan(chart, base=base, grid=grid)
+    foot, direction = chart.arrays(*hf.grid_arrays(chart, grid))
+    with np.errstate(all="ignore"):
+        want = hf.ring_growth_evidence((leaf_dist(foot, direction, base) ** 2).reshape(grid))
+    floor = math.ldexp(1.0, 2 * math.frexp(float(np.max(np.abs(base))))[1] - 1022)
+    assert len(rings) == len(want) and all(map(math.isfinite, rings))
+    for x, y in zip(rings, want):
+        assert x.hex() == y.hex() or not math.isfinite(y) or max(x, y) < floor, (x, y)
 
 
 def test_ring_growth_evidence_of_synthetic_grid():

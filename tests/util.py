@@ -73,6 +73,16 @@ def collapsed_chart(chart):
     return hf.FoliationChart(arrays=lambda a, b: chart.arrays(a, 0.0 * b), domain=chart.domain, name="collapsed")
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """``json.loads`` that raises on ``NaN``, ``Infinity`` and ``-Infinity``,
+    which Python's parser admits and strict JSON does not."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def grid_params(chart, grid: tuple[int, int]) -> list[tuple[float, float]]:
     """``hf.grid_arrays`` as a list of ``(a, b)`` pairs."""
     a, b = hf.grid_arrays(chart, grid)
