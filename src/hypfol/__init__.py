@@ -22,8 +22,9 @@ from .lorentz import (
     HPoint,
     HTangent,
     mink_inner,
-    orthonormal_complement,
     same_point,
+    sphere_frames,
+    tangent_frames,
 )
 from .geodesics import (
     JacobiData,

@@ -36,8 +36,8 @@ with the ring minima of that grid; its zero minima are the leaves through
 the base point, so two of them show two leaves crossing there.
 ``field_checks`` applies the same classifier from the vector-field side.
 A field is an array map as well, and ``field_checks`` takes its
-derivatives by complex steps along the orthonormal frames that one stacked
-``lorentz.orthonormal_complement`` call gives at all the points.
+derivatives by complex steps along the closed-form frames that
+``lorentz.tangent_frames`` gives at all the points, at any distance.
 At each point the field's integral geodesics through a disc transverse to it
 form a chart whose jets are those steps, so the kernel's forms and the
 chart classifier give the field's verdicts and endpoint ranks, next to its
@@ -76,7 +76,8 @@ from .lorentz import (
     cosh_sinhc,
     mink,
     model_checks,
-    orthonormal_complement,
+    sphere_frames,
+    tangent_frames,
 )
 
 #: the verdicts from worst to best
@@ -191,15 +192,9 @@ _POLES = np.vstack(
     (np.eye(3), -np.eye(3), np.array([(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]) / math.sqrt(3.0))
 )
 #: per pole in turn, the vectors ``(e1, e2, pole)`` of a positively oriented
-#: orthonormal frame of R^3 (``(o, (0, pole), (0, e1), (0, e2))`` is), as the
+#: orthonormal frame of R^3 (``(e1, e2)`` from ``sphere_frames``), as the
 #: columns of one ``(3, 42)`` matrix
-_POLE_FRAMES = np.concatenate(
-    (
-        orthonormal_complement(np.stack(np.broadcast_arrays(ORIGIN.v, np.pad(_POLES, ((0, 0), (1, 0)))), axis=1))[..., 1:],
-        _POLES[:, None],
-    ),
-    axis=1,
-).reshape(-1, 3).T
+_POLE_FRAMES = np.concatenate((sphere_frames(_POLES), _POLES[:, None]), axis=1).reshape(-1, 3).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,9 +526,9 @@ def ball_samples(radius: float, count: int, seed: int = 0) -> np.ndarray:
 def _field_steps(field, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One complex-step call of ``field`` at ``p + i CS_STEP e_j`` for
     every one of the ``(N, 4)`` points and every vector ``e_j`` of its
-    ``orthonormal_complement`` frame: the ``(N, 3, 4)`` frames, the ``(N, 4)``
-    field values and the ``(N, 3, 4)`` ambient derivatives along the frames."""
-    frames = orthonormal_complement(points[:, None])
+    ``tangent_frames`` frame: the ``(N, 3, 4)`` frames, the ``(N, 4)`` field
+    values and the ``(N, 3, 4)`` ambient derivatives along the frames."""
+    frames = tangent_frames(points)
     values = np.asarray(field((points[:, None] + 1j * CS_STEP * frames).reshape(-1, 4))).reshape(-1, 3, 4)
     # the real part is the value at p: the step moves it by CS_STEP^2
     return frames, np.real(values[:, 0]), np.imag(values) / CS_STEP

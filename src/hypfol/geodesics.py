@@ -18,8 +18,8 @@ coordinates; no other form of an ideal point is kept),
 determinant and a Frobenius norm.  ``cross_metric``,
 the cross metric of Jacobi data ``(J(0), J'(0))`` from ambient
 determinants, and ``gauss_map_jacobian``, finite-difference endpoint
-Jacobians in the sphere frame that ``lorentz.orthonormal_complement`` gives
-for ``(o, (0, n))``, are independent checks of the kernel.
+Jacobians in the sphere frame ``(t1, t2)`` that ``lorentz.sphere_frames``
+gives at the center image ``n``, are independent checks of the kernel.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .lorentz import (
     mink,
     mink_inner,
     model_checks,
-    orthonormal_complement,
     same_point,
+    sphere_frames,
 )
 
 
@@ -281,8 +281,8 @@ def gauss_map_jacobian(
     jacobians = []
     for sign in (1, -1):
         n0, na_plus, na_minus, nb_plus, nb_minus = (endpoint_images(g.foot.v, g.dir.w, sign) for g in geos)
-        # (n0, t1, t2) is positively oriented, since (o, (0, n0), (0, t1), (0, t2)) is
-        t1, t2 = (t[1:] for t in orthonormal_complement((ORIGIN.v, np.concatenate(([0.0], n0)))))
+        # (t1, t2, n0) is positively oriented
+        t1, t2 = sphere_frames(n0)
         col_a = (na_plus - na_minus) / (2.0 * h)
         col_b = (nb_plus - nb_minus) / (2.0 * h)
         jacobians.append(

@@ -3,8 +3,9 @@
 The ambient bilinear form is ``<x, y> = -x0*y0 + x1*y1 + x2*y2 + x3*y3``.
 Hyperbolic space is the upper hyperboloid sheet ``{<x, x> = -1, x0 > 0}``;
 the tangent space at ``p`` is the Minkowski-orthogonal complement of ``p``.
-Geodesics, distances and the ideal boundary all have closed forms in this
-model, so nothing downstream needs numerical integration.
+Geodesics, distances, the ideal boundary and the frames at points and on
+the sphere all have closed forms in this model, so nothing downstream needs
+numerical integration.
 
 Conventions fixed here and used everywhere else:
 
@@ -28,9 +29,6 @@ from .errors import GeometryError
 #: scaled by the squared Euclidean size of its data, so that large-coordinate
 #: points far from the base are not rejected for plain roundoff.
 MODEL_TOL = 1e-9
-
-#: The Minkowski form as a matrix: ``<x, y> = x @ ETA @ y``.
-ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 def _as_mink(arr) -> np.ndarray:
@@ -136,44 +134,32 @@ def same_point(p: HPoint, q: HPoint) -> bool:
     return bool(np.max(np.abs(p.v - q.v)) <= 1e-9 * max(1.0, float(np.max(np.abs(p.v)))))
 
 
-def orthonormal_complement(rows) -> np.ndarray:
-    """The spacelike unit vectors completing Minkowski-orthonormal ``rows``,
-    timelike row first, to a positively oriented orthonormal basis of R^{3,1}:
-    a ``(4 - k, 4)`` array for ``(k, 4)`` rows (a single vector counts as one
-    row), and a ``(N, 4 - k, 4)`` stack for an ``(N, k, 4)`` stack of rows.
-
-    Pivoted Gram-Schmidt over the coordinate axes: each step keeps the axis
-    whose residual against the basis so far is longest, and projects it
-    twice.  For orthonormal rows that residual has squared norm at least
-    1/4 (the squared Euclidean norms of a unit spacelike basis of the
-    complement sum to at least its dimension), so a shorter one means the
-    rows do not span a nondegenerate subspace.  That raises, as does a basis
-    whose Gram matrix misses ``ETA`` by over 1e-12 of its largest squared row
-    norm (some rows from distance 13).  The orientation is fixed by the sign
-    of the last vector.  At the base point the frame is exactly ``(e1, e2, e3)``.
+def tangent_frames(points: np.ndarray) -> np.ndarray:
+    """The ``(..., 3, 4)`` tangent frames at ``(..., 4)`` points of the
+    hyperboloid: the base point's ``(e1, e2, e3)`` carried by the boost that
+    takes the base point to each point.  For a point ``(x0, x)`` that is
+    ``e_i = (x_i, delta_ij + x_i x_j / (1 + x0))``, Minkowski-orthonormal,
+    tangent and with ``det[p, e1, e2, e3] = 1`` to roundoff of the squared
+    row scale at any distance, and exactly ``(e1, e2, e3)`` at the base point.
     """
-    rows = np.array(rows, dtype=float)
-    stack = rows if rows.ndim == 3 else rows.reshape(1, -1, 4)
-    count, first = stack.shape[:2]
-    basis = np.zeros((count, 4, 4))
-    basis[:, :first] = stack
-    signs = ETA.diagonal()  # <b_i, b_i> of the finished basis
-    for k in range(first, 4):
-        b = basis[:, :k]
-        # row i of ``dual`` pairs with x to its b_i coefficient, <x, b_i> / <b_i, b_i>
-        dual = signs[:k, None] * b @ ETA
-        residual = np.eye(4) - dual.swapaxes(1, 2) @ b
-        w = residual[np.arange(count), np.argmax((residual * residual) @ signs, axis=1)]
-        w = w - ((dual @ w[:, :, None]).swapaxes(1, 2) @ b)[:, 0]
-        n2 = mink(w, w)
-        if not (n2 > 0.125).all():
-            raise GeometryError(f"could not complete the orthonormal frame of row {int(np.argmin(n2 > 0.125))}")
-        basis[:, k] = w / np.sqrt(n2)[:, None]
-    error = np.max(np.abs((basis * signs) @ basis.swapaxes(1, 2) - ETA), axis=(1, 2))
-    if not (ok := error <= 1e-12 * np.max(np.sum(basis * basis, axis=2), axis=1)).all():
-        raise GeometryError(f"could not complete the orthonormal frame of row {int(np.argmin(ok))} accurately")
-    basis[np.linalg.det(basis) < 0.0, 3] *= -1.0
-    return basis[:, first:] if rows.ndim == 3 else basis[0, first:]
+    x = points[..., 1:]
+    spatial = np.eye(3) + x[..., :, None] * (x[..., None, :] / (1.0 + points[..., :1, None]))
+    return np.concatenate((x[..., :, None], spatial), axis=-1)
+
+
+def sphere_frames(u: np.ndarray) -> np.ndarray:
+    """The ``(..., 2, 3)`` tangent frames ``(t1, t2)`` of the unit sphere at
+    ``(..., 3)`` unit vectors ``u``, with ``(t1, t2, u)`` a positively
+    oriented orthonormal frame of R^3: the branchless basis of Duff et al.,
+    "Building an orthonormal basis, revisited" (JCGT 6(1), 2017).  It holds
+    to roundoff at every unit ``u``, the poles and ``z = -0.0`` included, and
+    is exactly ``(e1, e2)`` at ``e3``."""
+    x, y, z = np.moveaxis(u, -1, 0)
+    sign = np.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    frames = np.array([[1.0 + sign * x * x * a, sign * b, -sign * x], [b, sign + y * y * a, -y]])
+    return np.moveaxis(frames, (0, 1), (-2, -1))
 
 
 #: Hygiene renormalization is applied only below this component magnitude.

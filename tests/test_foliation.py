@@ -36,6 +36,7 @@ from util import (
     killing_metric,
     minner,
     operator_eigencheck,
+    orthonormal_complement,
     polar_frame,
     rand_point,
     reference_ball_samples,
@@ -147,18 +148,26 @@ def test_classify_evaluates_chart_arrays_three_times(spiral):
         assert calls == [grid[0] * grid[1]] * 3
 
 
+def _count_frame_builders(monkeypatch, modules) -> list:
+    """Wrap both frame builders, ``tangent_frames`` and ``sphere_frames``,
+    where each of ``modules`` imports them; returns the list of their calls."""
+    frames = []
+    for module in modules:
+        for name in ("tangent_frames", "sphere_frames"):
+            if hasattr(module, name):
+
+                def counted(x, builder=getattr(hf.lorentz, name)):
+                    frames.append(x)
+                    return builder(x)
+
+                monkeypatch.setattr(module, name, counted)
+    return frames
+
+
 def test_classify_point_builds_no_frame(vertical, spiral, monkeypatch):
     # Gram matrix, Killing values and energies come from the sphere
     # endpoints, projected in pole frames built once
-    frames = []
-    builder = hf.lorentz.orthonormal_complement
-
-    def counted(rows):
-        frames.append(rows)
-        return builder(rows)
-
-    for module in (hf.geodesics, hf.foliation):
-        monkeypatch.setattr(module, "orthonormal_complement", counted)
+    frames = _count_frame_builders(monkeypatch, (hf.geodesics, hf.foliation))
     cases = ((vertical, (0.3, 0.2), "almost_semidefinite"), (spiral, (2.0, 3.0), "definite"))
     for (_, chart), params, verdict in cases:
         assert classify_point(chart, params).verdict == verdict
@@ -305,7 +314,7 @@ def test_classify_on_every_projection_pole(vertical, tmp_path):
     diagonals = np.array([(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]) / math.sqrt(3.0)
     for k, pole in enumerate([*np.eye(3), *-np.eye(3), *diagonals]):
         rotation = np.eye(4)
-        t1, t2 = (t[1:] for t in hf.orthonormal_complement((O.v, np.concatenate(([0.0], pole)))))
+        t1, t2 = (t[1:] for t in orthonormal_complement((O.v, np.concatenate(([0.0], pole)))))
         rotation[1:, 1:] = np.column_stack((t1, t2, pole))
         chart = _moved(vertical[1], rotation)
         jets = hf.chart_jets(chart, *hf.grid_arrays(chart, (6, 6)))
@@ -594,14 +603,7 @@ def test_ball_samples_match_exp_map_loop(seed, count):
 
 
 def test_ball_samples_build_no_frame(monkeypatch):
-    frames = []
-    builder = hf.lorentz.orthonormal_complement
-
-    def counted(rows):
-        frames.append(rows)
-        return builder(rows)
-
-    monkeypatch.setattr(hf.foliation, "orthonormal_complement", counted)
+    frames = _count_frame_builders(monkeypatch, (hf.foliation,))
     assert hf.ball_samples(0.8, 5, seed=1).shape == (5, 4)
     assert frames == []
 
@@ -711,6 +713,28 @@ def test_field_verdicts_follow_the_eigencheck_oracle(vertical, plane_normal, rad
         assert [set(r[keep].tolist()) for r in (forward, backward)] == ranks
 
 
+@pytest.mark.parametrize("radius, residual", [(13.0, 2e-5), (16.0, 2e-3), (18.0, 0.15)])
+def test_vertical_field_verdicts_far_from_the_base_point(vertical, radius, residual):
+    # the closed-form tangent frames hold at any distance, so the vertical
+    # field reads right out to radius 18; its geodesic residual, roundoff of
+    # a field of size e^D, grows like eps e^{2D} (measured: 1.6e-5, 1.3e-3
+    # and 0.12)
+    got, code, forward, backward = hf.field_checks(vertical[0], hf.ball_samples(radius, 50, seed=3))
+    assert got <= residual
+    assert [hf.VERDICTS[c] for c in code] == ["almost_semidefinite"] * 50
+    assert (set(forward.tolist()), set(backward.tolist())) == ({0}, {2})
+
+
+def test_vertical_field_checks_at_distance_19_raise_numerical_error(vertical, rng):
+    # there the transverse chart's forward endpoint p + X, of size e^-D, is
+    # a difference of vectors of size e^D and rounds to a non-null vector, so
+    # the kernel's forms are not finite
+    u = rng.standard_normal((50, 3))
+    points = np.column_stack((np.full(50, math.cosh(19.0)), math.sinh(19.0) * u / np.linalg.norm(u, axis=1)[:, None]))
+    with pytest.raises(hf.NumericalError, match="chart tangents at .* are not finite"):
+        hf.field_checks(vertical[0], points)
+
+
 @pytest.mark.parametrize("lam", [0.035, 0.0711, 0.3])
 def test_spiral_definite_exactly_where_its_operator_has_no_real_eigenvector(lam):
     # the other direction, on a family that is definite: A = J' J^-1 on each
@@ -720,7 +744,7 @@ def test_spiral_definite_exactly_where_its_operator_has_no_real_eigenvector(lam)
     rep = hf.classify_chart(chart, grid=(20, 20))
     a, b = rep.params.T
     foot, direction, plus, minus = ambient_tangents(chart, a, b)
-    normal = hf.orthonormal_complement(np.stack((foot, direction), axis=1))
+    normal = orthonormal_complement(np.stack((foot, direction), axis=1))
     # [n, i, k]: tangent k's J (or J') on vector i of the normal plane
     j, jp = (mink(normal[:, :, None], np.moveaxis(u, 0, 1)[:, None]) for u in (0.5 * (plus + minus), 0.5 * (plus - minus)))
     ops = np.zeros((len(a), 3, 3))

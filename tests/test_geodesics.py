@@ -24,6 +24,7 @@ from util import (
     minner,
     norm_sq,
     normalized,
+    orthonormal_complement,
     perp_component,
     project_to_tangent,
     rand_geodesic,
@@ -489,7 +490,7 @@ def test_jacobi_eval_general_data_satisfies_ode(rng):
 
 def _frame_residual(g):
     """Largest entry of M eta M^T - eta for M = [foot; dir; E1; E2], and det M."""
-    m = np.vstack((g.foot.v, g.dir.w, *hf.orthonormal_complement((g.foot.v, g.dir.w))))
+    m = np.vstack((g.foot.v, g.dir.w, *orthonormal_complement((g.foot.v, g.dir.w))))
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
     return float(np.max(np.abs(m @ eta @ m.T - eta))), float(np.linalg.det(m))
 

@@ -2,18 +2,21 @@
 boundary."""
 
 import ast
+import math
 import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hypfol as hf
 from hypfol.foliation import _POLE_FRAMES, _POLES
 from hypfol.geodesics import endpoint_images
-from hypfol.lorentz import cosh_sinhc
+from hypfol.lorentz import cosh_sinhc, sphere_frames, tangent_frames
 from util import (
+    ETA,
+    boost_matrix,
     boundary_from_sphere,
     cross,
     dist,
@@ -24,6 +27,7 @@ from util import (
     norm,
     norm_sq,
     normalized,
+    orthonormal_complement,
     project_to_tangent,
     rand_point,
     rand_unit_tangent,
@@ -36,6 +40,9 @@ E2 = hf.HTangent(O, (0.0, 0.0, 1.0, 0.0))
 E3 = hf.HTangent(O, (0.0, 0.0, 0.0, 1.0))
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
+#: spatial directions, not normalized
+directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
+EPS = np.finfo(float).eps
 
 
 def test_mink_inner_signature():
@@ -247,14 +254,70 @@ def test_cross_base_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# orthonormal frames
+# orthonormal frames: the closed forms of the program, then the tests'
+# reference builder for (foot, dir) frames
+
+
+def test_tangent_frames_at_base_are_the_standard_frame(rng):
+    # bit for bit, so ball samples and field checks about the base point do not move
+    assert tangent_frames(O.v).tobytes() == np.eye(4)[1:].tobytes()
+    points = np.array([boost_matrix(rng.standard_normal(3), d)[0] for d in (0.0, 0.5, 3.0, 12.0, 20.0)])
+    stacked = tangent_frames(points)
+    assert stacked.shape == (5, 3, 4)
+    assert stacked.tobytes() == np.array([tangent_frames(p) for p in points]).tobytes()
+
+
+@given(st.floats(0.0, 24.0), directions)
+def test_tangent_frames_are_the_boosted_base_frame(distance, direction):
+    # the boost that takes the base point to p carries (e1, e2, e3) to the
+    # frame at p; tangent, Minkowski-orthonormal and det[p, e1, e2, e3] = 1,
+    # each to a few eps of the squared row scale (measured: at most 1.3 eps)
+    boost = boost_matrix(direction, distance)
+    p = boost[0]
+    frames = tangent_frames(p)
+    basis = np.vstack((p, frames))
+    scale = np.max(np.sum(basis * basis, axis=1))
+    assert np.max(np.abs(basis @ ETA @ basis.T - ETA)) <= 4.0 * EPS * scale
+    assert abs(np.linalg.det(basis) - 1.0) <= 4.0 * EPS * scale
+    assert np.max(np.abs(frames - boost[1:])) <= 4.0 * EPS * boost[0, 0]
+
+
+def _assert_sphere_frame(u):
+    # (t1, t2, u) orthonormal and positively oriented to a few eps
+    # (measured: at most 3 eps on 100 000 random u)
+    m = np.vstack((sphere_frames(u), u))
+    assert np.max(np.abs(m @ m.T - np.eye(3))) <= 4.0 * EPS
+    assert abs(np.linalg.det(m) - 1.0) <= 4.0 * EPS
+
+
+@given(directions)
+@example((0.0, 0.0, 1.0))
+@example((0.0, 0.0, -1.0))
+@example((0.6, 0.8, 0.0))
+@example((0.6, -0.8, -0.0))
+@example((1e-8, -2e-8, 1.0))
+@example((-1e-8, 1e-8, -1.0))
+@example((1e-300, 0.0, -1.0))
+def test_sphere_frames_are_positively_oriented_orthonormal_frames(direction):
+    _assert_sphere_frame(np.array(direction) / np.linalg.norm(direction))
+
+
+def test_sphere_frames_at_the_axes_and_on_the_equator(rng):
+    assert np.array_equal(sphere_frames(np.array([0.0, 0.0, 1.0])), np.eye(3)[:2])
+    axes = [np.roll([0.0, 0.0, s], k) for k in range(3) for s in (1.0, -1.0)]
+    # z = +-0.0 take the two branches of the formula
+    equator = [np.array([math.cos(t), math.sin(t), z]) for t in rng.uniform(0.0, 2.0 * math.pi, 10) for z in (0.0, -0.0)]
+    near_poles = [np.array([d, -d, s * math.sqrt(1.0 - 2.0 * d * d)]) for d in (1e-8, 1e-12, 1e-200) for s in (1.0, -1.0)]
+    cases = np.array(axes + equator + near_poles)
+    for u in cases:
+        _assert_sphere_frame(u)
+    assert sphere_frames(cases).tobytes() == np.array([sphere_frames(u) for u in cases]).tobytes()
 
 
 def test_orthonormal_complement_at_base_is_standard_frame():
-    # exact, so ball samples and field checks about the base point do not move
-    assert np.array_equal(np.array(hf.orthonormal_complement(O.v)), np.eye(4)[1:])
+    assert np.array_equal(np.array(orthonormal_complement(O.v)), np.eye(4)[1:])
     with pytest.raises(hf.GeometryError):
-        hf.orthonormal_complement((O.v, np.full(4, np.nan)))
+        orthonormal_complement((O.v, np.full(4, np.nan)))
 
 
 def test_sphere_frame_is_positively_oriented(rng):
@@ -263,7 +326,7 @@ def test_sphere_frame_is_positively_oriented(rng):
     normals = [np.roll([0.0, 0.0, s], k) for k in range(3) for s in (1.0, -1.0)]
     normals += [u / np.linalg.norm(u) for u in rng.standard_normal((30, 3))]
     for n in normals:
-        t1, t2 = (t[1:] for t in hf.orthonormal_complement((O.v, np.concatenate(([0.0], n)))))
+        t1, t2 = (t[1:] for t in orthonormal_complement((O.v, np.concatenate(([0.0], n)))))
         m = np.array([n, t1, t2])
         assert np.allclose(m @ m.T, np.eye(3), atol=1e-14)
         assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-14)
@@ -284,13 +347,14 @@ def _far_frame_rows(rng, distance, count=200):
 @pytest.mark.parametrize("distance", [0.5, 2.0, 4.0, 8.0, 12.0])
 def test_stacked_frames_match_per_row_frames(rng, distance):
     for rows in _far_frame_rows(rng, distance):
-        stacked = hf.orthonormal_complement(rows)
+        stacked = orthonormal_complement(rows)
         assert stacked.shape == (len(rows), 4 - rows.shape[1], 4)
-        per_row = np.array([hf.orthonormal_complement(r) for r in rows])
+        per_row = np.array([orthonormal_complement(r) for r in rows])
         assert np.array_equal(stacked.view(np.int64), per_row.view(np.int64))
-    # the pole frames of the chart kernel, built by one stacked call
-    want = [[*(t[1:] for t in hf.orthonormal_complement((O.v, np.concatenate(([0.0], p))))), p] for p in _POLES]
-    assert np.array_equal(_POLE_FRAMES, np.array(want).reshape(-1, 3).T)
+    # the pole frames of the chart kernel, the columns (t1, t2, pole) of one
+    # stacked sphere_frames call, bit for bit those of one call per pole
+    want = [[*sphere_frames(p), p] for p in _POLES]
+    assert _POLE_FRAMES.tobytes() == np.array(want).reshape(-1, 3).T.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -304,8 +368,9 @@ def test_stacked_frames_match_per_row_frames(rng, distance):
             marks=pytest.mark.xfail(
                 raises=hf.GeometryError,
                 strict=True,
-                reason="the absolute n2 > 1/8 test of the pivoted Gram-Schmidt fails on some rows from "
-                "D = 13, where the rows' scale e^{2D} swamps it (ROADMAP item 2)",
+                reason="the tests' reference frame builder, a pivoted Gram-Schmidt: its absolute n2 > 1/8 "
+                "test fails on some rows from D = 13, where the rows' scale e^{2D} swamps it; the program's "
+                "frames are the closed forms tangent_frames and sphere_frames",
             ),
         ),
     ],
@@ -315,10 +380,10 @@ def test_frame_builder_range(rng, distance):
     # to 1e-12 of its scale, the largest squared row norm (measured: about
     # 3e-16 up to D = 12)
     for rows in _far_frame_rows(rng, distance):
-        basis = np.concatenate((rows, hf.orthonormal_complement(rows)), axis=1)
-        gram = basis @ hf.lorentz.ETA @ basis.swapaxes(1, 2)
+        basis = np.concatenate((rows, orthonormal_complement(rows)), axis=1)
+        gram = basis @ ETA @ basis.swapaxes(1, 2)
         scale = np.max(np.sum(basis * basis, axis=2), axis=1)
-        assert np.all(np.max(np.abs(gram - hf.lorentz.ETA), axis=(1, 2)) <= 1e-12 * scale)
+        assert np.all(np.max(np.abs(gram - ETA), axis=(1, 2)) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("distance", [13.0, 14.0, 16.0, 18.0])
@@ -328,11 +393,11 @@ def test_far_frames_raise_or_meet_the_bound(rng, distance):
     for rows in _far_frame_rows(rng, distance):
         for row in rows:
             try:
-                basis = np.concatenate((row, hf.orthonormal_complement(row)))
+                basis = np.concatenate((row, orthonormal_complement(row)))
             except hf.GeometryError:
                 continue
-            gram = basis @ hf.lorentz.ETA @ basis.T
-            assert np.max(np.abs(gram - hf.lorentz.ETA)) <= 1e-12 * np.max(np.sum(basis * basis, axis=1))
+            gram = basis @ ETA @ basis.T
+            assert np.max(np.abs(gram - ETA)) <= 1e-12 * np.max(np.sum(basis * basis, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Shared random generators, independent numerical oracles (the oriented
-cross product, frame coordinates, the complex-step and the
+"""Shared random generators, independent numerical oracles (the pivoted
+Gram-Schmidt frame builder, the reference for ``(foot, dir)`` frames, the
+oriented cross product, frame coordinates, the complex-step and the
 transported-difference covariant differentials, the RK4 Jacobi integrator,
 the ambient chart kernel and the Killing metric of Jacobi data), scalar
 references (the exponential map, the distance, ball samples and the
@@ -40,16 +41,55 @@ from hypfol import (
     chart_jets,
     make_geodesic,
     mink_inner,
-    orthonormal_complement,
     same_geodesic,
     same_point,
 )
 from hypfol.families import _E3, LAMBDA_SCAN_CAP, LambdaScan, SpiralParams, spiral_chart
 from hypfol.foliation import _FLAT_DIRECTIONS, RANK_DEFICIENT, _field_steps, grid_axes
 from hypfol.geodesics import asymptote_directions
-from hypfol.lorentz import _finish_point, _finish_tangent, _require_unit, _unitize, mink
+from hypfol.lorentz import _finish_point, _finish_tangent, _require_unit, _unitize, mink, tangent_frames
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+def orthonormal_complement(rows) -> np.ndarray:
+    """The spacelike unit vectors completing Minkowski-orthonormal ``rows``,
+    timelike row first, to a positively oriented orthonormal basis of R^{3,1}:
+    a ``(4 - k, 4)`` array for ``(k, 4)`` rows (a single vector counts as one
+    row), and a ``(N, 4 - k, 4)`` stack for an ``(N, k, 4)`` stack of rows.
+
+    Pivoted Gram-Schmidt over the coordinate axes: each step keeps the axis
+    whose residual against the basis so far is longest, and projects it
+    twice.  For orthonormal rows that residual has squared norm at least
+    1/4 (the squared Euclidean norms of a unit spacelike basis of the
+    complement sum to at least its dimension), so a shorter one means the
+    rows do not span a nondegenerate subspace.  That raises, as does a basis
+    whose Gram matrix misses ``ETA`` by over 1e-12 of its largest squared row
+    norm (some rows from distance 13).  The orientation is fixed by the sign
+    of the last vector.  At the base point the frame is exactly ``(e1, e2, e3)``.
+    """
+    rows = np.array(rows, dtype=float)
+    stack = rows if rows.ndim == 3 else rows.reshape(1, -1, 4)
+    count, first = stack.shape[:2]
+    basis = np.zeros((count, 4, 4))
+    basis[:, :first] = stack
+    signs = ETA.diagonal()  # <b_i, b_i> of the finished basis
+    for k in range(first, 4):
+        b = basis[:, :k]
+        # row i of ``dual`` pairs with x to its b_i coefficient, <x, b_i> / <b_i, b_i>
+        dual = signs[:k, None] * b @ ETA
+        residual = np.eye(4) - dual.swapaxes(1, 2) @ b
+        w = residual[np.arange(count), np.argmax((residual * residual) @ signs, axis=1)]
+        w = w - ((dual @ w[:, :, None]).swapaxes(1, 2) @ b)[:, 0]
+        n2 = mink(w, w)
+        if not (n2 > 0.125).all():
+            raise GeometryError(f"could not complete the orthonormal frame of row {int(np.argmin(n2 > 0.125))}")
+        basis[:, k] = w / np.sqrt(n2)[:, None]
+    error = np.max(np.abs((basis * signs) @ basis.swapaxes(1, 2) - ETA), axis=(1, 2))
+    if not (ok := error <= 1e-12 * np.max(np.sum(basis * basis, axis=2), axis=1)).all():
+        raise GeometryError(f"could not complete the orthonormal frame of row {int(np.argmin(ok))} accurately")
+    basis[np.linalg.det(basis) < 0.0, 3] *= -1.0
+    return basis[:, first:] if rows.ndim == 3 else basis[0, first:]
 
 
 class NonOrthogonalJacobiError(GeometryError):
@@ -146,7 +186,7 @@ def frame_coords(*jds, s=0.0):
     datum's geodesic; tangential components drop out.  An oracle for the
     frame-free pairings of ``hypfol.geodesics``."""
     g = jds[0].geo
-    frame = ETA @ np.column_stack(hf.orthonormal_complement((g.foot.v, g.dir.w)))
+    frame = ETA @ np.column_stack(orthonormal_complement((g.foot.v, g.dir.w)))
     a = np.array([x.j0.w for x in jds]) @ frame
     b = np.array([x.j0p.w for x in jds]) @ frame
     ch, sh = np.cosh(s), np.sinh(s)
@@ -209,12 +249,12 @@ def covariant_differentials(field, points) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def reference_covariant_differential(field, p: HPoint) -> tuple[np.ndarray, list[HTangent]]:
-    """Matrix of the covariant differential of the field in an orthonormal
-    frame at ``p`` by transported central differences; column ``j`` holds
+    """Matrix of the covariant differential of the field in the
+    ``tangent_frames`` frame at ``p`` by transported central differences; column ``j`` holds
     the derivative along frame vector ``j``.  An independent check of the
     complex-step ``covariant_differentials``, accurate to about
     ``FD_STEP^2``."""
-    frame = [HTangent(p, e) for e in orthonormal_complement(p.v)]
+    frame = [HTangent(p, e) for e in tangent_frames(p.v)]
     mat = np.empty((3, 3))
     for j, ej in enumerate(frame):
         col = _transported_difference(field, p, ej.w)
