@@ -56,7 +56,7 @@ _SPIRAL_FLAGS = (("--lambda", "lam", None), ("--alpha0", "alpha0", SpiralParams.
 #: the most grid samples: no array holds 1024 bytes per sample (the largest
 #: whole-grid arrays are the classification report's columns, ``k_values``
 #: (N, 8) floats or 64 bytes; the kernel's forms, 96 bytes per sample, its
-#: projections onto all pole frames, 2016, and the classifier's null
+#: stacked jets of both endpoints, 192, and the classifier's null
 #: directions, 128, are formed one block of rows at a time), so numpy can size
 #: every array of a smaller grid, and at worst fails to allocate it
 _MAX_SAMPLES = sys.maxsize // 1024

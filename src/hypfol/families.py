@@ -106,9 +106,9 @@ class SpiralParams:
     def __post_init__(self):
         if not 0.0 < self.alpha0 < math.pi / 2.0:
             raise GeometryError("alpha0 must lie in (0, pi/2)")
-        if self.lam <= 0.0:
+        if not self.lam > 0.0:
             raise GeometryError("lam must be positive")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise GeometryError("delta must be positive")
         # the grid spans 2 pi + 2 delta in t, and the margin reads sin(2 tilt)
         ends = (self.tilt(3.0, -self.delta), self.tilt(1.0, 2.0 * math.pi + self.delta))

@@ -6,11 +6,12 @@ chart is an array map ``(a, b) -> (foot, dir)`` that accepts complex
 parameters.  One kernel, ``chart_jets``, evaluates it three times on the
 rows it is given (the values, then complex steps in ``a`` and in ``b``),
 validates the leaves, and reads both axis tangents at the leaves' sphere
-endpoints, the rays of ``foot +- dir``: stereographic coordinates ``z+-``
-and their derivatives ``dz+-``, exact to roundoff.  Both neutral metrics are
-parts of one complex form ``Q = dz+ dz- / (z+ - z-)^2`` (cross ``2 Im Q``,
-Killing ``-4 Re Q``), and the energy ``|J|^2 + |J'|^2`` is that of the
-endpoint variations in the visual metric from the foot.  The forms and
+endpoints, the unit vectors ``u+-`` of the rays of ``foot +- dir``, and
+their variations ``du+-``, exact to roundoff.  Both neutral metrics are
+parts of the Moebius-invariant ``Q = dz+ dz- / (z+ - z-)^2`` (cross ``2 Im
+Q``, Killing ``-4 Re Q``), read in no coordinate, and the energy ``|J|^2 +
+|J'|^2`` is that of the endpoint variations in the visual metric from the
+foot.  The forms and
 variations are scaled to unit-energy tangents once, as they are made, and
 every per-sample quantity is read from them: the Gram matrix of the cross
 metric, the rank check, the Killing values on its null directions and the
@@ -76,7 +77,6 @@ from .lorentz import (
     cosh_sinhc,
     mink,
     model_checks,
-    sphere_frames,
     tangent_frames,
 )
 
@@ -186,17 +186,6 @@ def _evaluate(chart: FoliationChart, a, b) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(foot), np.asarray(direction)
 
 
-#: the candidate projection poles: the 6 axis points and the 8 cube diagonals
-#: of the unit sphere, in tie-break order
-_POLES = np.vstack(
-    (np.eye(3), -np.eye(3), np.array([(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]) / math.sqrt(3.0))
-)
-#: per pole in turn, the vectors ``(e1, e2, pole)`` of a positively oriented
-#: orthonormal frame of R^3 (``(e1, e2)`` from ``sphere_frames``), as the
-#: columns of one ``(3, 42)`` matrix
-_POLE_FRAMES = np.concatenate((sphere_frames(_POLES), _POLES[:, None]), axis=1).reshape(-1, 3).T
-
-
 @dataclass(frozen=True, eq=False)
 class ChartJets:
     """Validated leaves of a chart at ``N`` parameter pairs (a block of a
@@ -207,10 +196,10 @@ class ChartJets:
     ``cross``, ``killing`` and ``energy`` are the ``(N, 2, 2)`` Gram matrices
     of the cross metric, the Killing metric and the energy ``|J|^2 + |J'|^2``
     on the tangents along ``a`` and ``b`` scaled to unit energy (a zero
-    tangent stays zero).  ``ends`` ``(2, 2, N)`` holds the variations of the
-    forward (row 0) and backward (row 1) endpoints along the same tangents,
-    as complex numbers in an orthonormal frame of the sphere's visual metric
-    from the foot: their lengths are those of ``J + J'`` and ``J - J'``.
+    tangent stays zero).  ``ends`` ``(3, 2, 2, N)`` holds the variations of
+    the forward (side 0) and backward (side 1) endpoints along the same
+    tangents, as vectors of R^3 in the sphere's visual metric from the foot
+    (components first): their lengths are those of ``J + J'`` and ``J - J'``.
     ``full_rank`` ``(N,)`` tells whether the two tangents span a plane
     (``_forms``).
     """
@@ -227,10 +216,15 @@ class ChartJets:
     def endpoint_ranks(self, atol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
         """Ranks ``(forward, backward)`` of the endpoint maps on the span of
         the unit-energy tangents: each is a 2x2 matrix with columns the
-        endpoint variations, read by ``rank_2x2``."""
-        w0, w1 = self.ends[:, 0], self.ends[:, 1]
-        det, frob_sq = np.imag(np.conj(w0) * w1), np.abs(w0) ** 2 + np.abs(w1) ** 2
+        endpoint variations ``w0``, ``w1``, read by ``rank_2x2``."""
+        w0, w1 = self.ends[:, :, 0], self.ends[:, :, 1]
+        det, frob_sq = np.sqrt((_cross(w0, w1) ** 2).sum(axis=0)), (w0 * w0 + w1 * w1).sum(axis=0)
         return tuple(rank_2x2(det, frob_sq, atol))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of the 3-vectors on the first axis of ``a`` and ``b``."""
+    return a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -270,27 +264,24 @@ def _jets(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> ChartJets:
 
 
 def _forms(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``(3, 2, 2, n)`` cross, Killing and energy forms and the ``(2, 2,
-    n)`` endpoint variations of ``n`` leaves from ``(3, n, 4)`` stacks of
+    """The ``(3, 2, 2, n)`` cross, Killing and energy forms and the ``(3, 2,
+    2, n)`` endpoint variations of ``n`` leaves from ``(3, n, 4)`` stacks of
     their feet ``f`` and directions ``d``: the values, then the derivatives
     along the tangents ``x`` and ``y``, all on the tangents scaled to unit
     energy; and the ``(n,)`` mask of the rows whose tangents span a plane.
 
-    Both neutral forms are parts of one complex form on pairs of sphere
-    points: with ``z+`` and ``z-`` stereographic coordinates of a leaf's
-    endpoints and ``dz+-`` their derivatives along the tangents ``x`` and
-    ``y``, ``Q(x, y) = (dz+(x) dz-(y) + dz+(y) dz-(x)) / (2 (z+ - z-)^2)``
-    gives cross ``= 2 Im Q`` and Killing ``= -4 Re Q``.  ``Q`` does not
-    change under rotations, so each row projects from the pole of
-    ``_POLES`` farthest from both its endpoints (the first on ties), in that
-    pole's frame ``(e1, e2, p)``.  The endpoints are the rays of the null
-    vectors ``n = foot +- dir``; with ``x = n.e1``, ``y = n.e2`` and ``w =
-    n0 - n.p`` on their spatial parts, ``z = (x + iy) / w`` and ``dz = (dx +
-    i dy - z dw) / w``, where ``dx``, ``dy``, ``dw`` are complex-step
-    derivatives of the real projections.  In the visual metric from the
-    foot the endpoint variations are ``W = 2 n0 dz / (1 + |z|^2)``, of the
-    lengths of ``J + J'`` and ``J - J'``, and the energy is ``(|W+|^2 +
-    |W-|^2) / 2``.
+    Both neutral forms are parts of the Moebius-invariant ``Q = dz+ dz- /
+    (z+ - z-)^2`` on pairs of sphere points (cross ``2 Im Q``, Killing ``-4
+    Re Q``, symmetrized), read here in no coordinate.  The endpoints are
+    the unit vectors ``u = n_s / n0`` of the null vectors ``n = foot +-
+    dir``, and their variations along ``x`` and ``y`` are ``du = (dn_s - u
+    dn0) / n0`` (``dn`` the complex-step derivatives).  The mirror ``R a = a
+    - 2 (a.w) w / |w|^2``, ``w = u+ - u-``, swaps the endpoints, and ``T(x,
+    y) = (R du+(x) . du-(y) + i R du+(x) . (du-(y) x u-)) / |w|^2`` is minus
+    the conjugate of ``dz+(x) dz-(y) / (z+ - z-)^2``: cross ``= Im(T +
+    T^T)``, Killing ``= 2 Re(T + T^T)``.  In the visual metric from the foot
+    the endpoint variations are ``n0 du``, of the lengths of ``J + J'`` and
+    ``J - J'``, and the energy is the half sum of their products.
 
     A tangent is scaled by ``1 / sqrt(|J|^2 + |J'|^2)`` (a zero one by 0).
     The pair spans a plane when both raw energies are above ``1e-12`` of the
@@ -301,23 +292,21 @@ def _forms(params: np.ndarray, f: np.ndarray, d: np.ndarray) -> tuple[np.ndarray
     not finite.
     """
     with np.errstate(all="ignore"):
-        # per side, forward then backward, the value and both derivatives of foot +- dir
-        jet = np.stack((f + d, f - d))
-        n = jet[:, 0]
-        # the spatial parts in every pole's frame, of which each row reads
-        # those of its own pole
-        proj = (jet[..., 1:] @ _POLE_FRAMES).reshape(*jet.shape[:-1], len(_POLES), 3)
-        pole = np.argmin(np.max(proj[:, 0, :, :, 2] / n[..., :1], axis=0), axis=1)
-        x, y, p = np.moveaxis(proj[:, :, np.arange(len(pole)), pole], -1, 0)
-        xy, w = x + 1j * y, jet[..., 0] - p
-        z = xy[:, 0] / w[:, 0]
-        dz = (xy[:, 1:] - z[:, None] * w[:, 1:]) / w[:, None, 0]
-        # 2 Q on the axis tangents
-        prod = dz[0, :, None] * dz[1, None, :]
-        q2 = (prod + prod.transpose(1, 0, 2)) / (z[0] - z[1]) ** 2
-        ends = dz * (2.0 * n[..., 0] / (1.0 + (z * np.conj(z)).real))[:, None]
-        energy = 0.5 * (np.conj(ends[:, :, None]) * ends[:, None]).real.sum(axis=0)
-        forms = np.stack((q2.imag, -2.0 * q2.real, energy))
+        # foot +- dir by component, side (+ then -) and jet (value, d/dx, d/dy)
+        jet = np.moveaxis(np.stack((f + d, f - d)), -1, 0)
+        n0 = jet[0, :, 0]
+        u = jet[1:, :, 0] / n0
+        du = (jet[1:, :, 1:] - u[:, :, None] * jet[0, :, 1:]) / n0[:, None]
+        w = u[:, 0] - u[:, 1]
+        ww = (w * w).sum(axis=0)
+        # R du+ paired with du- and with du- x u-: the real and imaginary parts of T
+        mirrored = du[:, 0] - 2.0 * (du[:, 0] * w[:, None]).sum(axis=0) / ww * w[:, None]
+        pair = np.stack((du[:, 1], _cross(du[:, 1], u[:, 1, None])))
+        t = np.einsum("cxn,kcyn->kxyn", mirrored, pair) / ww
+        t = t + t.swapaxes(1, 2)
+        ends = du * n0[:, None]
+        energy = 0.5 * np.einsum("csxn,csyn->xyn", ends, ends)
+        forms = np.stack((t[1], 2.0 * t[0], energy))
     finite = np.isfinite(forms).all(axis=(0, 1, 2))
     if not finite.all():
         k = int(np.argmin(finite))

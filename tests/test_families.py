@@ -457,3 +457,8 @@ def test_spiral_params_validation():
         hf.SpiralParams(alpha0=0.5, lam=-1.0)
     with pytest.raises(hf.GeometryError):
         hf.SpiralParams(alpha0=0.5, lam=0.1, delta=0.0)
+    # NaN fails every comparison, so it must fail the positivity checks too
+    with pytest.raises(hf.GeometryError, match="lam must be positive"):
+        hf.SpiralParams(alpha0=0.5, lam=math.nan)
+    with pytest.raises(hf.GeometryError, match="delta must be positive"):
+        hf.SpiralParams(alpha0=0.5, lam=0.1, delta=math.nan)

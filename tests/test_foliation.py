@@ -166,7 +166,7 @@ def _count_frame_builders(monkeypatch, modules) -> list:
 
 def test_classify_point_builds_no_frame(vertical, spiral, monkeypatch):
     # Gram matrix, Killing values and energies come from the sphere
-    # endpoints, projected in pole frames built once
+    # endpoints and their variations, with no frame
     frames = _count_frame_builders(monkeypatch, (hf.geodesics, hf.foliation))
     cases = ((vertical, (0.3, 0.2), "almost_semidefinite"), (spiral, (2.0, 3.0), "definite"))
     for (_, chart), params, verdict in cases:
@@ -245,11 +245,12 @@ def test_kernel_unit_gram_matches_closed_form(rng):
 
 
 def test_kernel_forms_match_endpoint_identity(rng, plane_normal):
-    # the kernel reads cross = 2 Im Q and Killing = -4 Re Q, with Q(x, y)
-    # the symmetrized dz+(x) dz-(y) / (z+ - z-)^2 of the endpoints, and the
-    # energy from the endpoint variations; the ambient Jacobi data give the
-    # same forms from determinants and Minkowski pairings, once both are
-    # scaled to unit-energy tangents
+    # the kernel reads cross = Im(T + T^T) and Killing = 2 Re(T + T^T) from
+    # the endpoints u+- and their variations du+-: T(x, y) pairs the mirror
+    # image of du+(x) at u- with du-(y) and with du-(y) x u-, over
+    # |u+ - u-|^2, and the energy is that of the endpoint variations; the
+    # ambient Jacobi data give the same forms from determinants and
+    # Minkowski pairings, once both are scaled to unit-energy tangents
     spiral = hf.spiral_chart(hf.SpiralParams(alpha0=math.pi / 4.0, lam=0.3, delta=0.1))
     rho, theta = rng.uniform(0.0, 1.0, 100), rng.uniform(0.0, 2.0 * math.pi, 100)
     samples = (
@@ -308,16 +309,53 @@ def test_far_field_verdicts(vertical, spiral, distance):
         assert [sample(rep, k).verdict for k in range(36)] == ["definite"] * 36
 
 
-def test_classify_on_every_projection_pole(vertical, tmp_path):
-    # the vertical family rotated so that the forward endpoint all its
-    # leaves share sits on each candidate pole of the kernel's projection
+EPS = np.finfo(float).eps
+
+
+def _rotation(q):
+    """The rotation of R^{3,1} that fixes the base point, from a quaternion
+    ``q = (w, x, y, z)`` (normalized here)."""
+    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    rotation = np.eye(4)
+    rotation[1:, 1:] = (
+        (1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)),
+        (2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)),
+        (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
+    )
+    return rotation
+
+
+def _assert_isometry_invariant(chart, isometry, bound):
+    """The kernel's unit-energy forms of a chart and of its copy moved by
+    ``isometry`` agree within ``bound`` on a 6x6 grid, and the rank checks,
+    endpoint ranks and verdicts are equal; returns the moved chart and its
+    jets."""
+    moved = _moved(chart, isometry)
+    a, b = hf.grid_arrays(chart, (6, 6))
+    jets, moved_jets = hf.chart_jets(chart, a, b), hf.chart_jets(moved, a, b)
+    for name in ("cross", "killing", "energy"):
+        assert np.max(np.abs(getattr(jets, name) - getattr(moved_jets, name))) <= bound, name
+    assert np.array_equal(jets.full_rank, moved_jets.full_rank)
+    for ranks, moved_ranks in zip(jets.endpoint_ranks(), moved_jets.endpoint_ranks()):
+        assert np.array_equal(ranks, moved_ranks)
+    codes, moved_codes = (hf.classify_chart(c, grid=(6, 6)).verdict_code for c in (chart, moved))
+    assert np.array_equal(codes, moved_codes)
+    return moved, moved_jets
+
+
+def test_kernel_forms_are_rotation_invariant(vertical, plane_normal, spiral, tmp_path):
+    # the forms are read from the sphere endpoints with no coordinate choice,
+    # so a rotation moves them only by roundoff.  The corpus rotates the
+    # vertical family's common forward endpoint to the 6 axis points and the
+    # 8 cube diagonals of the sphere
     diagonals = np.array([(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]) / math.sqrt(3.0)
     for k, pole in enumerate([*np.eye(3), *-np.eye(3), *diagonals]):
         rotation = np.eye(4)
         t1, t2 = (t[1:] for t in orthonormal_complement((O.v, np.concatenate(([0.0], pole)))))
         rotation[1:, 1:] = np.column_stack((t1, t2, pole))
-        chart = _moved(vertical[1], rotation)
-        jets = hf.chart_jets(chart, *hf.grid_arrays(chart, (6, 6)))
+        for _, chart in (plane_normal, spiral):
+            _assert_isometry_invariant(chart, rotation, 1e-14)
+        chart, jets = _assert_isometry_invariant(vertical[1], rotation, 1e-14)
         assert np.max(np.abs(jets.foot + jets.dir - np.concatenate(([1.0], pole)))) <= 1e-12
         forward, backward = jets.endpoint_ranks()
         assert forward.tolist() == [0] * 36 and backward.tolist() == [2] * 36
@@ -329,6 +367,25 @@ def test_classify_on_every_projection_pole(vertical, tmp_path):
             write_report(path, report_payload("classify", {}, {"classification": rep}, hf.__version__))
             texts.append(path.read_bytes())
         assert texts[0] == texts[1]
+
+
+_quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) >= 0.5)
+
+
+@given(_quaternions)
+def test_kernel_forms_under_random_rotations(vertical, plane_normal, spiral, q):
+    for _, chart in (vertical, plane_normal, spiral):
+        _assert_isometry_invariant(chart, _rotation(q), 1e-14)
+
+
+@given(st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) >= 0.5), st.floats(0.0, 20.0))
+def test_kernel_forms_under_random_boosts(vertical, spiral, direction, distance):
+    # off the coordinate axes the endpoints of a leaf at distance D crowd
+    # together to about e^-D, so the forms lose about eps e^D (measured: at
+    # most 24 eps e^D on these draws); the verdicts stay
+    bound = 64.0 * EPS * math.exp(distance)
+    for _, chart in (vertical, spiral):
+        _assert_isometry_invariant(chart, boost_matrix(direction, distance), bound)
 
 
 def test_classify_chart_aggregates(vertical, plane_normal):

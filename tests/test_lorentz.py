@@ -11,7 +11,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hypfol as hf
-from hypfol.foliation import _POLE_FRAMES, _POLES
 from hypfol.geodesics import endpoint_images
 from hypfol.lorentz import cosh_sinhc, sphere_frames, tangent_frames
 from util import (
@@ -351,10 +350,6 @@ def test_stacked_frames_match_per_row_frames(rng, distance):
         assert stacked.shape == (len(rows), 4 - rows.shape[1], 4)
         per_row = np.array([orthonormal_complement(r) for r in rows])
         assert np.array_equal(stacked.view(np.int64), per_row.view(np.int64))
-    # the pole frames of the chart kernel, the columns (t1, t2, pole) of one
-    # stacked sphere_frames call, bit for bit those of one call per pole
-    want = [[*sphere_frames(p), p] for p in _POLES]
-    assert _POLE_FRAMES.tobytes() == np.array(want).reshape(-1, 3).T.tobytes()
 
 
 @pytest.mark.parametrize(
